@@ -128,20 +128,19 @@ func VertexColouring(g *graph.Graph, p Params) (*ColouringResult, error) {
 	// of local computation plus one output round. The groups are
 	// independent (each writes only its own vertices' colours), so the
 	// colouring runs under the cluster's executor.
+	members := partitionByOwner(n, kappa, func(v int) int { return group[v] })
 	colours := make([]int, n)
 	localColour := make([]int, n)
 	groupDeg := make([]int, kappa)
 	groupMaxLocal := make([]int, kappa)
 	cluster.Exec().Execute(kappa, func(i int) {
-		sub, toLocal := induced(g.N, groupEdges[i], func(v int) bool { return group[v] == i })
+		sub, toLocal := induced(n, members[i], groupEdges[i])
 		col := seq.GreedyVertexColouring(sub, nil)
 		groupDeg[i] = sub.MaxDegree()
-		for v := 0; v < n; v++ {
-			if group[v] == i {
-				localColour[v] = col[toLocal[v]]
-				if localColour[v] > groupMaxLocal[i] {
-					groupMaxLocal[i] = localColour[v]
-				}
+		for _, v := range members[i] {
+			localColour[v] = col[toLocal[v]]
+			if localColour[v] > groupMaxLocal[i] {
+				groupMaxLocal[i] = localColour[v]
 			}
 		}
 	})
@@ -154,17 +153,15 @@ func VertexColouring(g *graph.Graph, p Params) (*ColouringResult, error) {
 			maxLocal = groupMaxLocal[i]
 		}
 	}
-	// Output round: group machines emit (v, group, local colour). A machine
+	// Output round: group machines emit (v, group, local colour), each from
+	// the ascending list of the vertices whose group it hosts. A machine
 	// hosting a group whose induced subgraph has no edges received no route
 	// traffic, so every machine hosting any vertex's group is armed.
-	for v := 0; v < n; v++ {
-		cluster.Arm(groupMachine(group[v]))
-	}
+	emits := partitionByOwner(n, M, func(v int) int { return groupMachine(group[v]) })
+	armPlanned(cluster, emits)
 	err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-		for v := 0; v < n; v++ {
-			if groupMachine(group[v]) == machine {
-				out.SendInts(0, int64(v), int64(group[v]), int64(localColour[v]))
-			}
+		for _, v := range emits[machine] {
+			out.SendInts(0, int64(v), int64(group[v]), int64(localColour[v]))
 		}
 	})
 	if err != nil {
@@ -224,7 +221,14 @@ func EdgeColouring(g *graph.Graph, p Params) (*ColouringResult, error) {
 	// a machine emits only for groups with edges, and those received route
 	// traffic. Group edge lists are assembled up front in arrival (machine,
 	// then edge) order.
+	groupSize := make([]int, kappa)
+	for _, grp := range group {
+		groupSize[grp]++
+	}
 	groupIDs := make([][]int, kappa)
+	for i, size := range groupSize {
+		groupIDs[i] = make([]int, 0, size)
+	}
 	for machine := 1; machine < M; machine++ {
 		if len(ownedEdges[machine]) > 0 {
 			cluster.Arm(machine)
@@ -257,11 +261,13 @@ func EdgeColouring(g *graph.Graph, p Params) (*ColouringResult, error) {
 	groupDeg := make([]int, kappa)
 	groupMaxLocal := make([]int, kappa)
 	cluster.Exec().Execute(kappa, func(i int) {
-		// Build the group subgraph on the same vertex ids (compacted).
+		// The group subgraph keeps the original vertex ids; its edge k is
+		// edge groupIDs[i][k] of g.
 		sub := graph.New(n)
-		for _, id := range groupIDs[i] {
+		sub.Edges = make([]graph.Edge, len(groupIDs[i]))
+		for k, id := range groupIDs[i] {
 			e := g.Edges[id]
-			sub.AddEdge(e.U, e.V, 1)
+			sub.Edges[k] = graph.Edge{U: e.U, V: e.V, W: 1}
 		}
 		col := seq.MisraGries(sub)
 		groupDeg[i] = sub.MaxDegree()
@@ -281,12 +287,12 @@ func EdgeColouring(g *graph.Graph, p Params) (*ColouringResult, error) {
 			maxLocal = groupMaxLocal[i]
 		}
 	}
-	// Output round.
+	// Output round: each machine emits, in ascending edge order, the edges
+	// of the groups it hosts.
+	emits := partitionByOwner(m, M, func(id int) int { return groupMachine(group[id]) })
 	err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-		for id := 0; id < m; id++ {
-			if groupMachine(group[id]) == machine {
-				out.SendInts(0, int64(id), int64(group[id]), int64(localColour[id]))
-			}
+		for _, id := range emits[machine] {
+			out.SendInts(0, int64(id), int64(group[id]), int64(localColour[id]))
 		}
 	})
 	if err != nil {
@@ -306,19 +312,22 @@ func EdgeColouring(g *graph.Graph, p Params) (*ColouringResult, error) {
 	}, nil
 }
 
-// induced builds the subgraph induced by the vertices selected by keep,
-// using the provided edge list, with compacted vertex ids. It returns the
-// subgraph and the old→new vertex id map.
-func induced(n int, edges []graph.Edge, keep func(v int) bool) (*graph.Graph, map[int]int) {
-	toLocal := make(map[int]int)
-	for v := 0; v < n; v++ {
-		if keep(v) {
-			toLocal[v] = len(toLocal)
-		}
+// induced builds the subgraph induced by members (ascending vertex ids of
+// an n-vertex graph) from the edges among them, with compacted vertex ids.
+// It returns the subgraph and the old→new vertex id map, -1 for a vertex
+// outside members.
+func induced(n int, members []int, edges []graph.Edge) (*graph.Graph, []int32) {
+	toLocal := make([]int32, n)
+	for v := range toLocal {
+		toLocal[v] = -1
 	}
-	sub := graph.New(len(toLocal))
-	for _, e := range edges {
-		sub.AddEdge(toLocal[e.U], toLocal[e.V], e.W)
+	for local, v := range members {
+		toLocal[v] = int32(local)
+	}
+	sub := graph.New(len(members))
+	sub.Edges = make([]graph.Edge, len(edges))
+	for k, e := range edges {
+		sub.Edges[k] = graph.Edge{U: int(toLocal[e.U]), V: int(toLocal[e.V]), W: e.W}
 	}
 	return sub, toLocal
 }

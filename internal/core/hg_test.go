@@ -201,22 +201,34 @@ func TestEdgeColouringSmall(t *testing.T) {
 }
 
 func TestEdgeColouringBound(t *testing.T) {
-	r := rng.New(78)
-	n := 400
-	mu := 0.2
-	g := graph.Density(n, 0.4, r)
-	res, err := EdgeColouring(g, Params{Mu: mu, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !graph.IsProperEdgeColouring(g, res.Colours) {
-		t.Fatal("improper")
-	}
-	delta := float64(g.MaxDegree())
+	// Theorem 6.6 over many seeds: (1+o(1))∆ colours in two rounds within
+	// the space cap. The second bound is the mechanism itself — κ groups,
+	// each Misra–Gries-coloured with at most ∆_i + 1 colours. Both densities
+	// keep the output round's 3m words under machine 0's cap; c = 0.6 at
+	// this n does not, and counts one violation on every seed.
+	const n, mu = 400, 0.2
 	slack := 1 + math.Sqrt(6*math.Log(float64(n)))/math.Pow(float64(n), mu/2) + math.Pow(float64(n), -mu)
-	bound := slack*delta + float64(res.Groups)
-	if float64(res.NumColours) > bound {
-		t.Fatalf("%d colours > bound %v (∆=%v, κ=%d)", res.NumColours, bound, delta, res.Groups)
+	for _, c := range []float64{0.4, 0.5} {
+		for seed := uint64(1); seed <= 20; seed++ {
+			g := graph.Density(n, c, rng.New(78+seed))
+			res, err := EdgeColouring(g, Params{Mu: mu, Seed: seed})
+			if err != nil {
+				t.Fatalf("c=%v seed %d: %v", c, seed, err)
+			}
+			if !graph.IsProperEdgeColouring(g, res.Colours) {
+				t.Fatalf("c=%v seed %d: improper", c, seed)
+			}
+			delta := float64(g.MaxDegree())
+			if bound := slack*delta + float64(res.Groups); float64(res.NumColours) > bound {
+				t.Errorf("c=%v seed %d: %d colours > bound %v (∆=%v, κ=%d)", c, seed, res.NumColours, bound, delta, res.Groups)
+			}
+			if bound := res.Groups * (res.MaxGroupDegree + 1); res.NumColours > bound {
+				t.Errorf("c=%v seed %d: %d colours > κ(∆_i+1) = %d·%d", c, seed, res.NumColours, res.Groups, res.MaxGroupDegree+1)
+			}
+			if res.Metrics.Rounds != 2 || res.Metrics.Violations != 0 {
+				t.Errorf("c=%v seed %d: %d rounds, %d violations, want 2 and 0", c, seed, res.Metrics.Rounds, res.Metrics.Violations)
+			}
+		}
 	}
 }
 

@@ -337,9 +337,10 @@ func (g *Graph) Degrees() []int {
 
 // MaxDegree returns the maximum degree (0 for an empty graph).
 func (g *Graph) MaxDegree() int {
+	g.Build()
 	max := 0
-	for _, d := range g.Degrees() {
-		if d > max {
+	for v := 0; v < g.N; v++ {
+		if d := int(g.adjStart[v+1] - g.adjStart[v]); d > max {
 			max = d
 		}
 	}

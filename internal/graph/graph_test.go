@@ -405,6 +405,140 @@ func TestValidatorsColouring(t *testing.T) {
 	}
 }
 
+// isProperEdgeColouringRef is the map-based validator IsProperEdgeColouring
+// replaced, kept as the reference the hash-free pass must agree with.
+func isProperEdgeColouringRef(g *Graph, colour []int) bool {
+	if len(colour) != len(g.Edges) {
+		return false
+	}
+	seen := make(map[[2]int]bool) // (vertex, colour)
+	for id, e := range g.Edges {
+		c := colour[id]
+		ku := [2]int{e.U, c}
+		kv := [2]int{e.V, c}
+		if seen[ku] || seen[kv] {
+			return false
+		}
+		seen[ku] = true
+		seen[kv] = true
+	}
+	return true
+}
+
+// greedyEdgeColouring gives every edge the smallest colour unused at both
+// endpoints: proper by construction, independent of internal/seq.
+func greedyEdgeColouring(g *Graph) []int {
+	used := make([]map[int]bool, g.N)
+	for v := range used {
+		used[v] = make(map[int]bool)
+	}
+	colour := make([]int, g.M())
+	for id, e := range g.Edges {
+		c := 0
+		for used[e.U][c] || used[e.V][c] {
+			c++
+		}
+		colour[id] = c
+		used[e.U][c], used[e.V][c] = true, true
+	}
+	return colour
+}
+
+func TestIsProperEdgeColouringMatchesReference(t *testing.T) {
+	// Injective relabellings: a proper colouring stays proper under each,
+	// whatever the sign or size of the labels.
+	relabel := map[string]func(c int) int{
+		"identity": func(c int) int { return c },
+		"negative": func(c int) int { return -1 - 3*c },
+		"near-max": func(c int) int { return math.MaxInt - c },
+		"near-min": func(c int) int { return math.MinInt + c },
+		"mixed": func(c int) int {
+			if c%2 == 0 {
+				return math.MaxInt - c
+			}
+			return math.MinInt + c
+		},
+	}
+	check := func(name string, g *Graph, colour []int, want bool) {
+		t.Helper()
+		got, ref := IsProperEdgeColouring(g, colour), isProperEdgeColouringRef(g, colour)
+		if got != ref || got != want {
+			t.Fatalf("%s: got %v, reference %v, want %v", name, got, ref, want)
+		}
+	}
+	r := rng.New(13)
+	for trial := 0; trial < 40; trial++ {
+		n := 6 + r.Intn(40)
+		g := GNM(n, n+r.Intn(n*(n-1)/2-n+1), r)
+		base := greedyEdgeColouring(g)
+		for name, f := range relabel {
+			colour := make([]int, len(base))
+			for id, c := range base {
+				colour[id] = f(c)
+			}
+			check(name, g, colour, true)
+			check(name+"/short", g, colour[:len(colour)-1], false)
+			check(name+"/long", g, append(colour[:len(colour):len(colour)], 0), false)
+
+			// Recolour one edge to clash with a neighbouring edge at its U
+			// endpoint, then at its V endpoint.
+			for _, atU := range []bool{true, false} {
+				id := r.Intn(g.M())
+				end := g.Edges[id].V
+				if atU {
+					end = g.Edges[id].U
+				}
+				for _, other := range g.IncidentEdges(end) {
+					if int(other) != id {
+						clash := append([]int(nil), colour...)
+						clash[id] = colour[other]
+						check(name+"/clash", g, clash, false)
+						break
+					}
+				}
+			}
+		}
+	}
+
+	// Edge lists written directly may hold what AddEdge refuses. A lone
+	// self-loop is one edge at its vertex, not a clash with itself; parallel
+	// edges clash unless coloured apart.
+	loop := New(3)
+	loop.Edges = []Edge{{U: 1, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 0, V: 1, W: 1}}
+	check("self-loop", loop, []int{0, 1, 2}, true)
+	check("self-loop/clash", loop, []int{0, 1, 0}, false)
+	multi := New(2)
+	multi.Edges = []Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 0, W: 1}}
+	check("parallel", multi, []int{4, 5}, true)
+	check("parallel/clash", multi, []int{4, 4}, false)
+	check("empty", New(3), nil, true)
+}
+
+func TestNumColours(t *testing.T) {
+	for _, tc := range []struct {
+		colour []int
+		want   int
+	}{
+		{nil, 0},
+		{[]int{}, 0},
+		{[]int{7}, 1},
+		{[]int{3, 3, 3, 3}, 1},
+		{[]int{0, 1, 0, 1}, 2},
+		{[]int{5, 4, 3, 2, 1, 0}, 6},
+		{[]int{-1, -1, 0, -2, math.MinInt, math.MaxInt, math.MaxInt}, 5},
+	} {
+		in := append([]int(nil), tc.colour...)
+		if got := NumColours(tc.colour); got != tc.want {
+			t.Errorf("NumColours(%v) = %d, want %d", tc.colour, got, tc.want)
+		}
+		for i := range in {
+			if tc.colour[i] != in[i] {
+				t.Fatalf("NumColours reordered its input: %v, was %v", tc.colour, in)
+			}
+		}
+	}
+}
+
 func TestQuickGNMNoDupes(t *testing.T) {
 	r := rng.New(11)
 	f := func(a, b uint8) bool {

@@ -201,30 +201,70 @@ func IsProperVertexColouring(g *Graph, colour []int) bool {
 }
 
 // IsProperEdgeColouring reports whether colour assigns every edge a colour
-// and no two edges sharing a vertex have the same colour.
+// and no two edges sharing a vertex have the same colour: every colour class
+// must be a matching. The classes are taken one at a time from
+// groupByColour, and seenAt[v] names the last class met at v, so any int is
+// a colour and nothing is hashed.
 func IsProperEdgeColouring(g *Graph, colour []int) bool {
 	if len(colour) != len(g.Edges) {
 		return false
 	}
-	seen := make(map[[2]int]bool) // (vertex, colour)
-	for id, e := range g.Edges {
-		c := colour[id]
-		ku := [2]int{e.U, c}
-		kv := [2]int{e.V, c}
-		if seen[ku] || seen[kv] {
+	seenAt := make([]int, g.N)
+	class, last := 0, 0
+	for _, id := range groupByColour(colour) {
+		if c := colour[id]; class == 0 || c != last {
+			class, last = class+1, c
+		}
+		e := &g.Edges[id]
+		if seenAt[e.U] == class || seenAt[e.V] == class {
 			return false
 		}
-		seen[ku] = true
-		seen[kv] = true
+		seenAt[e.U], seenAt[e.V] = class, class
 	}
 	return true
 }
 
 // NumColours returns the number of distinct colours used.
 func NumColours(colour []int) int {
-	set := make(map[int]bool, len(colour))
-	for _, c := range colour {
-		set[c] = true
+	distinct, last := 0, 0
+	for _, pos := range groupByColour(colour) {
+		if c := colour[pos]; distinct == 0 || c != last {
+			distinct, last = distinct+1, c
+		}
 	}
-	return len(set)
+	return distinct
+}
+
+// groupByColour returns the positions of colour ordered so that equal
+// colours are adjacent and, within a colour, positions ascend. It is a
+// byte-wise LSD radix sort that skips the bytes all colours agree on: two
+// passes for a palette below 65536, eight when negative and huge colours
+// mix, and no comparison or hash of a colour either way.
+func groupByColour(colour []int) []int {
+	cur := make([]int, len(colour))
+	var differ uint64
+	for pos, c := range colour {
+		cur[pos] = pos
+		differ |= uint64(c) ^ uint64(colour[0])
+	}
+	next := make([]int, len(colour))
+	for shift := 0; shift < 64; shift += 8 {
+		if differ>>shift&0xff == 0 {
+			continue
+		}
+		var start [257]int // start[b+1] counts byte b, then start[b] is where b goes
+		for _, c := range colour {
+			start[uint64(c)>>shift&0xff+1]++
+		}
+		for b := 1; b < len(start); b++ {
+			start[b] += start[b-1]
+		}
+		for _, pos := range cur {
+			b := uint64(colour[pos]) >> shift & 0xff
+			next[start[b]] = pos
+			start[b]++
+		}
+		cur, next = next, cur
+	}
+	return cur
 }

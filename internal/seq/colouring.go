@@ -2,6 +2,7 @@ package seq
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/graph"
 )
@@ -44,234 +45,216 @@ func GreedyVertexColouring(g *graph.Graph, order []int) []int {
 	return colour
 }
 
-// MisraGries edge-colours g with at most ∆+1 colours (Vizing's bound),
-// following the constructive algorithm of Misra and Gries (1992), which is
-// the subroutine Remark 6.5 uses to colour each edge group. Colours are
-// 0-based in the returned slice (internally 1..∆+1). It runs in O(nm) time.
+// MisraGries edge-colours the simple graph g with at most ∆+1 colours
+// (Vizing's bound), following the constructive algorithm of Misra and Gries
+// (1992), which is the subroutine Remark 6.5 uses to colour each edge group.
+// Colours are 0-based in the returned slice (internally 1..∆+1). It runs in
+// O(nm) time and, on the flat index, allocates a constant number of times:
+// the result, the index, and one fan scratch reused for every edge.
 func MisraGries(g *graph.Graph) []int {
 	g.Build()
-	maxC := g.MaxDegree() + 1
-	if g.M() == 0 {
+	m := g.M()
+	if m == 0 {
 		return []int{}
 	}
-	colour := make([]int, g.M()) // 0 = uncoloured; valid colours 1..maxC
+	maxC := g.MaxDegree() + 1
+	s := misraGries{
+		g:       g,
+		colour:  make([]int, m), // 0 = uncoloured; valid colours 1..maxC
+		maxC:    maxC,
+		stride:  maxC + 1,
+		inFan:   make([]int32, g.N),
+		fan:     make([]int32, 0, maxC),
+		fanEdge: make([]int32, 0, maxC),
+	}
 	// The (vertex, colour) index stores edge id + 1 for the edge coloured c
 	// at v, 0 when the colour is free. On near-regular graphs it is a flat
-	// slab (at[v*stride+c]) — direct indexing, no hashing. A flat slab is
+	// slab (flat[v*stride+c]) — direct indexing, no hashing. A flat slab is
 	// Θ(n·∆) though, which a skewed degree sequence (one hub) can blow up
 	// to Θ(n²), so when the slab would exceed a constant factor of the
 	// graph's own size the index falls back to lazy per-vertex maps. Both
 	// layouts answer identical queries, so the colouring is the same.
-	stride := maxC + 1
-	var flat []int32
-	var sparse []map[int]int32
-	if g.N*stride <= 8*(g.N+2*g.M())+1024 {
-		flat = make([]int32, g.N*stride)
+	if g.N*s.stride <= 8*(g.N+2*m)+1024 {
+		s.flat = make([]int32, g.N*s.stride)
 	} else {
-		sparse = make([]map[int]int32, g.N)
-	}
-	atGet := func(v, c int) int32 {
-		if flat != nil {
-			return flat[v*stride+c]
-		}
-		return sparse[v][c] // nil map reads as 0
-	}
-	atPut := func(v, c int, id int32) {
-		if flat != nil {
-			flat[v*stride+c] = id
-			return
-		}
-		if id == 0 {
-			delete(sparse[v], c)
-			return
-		}
-		if sparse[v] == nil {
-			sparse[v] = make(map[int]int32)
-		}
-		sparse[v][c] = id
+		s.sparse = make([]map[int]int32, g.N)
 	}
 
-	isFree := func(v, c int) bool { return atGet(v, c) == 0 }
-	edgeAt := func(v, c int) (int, bool) {
-		id := atGet(v, c)
-		return int(id) - 1, id != 0
-	}
-	freeColour := func(v int) int {
-		for c := 1; c <= maxC; c++ {
-			if atGet(v, c) == 0 {
-				return c
-			}
-		}
-		panic("seq: no free colour; degree exceeds maxC-1")
-	}
-	setColour := func(id, c int) {
-		e := g.Edges[id]
-		if old := colour[id]; old != 0 {
-			atPut(e.U, old, 0)
-			atPut(e.V, old, 0)
-		}
-		colour[id] = c
-		if c != 0 {
-			atPut(e.U, c, int32(id)+1)
-			atPut(e.V, c, int32(id)+1)
-		}
-	}
-
-	// makeFan builds a maximal fan of u starting at v: a sequence of distinct
-	// neighbours F[0]=v, F[1], ... such that edge (u,F[i+1]) is coloured with
-	// a colour free on F[i].
-	makeFan := func(u, v int) []int {
-		fan := []int{v}
-		inFan := map[int]bool{v: true}
-		ids := g.IncidentEdges(u)
-		nbrs := g.Neighbors(u)
-		for {
-			last := fan[len(fan)-1]
-			extended := false
-			for i, id := range ids {
-				w := int(nbrs[i])
-				if inFan[w] || colour[id] == 0 {
-					continue
-				}
-				if isFree(last, colour[id]) {
-					fan = append(fan, w)
-					inFan[w] = true
-					extended = true
-					break
-				}
-			}
-			if !extended {
-				return fan
-			}
-		}
-	}
-
-	// invertPath walks the cd-path from u (u has d used, c free) and swaps
-	// the two colours along it.
-	invertPath := func(u, c, d int) {
-		var path []int
-		cur, col := u, d
-		for {
-			id, ok := edgeAt(cur, col)
-			if !ok {
-				break
-			}
-			path = append(path, id)
-			cur = g.Edges[id].Other(cur)
-			if col == d {
-				col = c
-			} else {
-				col = d
-			}
-		}
-		// Two phases: uncolour the whole path first, then apply the swapped
-		// colours. Doing it in one pass would transiently register two edges
-		// under the same (vertex, colour) key and corrupt the index.
-		swapped := make([]int, len(path))
-		for i, id := range path {
-			if colour[id] == c {
-				swapped[i] = d
-			} else {
-				swapped[i] = c
-			}
-			setColour(id, 0)
-		}
-		for i, id := range path {
-			setColour(id, swapped[i])
-		}
-	}
-
-	// rotateFan shifts colours along the fan prefix F[0..w] and colours the
-	// last edge d.
-	rotateFan := func(u int, fan []int, w, d int) {
-		nbrs := g.Neighbors(u)
-		edgeTo := func(x int) int {
-			for i, nb := range nbrs {
-				if int(nb) == x {
-					// Prefer the edge currently carrying the fan colour; for
-					// simple graphs any incident edge to x is unique.
-					return int(g.IncidentEdges(u)[i])
-				}
-			}
-			panic("seq: fan vertex not adjacent")
-		}
-		// Collect the shift first, uncolour, then assign: assigning in place
-		// would transiently give two edges at u the same colour and corrupt
-		// the (vertex, colour) index.
-		ids := make([]int, w+1)
-		for i := 0; i <= w; i++ {
-			ids[i] = edgeTo(fan[i])
-		}
-		newCol := make([]int, w+1)
-		for i := 0; i < w; i++ {
-			newCol[i] = colour[ids[i+1]]
-		}
-		newCol[w] = d
-		for _, id := range ids {
-			setColour(id, 0)
-		}
-		for i, id := range ids {
-			if newCol[i] != 0 {
-				setColour(id, newCol[i])
-			}
-		}
-	}
-
-	for id := range g.Edges {
-		if colour[id] != 0 {
-			continue
-		}
-		u, v := g.Edges[id].U, g.Edges[id].V
+	for id, e := range g.Edges {
+		u, v := e.U, e.V
 		for attempt := 0; ; attempt++ {
 			if attempt > 2*g.N+10 {
 				panic(fmt.Sprintf("seq: MisraGries failed to colour edge %d", id))
 			}
-			fan := makeFan(u, v)
-			c := freeColour(u)
-			d := freeColour(fan[len(fan)-1])
-			if c != d && !isFree(u, d) {
-				invertPath(u, c, d)
+			s.makeFan(u, v, id)
+			c := s.freeColour(u)
+			d := s.freeColour(int(s.fan[len(s.fan)-1]))
+			if c != d && s.at(u, d) != 0 {
+				s.invertPath(u, c, d)
 			}
 			// After the inversion d is free on u. Find a prefix F[0..w] that
 			// is still a fan (colours may have changed) with d free on F[w].
-			w := -1
-			for i := range fan {
-				if i > 0 {
-					// Prefix validity: colour of (u, fan[i]) must be free on
-					// fan[i-1].
-					ci := 0
-					uIDs := g.IncidentEdges(u)
-					for k, nb := range g.Neighbors(u) {
-						if int(nb) == fan[i] {
-							ci = colour[uIDs[k]]
-							break
-						}
-					}
-					if ci == 0 || !isFree(fan[i-1], ci) {
-						break
-					}
-				}
-				if isFree(fan[i], d) {
-					w = i
-					break
-				}
+			if w := s.fanPrefix(d); w >= 0 {
+				s.rotateFan(u, w, d)
+				break
 			}
-			if w < 0 {
-				// The inversion disturbed the fan; rebuild and retry (the
-				// Misra–Gries invariants guarantee progress).
-				continue
-			}
-			rotateFan(u, fan, w, d)
-			break
+			// The inversion disturbed the fan; rebuild and retry (the
+			// Misra–Gries invariants guarantee progress).
 		}
 	}
 
-	out := make([]int, g.M())
-	for id, c := range colour {
+	for id, c := range s.colour {
 		if c == 0 {
 			panic("seq: MisraGries left an edge uncoloured")
 		}
-		out[id] = c - 1
+		s.colour[id] = c - 1
 	}
-	return out
+	return s.colour
+}
+
+// misraGries is the working state of one MisraGries call. It is per call,
+// never shared: edge groups are coloured concurrently under Cluster.Exec().
+type misraGries struct {
+	g      *graph.Graph
+	colour []int // per edge; becomes the result
+	maxC   int
+
+	// The (vertex, colour) → edge id + 1 index: exactly one of flat and
+	// sparse is non-nil.
+	stride int
+	flat   []int32
+	sparse []map[int]int32
+
+	// The current fan of u: vertices F[0], F[1], ... and, positionally, the
+	// edges (u, F[i]). inFan[x] == epoch marks x as a member; bumping the
+	// epoch empties the set without touching the array.
+	fan, fanEdge []int32
+	inFan        []int32
+	epoch        int32
+}
+
+// at returns the id + 1 of the edge coloured c at v, 0 when c is free on v.
+func (s *misraGries) at(v, c int) int32 {
+	if s.flat != nil {
+		return s.flat[v*s.stride+c]
+	}
+	return s.sparse[v][c] // nil map reads as 0
+}
+
+// put records edge id (as id + 1; 0 frees the slot) as the edge coloured c
+// at v.
+func (s *misraGries) put(v, c int, id int32) {
+	if s.flat != nil {
+		s.flat[v*s.stride+c] = id
+		return
+	}
+	switch {
+	case id == 0:
+		delete(s.sparse[v], c)
+	case s.sparse[v] == nil:
+		s.sparse[v] = map[int]int32{c: id}
+	default:
+		s.sparse[v][c] = id
+	}
+}
+
+func (s *misraGries) freeColour(v int) int {
+	for c := 1; c <= s.maxC; c++ {
+		if s.at(v, c) == 0 {
+			return c
+		}
+	}
+	panic("seq: no free colour; degree exceeds maxC-1")
+}
+
+// makeFan builds a maximal fan of u starting at v, the other endpoint of the
+// uncoloured edge id: a sequence of distinct neighbours F[0]=v, F[1], ...
+// such that edge (u,F[i+1]) is coloured with a colour free on F[i].
+func (s *misraGries) makeFan(u, v, id int) {
+	if s.epoch == math.MaxInt32 {
+		clear(s.inFan)
+		s.epoch = 0
+	}
+	s.epoch++
+	s.fan = append(s.fan[:0], int32(v))
+	s.fanEdge = append(s.fanEdge[:0], int32(id))
+	s.inFan[v] = s.epoch
+	ids, nbrs := s.g.IncidentEdges(u), s.g.Neighbors(u)
+	for last := v; ; {
+		extended := false
+		for i, e := range ids {
+			w, ce := nbrs[i], s.colour[e]
+			if ce == 0 || s.inFan[w] == s.epoch {
+				continue
+			}
+			if s.at(last, ce) == 0 {
+				s.fan = append(s.fan, w)
+				s.fanEdge = append(s.fanEdge, e)
+				s.inFan[w] = s.epoch
+				last, extended = int(w), true
+				break
+			}
+		}
+		if !extended {
+			return
+		}
+	}
+}
+
+// fanPrefix returns the first w such that F[0..w] is still a fan — the
+// colour of (u,F[i]) is free on F[i-1] for every 0 < i ≤ w — and d is free
+// on F[w]; -1 if the fan breaks before any such w.
+func (s *misraGries) fanPrefix(d int) int {
+	for i, x := range s.fan {
+		if i > 0 && s.at(int(s.fan[i-1]), s.colour[s.fanEdge[i]]) != 0 {
+			return -1
+		}
+		if s.at(int(x), d) == 0 {
+			return i
+		}
+	}
+	return -1
+}
+
+// invertPath swaps colours c and d along the cd-path from u, which has d
+// used and c free. The walk recolours as it goes: before an edge's new
+// colour is written over its far endpoint's slot, the path's next edge is
+// read out of that slot, so every interior vertex ends with its two slots
+// exchanged and only the two ends of the path need a slot freed.
+func (s *misraGries) invertPath(u, c, d int) {
+	cur, col, other := u, d, c
+	id := s.at(u, d)
+	s.put(u, d, 0)
+	for id != 0 {
+		next := s.g.Edges[id-1].Other(cur)
+		nextID := s.at(next, other)
+		s.colour[id-1] = other
+		s.put(cur, other, id)
+		s.put(next, other, id)
+		if nextID == 0 {
+			s.put(next, col, 0)
+		}
+		cur, col, other, id = next, other, col, nextID
+	}
+}
+
+// rotateFan shifts colours down the fan prefix F[0..w] — edge (u,F[i])
+// takes the colour of (u,F[i+1]), which fanPrefix found free on F[i] — and
+// colours the last edge d. The pass runs front to back so each colour is
+// read before its edge is recoloured; u's slots need no freeing, since its
+// colour set only gains d.
+func (s *misraGries) rotateFan(u, w, d int) {
+	for i := 0; i <= w; i++ {
+		x, id := int(s.fan[i]), s.fanEdge[i]
+		if old := s.colour[id]; old != 0 {
+			s.put(x, old, 0)
+		}
+		nc := d
+		if i < w {
+			nc = s.colour[s.fanEdge[i+1]]
+		}
+		s.colour[id] = nc
+		s.put(x, nc, id+1)
+		s.put(u, nc, id+1)
+	}
 }

@@ -1,6 +1,7 @@
 package seq
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/graph"
@@ -63,16 +64,89 @@ func TestMisraGriesSkewedUsesSparseIndex(t *testing.T) {
 	// A large hub makes the flat (vertex, colour) slab Θ(n·∆) = Θ(n²), so
 	// MisraGries must take the sparse per-vertex-map index path and still
 	// produce a proper ≤ ∆+1 colouring.
-	g := graph.Star(400) // n=400, ∆=399: 400·400 slots >> 8·(n+2m)
-	for v := 1; v+1 < g.N; v += 2 {
-		g.AddEdge(v, v+1, 1) // a ring of extra edges so ∆+1 is not forced tight
-	}
+	g := skewedHub()
 	col := MisraGries(g)
 	if !graph.IsProperEdgeColouring(g, col) {
 		t.Fatal("skewed: improper colouring")
 	}
 	if nc := graph.NumColours(col); nc > g.MaxDegree()+1 {
 		t.Fatalf("skewed: %d colours exceeds ∆+1 = %d", nc, g.MaxDegree()+1)
+	}
+}
+
+// skewedHub is a star with a ring of extra edges: one hub makes the flat
+// (vertex, colour) slab Θ(n·∆) = Θ(n²), so MisraGries must take the sparse
+// per-vertex-map index path.
+func skewedHub() *graph.Graph {
+	g := graph.Star(400) // n=400, ∆=399: 400·400 slots >> 8·(n+2m)
+	for v := 1; v+1 < g.N; v += 2 {
+		g.AddEdge(v, v+1, 1) // so ∆+1 is not forced tight
+	}
+	return g
+}
+
+func TestMisraGriesMatchesClassic(t *testing.T) {
+	cases := map[string]*graph.Graph{
+		"star":   graph.Star(40),
+		"skewed": skewedHub(),
+		"grid":   graph.Grid(7, 9),
+		"pa":     graph.PreferentialAttachment(120, 4, rng.New(40)),
+	}
+	// A dense near-clique: K_40 minus a perfect matching's worth of edges.
+	near := graph.New(40)
+	for u := 0; u < near.N; u++ {
+		for v := u + 1; v < near.N; v++ {
+			if u/2 != v/2 {
+				near.AddEdge(u, v, 1)
+			}
+		}
+	}
+	cases["near-clique"] = near
+	r := rng.New(41)
+	for i := 0; i < 36; i++ {
+		n := 30 + 40*(i%6)
+		c := 0.15 + 0.1*float64(i%5)
+		cases[fmt.Sprintf("density-%d(n=%d,c=%.2f)", i, n, c)] = graph.Density(n, c, r.Split())
+	}
+	for name, g := range cases {
+		want := misraGriesClassic(g)
+		got := MisraGries(g)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d colours for %d edges", name, len(got), len(want))
+		}
+		for id := range want {
+			if got[id] != want[id] {
+				t.Fatalf("%s: edge %d coloured %d, classic %d", name, id, got[id], want[id])
+			}
+		}
+		if !graph.IsProperEdgeColouring(g, got) {
+			t.Fatalf("%s: improper", name)
+		}
+	}
+}
+
+// regular returns a d-regular circulant graph on n vertices (d even).
+func regular(n, d int) *graph.Graph {
+	g := graph.New(n)
+	for v := 0; v < n; v++ {
+		for k := 1; k <= d/2; k++ {
+			g.AddEdge(v, (v+k)%n, 1)
+		}
+	}
+	return g
+}
+
+func TestMisraGriesAllocsBounded(t *testing.T) {
+	// The result, the index and the fan scratch are allocated once per call
+	// (5 allocations today), so ten times the edges at equal ∆ must stay
+	// under the same small constant.
+	const limit = 8
+	for _, n := range []int{200, 2000} {
+		g := regular(n, 20) // m = 10n
+		g.Build()
+		if allocs := testing.AllocsPerRun(10, func() { MisraGries(g) }); allocs > limit {
+			t.Errorf("m=%d: %v allocations per call, want <= %d", g.M(), allocs, limit)
+		}
 	}
 }
 
@@ -188,4 +262,236 @@ func TestGreedyMaximalClique(t *testing.T) {
 	if len(cl) != 5 {
 		t.Fatalf("K5 maximal clique from seed: %v", cl)
 	}
+}
+
+// misraGriesClassic is the MisraGries body as it stood before the
+// allocation-free rewrite, kept verbatim as the oracle: closures over a
+// (vertex, colour) index, a map per fan, fresh slices per path and rotation.
+// The production function must return the same colour for every edge.
+func misraGriesClassic(g *graph.Graph) []int {
+	g.Build()
+	maxC := g.MaxDegree() + 1
+	if g.M() == 0 {
+		return []int{}
+	}
+	colour := make([]int, g.M()) // 0 = uncoloured; valid colours 1..maxC
+	// The (vertex, colour) index stores edge id + 1 for the edge coloured c
+	// at v, 0 when the colour is free. On near-regular graphs it is a flat
+	// slab (at[v*stride+c]) — direct indexing, no hashing. A flat slab is
+	// Θ(n·∆) though, which a skewed degree sequence (one hub) can blow up
+	// to Θ(n²), so when the slab would exceed a constant factor of the
+	// graph's own size the index falls back to lazy per-vertex maps. Both
+	// layouts answer identical queries, so the colouring is the same.
+	stride := maxC + 1
+	var flat []int32
+	var sparse []map[int]int32
+	if g.N*stride <= 8*(g.N+2*g.M())+1024 {
+		flat = make([]int32, g.N*stride)
+	} else {
+		sparse = make([]map[int]int32, g.N)
+	}
+	atGet := func(v, c int) int32 {
+		if flat != nil {
+			return flat[v*stride+c]
+		}
+		return sparse[v][c] // nil map reads as 0
+	}
+	atPut := func(v, c int, id int32) {
+		if flat != nil {
+			flat[v*stride+c] = id
+			return
+		}
+		if id == 0 {
+			delete(sparse[v], c)
+			return
+		}
+		if sparse[v] == nil {
+			sparse[v] = make(map[int]int32)
+		}
+		sparse[v][c] = id
+	}
+
+	isFree := func(v, c int) bool { return atGet(v, c) == 0 }
+	edgeAt := func(v, c int) (int, bool) {
+		id := atGet(v, c)
+		return int(id) - 1, id != 0
+	}
+	freeColour := func(v int) int {
+		for c := 1; c <= maxC; c++ {
+			if atGet(v, c) == 0 {
+				return c
+			}
+		}
+		panic("seq: no free colour; degree exceeds maxC-1")
+	}
+	setColour := func(id, c int) {
+		e := g.Edges[id]
+		if old := colour[id]; old != 0 {
+			atPut(e.U, old, 0)
+			atPut(e.V, old, 0)
+		}
+		colour[id] = c
+		if c != 0 {
+			atPut(e.U, c, int32(id)+1)
+			atPut(e.V, c, int32(id)+1)
+		}
+	}
+
+	// makeFan builds a maximal fan of u starting at v: a sequence of distinct
+	// neighbours F[0]=v, F[1], ... such that edge (u,F[i+1]) is coloured with
+	// a colour free on F[i].
+	makeFan := func(u, v int) []int {
+		fan := []int{v}
+		inFan := map[int]bool{v: true}
+		ids := g.IncidentEdges(u)
+		nbrs := g.Neighbors(u)
+		for {
+			last := fan[len(fan)-1]
+			extended := false
+			for i, id := range ids {
+				w := int(nbrs[i])
+				if inFan[w] || colour[id] == 0 {
+					continue
+				}
+				if isFree(last, colour[id]) {
+					fan = append(fan, w)
+					inFan[w] = true
+					extended = true
+					break
+				}
+			}
+			if !extended {
+				return fan
+			}
+		}
+	}
+
+	// invertPath walks the cd-path from u (u has d used, c free) and swaps
+	// the two colours along it.
+	invertPath := func(u, c, d int) {
+		var path []int
+		cur, col := u, d
+		for {
+			id, ok := edgeAt(cur, col)
+			if !ok {
+				break
+			}
+			path = append(path, id)
+			cur = g.Edges[id].Other(cur)
+			if col == d {
+				col = c
+			} else {
+				col = d
+			}
+		}
+		// Two phases: uncolour the whole path first, then apply the swapped
+		// colours. Doing it in one pass would transiently register two edges
+		// under the same (vertex, colour) key and corrupt the index.
+		swapped := make([]int, len(path))
+		for i, id := range path {
+			if colour[id] == c {
+				swapped[i] = d
+			} else {
+				swapped[i] = c
+			}
+			setColour(id, 0)
+		}
+		for i, id := range path {
+			setColour(id, swapped[i])
+		}
+	}
+
+	// rotateFan shifts colours along the fan prefix F[0..w] and colours the
+	// last edge d.
+	rotateFan := func(u int, fan []int, w, d int) {
+		nbrs := g.Neighbors(u)
+		edgeTo := func(x int) int {
+			for i, nb := range nbrs {
+				if int(nb) == x {
+					// Prefer the edge currently carrying the fan colour; for
+					// simple graphs any incident edge to x is unique.
+					return int(g.IncidentEdges(u)[i])
+				}
+			}
+			panic("seq: fan vertex not adjacent")
+		}
+		// Collect the shift first, uncolour, then assign: assigning in place
+		// would transiently give two edges at u the same colour and corrupt
+		// the (vertex, colour) index.
+		ids := make([]int, w+1)
+		for i := 0; i <= w; i++ {
+			ids[i] = edgeTo(fan[i])
+		}
+		newCol := make([]int, w+1)
+		for i := 0; i < w; i++ {
+			newCol[i] = colour[ids[i+1]]
+		}
+		newCol[w] = d
+		for _, id := range ids {
+			setColour(id, 0)
+		}
+		for i, id := range ids {
+			if newCol[i] != 0 {
+				setColour(id, newCol[i])
+			}
+		}
+	}
+
+	for id := range g.Edges {
+		if colour[id] != 0 {
+			continue
+		}
+		u, v := g.Edges[id].U, g.Edges[id].V
+		for attempt := 0; ; attempt++ {
+			if attempt > 2*g.N+10 {
+				panic(fmt.Sprintf("seq: MisraGries failed to colour edge %d", id))
+			}
+			fan := makeFan(u, v)
+			c := freeColour(u)
+			d := freeColour(fan[len(fan)-1])
+			if c != d && !isFree(u, d) {
+				invertPath(u, c, d)
+			}
+			// After the inversion d is free on u. Find a prefix F[0..w] that
+			// is still a fan (colours may have changed) with d free on F[w].
+			w := -1
+			for i := range fan {
+				if i > 0 {
+					// Prefix validity: colour of (u, fan[i]) must be free on
+					// fan[i-1].
+					ci := 0
+					uIDs := g.IncidentEdges(u)
+					for k, nb := range g.Neighbors(u) {
+						if int(nb) == fan[i] {
+							ci = colour[uIDs[k]]
+							break
+						}
+					}
+					if ci == 0 || !isFree(fan[i-1], ci) {
+						break
+					}
+				}
+				if isFree(fan[i], d) {
+					w = i
+					break
+				}
+			}
+			if w < 0 {
+				// The inversion disturbed the fan; rebuild and retry (the
+				// Misra–Gries invariants guarantee progress).
+				continue
+			}
+			rotateFan(u, fan, w, d)
+			break
+		}
+	}
+
+	out := make([]int, g.M())
+	for id, c := range colour {
+		if c == 0 {
+			panic("seq: MisraGries left an edge uncoloured")
+		}
+		out[id] = c - 1
+	}
+	return out
 }

@@ -423,9 +423,10 @@ func (e *Engine) execute(f *flight) {
 			lead = j.ID
 		}
 	}
+	attached := len(f.jobs) // Submit may attach more once the mutex is released
 	e.mu.Unlock()
 	e.log.Info("flight executing", "job", lead, "alg", f.alg,
-		"instance", f.instID, "jobs", len(f.jobs))
+		"instance", f.instID, "jobs", attached)
 
 	var res *Result
 	in, err := e.instances.get(f.instID, f.spec)

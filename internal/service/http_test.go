@@ -232,16 +232,25 @@ func TestHTTPAlgorithmsAndMetrics(t *testing.T) {
 		Alg:      "luby", Seed: 2,
 	}, Wait: true}, &view)
 
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	// The flight observes its latency and activity after it has released
+	// the job's waiters, so the scrape is repeated until that has happened.
+	var text string
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		resp, err := http.Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		_, err = buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		text = buf.String()
+		if strings.Contains(text, "mrserve_job_active_machines_count 1") || time.Now().After(deadline) {
+			break
+		}
 	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
 	for _, want := range []string{
 		"mrserve_jobs_submitted_total 1",
 		"mrserve_jobs_completed_total 1",

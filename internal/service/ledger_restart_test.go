@@ -35,6 +35,21 @@ func ledgerReqs() []JobRequest {
 	}
 }
 
+// syncLedgerAt makes the first n records durable. A job's waiters are
+// released before its flight appends to the ledger (the append runs off the
+// engine mutex), so a bare SyncLedger right after finished() can run ahead
+// of the last record; this waits for the chain to hold n records first.
+func syncLedgerAt(t testing.TB, e *Engine, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); e.ledger.Head().Seq < uint64(n); {
+		if time.Now().After(deadline) {
+			t.Fatalf("ledger holds %d records, want %d", e.ledger.Head().Seq, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	e.SyncLedger()
+}
+
 // TestLedgerRestartServesPreCrashResults is the in-process restart test:
 // jobs completed before a (graceful) shutdown are served by a fresh engine
 // on the same directories with Source "ledger", bit-identical results, and
@@ -60,7 +75,7 @@ func TestLedgerRestartServesPreCrashResults(t *testing.T) {
 	for i, req := range reqs {
 		before[i] = finished(t, e1, mustSubmit(t, e1, req))
 	}
-	e1.SyncLedger()
+	syncLedgerAt(t, e1, len(reqs))
 	if head := e1.ledger.Head(); head.Persisted != uint64(len(reqs)) {
 		t.Fatalf("persisted %d records, want %d", head.Persisted, len(reqs))
 	}
@@ -102,7 +117,7 @@ func TestLedgerVerifyPinpointsCorruption(t *testing.T) {
 	defer e.Close()
 	req := ledgerReqs()[0]
 	want := finished(t, e, mustSubmit(t, e, req))
-	e.SyncLedger()
+	syncLedgerAt(t, e, 1)
 
 	active := filepath.Join(ledgerDir, "ledger.active")
 	data, err := os.ReadFile(active)
@@ -144,7 +159,7 @@ func TestLedgerRecoveryFailureSurfacedByVerify(t *testing.T) {
 	reqs := ledgerReqs()
 	finished(t, e1, mustSubmit(t, e1, reqs[0]))
 	finished(t, e1, mustSubmit(t, e1, reqs[1]))
-	e1.SyncLedger()
+	syncLedgerAt(t, e1, 2)
 	e1.Close()
 
 	// Mid-file corruption with valid records after it: not a torn tail, so

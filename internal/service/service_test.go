@@ -1,10 +1,13 @@
 package service
 
 import (
+	"context"
 	"fmt"
+	"log/slog"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -76,6 +79,44 @@ func assertSameResult(t *testing.T, label string, got *Result, want *core.RunRes
 	}
 }
 
+// workerGate is a log handler that parks the engine worker announcing the
+// first flight — the event is logged off the engine mutex, just before the
+// flight runs — until release is closed. With Pool: 1 everything submitted
+// while the worker is parked is still queued when it resumes, for certain
+// rather than by outrunning a short job.
+type workerGate struct {
+	once            sync.Once
+	parked, release chan struct{}
+}
+
+func newWorkerGate() *workerGate {
+	return &workerGate{parked: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *workerGate) Enabled(context.Context, slog.Level) bool { return true }
+func (g *workerGate) WithAttrs([]slog.Attr) slog.Handler       { return g }
+func (g *workerGate) WithGroup(string) slog.Handler            { return g }
+
+func (g *workerGate) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == "flight executing" {
+		g.once.Do(func() {
+			close(g.parked)
+			<-g.release
+		})
+	}
+	return nil
+}
+
+// waitParked returns once the worker is parked in its first flight.
+func (g *workerGate) waitParked(t testing.TB) {
+	t.Helper()
+	select {
+	case <-g.parked:
+	case <-time.After(30 * time.Second):
+		t.Fatal("no worker logged \"flight executing\"")
+	}
+}
+
 // TestServingPathsDeterminism is the end-to-end determinism check: the
 // same (instance spec, alg, args, µ, seed) must return bit-identical
 // results served cold, coalesced into a concurrent identical request,
@@ -113,17 +154,21 @@ func TestServingPathsDeterminism(t *testing.T) {
 			}
 			assertSameResult(t, "cached", cached.Result, want)
 
-			// Coalesced: on a fresh single-worker engine, occupy the
-			// worker, then submit the job twice; the second submission
-			// must attach to the first's flight.
-			e2 := NewEngine(Config{Pool: 1})
+			// Coalesced: on a fresh single-worker engine, park the worker
+			// inside a blocker flight, then submit the job twice; the
+			// second submission must attach to the first's flight, which
+			// cannot start before the worker is released.
+			gate := newWorkerGate()
+			e2 := NewEngine(Config{Pool: 1, Logger: slog.New(gate)})
 			defer e2.Close()
 			blocker := mustSubmit(t, e2, JobRequest{
-				Instance: InstanceSpec{Type: "density", N: 200, C: 0.3, Seed: 99},
+				Instance: InstanceSpec{Type: "density", N: 60, C: 0.3, Seed: 99},
 				Alg:      "luby", Seed: 99,
 			})
+			gate.waitParked(t)
 			leader := mustSubmit(t, e2, req)
 			follower := mustSubmit(t, e2, req)
+			close(gate.release)
 			blocker.Wait()
 			lv, fv := finished(t, e2, leader), finished(t, e2, follower)
 			if lv.Source != SourceRun || fv.Source != SourceBatch {
