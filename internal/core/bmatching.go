@@ -91,6 +91,12 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 		}
 	}
 
+	// Scratch reused by every iteration.
+	type span struct{ lo, hi int }
+	var sampled []int           // every vertex's sampled edge ids, back to back
+	sampleOf := make([]span, n) // vertex -> its stretch of sampled; empty if it sent nothing
+	changed := newMarkSet(n)
+
 	res := &MatchingResult{}
 	for aliveCount > 0 {
 		if res.Iterations >= p.maxIter() {
@@ -104,34 +110,37 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 		smallGraph := float64(aliveCount) < 2*float64(maxB(g, b))*lnInvDelta*float64(etaWords)/nMu
 		// Draw each vertex's edge sample machine by machine before the round
 		// (machine order, then vertex order); the closures replay the
-		// per-machine plans concurrently.
-		perVertex := make(map[int][]int)
+		// per-machine plans concurrently. The samples sit back to back in
+		// sampled; sampleOf[v] is vertex v's stretch of it.
+		sampled = sampled[:0]
+		clear(sampleOf)
 		// plan lists, per machine, every owned vertex with alive incident
 		// edges — such a vertex always ships its (possibly header-only)
 		// payload, which is what the word accounting charges.
 		plan := make([][]int, M)
 		for machine := 1; machine < M; machine++ {
 			for _, v := range owned[machine] {
-				var aliveIDs []int
+				lo := len(sampled)
 				for _, id := range g.IncidentEdges(v) {
 					if alive[id] {
-						aliveIDs = append(aliveIDs, int(id))
+						sampled = append(sampled, int(id))
 					}
 				}
-				if len(aliveIDs) == 0 {
+				aliveIDs := len(sampled) - lo
+				if aliveIDs == 0 {
 					continue
 				}
 				want := int(math.Ceil(float64(b(v)) * lnInvDelta * nMu))
-				var chosen []int
-				if smallGraph || want >= len(aliveIDs) {
-					chosen = aliveIDs
-				} else {
-					for _, idx := range r.SampleWithoutReplacement(len(aliveIDs), want) {
-						chosen = append(chosen, aliveIDs[idx])
+				if !smallGraph && want < aliveIDs {
+					// Keep only the drawn edges, in draw order.
+					for _, idx := range r.SampleWithoutReplacement(aliveIDs, want) {
+						sampled = append(sampled, sampled[lo+idx])
 					}
+					copy(sampled[lo:], sampled[lo+aliveIDs:])
+					sampled = sampled[:lo+want]
 				}
 				plan[machine] = append(plan[machine], v)
-				perVertex[v] = chosen
+				sampleOf[v] = span{lo, len(sampled)}
 			}
 		}
 		armPlanned(cluster, plan)
@@ -139,7 +148,7 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 			for _, v := range plan[machine] {
 				out.Begin(0)
 				out.Int(int64(v))
-				for _, id := range perVertex[v] {
+				for _, id := range sampled[sampleOf[v].lo:sampleOf[v].hi] {
 					out.Int(int64(id))
 				}
 				out.End()
@@ -149,18 +158,16 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 			return nil, err
 		}
 
-		// Central machine (Lines 11-17): per vertex, push up to
-		// b(v)·ln(1/δ) heaviest sampled alive edges with ε-adjusted
+		// Central machine (Lines 11-17): per vertex, in vertex order, push up
+		// to b(v)·ln(1/δ) heaviest sampled alive edges with ε-adjusted
 		// reductions.
-		vertices := make([]int, 0, len(perVertex))
-		for v := range perVertex {
-			vertices = append(vertices, v)
-		}
-		sort.Ints(vertices)
-		changed := make(map[int]bool)
-		for _, v := range vertices {
+		changed.clear()
+		for v, sp := range sampleOf {
+			if sp.lo == sp.hi {
+				continue
+			}
 			budget := int(math.Ceil(float64(b(v)) * lnInvDelta))
-			ids := append([]int(nil), perVertex[v]...)
+			ids := append([]int(nil), sampled[sp.lo:sp.hi]...)
 			sort.Slice(ids, func(a, c int) bool {
 				wa, wc := lr.Reduced(ids[a]), lr.Reduced(ids[c])
 				if wa != wc {
@@ -174,8 +181,8 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 				// order within δ(v) is stable and a sorted scan suffices.
 				if _, ok := lr.Push(ids[j]); ok {
 					e := g.Edges[ids[j]]
-					changed[e.U] = true
-					changed[e.V] = true
+					changed.add(e.U)
+					changed.add(e.V)
 				}
 			}
 		}
@@ -184,11 +191,7 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 		// Dissemination: central routes the changed potentials ϕ(v) to the
 		// vertex owners; owners re-evaluate the ε-adjusted kill rule for
 		// their incident edges.
-		changedList := make([]int, 0, len(changed))
-		for v := range changed {
-			changedList = append(changedList, v)
-		}
-		sort.Ints(changedList)
+		changedList := changed.sorted()
 		cluster.Arm(0) // the forwarding round runs off its delivered records
 		err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
 			if machine != 0 {

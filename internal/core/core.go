@@ -166,6 +166,33 @@ func partitionByOwner(count, machines int, owner func(id int) int) [][]int {
 	return out
 }
 
+// markSet is a set of vertices that empties in O(1): a member carries the
+// current epoch. The local ratio drivers keep one across iterations for "the
+// vertices whose potential changed" instead of building a map each time.
+type markSet struct {
+	mark  []int32
+	epoch int32
+	list  []int // sorted()'s result buffer
+}
+
+func newMarkSet(n int) *markSet { return &markSet{mark: make([]int32, n), epoch: 1} }
+
+func (s *markSet) clear() { s.epoch++ }
+
+func (s *markSet) add(v int) { s.mark[v] = s.epoch }
+
+// sorted returns the members in ascending order; the slice is valid until the
+// next call.
+func (s *markSet) sorted() []int {
+	s.list = s.list[:0]
+	for v, e := range s.mark {
+		if e == s.epoch {
+			s.list = append(s.list, v)
+		}
+	}
+	return s.list
+}
+
 // armPlanned arms every machine whose pre-drawn per-machine plan is
 // non-empty — the common sparse-scheduling pattern of the sampling rounds,
 // where the driver already knows exactly which machines will send.

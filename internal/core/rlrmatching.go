@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/mpc"
@@ -68,21 +67,29 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 	tree := mpc.NewTree(cluster, 0, treeDegree(n, p.Mu))
 	r := rng.New(p.Seed)
 
-	edgeOwner := func(id int) int { return 1 + id%(M-1) }
-	vertexOwner := func(v int) int { return 1 + v%(M-1) }
+	// Item id lives on machine 1 + id mod (M-1), so a machine's own edges are
+	// the stride-(M-1) progression from machine-1: its closures walk that
+	// progression instead of a materialized id list.
+	stride := M - 1
+	edgeOwner := func(id int) int { return 1 + id%stride }
+	vertexOwner := func(v int) int { return 1 + v%stride }
 
-	// Resident state: each edge owner stores (u, v, w, alive) per edge; each
-	// vertex owner stores ϕ(v) plus the incident edge list used to forward
-	// potentials.
-	alive := make([]bool, m)
-	for id := range alive {
-		alive[id] = g.Edges[id].W > 0
-	}
+	// Resident state: each edge owner stores (u, v, w, alive) per edge and the
+	// number of its edges still alive; each vertex owner stores ϕ(v) plus the
+	// incident edge list used to forward potentials.
 	g.Build()
-	ownedEdges := partitionByOwner(m, M, edgeOwner)
+	alive := make([]bool, m)
+	counts := make([]int64, M) // alive edges per owner, kept by the owner
 	resident := make([]int, M)
+	aliveCount := int64(0)
 	for id := range g.Edges {
-		resident[edgeOwner(id)] += 4
+		owner := edgeOwner(id)
+		resident[owner] += 4
+		if g.Edges[id].W > 0 {
+			alive[id] = true
+			counts[owner]++
+			aliveCount++
+		}
 	}
 	for v := 0; v < n; v++ {
 		resident[vertexOwner(v)] += 2 + g.Degree(v)
@@ -95,14 +102,24 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 	lr := seq.NewMatchingLocalRatio(g)
 	cluster.AddResident(0, 2*n) // ϕ plus stacked-bit bookkeeping
 
-	res := &MatchingResult{}
-	aliveCount := int64(0)
-	for _, a := range alive {
-		if a {
-			aliveCount++
-		}
+	// Scratch reused by every iteration. pos and bucket are the counting sort
+	// that groups the sampled sides per vertex; plan exists only while an
+	// iteration actually draws randomness.
+	type sample struct {
+		id   int32
+		mask int8 // bit0 = sampled for U's list, bit1 = for V's list
 	}
+	var (
+		plan    []sample
+		planEnd = make([]int, M) // plan[planEnd[k-1]:planEnd[k]] is machine k's
+		pos     = make([]int32, n)
+		bucket  []int32
+		changed = newMarkSet(n)
+		pushed  []int64
+		fanout  = make([][]int32, M) // round B's per-destination record counts
+	)
 
+	res := &MatchingResult{}
 	for iter := 0; aliveCount > 0; iter++ {
 		if iter >= p.maxIter() {
 			return nil, fmt.Errorf("core: RLRMatching exceeded %d iterations", p.maxIter())
@@ -111,48 +128,85 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 
 		// Sampling round: edge owners sample each alive edge into E'_u and
 		// E'_v independently and ship sampled edges to the central machine.
-		// Message layout: [edgeID, sideMask] with sideMask bit0 = sampled
-		// for U's list, bit1 = sampled for V's list.
+		// Message layout: [edgeID, sideMask]. pos[v] counts |E'_v| on the way.
 		full := aliveCount < 4*int64(etaWords)
-		prob := 1.0
-		if !full {
-			prob = math.Min(1, float64(etaWords)/float64(aliveCount))
-		}
-		// Draw the two per-edge side samples machine by machine before the
-		// round; the closures replay each machine's plan concurrently.
-		sampledSides := int64(0)
-		var sampleIDs []int64
-		plan := make([][]int64, M)
-		for machine := 1; machine < M; machine++ {
-			for _, id := range ownedEdges[machine] {
-				if !alive[id] {
-					continue
+		var sampledSides int64 // Σ|E'_v|, counted only when it is random
+		var err error
+		if full {
+			// Every alive edge goes to both lists: nothing is drawn, so there
+			// is nothing to pre-draw and the owners send straight from their
+			// own alive bits.
+			for machine := 1; machine < M; machine++ {
+				if counts[machine] > 0 {
+					cluster.Arm(machine)
 				}
-				mask := int64(0)
-				if full || r.Bernoulli(prob) {
-					mask |= 1
+			}
+			for id, a := range alive {
+				if a {
+					e := &g.Edges[id]
+					pos[e.U]++
+					pos[e.V]++
 				}
-				if full || r.Bernoulli(prob) {
-					mask |= 2
+			}
+			err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
+				if machine == 0 {
+					return
 				}
-				if mask != 0 {
-					plan[machine] = append(plan[machine], int64(id), mask)
+				k := int(counts[machine])
+				out.Reserve(0, k, 2*k, 0)
+				for id := machine - 1; id < m; id += stride {
+					if alive[id] {
+						out.SendInts(0, int64(id), 3)
+					}
+				}
+			})
+		} else {
+			// Draw the two per-edge side samples machine by machine before
+			// the round; the closures replay each machine's plan concurrently.
+			prob := math.Min(1, float64(etaWords)/float64(aliveCount))
+			plan = plan[:0]
+			for machine := 1; machine < M; machine++ {
+				for id := machine - 1; id < m; id += stride {
+					if !alive[id] {
+						continue
+					}
+					var mask int8
+					if r.Bernoulli(prob) {
+						mask |= 1
+					}
+					if r.Bernoulli(prob) {
+						mask |= 2
+					}
+					if mask == 0 {
+						continue
+					}
+					e := &g.Edges[id]
 					if mask&1 != 0 {
+						pos[e.U]++
 						sampledSides++
 					}
 					if mask&2 != 0 {
+						pos[e.V]++
 						sampledSides++
 					}
-					sampleIDs = append(sampleIDs, int64(id), mask)
+					plan = append(plan, sample{int32(id), mask})
+				}
+				planEnd[machine] = len(plan)
+				if planEnd[machine] > planEnd[machine-1] {
+					cluster.Arm(machine)
 				}
 			}
+			err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
+				if machine == 0 {
+					return
+				}
+				mine := plan[planEnd[machine-1]:planEnd[machine]]
+				out.Reserve(0, len(mine), 2*len(mine), 0)
+				for _, s := range mine {
+					out.SendInts(0, int64(s.id), int64(s.mask))
+				}
+			})
 		}
-		armPlanned(cluster, plan)
-		err := cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			for i := 0; i+1 < len(plan[machine]); i += 2 {
-				out.SendInts(0, plan[machine][i], plan[machine][i+1])
-			}
-		})
 		if err != nil {
 			return nil, err
 		}
@@ -163,43 +217,68 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 			return nil, fmt.Errorf("core: RLRMatching sampling overflow (%d > 8η=%d)", sampledSides, 8*etaWords)
 		}
 
-		// Central machine: group sampled edges per vertex and push the
-		// heaviest alive edge of each E'_v (Lines 12-14).
-		perVertex := make(map[int][]int) // vertex -> sampled edge ids
-		for i := 0; i+1 < len(sampleIDs); i += 2 {
-			id, mask := int(sampleIDs[i]), sampleIDs[i+1]
-			e := g.Edges[id]
-			if mask&1 != 0 {
-				perVertex[e.U] = append(perVertex[e.U], id)
+		// Central machine: group the sampled sides per vertex. Turning the
+		// counts into bucket starts and filling in the order the samples were
+		// sent (machine, then id) leaves E'_v at bucket[pos[v-1]:pos[v]] in
+		// arrival order, vertices ascending.
+		sum := int32(0)
+		for v, c := range pos {
+			pos[v] = sum
+			sum += c
+		}
+		if cap(bucket) < int(sum) {
+			bucket = make([]int32, sum)
+		}
+		bucket = bucket[:sum]
+		if full {
+			for machine := 1; machine < M; machine++ {
+				for id := machine - 1; id < m; id += stride {
+					if alive[id] {
+						e := &g.Edges[id]
+						bucket[pos[e.U]] = int32(id)
+						pos[e.U]++
+						bucket[pos[e.V]] = int32(id)
+						pos[e.V]++
+					}
+				}
 			}
-			if mask&2 != 0 {
-				perVertex[e.V] = append(perVertex[e.V], id)
+		} else {
+			for _, s := range plan {
+				e := &g.Edges[s.id]
+				if s.mask&1 != 0 {
+					bucket[pos[e.U]] = s.id
+					pos[e.U]++
+				}
+				if s.mask&2 != 0 {
+					bucket[pos[e.V]] = s.id
+					pos[e.V]++
+				}
 			}
 		}
-		vertices := make([]int, 0, len(perVertex))
-		for v := range perVertex {
-			vertices = append(vertices, v)
-		}
-		sort.Ints(vertices)
-		changed := make(map[int]bool)
-		var pushed []int64
-		for _, v := range vertices {
+
+		// Push the heaviest alive edge of each E'_v (Lines 12-14); the first
+		// of equal maxima wins. pos is zeroed behind the scan for the next
+		// iteration's counts.
+		changed.clear()
+		pushed = pushed[:0]
+		lo := int32(0)
+		for v := range pos {
+			hi := pos[v]
+			pos[v] = 0
 			best, bestW := -1, 0.0
-			for _, id := range perVertex[v] {
-				if !lr.Alive(id) {
-					continue
-				}
-				if w := lr.Reduced(id); w > bestW {
-					best, bestW = id, w
+			for _, id := range bucket[lo:hi] {
+				if w, ok := lr.AliveReduced(int(id)); ok && w > bestW {
+					best, bestW = int(id), w
 				}
 			}
+			lo = hi
 			if best < 0 {
 				continue
 			}
 			if _, ok := lr.Push(best); ok {
-				e := g.Edges[best]
-				changed[e.U] = true
-				changed[e.V] = true
+				e := &g.Edges[best]
+				changed.add(e.U)
+				changed.add(e.V)
 				pushed = append(pushed, int64(best))
 			}
 		}
@@ -207,11 +286,7 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 
 		// Update round A: central sends the changed ϕ values to the vertex
 		// owners and the stacked edge ids to the edge owners (§5.3).
-		changedList := make([]int, 0, len(changed))
-		for v := range changed {
-			changedList = append(changedList, v)
-		}
-		sort.Ints(changedList)
+		changedList := changed.sorted()
 		cluster.Arm(0) // rounds B and the delivery round run off their inboxes
 		err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
 			if machine != 0 {
@@ -232,18 +307,40 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 		}
 
 		// Update round B: vertex owners forward ϕ(v) to the machines owning
-		// v's alive incident edges; edge owners mark stacked edges dead and
-		// recompute aliveness from the received potentials.
+		// v's alive incident edges. A first pass over the inbox counts the
+		// records per destination so each column is sized once.
 		err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
+			if in.Len() == 0 {
+				return
+			}
+			fan := fanout[machine]
+			if fan == nil {
+				fan = make([]int32, M)
+				fanout[machine] = fan
+			}
 			for msg, ok := in.Next(); ok; msg, ok = in.Next() {
 				if len(msg.Floats) == 1 {
-					v := int(msg.Ints[0])
+					for _, id := range g.IncidentEdges(int(msg.Ints[0])) {
+						if alive[id] {
+							fan[edgeOwner(int(id))]++
+						}
+					}
+				}
+			}
+			for to, k := range fan {
+				out.Reserve(to, int(k), 2*int(k), int(k))
+				fan[to] = 0
+			}
+			in.Reset()
+			for msg, ok := in.Next(); ok; msg, ok = in.Next() {
+				if len(msg.Floats) == 1 {
+					v := msg.Ints[0]
 					phi := msg.Floats[0]
-					for _, id := range g.IncidentEdges(v) {
+					for _, id := range g.IncidentEdges(int(v)) {
 						if alive[id] {
 							out.Begin(edgeOwner(int(id)))
 							out.Int(int64(id))
-							out.Int(int64(v))
+							out.Int(v)
 							out.Float(phi)
 							out.End()
 						}
@@ -254,42 +351,37 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 		if err != nil {
 			return nil, err
 		}
-		// Deliver round B's messages and apply them. Stacked edges die; an
-		// edge receiving a potential recomputes its reduced weight (the
-		// simulator reads lr, which holds exactly the values the messages
-		// carry).
+		// Deliver round B's messages and apply them as the edge owners would:
+		// stacked edges die, and an edge that received a potential recomputes
+		// its reduced weight (the simulator reads lr, which holds exactly the
+		// values the messages carry). An edge changes only if an endpoint's ϕ
+		// changed, and every alive edge at a changed vertex was messaged — so
+		// every owner with an edge to update has a non-empty inbox and is
+		// invoked here, walks its own edges once, and recounts them; an owner
+		// that is not invoked keeps its count because none of its edges moved.
 		err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			for msg, ok := in.Next(); ok; msg, ok = in.Next() {
-				if len(msg.Floats) == 1 && len(msg.Ints) == 2 {
-					id := int(msg.Ints[0])
-					if alive[id] && !lr.Alive(id) {
-						alive[id] = false
-					}
+			if machine == 0 {
+				return
+			}
+			left := int64(0)
+			for id := machine - 1; id < m; id += stride {
+				if !alive[id] {
+					continue
+				}
+				if lr.Alive(id) {
+					left++
+				} else {
+					alive[id] = false
 				}
 			}
+			counts[machine] = left
 		})
 		if err != nil {
 			return nil, err
 		}
-		for _, id := range pushed {
-			alive[id] = false
-		}
-		// Any edge whose potential made it non-positive is dead even if its
-		// owner received no message this iteration (both endpoints
-		// unchanged ⇒ weight unchanged, so this only affects edges with a
-		// changed endpoint — exactly the ones messaged above).
 		// Recompute the alive count with an aggregation over the tree.
-		counts := make([]int64, M)
-		for id := 0; id < m; id++ {
-			if alive[id] && !lr.Alive(id) {
-				alive[id] = false
-			}
-			if alive[id] {
-				counts[edgeOwner(id)]++
-			}
-		}
 		total, err := tree.AllReduceSum(cluster, 1, func(machine int) []int64 {
-			return []int64{counts[machine]}
+			return counts[machine : machine+1]
 		})
 		if err != nil {
 			return nil, err

@@ -23,6 +23,7 @@ package mpc
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -79,17 +80,59 @@ func putColumn(c *column) {
 // and Send/SendInts are one-call conveniences over it. Payloads are copied
 // into the columns at append time, so callers may freely reuse their own
 // buffers after the call (unlike the retired Message representation, which
-// retained payload slices).
+// retained payload slices). A sender that knows its volume up front calls
+// Reserve first, so the column buffers are sized once instead of doubling
+// their way up.
 type Outbox struct {
 	from    int
 	cluster *Cluster
 	byDest  []*column // lazily allocated, one column per destination with traffic
 	dests   []int     // destinations with at least one record, in first-use order
+	spare   []*column // lazily allocated: columns sized by Reserve that no record has claimed yet
+	spared  []int     // destinations Reserve put a spare column under this round
 	words   int
 	count   int
 	cur     *column // column of the open record, nil outside Begin/End
 	curInt  int     // len(cur.ints) at Begin
 	curFlt  int     // len(cur.floats) at Begin
+}
+
+// Reserve sizes the column addressed to machine `to` for recs further
+// records carrying ints int words and floats float words in total, so the
+// appends that follow never regrow it. It is purely a capacity hint: it
+// frames nothing and charges nothing, a reservation no record follows never
+// reaches an inbox, the merge or a shard exchange, and a non-positive recs is
+// a no-op. Like Begin it must not be called with a record open.
+func (o *Outbox) Reserve(to, recs, ints, floats int) {
+	if o.cur != nil {
+		panic("mpc: Outbox.Reserve with a record open")
+	}
+	if to < 0 || to >= o.cluster.cfg.Machines {
+		panic(fmt.Sprintf("mpc: reserve for invalid machine %d (M=%d)", to, o.cluster.cfg.Machines))
+	}
+	if recs <= 0 {
+		return
+	}
+	var col *column
+	if o.byDest != nil {
+		col = o.byDest[to]
+	}
+	if col == nil {
+		// No record yet: the sized column waits in spare until the first
+		// Begin(to) claims it, so it stays invisible if none does.
+		if o.spare == nil {
+			o.spare = make([]*column, o.cluster.cfg.Machines)
+		}
+		col = o.spare[to]
+		if col == nil {
+			col = getColumn()
+			o.spare[to] = col
+			o.spared = append(o.spared, to)
+		}
+	}
+	col.recs = slices.Grow(col.recs, recs)
+	col.ints = slices.Grow(col.ints, max(ints, 0))
+	col.floats = slices.Grow(col.floats, max(floats, 0))
 }
 
 // Begin opens a record addressed to machine `to`. Every Begin must be
@@ -106,7 +149,11 @@ func (o *Outbox) Begin(to int) {
 	}
 	col := o.byDest[to]
 	if col == nil {
-		col = getColumn()
+		if o.spare != nil && o.spare[to] != nil {
+			col, o.spare[to] = o.spare[to], nil
+		} else {
+			col = getColumn()
+		}
 		o.byDest[to] = col
 		o.dests = append(o.dests, to)
 	}
@@ -182,12 +229,20 @@ func (o *Outbox) SendInts(to int, ints ...int64) {
 
 // reset prepares the outbox for the next round. The columns it filled are
 // owned by the destination inboxes from the merge onwards, so only the
-// references are dropped here.
+// references are dropped here; a spare column no record claimed never left
+// the outbox and goes back to the pool.
 func (o *Outbox) reset() {
 	for _, dest := range o.dests {
 		o.byDest[dest] = nil
 	}
 	o.dests = o.dests[:0]
+	for _, dest := range o.spared {
+		if col := o.spare[dest]; col != nil {
+			putColumn(col)
+			o.spare[dest] = nil
+		}
+	}
+	o.spared = o.spared[:0]
 	o.words, o.count = 0, 0
 }
 

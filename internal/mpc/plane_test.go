@@ -5,6 +5,7 @@ package mpc
 // accounting, buffer reuse across rounds, and degenerate trees.
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -252,6 +253,190 @@ func TestOpenRecordPanics(t *testing.T) {
 				out.Int(1)
 			}
 		})
+	})
+}
+
+// reserveScript runs three rounds of mixed traffic on c and returns every
+// delivered record in delivery order, per receiving machine. With reserve
+// set the senders announce their volume first — exactly, too high, in two
+// instalments, after the first record, for zero records, and towards a
+// machine they then send nothing to.
+func reserveScript(t *testing.T, c *Cluster, reserve bool) [][]Record {
+	t.Helper()
+	M := c.M()
+	got := make([][]Record, M)
+	read := func(machine int, in *Inbox) {
+		for r, ok := in.Next(); ok; r, ok = in.Next() {
+			got[machine] = append(got[machine], Record{
+				From:   r.From,
+				Ints:   append([]int64(nil), r.Ints...),
+				Floats: append([]float64(nil), r.Floats...),
+			})
+		}
+	}
+	for m := 1; m < M; m++ {
+		c.Arm(m)
+	}
+	rounds := []RoundFunc{
+		func(machine int, in *Inbox, out *Outbox) { // everyone → 0, exact volume
+			if machine == 0 {
+				return
+			}
+			k := 10 * machine
+			if reserve {
+				out.Reserve(0, k, 2*k, 0)
+				out.Reserve(machine, 5, 5, 5) // never used: no record to self follows
+				out.Reserve(0, 0, 0, 0)
+			}
+			for i := 0; i < k; i++ {
+				out.SendInts(0, int64(machine), int64(i))
+			}
+		},
+		func(machine int, in *Inbox, out *Outbox) { // 0 → everyone, reserved late and high
+			read(machine, in)
+			if machine != 0 {
+				return
+			}
+			for to := 1; to < M; to++ {
+				out.Begin(to)
+				out.Int(int64(to))
+				out.Float(0.5)
+				out.End()
+				if reserve {
+					out.Reserve(to, 100, 100, 100)
+					out.Reserve(to, 3, 3, 3)
+				}
+				for i := 0; i < 3; i++ {
+					out.Send(to, []int64{int64(i)}, []float64{float64(to)})
+				}
+			}
+			if reserve {
+				out.Reserve(0, 7, 7, 7) // machine 0 sends itself nothing
+			}
+		},
+		func(machine int, in *Inbox, out *Outbox) { read(machine, in) },
+	}
+	for i, f := range rounds {
+		if err := c.Round(f); err != nil {
+			t.Fatalf("round %d: %v", i+1, err)
+		}
+	}
+	return got
+}
+
+func TestReserveIsInvisible(t *testing.T) {
+	// Reserve is a capacity hint and nothing else: the same rounds with and
+	// without it deliver the same records in the same order and leave the
+	// same metrics and trace, on every scheduler and across a shard exchange.
+	for _, cfg := range []Config{
+		{Machines: 5, Sparse: true},
+		{Machines: 5},
+		{Machines: 5, Sparse: true, Workers: 2},
+		{Machines: 6, Sparse: true, Shards: 2},
+		{Machines: 6, Shards: 3, Workers: 2},
+	} {
+		cfg.Trace = true
+		cfg.SpaceCap = 150 // low enough that the fan-in round violates it
+		plain := NewCluster(cfg)
+		want := reserveScript(t, plain, false)
+		reserved := NewCluster(cfg)
+		got := reserveScript(t, reserved, true)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%+v: delivery differs with Reserve\n got %v\nwant %v", cfg, got, want)
+		}
+		if g, w := reserved.Metrics(), plain.Metrics(); g != w {
+			t.Errorf("%+v: metrics differ with Reserve\n got %+v\nwant %+v", cfg, g, w)
+		}
+		if !reflect.DeepEqual(reserved.Trace(), plain.Trace()) {
+			t.Errorf("%+v: trace differs with Reserve\n got %+v\nwant %+v", cfg, reserved.Trace(), plain.Trace())
+		}
+		if plain.Metrics().Violations == 0 {
+			t.Errorf("%+v: the script should exceed the cap once", cfg)
+		}
+		plain.Close()
+		reserved.Close()
+	}
+}
+
+func TestReserveWithoutRecordLeavesNoTrace(t *testing.T) {
+	c := NewCluster(Config{Machines: 3, Sparse: true, Trace: true})
+	c.Arm(0)
+	err := c.Round(func(machine int, in *Inbox, out *Outbox) {
+		out.Reserve(1, 50, 100, 50)
+		out.Reserve(2, 0, 0, 0)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := c.Metrics(); m.Messages != 0 || m.WordsSent != 0 {
+		t.Fatalf("metrics after a bare Reserve: %+v", m)
+	}
+	for machine := 0; machine < 3; machine++ {
+		if in := c.Inbox(machine); in.Len() != 0 || in.Words() != 0 || len(in.segs) != 0 {
+			t.Fatalf("machine %d inbox holds %d records in %d columns", machine, in.Len(), len(in.segs))
+		}
+		if len(c.senders[machine]) != 0 {
+			t.Fatalf("machine %d has senders %v", machine, c.senders[machine])
+		}
+	}
+	if len(c.recv) != 0 {
+		t.Fatalf("receivers after a bare Reserve: %v", c.recv)
+	}
+	o := &c.outboxes[0]
+	if len(o.dests) != 0 || len(o.spared) != 0 || o.spare[1] != nil {
+		t.Fatalf("outbox kept the reservation: dests=%v spared=%v", o.dests, o.spared)
+	}
+	// Nobody received, so the next sparse round invokes nobody.
+	if err := c.Round(func(machine int, in *Inbox, out *Outbox) { t.Errorf("machine %d invoked", machine) }); err != nil {
+		t.Fatal(err)
+	}
+	if tr := c.Trace(); tr[1].Active != 0 || tr[0].Messages != 0 {
+		t.Fatalf("trace: %+v", tr)
+	}
+}
+
+func TestReserveOnLargeColumnAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops columns at random")
+	}
+	c := NewCluster(Config{Machines: 2})
+	o := &c.outboxes[0]
+	// Size one column, then let it travel through the pool: reserving the
+	// same volume again must find the capacity already there, whether the
+	// column is still the outbox's spare or comes back from the pool.
+	o.Reserve(1, 1000, 2000, 500)
+	if allocs := testing.AllocsPerRun(100, func() { o.Reserve(1, 1000, 2000, 500) }); allocs != 0 {
+		t.Errorf("re-reserving a sized column: %v allocations", allocs)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		o.reset()
+		o.Reserve(1, 1000, 2000, 500)
+	})
+	if allocs != 0 {
+		t.Errorf("reserving on a pooled column: %v allocations", allocs)
+	}
+	col := o.spare[1]
+	if cap(col.recs) < 1000 || cap(col.ints) < 2000 || cap(col.floats) < 500 {
+		t.Fatalf("column capacity %d/%d/%d after Reserve(1000, 2000, 500)", cap(col.recs), cap(col.ints), cap(col.floats))
+	}
+	o.reset()
+}
+
+func TestReservePanics(t *testing.T) {
+	t.Run("InsideOpenRecord", func(t *testing.T) {
+		c := NewCluster(Config{Machines: 2})
+		defer expectPanic(t)
+		_ = c.Round(func(machine int, in *Inbox, out *Outbox) {
+			if machine == 0 {
+				out.Begin(1)
+				out.Reserve(1, 4, 4, 0)
+			}
+		})
+	})
+	t.Run("InvalidMachine", func(t *testing.T) {
+		c := NewCluster(Config{Machines: 2})
+		defer expectPanic(t)
+		_ = c.Round(func(machine int, in *Inbox, out *Outbox) { out.Reserve(2, 1, 1, 0) })
 	})
 }
 

@@ -7,9 +7,11 @@ package mpc
 // results against the clean run.
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -319,6 +321,58 @@ func TestChaosHealsDeterministically(t *testing.T) {
 				t.Error("connections were killed but no reconnect was recorded")
 			}
 		})
+	}
+}
+
+// TestStaleConnectionReportsAreIgnored pins the two generation checks the
+// chaos soak found missing. Failure reports travel asynchronously (a dying
+// reader, a queued error item, an enqueue on a connection read a moment
+// ago), so by the time one lands a reconnect may have installed a healthy
+// successor: marking that one down strands the accept side, which never
+// redials and drops every frame for a down peer. Likewise a redial whose
+// dial completes after the peer has dialled in must not replace the peer's
+// connection.
+func TestStaleConnectionReportsAreIgnored(t *testing.T) {
+	nodes, _ := tcpFleet(t, 2, recoverOpts())
+	dialer, acceptor := nodes[0], nodes[1]
+	state := func(n *TCPNode, peer int) (gen uint64, down bool) {
+		n.connMu.RLock()
+		defer n.connMu.RUnlock()
+		return n.connGen[peer], n.down[peer]
+	}
+	// Sever the pair once and wait for the dialer's redial to heal it.
+	if !dialer.KillConn(1) {
+		t.Fatal("no connection to kill")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		dg, dd := state(dialer, 1)
+		ag, ad := state(acceptor, 0)
+		if dg == 2 && ag == 2 && !dd && !ad {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("pair did not heal: dialer gen %d down %v, acceptor gen %d down %v", dg, dd, ag, ad)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// A late report about generation 1 says nothing about generation 2.
+	acceptor.markDown(0, 1)
+	dialer.markDown(1, 1)
+	if _, down := state(acceptor, 0); down {
+		t.Error("acceptor marked its healthy connection down on a stale report")
+	}
+	if _, down := state(dialer, 1); down {
+		t.Error("dialer marked its healthy connection down on a stale report")
+	}
+	// A redial that set out to replace generation 1 finds generation 2.
+	mine, theirs := net.Pipe()
+	defer theirs.Close()
+	if err := dialer.swapConn(1, mine, bufio.NewReader(mine), 1, 1); err == nil {
+		t.Error("an overtaken redial replaced the peer's own reconnect")
+	}
+	if gen, _ := state(dialer, 1); gen != 2 {
+		t.Errorf("dialer generation %d after the discarded swap, want 2", gen)
 	}
 }
 

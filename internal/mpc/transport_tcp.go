@@ -791,7 +791,7 @@ func (n *TCPNode) handleReconnect(c net.Conn) {
 		replayFrom = binary.LittleEndian.Uint32(rp)
 	}
 	c.SetDeadline(time.Time{})
-	n.swapConn(h.peer, c, br, replayFrom)
+	n.swapConn(h.peer, c, br, replayFrom, 0)
 }
 
 // swapConn replaces the connection to peer with a fresh one, pre-loading
@@ -799,12 +799,26 @@ func (n *TCPNode) handleReconnect(c net.Conn) {
 // can be lost between the swap and the next Send (sends log first, then
 // look up the connection: any frame logged before the replay snapshot is
 // in the replay, any logged after sees the new connection).
-func (n *TCPNode) swapConn(peer int, c net.Conn, br *bufio.Reader, replayFrom uint32) error {
+//
+// A non-zero replaces makes the swap conditional on the current connection
+// still being that generation. The redial path passes the generation it set
+// out to replace: its dial can complete after the peer has already dialled
+// in — a respawned worker rejoining while our dial to its dying predecessor
+// was still in flight — and installing it then would supersede the healthy
+// connection with one to a dead process that nobody can redial (a respawned
+// worker has no listener). The accept path passes 0: a peer that dials in
+// has given up on the old connection itself.
+func (n *TCPNode) swapConn(peer int, c net.Conn, br *bufio.Reader, replayFrom uint32, replaces uint64) error {
 	n.connMu.Lock()
 	if n.closing {
 		n.connMu.Unlock()
 		c.Close()
 		return fmt.Errorf("%w (shard %d)", errTransportClosed, n.shard)
+	}
+	if replaces != 0 && n.connGen[peer] != replaces {
+		n.connMu.Unlock()
+		c.Close()
+		return fmt.Errorf("mpc: tcp transport: redial of peer shard %d overtaken by its own reconnect", peer)
 	}
 	var replay [][]byte
 	if n.wlog != nil {
@@ -835,14 +849,20 @@ func (n *TCPNode) swapConn(peer int, c net.Conn, br *bufio.Reader, replayFrom ui
 	return nil
 }
 
-// markDown records a failed peer connection and, when this node is the
-// original dialer of the pair, kicks off the redial loop.
-func (n *TCPNode) markDown(peer int) {
+// markDown records that the connection of generation gen to peer failed
+// and, when this node is the original dialer of the pair, kicks off the
+// redial loop. The generation is what the caller observed failing: by the
+// time its report arrives a reconnect may already have swapped a healthy
+// successor in, and marking that one down would strand it — the accept side
+// of a pair never redials, so it would swallow every later frame to the peer
+// (sendFrame drops frames for a down peer, trusting a replay that nobody is
+// going to trigger) and the peer's barrier would wait out its timeout.
+func (n *TCPNode) markDown(peer int, gen uint64) {
 	if peer < 0 || peer >= n.shards || peer == n.shard {
 		return
 	}
 	n.connMu.Lock()
-	if n.closing {
+	if n.closing || gen != n.connGen[peer] {
 		n.connMu.Unlock()
 		return
 	}
@@ -860,10 +880,21 @@ func (n *TCPNode) markDown(peer int) {
 // redial re-establishes a failed connection from the dialer side on the
 // backoff schedule, aborting if the peer reconnected to us first.
 func (n *TCPNode) redial(peer int) {
+	healed := false
 	defer func() {
+		// The connection this goroutine just installed can fail before it
+		// gets here (chaos tears it on the very next send): that markDown
+		// found redialing still set and spawned nothing, so the hand-over
+		// happens under the same lock that clears the flag. An exhausted
+		// retry budget is not re-armed — the peer stays down and the barrier
+		// timeout reports it.
 		n.connMu.Lock()
-		n.redialing[peer] = false
+		again := healed && n.down[peer] && !n.closing
+		n.redialing[peer] = again
 		n.connMu.Unlock()
+		if again {
+			go n.redial(peer)
+		}
 	}()
 	o := n.opts
 	seed := o.RetrySeed
@@ -884,6 +915,7 @@ func (n *TCPNode) redial(peer int) {
 		}
 		n.connMu.RLock()
 		stillDown := n.down[peer] && !n.closing
+		gen := n.connGen[peer]
 		addr := n.addrs[peer]
 		n.connMu.RUnlock()
 		if !stillDown {
@@ -893,7 +925,7 @@ func (n *TCPNode) redial(peer int) {
 		if err != nil {
 			continue
 		}
-		n.swapConn(peer, c, br, ackNext)
+		healed = n.swapConn(peer, c, br, ackNext, gen) == nil
 		return
 	}
 }
@@ -955,7 +987,7 @@ func (n *TCPNode) sendFrame(peer int, seq uint32, frame []byte) error {
 	}
 	if err := tc.enqueue(frame); err != nil {
 		if n.opts.Recover {
-			n.markDown(peer)
+			n.markDown(peer, tc.gen)
 			return nil
 		}
 		return err
@@ -982,12 +1014,7 @@ func (n *TCPNode) reader(tc *tcpConn) {
 				// rounds and will never call Receive again — a lagging peer
 				// may still need the replay. Clean EOFs stay with Receive's
 				// round-aware handling so ordinary teardown doesn't redial.
-				n.connMu.RLock()
-				current := tc.gen == n.connGen[tc.peer]
-				n.connMu.RUnlock()
-				if current {
-					n.markDown(tc.peer)
-				}
+				n.markDown(tc.peer, tc.gen)
 			}
 			n.push(tcpItem{src: tc.peer, gen: tc.gen, err: err, eof: clean})
 			return
@@ -1409,7 +1436,7 @@ func (e *tcpEndpoint) Receive(seq uint32) (*Exchange, error) {
 				return nil
 			}
 			if recov {
-				n.markDown(it.src)
+				n.markDown(it.src, it.gen)
 				return nil
 			}
 			return it.err
@@ -1524,7 +1551,7 @@ func (e *tcpEndpoint) Receive(seq uint32) (*Exchange, error) {
 					// Declare the connection dead; the down/redial path
 					// takes over.
 					tc.kill(err)
-					n.markDown(t)
+					n.markDown(t, tc.gen)
 					continue
 				}
 				return fail(err)

@@ -34,16 +34,26 @@ func NewMatchingLocalRatio(g *graph.Graph) *MatchingLocalRatio {
 	}
 }
 
+// AliveReduced returns the current reduced weight of edge id and whether the
+// edge is alive (positive reduced weight, not on the stack), reading the edge
+// and both potentials once — the form the per-vertex argmax scans use.
+func (lr *MatchingLocalRatio) AliveReduced(id int) (w float64, alive bool) {
+	e := &lr.g.Edges[id]
+	w = e.W - lr.phi[e.U] - lr.phi[e.V]
+	return w, w > 0 && !lr.onStk[id]
+}
+
 // Reduced returns the current reduced weight of edge id.
 func (lr *MatchingLocalRatio) Reduced(id int) float64 {
-	e := lr.g.Edges[id]
-	return e.W - lr.phi[e.U] - lr.phi[e.V]
+	w, _ := lr.AliveReduced(id)
+	return w
 }
 
 // Alive reports whether edge id still has positive reduced weight and is not
 // on the stack.
 func (lr *MatchingLocalRatio) Alive(id int) bool {
-	return !lr.onStk[id] && lr.Reduced(id) > 0
+	_, alive := lr.AliveReduced(id)
+	return alive
 }
 
 // OnStack reports whether edge id has been pushed.
@@ -60,14 +70,11 @@ func (lr *MatchingLocalRatio) StackSize() int { return len(lr.stack) }
 // whether the push happened; pushing a dead or already-stacked edge is a
 // no-op returning (0, false).
 func (lr *MatchingLocalRatio) Push(id int) (float64, bool) {
-	if lr.onStk[id] {
+	psi, alive := lr.AliveReduced(id)
+	if !alive {
 		return 0, false
 	}
-	psi := lr.Reduced(id)
-	if psi <= 0 {
-		return 0, false
-	}
-	e := lr.g.Edges[id]
+	e := &lr.g.Edges[id]
 	lr.phi[e.U] += psi
 	lr.phi[e.V] += psi
 	lr.onStk[id] = true
