@@ -492,6 +492,71 @@ func benchMsgPlaneBroadcast(b *testing.B, workers int) {
 func BenchmarkMsgPlaneBroadcastSeq(b *testing.B)  { benchMsgPlaneBroadcast(b, 1) }
 func BenchmarkMsgPlaneBroadcastPar4(b *testing.B) { benchMsgPlaneBroadcast(b, 4) }
 
+// benchMsgPlaneFanout is the message plane at the shape the MIS-family
+// dissemination rounds give it: 45 machines, every round each one reads what
+// the last round delivered and sends 10 000 records to pseudo-random vertex
+// owners. With wideEvery == 0 every record is one word, so every column stays
+// uniform; otherwise every wideEvery-th record carries two words, which
+// forces the per-record framing index. One op is one round — 450 000 records
+// written and 450 000 read — reported as ns/rec. The owners are shuffled
+// within blocks of 44, one record per owner, so every column is equally long
+// every round and the warm-up leaves the pool in a steady state: -benchmem
+// shows the one closure Cluster.Round hands its executor and nothing for the
+// 900 000 record operations.
+func benchMsgPlaneFanout(b *testing.B, wideEvery int) {
+	const machines, perMachine = 45, 10000
+	c := mpc.NewCluster(mpc.Config{Machines: machines})
+	defer c.Close()
+	r := rng.New(17)
+	targets := make([][]int64, machines)
+	block := make([]int64, machines-1)
+	for m := range targets {
+		targets[m] = make([]int64, perMachine)
+		for k := range targets[m] {
+			if k%len(block) == 0 {
+				for i := range block {
+					block[i] = int64(i)
+				}
+				r.Shuffle(len(block), func(i, j int) { block[i], block[j] = block[j], block[i] })
+			}
+			// A vertex id in [0, 20000) whose owner is 1 + block[k%44].
+			targets[m][k] = block[k%len(block)] + int64(len(block)*r.Intn(20000/len(block)))
+		}
+	}
+	sums := make([]int64, machines)
+	round := func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
+		sum := int64(0)
+		for rec, ok := in.Next(); ok; rec, ok = in.Next() {
+			sum += rec.Ints[0]
+		}
+		sums[machine] = sum
+		for k, u := range targets[machine] {
+			owner := 1 + int(u)%(machines-1)
+			if wideEvery > 0 && k%wideEvery == 0 {
+				out.SendInts(owner, u, u)
+			} else {
+				out.SendInts(owner, u)
+			}
+		}
+	}
+	for warm := 0; warm < 5; warm++ {
+		if err := c.Round(round); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.Round(round); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*machines*perMachine), "ns/rec")
+}
+
+func BenchmarkMsgPlaneOneWordFanout(b *testing.B)    { benchMsgPlaneFanout(b, 0) }
+func BenchmarkMsgPlaneMixedShapeFanout(b *testing.B) { benchMsgPlaneFanout(b, 16) }
+
 // --- Neighbor-scan kernel pairs ---
 //
 // The before/after evidence for the CSR-native neighbour kernel: the same

@@ -129,7 +129,7 @@ func main() {
 		}
 		logger.Printf("preloaded %s: id=%s n=%d m=%d mapped=%v", path, id, info.N, info.M, info.Mapped)
 	}
-	server := &http.Server{Addr: *addr, Handler: service.NewServer(engine)}
+	server := newHTTPServer(*addr, service.NewServer(engine))
 
 	if *debugAddr != "" {
 		// Profiling endpoints get their own mux and listener so they never
@@ -142,7 +142,7 @@ func main() {
 		dbg.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		go func() {
 			logger.Printf("pprof listening on %s", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, dbg); err != nil {
+			if err := newHTTPServer(*debugAddr, dbg).ListenAndServe(); err != nil {
 				logger.Printf("pprof server: %v", err)
 			}
 		}()
@@ -171,6 +171,31 @@ func main() {
 		}
 		engine.Close()
 		logger.Print("bye")
+	}
+}
+
+// Connection bounds of both listeners. A client gets readHeaderTimeout to
+// finish its request headers and a kept-alive connection idleTimeout to send
+// the next request, so a socket that opens and goes quiet costs a goroutine
+// and a descriptor for seconds, not for ever.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
+// newHTTPServer returns a server for handler with the connection bounds
+// above. There is deliberately no WriteTimeout (and no ReadTimeout, whose
+// deadline would cover the upload bodies): a wait:true job holds its
+// response open for as long as the job runs, and a CPU profile for as long
+// as it samples.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
 	}
 }
 

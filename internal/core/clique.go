@@ -162,10 +162,11 @@ func MaximalClique(g *graph.Graph, p Params) (*CliqueResult, error) {
 
 	// processBatch adds candidates to the clique hungry-greedy style: one
 	// addition per group, threshold on the current complement degree.
+	removedSet := newMarkSet(n) // the batch's removals, cleared per batch
 	processBatch := func(groups [][]cliqueCand, threshold int) error {
-		removedSet := make(map[int]bool)
+		removedSet.clear()
 		var removed []int
-		activeNow := func(u int) bool { return inA[u] && !removedSet[u] }
+		activeNow := func(u int) bool { return inA[u] && !removedSet.has(u) }
 		for _, group := range groups {
 			for _, cand := range group {
 				if !activeNow(cand.v) {
@@ -186,13 +187,13 @@ func MaximalClique(g *graph.Graph, p Params) (*CliqueResult, error) {
 				// Add cand.v to the clique: remove v and its active
 				// non-neighbours from A.
 				clique = append(clique, cand.v)
-				if !removedSet[cand.v] {
-					removedSet[cand.v] = true
+				if !removedSet.has(cand.v) {
+					removedSet.add(cand.v)
 					removed = append(removed, cand.v)
 				}
 				for _, u := range cand.comp {
 					if activeNow(int(u)) {
-						removedSet[int(u)] = true
+						removedSet.add(int(u))
 						removed = append(removed, int(u))
 					}
 				}

@@ -167,8 +167,10 @@ func partitionByOwner(count, machines int, owner func(id int) int) [][]int {
 }
 
 // markSet is a set of vertices that empties in O(1): a member carries the
-// current epoch. The local ratio drivers keep one across iterations for "the
-// vertices whose potential changed" instead of building a map each time.
+// current epoch. The drivers keep one across iterations — the local ratio
+// ones for "the vertices whose potential changed", the hungry-greedy ones for
+// "the vertices the central machine removed this batch" — instead of
+// building a map each time.
 type markSet struct {
 	mark  []int32
 	epoch int32
@@ -180,6 +182,8 @@ func newMarkSet(n int) *markSet { return &markSet{mark: make([]int32, n), epoch:
 func (s *markSet) clear() { s.epoch++ }
 
 func (s *markSet) add(v int) { s.mark[v] = s.epoch }
+
+func (s *markSet) has(v int) bool { return s.mark[v] == s.epoch }
 
 // sorted returns the members in ascending order; the slice is valid until the
 // next call.

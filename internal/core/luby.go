@@ -47,6 +47,11 @@ func LubyMIS(g *graph.Graph, p Params) (*MISResult, error) {
 		cluster.SetResident(machine, resident[machine])
 	}
 
+	// beaten[u] == iterations: u has seen a better neighbour this iteration.
+	// Owner-partitioned like the status arrays — a machine stamps only the
+	// vertices it owns — and never cleared: the iteration number is the epoch.
+	beaten := make([]int32, n)
+
 	aliveCount := int64(n)
 	iterations := 0
 	for aliveCount > 0 {
@@ -109,21 +114,21 @@ func LubyMIS(g *graph.Graph, p Params) (*MISResult, error) {
 			return u < v
 		}
 		localMin := make([]bool, n)
+		epoch := int32(iterations)
 		armAlive()
 		err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			lowest := make(map[int]bool) // v -> seen a better neighbour
 			for msg, ok := in.Next(); ok; msg, ok = in.Next() {
 				u := int(msg.Ints[0]) // recipient vertex
 				v := int(msg.Ints[1]) // sending neighbour
 				if better(msg.Floats[0], v, priority[u], u) {
-					lowest[u] = true
+					beaten[u] = epoch
 				}
 			}
 			for _, v := range owned[machine] {
 				if !aliveVertex(v) {
 					continue
 				}
-				if !lowest[v] {
+				if beaten[v] != epoch {
 					localMin[v] = true
 					for _, u := range g.Neighbors(v) {
 						if !inI[u] && !dominated[u] {

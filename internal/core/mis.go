@@ -36,6 +36,12 @@ type MISResult struct {
 // are drawn before the round starts (in machine order, then vertex order —
 // the order the machines would draw in), and the round's closures read the
 // resulting per-machine plans.
+//
+// Everything below the status arrays is driver scratch the state owns and
+// resets per pass, so an iteration allocates nothing that grows with the
+// graph: a sampling pass refills the sample and the flat neighbour buffer,
+// and the central machine's batch-local "left the alive set" marks clear by
+// epoch.
 type misState struct {
 	g       *graph.Graph
 	cluster *mpc.Cluster
@@ -47,6 +53,14 @@ type misState struct {
 	inI       []bool // v ∈ I
 	dominated []bool // v ∈ N+(I) \ I
 	dI        []int  // alive degree: |N(v) \ N+(I)|, 0 if v ∈ N+(I)
+
+	sample  []candidate   // the current pass's sample in submission order: machine, then vertex
+	planEnd []int         // machine's plan is sample[planEnd[machine-1]:planEnd[machine]]
+	nbrs    []int64       // every candidate's alive neighbours, back to back
+	groups  [][]candidate // chopGroups' result buffer
+	batch   centralBatch  // the central machine's additions of the current iteration
+	left    *markSet      // vertices the central machine removed from the alive set this batch
+	counts  []int64       // per-machine contributions to an all-reduce
 }
 
 func (s *misState) vertexOwner(v int) int { return 1 + v%(s.M-1) }
@@ -63,6 +77,9 @@ func newMISState(g *graph.Graph, cluster *mpc.Cluster, r *rng.RNG) *misState {
 		inI:       make([]bool, g.N),
 		dominated: make([]bool, g.N),
 		dI:        make([]int, g.N),
+		planEnd:   make([]int, cluster.M()),
+		left:      newMarkSet(g.N),
+		counts:    make([]int64, cluster.M()),
 	}
 	s.owned = partitionByOwner(g.N, s.M, s.vertexOwner)
 	for v := 0; v < g.N; v++ {
@@ -79,31 +96,158 @@ func newMISState(g *graph.Graph, cluster *mpc.Cluster, r *rng.RNG) *misState {
 	return s
 }
 
-// aliveNeighbours returns v's neighbours outside N+(I), scanning the
-// contiguous CSR neighbour slice (no edge-id indirection).
-func (s *misState) aliveNeighbours(v int) []int64 {
-	var out []int64
-	for _, u := range s.g.Neighbors(v) {
-		if !s.inI[u] && !s.dominated[u] {
-			out = append(out, int64(u))
-		}
-	}
-	return out
+// candidate is a sampled vertex with its alive neighbours at sampling time.
+// aliveNbrs is a capacity-clipped view into misState.nbrs, valid until the
+// next sampling pass.
+type candidate struct {
+	v         int
+	aliveNbrs []int64
 }
 
-// addToIFromLists marks the vertices in add as members of I and their listed
-// alive neighbours as dominated, returning the newly dominated vertices
-// (including the I members themselves for ownership notification purposes).
+// centralBatch is what the central machine decided in one iteration: the
+// vertices that joined I and the alive neighbours they dominate.
 type centralBatch struct {
 	added        []int
 	newDominated []int
+}
+
+// newCandidate samples v: its neighbours outside N+(I) are appended to the
+// pass's flat buffer, scanning the contiguous CSR neighbour slice (no
+// edge-id indirection). When the buffer regrows, earlier candidates keep
+// their views of the old array.
+func (s *misState) newCandidate(v int) candidate {
+	start := len(s.nbrs)
+	for _, u := range s.g.Neighbors(v) {
+		if !s.inI[u] && !s.dominated[u] {
+			s.nbrs = append(s.nbrs, int64(u))
+		}
+	}
+	return candidate{v: v, aliveNbrs: s.nbrs[start:len(s.nbrs):len(s.nbrs)]}
+}
+
+// sampleToCentral is one sampling pass and its round: vertex v joins the
+// sample with probability rate(v) — 0 for a vertex that does not take part,
+// which draws nothing — and ships (v, alive neighbour list) to the central
+// machine. The sampling decisions are drawn up front in machine order, then
+// vertex order — the order the machines would draw in — so every machine's
+// plan is a run of the sample, which the round's closures replay
+// concurrently, sizing the column to the central machine once. The returned
+// candidates are in submission order, which the central machine chops into
+// groups; they are valid until the next pass, and reordering them after the
+// round has run is the caller's right.
+func (s *misState) sampleToCentral(rate func(v int) float64) ([]candidate, error) {
+	s.sample, s.nbrs = s.sample[:0], s.nbrs[:0]
+	for machine := 1; machine < s.M; machine++ {
+		for _, v := range s.owned[machine] {
+			if s.r.Bernoulli(rate(v)) {
+				s.sample = append(s.sample, s.newCandidate(v))
+			}
+		}
+		s.planEnd[machine] = len(s.sample)
+		if s.planEnd[machine] > s.planEnd[machine-1] {
+			s.cluster.Arm(machine)
+		}
+	}
+	err := s.cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
+		if machine == 0 {
+			return
+		}
+		plan := s.sample[s.planEnd[machine-1]:s.planEnd[machine]]
+		words := len(plan)
+		for _, cand := range plan {
+			words += len(cand.aliveNbrs)
+		}
+		out.Reserve(0, len(plan), words, 0)
+		for _, cand := range plan {
+			out.Begin(0)
+			out.Int(int64(cand.v))
+			out.Ints(cand.aliveNbrs...)
+			out.End()
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return s.sample, nil
+}
+
+// chopGroups shuffles a sample and splits it into groups of the given size.
+// The groups are valid until the next call.
+func (s *misState) chopGroups(sample []candidate, groupSize int) [][]candidate {
+	s.r.Shuffle(len(sample), func(i, j int) { sample[i], sample[j] = sample[j], sample[i] })
+	if groupSize < 1 {
+		groupSize = 1
+	}
+	s.groups = s.groups[:0]
+	for i := 0; i < len(sample); i += groupSize {
+		s.groups = append(s.groups, sample[i:min(i+groupSize, len(sample))])
+	}
+	return s.groups
+}
+
+// singletonGroups sorts a gathered sample by vertex and makes every
+// candidate its own group: the central greedy of a phase's last batch.
+func (s *misState) singletonGroups(sample []candidate) [][]candidate {
+	sort.Slice(sample, func(a, b int) bool { return sample[a].v < sample[b].v })
+	s.groups = s.groups[:0]
+	for k := range sample {
+		s.groups = append(s.groups, sample[k:k+1])
+	}
+	return s.groups
+}
+
+// beginBatch starts a new central batch: nothing added, nobody removed.
+func (s *misState) beginBatch() {
+	s.batch.added = s.batch.added[:0]
+	s.batch.newDominated = s.batch.newDominated[:0]
+	s.left.clear()
+}
+
+// centralProcessGroups runs the hungry-greedy inner loop on the central
+// machine: candidates arrive in groups; from each group the first vertex
+// whose current alive degree (w.r.t. the central machine's view of N+(I))
+// is at least threshold joins I. Candidate lists were computed against the
+// alive set at sampling time; the central machine re-filters them against
+// the vertices it has removed earlier in the same batch (s.left), exactly
+// as the paper's central machine can (it holds the sampled neighbour
+// lists). Additions accumulate in s.batch, so the degree classes of one
+// MISFast iteration share a batch.
+func (s *misState) centralProcessGroups(groups [][]candidate, threshold int) {
+	isAlive := func(v int) bool {
+		return s.aliveVertex(v) && !s.left.has(v)
+	}
+	for _, group := range groups {
+		for _, cand := range group {
+			if !isAlive(cand.v) {
+				continue
+			}
+			deg := 0
+			for _, u := range cand.aliveNbrs {
+				if isAlive(int(u)) {
+					deg++
+				}
+			}
+			if deg < threshold {
+				continue
+			}
+			s.batch.added = append(s.batch.added, cand.v)
+			s.left.add(cand.v)
+			for _, u := range cand.aliveNbrs {
+				if isAlive(int(u)) {
+					s.batch.newDominated = append(s.batch.newDominated, int(u))
+					s.left.add(int(u))
+				}
+			}
+			break
+		}
+	}
 }
 
 // disseminate ships the batch results back to the vertex owners (one routed
 // round), then lets owners notify their dominated vertices' neighbours so
 // every alive vertex can update dI (a second routed round plus a delivery
 // round), mirroring the update step of Theorem 3.3's proof sketch.
-func (s *misState) disseminate(batch centralBatch) error {
+func (s *misState) disseminate() error {
 	// Round 1: central tells each owner which of its vertices entered I or
 	// became dominated. Only the central machine acts on an empty inbox;
 	// rounds 2 and 3 are driven entirely by delivered records.
@@ -112,10 +256,10 @@ func (s *misState) disseminate(batch centralBatch) error {
 		if machine != 0 {
 			return
 		}
-		for _, v := range batch.added {
+		for _, v := range s.batch.added {
 			out.SendInts(s.vertexOwner(v), int64(v), 1)
 		}
-		for _, v := range batch.newDominated {
+		for _, v := range s.batch.newDominated {
 			out.SendInts(s.vertexOwner(v), int64(v), 0)
 		}
 	})
@@ -142,128 +286,69 @@ func (s *misState) disseminate(batch centralBatch) error {
 		return err
 	}
 	// Round 3: owners decrement dI of their still-alive vertices once per
-	// removed neighbour.
+	// removed neighbour. A vertex outside the alive set has had dI = 0 since
+	// the round 2 that removed it, so the degree alone tells the two apart.
 	return s.cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
 		for msg, ok := in.Next(); ok; msg, ok = in.Next() {
-			u := int(msg.Ints[0])
-			if s.aliveVertex(u) && s.dI[u] > 0 {
+			if u := msg.Ints[0]; s.dI[u] > 0 {
 				s.dI[u]--
 			}
 		}
 	})
 }
 
-// centralProcessGroups runs the hungry-greedy inner loop on the central
-// machine: candidates arrive in groups; from each group the first vertex
-// whose current alive degree (w.r.t. the central machine's view of N+(I))
-// is at least threshold joins I. Candidate lists were computed against the
-// alive set at sampling time; the central machine re-filters them against
-// its batch-local dominated set, exactly as the paper's central machine can
-// (it holds the sampled neighbour lists).
-func (s *misState) centralProcessGroups(groups [][]candidate, threshold int) centralBatch {
-	return s.centralProcessGroupsWithState(groups, threshold, make(map[int]bool))
-}
-
-type candidate struct {
-	v         int
-	aliveNbrs []int64
-}
-
-// sampleToCentral performs the sampling round: every vertex for which
-// include(v) is true joins the sample with probability prob and ships
-// (v, alive neighbour list) to the central machine. The sampling decisions
-// are drawn up front in machine order, then vertex order — the order the
-// machines would draw in — into a per-machine plan, which the round's
-// closures replay concurrently. The returned candidates are in submission
-// order (machine order, then vertex order), which the central machine chops
-// into groups.
-func (s *misState) sampleToCentral(include func(v int) bool, prob float64) ([]candidate, error) {
-	plan := make([][]candidate, s.M)
-	var sample []candidate
-	for machine := 1; machine < s.M; machine++ {
-		for _, v := range s.owned[machine] {
-			if !include(v) || !s.r.Bernoulli(prob) {
-				continue
-			}
-			cand := candidate{v: v, aliveNbrs: s.aliveNeighbours(v)}
-			plan[machine] = append(plan[machine], cand)
-			sample = append(sample, cand)
-		}
-	}
-	armPlanned(s.cluster, plan)
-	err := s.cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-		for _, cand := range plan[machine] {
-			out.Begin(0)
-			out.Int(int64(cand.v))
-			out.Ints(cand.aliveNbrs...)
-			out.End()
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return sample, nil
-}
-
-// chopGroups splits a shuffled sample into groups of the given size.
-func chopGroups(r *rng.RNG, sample []candidate, groupSize int) [][]candidate {
-	r.Shuffle(len(sample), func(i, j int) { sample[i], sample[j] = sample[j], sample[i] })
-	if groupSize < 1 {
-		groupSize = 1
-	}
-	var groups [][]candidate
-	for i := 0; i < len(sample); i += groupSize {
-		end := i + groupSize
-		if end > len(sample) {
-			end = len(sample)
-		}
-		groups = append(groups, sample[i:end])
-	}
-	return groups
-}
-
 // finishCentrally gathers the remaining alive vertices with their alive
 // adjacency onto the central machine (one round) and completes the
 // independent set greedily.
 func (s *misState) finishCentrally() error {
-	leftovers, err := s.sampleToCentral(s.aliveVertex, 1)
+	leftovers, err := s.sampleToCentral(func(v int) float64 {
+		if s.aliveVertex(v) {
+			return 1
+		}
+		return 0
+	})
 	if err != nil {
 		return err
 	}
 	sort.Slice(leftovers, func(i, j int) bool { return leftovers[i].v < leftovers[j].v })
-	blocked := make(map[int]bool)
-	var batch centralBatch
+	s.beginBatch()
 	for _, cand := range leftovers {
-		if blocked[cand.v] {
+		if s.left.has(cand.v) {
 			continue
 		}
-		batch.added = append(batch.added, cand.v)
-		blocked[cand.v] = true
+		s.batch.added = append(s.batch.added, cand.v)
+		s.left.add(cand.v)
 		for _, u := range cand.aliveNbrs {
-			if !blocked[int(u)] {
-				batch.newDominated = append(batch.newDominated, int(u))
-				blocked[int(u)] = true
+			if !s.left.has(int(u)) {
+				s.batch.newDominated = append(s.batch.newDominated, int(u))
+				s.left.add(int(u))
 			}
 		}
 	}
-	return s.disseminate(batch)
+	return s.disseminate()
 }
 
-// aliveEdgeCount aggregates Σ_v alive dI(v) / 2 = |E_k| over the tree.
-func (s *misState) aliveEdgeCount(tree *mpc.Tree) (int64, error) {
-	counts := make([]int64, s.M)
-	for v := 0; v < s.g.N; v++ {
-		if s.aliveVertex(v) {
-			counts[s.vertexOwner(v)] += int64(s.dI[v])
-		}
-	}
+// allReduceCounts sums s.counts, one word per machine, over the tree.
+func (s *misState) allReduceCounts(tree *mpc.Tree) (int64, error) {
 	total, err := tree.AllReduceSum(s.cluster, 1, func(machine int) []int64 {
-		return []int64{counts[machine]}
+		return s.counts[machine : machine+1]
 	})
 	if err != nil {
 		return 0, err
 	}
-	return total[0] / 2, nil
+	return total[0], nil
+}
+
+// aliveEdgeCount aggregates Σ_v alive dI(v) / 2 = |E_k| over the tree.
+func (s *misState) aliveEdgeCount(tree *mpc.Tree) (int64, error) {
+	clear(s.counts)
+	for v := 0; v < s.g.N; v++ {
+		if s.aliveVertex(v) {
+			s.counts[s.vertexOwner(v)] += int64(s.dI[v])
+		}
+	}
+	total, err := s.allReduceCounts(tree)
+	return total / 2, err
 }
 
 // result assembles the final MISResult. The membership bitmap s.inI is the
@@ -312,24 +397,30 @@ func MIS(g *graph.Graph, p Params) (*MISResult, error) {
 			threshold = 1
 		}
 		heavyMin := math.Pow(nf, float64(i)*alpha) // while |V_H| >= n^{iα}
+		heavySet := func(v int) bool { return s.aliveVertex(v) && s.dI[v] >= threshold }
+		// Every heavy vertex self-samples at the iteration's rate.
+		prob := 0.0
+		rate := func(v int) float64 {
+			if heavySet(v) {
+				return prob
+			}
+			return 0
+		}
 		for {
 			if iterations >= p.maxIter() {
 				return nil, fmt.Errorf("core: MIS exceeded %d iterations", p.maxIter())
 			}
 			// Count heavy vertices (aggregated over the tree).
-			counts := make([]int64, M)
+			clear(s.counts)
 			for v := 0; v < n; v++ {
-				if s.aliveVertex(v) && s.dI[v] >= threshold {
-					counts[s.vertexOwner(v)]++
+				if heavySet(v) {
+					s.counts[s.vertexOwner(v)]++
 				}
 			}
-			total, err := tree.AllReduceSum(cluster, 1, func(machine int) []int64 {
-				return []int64{counts[machine]}
-			})
+			heavy, err := s.allReduceCounts(tree)
 			if err != nil {
 				return nil, err
 			}
-			heavy := total[0]
 			if heavy == 0 {
 				break
 			}
@@ -337,18 +428,14 @@ func MIS(g *graph.Graph, p Params) (*MISResult, error) {
 				// Line 12: fewer than n^{iα} heavy vertices remain; gather
 				// them and finish the phase centrally with a greedy MIS
 				// restricted to V_H.
-				heavySet := func(v int) bool { return s.aliveVertex(v) && s.dI[v] >= threshold }
-				sample, err := s.sampleToCentral(heavySet, 1)
+				prob = 1
+				sample, err := s.sampleToCentral(rate)
 				if err != nil {
 					return nil, err
 				}
-				sort.Slice(sample, func(a, b int) bool { return sample[a].v < sample[b].v })
-				groups := make([][]candidate, len(sample))
-				for k := range sample {
-					groups[k] = sample[k : k+1]
-				}
-				batch := s.centralProcessGroups(groups, 0)
-				if err := s.disseminate(batch); err != nil {
+				s.beginBatch()
+				s.centralProcessGroups(s.singletonGroups(sample), 0)
+				if err := s.disseminate(); err != nil {
 					return nil, err
 				}
 				iterations++
@@ -358,15 +445,14 @@ func MIS(g *graph.Graph, p Params) (*MISResult, error) {
 			// self-sampling (each heavy vertex joins with probability
 			// groups*groupSize/|V_H|).
 			target := heavyMin * float64(groupSize)
-			prob := math.Min(1, target/float64(heavy))
-			heavySet := func(v int) bool { return s.aliveVertex(v) && s.dI[v] >= threshold }
-			sample, err := s.sampleToCentral(heavySet, prob)
+			prob = math.Min(1, target/float64(heavy))
+			sample, err := s.sampleToCentral(rate)
 			if err != nil {
 				return nil, err
 			}
-			groups := chopGroups(r, sample, groupSize)
-			batch := s.centralProcessGroups(groups, threshold)
-			if err := s.disseminate(batch); err != nil {
+			s.beginBatch()
+			s.centralProcessGroups(s.chopGroups(sample, groupSize), threshold)
+			if err := s.disseminate(); err != nil {
 				return nil, err
 			}
 			iterations++
@@ -407,9 +493,22 @@ func MISFast(g *graph.Graph, p Params) (*MISResult, error) {
 	}
 	classes := int(math.Ceil(1 / alpha))
 	nf := float64(n)
+	logN := math.Log(nf)
 	groupSize := int(math.Ceil(math.Pow(nf, p.Mu/2)))
 	iterations := 0
 	var history []int64
+
+	// Per-iteration scratch, sized once: each vertex's degree class (0 for
+	// none), the per-machine class histograms as one slab, each class's
+	// sampling rate (class 0: never) and where its run of the class-ordered
+	// sample starts.
+	class := make([]int32, n)
+	width := classes + 1
+	machineClassCounts := make([]int64, M*width)
+	classProb := make([]float64, width)
+	classStart := make([]int, width+1)
+	var byClass []candidate
+	rate := func(v int) float64 { return classProb[class[v]] }
 
 	for {
 		if iterations >= p.maxIter() {
@@ -426,93 +525,68 @@ func MISFast(g *graph.Graph, p Params) (*MISResult, error) {
 		iterations++
 		// One sampling round covers all degree classes: each alive vertex
 		// knows its class from d_I and self-samples with the class's rate.
-		classOf := func(v int) int {
-			if !s.aliveVertex(v) || s.dI[v] == 0 {
-				return -1
-			}
-			d := float64(s.dI[v])
-			// class i: n^{1-iα} <= d < n^{1-(i-1)α}
-			i := int(math.Ceil((1 - math.Log(d)/math.Log(nf)) / alpha))
-			if i < 1 {
-				i = 1
-			}
-			if i > classes {
-				i = classes
-			}
-			return i
-		}
-		classCounts := make([]int64, classes+1)
-		machineClassCounts := make([][]int64, M)
-		for machine := range machineClassCounts {
-			machineClassCounts[machine] = make([]int64, classes+1)
-		}
+		// Class i holds n^{1-iα} <= d < n^{1-(i-1)α}; status and d_I change
+		// only in disseminate, so one evaluation per vertex serves the
+		// histogram and the draw.
+		clear(machineClassCounts)
 		for v := 0; v < n; v++ {
-			if i := classOf(v); i >= 1 {
-				machineClassCounts[s.vertexOwner(v)][i]++
+			class[v] = 0
+			if !s.aliveVertex(v) || s.dI[v] == 0 {
+				continue
 			}
+			i := int(math.Ceil((1 - math.Log(float64(s.dI[v]))/logN) / alpha))
+			i = min(max(i, 1), classes)
+			class[v] = int32(i)
+			machineClassCounts[s.vertexOwner(v)*width+i]++
 		}
-		totals, err := tree.AllReduceSum(cluster, classes+1, func(machine int) []int64 {
-			return machineClassCounts[machine]
+		classCounts, err := tree.AllReduceSum(cluster, width, func(machine int) []int64 {
+			return machineClassCounts[machine*width : (machine+1)*width]
 		})
 		if err != nil {
 			return nil, err
 		}
-		copy(classCounts, totals)
-
-		sampleProb := func(v int) float64 {
-			i := classOf(v)
-			if i < 1 || classCounts[i] == 0 {
-				return 0
-			}
-			target := math.Pow(nf, float64(i+1)*alpha) * float64(groupSize)
-			return math.Min(1, target/float64(classCounts[i]))
-		}
-		// Draw the sampling decisions machine by machine (each machine's
-		// vertices in ascending order), then replay the per-machine plans
-		// inside the round.
-		byClass := make([][]candidate, classes+1)
-		plan := make([][]candidate, M)
-		for machine := 1; machine < M; machine++ {
-			for _, v := range s.owned[machine] {
-				i := classOf(v)
-				if i < 1 || !r.Bernoulli(sampleProb(v)) {
-					continue
-				}
-				cand := candidate{v: v, aliveNbrs: s.aliveNeighbours(v)}
-				plan[machine] = append(plan[machine], cand)
-				byClass[i] = append(byClass[i], cand)
+		for i := 1; i <= classes; i++ {
+			classProb[i] = 0
+			if classCounts[i] != 0 {
+				target := math.Pow(nf, float64(i+1)*alpha) * float64(groupSize)
+				classProb[i] = math.Min(1, target/float64(classCounts[i]))
 			}
 		}
-		armPlanned(cluster, plan)
-		err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			for _, cand := range plan[machine] {
-				out.Begin(0)
-				out.Int(int64(cand.v))
-				out.Ints(cand.aliveNbrs...)
-				out.End()
-			}
-		})
+		sample, err := s.sampleToCentral(rate)
 		if err != nil {
 			return nil, err
+		}
+		// Each class's candidates in submission order, the classes back to
+		// back: a stable counting sort of the sample.
+		clear(classStart)
+		for _, cand := range sample {
+			classStart[class[cand.v]]++
+		}
+		for i := 1; i <= width; i++ {
+			classStart[i] += classStart[i-1] // for now the end of class i's run
+		}
+		byClass = append(byClass[:0], sample...)
+		for k := len(sample) - 1; k >= 0; k-- {
+			i := class[sample[k].v]
+			classStart[i]--
+			byClass[classStart[i]] = sample[k]
 		}
 		// Central machine: process classes in increasing i; threshold for
-		// class i is n^{1-(i+1)α}.
-		var batch centralBatch
-		batchDominated := make(map[int]bool)
+		// class i is n^{1-(i+1)α}. The classes share one batch, so a vertex
+		// removed by an earlier class is gone for the later ones.
+		s.beginBatch()
 		for i := 1; i <= classes; i++ {
-			if len(byClass[i]) == 0 {
+			run := byClass[classStart[i]:classStart[i+1]]
+			if len(run) == 0 {
 				continue
 			}
 			threshold := int(math.Ceil(math.Pow(nf, 1-float64(i+1)*alpha)))
 			if threshold < 1 {
 				threshold = 1
 			}
-			groups := chopGroups(r, byClass[i], groupSize)
-			sub := s.centralProcessGroupsWithState(groups, threshold, batchDominated)
-			batch.added = append(batch.added, sub.added...)
-			batch.newDominated = append(batch.newDominated, sub.newDominated...)
+			s.centralProcessGroups(s.chopGroups(run, groupSize), threshold)
 		}
-		if err := s.disseminate(batch); err != nil {
+		if err := s.disseminate(); err != nil {
 			return nil, err
 		}
 	}
@@ -522,39 +596,4 @@ func MISFast(g *graph.Graph, p Params) (*MISResult, error) {
 	res := s.result(iterations, 0)
 	res.History = history
 	return res, nil
-}
-
-// centralProcessGroupsWithState is centralProcessGroups sharing a dominated
-// set across multiple class batches within the same iteration.
-func (s *misState) centralProcessGroupsWithState(groups [][]candidate, threshold int, batchDominated map[int]bool) centralBatch {
-	var batch centralBatch
-	isAlive := func(v int) bool {
-		return s.aliveVertex(v) && !batchDominated[v]
-	}
-	for _, group := range groups {
-		for _, cand := range group {
-			if !isAlive(cand.v) {
-				continue
-			}
-			deg := 0
-			for _, u := range cand.aliveNbrs {
-				if isAlive(int(u)) {
-					deg++
-				}
-			}
-			if deg < threshold {
-				continue
-			}
-			batch.added = append(batch.added, cand.v)
-			batchDominated[cand.v] = true
-			for _, u := range cand.aliveNbrs {
-				if isAlive(int(u)) {
-					batch.newDominated = append(batch.newDominated, int(u))
-					batchDominated[int(u)] = true
-				}
-			}
-			break
-		}
-	}
-	return batch
 }

@@ -660,21 +660,21 @@ func (c *Cluster) assembleInbox(dest int) {
 	if c.shard != nil {
 		for _, sg := range c.shard.wirePre[dest] {
 			in.segs = append(in.segs, sg)
-			in.records += len(sg.col.recs)
+			in.records += sg.col.n
 			in.words += sg.col.words
 		}
 	}
 	for _, src := range c.senders[dest] {
 		col := c.outboxes[src].byDest[dest]
 		in.segs = append(in.segs, segment{from: src, col: col})
-		in.records += len(col.recs)
+		in.records += col.n
 		in.words += col.words
 	}
 	c.senders[dest] = c.senders[dest][:0]
 	if c.shard != nil {
 		for _, sg := range c.shard.wirePost[dest] {
 			in.segs = append(in.segs, sg)
-			in.records += len(sg.col.recs)
+			in.records += sg.col.n
 			in.words += sg.col.words
 		}
 		c.shard.wirePre[dest] = c.shard.wirePre[dest][:0]

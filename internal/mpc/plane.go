@@ -8,7 +8,9 @@ package mpc
 //
 // Physical layout. Each (sender, destination) pair that exchanges traffic
 // in a round owns one *column*: an []int64 buffer, a []float64 buffer, and
-// a record-framing index holding (intLen, floatLen) per record. A record's
+// the framing that cuts them into records of (intLen, floatLen) words. A run
+// of same-shape records is framed once — a count and the one shape — and
+// only a column that mixes shapes carries a per-record index. A record's
 // accounted size is 1 header word (the sender) + intLen + floatLen, the
 // exact accounting the Message representation used. After the round's
 // barrier, each destination's Inbox is the ordered list of the columns sent
@@ -45,16 +47,63 @@ func (r Record) Words() int { return 1 + len(r.Ints) + len(r.Floats) }
 type recMeta struct{ intLen, floatLen int32 }
 
 // column holds every record one machine sent to one destination in one
-// round: flat payload buffers plus the framing index.
+// round: flat payload buffers plus their framing. The framing has two
+// states. A column is uniform while all n of its records have the same
+// shape: recs is empty and shape frames every record, so a one-word fan-out
+// streams payload words and nothing else. The first record of another shape
+// makes it framed — recs is materialised as n copies of shape and from then
+// on holds one entry per record (len(recs) == n). The transition is one-way
+// until reset.
 type column struct {
 	ints   []int64
 	floats []float64
-	recs   []recMeta
-	words  int // accounted words, including one header word per record
+	n      int       // records
+	shape  recMeta   // shape of every record while recs is empty
+	recs   []recMeta // per-record framing index, empty while uniform
+	words  int       // accounted words, including one header word per record
 }
 
 func (c *column) reset() {
-	c.ints, c.floats, c.recs, c.words = c.ints[:0], c.floats[:0], c.recs[:0], 0
+	c.ints, c.floats, c.recs = c.ints[:0], c.floats[:0], c.recs[:0]
+	c.n, c.shape, c.words = 0, recMeta{}, 0
+}
+
+// frame appends one record of shape m to the framing. It is the only place
+// that advances n; payload words and the words account are the caller's.
+// The fast path — one more record of the uniform shape — is a compare and an
+// increment, small enough to inline into the send paths.
+func (c *column) frame(m recMeta) {
+	if m != c.shape || len(c.recs) != 0 {
+		c.index(m)
+	}
+	c.n++
+}
+
+// index is frame's slow path, kept out of line: the first record of a column
+// sets its shape; the first record of another shape materialises the
+// per-record index, which every later record then extends.
+//
+//go:noinline
+func (c *column) index(m recMeta) {
+	if len(c.recs) == 0 {
+		if c.n == 0 {
+			c.shape = m
+			return
+		}
+		c.recs = slices.Grow(c.recs, c.n+1)
+		for i := 0; i < c.n; i++ {
+			c.recs = append(c.recs, c.shape)
+		}
+	}
+	c.recs = append(c.recs, m)
+}
+
+// meta returns the shape of record i.
+func (c *column) meta(i int) recMeta {
+	if len(c.recs) == 0 {
+		return c.shape
+	}
+	return c.recs[i]
 }
 
 // columnPool recycles columns across rounds (and clusters). Get/Put are
@@ -77,12 +126,12 @@ func putColumn(c *column) {
 //
 //	out.Begin(to); out.Int(x); out.Ints(xs...); out.Float(f); out.End()
 //
-// and Send/SendInts are one-call conveniences over it. Payloads are copied
-// into the columns at append time, so callers may freely reuse their own
-// buffers after the call (unlike the retired Message representation, which
-// retained payload slices). A sender that knows its volume up front calls
-// Reserve first, so the column buffers are sized once instead of doubling
-// their way up.
+// and Send/SendInts frame a whole payload in one call, without opening a
+// record. Payloads are copied into the columns at append time, so callers
+// may freely reuse their own buffers after the call (unlike the retired
+// Message representation, which retained payload slices). A sender that
+// knows its volume up front calls Reserve first, so the column buffers are
+// sized once instead of doubling their way up.
 type Outbox struct {
 	from    int
 	cluster *Cluster
@@ -130,16 +179,33 @@ func (o *Outbox) Reserve(to, recs, ints, floats int) {
 			o.spared = append(o.spared, to)
 		}
 	}
-	col.recs = slices.Grow(col.recs, recs)
+	if len(col.recs) != 0 {
+		// Only a column that already mixes shapes has an index to size.
+		col.recs = slices.Grow(col.recs, recs)
+	}
 	col.ints = slices.Grow(col.ints, max(ints, 0))
 	col.floats = slices.Grow(col.floats, max(floats, 0))
 }
 
-// Begin opens a record addressed to machine `to`. Every Begin must be
-// matched by an End before the round's computation returns.
-func (o *Outbox) Begin(to int) {
+// lookup returns the column addressed to machine `to` if a record can go
+// straight into it: no record open, a column already there. It is small
+// enough to inline into every way of starting a record; on nil the caller
+// goes through claimColumn, which sorts out the rest.
+func (o *Outbox) lookup(to int) *column {
+	// byDest is nil or Machines long, so the range check is the bounds check.
+	if o.cur == nil && uint(to) < uint(len(o.byDest)) {
+		return o.byDest[to]
+	}
+	return nil
+}
+
+// claimColumn is lookup's slow path. It panics with a record open or an
+// invalid destination; otherwise this is the destination's first record of
+// the round and takes the spare column Reserve sized for it, or one from the
+// pool.
+func (o *Outbox) claimColumn(to int) *column {
 	if o.cur != nil {
-		panic("mpc: Outbox.Begin with a record already open")
+		panic("mpc: Outbox.Begin or Send with a record already open")
 	}
 	if to < 0 || to >= o.cluster.cfg.Machines {
 		panic(fmt.Sprintf("mpc: send to invalid machine %d (M=%d)", to, o.cluster.cfg.Machines))
@@ -147,15 +213,31 @@ func (o *Outbox) Begin(to int) {
 	if o.byDest == nil {
 		o.byDest = make([]*column, o.cluster.cfg.Machines)
 	}
-	col := o.byDest[to]
+	var col *column
+	if o.spare != nil && o.spare[to] != nil {
+		col, o.spare[to] = o.spare[to], nil
+	} else {
+		col = getColumn()
+	}
+	o.byDest[to] = col
+	o.dests = append(o.dests, to)
+	return col
+}
+
+// account charges one framed record of the given accounted size (header
+// word included) to its column and to the outbox's round totals.
+func (o *Outbox) account(col *column, words int) {
+	col.words += words
+	o.words += words
+	o.count++
+}
+
+// Begin opens a record addressed to machine `to`. Every Begin must be
+// matched by an End before the round's computation returns.
+func (o *Outbox) Begin(to int) {
+	col := o.lookup(to)
 	if col == nil {
-		if o.spare != nil && o.spare[to] != nil {
-			col, o.spare[to] = o.spare[to], nil
-		} else {
-			col = getColumn()
-		}
-		o.byDest[to] = col
-		o.dests = append(o.dests, to)
+		col = o.claimColumn(to)
 	}
 	o.cur = col
 	o.curInt = len(col.ints)
@@ -201,30 +283,41 @@ func (o *Outbox) End() {
 	if col == nil {
 		panic("mpc: Outbox.End without Begin")
 	}
-	intLen := len(col.ints) - o.curInt
-	floatLen := len(col.floats) - o.curFlt
-	col.recs = append(col.recs, recMeta{int32(intLen), int32(floatLen)})
-	w := 1 + intLen + floatLen
-	col.words += w
-	o.words += w
-	o.count++
 	o.cur = nil
+	intLen, floatLen := len(col.ints)-o.curInt, len(col.floats)-o.curFlt
+	col.frame(recMeta{int32(intLen), int32(floatLen)})
+	o.account(col, 1+intLen+floatLen)
 }
 
 // Send emits one record to machine `to` with the given payload. The slices
 // are copied into the column buffers; callers may reuse them.
 func (o *Outbox) Send(to int, ints []int64, floats []float64) {
-	o.Begin(to)
-	o.Ints(ints...)
-	o.Floats(floats...)
-	o.End()
+	col := o.lookup(to)
+	if col == nil {
+		col = o.claimColumn(to)
+	}
+	col.ints = append(col.ints, ints...)
+	col.floats = append(col.floats, floats...)
+	col.frame(recMeta{int32(len(ints)), int32(len(floats))})
+	o.account(col, 1+len(ints)+len(floats))
 }
 
-// SendInts is shorthand for Send(to, ints, nil). It does not allocate.
+// SendInts is shorthand for Send(to, ints, nil). It does not allocate, and a
+// one-word payload — the bulk of every routed fan-out — is a scalar append;
+// everything but the first record to a destination and a change of shape
+// runs inside this one call.
 func (o *Outbox) SendInts(to int, ints ...int64) {
-	o.Begin(to)
-	o.Ints(ints...)
-	o.End()
+	col := o.lookup(to)
+	if col == nil {
+		col = o.claimColumn(to)
+	}
+	if len(ints) == 1 {
+		col.ints = append(col.ints, ints[0])
+	} else {
+		col.ints = append(col.ints, ints...)
+	}
+	col.frame(recMeta{int32(len(ints)), 0})
+	o.account(col, 1+len(ints))
 }
 
 // reset prepares the outbox for the next round. The columns it filled are
@@ -282,8 +375,8 @@ func (in *Inbox) Reset() { in.seg, in.rec, in.iOff, in.fOff = 0, 0, 0, 0 }
 func (in *Inbox) Next() (rec Record, ok bool) {
 	for in.seg < len(in.segs) {
 		s := &in.segs[in.seg]
-		if in.rec < len(s.col.recs) {
-			meta := s.col.recs[in.rec]
+		if in.rec < s.col.n {
+			meta := s.col.meta(in.rec)
 			rec = Record{
 				From:   s.from,
 				Ints:   s.col.ints[in.iOff : in.iOff+int(meta.intLen)],

@@ -5,6 +5,7 @@ package mpc
 // accounting, buffer reuse across rounds, and degenerate trees.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -223,6 +224,215 @@ func TestColumnReuseAcrossRounds(t *testing.T) {
 	}
 }
 
+// planeMsg is one scripted record for the framing contract tests: who sends
+// it, to whom, with what payload, and through which of the three ways of
+// framing a record.
+type planeMsg struct {
+	from, to int
+	ints     []int64
+	floats   []float64
+	api      int // 0 SendInts (Send when there are floats), 1 Send, 2 Begin/…/End
+}
+
+func (m planeMsg) words() int { return 1 + len(m.ints) + len(m.floats) }
+
+func (m planeMsg) emit(out *Outbox) {
+	switch {
+	case m.api == 2:
+		out.Begin(m.to)
+		out.Ints(m.ints...)
+		out.Floats(m.floats...)
+		out.End()
+	case m.api == 1 || len(m.floats) > 0:
+		out.Send(m.to, m.ints, m.floats)
+	default:
+		out.SendInts(m.to, m.ints...)
+	}
+}
+
+// shapeChangeScript is one round of traffic on M machines in which every
+// data machine m sends machine 0 and a neighbour a column that changes shape
+// mid-round — k one-word records, then a two-word one, then one with floats,
+// then an empty one, then a one-word record again — and, to two further
+// machines, columns that stay uniform: a run of header-only records and a
+// run of two-word records.
+func shapeChangeScript(M int) []planeMsg {
+	var script []planeMsg
+	for m := 1; m < M; m++ {
+		next := func(d int) int { return 1 + (m-1+d)%(M-1) }
+		for _, to := range []int{0, next(1)} {
+			for i := 0; i < 3+m; i++ {
+				script = append(script, planeMsg{from: m, to: to, ints: []int64{int64(100*m + i)}, api: i % 3})
+			}
+			script = append(script,
+				planeMsg{from: m, to: to, ints: []int64{int64(m), int64(-m)}},
+				planeMsg{from: m, to: to, ints: []int64{7}, floats: []float64{0.25, float64(m)}},
+				planeMsg{from: m, to: to},
+				planeMsg{from: m, to: to, ints: []int64{int64(m)}, api: 2},
+			)
+		}
+		for i := 0; i < m; i++ {
+			script = append(script,
+				planeMsg{from: m, to: next(2), api: i % 3},
+				planeMsg{from: m, to: next(3), ints: []int64{int64(i), int64(m)}, api: i % 3},
+			)
+		}
+	}
+	return script
+}
+
+func TestColumnShapeChangeMidRound(t *testing.T) {
+	// A column that starts uniform and changes shape mid-round, beside
+	// columns that stay uniform (zero-word and two-word records), must be
+	// indistinguishable from per-record framing: the expectations below are
+	// computed record by record from the script, never from a column.
+	for _, cfg := range []Config{
+		{Machines: 6, Sparse: true},
+		{Machines: 6},
+		{Machines: 6, Sparse: true, Workers: 2},
+		{Machines: 6, Sparse: true, Shards: 2},
+		{Machines: 6, Shards: 3, Workers: 2},
+	} {
+		cfg.Trace = true
+		M := cfg.Machines
+		script := shapeChangeScript(M)
+		want := make([][]Record, M)
+		in, out := make([]int, M), make([]int, M)
+		var words int64
+		for _, m := range script { // script order is (sender, emission) order
+			want[m.to] = append(want[m.to], Record{From: m.from, Ints: append([]int64(nil), m.ints...), Floats: append([]float64(nil), m.floats...)})
+			in[m.to] += m.words()
+			out[m.from] += m.words()
+			words += int64(m.words())
+		}
+		active := func(n int) int {
+			if cfg.Sparse {
+				return n
+			}
+			return M
+		}
+		// A machine's load in the sending round is what it sent plus what
+		// the round's merge delivered to it; the reading round moves nothing.
+		load := 0
+		for m := range in {
+			load = max(load, in[m]+out[m])
+		}
+		wantTrace := []RoundStat{
+			{Round: 1, Words: words, Messages: len(script), MaxLoad: load, Active: active(M - 1)},
+			{Round: 2, Active: active(M)},
+		}
+		wantMetrics := Metrics{Machines: M, Rounds: 2, WordsSent: words, Messages: int64(len(script)), MaxSpace: load,
+			ActiveSum: int64(wantTrace[0].Active + wantTrace[1].Active), ActiveMax: active(M)}
+
+		c := NewCluster(cfg)
+		for m := 1; m < M; m++ {
+			c.Arm(m)
+		}
+		err := c.Round(func(machine int, _ *Inbox, out *Outbox) {
+			for _, m := range script {
+				if m.from == machine {
+					m.emit(out)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// White box: a delivered column carries a per-record index exactly
+		// when its records differ in shape.
+		uniform, framed := 0, 0
+		for dest := range c.inbox {
+			for _, sg := range c.inbox[dest].segs {
+				mixed := false
+				for i := 1; i < sg.col.n; i++ {
+					mixed = mixed || sg.col.meta(i) != sg.col.meta(0)
+				}
+				if mixed && len(sg.col.recs) != sg.col.n || !mixed && len(sg.col.recs) != 0 {
+					t.Errorf("%+v: column %d→%d: %d index entries for %d records (mixed shapes: %v)",
+						cfg, sg.from, dest, len(sg.col.recs), sg.col.n, mixed)
+				}
+				if mixed {
+					framed++
+				} else {
+					uniform++
+				}
+			}
+		}
+		if framed != 2*(M-1) || uniform != 2*(M-1) {
+			t.Errorf("%+v: %d framed and %d uniform columns delivered, want %d each", cfg, framed, uniform, 2*(M-1))
+		}
+		got, again := make([][]Record, M), make([][]Record, M)
+		read := func(in *Inbox, into *[]Record) {
+			for r, ok := in.Next(); ok; r, ok = in.Next() {
+				*into = append(*into, Record{From: r.From, Ints: append([]int64(nil), r.Ints...), Floats: append([]float64(nil), r.Floats...)})
+			}
+		}
+		err = c.Round(func(machine int, inbox *Inbox, _ *Outbox) {
+			if inbox.Len() != len(want[machine]) || inbox.Words() != in[machine] {
+				t.Errorf("%+v: machine %d inbox holds %d records / %d words, want %d / %d",
+					cfg, machine, inbox.Len(), inbox.Words(), len(want[machine]), in[machine])
+			}
+			read(inbox, &got[machine])
+			inbox.Reset() // a second pass replays uniform and framed segments alike
+			read(inbox, &again[machine])
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%+v: delivery differs from per-record framing\n got %v\nwant %v", cfg, got, want)
+		}
+		if !reflect.DeepEqual(again, want) {
+			t.Errorf("%+v: delivery after Reset differs\n got %v\nwant %v", cfg, again, want)
+		}
+		if m := c.Metrics(); m != wantMetrics {
+			t.Errorf("%+v: metrics\n got %+v\nwant %+v", cfg, m, wantMetrics)
+		}
+		if !reflect.DeepEqual(c.Trace(), wantTrace) {
+			t.Errorf("%+v: trace\n got %+v\nwant %+v", cfg, c.Trace(), wantTrace)
+		}
+		c.Close()
+	}
+}
+
+func TestUniformHeaderOnlyColumn(t *testing.T) {
+	// n records of zero words are n accounted words and no payload at all.
+	const n = 1000
+	c := NewCluster(Config{Machines: 2})
+	defer c.Close()
+	err := c.Round(func(machine int, in *Inbox, out *Outbox) {
+		if machine == 0 {
+			for i := 0; i < n; i++ {
+				out.SendInts(1)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := c.inbox[1].segs[0].col
+	if col.n != n || col.words != n || len(col.recs) != 0 || len(col.ints) != 0 || len(col.floats) != 0 {
+		t.Fatalf("column: n=%d words=%d index=%d ints=%d floats=%d", col.n, col.words, len(col.recs), len(col.ints), len(col.floats))
+	}
+	if m := c.Metrics(); m.Messages != n || m.WordsSent != n || m.MaxSpace != n {
+		t.Fatalf("metrics: %+v", m)
+	}
+	in := c.Inbox(1)
+	if in.Len() != n || in.Words() != n {
+		t.Fatalf("inbox: len=%d words=%d", in.Len(), in.Words())
+	}
+	seen := 0
+	for r, ok := in.Next(); ok; r, ok = in.Next() {
+		if r.From != 0 || len(r.Ints) != 0 || len(r.Floats) != 0 || r.Words() != 1 {
+			t.Fatalf("record %d: %+v", seen, r)
+		}
+		seen++
+	}
+	if seen != n {
+		t.Fatalf("read %d records, want %d", seen, n)
+	}
+}
+
 func TestOpenRecordPanics(t *testing.T) {
 	t.Run("IntOutsideRecord", func(t *testing.T) {
 		c := NewCluster(Config{Machines: 2})
@@ -260,7 +470,9 @@ func TestOpenRecordPanics(t *testing.T) {
 // delivered record in delivery order, per receiving machine. With reserve
 // set the senders announce their volume first — exactly, too high, in two
 // instalments, after the first record, for zero records, and towards a
-// machine they then send nothing to.
+// machine they then send nothing to. Round 1's columns stay uniform (every
+// record two words); round 2's change shape after the first record, so the
+// late reservations land once on a uniform column and once on a framed one.
 func reserveScript(t *testing.T, c *Cluster, reserve bool) [][]Record {
 	t.Helper()
 	M := c.M()
@@ -304,11 +516,14 @@ func reserveScript(t *testing.T, c *Cluster, reserve bool) [][]Record {
 				out.End()
 				if reserve {
 					out.Reserve(to, 100, 100, 100)
+				}
+				out.Send(to, []int64{0}, []float64{float64(to)}) // same shape: still uniform
+				out.SendInts(to, 1, 2)                           // another shape: framed from here
+				if reserve {
 					out.Reserve(to, 3, 3, 3)
 				}
-				for i := 0; i < 3; i++ {
-					out.Send(to, []int64{int64(i)}, []float64{float64(to)})
-				}
+				out.Send(to, []int64{3}, []float64{float64(to)})
+				out.SendInts(to)
 			}
 			if reserve {
 				out.Reserve(0, 7, 7, 7) // machine 0 sends itself nothing
@@ -416,9 +631,33 @@ func TestReserveOnLargeColumnAllocatesNothing(t *testing.T) {
 		t.Errorf("reserving on a pooled column: %v allocations", allocs)
 	}
 	col := o.spare[1]
-	if cap(col.recs) < 1000 || cap(col.ints) < 2000 || cap(col.floats) < 500 {
-		t.Fatalf("column capacity %d/%d/%d after Reserve(1000, 2000, 500)", cap(col.recs), cap(col.ints), cap(col.floats))
+	if cap(col.ints) < 2000 || cap(col.floats) < 500 {
+		t.Fatalf("column capacity %d/%d after Reserve(1000, 2000, 500)", cap(col.ints), cap(col.floats))
 	}
+	// A uniform column frames any number of records with a count, so the
+	// reservation sizes no index for it — and filling it allocates nothing.
+	// (AllocsPerRun calls the function once to warm up, then once more.)
+	if allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 500; i++ {
+			o.SendInts(1, int64(i), int64(i))
+		}
+	}); allocs != 0 {
+		t.Errorf("filling the reserved uniform column: %v allocations", allocs)
+	}
+	if col != o.byDest[1] || col.n != 1000 || len(col.recs) != 0 || len(col.ints) != 2000 {
+		t.Fatalf("uniform column after 1000 two-word records: n=%d index=%d ints=%d", col.n, len(col.recs), len(col.ints))
+	}
+	// Once a record of another shape has framed the column, Reserve sizes
+	// the index like the payload buffers.
+	o.SendInts(1, 7)
+	if len(col.recs) != 1001 || col.n != 1001 {
+		t.Fatalf("framed column: n=%d index=%d, want 1001/1001", col.n, len(col.recs))
+	}
+	o.Reserve(1, 5000, 5000, 0)
+	if cap(col.recs) < 6001 || cap(col.ints) < 7001 {
+		t.Fatalf("framed column capacity %d/%d after Reserve(5000, 5000, 0)", cap(col.recs), cap(col.ints))
+	}
+	putColumn(col)
 	o.reset()
 }
 
@@ -438,6 +677,37 @@ func TestReservePanics(t *testing.T) {
 		defer expectPanic(t)
 		_ = c.Round(func(machine int, in *Inbox, out *Outbox) { out.Reserve(2, 1, 1, 0) })
 	})
+}
+
+func TestSendPanics(t *testing.T) {
+	// The fused Send/SendInts path keeps both of Begin's checks.
+	sends := map[string]func(out *Outbox, to int){
+		"Send":     func(out *Outbox, to int) { out.Send(to, []int64{1}, nil) },
+		"SendInts": func(out *Outbox, to int) { out.SendInts(to, 1) },
+	}
+	for name, send := range sends {
+		t.Run(name+"/InsideOpenRecord", func(t *testing.T) {
+			c := NewCluster(Config{Machines: 2})
+			defer expectPanic(t)
+			_ = c.Round(func(machine int, in *Inbox, out *Outbox) {
+				if machine == 0 {
+					out.SendInts(1, 0) // the column exists: the open record alone must stop the send
+					out.Begin(1)
+					send(out, 1)
+				}
+			})
+		})
+		for _, to := range []int{-1, 2} {
+			t.Run(fmt.Sprintf("%s/InvalidMachine%d", name, to), func(t *testing.T) {
+				c := NewCluster(Config{Machines: 2})
+				defer expectPanic(t)
+				_ = c.Round(func(machine int, in *Inbox, out *Outbox) {
+					out.SendInts(1-machine, 0) // byDest allocated: the range check alone must stop it
+					send(out, to)
+				})
+			})
+		}
+	}
 }
 
 func expectPanic(t *testing.T) {

@@ -118,6 +118,7 @@ func cloneColumn(col *column) *column {
 	cp := getColumn()
 	cp.ints = append(cp.ints, col.ints...)
 	cp.floats = append(cp.floats, col.floats...)
+	cp.n, cp.shape = col.n, col.shape
 	cp.recs = append(cp.recs, col.recs...)
 	cp.words = col.words
 	return cp

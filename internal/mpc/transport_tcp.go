@@ -206,10 +206,11 @@ func appendBatchPayload(dst []byte, b *Batch) []byte {
 		col := bc.col
 		p32(uint32(bc.from))
 		p32(uint32(bc.to))
-		p32(uint32(len(col.recs)))
+		p32(uint32(col.n))
 		p32(uint32(len(col.ints)))
 		p32(uint32(len(col.floats)))
-		for _, rm := range col.recs {
+		for i := 0; i < col.n; i++ {
+			rm := col.meta(i)
 			p32(uint32(rm.intLen))
 			p32(uint32(rm.floatLen))
 		}
@@ -254,7 +255,7 @@ func decodeBatchPayload(src, dst int, payload []byte) (*Batch, error) {
 		for r := uint32(0); r < nRecs; r++ {
 			il, _ := rd.u32()
 			fl, _ := rd.u32()
-			col.recs = append(col.recs, recMeta{int32(il), int32(fl)})
+			col.frame(recMeta{int32(il), int32(fl)})
 			sumInt += int(il)
 			sumFlt += int(fl)
 		}

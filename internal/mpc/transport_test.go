@@ -11,25 +11,68 @@ import (
 
 // --- codec ------------------------------------------------------------------
 
-// testBatch builds a two-column batch with mixed payloads.
+// testColumn builds a pooled column holding the given payload cut into
+// records of the given shapes, framed the way the outbox frames them.
+func testColumn(ints []int64, floats []float64, shapes ...recMeta) *column {
+	col := getColumn()
+	col.ints = append(col.ints, ints...)
+	col.floats = append(col.floats, floats...)
+	for _, m := range shapes {
+		col.frame(m)
+	}
+	col.words = len(shapes) + len(ints) + len(floats)
+	return col
+}
+
+// testBatch builds a batch with one column in each framing state: mixed
+// shapes (a per-record index), a single header-only record, and a run of
+// one-word records (uniform, no index).
 func testBatch() *Batch {
 	b := &Batch{Src: 0, Dst: 1}
-	c1 := getColumn()
-	c1.ints = append(c1.ints, 1, -2, 1<<40)
-	c1.floats = append(c1.floats, 0.5)
-	c1.recs = append(c1.recs, recMeta{2, 0}, recMeta{1, 1})
-	c1.words = 2 + 3 + 1
-	b.add(3, 17, c1, false)
-	c2 := getColumn()
-	c2.recs = append(c2.recs, recMeta{0, 0})
-	c2.words = 1
-	b.add(5, 18, c2, false)
+	b.add(3, 17, testColumn([]int64{1, -2, 1 << 40}, []float64{0.5}, recMeta{2, 0}, recMeta{1, 1}), false)
+	b.add(5, 18, testColumn(nil, nil, recMeta{0, 0}), false)
+	b.add(6, 17, testColumn([]int64{7, 8, 9}, nil, recMeta{1, 0}, recMeta{1, 0}, recMeta{1, 0}), false)
 	return b
+}
+
+// testBatchWire is appendBatchPayload(testBatch()) byte for byte: per
+// column from, to, nRecs, nInts, nFloats, then one (intLen, floatLen) pair
+// per record — written for a uniform column too — then the payload words,
+// all little-endian. The wire log and every peer of a sharded run parse
+// this, so it must not drift.
+var testBatchWire = []byte{
+	3, 0, 0, 0, // columns
+	// column 0: 3 → 17, two records of different shapes
+	3, 0, 0, 0, 17, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 1, 0, 0, 0,
+	2, 0, 0, 0, 0, 0, 0, 0, // record (2, 0)
+	1, 0, 0, 0, 1, 0, 0, 0, // record (1, 1)
+	1, 0, 0, 0, 0, 0, 0, 0,
+	0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+	0, 0, 0, 0, 0, 1, 0, 0,
+	0, 0, 0, 0, 0, 0, 0xe0, 0x3f, // 0.5
+	// column 1: 5 → 18, one header-only record
+	5, 0, 0, 0, 18, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+	0, 0, 0, 0, 0, 0, 0, 0,
+	// column 2: 6 → 17, three one-word records
+	6, 0, 0, 0, 17, 0, 0, 0, 3, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0,
+	1, 0, 0, 0, 0, 0, 0, 0,
+	1, 0, 0, 0, 0, 0, 0, 0,
+	1, 0, 0, 0, 0, 0, 0, 0,
+	7, 0, 0, 0, 0, 0, 0, 0,
+	8, 0, 0, 0, 0, 0, 0, 0,
+	9, 0, 0, 0, 0, 0, 0, 0,
 }
 
 func TestBatchPayloadRoundTrip(t *testing.T) {
 	b := testBatch()
+	if framed, uniform := b.cols[0].col, b.cols[2].col; len(framed.recs) != 2 || len(uniform.recs) != 0 || uniform.n != 3 {
+		t.Fatalf("fixture framing: mixed column has %d index entries, uniform column %d for %d records",
+			len(framed.recs), len(uniform.recs), uniform.n)
+	}
 	payload := appendBatchPayload(nil, b)
+	if !bytes.Equal(payload, testBatchWire) {
+		t.Fatalf("encoded batch drifted from the pinned wire bytes\n got %v\nwant %v", payload, testBatchWire)
+	}
 	got, err := decodeBatchPayload(0, 1, payload)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -46,13 +89,23 @@ func TestBatchPayloadRoundTrip(t *testing.T) {
 		if !reflectEqualColumn(w.col, g.col) {
 			t.Fatalf("column %d payload mismatch", i)
 		}
+		// The decoder frames through the same helper as the outbox, so a
+		// uniform column stays index-free on the receiving side.
+		if len(w.col.recs) != len(g.col.recs) {
+			t.Fatalf("column %d: decoded with %d index entries, sent with %d", i, len(g.col.recs), len(w.col.recs))
+		}
+		if cp := cloneColumn(w.col); !reflectEqualColumn(w.col, cp) || cp.words != w.col.words {
+			t.Fatalf("column %d: clone differs", i)
+		} else {
+			putColumn(cp)
+		}
 	}
 	got.recycle()
 	b.recycle()
 }
 
 func reflectEqualColumn(a, b *column) bool {
-	if len(a.ints) != len(b.ints) || len(a.floats) != len(b.floats) || len(a.recs) != len(b.recs) {
+	if len(a.ints) != len(b.ints) || len(a.floats) != len(b.floats) || a.n != b.n {
 		return false
 	}
 	for i := range a.ints {
@@ -65,8 +118,8 @@ func reflectEqualColumn(a, b *column) bool {
 			return false
 		}
 	}
-	for i := range a.recs {
-		if a.recs[i] != b.recs[i] {
+	for i := 0; i < a.n; i++ {
+		if a.meta(i) != b.meta(i) {
 			return false
 		}
 	}
