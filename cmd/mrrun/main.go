@@ -20,6 +20,10 @@
 // demand. -convert streams text input through the external-sort builder, so
 // converting never needs the graph in memory; its output is byte-identical
 // to saving the in-heap graph.
+//
+// Standard output is the result and is deterministic; one line on standard
+// error, "mrrun: instance <s> run <s> total <s>", says where the wall-clock
+// went.
 package main
 
 import (
@@ -57,6 +61,7 @@ func main() {
 	dialTimeout := flag.Duration("dial-timeout", 10*time.Second, "tcp transport: per-attempt connect deadline")
 	dialRetries := flag.Int("dial-retries", 3, "tcp transport: extra dial attempts after the first, with exponential backoff")
 	flag.Parse()
+	start := time.Now()
 
 	if *convert != "" {
 		if *load == "" {
@@ -132,6 +137,7 @@ func main() {
 			exitOn(graph.WriteFile(*save, in.Graph))
 		}
 	}
+	instanceDone := time.Now()
 
 	args := map[string]float64{}
 	for _, p := range entry.Params {
@@ -166,7 +172,9 @@ func main() {
 		p.Sink = sink
 		p.TraceLabel = *alg
 	}
+	runStart := time.Now()
 	res, err := entry.Run(in, p, args)
+	runDone := time.Now()
 	if sink != nil {
 		// Close even on a failed run so the file is valid, loadable JSON up
 		// to the last completed round.
@@ -178,6 +186,11 @@ func main() {
 	fmt.Printf("cluster: machines=%d rounds=%d words=%d messages=%d maxSpace=%d maxResident=%d violations=%d\n",
 		m.Machines, m.Rounds, m.WordsSent, m.Messages,
 		m.MaxSpace, m.MaxResident, m.Violations)
+	// Where the seconds went, on stderr so that stdout stays the
+	// deterministic result: building or loading the instance (-save
+	// included), the algorithm, and the whole process since flag parsing.
+	fmt.Fprintf(os.Stderr, "mrrun: instance %.3fs run %.3fs total %.3fs\n",
+		instanceDone.Sub(start).Seconds(), runDone.Sub(runStart).Seconds(), time.Since(start).Seconds())
 }
 
 func exitOn(err error) {

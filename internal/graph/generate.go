@@ -23,11 +23,12 @@ func GNM(n, m int, r *rng.RNG) *Graph {
 		panic(fmt.Sprintf("graph: GNM(%d, %d) exceeds %d possible edges", n, m, maxM))
 	}
 	g := New(n)
-	if m == 0 {
+	if m <= 0 {
 		return g
 	}
+	g.Edges = make([]Edge, 0, m)
 	if m > maxM/2 {
-		// Dense: enumerate pairs and sample without replacement. The map-based
+		// Dense: enumerate pairs and sample without replacement. The
 		// sampling is inherently sequential; the triangular pair decode (a
 		// sqrt plus correction loop per index) is not, so it fans out.
 		idx := r.SampleWithoutReplacement(maxM, m)
@@ -39,19 +40,20 @@ func GNM(n, m int, r *rng.RNG) *Graph {
 	}
 	// Sparse: rejection sampling with a seen-set. The candidate draws fan
 	// out across workers; the accept loop replays them in attempt order.
-	seen := make(map[[2]int]bool, m)
+	seen := rng.NewSet(m)
 	generatePairs(r, n, n, func() int { return m - len(g.Edges) }, func(u, v int) {
-		if u == v {
-			return
+		if u != v && !seen.Add(pairKey(u, v)) {
+			g.AddEdge(u, v, 1)
 		}
-		p := normPair(u, v)
-		if seen[p] {
-			return
-		}
-		seen[p] = true
-		g.AddEdge(u, v, 1)
 	})
 	return g
+}
+
+// pairKey packs an unordered pair of distinct vertices below 2^32 into the
+// non-zero key rng.Set wants: min<<32 | max, and max is at least 1.
+func pairKey(u, v int) uint64 {
+	u, v = minmax(u, v)
+	return uint64(u)<<32 | uint64(v)
 }
 
 // decodePairs maps triangular pair indices to (u,v) endpoint pairs,
@@ -134,8 +136,8 @@ func PreferentialAttachment(n, k int, r *rng.RNG) *Graph {
 		if v < k {
 			attach = v
 		}
-		chosen := make(map[int]bool, attach)
-		for len(chosen) < attach {
+		first := len(g.Edges) // v's edges so far are g.Edges[first:], each {v, t}
+		for len(g.Edges) < first+attach {
 			var t int
 			// Mix degree-proportional with uniform to guarantee progress on
 			// small target sets.
@@ -144,15 +146,25 @@ func PreferentialAttachment(n, k int, r *rng.RNG) *Graph {
 			} else {
 				t = r.Intn(v)
 			}
-			if t == v || chosen[t] {
+			if t == v || attached(g.Edges[first:], t) {
 				continue
 			}
-			chosen[t] = true
 			g.AddEdge(v, t, 1)
 			targets = append(targets, v, t)
 		}
 	}
 	return g
+}
+
+// attached reports whether one of the edges a vertex has just attached ends
+// at t.
+func attached(edges []Edge, t int) bool {
+	for _, e := range edges {
+		if e.V == t {
+			return true
+		}
+	}
+	return false
 }
 
 // RandomBipartite returns a bipartite graph with left vertices 0..nl-1 and
@@ -166,9 +178,10 @@ func RandomBipartite(nl, nr, m int, r *rng.RNG) *Graph {
 		panic(fmt.Sprintf("graph: RandomBipartite(%d,%d,%d) exceeds %d pairs", nl, nr, m, maxM))
 	}
 	g := New(nl + nr)
-	if m == 0 {
+	if m <= 0 {
 		return g
 	}
+	g.Edges = make([]Edge, 0, m)
 	if m > maxM/2 {
 		idx := r.SampleWithoutReplacement(maxM, m)
 		for _, k := range idx {
@@ -176,14 +189,11 @@ func RandomBipartite(nl, nr, m int, r *rng.RNG) *Graph {
 		}
 		return g
 	}
-	seen := make(map[int]bool, m)
+	seen := rng.NewSet(m)
 	generatePairs(r, nl, nr, func() int { return m - len(g.Edges) }, func(l, rt int) {
-		key := l*nr + rt
-		if seen[key] {
-			return
+		if !seen.Add(uint64(l*nr + rt + 1)) {
+			g.AddEdge(l, nl+rt, 1)
 		}
-		seen[key] = true
-		g.AddEdge(l, nl+rt, 1)
 	})
 	return g
 }
@@ -235,13 +245,19 @@ func PlantClique(g *Graph, k int, r *rng.RNG) []int {
 		panic("graph: PlantClique k > n")
 	}
 	vs := r.SampleWithoutReplacement(g.N, k)
-	have := g.HasEdgeSet()
-	for i := 0; i < len(vs); i++ {
-		for j := i + 1; j < len(vs); j++ {
-			p := normPair(vs[i], vs[j])
-			if !have[p] {
-				g.AddEdge(p[0], p[1], 1)
-				have[p] = true
+	// The adjacency as it is before planting: AddEdge below only marks it
+	// stale, and no planted pair is looked up twice.
+	g.Build()
+	start, nbr := g.adjStart, g.adjNbr
+	joined := make([]int32, g.N) // joined[w] == i+1: w is a neighbour of vs[i]
+	for i, u := range vs {
+		for _, w := range nbr[start[u]:start[u+1]] {
+			joined[w] = int32(i + 1)
+		}
+		for _, v := range vs[i+1:] {
+			if joined[v] != int32(i+1) {
+				lo, hi := minmax(u, v)
+				g.AddEdge(lo, hi, 1)
 			}
 		}
 	}

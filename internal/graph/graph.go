@@ -372,23 +372,6 @@ func (g *Graph) Clone() *Graph {
 	return h
 }
 
-// HasEdgeSet returns a set membership function over the vertex pairs of g.
-// Useful for validators; pairs are normalized to (min,max).
-func (g *Graph) HasEdgeSet() map[[2]int]bool {
-	set := make(map[[2]int]bool, len(g.Edges))
-	for _, e := range g.Edges {
-		set[normPair(e.U, e.V)] = true
-	}
-	return set
-}
-
-func normPair(u, v int) [2]int {
-	if u > v {
-		u, v = v, u
-	}
-	return [2]int{u, v}
-}
-
 // SortEdges sorts the edge list lexicographically by (min endpoint, max
 // endpoint, weight). Used to make serialized graphs deterministic.
 func (g *Graph) SortEdges() {

@@ -8,6 +8,13 @@ import (
 	"repro/internal/rng"
 )
 
+// normPair orders a vertex pair as (min, max) for the duplicate checks in
+// this package's tests.
+func normPair(u, v int) [2]int {
+	u, v = minmax(u, v)
+	return [2]int{u, v}
+}
+
 func TestNewAndAddEdge(t *testing.T) {
 	g := New(4)
 	g.AddEdge(0, 1, 2.5)
@@ -378,6 +385,61 @@ func TestValidatorsClique(t *testing.T) {
 	}
 	if IsClique(p, []int{0, 0}) {
 		t.Fatal("duplicate vertex")
+	}
+}
+
+// TestCliqueValidatorsMatchMatrix checks IsClique and IsMaximalClique, which
+// count joined members through the neighbour lists, against the definition
+// read off an adjacency matrix — on multigraphs too (a parallel edge must
+// not count twice), with repeated and out-of-range vertices in the set.
+func TestCliqueValidatorsMatchMatrix(t *testing.T) {
+	r := rng.New(41)
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + r.Intn(9)
+		g := New(n)
+		adj := make([][]bool, n)
+		for v := range adj {
+			adj[v] = make([]bool, n)
+		}
+		for i := r.Intn(3 * n); i > 0 && n > 1; i-- {
+			u, v := r.Intn(n), r.Intn(n)
+			if u != v {
+				g.AddEdge(u, v, 1) // repeats make parallel edges
+				adj[u][v], adj[v][u] = true, true
+			}
+		}
+		set := r.SampleWithoutReplacement(n, r.Intn(n+1))
+		switch r.Intn(8) {
+		case 0:
+			set = append(set, n+r.Intn(2)) // not a vertex
+		case 1:
+			if len(set) > 0 {
+				set = append(set, set[0])
+			}
+		}
+		clique := true
+		in := make([]bool, n+2)
+		for i, u := range set {
+			clique = clique && u < n && !in[u]
+			in[u] = true
+			for _, v := range set[:i] {
+				clique = clique && u < n && v < n && adj[u][v]
+			}
+		}
+		maximal := clique
+		for v := 0; v < n && maximal; v++ {
+			extends := !in[v]
+			for _, u := range set {
+				extends = extends && adj[u][v]
+			}
+			maximal = !extends
+		}
+		if got := IsClique(g, set); got != clique {
+			t.Fatalf("trial %d: IsClique(%v) = %v on %v, want %v", trial, set, got, g.Edges, clique)
+		}
+		if got := IsMaximalClique(g, set); got != maximal {
+			t.Fatalf("trial %d: IsMaximalClique(%v) = %v on %v, want %v", trial, set, got, g.Edges, maximal)
+		}
 	}
 }
 

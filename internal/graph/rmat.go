@@ -26,17 +26,15 @@ func RMAT(scale int, m int, a, b, c float64, r *rng.RNG) *Graph {
 		panic("graph: RMAT m exceeds simple-graph capacity")
 	}
 	g := New(n)
-	seen := make(map[[2]int]bool, m)
+	if m <= 0 {
+		return g
+	}
+	g.Edges = make([]Edge, 0, m)
+	seen := rng.NewSet(m)
 	accept := func(u, v int) {
-		if u == v {
-			return
+		if u != v && !seen.Add(pairKey(u, v)) {
+			g.AddEdge(u, v, 1)
 		}
-		p := normPair(u, v)
-		if seen[p] {
-			return
-		}
-		seen[p] = true
-		g.AddEdge(u, v, 1)
 	}
 	// Every attempt consumes exactly `scale` Float64 draws (Float64 never
 	// rejects internally), so the quadrant descents — the expensive part —

@@ -143,15 +143,13 @@ func IsMaximalIndependentSet(g *Graph, set map[int]bool) bool {
 
 // IsClique reports whether every pair of vertices in set is joined in g.
 func IsClique(g *Graph, set []int) bool {
-	have := g.HasEdgeSet()
-	for i := 0; i < len(set); i++ {
-		for j := i + 1; j < len(set); j++ {
-			if set[i] == set[j] {
-				return false
-			}
-			if !have[normPair(set[i], set[j])] {
-				return false
-			}
+	joined, _ := joinedMembers(g, set)
+	if joined == nil {
+		return false
+	}
+	for _, v := range set {
+		if int(joined[v]) != len(set)-1 {
+			return false
 		}
 	}
 	return true
@@ -160,30 +158,42 @@ func IsClique(g *Graph, set []int) bool {
 // IsMaximalClique reports whether set is a clique and no vertex outside set
 // is adjacent to all of set.
 func IsMaximalClique(g *Graph, set []int) bool {
-	if !IsClique(g, set) {
+	joined, in := joinedMembers(g, set)
+	if joined == nil {
 		return false
 	}
-	in := make(map[int]bool, len(set))
-	for _, v := range set {
-		in[v] = true
-	}
-	have := g.HasEdgeSet()
-	for v := 0; v < g.N; v++ {
-		if in[v] {
-			continue
-		}
-		adjacentToAll := true
-		for _, u := range set {
-			if !have[normPair(u, v)] {
-				adjacentToAll = false
-				break
-			}
-		}
-		if adjacentToAll {
+	for v, c := range joined {
+		if in[v] && int(c) != len(set)-1 || !in[v] && int(c) == len(set) {
 			return false
 		}
 	}
 	return true
+}
+
+// joinedMembers counts, for every vertex of g, the members of set it is
+// joined to, by scanning the members' neighbour lists — O(Σ deg) over the
+// set instead of a table of all edges. last[u] names the latest member that
+// counted u, so a parallel edge counts once. in marks the members; both
+// results are nil when set repeats a vertex or names one that g lacks.
+func joinedMembers(g *Graph, set []int) (joined []int32, in []bool) {
+	in = make([]bool, g.N)
+	for _, v := range set {
+		if v < 0 || v >= g.N || in[v] {
+			return nil, nil
+		}
+		in[v] = true
+	}
+	joined = make([]int32, g.N)
+	last := make([]int32, g.N)
+	for i, v := range set {
+		for _, u := range g.Neighbors(v) {
+			if last[u] != int32(i+1) {
+				last[u] = int32(i + 1)
+				joined[u]++
+			}
+		}
+	}
+	return joined, in
 }
 
 // IsProperVertexColouring reports whether colour assigns every vertex a

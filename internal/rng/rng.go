@@ -158,16 +158,26 @@ func (r *RNG) SampleWithoutReplacement(n, k int) []int {
 	if k == 0 {
 		return nil
 	}
-	// Floyd's algorithm: O(k) expected time, O(k) space.
-	chosen := make(map[int]struct{}, k)
-	out := make([]int, 0, k)
-	for j := n - k; j < n; j++ {
+	// Floyd's algorithm: O(k) expected time, O(k) space. The set stores t+1
+	// (its keys are non-zero); up to 16 keys it lives in stackSlots, so the
+	// small samples drawn per element, per set and per vertex in the
+	// generators and inside algorithm rounds allocate only their result.
+	var stackSlots [32]uint64
+	var chosen Set
+	if slots := setSlots(k); slots <= len(stackSlots) {
+		chosen = setOver(stackSlots[:slots])
+	} else {
+		chosen = setOver(make([]uint64, slots))
+	}
+	out := make([]int, k)
+	for i := range out {
+		j := n - k + i
 		t := r.Intn(j + 1)
-		if _, dup := chosen[t]; dup {
+		if chosen.Add(uint64(t) + 1) {
 			t = j
+			chosen.Add(uint64(j) + 1)
 		}
-		chosen[t] = struct{}{}
-		out = append(out, t)
+		out[i] = t
 	}
 	return out
 }

@@ -1,6 +1,8 @@
 package rng
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -331,6 +333,33 @@ func TestDrawsSince(t *testing.T) {
 		}
 		if got := r.DrawsSince(start); got != draws {
 			t.Fatalf("DrawsSince = %d, want %d (step %d)", got, draws, i)
+		}
+	}
+}
+
+// TestSampleWithoutReplacementDigests pins SampleWithoutReplacement across
+// versions: each constant is an FNV-1a hash of the sample in order plus the
+// generator's next draw, computed on the commit before Floyd's algorithm
+// moved from a map to Set. k = 16 and 17 sit either side of the stack-backed
+// table's size.
+func TestSampleWithoutReplacementDigests(t *testing.T) {
+	const n = 1000
+	for _, tc := range []struct {
+		k    int
+		want uint64
+	}{
+		{1, 0x20e8729924bf9de1}, {3, 0x9e5a3268f170d92b}, {16, 0x54f1b4f05c943dd6},
+		{17, 0xe69c6fcf1ea39ce2}, {n / 2, 0x18a6d8e6b7f2eef6}, {n, 0x1dfc11fc234a295c},
+	} {
+		r := New(0xD16E57)
+		h := fnv.New64a()
+		var b [8]byte
+		for _, v := range append(r.SampleWithoutReplacement(n, tc.k), int(r.Uint64()>>1)) {
+			binary.LittleEndian.PutUint64(b[:], uint64(v))
+			h.Write(b[:])
+		}
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("SampleWithoutReplacement(%d, %d): digest %#x, want %#x", n, tc.k, got, tc.want)
 		}
 	}
 }

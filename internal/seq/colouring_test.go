@@ -262,6 +262,16 @@ func TestGreedyMaximalClique(t *testing.T) {
 	if len(cl) != 5 {
 		t.Fatalf("K5 maximal clique from seed: %v", cl)
 	}
+	// A parallel edge must not count as two clique members: vertex 3 is
+	// joined to 0 twice and to 1, but not to 2. A repeated seed vertex is one
+	// member.
+	mg := graph.New(4)
+	for _, e := range [][2]int{{0, 1}, {0, 1}, {1, 2}, {0, 2}, {3, 0}, {3, 0}, {3, 1}} {
+		mg.AddEdge(e[0], e[1], 1)
+	}
+	if cl := GreedyMaximalClique(mg, []int{1, 1}); len(cl) != 4 || cl[2] != 0 || cl[3] != 2 {
+		t.Fatalf("multigraph clique from seed {1,1}: %v, want [1 1 0 2]", cl)
+	}
 }
 
 // misraGriesClassic is the MisraGries body as it stood before the

@@ -59,29 +59,32 @@ func GreedyMISSubset(g *graph.Graph, active func(v int) bool, order []int) map[i
 // oracle.
 func GreedyMaximalClique(g *graph.Graph, seed []int) []int {
 	clique := append([]int(nil), seed...)
-	have := g.HasEdgeSet()
-	inClique := make(map[int]bool, len(clique))
-	for _, v := range clique {
+	// joined[u] counts the clique members u is adjacent to and last[u] the
+	// latest member that counted it (a parallel edge counts once), so a
+	// vertex extends the clique exactly when joined[v] == size.
+	joined := make([]int32, g.N)
+	last := make([]int32, g.N)
+	inClique := make([]bool, g.N)
+	size := int32(0)
+	join := func(v int) {
 		inClique[v] = true
+		size++
+		for _, u := range g.Neighbors(v) {
+			if last[u] != size {
+				last[u] = size
+				joined[u]++
+			}
+		}
+	}
+	for _, v := range seed {
+		if !inClique[v] {
+			join(v)
+		}
 	}
 	for v := 0; v < g.N; v++ {
-		if inClique[v] {
-			continue
-		}
-		ok := true
-		for _, u := range clique {
-			a, b := u, v
-			if a > b {
-				a, b = b, a
-			}
-			if !have[[2]int{a, b}] {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if !inClique[v] && joined[v] == size {
 			clique = append(clique, v)
-			inClique[v] = true
+			join(v)
 		}
 	}
 	return clique

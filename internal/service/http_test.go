@@ -279,6 +279,7 @@ func TestHTTPBadRequests(t *testing.T) {
 		"unknown field":   `{"bogus": 1}`,
 		"unknown alg":     `{"instance":{"type":"density","n":10,"c":0.3},"alg":"wat"}`,
 		"bad spec":        `{"instance":{"type":"density","n":-5},"alg":"mis"}`,
+		"oversized spec":  `{"instance":{"type":"density","n":4194304,"c":1},"alg":"mis"}`,
 		"incompatible":    `{"instance":{"type":"setcover-greedy","n":40},"alg":"mis"}`,
 		"upload no data":  `{"instance":{"type":"upload"},"alg":"mis"}`,
 		"unknown arg":     `{"instance":{"type":"density","n":10,"c":0.3},"alg":"mis","args":{"zeta":2}}`,

@@ -50,9 +50,39 @@ type InstanceSpec struct {
 	ID   string `json:"id,omitempty"`
 }
 
-// maxInstanceN bounds generator sizes so a malformed request cannot ask the
-// daemon for a terabyte instance.
-const maxInstanceN = 1 << 22
+// maxInstanceN and maxInstanceBytes bound generator sizes so a malformed
+// request cannot ask the daemon for a terabyte instance: n alone does not
+// (n = 2^22 at c = 1 is 8.8·10¹² edges). A spec is charged
+// instanceItemBytes for every edge or set–element incidence it implies —
+// an edge is 24 B in the edge list and 32 B in the CSR slabs, and its
+// generator's duplicate table adds 16–32 B until it returns — so the limit
+// is a 4 GiB instance, 2^26 edges.
+const (
+	maxInstanceN      = 1 << 22
+	maxInstanceBytes  = 4 << 30
+	instanceItemBytes = 64
+	maxInstanceItems  = maxInstanceBytes / instanceItemBytes
+)
+
+// Negative, so a compile error, if maxInstanceItems edges could overflow
+// the graph kernel's int32 half-edge offsets (2m <= MaxInt32).
+const _ = uint(math.MaxInt32/2 - maxInstanceItems)
+
+// items returns the number of edges (density, vertexcover) or set–element
+// incidences (setcover-f: at most f an element) the spec asks its generator
+// for, in floating point so that no n, c and f can overflow it.
+// setcover-greedy needs no entry: its 12n incidences are bounded by
+// maxInstanceN.
+func (s InstanceSpec) items() float64 {
+	n := float64(s.N)
+	switch s.Type {
+	case "density", "vertexcover":
+		return math.Min(math.Floor(math.Pow(n, 1+s.C)), n*(n-1)/2)
+	case "setcover-f":
+		return math.Floor(math.Pow(n, 1+s.C)) * float64(s.F)
+	}
+	return 0
+}
 
 // Validate checks the spec's parameters without building anything.
 func (s InstanceSpec) Validate() error {
@@ -86,6 +116,10 @@ func (s InstanceSpec) Validate() error {
 		return fmt.Errorf("service: instance spec missing type")
 	default:
 		return fmt.Errorf("service: unknown instance type %q", s.Type)
+	}
+	if items := s.items(); items > maxInstanceItems {
+		return fmt.Errorf("service: %s spec n=%d c=%g asks for %.3g edges or set elements, over the limit of %d (a %d GiB instance)",
+			s.Type, s.N, s.C, items, maxInstanceItems, maxInstanceBytes>>30)
 	}
 	return nil
 }

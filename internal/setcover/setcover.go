@@ -56,15 +56,31 @@ func (in *Instance) Validate() error {
 }
 
 // Dual returns the element→sets incidence (the sets T_j of §2.2). The result
-// aliases internal storage and must not be modified.
+// aliases internal storage and must not be modified. It is built on first
+// use in two counting passes: the frequencies carve one slab into a
+// capacity-limited empty view per element, then every set index is appended
+// to the views of its elements, so each list ascends.
 func (in *Instance) Dual() [][]int {
 	if in.dual == nil {
-		in.dual = make([][]int, in.NumElements)
-		for i, s := range in.Sets {
+		freq := make([]int, in.NumElements)
+		for _, s := range in.Sets {
 			for _, e := range s {
-				in.dual[e] = append(in.dual[e], i)
+				freq[e]++
 			}
 		}
+		slab := make([]int, in.TotalSize())
+		dual := make([][]int, in.NumElements)
+		off := 0
+		for e, f := range freq {
+			dual[e] = slab[off : off : off+f]
+			off += f
+		}
+		for i, s := range in.Sets {
+			for _, e := range s {
+				dual[e] = append(dual[e], i)
+			}
+		}
+		in.dual = dual
 	}
 	return in.dual
 }
@@ -166,13 +182,13 @@ func FromVertexCover(g *graph.Graph, w []float64) *Instance {
 	in := &Instance{NumElements: g.M()}
 	in.Sets = make([][]int, g.N)
 	in.Weights = append([]float64(nil), w...)
+	slab := make([]int, 0, 2*g.M()) // every set is a view of it
 	for v := 0; v < g.N; v++ {
-		ids := g.IncidentEdges(v)
-		set := make([]int, len(ids))
-		for i, id := range ids {
-			set[i] = int(id)
+		first := len(slab)
+		for _, id := range g.IncidentEdges(v) {
+			slab = append(slab, int(id))
 		}
-		in.Sets[v] = set
+		in.Sets[v] = slab[first:len(slab):len(slab)]
 	}
 	return in
 }

@@ -1,6 +1,9 @@
 package setcover
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -193,5 +196,93 @@ func TestQuickRandomSizedAlwaysCovered(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// instanceDigest hashes an instance as a caller sees it: sets and weights in
+// order, then the dual, then the next draw of the RNG that generated it.
+func instanceDigest(in *Instance, r *rng.RNG) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(x uint64) {
+		binary.LittleEndian.PutUint64(b[:], x)
+		h.Write(b[:])
+	}
+	lists := func(ls [][]int) {
+		put(uint64(len(ls)))
+		for _, l := range ls {
+			put(uint64(len(l)))
+			for _, x := range l {
+				put(uint64(x))
+			}
+		}
+	}
+	put(uint64(in.NumElements))
+	lists(in.Sets)
+	for _, w := range in.Weights {
+		put(math.Float64bits(w))
+	}
+	lists(in.Dual())
+	put(r.Uint64())
+	return h.Sum64()
+}
+
+// TestInstanceDigests pins the generators, FromVertexCover and Dual across
+// versions: the constants were computed on the commit before
+// SampleWithoutReplacement lost its map and Dual/FromVertexCover moved to
+// one slab each.
+func TestInstanceDigests(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(r *rng.RNG) *Instance
+		want uint64
+	}{
+		{"RandomFrequency-f3", func(r *rng.RNG) *Instance { return RandomFrequency(200, 3000, 3, 10, r) }, 0x54f2cea827c37ba2},
+		{"RandomFrequency-f40", func(r *rng.RNG) *Instance { return RandomFrequency(60, 500, 40, 10, r) }, 0xe2848b32242415cb},
+		{"RandomSized", func(r *rng.RNG) *Instance { return RandomSized(500, 50, 12, 8, r) }, 0x8ae038adbdb0cdc9},
+		{"RandomSized-wide", func(r *rng.RNG) *Instance { return RandomSized(40, 400, 60, 8, r) }, 0xd8cdfc79cff05732},
+		{"FromVertexCover", func(r *rng.RNG) *Instance {
+			g := graph.GNM(120, 900, r)
+			w := make([]float64, g.N)
+			for i := range w {
+				w[i] = r.UniformWeight(1, 10)
+			}
+			return FromVertexCover(g, w)
+		}, 0xc839ade9a1bd5378},
+	} {
+		r := rng.New(0xD16E57)
+		if got := instanceDigest(tc.run(r), r); got != tc.want {
+			t.Errorf("%s: digest %#x, want %#x", tc.name, got, tc.want)
+		}
+	}
+}
+
+// bigInstance is the f = 3 generator at 10⁵ elements, without its dual.
+func bigInstance() *Instance {
+	return RandomFrequency(2000, 100000, 3, 10, rng.New(8))
+}
+
+// TestDualAllocsBounded: the dual is a frequency count, one slab and the
+// views' headers, not a grown slice per element.
+func TestDualAllocsBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	in := bigInstance()
+	if allocs := testing.AllocsPerRun(3, func() {
+		in.dual = nil
+		in.Dual()
+	}); allocs > 3 {
+		t.Fatalf("Dual() on %d elements made %v allocations, want at most 3", in.NumElements, allocs)
+	}
+}
+
+func BenchmarkDual(b *testing.B) {
+	b.ReportAllocs()
+	in := bigInstance()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		in.dual = nil
+		in.Dual()
 	}
 }
