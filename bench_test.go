@@ -981,41 +981,6 @@ func BenchmarkContainerLoadBinary(b *testing.B) {
 	}
 }
 
-// --- Sharded-round pairs ---
-//
-// The steady-state cost of driving one dense round through the sharded
-// engine versus the unsharded merge: the same 64-machine half-rotation
-// scatter (every machine ships one record to the machine M/2 away, so half
-// of all traffic crosses the shard boundary) unsharded, across two
-// in-memory shards (zero-copy column handoff), and across two TCP-loopback
-// shards (real sockets: framing, CRC-32C, encode/decode per column batch).
-// Results and metrics are bit-identical across all three by construction
-// (mpc.TestShardedEquivalence); these pairs price the transport.
-
-func benchShardedRound(b *testing.B, shards int, transport mpc.TransportFactory) {
-	const machines = 64
-	c := mpc.NewCluster(mpc.Config{Machines: machines, Shards: shards, Transport: transport})
-	defer c.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		err := c.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			for _, ok := in.Next(); ok; _, ok = in.Next() {
-			}
-			out.SendInts((machine+machines/2)%machines, int64(machine), int64(i))
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkShardedRoundOff(b *testing.B) { benchShardedRound(b, 0, nil) }
-func BenchmarkShardedRoundMem(b *testing.B) { benchShardedRound(b, 2, nil) }
-func BenchmarkShardedRoundTCP(b *testing.B) {
-	benchShardedRound(b, 2, mpc.TCPLoopback(mpc.TCPOptions{}))
-}
-
 // --- Round-trace triple ---
 //
 // The per-round price of observability on the same 64-machine

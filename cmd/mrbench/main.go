@@ -17,8 +17,8 @@
 // per-round work under sparse scheduling), so performance trajectories can
 // be tracked across commits (e.g. `mrbench -quick -json >
 // BENCH_quick.json`). Each experiment additionally carries a
-// round_phase_wall_clock_us object — the mean per-round compute/merge/
-// barrier phase times measured by a trace sink attached to every algorithm
+// round_phase_wall_clock_us object — the mean per-round compute and merge
+// phase times measured by a trace sink attached to every algorithm
 // run (timing only; the CI trajectory check strips wall_clock keys). The
 // per-experiment text footer reports the same activity and phase numbers.
 //
@@ -55,8 +55,8 @@ type jsonExperiment struct {
 	ActiveMeanPerRound float64 `json:"active_mean_per_round"`
 	ActiveMaxPerRound  int     `json:"active_max_per_round"`
 	// RoundPhase breaks the experiment's wall-clock down into mean
-	// per-round phase times (compute/merge/barrier/replay µs) across every
-	// algorithm run, measured by a trace sink on the simulator. Like
+	// per-round phase times (compute/merge µs; barrier is always 0) across
+	// every algorithm run, measured by a trace sink on the simulator. Like
 	// wall_clock_ms it is timing, not model output; the CI trajectory check
 	// strips every key containing "wall_clock" before diffing.
 	RoundPhase *obs.PhaseMeans `json:"round_phase_wall_clock_us,omitempty"`
@@ -75,7 +75,6 @@ type jsonReport struct {
 	Seed             uint64           `json:"seed"`
 	Quick            bool             `json:"quick"`
 	Workers          int              `json:"workers"`
-	Shards           int              `json:"shards,omitempty"`
 	GoMaxProcs       int              `json:"gomaxprocs"`
 	TotalWallClockMS float64          `json:"total_wall_clock_ms"`
 	Experiments      []jsonExperiment `json:"experiments"`
@@ -93,7 +92,6 @@ func realMain() int {
 	quick := flag.Bool("quick", false, "run reduced parameter sweeps")
 	seed := flag.Uint64("seed", 20180617, "root random seed (default: the paper's arXiv date)")
 	workers := flag.Int("workers", -1, "round-executor pool size: 0|1 sequential, >1 that many goroutines, -1 one per CPU")
-	shards := flag.Int("shards", 0, "partition every cluster across this many in-process shards over the in-memory transport (0|1 unsharded; results are bit-identical)")
 	run := flag.String("run", "", "comma-separated experiment ids (default: all)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	asJSON := flag.Bool("json", false, "emit one machine-readable JSON document instead of markdown")
@@ -163,7 +161,6 @@ func realMain() int {
 		Seed:       *seed,
 		Quick:      *quick,
 		Workers:    activeWorkers,
-		Shards:     *shards,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
 	total := time.Now()
@@ -172,7 +169,7 @@ func realMain() int {
 		// count, so recorded trajectories can attribute speedups.
 		start := time.Now()
 		acc := &obs.PhaseAccumulator{}
-		tab, err := e.Run(bench.RunConfig{Seed: *seed, Quick: *quick, Workers: *workers, Shards: *shards, Sink: acc})
+		tab, err := e.Run(bench.RunConfig{Seed: *seed, Quick: *quick, Workers: *workers, Sink: acc})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "mrbench: %s failed: %v\n", e.ID, err)
 			return 1
@@ -203,10 +200,10 @@ func realMain() int {
 			fmt.Fprintf(os.Stderr, "mrbench: write: %v\n", err)
 			return 1
 		}
-		fmt.Printf("_%s completed in %v (workers=%d, active machines/round: mean %.1f, max %d; mean µs/round: compute %.1f, merge %.1f, barrier %.1f)._\n\n",
+		fmt.Printf("_%s completed in %v (workers=%d, active machines/round: mean %.1f, max %d; mean µs/round: compute %.1f, merge %.1f)._\n\n",
 			e.ID, elapsed.Round(time.Millisecond), activeWorkers,
 			tab.ActiveMeanPerRound(), tab.ActiveMaxPerRound(),
-			phases.ComputeUS, phases.MergeUS, phases.BarrierUS)
+			phases.ComputeUS, phases.MergeUS)
 	}
 	if *asJSON {
 		report.TotalWallClockMS = float64(time.Since(total).Microseconds()) / 1000

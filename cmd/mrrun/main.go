@@ -34,7 +34,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/mpc"
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/service"
@@ -55,11 +54,6 @@ func main() {
 	convert := flag.String("convert", "", "with -load: stream-convert the input to a raw binary container at this path and exit without running")
 	traceOut := flag.String("trace-out", "", "write a Chrome-trace-event/Perfetto JSON file of per-round phase timings (open in ui.perfetto.dev)")
 	workers := flag.Int("workers", 0, "round-executor pool size: 0|1 sequential, >1 that many goroutines, -1 one per CPU")
-	shards := flag.Int("shards", 0, "partition clusters across this many in-process shards (0|1 unsharded; results are bit-identical)")
-	transport := flag.String("transport", "mem", "sharded transport: mem (in-memory) or tcp (loopback TCP mesh in-process)")
-	barrierTimeout := flag.Duration("barrier-timeout", 2*time.Minute, "tcp transport: per-round barrier/receive deadline")
-	dialTimeout := flag.Duration("dial-timeout", 10*time.Second, "tcp transport: per-attempt connect deadline")
-	dialRetries := flag.Int("dial-retries", 3, "tcp transport: extra dial attempts after the first, with exponential backoff")
 	flag.Parse()
 	start := time.Now()
 
@@ -149,21 +143,7 @@ func main() {
 		}
 	}
 
-	var factory mpc.TransportFactory
-	switch *transport {
-	case "", "mem":
-		// nil selects the in-memory group.
-	case "tcp":
-		factory = mpc.TCPLoopback(mpc.TransportOpts{
-			BarrierTimeout: *barrierTimeout,
-			DialTimeout:    *dialTimeout,
-			DialRetries:    *dialRetries,
-		})
-	default:
-		exitOn(fmt.Errorf("-transport must be mem or tcp, got %q", *transport))
-	}
-
-	p := core.Params{Mu: *mu, Seed: *seed, Workers: *workers, Shards: *shards, Transport: factory}
+	p := core.Params{Mu: *mu, Seed: *seed, Workers: *workers}
 	var sink *obs.ChromeTraceSink
 	if *traceOut != "" {
 		var err error

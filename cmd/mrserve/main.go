@@ -69,7 +69,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/mpc"
 	"repro/internal/service"
 )
 
@@ -77,12 +76,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	pool := flag.Int("pool", 0, "concurrent jobs (0 = GOMAXPROCS)")
 	workers := flag.Int("workers", 1, "per-job round-executor pool size: 0|1 sequential, >1 that many goroutines, -1 one per CPU")
-	shards := flag.Int("shards", 0, "partition each job's clusters across this many in-process shards (0|1 unsharded; results are bit-identical)")
-	transport := flag.String("transport", "mem", "sharded transport: mem (in-memory) or tcp (loopback TCP mesh in-process)")
-	barrierTimeout := flag.Duration("barrier-timeout", 2*time.Minute, "tcp transport: per-round barrier/receive deadline")
-	dialTimeout := flag.Duration("dial-timeout", 10*time.Second, "tcp transport: per-attempt connect deadline")
-	dialRetries := flag.Int("dial-retries", 3, "tcp transport: extra dial attempts after the first, with exponential backoff")
-	noFallback := flag.Bool("no-fallback", false, "fail sharded jobs on transport errors instead of degrading to unsharded in-process execution")
 	results := flag.Int("results", 256, "LRU result-store capacity")
 	instances := flag.Int("instances", 64, "instance-cache capacity")
 	dataDir := flag.String("data", "", "directory for spooled binary containers; uploads are served zero-copy from mmap")
@@ -96,24 +89,13 @@ func main() {
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "mrserve: ", log.LstdFlags)
-	if *transport != "" && *transport != "mem" && *transport != "tcp" {
-		logger.Fatalf("-transport must be mem or tcp, got %q", *transport)
-	}
 	slogger, err := buildLogger(*logLevel)
 	if err != nil {
 		logger.Fatal(err)
 	}
 	engine := service.NewEngine(service.Config{
-		Pool:      *pool,
-		Workers:   *workers,
-		Shards:    *shards,
-		Transport: *transport,
-		TransportOpts: mpc.TransportOpts{
-			BarrierTimeout: *barrierTimeout,
-			DialTimeout:    *dialTimeout,
-			DialRetries:    *dialRetries,
-		},
-		NoFallback:         *noFallback,
+		Pool:               *pool,
+		Workers:            *workers,
 		Results:            *results,
 		Instances:          *instances,
 		DataDir:            *dataDir,
@@ -153,7 +135,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() {
-		logger.Printf("listening on %s (pool=%d workers=%d shards=%d)", *addr, *pool, *workers, *shards)
+		logger.Printf("listening on %s (pool=%d workers=%d)", *addr, *pool, *workers)
 		errc <- server.ListenAndServe()
 	}()
 

@@ -10,13 +10,7 @@
 //     aggregates, broadcast trees, the pluggable round executor — a
 //     persistent chunked worker pool in parallel mode — the columnar
 //     zero-copy message plane that carries round traffic allocation-free,
-//     and sharded execution: clusters partitioned across K shards over a
-//     pluggable transport — in-memory zero-copy or framed CRC-checked
-//     TCP — with results, metrics, and traces bit-identical to unsharded
-//     runs, and fault tolerance on top: retrying dials with seeded
-//     backoff, heartbeat failure detection, a round-checkpointed wire log
-//     feeding deterministic replay recovery of crashed workers, and a
-//     seeded chaos-injection wrapper for testing it all);
+//     and between-round context cancellation);
 //   - internal/core     — the paper's eight MapReduce algorithms plus the
 //     Luby and filtering baselines, dispatched through the algorithm
 //     registry (name → runner + parameter schema);
@@ -42,17 +36,13 @@
 //   - internal/rng      — deterministic splittable randomness.
 //
 // Entry points: cmd/mrbench (regenerate every Figure 1 row), cmd/mrrun (run
-// one algorithm), cmd/mrserve (the job-serving daemon, degrading sharded
-// jobs to bit-identical unsharded execution on transport failure, with
-// -ledger persisting every completed job so a restarted daemon serves
-// pre-crash results bit-identically without re-execution),
-// cmd/mrshard (one job across K cooperating processes over the TCP
-// transport, results byte-identical across the fleet — workers killed
-// mid-job are respawned and recovered by deterministic replay),
+// one algorithm), cmd/mrserve (the job-serving daemon, with -ledger
+// persisting every completed job so a restarted daemon serves pre-crash
+// results bit-identically without re-execution),
 // cmd/mrverify (offline ledger audit: verify the Merkle chain, re-execute
 // ledgered jobs, prove the chained hashes reproduce),
 // examples/ (runnable scenarios), and the
 // root-level benchmarks in bench_test.go (one per Figure 1 row, plus the
-// service throughput and sharded-round pairs). See README.md, DESIGN.md
+// service throughput and round-trace triple). See README.md, DESIGN.md
 // and EXPERIMENTS.md.
 package repro

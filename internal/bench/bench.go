@@ -92,24 +92,20 @@ type RunConfig struct {
 	// core.Params.Workers: 0 or 1 sequential, > 1 that many goroutines,
 	// < 0 one per CPU. Results are identical for every setting.
 	Workers int
-	// Shards partitions every cluster across this many in-process shards
-	// over the in-memory transport, forwarded to core.Params.Shards.
-	// Results are bit-identical for every setting; 0 or 1 runs unsharded.
-	Shards int
 	// Sink, when non-nil, receives the wall-clock round spans of every
 	// algorithm run (core.Params.Sink) — mrbench attaches a phase
-	// accumulator per experiment to report mean compute/merge/barrier time
-	// per round. Purely observational: results are bit-identical with or
+	// accumulator per experiment to report mean compute/merge time per
+	// round. Purely observational: results are bit-identical with or
 	// without it.
 	Sink obs.TraceSink
 }
 
 // params builds the core.Params for one algorithm run: the experiment's µ
-// and per-run seed plus the harness-wide executor, sharding and tracing
-// knobs. Every experiment goes through here so a configured trace sink
-// covers the whole sweep.
+// and per-run seed plus the harness-wide executor and tracing knobs. Every
+// experiment goes through here so a configured trace sink covers the whole
+// sweep.
 func (rc RunConfig) params(mu float64, seed uint64) core.Params {
-	p := core.Params{Mu: mu, Seed: seed, Workers: rc.Workers, Shards: rc.Shards}
+	p := core.Params{Mu: mu, Seed: seed, Workers: rc.Workers}
 	if rc.Sink != nil {
 		p.Sink = rc.Sink
 	}

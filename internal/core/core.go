@@ -63,16 +63,6 @@ type Params struct {
 	// equivalence tests enforce it); sparse is the default because tail
 	// rounds then cost O(active machines) instead of O(M).
 	Dense bool
-	// Shards partitions every cluster's machines contiguously across that
-	// many shards, exchanging cross-shard traffic through a transport
-	// (mpc.Config.Shards). Results and metrics are bit-identical to
-	// unsharded runs — TestShardedEquivalence enforces it; 0 or 1 runs
-	// unsharded.
-	Shards int
-	// Transport builds the transport endpoints for sharded runs; nil is
-	// the in-memory group (single-process sharding). Multi-process fleets
-	// (cmd/mrshard) install a TCP node factory here.
-	Transport mpc.TransportFactory
 	// Ctx, when non-nil, cancels the run between rounds: once canceled,
 	// every cluster's next Round returns the context's error, so an
 	// abandoned job stops burning rounds instead of running to completion.
@@ -139,8 +129,6 @@ func newCluster(machines, cap int, p Params, slack float64) *mpc.Cluster {
 		Strict:     p.Strict,
 		Workers:    p.Workers,
 		Sparse:     !p.Dense,
-		Shards:     p.Shards,
-		Transport:  p.Transport,
 		Ctx:        p.Ctx,
 		Sink:       p.Sink,
 		TraceLabel: p.TraceLabel,

@@ -181,7 +181,7 @@ func parseHeaderBytes(prefix []byte) (containerHeader, int, error) {
 	if got := crc32.Checksum(prefix[:crcOff], castagnoli); got != want {
 		return h, total, fmt.Errorf("graph: container header checksum mismatch (%08x != %08x)", got, want)
 	}
-	if h.n > math.MaxInt32 || 2*h.m > math.MaxInt32 {
+	if h.n > math.MaxInt32 || h.m > math.MaxInt32/2 {
 		return h, total, fmt.Errorf("graph: %v", errCSRBounds(int(h.n), int(h.m)))
 	}
 	for i := 0; i < nsec; i++ {
@@ -547,7 +547,12 @@ func decodeSection(r io.Reader, s section, body func(sd *sectionDecoder) error) 
 // Raw containers arrive fully built (the slabs are read, not recomputed);
 // compressed containers carry only the edge stream and rebuild the CSR index
 // lazily like any other graph.
-func ReadContainer(r io.Reader) (*Graph, error) {
+func ReadContainer(r io.Reader) (*Graph, error) { return readContainer(r, inputSize(r)) }
+
+// readContainer is ReadContainer for an input of size bytes (< 0: unknown).
+// Every slab is allocated when its section is reached, sized by presize, so
+// the header's n and m are believed only as far as size can back them.
+func readContainer(r io.Reader, size int64) (*Graph, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	h, total, err := readFullProlog(br)
 	if err != nil {
@@ -572,7 +577,11 @@ func ReadContainer(r io.Reader) (*Graph, error) {
 			return nil, err
 		}
 		err := decodeSection(br, s, func(sd *sectionDecoder) error {
-			g.Edges = make([]Edge, 0, int(h.m))
+			unit := 2 // two one-byte varints
+			if h.flags&flagUnitWeights == 0 {
+				unit += 8
+			}
+			g.Edges = make([]Edge, 0, presize(int(h.m), unit, size))
 			byteReader := &sectionByteReader{sd: sd}
 			prevU := 0
 			for i := uint64(0); i < h.m; i++ {
@@ -612,49 +621,48 @@ func ReadContainer(r io.Reader) (*Graph, error) {
 	}
 
 	// Raw: read the five sections in offset order into fresh slabs.
-	g.Edges = make([]Edge, int(h.m))
-	g.adjStart = make([]int32, int(h.n)+1)
-	g.adjNbr = make([]int32, 2*int(h.m))
-	g.adjEdge = make([]int32, 2*int(h.m))
-	g.adjW = make([]float64, 2*int(h.m))
-	readInt32s := func(dst []int32) func(sd *sectionDecoder) error {
+	n, m := int(h.n), int(h.m)
+	readInt32s := func(dst *[]int32, count int) func(sd *sectionDecoder) error {
 		return func(sd *sectionDecoder) error {
-			for i := range dst {
+			*dst = make([]int32, 0, presize(count, 4, size))
+			for i := 0; i < count; i++ {
 				v, err := sd.uint32()
 				if err != nil {
 					return err
 				}
-				dst[i] = int32(v)
+				*dst = append(*dst, int32(v))
 			}
 			return nil
 		}
 	}
 	bodies := map[uint32]func(sd *sectionDecoder) error{
-		secAdjStart: readInt32s(g.adjStart),
-		secAdjNbr:   readInt32s(g.adjNbr),
-		secAdjEdge:  readInt32s(g.adjEdge),
+		secAdjStart: readInt32s(&g.adjStart, n+1),
+		secAdjNbr:   readInt32s(&g.adjNbr, 2*m),
+		secAdjEdge:  readInt32s(&g.adjEdge, 2*m),
 		secAdjW: func(sd *sectionDecoder) error {
-			for i := range g.adjW {
+			g.adjW = make([]float64, 0, presize(2*m, 8, size))
+			for i := 0; i < 2*m; i++ {
 				bits, err := sd.uint64()
 				if err != nil {
 					return err
 				}
-				g.adjW[i] = math.Float64frombits(bits)
+				g.adjW = append(g.adjW, math.Float64frombits(bits))
 			}
 			return nil
 		},
 		secEdges: func(sd *sectionDecoder) error {
-			for i := range g.Edges {
+			g.Edges = make([]Edge, 0, presize(m, 24, size))
+			for i := 0; i < m; i++ {
 				b, err := sd.next(24)
 				if err != nil {
 					return err
 				}
 				le := binary.LittleEndian
-				g.Edges[i] = Edge{
+				g.Edges = append(g.Edges, Edge{
 					U: int(int64(le.Uint64(b))),
 					V: int(int64(le.Uint64(b[8:]))),
 					W: math.Float64frombits(le.Uint64(b[16:])),
-				}
+				})
 			}
 			return nil
 		},

@@ -1,0 +1,184 @@
+package graph
+
+import (
+	"bytes"
+	"compress/gzip"
+	"encoding/binary"
+	"io"
+	"math"
+	"os"
+	"runtime"
+	"testing"
+)
+
+// allocBytes returns how many heap bytes f allocated.
+func allocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// forgedContainer returns a bare container prologue — header, section table
+// and a valid header checksum, no section bodies — claiming n vertices and
+// m edges: a raw container's five sections, or one compressed edge stream.
+func forgedContainer(n, m uint64, compressed bool) []byte {
+	h := containerHeader{n: n, m: m}
+	if compressed {
+		h.flags = flagCompressed
+		h.sections = []section{{kind: secVarint, off: uint64(headerLen(1)), len: 1 << 40}}
+	} else {
+		h = rawLayout(int(n), int(m))
+	}
+	return h.marshal()
+}
+
+// boundInputs are headers that claim far more than the bytes behind them.
+func boundInputs() map[string][]byte {
+	return map[string][]byte{
+		"text":       []byte("graph 10 1073741823\n"),
+		"compressed": forgedContainer(10, math.MaxInt32/2, true),
+		"raw":        forgedContainer(math.MaxInt32, math.MaxInt32/2, false),
+	}
+}
+
+// TestDecodeBelievesHeadersOnlyAsFarAsBytes: a header claiming ~10^9 edges
+// over a few bytes of input is an error, not a multi-gigabyte allocation —
+// whether or not the decoder can see the input's length.
+func TestDecodeBelievesHeadersOnlyAsFarAsBytes(t *testing.T) {
+	for name, data := range boundInputs() {
+		for _, sized := range []bool{true, false} {
+			var r io.Reader = bytes.NewReader(data)
+			if !sized {
+				r = io.MultiReader(r) // hides Len
+			}
+			var err error
+			alloc := allocBytes(func() { _, err = DecodeAuto(r) })
+			if err == nil {
+				t.Errorf("%s (sized=%v): forged header decoded without error", name, sized)
+			}
+			if alloc > 1<<20 {
+				t.Errorf("%s (sized=%v): decoding %d bytes allocated %d bytes", name, sized, len(data), alloc)
+			}
+		}
+	}
+}
+
+// goldenEncodings returns the golden fixture in every encoding DecodeAuto
+// reads: raw container, compressed container, text, and gzip of each.
+func goldenEncodings(t testing.TB) [][]byte {
+	raw, err := os.ReadFile("testdata/golden.mrg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := ReadContainer(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compressed, text bytes.Buffer
+	if err := EncodeContainerCompressed(&compressed, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := Encode(&text, g); err != nil {
+		t.Fatal(err)
+	}
+	out := [][]byte{raw, compressed.Bytes(), text.Bytes()}
+	for _, plain := range out[:3] {
+		var z bytes.Buffer
+		zw := gzip.NewWriter(&z)
+		zw.Write(plain)
+		zw.Close()
+		out = append(out, z.Bytes())
+	}
+	return out
+}
+
+// inflated returns data with every gzip layer removed (up to a cap): the
+// bytes a decoder actually reads.
+func inflated(data []byte) []byte {
+	for sniff(data) == kindGzip {
+		zr, err := gzip.NewReader(bytes.NewReader(data))
+		if err != nil {
+			return data
+		}
+		inner, _ := io.ReadAll(io.LimitReader(zr, 64<<20))
+		data = inner
+	}
+	return data
+}
+
+// checkDecoded is the fuzz oracle: a decoder that returns no error must
+// return a graph the kernel can trust — dimensions inside the CSR bounds,
+// every edge in range and finite, a loaded CSR index that covers it — and
+// that survives a text round trip unchanged.
+func checkDecoded(t *testing.T, g *Graph) {
+	t.Helper()
+	if err := checkCSRBounds(g.N, g.M()); g.N < 0 || err != nil {
+		t.Fatalf("decoded dimensions n=%d m=%d: %v", g.N, g.M(), err)
+	}
+	for i, e := range g.Edges {
+		if e.U < 0 || e.U >= g.N || e.V < 0 || e.V >= g.N || e.U == e.V ||
+			math.IsNaN(e.W) || math.IsInf(e.W, 0) {
+			t.Fatalf("decoded edge %d = %+v invalid for n=%d", i, e, g.N)
+		}
+	}
+	if g.built {
+		if err := g.validateSlabs(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := Encode(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	again, err := Decode(&buf)
+	if err != nil {
+		t.Fatalf("re-decoding the text encoding: %v", err)
+	}
+	if again.N != g.N || again.M() != g.M() {
+		t.Fatalf("text round trip changed dimensions: (%d,%d) -> (%d,%d)", g.N, g.M(), again.N, again.M())
+	}
+	for i := range g.Edges {
+		if again.Edges[i] != g.Edges[i] {
+			t.Fatalf("text round trip changed edge %d: %+v -> %+v", i, g.Edges[i], again.Edges[i])
+		}
+	}
+}
+
+// fuzzDecode runs one decoder over data: it must error or pass
+// checkDecoded, allocating no more than a constant factor of the bytes it
+// reads (1 MB of fixed buffers aside).
+func fuzzDecode(t *testing.T, data []byte, decode func(io.Reader) (*Graph, error)) {
+	var g *Graph
+	var err error
+	alloc := allocBytes(func() { g, err = decode(bytes.NewReader(data)) })
+	if bound := uint64(1<<20 + 64*len(inflated(data))); alloc > bound {
+		t.Fatalf("decoding %d bytes allocated %d (bound %d)", len(data), alloc, bound)
+	}
+	if err == nil {
+		checkDecoded(t, g)
+	}
+}
+
+func FuzzDecode(f *testing.F) {
+	f.Add(goldenEncodings(f)[2])
+	f.Add(boundInputs()["text"])
+	f.Add([]byte("graph 3 2\n# comment\n\ne 0 1 2.5\ne 1 2 -1\n"))
+	f.Add([]byte("graph 2147483647 0\n"))
+	f.Fuzz(func(t *testing.T, data []byte) { fuzzDecode(t, data, Decode) })
+}
+
+func FuzzDecodeAuto(f *testing.F) {
+	for _, data := range goldenEncodings(f) {
+		f.Add(data)
+	}
+	for _, data := range boundInputs() {
+		f.Add(data)
+	}
+	// A one-edge raw container whose section bodies are all zero bytes.
+	tiny := forgedContainer(2, 1, false)
+	f.Add(append(tiny, make([]byte, rawLayout(2, 1).totalSize()-uint64(len(tiny)))...))
+	f.Add(binary.LittleEndian.AppendUint64(ContainerMagic[:], 3))
+	f.Fuzz(func(t *testing.T, data []byte) { fuzzDecode(t, data, DecodeAuto) })
+}

@@ -55,7 +55,7 @@ type textStream struct {
 // newTextStream parses the header line.
 func newTextStream(r io.Reader) (*textStream, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(make([]byte, 64<<10), 1<<24)
 	if !sc.Scan() {
 		return nil, fmt.Errorf("graph: empty input")
 	}
@@ -117,14 +117,22 @@ func (t *textStream) Next() (Edge, error) {
 	return Edge{}, io.EOF
 }
 
+// minEdgeLine is the fewest input bytes a text edge line takes: "e u v w"
+// with one-character fields, plus its line break.
+const minEdgeLine = 8
+
 // Decode reads a graph in the text format produced by Encode.
-func Decode(r io.Reader) (*Graph, error) {
+func Decode(r io.Reader) (*Graph, error) { return decodeText(r, inputSize(r)) }
+
+// decodeText is Decode for an input of size bytes (< 0: unknown). The
+// header's edge count sizes the edge list only as far as size can back it.
+func decodeText(r io.Reader, size int64) (*Graph, error) {
 	t, err := newTextStream(r)
 	if err != nil {
 		return nil, err
 	}
 	g := New(t.n)
-	g.Edges = make([]Edge, 0, t.m)
+	g.Edges = make([]Edge, 0, presize(t.m, minEdgeLine, size))
 	for {
 		e, err := t.Next()
 		if err == io.EOF {
@@ -167,6 +175,7 @@ func sniff(head []byte) streamKind {
 // graph; use ReadFile or OpenMapped on a file path to get the zero-copy
 // mapped form of a raw container.
 func DecodeAuto(r io.Reader) (*Graph, error) {
+	size := inputSize(r)
 	br := bufio.NewReader(r)
 	head, _ := br.Peek(len(ContainerMagic))
 	switch sniff(head) {
@@ -185,10 +194,48 @@ func DecodeAuto(r io.Reader) (*Graph, error) {
 		}
 		return g, nil
 	case kindContainer:
-		return ReadContainer(br)
+		return readContainer(br, size)
 	default:
-		return Decode(br)
+		return decodeText(br, size)
 	}
+}
+
+// inputSize returns how many bytes r has left when r can tell without being
+// read — an in-memory reader's Len, a regular file's size past its offset —
+// and -1 otherwise.
+func inputSize(r io.Reader) int64 {
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		return int64(r.Len())
+	case *os.File:
+		st, err := r.Stat()
+		if err != nil || !st.Mode().IsRegular() {
+			return -1
+		}
+		off, err := r.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return -1
+		}
+		return st.Size() - off
+	}
+	return -1
+}
+
+// unsizedPresize caps how many items a decoder allocates ahead of reading
+// them when the input size is unknown.
+const unsizedPresize = 1 << 12
+
+// presize is the capacity a decoder may allocate for count items of at
+// least unit input bytes each before reading them: no more than an input of
+// size bytes can hold, or unsizedPresize items when size < 0. A header that
+// claims more than the bytes behind it thus costs at most a constant factor
+// of the input; the slice grows as items actually arrive.
+func presize(count, unit int, size int64) int {
+	limit := int64(unsizedPresize)
+	if size >= 0 {
+		limit = size / int64(unit)
+	}
+	return int(min(int64(count), limit))
 }
 
 // ReadFile loads a graph from path in any supported format. Raw binary

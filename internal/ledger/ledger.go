@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"repro/internal/mpc"
 )
 
 // Options configures a Ledger.
@@ -17,9 +15,8 @@ type Options struct {
 	// the jittered exponential backoff below) before the ledger declares
 	// itself degraded; 0 means 4, negative means none.
 	Retries int
-	// RetryBase/RetryMax bound the backoff schedule (mpc.BackoffDelay —
-	// the same deterministic seeded schedule the TCP transport uses).
-	// Zero means 10ms / 500ms.
+	// RetryBase/RetryMax bound the deterministic seeded backoff schedule
+	// (backoffDelay). Zero means 10ms / 500ms.
 	RetryBase time.Duration
 	RetryMax  time.Duration
 	// RetrySeed seeds the backoff jitter.
@@ -378,6 +375,6 @@ func (l *Ledger) writeBatch(batch []*Record) error {
 		if closed {
 			return err
 		}
-		time.Sleep(mpc.BackoffDelay(attempt+1, l.opts.retryBase(), l.opts.retryMax(), l.opts.RetrySeed))
+		time.Sleep(backoffDelay(attempt+1, l.opts.retryBase(), l.opts.retryMax(), l.opts.RetrySeed))
 	}
 }

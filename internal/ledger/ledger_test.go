@@ -586,3 +586,46 @@ func TestReadDirToleratesTornTail(t *testing.T) {
 		t.Fatal("ReadDir modified the ledger (must be read-only)")
 	}
 }
+
+// TestBackoffSchedule: exponential doubling capped at max, deterministic
+// jitter in [0.5, 1.0) of the nominal delay.
+func TestBackoffSchedule(t *testing.T) {
+	const base, max = 50 * time.Millisecond, 2 * time.Second
+	cases := []struct {
+		attempt int
+		nominal time.Duration
+	}{
+		{1, 50 * time.Millisecond},
+		{2, 100 * time.Millisecond},
+		{3, 200 * time.Millisecond},
+		{4, 400 * time.Millisecond},
+		{5, 800 * time.Millisecond},
+		{6, 1600 * time.Millisecond},
+		{7, 2 * time.Second}, // capped
+		{12, 2 * time.Second},
+		{0, 50 * time.Millisecond}, // clamped to attempt 1
+	}
+	for _, seed := range []uint64{0, 1, 0xdeadbeef} {
+		for _, tc := range cases {
+			d := backoffDelay(tc.attempt, base, max, seed)
+			if d < tc.nominal/2 || d >= tc.nominal {
+				t.Errorf("seed %d attempt %d: delay %v outside [%v, %v)",
+					seed, tc.attempt, d, tc.nominal/2, tc.nominal)
+			}
+			if again := backoffDelay(tc.attempt, base, max, seed); again != d {
+				t.Errorf("seed %d attempt %d: nondeterministic (%v then %v)", seed, tc.attempt, d, again)
+			}
+		}
+	}
+	// Different seeds must decorrelate at least one attempt (thundering-herd
+	// protection is the point of the jitter).
+	same := true
+	for a := 1; a <= 6; a++ {
+		if backoffDelay(a, base, max, 1) != backoffDelay(a, base, max, 2) {
+			same = false
+		}
+	}
+	if same {
+		t.Error("seeds 1 and 2 produced identical schedules across 6 attempts")
+	}
+}

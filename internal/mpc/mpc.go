@@ -98,28 +98,17 @@ type Config struct {
 	// default: without arming calls a dense-written RoundFunc would
 	// silently be skipped.
 	Sparse bool
-	// Shards partitions the machines contiguously across that many shards
-	// and exchanges cross-shard traffic through a Transport (shard.go):
-	// results, metrics, and traces stay bit-identical to unsharded
-	// execution. Clamped to Machines; 0 or 1 runs unsharded. Transport
-	// errors surface from Round.
-	Shards int
-	// Transport, when sharding, builds the transport endpoints this
-	// process drives (transport.go). Nil selects the in-memory group
-	// covering every shard — single-process sharding.
-	Transport TransportFactory
 	// Ctx, when non-nil, is checked between rounds: once it is canceled,
 	// Round and Quiet return its error (wrapped) instead of executing, so an
 	// abandoned job stops burning rounds at the next round boundary. Nil
 	// means no cancellation.
 	Ctx context.Context
 	// Sink, when non-nil, receives an obs.RoundSpan at the end of every
-	// round (Quiet rounds included): wall-clock phase timings — compute,
-	// merge, barrier/replay exchange — next to the round's model
-	// quantities. Timing lives only in the spans, never in Metrics or
-	// RoundStat, so attaching a sink changes nothing the equivalence
-	// suites compare; with Sink nil the round path takes no timestamps
-	// and performs no allocations for tracing.
+	// round (Quiet rounds included): wall-clock compute and merge timings
+	// next to the round's model quantities. Timing lives only in the
+	// spans, never in Metrics or RoundStat, so attaching a sink changes
+	// nothing the equivalence suites compare; with Sink nil the round path
+	// takes no timestamps and performs no allocations for tracing.
 	Sink obs.TraceSink
 	// TraceLabel annotates the cluster's spans (a job id, an algorithm
 	// name); purely cosmetic.
@@ -185,12 +174,7 @@ type Cluster struct {
 	residentMax     int
 	residentMaxOK   bool
 	residentOverCap int
-	// Sharded execution (shard.go). shard is non-nil when the cluster runs
-	// K >= 2 shards over a transport; shardErr records a transport-factory
-	// failure, surfaced by the first Round instead of a NewCluster panic.
-	shard    *shardEngine
-	shardErr error
-	closed   bool
+	closed          bool
 	// traceID identifies this cluster in trace spans; allocated only when
 	// a sink is configured, never reused within the process.
 	traceID int64
@@ -222,15 +206,14 @@ func NewCluster(cfg Config) *Cluster {
 	if cfg.Sink != nil {
 		c.traceID = traceClusterSeq.Add(1)
 	}
-	c.shard, c.shardErr = newShardEngine(c, cfg)
 	return c
 }
 
-// Close releases the cluster's persistent worker pool and its transport
-// endpoints, if it owns any. It is idempotent and safe to call on clusters
-// that never had either; Round and Quiet after Close return
-// ErrClusterClosed. A cluster that is garbage-collected without Close leaks
-// its pool goroutines only until the pool's finalizer runs.
+// Close releases the cluster's persistent worker pool, if it owns one. It
+// is idempotent and safe to call on clusters that never had one; Round and
+// Quiet after Close return ErrClusterClosed. A cluster that is
+// garbage-collected without Close leaks its pool goroutines only until the
+// pool's finalizer runs.
 func (c *Cluster) Close() {
 	if c.closed {
 		return
@@ -240,27 +223,10 @@ func (c *Cluster) Close() {
 		c.pool.Close()
 		c.pool = nil
 	}
-	if c.shard != nil {
-		c.shard.closeEndpoints()
-	}
-}
-
-// Shards returns the effective shard count the cluster runs with (1 when
-// unsharded).
-func (c *Cluster) Shards() int {
-	if c.shard == nil {
-		return 1
-	}
-	return c.shard.k
 }
 
 // ready reports whether the cluster can run a round, translating closed
-// clusters, canceled contexts, transport-factory failures, and earlier
-// transport errors into the error every subsequent Round/Quiet returns.
-// Transport-layer failures are additionally marked with ErrTransport so
-// callers can distinguish fabric faults (healable by a deterministic re-run
-// elsewhere) from algorithmic errors; cancellation deliberately is not — a
-// canceled job is abandoned, not re-run.
+// clusters and canceled contexts into the error Round/Quiet returns.
 func (c *Cluster) ready() error {
 	if c.closed {
 		return ErrClusterClosed
@@ -269,12 +235,6 @@ func (c *Cluster) ready() error {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("mpc: round canceled: %w", err)
 		}
-	}
-	if c.shardErr != nil {
-		return fmt.Errorf("%w: %w", ErrTransport, c.shardErr)
-	}
-	if c.shard != nil && c.shard.broken != nil {
-		return fmt.Errorf("mpc: cluster unusable after transport error: %w: %w", ErrTransport, c.shard.broken)
 	}
 	return nil
 }
@@ -474,15 +434,12 @@ func (c *Cluster) Round(f RoundFunc) error {
 		c.inbox[m].Reset()
 	}
 	c.inRound = true
-	switch {
-	case c.shard != nil:
-		c.shard.execute(f, run, sparse)
-	case sparse:
+	if sparse {
 		c.exec.Execute(len(run), func(i int) {
 			m := run[i]
 			f(m, &c.inbox[m], &c.outboxes[m])
 		})
-	default:
+	} else {
 		c.exec.Execute(M, func(machine int) {
 			f(machine, &c.inbox[machine], &c.outboxes[machine])
 		})
@@ -501,42 +458,33 @@ func (c *Cluster) Round(f RoundFunc) error {
 	// machine order, so its cursor yields records ordered by (sender,
 	// emission order) regardless of the executor's scheduling. Only the
 	// machines that ran can have sent, and only the machines that ran can
-	// have self-armed. A sharded cluster routes the same walk through the
-	// transport exchange (shard.go); a transport failure poisons the
-	// cluster and surfaces here.
+	// have self-armed.
 	c.recvNxt = c.recvNxt[:0]
-	if c.shard != nil {
-		if err := c.shard.merge(run, sparse); err != nil {
-			c.shard.broken = err
-			return fmt.Errorf("mpc: round %d transport exchange: %w: %w", c.metrics.Rounds, ErrTransport, err)
+	mergeOne := func(machine int) {
+		o := &c.outboxes[machine]
+		if o.cur != nil {
+			panic(fmt.Sprintf("mpc: machine %d ended the round with an open record (Begin without End)", machine))
+		}
+		c.metrics.WordsSent += int64(o.words)
+		c.metrics.Messages += int64(o.count)
+		for _, dest := range o.dests {
+			if len(c.senders[dest]) == 0 {
+				c.recvNxt = append(c.recvNxt, dest)
+			}
+			c.senders[dest] = append(c.senders[dest], machine)
+		}
+		if c.armedSelf[machine] {
+			c.armedSelf[machine] = false
+			c.enqueueArm(machine)
+		}
+	}
+	if sparse {
+		for _, m := range run {
+			mergeOne(m)
 		}
 	} else {
-		mergeOne := func(machine int) {
-			o := &c.outboxes[machine]
-			if o.cur != nil {
-				panic(fmt.Sprintf("mpc: machine %d ended the round with an open record (Begin without End)", machine))
-			}
-			c.metrics.WordsSent += int64(o.words)
-			c.metrics.Messages += int64(o.count)
-			for _, dest := range o.dests {
-				if len(c.senders[dest]) == 0 {
-					c.recvNxt = append(c.recvNxt, dest)
-				}
-				c.senders[dest] = append(c.senders[dest], machine)
-			}
-			if c.armedSelf[machine] {
-				c.armedSelf[machine] = false
-				c.enqueueArm(machine)
-			}
-		}
-		if sparse {
-			for _, m := range run {
-				mergeOne(m)
-			}
-		} else {
-			for machine := 0; machine < M; machine++ {
-				mergeOne(machine)
-			}
+		for machine := 0; machine < M; machine++ {
+			mergeOne(machine)
 		}
 	}
 
@@ -604,25 +552,7 @@ func (c *Cluster) Round(f RoundFunc) error {
 			Start:   spanStart,
 			End:     end,
 			Compute: computeEnd.Sub(spanStart),
-		}
-		// Everything after compute is merge bookkeeping except the sharded
-		// transport exchange, which the shard engine timed separately — as
-		// a live barrier, or as replay when a respawned worker re-executed
-		// the round detached from the wire.
-		post := end.Sub(computeEnd)
-		if c.shard != nil {
-			exch := c.shard.phaseExchange
-			if c.shard.lastDetached {
-				span.Replay = exch
-			} else {
-				span.Barrier = exch
-			}
-			if post > exch {
-				span.Merge = post - exch
-			}
-			span.ShardWords = c.shard.traceWire
-		} else {
-			span.Merge = post
+			Merge:   end.Sub(computeEnd),
 		}
 		for _, m := range c.recv {
 			span.Words += int64(c.inbox[m].words)
@@ -650,20 +580,11 @@ func (c *Cluster) parallelExec() bool {
 	return !seq
 }
 
-// assembleInbox builds one destination's inbox for the next round: the wire
-// columns from shards below the destination's, the local senders' columns,
-// then the wire columns from shards above — ascending sender order overall.
-// Safe to run concurrently for distinct destinations: every slice touched
-// is indexed by dest.
+// assembleInbox builds one destination's inbox for the next round from its
+// senders' columns, in ascending sender order. Safe to run concurrently for
+// distinct destinations: every slice touched is indexed by dest.
 func (c *Cluster) assembleInbox(dest int) {
 	in := &c.inbox[dest]
-	if c.shard != nil {
-		for _, sg := range c.shard.wirePre[dest] {
-			in.segs = append(in.segs, sg)
-			in.records += sg.col.n
-			in.words += sg.col.words
-		}
-	}
 	for _, src := range c.senders[dest] {
 		col := c.outboxes[src].byDest[dest]
 		in.segs = append(in.segs, segment{from: src, col: col})
@@ -671,15 +592,6 @@ func (c *Cluster) assembleInbox(dest int) {
 		in.words += col.words
 	}
 	c.senders[dest] = c.senders[dest][:0]
-	if c.shard != nil {
-		for _, sg := range c.shard.wirePost[dest] {
-			in.segs = append(in.segs, sg)
-			in.records += sg.col.n
-			in.words += sg.col.words
-		}
-		c.shard.wirePre[dest] = c.shard.wirePre[dest][:0]
-		c.shard.wirePost[dest] = c.shard.wirePost[dest][:0]
-	}
 }
 
 // accountDirty computes this round's max load and cap-violation count. The

@@ -1,6 +1,7 @@
 package mpc
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -366,5 +367,46 @@ func TestTraceDisabledByDefault(t *testing.T) {
 	_ = c.Quiet()
 	if c.Trace() != nil {
 		t.Fatal("trace recorded without being enabled")
+	}
+}
+
+// TestCloseIdempotentAndGuard covers the Close regression: Close twice is
+// fine, and Round/Quiet on a closed cluster return ErrClusterClosed
+// instead of panicking on (or hanging against) the released pool.
+func TestCloseIdempotentAndGuard(t *testing.T) {
+	noop := func(m int, in *Inbox, out *Outbox) {}
+	for _, cfg := range []Config{
+		{Machines: 4},
+		{Machines: 4, Workers: 3},
+	} {
+		c := NewCluster(cfg)
+		if err := c.Round(noop); err != nil {
+			t.Fatalf("cfg %+v: round on fresh cluster: %v", cfg, err)
+		}
+		c.Close()
+		c.Close() // idempotent
+		if err := c.Round(noop); !errors.Is(err, ErrClusterClosed) {
+			t.Fatalf("cfg %+v: Round after Close returned %v, want ErrClusterClosed", cfg, err)
+		}
+		if err := c.Quiet(); !errors.Is(err, ErrClusterClosed) {
+			t.Fatalf("cfg %+v: Quiet after Close returned %v, want ErrClusterClosed", cfg, err)
+		}
+	}
+}
+
+// TestRoundContextCancel: a canceled Config.Ctx fails the next round with
+// the context's error.
+func TestRoundContextCancel(t *testing.T) {
+	noop := func(m int, in *Inbox, out *Outbox) {}
+	ctx, cancel := context.WithCancel(context.Background())
+	c := NewCluster(Config{Machines: 4, Ctx: ctx})
+	defer c.Close()
+	c.ArmAll()
+	if err := c.Round(noop); err != nil {
+		t.Fatalf("round before cancel: %v", err)
+	}
+	cancel()
+	if err := c.Round(noop); !errors.Is(err, context.Canceled) {
+		t.Fatalf("round after cancel returned %v, want context.Canceled", err)
 	}
 }

@@ -150,7 +150,7 @@ type Outbox struct {
 // records carrying ints int words and floats float words in total, so the
 // appends that follow never regrow it. It is purely a capacity hint: it
 // frames nothing and charges nothing, a reservation no record follows never
-// reaches an inbox, the merge or a shard exchange, and a non-positive recs is
+// reaches an inbox or the merge, and a non-positive recs is
 // a no-op. Like Begin it must not be called with a record open.
 func (o *Outbox) Reserve(to, recs, ints, floats int) {
 	if o.cur != nil {

@@ -290,8 +290,7 @@ func TestColumnShapeChangeMidRound(t *testing.T) {
 		{Machines: 6, Sparse: true},
 		{Machines: 6},
 		{Machines: 6, Sparse: true, Workers: 2},
-		{Machines: 6, Sparse: true, Shards: 2},
-		{Machines: 6, Shards: 3, Workers: 2},
+		{Machines: 6, Workers: 2},
 	} {
 		cfg.Trace = true
 		M := cfg.Machines
@@ -542,13 +541,12 @@ func reserveScript(t *testing.T, c *Cluster, reserve bool) [][]Record {
 func TestReserveIsInvisible(t *testing.T) {
 	// Reserve is a capacity hint and nothing else: the same rounds with and
 	// without it deliver the same records in the same order and leave the
-	// same metrics and trace, on every scheduler and across a shard exchange.
+	// same metrics and trace, on every scheduler.
 	for _, cfg := range []Config{
 		{Machines: 5, Sparse: true},
 		{Machines: 5},
 		{Machines: 5, Sparse: true, Workers: 2},
-		{Machines: 6, Sparse: true, Shards: 2},
-		{Machines: 6, Shards: 3, Workers: 2},
+		{Machines: 6, Workers: 2},
 	} {
 		cfg.Trace = true
 		cfg.SpaceCap = 150 // low enough that the fan-in round violates it

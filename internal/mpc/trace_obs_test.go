@@ -1,6 +1,7 @@
 package mpc
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -8,45 +9,103 @@ import (
 	"repro/internal/obs"
 )
 
+// runWorkload drives a structurally rich deterministic workload — a dense
+// scatter, a sparse funnel with self-arming, float payloads, a quiet round —
+// and returns the per-machine state, metrics, and trace.
+func runWorkload(cfg Config) ([]int64, Metrics, []RoundStat, error) {
+	cfg.Trace = true
+	c := NewCluster(cfg)
+	defer c.Close()
+	M := cfg.Machines
+	state := make([]int64, M)
+
+	// Round 1: every machine scatters two records.
+	c.ArmAll()
+	err := c.Round(func(m int, in *Inbox, out *Outbox) {
+		out.Begin((m*7 + 1) % M)
+		out.Int(int64(m))
+		out.Float(float64(m) * 0.5)
+		out.End()
+		out.SendInts((m+3)%M, int64(m), int64(m*m))
+	})
+	if err != nil {
+		return nil, Metrics{}, nil, fmt.Errorf("scatter round: %w", err)
+	}
+
+	// Funnel rounds: receivers fold their traffic toward machine 0; every
+	// 8th machine self-arms once more after it first accumulates state.
+	for r := 0; r < 6; r++ {
+		err := c.Round(func(m int, in *Inbox, out *Outbox) {
+			var sum int64
+			for rec, ok := in.Next(); ok; rec, ok = in.Next() {
+				sum += int64(rec.From)
+				for _, v := range rec.Ints {
+					sum += v
+				}
+				for _, f := range rec.Floats {
+					sum += int64(f * 2)
+				}
+			}
+			if sum != 0 {
+				state[m] += sum
+				if m > 0 {
+					out.SendInts(m/2, sum)
+				}
+				if m%8 == 0 {
+					c.Arm(m)
+				}
+			}
+		})
+		if err != nil {
+			return nil, Metrics{}, nil, fmt.Errorf("funnel round %d: %w", r, err)
+		}
+		c.SetResident(r%M, 10+r)
+	}
+	if err := c.Quiet(); err != nil {
+		return nil, Metrics{}, nil, fmt.Errorf("quiet round: %w", err)
+	}
+	return state, c.Metrics(), c.Trace(), nil
+}
+
 // TestTracingDoesNotChangeResults is the determinism-vs-timing segregation
 // proof at the mpc layer: attaching a TraceSink changes nothing the
 // equivalence suites compare — state, metrics, and model traces are
-// bit-identical with and without a sink, unsharded and sharded — while the
+// bit-identical with and without a sink, sequential and pooled — while the
 // sink itself observes exactly the executed rounds.
 func TestTracingDoesNotChangeResults(t *testing.T) {
 	for _, sparse := range []bool{false, true} {
-		for _, shards := range []int{0, 3} {
-			base := Config{Machines: 33, SpaceCap: 1 << 20, Sparse: sparse, Shards: shards}
-			wantState, wantMetrics, wantTrace, err := runShardWorkload(base)
+		for _, workers := range []int{1, 2} {
+			base := Config{Machines: 33, SpaceCap: 1 << 20, Sparse: sparse, Workers: workers}
+			wantState, wantMetrics, wantTrace, err := runWorkload(base)
 			if err != nil {
-				t.Fatalf("sparse=%v shards=%d untraced: %v", sparse, shards, err)
+				t.Fatalf("sparse=%v workers=%d untraced: %v", sparse, workers, err)
 			}
 
 			ring := obs.NewRingSink(1024)
 			traced := base
 			traced.Sink = ring
 			traced.TraceLabel = "workload"
-			state, metrics, trace, err := runShardWorkload(traced)
+			state, metrics, trace, err := runWorkload(traced)
 			if err != nil {
-				t.Fatalf("sparse=%v shards=%d traced: %v", sparse, shards, err)
+				t.Fatalf("sparse=%v workers=%d traced: %v", sparse, workers, err)
 			}
 			if !reflect.DeepEqual(state, wantState) {
-				t.Errorf("sparse=%v shards=%d: tracing changed state", sparse, shards)
+				t.Errorf("sparse=%v workers=%d: tracing changed state", sparse, workers)
 			}
 			if metrics != wantMetrics {
-				t.Errorf("sparse=%v shards=%d: tracing changed metrics\n got %+v\nwant %+v",
-					sparse, shards, metrics, wantMetrics)
+				t.Errorf("sparse=%v workers=%d: tracing changed metrics\n got %+v\nwant %+v",
+					sparse, workers, metrics, wantMetrics)
 			}
 			if !reflect.DeepEqual(trace, wantTrace) {
-				t.Errorf("sparse=%v shards=%d: tracing changed the model trace", sparse, shards)
+				t.Errorf("sparse=%v workers=%d: tracing changed the model trace", sparse, workers)
 			}
 
 			// The sink saw every round, in order, with the model quantities
 			// agreeing with the model trace and timing fields consistent.
 			spans := ring.Snapshot()
 			if len(spans) != metrics.Rounds {
-				t.Fatalf("sparse=%v shards=%d: %d spans for %d rounds",
-					sparse, shards, len(spans), metrics.Rounds)
+				t.Fatalf("sparse=%v workers=%d: %d spans for %d rounds",
+					sparse, workers, len(spans), metrics.Rounds)
 			}
 			for i, s := range spans {
 				st := wantTrace[i]
@@ -62,45 +121,14 @@ func TestTracingDoesNotChangeResults(t *testing.T) {
 				if s.End.Before(s.Start) {
 					t.Errorf("span %d ends before it starts", i)
 				}
-				if sum := s.Compute + s.Merge + s.Barrier + s.Replay; sum > s.Duration()+time.Millisecond {
+				if sum := s.Compute + s.Merge; sum > s.Duration()+time.Millisecond {
 					t.Errorf("span %d phases (%v) exceed duration (%v)", i, sum, s.Duration())
 				}
-				if shards > 1 && s.Active > 0 && len(s.ShardWords) != 3 {
-					t.Errorf("span %d: sharded run should report 3 shard wire columns, got %v",
-						i, s.ShardWords)
+				if s.Barrier != 0 {
+					t.Errorf("span %d: Barrier = %v, want always zero", i, s.Barrier)
 				}
 			}
 		}
-	}
-}
-
-// TestShardedSpanWireWords checks the per-shard wire accounting: in a
-// single-process sharded cluster every cross-shard column is shipped, so
-// summing a round's ShardWords over rounds must equal the wire words the
-// transport actually moved (which the in-memory transport counts too).
-func TestShardedSpanWireWords(t *testing.T) {
-	ring := obs.NewRingSink(64)
-	c := NewCluster(Config{Machines: 8, Shards: 2, Sink: ring})
-	defer c.Close()
-	// Machine m sends one 2-word record to machine (m+4)%8 — every column
-	// crosses the shard boundary (shards are [0,4) and [4,8)).
-	err := c.Round(func(m int, in *Inbox, out *Outbox) {
-		out.SendInts((m+4)%8, int64(m), int64(m))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spans := ring.Snapshot()
-	if len(spans) != 1 {
-		t.Fatalf("want 1 span, got %d", len(spans))
-	}
-	var wire int64
-	for _, w := range spans[0].ShardWords {
-		wire += w
-	}
-	if wire != spans[0].Words {
-		t.Errorf("all traffic is cross-shard here, so wire words (%d) should equal delivered words (%d)",
-			wire, spans[0].Words)
 	}
 }
 

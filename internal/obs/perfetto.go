@@ -13,7 +13,7 @@ import (
 // file — the "JSON object format" both chrome://tracing and Perfetto
 // load. Each traced cluster becomes one named track (a tid under pid 0);
 // every round renders as a complete ("ph":"X") event carrying the model
-// quantities in args, with its compute/merge/barrier/replay phases as
+// quantities in args, with its compute and merge phases as
 // complete events nested inside it back-to-back. Timestamps are
 // microseconds relative to the sink's zero point, so a file starts near
 // ts 0 no matter when the process booted.
@@ -46,11 +46,10 @@ type traceEvent struct {
 
 // roundArgs annotates a round's parent event with the model quantities.
 type roundArgs struct {
-	Active     int     `json:"active"`
-	Words      int64   `json:"words"`
-	Messages   int     `json:"messages"`
-	MaxLoad    int     `json:"max_load"`
-	ShardWords []int64 `json:"shard_wire_words,omitempty"`
+	Active   int   `json:"active"`
+	Words    int64 `json:"words"`
+	Messages int   `json:"messages"`
+	MaxLoad  int   `json:"max_load"`
 }
 
 // NewChromeTrace returns a sink streaming to w, with the zero timestamp
@@ -120,8 +119,7 @@ func (c *ChromeTraceSink) RoundDone(s RoundSpan) {
 	}
 	if !c.named[s.Cluster] {
 		c.named[s.Cluster] = true
-		// The label names the track verbatim when set: producers fold their
-		// own identity into it (mrshard: "alg shard K"), and same-named
+		// The label names the track verbatim when set, and same-named
 		// tracks stay distinct rows through their tids. Unlabeled clusters
 		// fall back to the numeric id.
 		name := s.Label
@@ -133,18 +131,14 @@ func (c *ChromeTraceSink) RoundDone(s RoundSpan) {
 			Args: map[string]string{"name": name},
 		})
 	}
-	args := roundArgs{
-		Active: s.Active, Words: s.Words, Messages: s.Messages,
-		MaxLoad: s.MaxLoad,
-	}
-	if len(s.ShardWords) > 0 {
-		args.ShardWords = append([]int64(nil), s.ShardWords...)
-	}
 	c.emit(traceEvent{
 		Name: fmt.Sprintf("round %d", s.Round), Cat: "round", Ph: "X",
 		Pid: 0, Tid: s.Cluster,
 		Ts: c.us(s.Start), Dur: float64(s.Duration().Nanoseconds()) / 1e3,
-		Args: args,
+		Args: roundArgs{
+			Active: s.Active, Words: s.Words, Messages: s.Messages,
+			MaxLoad: s.MaxLoad,
+		},
 	})
 	// Phases nest inside the round event back-to-back from its start; the
 	// measured phases partition the round (up to inter-phase instants), so
@@ -156,8 +150,6 @@ func (c *ChromeTraceSink) RoundDone(s RoundSpan) {
 	}{
 		{"compute", s.Compute},
 		{"merge", s.Merge},
-		{"barrier", s.Barrier},
-		{"replay", s.Replay},
 	} {
 		if ph.d <= 0 {
 			continue

@@ -21,8 +21,8 @@ type parsedEvent struct {
 	Args map[string]any `json:"args"`
 }
 
-// goldenSpans is a deterministic two-cluster trace: fixed times, sharded
-// and unsharded rounds, a replay round.
+// goldenSpans is a deterministic two-cluster trace: fixed times, a labeled
+// and an unlabeled cluster, a quiet round.
 func goldenSpans() []RoundSpan {
 	t0 := time.Unix(1700000000, 0).UTC()
 	at := func(us int64) time.Time { return t0.Add(time.Duration(us) * time.Microsecond) }
@@ -32,16 +32,12 @@ func goldenSpans() []RoundSpan {
 			Active: 64, MaxLoad: 4096, Words: 1234, Messages: 321,
 			Start: at(0), End: at(900),
 			Compute: 500 * time.Microsecond, Merge: 250 * time.Microsecond,
-			Barrier:    100 * time.Microsecond,
-			ShardWords: []int64{0, 617, 617},
 		},
 		{
 			Label: "mis n=1000", Cluster: 1, Round: 2,
 			Active: 8, MaxLoad: 4096, Words: 99, Messages: 12,
 			Start: at(1000), End: at(1400),
 			Compute: 120 * time.Microsecond, Merge: 80 * time.Microsecond,
-			Replay:     150 * time.Microsecond,
-			ShardWords: []int64{0, 0, 0},
 		},
 		{
 			Label: "", Cluster: 2, Round: 1,
@@ -143,10 +139,6 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 		if ev.Cat == "round" && ev.Tid == 1 && ev.Name == "round 1" {
 			if ev.Args["words"].(float64) != 1234 || ev.Args["active"].(float64) != 64 {
 				t.Errorf("round 1 args lost model quantities: %v", ev.Args)
-			}
-			sw, ok := ev.Args["shard_wire_words"].([]any)
-			if !ok || len(sw) != 3 || sw[1].(float64) != 617 {
-				t.Errorf("round 1 shard_wire_words = %v", ev.Args["shard_wire_words"])
 			}
 		}
 	}

@@ -8,7 +8,7 @@
 //
 // The repo's core invariant is bit-identity: results, model metrics
 // (mpc.Metrics) and model traces (mpc.RoundStat) are identical across
-// executors, shard counts and transports. Wall-clock measurements can
+// executors and scheduling modes. Wall-clock measurements can
 // never satisfy that, so this package keeps them strictly segregated:
 // timing lives only in RoundSpan records streamed to a TraceSink, never
 // in the model structs the equivalence suites compare. Attaching or

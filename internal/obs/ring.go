@@ -4,10 +4,8 @@ import "sync"
 
 // RingSink is a TraceSink retaining the most recent spans in a fixed-size
 // ring — the in-memory trace behind mrserve's /v1/jobs/{id}/trace. Older
-// spans are overwritten; Dropped counts them. Each slot owns its
-// ShardWords backing array and reuses it across laps, so a steady-state
-// traced round costs two small copies and no allocation once the ring is
-// warm. Safe for concurrent use.
+// spans are overwritten; Dropped counts them. A traced round costs one
+// slot copy and no allocation. Safe for concurrent use.
 type RingSink struct {
 	mu      sync.Mutex
 	slots   []RoundSpan
@@ -28,10 +26,7 @@ func NewRingSink(capacity int) *RingSink {
 // RoundDone implements TraceSink.
 func (r *RingSink) RoundDone(s RoundSpan) {
 	r.mu.Lock()
-	slot := &r.slots[r.next]
-	buf := slot.ShardWords[:0]
-	*slot = s
-	slot.ShardWords = append(buf, s.ShardWords...)
+	r.slots[r.next] = s
 	r.next = (r.next + 1) % len(r.slots)
 	if r.filled < len(r.slots) {
 		r.filled++
@@ -58,8 +53,8 @@ func (r *RingSink) Dropped() uint64 {
 	return r.dropped
 }
 
-// Snapshot returns the retained spans oldest-first. The spans and their
-// ShardWords are deep copies, safe to hold while the ring keeps rolling.
+// Snapshot returns the retained spans oldest-first, as copies safe to hold
+// while the ring keeps rolling.
 func (r *RingSink) Snapshot() []RoundSpan {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -69,11 +64,7 @@ func (r *RingSink) Snapshot() []RoundSpan {
 		start += len(r.slots)
 	}
 	for i := 0; i < r.filled; i++ {
-		s := r.slots[(start+i)%len(r.slots)]
-		if s.ShardWords != nil {
-			s.ShardWords = append([]int64(nil), s.ShardWords...)
-		}
-		out = append(out, s)
+		out = append(out, r.slots[(start+i)%len(r.slots)])
 	}
 	return out
 }

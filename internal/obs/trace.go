@@ -10,19 +10,14 @@ import (
 // quantities of mpc.RoundStat (round number, words, messages, load,
 // activity) next to the *timing* quantities the model must never see:
 // phase durations and real timestamps. The model structs stay
-// bit-identical across executors and shard counts; spans do not and are
-// never compared for identity.
+// bit-identical across executors; spans do not and are never compared for
+// identity.
 //
 // The phase split follows the round structure of mpc.Cluster.Round:
 //
 //	Compute — the executor running the scheduled RoundFuncs
 //	Merge   — post-barrier bookkeeping: the sender walk, inbox assembly,
-//	          space accounting (everything after compute except the wire)
-//	Barrier — the sharded transport exchange: Send + Barrier + Receive +
-//	          ingest (zero when unsharded)
-//	Replay  — a detached replay round's exchange phase on a respawned
-//	          worker: the round is re-executed locally, so the wire time
-//	          it replaces is reported separately from a live barrier
+//	          space accounting (everything after compute)
 type RoundSpan struct {
 	// Label identifies the traced execution (a job id, an algorithm name);
 	// empty when the caller never set one.
@@ -42,15 +37,14 @@ type RoundSpan struct {
 
 	// Start and End bound the round in real time.
 	Start, End time.Time
-	// Compute, Merge, Barrier and Replay partition End.Sub(Start) (up to
-	// the instants between phases); see the phase split above.
-	Compute, Merge, Barrier, Replay time.Duration
-
-	// ShardWords[t] is the wire words this process shipped to shard t this
-	// round (nil when unsharded). The slice is scratch owned by the
-	// producer, valid only during the RoundDone call — sinks that retain
-	// the span must copy it.
-	ShardWords []int64
+	// Compute and Merge partition End.Sub(Start) (up to the instants
+	// between phases); see the phase split above.
+	Compute, Merge time.Duration
+	// Barrier is always zero. It timed the cross-shard exchange of the
+	// replicated sharding that was removed, and stays only because the
+	// benchmark harness (benchmark/trace.go), which must not change, still
+	// reads it.
+	Barrier time.Duration
 }
 
 // Duration returns the round's total wall-clock time.
@@ -114,17 +108,16 @@ type PhaseAccumulator struct {
 	compute time.Duration
 	merge   time.Duration
 	barrier time.Duration
-	replay  time.Duration
 }
 
 // PhaseMeans is an accumulator snapshot: mean microseconds per round for
-// each phase across every observed round.
+// each phase across every observed round. BarrierUS mirrors
+// RoundSpan.Barrier.
 type PhaseMeans struct {
 	Rounds    int64   `json:"rounds"`
 	ComputeUS float64 `json:"compute_us"`
 	MergeUS   float64 `json:"merge_us"`
 	BarrierUS float64 `json:"barrier_us"`
-	ReplayUS  float64 `json:"replay_us,omitempty"`
 }
 
 // RoundDone implements TraceSink.
@@ -134,7 +127,6 @@ func (a *PhaseAccumulator) RoundDone(s RoundSpan) {
 	a.compute += s.Compute
 	a.merge += s.Merge
 	a.barrier += s.Barrier
-	a.replay += s.Replay
 	a.mu.Unlock()
 }
 
@@ -155,6 +147,5 @@ func (a *PhaseAccumulator) Means() PhaseMeans {
 	m.ComputeUS = per(a.compute)
 	m.MergeUS = per(a.merge)
 	m.BarrierUS = per(a.barrier)
-	m.ReplayUS = per(a.replay)
 	return m
 }

@@ -6,33 +6,27 @@ import (
 )
 
 // span returns a synthetic round span with deterministic timestamps.
-func span(round int, shardWords []int64) RoundSpan {
+func span(round int) RoundSpan {
 	base := time.Unix(1000, 0).Add(time.Duration(round) * time.Millisecond)
 	return RoundSpan{
-		Label:      "test",
-		Cluster:    1,
-		Round:      round,
-		Active:     round * 2,
-		MaxLoad:    100 + round,
-		Words:      int64(10 * round),
-		Messages:   round,
-		Start:      base,
-		End:        base.Add(900 * time.Microsecond),
-		Compute:    400 * time.Microsecond,
-		Merge:      300 * time.Microsecond,
-		Barrier:    200 * time.Microsecond,
-		ShardWords: shardWords,
+		Label:    "test",
+		Cluster:  1,
+		Round:    round,
+		Active:   round * 2,
+		MaxLoad:  100 + round,
+		Words:    int64(10 * round),
+		Messages: round,
+		Start:    base,
+		End:      base.Add(900 * time.Microsecond),
+		Compute:  400 * time.Microsecond,
+		Merge:    300 * time.Microsecond,
 	}
 }
 
 func TestRingSinkRetainsNewestOldestFirst(t *testing.T) {
 	r := NewRingSink(4)
-	scratch := []int64{0, 0}
 	for round := 1; round <= 10; round++ {
-		// Reuse one scratch slice like the simulator does: the sink must
-		// copy, not retain.
-		scratch[0], scratch[1] = int64(round), int64(round*2)
-		r.RoundDone(span(round, scratch))
+		r.RoundDone(span(round))
 	}
 	if r.Len() != 4 {
 		t.Fatalf("Len() = %d, want 4", r.Len())
@@ -46,22 +40,21 @@ func TestRingSinkRetainsNewestOldestFirst(t *testing.T) {
 		if s.Round != wantRound {
 			t.Errorf("snapshot[%d].Round = %d, want %d", i, s.Round, wantRound)
 		}
-		if len(s.ShardWords) != 2 || s.ShardWords[0] != int64(wantRound) {
-			t.Errorf("snapshot[%d].ShardWords = %v, want [%d %d] (scratch not copied?)",
-				i, s.ShardWords, wantRound, wantRound*2)
+		if s.Words != int64(10*wantRound) {
+			t.Errorf("snapshot[%d].Words = %d, want %d", i, s.Words, 10*wantRound)
 		}
 	}
 	// Mutating the snapshot must not reach the ring's slots.
-	got[0].ShardWords[0] = -1
-	if again := r.Snapshot(); again[0].ShardWords[0] == -1 {
-		t.Error("Snapshot shares ShardWords backing with the ring")
+	got[0].Round = -1
+	if again := r.Snapshot(); again[0].Round == -1 {
+		t.Error("Snapshot shares its spans with the ring")
 	}
 }
 
 func TestRingSinkPartialFill(t *testing.T) {
 	r := NewRingSink(8)
-	r.RoundDone(span(1, nil))
-	r.RoundDone(span(2, nil))
+	r.RoundDone(span(1))
+	r.RoundDone(span(2))
 	got := r.Snapshot()
 	if len(got) != 2 || got[0].Round != 1 || got[1].Round != 2 {
 		t.Fatalf("partial snapshot wrong: %+v", got)
@@ -84,7 +77,7 @@ func TestMultiSinkFanOutAndNilFiltering(t *testing.T) {
 	}
 	a, b := NewRingSink(4), NewRingSink(4)
 	m := MultiSink(a, nil, b)
-	m.RoundDone(span(1, nil))
+	m.RoundDone(span(1))
 	if a.Len() != 1 || b.Len() != 1 {
 		t.Fatalf("fan-out missed a sink: a=%d b=%d", a.Len(), b.Len())
 	}

@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/ledger"
-	"repro/internal/mpc"
 	"repro/internal/obs"
 )
 
@@ -106,8 +105,7 @@ type Engine struct {
 	metrics   *Metrics
 	log       *slog.Logger
 	instances *instanceCache
-	transport mpc.TransportFactory // resolved once from cfg (nil = in-memory)
-	ledger    *ledger.Ledger       // durable job ledger; nil when disabled
+	ledger    *ledger.Ledger // durable job ledger; nil when disabled
 	// ledgerRecoveryErr remembers a failed startup recovery (corrupt chain
 	// on disk): the ledger above is then a memory-only substitute and every
 	// verification must keep reporting the damaged on-disk history instead
@@ -136,18 +134,13 @@ func NewEngine(cfg Config) *Engine {
 		metrics:   m,
 		log:       cfg.logger(),
 		instances: newInstanceCache(cfg.Instances, cfg.DataDir, m),
-		transport: cfg.transport(),
 		batch:     newBatcher(),
 		results:   newResultStore(cfg.Results),
 		jobs:      make(map[string]*Job),
 		queue:     make(chan *flight, cfg.QueueDepth),
 	}
-	// Export the configured shard count as a gauge so operators can tell a
-	// sharded deployment from /metrics alone.
-	m.inc("shards", uint64(cfg.Shards))
-	// Seed the degradation counters so they render as explicit zeros in
+	// Seed the abandonment counter so it renders as an explicit zero in
 	// /metrics before the first incident.
-	m.inc("fallback_unsharded_total", 0)
 	m.inc("jobs_abandoned_total", 0)
 	// flights_executed_total renders as an explicit zero from the start so
 	// a restarted server can prove "everything served from the ledger,
@@ -472,32 +465,17 @@ func (e *Engine) execute(f *flight) {
 	}
 }
 
-// run executes one flight's algorithm under the engine's sharding and
-// transport configuration. A sharded flight that dies with a transport
-// error — its fleet unhealthy beyond what recovery could repair — is
-// gracefully degraded: the job re-runs unsharded in this process, which is
-// bit-identical by construction (sharded and unsharded execution carry the
-// same results, metrics and traces), and the incident is counted in
-// fallback_unsharded_total. Canceled flights are not retried: their error
-// is deliberately not an mpc.ErrTransport, and nobody is waiting.
+// run executes one flight's algorithm under the engine's executor
+// configuration, canceled with the flight's context.
 func (e *Engine) run(alg core.Algorithm, in core.Input, f *flight) (*core.RunResult, error) {
-	p := core.Params{Mu: f.mu, Seed: f.seed, Workers: e.cfg.Workers,
-		Shards: e.cfg.Shards, Transport: e.transport, Ctx: f.ctx}
+	p := core.Params{Mu: f.mu, Seed: f.seed, Workers: e.cfg.Workers, Ctx: f.ctx}
 	if f.ring != nil {
 		// Guarded assignment: an unconditional p.Sink = f.ring would store a
 		// typed-nil in the interface and turn tracing "on" with a nil sink.
 		p.Sink = f.ring
 		p.TraceLabel = f.alg
 	}
-	run, err := alg.Run(in, p, f.args)
-	if err != nil && errors.Is(err, mpc.ErrTransport) && e.cfg.Shards > 1 && !e.cfg.NoFallback {
-		e.metrics.inc("fallback_unsharded_total", 1)
-		e.log.Warn("sharded flight hit a transport failure; retrying unsharded",
-			"alg", f.alg, "instance", f.instID, "err", err)
-		p.Shards, p.Transport = 0, nil
-		run, err = alg.Run(in, p, f.args)
-	}
-	return run, err
+	return alg.Run(in, p, f.args)
 }
 
 // finishLocked completes a job; requires the engine mutex.

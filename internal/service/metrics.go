@@ -10,11 +10,11 @@ import (
 
 // Metrics is the service's view onto an obs.Registry: service counters, a
 // job-latency histogram, a per-job active-machines histogram, and the
-// process-wide simulator totals (executor pool, transport, recovery,
-// chaos) exposed as gauges. WritePlain (GET /metrics) renders the
-// registry as a deterministic plain-text document whose line order and
-// formats are byte-compatible with the pre-obs bespoke writer — pinned by
-// TestMetricsGoldenDocument. All methods are safe for concurrent use.
+// process-wide executor-pool totals exposed as gauges. WritePlain (GET
+// /metrics) renders the registry as a deterministic plain-text document
+// whose line order and formats are byte-compatible with the pre-obs
+// bespoke writer — pinned by TestMetricsGoldenDocument. All methods are
+// safe for concurrent use.
 type Metrics struct {
 	reg      *obs.Registry
 	counters *obs.CounterSet
@@ -30,32 +30,18 @@ const latencyBucketCount = 18
 // power-of-two buckets; larger clusters land in the +Inf bucket.
 const activeBucketCount = 14
 
-// totalsFuncs are the process-wide simulator totals the registry renders
-// as gauges. NewMetrics wires the real mpc counters; the golden test
-// injects fixed values so the byte-format pin is independent of whatever
-// other tests in the binary have run.
-type totalsFuncs struct {
-	pool      func() (rounds, chunks uint64)
-	transport func() (batches, bytes uint64)
-	recovery  func() (retries, reconnects, respawns uint64)
-	chaos     func() (delays, dups, drops, tears uint64)
-}
-
-// NewMetrics returns a metrics set over the live process-wide totals.
-func NewMetrics() *Metrics {
-	return newMetricsWith(totalsFuncs{
-		pool:      mpc.PoolTotals,
-		transport: mpc.TransportTotals,
-		recovery:  mpc.RecoveryTotals,
-		chaos:     mpc.ChaosTotals,
-	})
-}
+// NewMetrics returns a metrics set over the live process-wide executor-pool
+// totals.
+func NewMetrics() *Metrics { return newMetricsWith(mpc.PoolTotals) }
 
 // newMetricsWith lays the registry out in the canonical exposition order:
 // the sorted service counters, the two histograms, then the fixed-order
 // process-wide gauges. Registration order is rendering order (obs), so
 // this function is the single definition of the /metrics document shape.
-func newMetricsWith(t totalsFuncs) *Metrics {
+// pool reports the executor-pool totals; NewMetrics wires the real mpc
+// counters, and the golden test injects fixed values so the byte-format pin
+// is independent of whatever other tests in the binary have run.
+func newMetricsWith(pool func() (rounds, chunks uint64)) *Metrics {
 	m := &Metrics{
 		reg:      obs.NewRegistry(),
 		counters: obs.NewCounterSet("mrserve_"),
@@ -69,43 +55,12 @@ func newMetricsWith(t totalsFuncs) *Metrics {
 	// the persistent-pool implementation): batches executed by pooled
 	// workers and task chunks claimed, straight from the simulator.
 	m.reg.Register(obs.NewGaugeFunc("mrserve_executor_pool_rounds_total", func() uint64 {
-		rounds, _ := t.pool()
+		rounds, _ := pool()
 		return rounds
 	}))
 	m.reg.Register(obs.NewGaugeFunc("mrserve_executor_pool_chunks_total", func() uint64 {
-		_, chunks := t.pool()
+		_, chunks := pool()
 		return chunks
-	}))
-	// Sharded-execution activity is likewise process-wide: column batches
-	// moved and wire bytes written across every transport endpoint (bytes
-	// stay 0 for the in-memory transport).
-	m.reg.Register(obs.NewGaugeFunc("mrserve_transport_batches_total", func() uint64 {
-		batches, _ := t.transport()
-		return batches
-	}))
-	m.reg.Register(obs.NewGaugeFunc("mrserve_transport_bytes_total", func() uint64 {
-		_, bytes := t.transport()
-		return bytes
-	}))
-	// Fault-tolerance activity, also process-wide: dial/send retries,
-	// connection re-establishments with replay, worker respawns (counted by
-	// the mrshard supervisor via mpc.AddWorkerRespawns), and the faults the
-	// chaos harness injected on purpose.
-	m.reg.Register(obs.NewGaugeFunc("mrserve_transport_retries_total", func() uint64 {
-		retries, _, _ := t.recovery()
-		return retries
-	}))
-	m.reg.Register(obs.NewGaugeFunc("mrserve_transport_reconnects_total", func() uint64 {
-		_, reconnects, _ := t.recovery()
-		return reconnects
-	}))
-	m.reg.Register(obs.NewGaugeFunc("mrserve_worker_respawns_total", func() uint64 {
-		_, _, respawns := t.recovery()
-		return respawns
-	}))
-	m.reg.Register(obs.NewGaugeFunc("mrserve_chaos_faults_total", func() uint64 {
-		delays, dups, drops, tears := t.chaos()
-		return delays + dups + drops + tears
 	}))
 	return m
 }

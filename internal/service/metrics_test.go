@@ -15,15 +15,8 @@ import (
 // document is byte-for-byte reproducible regardless of what other tests
 // in the binary did to the real mpc counters.
 func goldenMetrics() *Metrics {
-	m := newMetricsWith(totalsFuncs{
-		pool:      func() (uint64, uint64) { return 1200, 4800 },
-		transport: func() (uint64, uint64) { return 37, 65536 },
-		recovery:  func() (uint64, uint64, uint64) { return 2, 1, 3 },
-		chaos:     func() (uint64, uint64, uint64, uint64) { return 4, 0, 1, 2 },
-	})
+	m := newMetricsWith(func() (uint64, uint64) { return 1200, 4800 })
 	// The counter mix NewEngine seeds plus a short serving history.
-	m.inc("shards", 0)
-	m.inc("fallback_unsharded_total", 0)
 	m.inc("jobs_abandoned_total", 0)
 	m.inc("jobs_submitted_total", 5)
 	m.inc("jobs_completed_total", 4)
@@ -45,7 +38,7 @@ func goldenMetrics() *Metrics {
 
 // TestMetricsGoldenDocument pins the /metrics exposition byte-for-byte:
 // sorted service counters, the two power-of-two histograms in the exact
-// historical format, then the eight fixed-order process-wide gauges.
+// historical format, then the two fixed-order process-wide gauges.
 // serve_smoke.sh greps exact lines out of this document, so any drift is
 // an API break. Regenerate deliberately with
 // UPDATE_GOLDEN=1 go test ./internal/service -run TestMetricsGolden
@@ -73,27 +66,53 @@ func TestMetricsGoldenDocument(t *testing.T) {
 	}
 }
 
-// TestMetricsLiveTotalsWired checks NewMetrics reads the real process-wide
-// mpc counters (values only sanity-checked: other tests move them).
+// TestMetricsLiveTotalsWired checks a fresh engine's document reads the
+// real process-wide executor-pool counters and carries the counters
+// NewEngine seeds as explicit zeros.
 func TestMetricsLiveTotalsWired(t *testing.T) {
-	before, _, _ := mpc.RecoveryTotals()
-	mpc.AddWorkerRespawns(0) // no-op, proves linkage compiles against the real API
+	e := NewEngine(Config{Pool: 1})
+	defer e.Close()
 	var buf bytes.Buffer
-	if err := NewMetrics().WritePlain(&buf); err != nil {
+	if err := e.metrics.WritePlain(&buf); err != nil {
 		t.Fatalf("WritePlain: %v", err)
 	}
 	for _, want := range []string{
 		"mrserve_executor_pool_rounds_total ",
-		"mrserve_transport_batches_total ",
-		"mrserve_worker_respawns_total ",
-		"mrserve_chaos_faults_total ",
+		"mrserve_executor_pool_chunks_total ",
+		"mrserve_jobs_abandoned_total 0\n",
+		"mrserve_flights_executed_total 0\n",
 	} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Errorf("live document missing %q:\n%s", want, buf.Bytes())
 		}
 	}
-	after, _, _ := mpc.RecoveryTotals()
-	if after < before {
-		t.Errorf("recovery totals went backwards: %d -> %d", before, after)
+}
+
+// TestMetricsRecoveryLines: a live engine's /metrics exports its one
+// recovery counter, jobs_abandoned_total, even when zero, and none of the
+// fallback, transport, respawn or chaos lines that left with sharding.
+func TestMetricsRecoveryLines(t *testing.T) {
+	e := NewEngine(Config{Pool: 1})
+	defer e.Close()
+	var buf bytes.Buffer
+	if err := e.metrics.WritePlain(&buf); err != nil {
+		t.Fatalf("WritePlain: %v", err)
+	}
+	if want := "mrserve_jobs_abandoned_total 0\n"; !bytes.Contains(buf.Bytes(), []byte(want)) {
+		t.Errorf("live document missing %q:\n%s", want, buf.Bytes())
+	}
+	for _, gone := range []string{
+		"mrserve_shards ",
+		"mrserve_fallback_unsharded_total",
+		"mrserve_transport_batches_total",
+		"mrserve_transport_bytes_total",
+		"mrserve_transport_retries_total",
+		"mrserve_transport_reconnects_total",
+		"mrserve_worker_respawns_total",
+		"mrserve_chaos_faults_total",
+	} {
+		if bytes.Contains(buf.Bytes(), []byte(gone)) {
+			t.Errorf("live document still exports %q:\n%s", gone, buf.Bytes())
+		}
 	}
 }

@@ -39,7 +39,6 @@ import (
 	"log/slog"
 	"runtime"
 
-	"repro/internal/mpc"
 	"repro/internal/obs"
 )
 
@@ -54,11 +53,6 @@ type Config struct {
 	// several jobs in flight, cross-job parallelism usually beats
 	// within-job parallelism.
 	Workers int
-	// Shards partitions every job's clusters across that many in-process
-	// shards over the in-memory transport (core.Params.Shards). Results
-	// and metrics are bit-identical to unsharded execution; 0 or 1 runs
-	// unsharded. Default: 0.
-	Shards int
 	// Results caps the LRU result store. Default: 256.
 	Results int
 	// Instances caps the instance cache entry count. Default: 64.
@@ -68,28 +62,6 @@ type Config struct {
 	QueueDepth int
 	// JobHistory caps retained completed job records. Default: 4096.
 	JobHistory int
-	// Transport selects the wire for sharded jobs: "" or "mem" exchanges
-	// cross-shard column batches through the in-memory group, "tcp"
-	// through a loopback TCP mesh (one node per shard inside this
-	// process) — the same frame encoding, checksums and recovery
-	// machinery cmd/mrshard uses across real processes. Results are
-	// bit-identical either way; anything else is treated as "mem"
-	// (cmd/mrserve validates the flag before it gets here).
-	Transport string
-	// TransportOpts tunes the sharded transport: dial/barrier deadlines,
-	// retry budget, heartbeat cadence and the recovery wire log. The zero
-	// value uses the mpc defaults.
-	TransportOpts mpc.TransportOpts
-	// NoFallback disables graceful degradation: by default a sharded job
-	// whose flight fails with mpc.ErrTransport is re-executed unsharded
-	// in-process (bit-identical by construction — the shards replicate the
-	// same SPMD program) and counted in fallback_unsharded_total. With
-	// NoFallback set the job fails instead.
-	NoFallback bool
-	// Chaos injects a deterministic fault schedule into every sharded
-	// job's transport endpoints (soak/testing tool); the zero spec
-	// injects nothing.
-	Chaos mpc.ChaosSpec
 	// TraceRounds caps the per-flight round-trace ring served by
 	// GET /v1/jobs/{id}/trace: each executed flight retains its newest
 	// TraceRounds wall-clock round spans (phase timings — observability
@@ -97,7 +69,7 @@ type Config struct {
 	// 256; negative disables round tracing. Default: 256.
 	TraceRounds int
 	// Logger receives structured lifecycle events (submissions, flight
-	// executions, fallbacks) tagged with job and flight ids. nil disables
+	// executions) tagged with job and flight ids. nil disables
 	// logging.
 	Logger *slog.Logger
 	// DataDir, when set, is the out-of-core instance store: uploaded and
@@ -119,29 +91,6 @@ type Config struct {
 	// LedgerSegmentBytes rotates the ledger's active segment past this
 	// size; 0 uses ledger.DefaultSegmentBytes.
 	LedgerSegmentBytes int64
-
-	// transportFactory overrides the resolved transport (tests).
-	transportFactory mpc.TransportFactory
-}
-
-// transport resolves the factory handed to core.Params.Transport for
-// sharded jobs: the test hook if set, else the named transport, with the
-// chaos schedule (if any) wrapped around it.
-func (c Config) transport() mpc.TransportFactory {
-	f := c.transportFactory
-	if f == nil {
-		switch c.Transport {
-		case "tcp":
-			f = mpc.TCPLoopback(c.TransportOpts)
-		default:
-			if c.Chaos.Enabled() {
-				// Chaos needs a concrete factory to wrap; nil would select
-				// the in-memory group deep inside mpc, past the wrapper.
-				f = mpc.MemTransport
-			}
-		}
-	}
-	return c.Chaos.Wrap(f)
 }
 
 // withDefaults fills zero fields.

@@ -7,8 +7,8 @@ import (
 )
 
 // The job trace endpoint: GET /v1/jobs/{id}/trace serves the wall-clock
-// round spans the job's flight recorded — phase timings, per-shard wire
-// bytes — as JSON. This is observability data, deliberately outside the
+// round spans the job's flight recorded — phase timings and traffic — as
+// JSON. This is observability data, deliberately outside the
 // deterministic Result: two runs of the same job return bit-identical
 // Results and arbitrarily different traces. The ring is internally
 // synchronized, so a running job's trace can be read live.
@@ -25,11 +25,6 @@ type TraceRound struct {
 	WallUS   float64   `json:"wall_clock_us"`
 	Compute  float64   `json:"compute_us"`
 	Merge    float64   `json:"merge_us"`
-	Barrier  float64   `json:"barrier_us,omitempty"`
-	Replay   float64   `json:"replay_us,omitempty"`
-	// ShardWireWords is the per-destination-shard cross-shard traffic of a
-	// sharded round (words shipped to each shard, own shard always 0).
-	ShardWireWords []int64 `json:"shard_wire_words,omitempty"`
 }
 
 // TraceView is the GET /v1/jobs/{id}/trace response.
@@ -71,12 +66,9 @@ func (e *Engine) Trace(id string) (TraceView, bool) {
 		v.Rounds = append(v.Rounds, TraceRound{
 			Round: s.Round, Active: s.Active, MaxLoad: s.MaxLoad,
 			Words: s.Words, Messages: s.Messages, Start: s.Start,
-			WallUS:         us(s.Duration()),
-			Compute:        us(s.Compute),
-			Merge:          us(s.Merge),
-			Barrier:        us(s.Barrier),
-			Replay:         us(s.Replay),
-			ShardWireWords: s.ShardWords,
+			WallUS:  us(s.Duration()),
+			Compute: us(s.Compute),
+			Merge:   us(s.Merge),
 		})
 	}
 	return v, true
