@@ -22,8 +22,10 @@
 // to saving the in-heap graph.
 //
 // Standard output is the result and is deterministic; one line on standard
-// error, "mrrun: instance <s> run <s> total <s>", says where the wall-clock
-// went.
+// error, "mrrun: instance <s> run <s> total <s> peak_rss <MB> heap <MB>",
+// says where the wall-clock went, how high the resident set peaked (VmHWM,
+// or getrusage's ru_maxrss where there is no /proc) and how much heap the
+// run left live (runtime/metrics' /gc/heap/live:bytes after a collection).
 package main
 
 import (
@@ -166,11 +168,15 @@ func main() {
 	fmt.Printf("cluster: machines=%d rounds=%d words=%d messages=%d maxSpace=%d maxResident=%d violations=%d\n",
 		m.Machines, m.Rounds, m.WordsSent, m.Messages,
 		m.MaxSpace, m.MaxResident, m.Violations)
-	// Where the seconds went, on stderr so that stdout stays the
-	// deterministic result: building or loading the instance (-save
-	// included), the algorithm, and the whole process since flag parsing.
-	fmt.Fprintf(os.Stderr, "mrrun: instance %.3fs run %.3fs total %.3fs\n",
-		instanceDone.Sub(start).Seconds(), runDone.Sub(runStart).Seconds(), time.Since(start).Seconds())
+	// Where the seconds and the megabytes went, on stderr so that stdout
+	// stays the deterministic result: building or loading the instance
+	// (-save included), the algorithm, and the whole process since flag
+	// parsing; then the process's resident-set peak and the heap still live
+	// after the run.
+	total := time.Since(start)
+	fmt.Fprintf(os.Stderr, "mrrun: instance %.3fs run %.3fs total %.3fs peak_rss %.1fMB heap %.1fMB\n",
+		instanceDone.Sub(start).Seconds(), runDone.Sub(runStart).Seconds(), total.Seconds(),
+		peakRSSMB(), liveHeapMB())
 }
 
 func exitOn(err error) {

@@ -366,17 +366,22 @@ func appendRecord(buf []byte, r *Record) []byte {
 	return buf
 }
 
-// scanFile parses every record frame in path, calling fn (when non-nil)
-// for each. Returns the count, the byte offset after the last whole valid
-// record, and whether the file ends in a torn record: one whose frame runs
-// past EOF, or whose checksum fails with no valid data after it. A
-// checksum failure that is NOT at the physical tail is corruption and
-// returns a *CorruptError instead.
+// scanFile parses every record frame in path with scanBytes.
 func scanFile(path string, fn func(*Record) error) (n uint64, good int64, torn bool, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, 0, false, err
 	}
+	return scanBytes(data, path, fn)
+}
+
+// scanBytes parses every record frame in data, the contents of the segment
+// file path, calling fn (when non-nil) for each. Returns the count, the byte
+// offset after the last whole valid record, and whether the file ends in a
+// torn record: one whose frame runs past EOF, or whose checksum fails with
+// no valid data after it. A checksum failure that is NOT at the physical
+// tail is corruption and returns a *CorruptError naming path instead.
+func scanBytes(data []byte, path string, fn func(*Record) error) (n uint64, good int64, torn bool, err error) {
 	off := int64(0)
 	for int(off) < len(data) {
 		rest := data[off:]

@@ -209,16 +209,18 @@ func NewCluster(cfg Config) *Cluster {
 	return c
 }
 
-// Close releases the cluster's persistent worker pool, if it owns one. It
-// is idempotent and safe to call on clusters that never had one; Round and
-// Quiet after Close return ErrClusterClosed. A cluster that is
-// garbage-collected without Close leaks its pool goroutines only until the
-// pool's finalizer runs.
+// Close releases the cluster's persistent worker pool, if it owns one, and
+// passes the message columns its outboxes reserved to the clusters that
+// follow. It is idempotent and safe to call on clusters that never had a
+// pool; Round and Quiet after Close return ErrClusterClosed. A cluster that
+// is garbage-collected without Close leaks its pool goroutines only until
+// the pool's finalizer runs.
 func (c *Cluster) Close() {
 	if c.closed {
 		return
 	}
 	c.closed = true
+	handOff(c.outboxes)
 	if c.pool != nil {
 		c.pool.Close()
 		c.pool = nil
@@ -393,7 +395,7 @@ type RoundFunc func(machine int, in *Inbox, out *Outbox)
 // traffic, checks the cap, and assembles each destination's inbox from the
 // senders' columns in machine order, so delivery order, metrics, and traces
 // are deterministic and executor-independent. The columns backing the
-// inboxes consumed this round are recycled into the column pool.
+// inboxes consumed this round are released for reuse (see plane.go).
 func (c *Cluster) Round(f RoundFunc) error {
 	if err := c.ready(); err != nil {
 		return err

@@ -18,10 +18,15 @@ package mpc
 // emission order) order, so delivery order, metrics, and traces are
 // bit-identical to the per-Message representation.
 //
-// Pooling. Columns are recycled through a sync.Pool: a column travels
-// outbox → inbox → pool → outbox. The columns backing a round's inboxes are
-// released when the round that consumed them ends, which is why Records are
-// views that must not be retained across rounds.
+// Pooling. A column travels outbox → inbox → back, and the columns backing
+// a round's inboxes are released when the round that consumed them ends,
+// which is why Records are views that must not be retained across rounds.
+// Where a released column goes depends on who sized it. A column Reserve
+// sized belongs to the reserving outbox and comes back to it, so the next
+// Reserve finds its capacity there; at Cluster.Close those columns pass to
+// the next cluster's reservations. Every other column goes to a sync.Pool.
+// Within a cluster, a reserved column therefore never serves a one-word
+// fan-out, which would leave its capacity spread across the pool.
 
 import (
 	"fmt"
@@ -61,11 +66,12 @@ type column struct {
 	shape  recMeta   // shape of every record while recs is empty
 	recs   []recMeta // per-record framing index, empty while uniform
 	words  int       // accounted words, including one header word per record
+	owner  *Outbox   // the outbox whose Reserve sized the column, nil if none did
 }
 
 func (c *column) reset() {
 	c.ints, c.floats, c.recs = c.ints[:0], c.floats[:0], c.recs[:0]
-	c.n, c.shape, c.words = 0, recMeta{}, 0
+	c.n, c.shape, c.words, c.owner = 0, recMeta{}, 0, nil
 }
 
 // frame appends one record of shape m to the framing. It is the only place
@@ -106,9 +112,9 @@ func (c *column) meta(i int) recMeta {
 	return c.recs[i]
 }
 
-// columnPool recycles columns across rounds (and clusters). Get/Put are
-// concurrency-safe, so outboxes may acquire columns from inside a parallel
-// round.
+// columnPool recycles the columns no Reserve sized across rounds (and
+// clusters). Get/Put are concurrency-safe, so outboxes may acquire columns
+// from inside a parallel round.
 var columnPool = sync.Pool{New: func() any { return new(column) }}
 
 func getColumn() *column { return columnPool.Get().(*column) }
@@ -116,6 +122,65 @@ func getColumn() *column { return columnPool.Get().(*column) }
 func putColumn(c *column) {
 	c.reset()
 	columnPool.Put(c)
+}
+
+// release takes back a column its inbox has consumed, or a spare no record
+// claimed: a column Reserve sized returns, reset, to the outbox that
+// reserved it, any other to the pool. It runs after the round's barrier.
+func release(c *column) {
+	o := c.owner
+	if o == nil {
+		putColumn(c)
+		return
+	}
+	c.reset()
+	o.kept = append(o.kept, c)
+}
+
+// handoff holds the columns the outboxes of the last closed cluster had
+// reserved, for the reservations of the clusters that follow.
+var handoff struct {
+	sync.Mutex
+	cols []*column
+}
+
+// handOff passes the columns the outboxes keep to the hand-off set. The set
+// it replaces goes to the pool, so reserved capacity still reaches unhinted
+// sends, one cluster later.
+func handOff(outboxes []Outbox) {
+	var cols []*column
+	for i := range outboxes {
+		cols = append(cols, outboxes[i].kept...)
+		outboxes[i].kept = nil
+	}
+	handoff.Lock()
+	cols, handoff.cols = handoff.cols, cols
+	handoff.Unlock()
+	for _, c := range cols {
+		putColumn(c)
+	}
+}
+
+// takeFit removes from cols and returns the column that best fits ints
+// words: the smallest with room for them, else the largest. It returns nil
+// if cols is empty.
+func takeFit(cols *[]*column, ints int) *column {
+	s := *cols
+	if len(s) == 0 {
+		return nil
+	}
+	best := 0
+	for i, c := range s[1:] {
+		b, k := cap(s[best].ints), cap(c.ints)
+		if b >= ints && k >= ints && k < b || b < ints && k > b {
+			best = i + 1
+		}
+	}
+	c := s[best]
+	last := len(s) - 1
+	s[best], s[last] = s[last], nil
+	*cols = s[:last]
+	return c
 }
 
 // Outbox collects the records a machine emits during a round, written into
@@ -139,6 +204,7 @@ type Outbox struct {
 	dests   []int     // destinations with at least one record, in first-use order
 	spare   []*column // lazily allocated: columns sized by Reserve that no record has claimed yet
 	spared  []int     // destinations Reserve put a spare column under this round
+	kept    []*column // columns this outbox reserved, back from the inboxes that consumed them
 	words   int
 	count   int
 	cur     *column // column of the open record, nil outside Begin/End
@@ -152,6 +218,10 @@ type Outbox struct {
 // frames nothing and charges nothing, a reservation no record follows never
 // reaches an inbox or the merge, and a non-positive recs is
 // a no-op. Like Begin it must not be called with a record open.
+//
+// The column it sizes belongs to this outbox from then on: once consumed it
+// comes back here, never to the pool, and a later Reserve takes the best fit
+// of the columns kept before it looks in the hand-off set or the pool.
 func (o *Outbox) Reserve(to, recs, ints, floats int) {
 	if o.cur != nil {
 		panic("mpc: Outbox.Reserve with a record open")
@@ -174,17 +244,34 @@ func (o *Outbox) Reserve(to, recs, ints, floats int) {
 		}
 		col = o.spare[to]
 		if col == nil {
-			col = getColumn()
+			col = o.fetch(ints)
 			o.spare[to] = col
 			o.spared = append(o.spared, to)
 		}
 	}
+	col.owner = o
 	if len(col.recs) != 0 {
 		// Only a column that already mixes shapes has an index to size.
 		col.recs = slices.Grow(col.recs, recs)
 	}
 	col.ints = slices.Grow(col.ints, max(ints, 0))
 	col.floats = slices.Grow(col.floats, max(floats, 0))
+}
+
+// fetch finds Reserve a column for ints words: the best fit of the columns
+// this outbox keeps, else of the hand-off set, else one from the pool. Only
+// the owner's RoundFunc calls it, so kept needs no lock.
+func (o *Outbox) fetch(ints int) *column {
+	if col := takeFit(&o.kept, ints); col != nil {
+		return col
+	}
+	handoff.Lock()
+	col := takeFit(&handoff.cols, ints)
+	handoff.Unlock()
+	if col != nil {
+		return col
+	}
+	return getColumn()
 }
 
 // lookup returns the column addressed to machine `to` if a record can go
@@ -321,9 +408,9 @@ func (o *Outbox) SendInts(to int, ints ...int64) {
 }
 
 // reset prepares the outbox for the next round. The columns it filled are
-// owned by the destination inboxes from the merge onwards, so only the
+// held by the destination inboxes from the merge onwards, so only the
 // references are dropped here; a spare column no record claimed never left
-// the outbox and goes back to the pool.
+// the outbox and is released at once.
 func (o *Outbox) reset() {
 	for _, dest := range o.dests {
 		o.byDest[dest] = nil
@@ -331,7 +418,7 @@ func (o *Outbox) reset() {
 	o.dests = o.dests[:0]
 	for _, dest := range o.spared {
 		if col := o.spare[dest]; col != nil {
-			putColumn(col)
+			release(col)
 			o.spare[dest] = nil
 		}
 	}
@@ -393,10 +480,10 @@ func (in *Inbox) Next() (rec Record, ok bool) {
 	return Record{}, false
 }
 
-// clear releases the inbox's columns back to the pool and empties it.
+// clear releases the inbox's columns and empties it.
 func (in *Inbox) clear() {
 	for _, seg := range in.segs {
-		putColumn(seg.col)
+		release(seg.col)
 	}
 	in.segs = in.segs[:0]
 	in.records, in.words = 0, 0

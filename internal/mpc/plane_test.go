@@ -7,6 +7,8 @@ package mpc
 import (
 	"fmt"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -538,10 +540,78 @@ func reserveScript(t *testing.T, c *Cluster, reserve bool) [][]Record {
 	return got
 }
 
+// framedThenUniform is two clusters' traffic, one sending round each, from
+// machine 1 to machine 0: the first cluster's column mixes shapes, so it is
+// framed; the second cluster's is uniform.
+var framedThenUniform = [2][]planeMsg{
+	{
+		{from: 1, to: 0, ints: []int64{1}},
+		{from: 1, to: 0, ints: []int64{2, 3}, floats: []float64{0.5}},
+		{from: 1, to: 0},
+		{from: 1, to: 0, ints: []int64{4, 5, 6}, api: 2},
+	},
+	{
+		{from: 1, to: 0, ints: []int64{7}},
+		{from: 1, to: 0, ints: []int64{8}, api: 1},
+		{from: 1, to: 0, ints: []int64{9}, api: 2},
+	},
+}
+
+// msgScript returns a script that sends msgs in one round — each sender
+// first reserving every destination's exact volume when reserve is set —
+// and reads them in the next, in the shape of reserveScript.
+func msgScript(msgs []planeMsg) func(*testing.T, *Cluster, bool) [][]Record {
+	return func(t *testing.T, c *Cluster, reserve bool) [][]Record {
+		t.Helper()
+		got := make([][]Record, c.M())
+		for _, m := range msgs {
+			c.Arm(m.from)
+		}
+		send := func(machine int, _ *Inbox, out *Outbox) {
+			if reserve {
+				recs, ints, floats := make([]int, c.M()), make([]int, c.M()), make([]int, c.M())
+				for _, m := range msgs {
+					if m.from == machine {
+						recs[m.to]++
+						ints[m.to] += len(m.ints)
+						floats[m.to] += len(m.floats)
+					}
+				}
+				for to := range recs {
+					out.Reserve(to, recs[to], ints[to], floats[to])
+				}
+			}
+			for _, m := range msgs {
+				if m.from == machine {
+					m.emit(out)
+				}
+			}
+		}
+		read := func(machine int, in *Inbox, _ *Outbox) {
+			for r, ok := in.Next(); ok; r, ok = in.Next() {
+				got[machine] = append(got[machine], Record{
+					From:   r.From,
+					Ints:   append([]int64(nil), r.Ints...),
+					Floats: append([]float64(nil), r.Floats...),
+				})
+			}
+		}
+		for i, f := range []RoundFunc{send, read} {
+			if err := c.Round(f); err != nil {
+				t.Fatalf("round %d: %v", i+1, err)
+			}
+		}
+		return got
+	}
+}
+
 func TestReserveIsInvisible(t *testing.T) {
 	// Reserve is a capacity hint and nothing else: the same rounds with and
 	// without it deliver the same records in the same order and leave the
-	// same metrics and trace, on every scheduler.
+	// same metrics and trace, on every scheduler — on a first cluster, and on
+	// a second one whose reservations the first one's columns serve. The
+	// last case reuses a column framed with mixed shapes for a uniform
+	// reservation: nothing of its framing may survive the reset.
 	for _, cfg := range []Config{
 		{Machines: 5, Sparse: true},
 		{Machines: 5},
@@ -549,26 +619,50 @@ func TestReserveIsInvisible(t *testing.T) {
 		{Machines: 6, Workers: 2},
 	} {
 		cfg.Trace = true
-		cfg.SpaceCap = 150 // low enough that the fan-in round violates it
-		plain := NewCluster(cfg)
-		want := reserveScript(t, plain, false)
-		reserved := NewCluster(cfg)
-		got := reserveScript(t, reserved, true)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%+v: delivery differs with Reserve\n got %v\nwant %v", cfg, got, want)
+		cfg.SpaceCap = 150 // low enough that reserveScript's fan-in round violates it
+		for k, scripts := range [][2]func(*testing.T, *Cluster, bool) [][]Record{
+			{reserveScript, reserveScript},
+			{msgScript(framedThenUniform[0]), msgScript(framedThenUniform[1])},
+		} {
+			// The plain runs go first: each one's Close empties the hand-off
+			// set, so the reserved clusters then run back to back.
+			var want [2][][]Record
+			var plain [2]*Cluster
+			for i, script := range scripts {
+				plain[i] = NewCluster(cfg)
+				want[i] = script(t, plain[i], false)
+				plain[i].Close()
+			}
+			if k == 0 && plain[0].Metrics().Violations == 0 {
+				t.Errorf("%+v: the script should exceed the cap once", cfg)
+			}
+			for i, script := range scripts {
+				handed := handOffLen()
+				reserved := NewCluster(cfg)
+				got := script(t, reserved, true)
+				if i == 1 && handOffLen() == handed {
+					t.Errorf("%+v: cluster 2 took none of the %d columns cluster 1 handed off", cfg, handed)
+				}
+				if !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("%+v: cluster %d: delivery differs with Reserve\n got %v\nwant %v", cfg, i+1, got, want[i])
+				}
+				if g, w := reserved.Metrics(), plain[i].Metrics(); g != w {
+					t.Errorf("%+v: cluster %d: metrics differ with Reserve\n got %+v\nwant %+v", cfg, i+1, g, w)
+				}
+				if !reflect.DeepEqual(reserved.Trace(), plain[i].Trace()) {
+					t.Errorf("%+v: cluster %d: trace differs with Reserve\n got %+v\nwant %+v", cfg, i+1, reserved.Trace(), plain[i].Trace())
+				}
+				reserved.Close()
+			}
 		}
-		if g, w := reserved.Metrics(), plain.Metrics(); g != w {
-			t.Errorf("%+v: metrics differ with Reserve\n got %+v\nwant %+v", cfg, g, w)
-		}
-		if !reflect.DeepEqual(reserved.Trace(), plain.Trace()) {
-			t.Errorf("%+v: trace differs with Reserve\n got %+v\nwant %+v", cfg, reserved.Trace(), plain.Trace())
-		}
-		if plain.Metrics().Violations == 0 {
-			t.Errorf("%+v: the script should exceed the cap once", cfg)
-		}
-		plain.Close()
-		reserved.Close()
 	}
+}
+
+// handOffLen returns the number of columns in the hand-off set.
+func handOffLen() int {
+	handoff.Lock()
+	defer handoff.Unlock()
+	return len(handoff.cols)
 }
 
 func TestReserveWithoutRecordLeavesNoTrace(t *testing.T) {
@@ -609,14 +703,11 @@ func TestReserveWithoutRecordLeavesNoTrace(t *testing.T) {
 }
 
 func TestReserveOnLargeColumnAllocatesNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("under the race detector sync.Pool drops columns at random")
-	}
 	c := NewCluster(Config{Machines: 2})
 	o := &c.outboxes[0]
-	// Size one column, then let it travel through the pool: reserving the
-	// same volume again must find the capacity already there, whether the
-	// column is still the outbox's spare or comes back from the pool.
+	// Size one column, then release it unclaimed: reserving the same volume
+	// again must find the capacity already there, whether the column is
+	// still the outbox's spare or is back among the columns it keeps.
 	o.Reserve(1, 1000, 2000, 500)
 	if allocs := testing.AllocsPerRun(100, func() { o.Reserve(1, 1000, 2000, 500) }); allocs != 0 {
 		t.Errorf("re-reserving a sized column: %v allocations", allocs)
@@ -626,7 +717,7 @@ func TestReserveOnLargeColumnAllocatesNothing(t *testing.T) {
 		o.Reserve(1, 1000, 2000, 500)
 	})
 	if allocs != 0 {
-		t.Errorf("reserving on a pooled column: %v allocations", allocs)
+		t.Errorf("reserving on a kept column: %v allocations", allocs)
 	}
 	col := o.spare[1]
 	if cap(col.ints) < 2000 || cap(col.floats) < 500 {
@@ -657,6 +748,146 @@ func TestReserveOnLargeColumnAllocatesNothing(t *testing.T) {
 	}
 	putColumn(col)
 	o.reset()
+}
+
+// allocated returns how many heap objects f allocated, and their bytes.
+func allocated(f func()) (allocs, bytes uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+func TestReservedColumnsStayWithTheirOwner(t *testing.T) {
+	// The traffic shape of Algorithm 6, ten times over: data machines 1–44
+	// reserve and send a sampling-sized column to the central machine, the
+	// central machine takes it in during a round of its own, and every
+	// machine sends every machine one word. A column Reserve sized must come
+	// back to the outbox that reserved it: no fan-out column may carry
+	// sampling-sized capacity, the fan-in must reuse its columns without
+	// allocating, and a second cluster's first fan-in must be served from the
+	// columns the first one handed off at Close.
+	const M, recs, words, iterations = 45, 100, 6000, 10
+	round := func(c *Cluster, f RoundFunc) {
+		t.Helper()
+		if err := c.Round(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nop := func(int, *Inbox, *Outbox) {}
+	// One P: the pool's per-P chains stay where the warm-up below grows
+	// them. A warm round that moves nothing allocates only its executor
+	// closure; the fan-in may allocate no more. Closing that idle cluster,
+	// which reserved nothing, empties the hand-off set of earlier tests'
+	// columns, two collections empty the pool, and none runs after.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	idle := NewCluster(Config{Machines: 1})
+	round(idle, nop)
+	perRound, _ := allocated(func() { round(idle, nop) })
+	idle.Close()
+	runtime.GC()
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+
+	payload := make([]int64, words/recs)
+	fanIn := func(machine int, _ *Inbox, out *Outbox) {
+		if machine != 0 {
+			out.Reserve(0, recs, words, 0)
+			for i := 0; i < recs; i++ {
+				out.SendInts(0, payload...)
+			}
+		}
+	}
+	// The central machine takes the sample in and computes in a round of
+	// its own, which releases the sampling columns before the fan-out runs.
+	central := func(c *Cluster) {
+		t.Helper()
+		if in := c.Inbox(0); in.Len() != (M-1)*recs || in.Words() != (M-1)*(recs+words) {
+			t.Errorf("central inbox holds %d records / %d words", in.Len(), in.Words())
+		}
+		if err := c.Quiet(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wideFanOuts := 0
+	fanOut := func(machine int, _ *Inbox, out *Outbox) {
+		for to := 0; to < M; to++ {
+			out.SendInts(to, int64(machine))
+		}
+		for _, col := range out.byDest {
+			if cap(col.ints) >= words {
+				wideFanOuts++
+			}
+		}
+	}
+	// fanIns runs the script on c and returns the allocations of each fan-in.
+	fanIns := func(c *Cluster) (allocs []uint64) {
+		for i := 0; i < iterations; i++ {
+			a, _ := allocated(func() { round(c, fanIn) })
+			allocs = append(allocs, a)
+			central(c)
+			round(c, fanOut)
+		}
+		return allocs
+	}
+	closeEmpty := func(c *Cluster) {
+		t.Helper()
+		c.Close()
+		for m := range c.outboxes {
+			if n := len(c.outboxes[m].kept); n != 0 {
+				t.Errorf("machine %d keeps %d columns after Close", m, n)
+			}
+		}
+	}
+
+	warm := NewCluster(Config{Machines: M})
+	for i := 0; i < 3; i++ {
+		round(warm, fanOut)
+	}
+	warm.Close()
+
+	first := NewCluster(Config{Machines: M})
+	for i, a := range fanIns(first)[1:] {
+		if a > perRound {
+			t.Errorf("fan-in %d allocated %d objects, an idle round %d; a reserved column should come back to its outbox",
+				i+2, a, perRound)
+		}
+	}
+	closeEmpty(first)
+	handed := map[*column]bool{}
+	handoff.Lock()
+	for _, col := range handoff.cols {
+		handed[col] = cap(col.ints) >= words
+	}
+	handoff.Unlock()
+	if len(handed) != M-1 {
+		t.Fatalf("Close handed off %d columns, want the %d reserved ones", len(handed), M-1)
+	}
+
+	second := NewCluster(Config{Machines: M})
+	served := 0
+	_, bytes := allocated(func() {
+		round(second, func(machine int, in *Inbox, out *Outbox) {
+			fanIn(machine, in, out)
+			if machine != 0 && handed[out.byDest[0]] {
+				served++
+			}
+		})
+	})
+	// The new outboxes allocate their destination tables, but no column:
+	// all the fan-in allocates is less than one reservation's payload.
+	if served != M-1 || bytes >= words*8 {
+		t.Errorf("second cluster's first fan-in: %d of %d columns from the hand-off set, %d bytes allocated",
+			served, M-1, bytes)
+	}
+	central(second)
+	round(second, fanOut)
+	fanIns(second)
+	closeEmpty(second)
+	if wideFanOuts != 0 {
+		t.Errorf("%d fan-out columns carried sampling-sized capacity", wideFanOuts)
+	}
 }
 
 func TestReservePanics(t *testing.T) {
