@@ -7,6 +7,8 @@ package core
 // the sequential one, machine for machine and word for word.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 
@@ -169,187 +171,158 @@ func scrubResultActive(res interface{}) {
 	}
 }
 
-// TestExecutorEquivalence runs every algorithm across the full scheduling
-// matrix — {dense, sparse} × {sequential, 4-worker parallel pool} — and
-// requires results (full result structs, including histories and solution
-// sets) and model metrics identical to the dense sequential baseline, i.e.
-// the pre-sparse simulator. Run under -race this is also the enforcement
-// that every RoundFunc in this package confines its writes to machine-owned
-// state, and that the arming contract covers every machine that must act on
-// an empty inbox (a missed Arm shows up as a diverging result). The two
-// sparse runs must additionally agree on the activity metrics themselves:
-// scheduling is executor-independent.
-func TestExecutorEquivalence(t *testing.T) {
-	r := rng.New(424242)
-	g := graph.Density(180, 0.35, r)
-	g.AssignUniformWeights(r, 1, 10)
-	w := make([]float64, g.N)
-	for i := range w {
-		w[i] = r.UniformWeight(1, 10)
-	}
-	vcInst := setcover.FromVertexCover(g, w)
-	scInst := setcover.RandomSized(320, 64, 8, 5, r)
+// equivInstance is one input of TestExecutorEquivalence: a weighted graph,
+// its vertex-cover set system, and a general set-cover instance.
+type equivInstance struct {
+	name   string
+	g      *graph.Graph
+	vc, sc *setcover.Instance
+}
 
-	type run struct {
-		name string
-		f    func(p Params) (interface{}, mpc.Metrics, error)
+// equivInstances returns the dense random graph the suite has always used
+// and a preferential-attachment graph, whose skewed degrees leave a few hub
+// owners busy while the other machines go dormant.
+func equivInstances() []equivInstance {
+	build := func(name string, g *graph.Graph, r *rng.RNG, sc func(*rng.RNG) *setcover.Instance) equivInstance {
+		g.AssignUniformWeights(r, 1, 10)
+		w := make([]float64, g.N)
+		for i := range w {
+			w[i] = r.UniformWeight(1, 10)
+		}
+		return equivInstance{name: name, g: g, vc: setcover.FromVertexCover(g, w), sc: sc(r)}
 	}
-	runs := []run{
-		{"RLRMatching", func(p Params) (interface{}, mpc.Metrics, error) {
-			res, err := RLRMatching(g, p, MatchingOptions{})
-			if err != nil {
-				return nil, mpc.Metrics{}, err
-			}
-			return res, res.Metrics, nil
-		}},
-		{"BMatching", func(p Params) (interface{}, mpc.Metrics, error) {
-			res, err := BMatching(g, p, BMatchingOptions{Eps: 0.2})
-			if err != nil {
-				return nil, mpc.Metrics{}, err
-			}
-			return res, res.Metrics, nil
-		}},
-		{"RLRSetCover-VC", func(p Params) (interface{}, mpc.Metrics, error) {
-			res, err := RLRSetCover(vcInst, p, CoverOptions{VertexCoverMode: true})
-			if err != nil {
-				return nil, mpc.Metrics{}, err
-			}
-			return res, res.Metrics, nil
-		}},
-		{"RLRSetCover-general", func(p Params) (interface{}, mpc.Metrics, error) {
-			res, err := RLRSetCover(vcInst, p, CoverOptions{})
-			if err != nil {
-				return nil, mpc.Metrics{}, err
-			}
-			return res, res.Metrics, nil
-		}},
-		{"HGSetCover", func(p Params) (interface{}, mpc.Metrics, error) {
-			res, err := HGSetCover(scInst, p, HGCoverOptions{Eps: 0.2})
-			if err != nil {
-				return nil, mpc.Metrics{}, err
-			}
-			return res, res.Metrics, nil
-		}},
-		{"HGSetCover-preprocess", func(p Params) (interface{}, mpc.Metrics, error) {
-			res, err := HGSetCover(scInst, p, HGCoverOptions{Eps: 0.2, Preprocess: true})
-			if err != nil {
-				return nil, mpc.Metrics{}, err
-			}
-			return res, res.Metrics, nil
-		}},
-		{"MIS", func(p Params) (interface{}, mpc.Metrics, error) {
-			res, err := MIS(g, p)
-			if err != nil {
-				return nil, mpc.Metrics{}, err
-			}
-			return res, res.Metrics, nil
-		}},
-		{"MISFast", func(p Params) (interface{}, mpc.Metrics, error) {
-			res, err := MISFast(g, p)
-			if err != nil {
-				return nil, mpc.Metrics{}, err
-			}
-			return res, res.Metrics, nil
-		}},
-		{"LubyMIS", func(p Params) (interface{}, mpc.Metrics, error) {
-			res, err := LubyMIS(g, p)
-			if err != nil {
-				return nil, mpc.Metrics{}, err
-			}
-			return res, res.Metrics, nil
-		}},
-		{"MaximalClique", func(p Params) (interface{}, mpc.Metrics, error) {
-			res, err := MaximalClique(g, p)
-			if err != nil {
-				return nil, mpc.Metrics{}, err
-			}
-			return res, res.Metrics, nil
-		}},
-		{"VertexColouring", func(p Params) (interface{}, mpc.Metrics, error) {
-			res, err := VertexColouring(g, p)
-			if err != nil {
-				return nil, mpc.Metrics{}, err
-			}
-			return res, res.Metrics, nil
-		}},
-		{"EdgeColouring", func(p Params) (interface{}, mpc.Metrics, error) {
-			res, err := EdgeColouring(g, p)
-			if err != nil {
-				return nil, mpc.Metrics{}, err
-			}
-			return res, res.Metrics, nil
-		}},
-		{"FilteringMatching", func(p Params) (interface{}, mpc.Metrics, error) {
-			res, err := FilteringMatching(g, p)
-			if err != nil {
-				return nil, mpc.Metrics{}, err
-			}
-			return res, res.Metrics, nil
-		}},
-		{"FilteringWeighted", func(p Params) (interface{}, mpc.Metrics, error) {
-			res, err := FilteringWeightedMatching(g, p)
-			if err != nil {
-				return nil, mpc.Metrics{}, err
-			}
-			return res, res.Metrics, nil
-		}},
-		{"LayeredParallel", func(p Params) (interface{}, mpc.Metrics, error) {
-			res, err := LayeredParallelMatching(g, p, 0.5)
-			if err != nil {
-				return nil, mpc.Metrics{}, err
-			}
-			return res, res.Metrics, nil
-		}},
-	}
-	modes := []struct {
-		name string
-		p    Params
-	}{
-		{"dense-seq", Params{Mu: 0.25, Seed: 99, Workers: 1, Dense: true}},
-		{"dense-par", Params{Mu: 0.25, Seed: 99, Workers: 4, Dense: true}},
-		{"sparse-seq", Params{Mu: 0.25, Seed: 99, Workers: 1}},
-		{"sparse-par", Params{Mu: 0.25, Seed: 99, Workers: 4}},
-	}
-	for _, rn := range runs {
+	r := rng.New(424242)
+	density := build("density", graph.Density(180, 0.35, r), r, func(r *rng.RNG) *setcover.Instance {
+		return setcover.RandomSized(320, 64, 8, 5, r)
+	})
+	r = rng.New(5150)
+	pa := build("pa", graph.PreferentialAttachment(300, 4, r), r, func(r *rng.RNG) *setcover.Instance {
+		return setcover.RandomFrequency(400, 80, 3, 5, r)
+	})
+	return []equivInstance{density, pa}
+}
+
+// equivRuns lists every algorithm (and option variant) of the package as a
+// function of an instance and the parameters.
+var equivRuns = []struct {
+	name string
+	f    func(in equivInstance, p Params) (interface{}, error)
+}{
+	{"RLRMatching", func(in equivInstance, p Params) (interface{}, error) {
+		return RLRMatching(in.g, p, MatchingOptions{})
+	}},
+	{"BMatching", func(in equivInstance, p Params) (interface{}, error) {
+		return BMatching(in.g, p, BMatchingOptions{Eps: 0.2})
+	}},
+	{"RLRSetCover-VC", func(in equivInstance, p Params) (interface{}, error) {
+		return RLRSetCover(in.vc, p, CoverOptions{VertexCoverMode: true})
+	}},
+	{"RLRSetCover-general", func(in equivInstance, p Params) (interface{}, error) {
+		return RLRSetCover(in.vc, p, CoverOptions{})
+	}},
+	{"HGSetCover", func(in equivInstance, p Params) (interface{}, error) {
+		return HGSetCover(in.sc, p, HGCoverOptions{Eps: 0.2})
+	}},
+	{"HGSetCover-preprocess", func(in equivInstance, p Params) (interface{}, error) {
+		return HGSetCover(in.sc, p, HGCoverOptions{Eps: 0.2, Preprocess: true})
+	}},
+	{"MIS", func(in equivInstance, p Params) (interface{}, error) { return MIS(in.g, p) }},
+	{"MISFast", func(in equivInstance, p Params) (interface{}, error) { return MISFast(in.g, p) }},
+	{"LubyMIS", func(in equivInstance, p Params) (interface{}, error) { return LubyMIS(in.g, p) }},
+	{"MaximalClique", func(in equivInstance, p Params) (interface{}, error) { return MaximalClique(in.g, p) }},
+	{"VertexColouring", func(in equivInstance, p Params) (interface{}, error) { return VertexColouring(in.g, p) }},
+	{"EdgeColouring", func(in equivInstance, p Params) (interface{}, error) { return EdgeColouring(in.g, p) }},
+	{"FilteringMatching", func(in equivInstance, p Params) (interface{}, error) { return FilteringMatching(in.g, p) }},
+	{"FilteringWeighted", func(in equivInstance, p Params) (interface{}, error) {
+		return FilteringWeightedMatching(in.g, p)
+	}},
+	{"LayeredParallel", func(in equivInstance, p Params) (interface{}, error) {
+		return LayeredParallelMatching(in.g, p, 0.5)
+	}},
+}
+
+// equivDigests pins the SHA-256 of each run's full %+v result — solution
+// sets, weights, histories and every metric, activity counters included —
+// keyed by "instance/algorithm". They were taken while the simulator still
+// had a dense scheduling mode and both modes agreed on every model quantity,
+// so they carry that proof forward: a missed Arm, a RoundFunc that writes
+// outside its machine, or any drift in charging changes a digest.
+var equivDigests = map[string]string{
+	"density/BMatching":             "b567086e43ddaeb7d9c55c890d4b417f17518c771beb2d6f28faf5ad1bc23e5b",
+	"density/EdgeColouring":         "894ba02dd1240999be9796ebee2f8e7b39b6f62cb5ecebbbea785df78e8f7b6f",
+	"density/FilteringMatching":     "90b2856adb97fb32aff4b0515c1cbd57181a14fd5f62e5f5c914b6ee20287d92",
+	"density/FilteringWeighted":     "5421d7db67644bc8c28fc131970f6b711710f2395d8141ed608c5b1f9baedc32",
+	"density/HGSetCover":            "35a3239ac03585a07e0053d6408a1f0b6182615b59299d5eb077efbbf3e098b4",
+	"density/HGSetCover-preprocess": "26909c23206dc1422460b2469fc18ab947502e18ee0f03f3dd3e8b3df0dc73ac",
+	"density/LayeredParallel":       "bfc640b8ad98526a701e609464da37211f828a2273ee85e1b0c3ac0d0873e551",
+	"density/LubyMIS":               "2b8af58e42c8420d8991723c87ebef60a744f83cfa364d3d5fb5c31cca477170",
+	"density/MIS":                   "cdba58c418452ecec71550cf9f0ff1d44e8e78b95180bd81a1f646868bb20974",
+	"density/MISFast":               "ea1c9fe2b6554c84b00559a1fdc5928926f17ec3431b64d22b7ec40b63cdda39",
+	"density/MaximalClique":         "90744507944c80a36cba302421e65a04a168c28f9a154b9ea7a28d8869a7bf79",
+	"density/RLRMatching":           "c4051f7d3a552bfde30bae16eee0e3816bfdd5827db692c2f0a5102ca3e5d044",
+	"density/RLRSetCover-VC":        "f01fb7eba4a6f947184c47b0951a0af5cdf082acfec064add3d128e57eba60b7",
+	"density/RLRSetCover-general":   "7594c0373686564d514dbfe93419f7f0d711d0c2df958132109ffac4459a4c78",
+	"density/VertexColouring":       "ba690c1280e3d8f4cd8993cd297e6194529f1d18e84cb1b6e829aec82851d3b8",
+	"pa/BMatching":                  "0495095828f6feb079f6cac566a2fbdf7a566973b300c03b8fbe080c7776726d",
+	"pa/EdgeColouring":              "c2629f2794d56383dba8ca273c1e7feb71a50c319405f91b1611eca8c28d1389",
+	"pa/FilteringMatching":          "e4b7fc3abf412b1889d43c3c6077b4a10f91f6513d60ba1460f878e2fcc37b1c",
+	"pa/FilteringWeighted":          "a6f42f86f8ecd9ffcc89d16f7dd42866a6c104821124628e64589e453b9c9a1a",
+	"pa/HGSetCover":                 "327c3925a8a760b2fae5e48aa22cb6605704993f75158a4837bc510eca948158",
+	"pa/HGSetCover-preprocess":      "d4d912d7c02b59bc3fc47c6bd0d208ce91c5f13e340e59d92eb707e0bce1a3e8",
+	"pa/LayeredParallel":            "e52ddc0d1d17e7151dc2ff98ec024c431a4676ee9d8164a8661f393670fe7381",
+	"pa/LubyMIS":                    "7f47ea26966b7ac770eae06766b8501e5c47e3328132fb128b14a9ae91089080",
+	"pa/MIS":                        "7282ff838da80edf41fe569cf0f90582638c8ca682700c38db1976fef9cf44ed",
+	"pa/MISFast":                    "5968f72dfabfbbe3233a06f26ac2529b6b9a04fd76762e5cafffacf1d8e969ec",
+	"pa/MaximalClique":              "9334fe05c48bfd17e0be26c1185cfe8d31fb474fd734cc2eb9ba032a92e4f0e8",
+	"pa/RLRMatching":                "9c62b6686efbdcaaef5def06e31b804241d4a59582c5715d1589c35ad3015c33",
+	"pa/RLRSetCover-VC":             "54499234380a18298960ddd9ab1855fbe7d711c1791f7d91fd81f0bae2fbaa6f",
+	"pa/RLRSetCover-general":        "edfc1416cc8bdbfaa4d1b1639f90da067faf23e3497bb6769ef9bbd5feef34a2",
+	"pa/VertexColouring":            "405aa0a3c969176abb0452485f94fbbc8cbe5d6e5c5644212aff86eecc2131a9",
+}
+
+// resultDigest renders a result with %+v (struct fields in order, map keys
+// sorted) and hashes the text.
+func resultDigest(res interface{}) string {
+	sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", res)))
+	return hex.EncodeToString(sum[:])
+}
+
+// TestExecutorEquivalence runs every algorithm on every equivalence instance
+// on one worker and on a four-worker pool, and requires each full result to
+// hash to its pinned digest. Run under -race this is also the enforcement
+// that every RoundFunc in this package confines its writes to machine-owned
+// state. The dense rows rerun each case with every machine invoked every
+// round and require the same results and model metrics, activity aside.
+func TestExecutorEquivalence(t *testing.T) {
+	instances := equivInstances()
+	for _, rn := range equivRuns {
 		rn := rn
 		t.Run(rn.name, func(t *testing.T) {
-			var baseStr string
-			var baseMet mpc.Metrics
-			var sparseMet []mpc.Metrics
-			for i, mode := range modes {
-				res, met, err := rn.f(mode.p)
-				if err != nil {
-					t.Fatalf("%s run: %v", mode.name, err)
+			for _, in := range instances {
+				key := in.name + "/" + rn.name
+				var sparseStr string
+				for _, workers := range []int{1, 4} {
+					res, err := rn.f(in, Params{Mu: 0.25, Seed: 99, Workers: workers})
+					if err != nil {
+						t.Fatalf("%s workers=%d: %v", key, workers, err)
+					}
+					if got := resultDigest(res); got != equivDigests[key] {
+						t.Errorf("%s workers=%d: digest %s, pinned %s", key, workers, got, equivDigests[key])
+					}
+					scrubResultActive(res)
+					sparseStr = fmt.Sprintf("%+v", res)
 				}
-				if !mode.p.Dense {
-					sparseMet = append(sparseMet, met)
-					if met.ActiveSum > baseMet.ActiveSum {
-						t.Errorf("%s ran more RoundFunc invocations (%d) than dense (%d)",
-							mode.name, met.ActiveSum, baseMet.ActiveSum)
+				for _, workers := range []int{1, 4} {
+					res, err := rn.f(in, Params{Mu: 0.25, Seed: 99, Workers: workers, Dense: true})
+					if err != nil {
+						t.Fatalf("%s dense workers=%d: %v", key, workers, err)
+					}
+					scrubResultActive(res)
+					if str := fmt.Sprintf("%+v", res); str != sparseStr {
+						t.Errorf("%s dense workers=%d diverges from sparse:\n  sparse %.300s\n  dense  %.300s",
+							key, workers, sparseStr, str)
 					}
 				}
-				// fmt prints struct fields in order and map keys sorted, so
-				// the rendered forms compare the complete results (solution
-				// sets, weights, histories, model metrics) with only the
-				// activity fields masked.
-				scrubResultActive(res)
-				str := fmt.Sprintf("%+v", res)
-				if i == 0 {
-					baseStr, baseMet = str, met
-					continue
-				}
-				if scrubActive(met) != scrubActive(baseMet) {
-					t.Errorf("%s metrics diverge from dense-seq:\n  base %+v\n  got  %+v",
-						mode.name, baseMet, met)
-				}
-				if str != baseStr {
-					t.Errorf("%s results diverge from dense-seq:\n  base %.300s\n  got  %.300s",
-						mode.name, baseStr, str)
-				}
-			}
-			if len(sparseMet) == 2 && sparseMet[0] != sparseMet[1] {
-				t.Errorf("sparse scheduling is executor-dependent:\n  seq %+v\n  par %+v",
-					sparseMet[0], sparseMet[1])
 			}
 		})
 	}
