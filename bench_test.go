@@ -557,15 +557,12 @@ func benchMsgPlaneFanout(b *testing.B, wideEvery int) {
 func BenchmarkMsgPlaneOneWordFanout(b *testing.B)    { benchMsgPlaneFanout(b, 0) }
 func BenchmarkMsgPlaneMixedShapeFanout(b *testing.B) { benchMsgPlaneFanout(b, 16) }
 
-// --- Neighbor-scan kernel pairs ---
+// --- Neighbor-scan kernels ---
 //
-// The before/after evidence for the CSR-native neighbour kernel: the same
-// alive-neighbour accumulation (the per-machine primitive every algorithm
-// in this repository runs) through the legacy edge-id indirection
-// (IncidentEdges + Edges[id].Other with its two-way branch) versus the
-// contiguous Neighbors / NeighborsW slabs. On the Figure 1 workload the
-// CSR form is several times faster; the validate benchmark shows the same
-// kernel inside graph.IsMaximalIndependentSet.
+// The alive-neighbour accumulation every algorithm in this repository runs
+// per machine, over the contiguous Neighbors / NeighborsW slabs; the
+// validate benchmark shows the same kernel inside
+// graph.IsMaximalIndependentSet.
 
 func neighborScanGraph() *graph.Graph {
 	r := rng.New(42)
@@ -573,28 +570,6 @@ func neighborScanGraph() *graph.Graph {
 	g.AssignUniformWeights(r, 1, 100)
 	g.Build()
 	return g
-}
-
-func BenchmarkNeighborScanEdgeID(b *testing.B) {
-	g := neighborScanGraph()
-	alive := make([]bool, g.N)
-	for v := range alive {
-		alive[v] = v%3 != 0
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		count := 0
-		for v := 0; v < g.N; v++ {
-			for _, id := range g.IncidentEdges(v) {
-				if alive[g.Edges[id].Other(v)] {
-					count++
-				}
-			}
-		}
-		if count == 0 {
-			b.Fatal("empty scan")
-		}
-	}
 }
 
 func BenchmarkNeighborScanCSR(b *testing.B) {
@@ -614,25 +589,6 @@ func BenchmarkNeighborScanCSR(b *testing.B) {
 			}
 		}
 		if count == 0 {
-			b.Fatal("empty scan")
-		}
-	}
-}
-
-func BenchmarkNeighborScanWeightedEdgeID(b *testing.B) {
-	g := neighborScanGraph()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sum := 0.0
-		for v := 0; v < g.N; v++ {
-			for _, id := range g.IncidentEdges(v) {
-				e := g.Edges[id]
-				if e.Other(v) > v {
-					sum += e.W
-				}
-			}
-		}
-		if sum == 0 {
 			b.Fatal("empty scan")
 		}
 	}
@@ -691,12 +647,11 @@ func BenchmarkGraphBuildPar4(b *testing.B) { benchGraphBuild(b, 4) }
 // (misState.disseminate: one sampled candidate ships to the central machine,
 // the central machine routes the decision to the owner, the owner notifies
 // two neighbours' owners, the owners apply the update) on a large cluster
-// where almost every machine is already decided and dormant. Dense
-// scheduling charges every one of the M machines a no-op RoundFunc plus four
-// O(M) bookkeeping passes per round; sparse scheduling touches only the
-// 1-3 active machines per round, which is where the >= 2x win at
-// GOMAXPROCS=1 comes from. Model metrics are identical by construction
-// (mpc.TestSparseMatchesDense, core.TestExecutorEquivalence).
+// where almost every machine is already decided and dormant. A cluster
+// without Config.Sparse runs every one of the M machines' no-op RoundFuncs
+// each round; a sparse one runs only the 1-3 active machines per round,
+// which is where the >= 2x win at GOMAXPROCS=1 comes from. Model metrics
+// are identical by construction (mpc.TestSparseMatchesDense).
 
 func benchSparseTail(b *testing.B, sparse bool) {
 	const machines = 1024
@@ -757,23 +712,22 @@ func benchSparseTail(b *testing.B, sparse bool) {
 func BenchmarkSparseTailDense(b *testing.B)  { benchSparseTail(b, false) }
 func BenchmarkSparseTailSparse(b *testing.B) { benchSparseTail(b, true) }
 
-// --- Executor round-overhead pairs ---
+// --- Executor round overhead ---
 //
-// The before/after evidence for the persistent pool: the same chunked batch
-// of trivial tasks per round through the spawn-per-Execute Parallel executor
-// versus a long-lived Pool. Run with -benchmem: the Spawn variant pays one
-// goroutine spawn per worker per round (visible as allocations and context
-// switches), while the Persistent variant spawns zero goroutines per round
-// in steady state (mpc.TestPoolSteadyStateSpawnsNoGoroutines pins this) and
-// allocates only its per-batch job header.
+// A chunked batch of trivial tasks per round through a long-lived Pool. In
+// steady state it spawns zero goroutines per round
+// (mpc.TestPoolSteadyStateSpawnsNoGoroutines pins this) and allocates only
+// its per-batch job header; run with -benchmem.
 
-func benchExecutorRoundOverhead(b *testing.B, exec mpc.Executor) {
+func BenchmarkExecutorRoundOverheadPersistent(b *testing.B) {
 	const tasks = 256
+	p := mpc.NewPool(4)
+	defer p.Close()
 	sink := make([]int64, tasks)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		exec.Execute(tasks, func(t int) { sink[t]++ })
+		p.Execute(tasks, func(t int) { sink[t]++ })
 	}
 	b.StopTimer()
 	for t := range sink {
@@ -781,16 +735,6 @@ func benchExecutorRoundOverhead(b *testing.B, exec mpc.Executor) {
 			b.Fatalf("task %d ran %d times, want %d", t, sink[t], b.N)
 		}
 	}
-}
-
-func BenchmarkExecutorRoundOverheadSpawn(b *testing.B) {
-	benchExecutorRoundOverhead(b, mpc.Parallel{Workers: 4})
-}
-
-func BenchmarkExecutorRoundOverheadPersistent(b *testing.B) {
-	p := mpc.NewPool(4)
-	defer p.Close()
-	benchExecutorRoundOverhead(b, p)
 }
 
 // --- Sequential baselines, for the wall-clock comparison columns ---

@@ -31,6 +31,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -82,6 +83,10 @@ func main() {
 	entry, ok := core.LookupAlgorithm(*alg)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "mrrun: unknown algorithm %q (use -alg list)\n", *alg)
+		os.Exit(2)
+	}
+	if math.IsNaN(*mu) || math.IsInf(*mu, 0) {
+		fmt.Fprintf(os.Stderr, "mrrun: -mu must be finite, got %g\n", *mu)
 		os.Exit(2)
 	}
 

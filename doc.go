@@ -4,11 +4,11 @@
 //
 // The library lives in internal packages:
 //
-//   - internal/mpc      — the MapReduce/MPC cluster simulator (sparse
-//     round scheduling that charges each round O(active machines) via the
-//     Arm/ArmAll contract, per-machine space accounting over incremental
-//     aggregates, broadcast trees, the pluggable round executor — a
-//     persistent chunked worker pool in parallel mode — the columnar
+//   - internal/mpc      — the MapReduce/MPC cluster simulator (one round
+//     path over a run list that charges each round O(active machines) via
+//     the Arm/ArmAll contract, per-machine space accounting over
+//     incremental aggregates, broadcast trees, the round executor —
+//     sequential, or a persistent chunked worker pool — the columnar
 //     zero-copy message plane that carries round traffic allocation-free,
 //     and between-round context cancellation);
 //   - internal/core     — the paper's eight MapReduce algorithms plus the

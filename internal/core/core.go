@@ -56,13 +56,6 @@ type Params struct {
 	// pool of that many goroutines, < 0 uses one per CPU. Results and
 	// metrics are identical for every setting; only wall-clock changes.
 	Workers int
-	// Dense disables the simulator's sparse round scheduling, invoking
-	// every machine's RoundFunc every round as the pre-arming simulator
-	// did. The algorithms arm exactly the machines that must act on empty
-	// inboxes, so results and model metrics are identical either way (the
-	// equivalence tests enforce it); sparse is the default because tail
-	// rounds then cost O(active machines) instead of O(M).
-	Dense bool
 	// Ctx, when non-nil, cancels the run between rounds: once canceled,
 	// every cluster's next Round returns the context's error, so an
 	// abandoned job stops burning rounds instead of running to completion.
@@ -117,7 +110,9 @@ func treeDegree(base int, mu float64) int {
 
 // newCluster builds a cluster with machines sized by cap and a slack factor:
 // the paper's caps are O(·), so the enforced cap is slack*cap words. The
-// cluster inherits the Params' strictness and round executor.
+// cluster inherits the Params' strictness and round executor, and runs only
+// the machines the algorithm arms or sends to (mpc.Config.Sparse): every
+// algorithm arms each machine that must act on an empty inbox.
 func newCluster(machines, cap int, p Params, slack float64) *mpc.Cluster {
 	enforced := 0
 	if cap > 0 {
@@ -128,7 +123,7 @@ func newCluster(machines, cap int, p Params, slack float64) *mpc.Cluster {
 		SpaceCap:   enforced,
 		Strict:     p.Strict,
 		Workers:    p.Workers,
-		Sparse:     !p.Dense,
+		Sparse:     true,
 		Ctx:        p.Ctx,
 		Sink:       p.Sink,
 		TraceLabel: p.TraceLabel,
@@ -186,8 +181,8 @@ func (s *markSet) sorted() []int {
 }
 
 // armPlanned arms every machine whose pre-drawn per-machine plan is
-// non-empty — the common sparse-scheduling pattern of the sampling rounds,
-// where the driver already knows exactly which machines will send.
+// non-empty — the common arming pattern of the sampling rounds, where the
+// driver already knows exactly which machines will send.
 func armPlanned[T any](c *mpc.Cluster, plan [][]T) {
 	for machine, p := range plan {
 		if len(p) > 0 {

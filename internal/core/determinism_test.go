@@ -13,161 +13,26 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/mpc"
 	"repro/internal/rng"
 	"repro/internal/setcover"
 )
 
 func TestDeterminismAllAlgorithms(t *testing.T) {
-	r := rng.New(160)
-	g := graph.Density(150, 0.35, r)
-	g.AssignUniformWeights(r, 1, 10)
-	w := make([]float64, g.N)
-	for i := range w {
-		w[i] = r.UniformWeight(1, 10)
-	}
-	vcInst := setcover.FromVertexCover(g, w)
-	scInst := setcover.RandomSized(300, 60, 8, 5, r)
 	p := Params{Mu: 0.25, Seed: 77}
-
-	type run struct {
-		name string
-		f    func() (int, float64, int, error) // size, weight, rounds
-	}
-	runs := []run{
-		{"RLRMatching", func() (int, float64, int, error) {
-			res, err := RLRMatching(g, p, MatchingOptions{})
-			if err != nil {
-				return 0, 0, 0, err
+	for _, in := range equivInstances() {
+		for _, rn := range equivRuns {
+			var digests [2]string
+			for i := range digests {
+				res, err := rn.f(in, p)
+				if err != nil {
+					t.Fatalf("%s/%s run %d: %v", in.name, rn.name, i+1, err)
+				}
+				digests[i] = resultDigest(res)
 			}
-			return len(res.Edges), res.Weight, res.Metrics.Rounds, nil
-		}},
-		{"BMatching", func() (int, float64, int, error) {
-			res, err := BMatching(g, p, BMatchingOptions{Eps: 0.2})
-			if err != nil {
-				return 0, 0, 0, err
+			if digests[0] != digests[1] {
+				t.Fatalf("%s/%s not deterministic: digest %s, then %s", in.name, rn.name, digests[0], digests[1])
 			}
-			return len(res.Edges), res.Weight, res.Metrics.Rounds, nil
-		}},
-		{"RLRSetCover", func() (int, float64, int, error) {
-			res, err := RLRSetCover(vcInst, p, CoverOptions{VertexCoverMode: true})
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			return len(res.Cover), res.Weight, res.Metrics.Rounds, nil
-		}},
-		{"HGSetCover", func() (int, float64, int, error) {
-			res, err := HGSetCover(scInst, p, HGCoverOptions{Eps: 0.2})
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			return len(res.Cover), res.Weight, res.Metrics.Rounds, nil
-		}},
-		{"MIS", func() (int, float64, int, error) {
-			res, err := MIS(g, p)
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			return len(res.Set), 0, res.Metrics.Rounds, nil
-		}},
-		{"MISFast", func() (int, float64, int, error) {
-			res, err := MISFast(g, p)
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			return len(res.Set), 0, res.Metrics.Rounds, nil
-		}},
-		{"LubyMIS", func() (int, float64, int, error) {
-			res, err := LubyMIS(g, p)
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			return len(res.Set), 0, res.Metrics.Rounds, nil
-		}},
-		{"MaximalClique", func() (int, float64, int, error) {
-			res, err := MaximalClique(g, p)
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			return len(res.Clique), 0, res.Metrics.Rounds, nil
-		}},
-		{"VertexColouring", func() (int, float64, int, error) {
-			res, err := VertexColouring(g, p)
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			return res.NumColours, 0, res.Metrics.Rounds, nil
-		}},
-		{"EdgeColouring", func() (int, float64, int, error) {
-			res, err := EdgeColouring(g, p)
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			return res.NumColours, 0, res.Metrics.Rounds, nil
-		}},
-		{"FilteringMatching", func() (int, float64, int, error) {
-			res, err := FilteringMatching(g, p)
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			return len(res.Edges), 0, res.Metrics.Rounds, nil
-		}},
-		{"FilteringWeighted", func() (int, float64, int, error) {
-			res, err := FilteringWeightedMatching(g, p)
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			return len(res.Edges), res.Weight, res.Metrics.Rounds, nil
-		}},
-		{"LayeredParallel", func() (int, float64, int, error) {
-			res, err := LayeredParallelMatching(g, p, 0.5)
-			if err != nil {
-				return 0, 0, 0, err
-			}
-			return len(res.Edges), res.Weight, res.Metrics.Rounds, nil
-		}},
-	}
-	for _, rn := range runs {
-		s1, w1, r1, err := rn.f()
-		if err != nil {
-			t.Fatalf("%s first run: %v", rn.name, err)
 		}
-		s2, w2, r2, err := rn.f()
-		if err != nil {
-			t.Fatalf("%s second run: %v", rn.name, err)
-		}
-		if s1 != s2 || w1 != w2 || r1 != r2 {
-			t.Fatalf("%s not deterministic: (%d,%v,%d) vs (%d,%v,%d)",
-				rn.name, s1, w1, r1, s2, w2, r2)
-		}
-	}
-}
-
-// scrubActive zeroes the scheduling-activity fields, which are the only
-// metrics allowed to differ between sparse and dense execution; everything
-// the paper's theorems bound (rounds, words, messages, space high-water,
-// violations) must be bit-identical.
-func scrubActive(m mpc.Metrics) mpc.Metrics {
-	m.ActiveSum, m.ActiveMax = 0, 0
-	return m
-}
-
-// scrubResultActive zeroes the activity fields inside a result struct so
-// full-result comparisons across scheduling modes see only model-level data.
-func scrubResultActive(res interface{}) {
-	switch r := res.(type) {
-	case *MISResult:
-		r.Metrics = scrubActive(r.Metrics)
-	case *CoverResult:
-		r.Metrics = scrubActive(r.Metrics)
-	case *MatchingResult:
-		r.Metrics = scrubActive(r.Metrics)
-	case *ColouringResult:
-		r.Metrics = scrubActive(r.Metrics)
-	case *CliqueResult:
-		r.Metrics = scrubActive(r.Metrics)
-	case *FilteringResult:
-		r.Metrics = scrubActive(r.Metrics)
 	}
 }
 
@@ -244,9 +109,10 @@ var equivRuns = []struct {
 // equivDigests pins the SHA-256 of each run's full %+v result — solution
 // sets, weights, histories and every metric, activity counters included —
 // keyed by "instance/algorithm". They were taken while the simulator still
-// had a dense scheduling mode and both modes agreed on every model quantity,
-// so they carry that proof forward: a missed Arm, a RoundFunc that writes
-// outside its machine, or any drift in charging changes a digest.
+// had a dense mode that ran every machine every round, and both modes agreed
+// on every model quantity, so they carry that proof forward: a missed Arm, a
+// RoundFunc that writes outside its machine, or any drift in charging
+// changes a digest.
 var equivDigests = map[string]string{
 	"density/BMatching":             "b567086e43ddaeb7d9c55c890d4b417f17518c771beb2d6f28faf5ad1bc23e5b",
 	"density/EdgeColouring":         "894ba02dd1240999be9796ebee2f8e7b39b6f62cb5ecebbbea785df78e8f7b6f",
@@ -291,8 +157,7 @@ func resultDigest(res interface{}) string {
 // on one worker and on a four-worker pool, and requires each full result to
 // hash to its pinned digest. Run under -race this is also the enforcement
 // that every RoundFunc in this package confines its writes to machine-owned
-// state. The dense rows rerun each case with every machine invoked every
-// round and require the same results and model metrics, activity aside.
+// state.
 func TestExecutorEquivalence(t *testing.T) {
 	instances := equivInstances()
 	for _, rn := range equivRuns {
@@ -300,7 +165,6 @@ func TestExecutorEquivalence(t *testing.T) {
 		t.Run(rn.name, func(t *testing.T) {
 			for _, in := range instances {
 				key := in.name + "/" + rn.name
-				var sparseStr string
 				for _, workers := range []int{1, 4} {
 					res, err := rn.f(in, Params{Mu: 0.25, Seed: 99, Workers: workers})
 					if err != nil {
@@ -308,19 +172,6 @@ func TestExecutorEquivalence(t *testing.T) {
 					}
 					if got := resultDigest(res); got != equivDigests[key] {
 						t.Errorf("%s workers=%d: digest %s, pinned %s", key, workers, got, equivDigests[key])
-					}
-					scrubResultActive(res)
-					sparseStr = fmt.Sprintf("%+v", res)
-				}
-				for _, workers := range []int{1, 4} {
-					res, err := rn.f(in, Params{Mu: 0.25, Seed: 99, Workers: workers, Dense: true})
-					if err != nil {
-						t.Fatalf("%s dense workers=%d: %v", key, workers, err)
-					}
-					scrubResultActive(res)
-					if str := fmt.Sprintf("%+v", res); str != sparseStr {
-						t.Errorf("%s dense workers=%d diverges from sparse:\n  sparse %.300s\n  dense  %.300s",
-							key, workers, sparseStr, str)
 					}
 				}
 			}

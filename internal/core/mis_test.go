@@ -153,7 +153,7 @@ func misOracleGraphs() map[string]*graph.Graph {
 
 // testMISMatchesClassic checks that algo returns the classic body's whole
 // MISResult — set, iteration and phase counts, history and all nine metrics —
-// on every scheduler and executor, for three seeds.
+// on every executor, for three seeds.
 func testMISMatchesClassic(t *testing.T, algo, classic func(*graph.Graph, Params) (*MISResult, error)) {
 	for name, g := range misOracleGraphs() {
 		mus := []float64{0.05, 0.1, 0.25}
@@ -161,28 +161,26 @@ func testMISMatchesClassic(t *testing.T, algo, classic func(*graph.Graph, Params
 			mus = mus[2:]
 		}
 		for _, mu := range mus {
-			for _, dense := range []bool{false, true} {
-				for seed := uint64(1); seed <= 3; seed++ {
-					// The oracle runs once per cell, on one worker: what the
-					// executor may not change is the production driver's
-					// business.
-					p := Params{Mu: mu, Seed: seed, Dense: dense, Workers: 1}
-					want, err := classic(g, p)
+			for seed := uint64(1); seed <= 3; seed++ {
+				// The oracle runs once per cell, on one worker: what the
+				// executor may not change is the production driver's
+				// business.
+				p := Params{Mu: mu, Seed: seed, Workers: 1}
+				want, err := classic(g, p)
+				if err != nil {
+					t.Fatalf("%s %+v: classic: %v", name, p, err)
+				}
+				for _, workers := range []int{1, 2} {
+					p.Workers = workers
+					got, err := algo(g, p)
 					if err != nil {
-						t.Fatalf("%s %+v: classic: %v", name, p, err)
+						t.Fatalf("%s %+v: %v", name, p, err)
 					}
-					for _, workers := range []int{1, 2} {
-						p.Workers = workers
-						got, err := algo(g, p)
-						if err != nil {
-							t.Fatalf("%s %+v: %v", name, p, err)
-						}
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s mu=%v dense=%v workers=%d seed=%d: result differs from the classic body\n got %d vertices, %d iterations, %d phases, history %v, %+v\nwant %d vertices, %d iterations, %d phases, history %v, %+v",
-								name, mu, dense, workers, seed,
-								len(got.Set), got.Iterations, got.Phases, got.History, got.Metrics,
-								len(want.Set), want.Iterations, want.Phases, want.History, want.Metrics)
-						}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s mu=%v workers=%d seed=%d: result differs from the classic body\n got %d vertices, %d iterations, %d phases, history %v, %+v\nwant %d vertices, %d iterations, %d phases, history %v, %+v",
+							name, mu, workers, seed,
+							len(got.Set), got.Iterations, got.Phases, got.History, got.Metrics,
+							len(want.Set), want.Iterations, want.Phases, want.History, want.Metrics)
 					}
 				}
 			}

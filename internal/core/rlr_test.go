@@ -330,26 +330,24 @@ func TestRLRMatchingMatchesClassic(t *testing.T) {
 				positive++
 			}
 		}
-		for _, dense := range []bool{false, true} {
-			for _, workers := range []int{1, 2} {
-				for seed := uint64(1); seed <= 3; seed++ {
-					p := Params{Mu: tc.mu, Seed: seed, Dense: dense, Workers: workers}
-					opt := MatchingOptions{Eta: tc.eta}
-					want, err := rlrMatchingClassic(tc.g, p, opt)
-					if err != nil {
-						t.Fatalf("%s: classic: %v", tc.name, err)
-					}
-					got, err := RLRMatching(tc.g, p, opt)
-					if err != nil {
-						t.Fatalf("%s: %v", tc.name, err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s dense=%v workers=%d seed=%d: result differs from the classic driver\n got %+v\nwant %+v",
-							tc.name, dense, workers, seed, got, want)
-					}
-					if k := sampledIterations(positive, got.History, etaWords); k < tc.minSampled {
-						t.Fatalf("%s seed=%d: %d sampled iterations, the case needs >= %d", tc.name, seed, k, tc.minSampled)
-					}
+		for _, workers := range []int{1, 2} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				p := Params{Mu: tc.mu, Seed: seed, Workers: workers}
+				opt := MatchingOptions{Eta: tc.eta}
+				want, err := rlrMatchingClassic(tc.g, p, opt)
+				if err != nil {
+					t.Fatalf("%s: classic: %v", tc.name, err)
+				}
+				got, err := RLRMatching(tc.g, p, opt)
+				if err != nil {
+					t.Fatalf("%s: %v", tc.name, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s workers=%d seed=%d: result differs from the classic driver\n got %+v\nwant %+v",
+						tc.name, workers, seed, got, want)
+				}
+				if k := sampledIterations(positive, got.History, etaWords); k < tc.minSampled {
+					t.Fatalf("%s seed=%d: %d sampled iterations, the case needs >= %d", tc.name, seed, k, tc.minSampled)
 				}
 			}
 		}

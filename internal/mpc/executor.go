@@ -14,12 +14,11 @@ package mpc
 // central state touched only by the central machine's invocation. `go test
 // -race ./...` is the enforcement mechanism.
 //
-// Two parallel executors exist. Parallel spawns its workers per Execute call
-// — simple, but for thousands of short rounds the spawn/teardown dominates.
-// Pool keeps long-lived workers blocked on a job channel and hands tasks out
-// in chunks, so a steady-state round costs a handful of channel operations
-// and no goroutine creation; clusters configured with Workers > 1 own a Pool
-// and release it via Cluster.Close.
+// Two executors exist: Sequential, and Pool, which keeps long-lived workers
+// blocked on a job channel and hands tasks out in chunks, so a steady-state
+// round costs a handful of channel operations and no goroutine creation.
+// Clusters configured with Workers > 1 own a Pool and release it via
+// Cluster.Close.
 
 import (
 	"fmt"
@@ -51,66 +50,6 @@ type Sequential struct{}
 func (Sequential) Execute(machines int, run func(machine int)) {
 	for machine := 0; machine < machines; machine++ {
 		run(machine)
-	}
-}
-
-// Parallel runs machines concurrently on a pool of Workers goroutines
-// spawned per Execute call. Machines are handed out by an atomic counter, so
-// low-id machines start first but completion order is scheduler-dependent;
-// the Cluster merges results deterministically after the barrier. A panic in
-// any machine's computation is re-raised on the calling goroutine after the
-// pool drains. Prefer Pool for repeated Execute calls: Parallel pays a
-// goroutine spawn per worker per call.
-type Parallel struct {
-	// Workers is the pool size; <= 0 means runtime.NumCPU().
-	Workers int
-}
-
-// Execute implements Executor.
-func (p Parallel) Execute(machines int, run func(machine int)) {
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > machines {
-		workers = machines
-	}
-	if workers <= 1 {
-		Sequential{}.Execute(machines, run)
-		return
-	}
-	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
-		panicked atomic.Value
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			machine := -1
-			defer func() {
-				if r := recover(); r != nil {
-					// Preserve the faulty machine, the original panic value,
-					// and the panicking goroutine's stack: the re-raise below
-					// happens on the caller, whose own stack says nothing
-					// about where the computation failed.
-					panicked.CompareAndSwap(nil, fmt.Sprintf(
-						"mpc: machine %d computation panicked: %v\n%s", machine, r, debug.Stack()))
-				}
-			}()
-			for {
-				machine = int(next.Add(1)) - 1
-				if machine >= machines {
-					return
-				}
-				run(machine)
-			}
-		}()
-	}
-	wg.Wait()
-	if msg := panicked.Load(); msg != nil {
-		panic(msg)
 	}
 }
 
@@ -283,15 +222,11 @@ func (p *Pool) Close() {
 	})
 }
 
-// newExecutor resolves a Config to an executor: an explicit Executor wins,
-// otherwise Workers selects Sequential (0 or 1) or a cluster-owned
-// persistent Pool of that size (> 1; < 0 sizes it to runtime.NumCPU()). The
-// returned Pool is non-nil exactly when the cluster owns one and must
-// release it on Close.
+// newExecutor resolves a Config to an executor: Workers selects Sequential
+// (0 or 1) or a cluster-owned persistent Pool of that size (> 1; < 0 sizes
+// it to runtime.NumCPU()). The returned Pool is non-nil exactly when the
+// cluster owns one and must release it on Close.
 func newExecutor(cfg Config) (Executor, *Pool) {
-	if cfg.Executor != nil {
-		return cfg.Executor, nil
-	}
 	switch {
 	case cfg.Workers == 0 || cfg.Workers == 1:
 		return Sequential{}, nil

@@ -8,24 +8,39 @@ import (
 	"testing"
 )
 
+// TestParallelExecutesEveryMachineOnce runs rounds on pooled clusters of
+// every shape: a round without Config.Sparse, and an ArmAll round with it,
+// must invoke every machine exactly once.
 func TestParallelExecutesEveryMachineOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 8, 64} {
+	for _, workers := range []int{2, 3, 8, 64} {
 		for _, machines := range []int{1, 2, 7, 100} {
-			counts := make([]int32, machines)
-			Parallel{Workers: workers}.Execute(machines, func(machine int) {
-				atomic.AddInt32(&counts[machine], 1)
-			})
-			for machine, c := range counts {
-				if c != 1 {
-					t.Fatalf("workers=%d machines=%d: machine %d ran %d times",
-						workers, machines, machine, c)
+			for _, sparse := range []bool{false, true} {
+				c := NewCluster(Config{Machines: machines, Workers: workers, Sparse: sparse})
+				counts := make([]int32, machines)
+				c.ArmAll()
+				err := c.Round(func(machine int, in *Inbox, out *Outbox) {
+					atomic.AddInt32(&counts[machine], 1)
+				})
+				c.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for machine, n := range counts {
+					if n != 1 {
+						t.Fatalf("workers=%d machines=%d sparse=%v: machine %d ran %d times",
+							workers, machines, sparse, machine, n)
+					}
 				}
 			}
 		}
 	}
 }
 
+// TestParallelPropagatesPanic requires a RoundFunc's panic on a pooled
+// cluster to reach the caller of Round with its payload.
 func TestParallelPropagatesPanic(t *testing.T) {
+	c := NewCluster(Config{Machines: 16, Workers: 4})
+	defer c.Close()
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -35,7 +50,7 @@ func TestParallelPropagatesPanic(t *testing.T) {
 			t.Fatalf("unexpected panic payload: %v", r)
 		}
 	}()
-	Parallel{Workers: 4}.Execute(16, func(machine int) {
+	c.Round(func(machine int, in *Inbox, out *Outbox) {
 		if machine == 11 {
 			panic("boom")
 		}
@@ -63,15 +78,10 @@ func TestNewExecutorSelection(t *testing.T) {
 	} else {
 		p.Close()
 	}
-	if e, p := newExecutor(Config{Machines: 1, Workers: 5, Executor: Sequential{}}); p != nil {
-		t.Fatal("an explicit Executor must not own a pool")
-	} else if _, ok := e.(Sequential); !ok {
-		t.Fatal("an explicit Executor must win over Workers")
-	}
 }
 
 func TestParallelRoundsMatchSequential(t *testing.T) {
-	// Identical chatter on Sequential and Parallel clusters must produce an
+	// Identical chatter on Sequential and pooled clusters must produce an
 	// identical transcript (delivery order included) and identical metrics.
 	// The transcript is captured from the inboxes between rounds, where the
 	// cluster state is quiescent.

@@ -30,21 +30,19 @@
 // tree of §2.2/§4.1 of the paper as real message rounds, so "send C to all
 // machines" costs the ceil(log_d M) rounds the paper charges for it.
 //
-// # Sparse rounds
+// # Run lists
 //
 // The paper's algorithms geometrically shrink the live problem, so in the
-// tail rounds only a handful of machines have anything to do. With
-// Config.Sparse set, a machine's RoundFunc is invoked in a round only if the
-// machine has a non-empty inbox or was armed via Arm/ArmAll, and all
-// post-round bookkeeping (merge, inbox recycling, outbox reset, space and
-// cap accounting) walks only the machines that ran or received traffic, so
-// the steady-state cost of a round is proportional to its actual activity
-// rather than to M. Dormant machines are accounted as holding exactly their
-// unchanged resident words, which keeps rounds, words, messages, space
-// high-water marks, violations and trace loads bit-identical to dense
-// execution for conforming algorithms (see Arm); only the activity
-// measurements themselves (RoundStat.Active, Metrics.ActiveSum/ActiveMax)
-// differ, since they record how many machines actually ran.
+// tail rounds only a handful of machines have anything to do. Every round
+// therefore runs a run list: with Config.Sparse set, the machines armed via
+// Arm plus the machines with a non-empty inbox; after ArmAll, or without
+// Config.Sparse, every machine. All post-round bookkeeping (merge, inbox
+// recycling, outbox reset, space and cap accounting) walks only the run
+// list and the receivers, so a round costs in proportion to its activity
+// rather than to M. A machine off the run list is accounted as holding
+// exactly its unchanged resident words, which is its whole load: it neither
+// sent nor received. The activity measurements (RoundStat.Active,
+// Metrics.ActiveSum/ActiveMax) record the run list's length.
 package mpc
 
 import (
@@ -86,17 +84,10 @@ type Config struct {
 	// across executors for conforming RoundFuncs (see Executor). Pools are
 	// owned by the cluster; call Close when done with it.
 	Workers int
-	// Executor, when non-nil, overrides Workers with an explicit executor.
-	Executor Executor
-	// Sparse enables sparse round scheduling: a machine runs in a round
-	// only if its inbox is non-empty or it was armed via Arm/ArmAll, and
-	// per-round bookkeeping touches only active machines. Model metrics
-	// and trace loads are bit-identical to dense execution provided every
-	// machine that must act on an empty inbox is armed (see Arm); the
-	// activity measurements (RoundStat.Active, Metrics.ActiveSum/
-	// ActiveMax) record actual invocations and therefore differ. Off by
-	// default: without arming calls a dense-written RoundFunc would
-	// silently be skipped.
+	// Sparse makes a round run only the machines armed via Arm plus those
+	// with a non-empty inbox; ArmAll widens one round to every machine.
+	// Without it every round runs every machine, so a RoundFunc written
+	// without arming calls is never skipped.
 	Sparse bool
 	// Ctx, when non-nil, is checked between rounds: once it is canceled,
 	// Round and Quiet return its error (wrapped) instead of executing, so an
@@ -127,11 +118,9 @@ type RoundStat struct {
 // Metrics accumulates the model-level costs of an execution.
 //
 // ActiveSum and ActiveMax measure the simulator's scheduling activity, not a
-// model-level cost: under sparse scheduling they expose the geometric decay
-// of per-round work the paper predicts, and under dense scheduling every
-// non-Quiet round contributes M. They (and the matching RoundStat.Active
-// trace field) are the only measurements that may differ between a sparse
-// and a dense execution of the same algorithm.
+// model-level cost: they count RoundFunc invocations (each round's run-list
+// length, as does RoundStat.Active), so they expose the geometric decay of
+// per-round work the paper predicts.
 type Metrics struct {
 	Machines    int   // cluster size M
 	Rounds      int   // synchronous rounds executed
@@ -165,7 +154,7 @@ type Cluster struct {
 	armedNext []int  // machines armed for the next round (deduplicated)
 	armedMark []bool // membership bitmap for armedNext
 	armedSelf []bool // set by a machine's own RoundFunc, collected post-barrier
-	runList   []int  // scratch: the machines running the current sparse round
+	runList   []int  // scratch: the machines running the current round
 	dirtyMark []bool // accounting dedup scratch, all-false between rounds
 	// Incremental resident aggregates, so rounds never rescan all machines:
 	// residentMax is max over machines of resident (exact when residentMaxOK;
@@ -321,25 +310,21 @@ func (c *Cluster) residentMaxNow() int {
 func (c *Cluster) Inbox(machine int) *Inbox { return &c.inbox[machine] }
 
 // Arm schedules a machine to run in the next round even if its inbox is
-// empty. Under sparse scheduling (Config.Sparse) this is the contract that
-// keeps sparse execution equivalent to dense: a machine whose RoundFunc
-// must act without incoming traffic — a central machine starting a batch, a
-// data machine replaying a sampling plan, a round-0 loader — is armed by the
-// driver before the round; machines reacting to delivered records run
-// automatically, and decided machines simply stop being armed and go
-// dormant. The armed set is consumed by the next Round (or Quiet).
+// empty. Under Config.Sparse this is the arming contract: a machine whose
+// RoundFunc must act without incoming traffic — a central machine starting
+// a batch, a data machine replaying a sampling plan, a round-0 loader — is
+// armed by the driver before the round; machines reacting to delivered
+// records run automatically, and decided machines simply stop being armed
+// and go dormant. The armed set is consumed by the next Round (or Quiet).
+// Without Config.Sparse every machine runs anyway and arming changes
+// nothing.
 //
 // Arm may be called from driver code between rounds for any machine, or
 // from within a RoundFunc for the invoking machine itself (self-arming);
-// arming another machine from inside a round is a data race. In dense mode
-// (Config.Sparse unset) Arm is a no-op, so algorithms written against the
-// arming contract run unchanged on dense clusters.
+// arming another machine from inside a round is a data race.
 func (c *Cluster) Arm(machine int) {
 	if machine < 0 || machine >= c.cfg.Machines {
 		panic(fmt.Sprintf("mpc: Arm of invalid machine %d (M=%d)", machine, c.cfg.Machines))
-	}
-	if !c.cfg.Sparse {
-		return
 	}
 	if c.inRound {
 		c.armedSelf[machine] = true
@@ -348,15 +333,10 @@ func (c *Cluster) Arm(machine int) {
 	c.enqueueArm(machine)
 }
 
-// ArmAll schedules every machine to run in the next round, making it a dense
-// round; used for genuinely global steps (e.g. every machine contributes to
-// an aggregation). Driver-only: must not be called from inside a RoundFunc.
-// A no-op in dense mode.
-func (c *Cluster) ArmAll() {
-	if c.cfg.Sparse {
-		c.armAll = true
-	}
-}
+// ArmAll schedules every machine to run in the next round; used for
+// genuinely global steps (e.g. every machine contributes to an aggregation).
+// Driver-only: must not be called from inside a RoundFunc.
+func (c *Cluster) ArmAll() { c.armAll = true }
 
 // enqueueArm adds machine to the next round's armed set, deduplicated.
 func (c *Cluster) enqueueArm(machine int) {
@@ -366,8 +346,8 @@ func (c *Cluster) enqueueArm(machine int) {
 	}
 }
 
-// drainArmed empties the armed set (its machines are running, or a dense
-// round subsumed them).
+// drainArmed empties the armed set (its machines are running, or an
+// every-machine round subsumed them).
 func (c *Cluster) drainArmed() {
 	for _, m := range c.armedNext {
 		c.armedMark[m] = false
@@ -388,14 +368,15 @@ func (c *Cluster) drainArmed() {
 // when the round ends: consume them during the invocation, never retain.
 type RoundFunc func(machine int, in *Inbox, out *Outbox)
 
-// Round executes one synchronous round: it runs f on the scheduled machines
-// via the configured executor (every machine when dense; the armed machines
-// plus the machines with non-empty inboxes when sparse), each machine
-// writing to its own Outbox, then — after the barrier — accounts space and
-// traffic, checks the cap, and assembles each destination's inbox from the
-// senders' columns in machine order, so delivery order, metrics, and traces
-// are deterministic and executor-independent. The columns backing the
-// inboxes consumed this round are released for reuse (see plane.go).
+// Round executes one synchronous round: it runs f on the run list via the
+// configured executor (the armed machines plus the machines with non-empty
+// inboxes under Config.Sparse; every machine after ArmAll or without it),
+// each machine writing to its own Outbox, then — after the barrier —
+// accounts space and traffic, checks the cap, and assembles each
+// destination's inbox from the senders' columns in machine order, so
+// delivery order, metrics, and traces are deterministic and
+// executor-independent. The columns backing the inboxes consumed this round
+// are released for reuse (see plane.go).
 func (c *Cluster) Round(f RoundFunc) error {
 	if err := c.ready(); err != nil {
 		return err
@@ -410,25 +391,26 @@ func (c *Cluster) Round(f RoundFunc) error {
 	c.metrics.Rounds++
 	M := c.cfg.Machines
 
-	// Schedule. A sparse round runs the union of the armed set and the
-	// current receivers, in ascending machine order (the merge below walks
-	// the run list in order, which is what keeps delivery deterministic).
-	// ArmAll degrades the single next round to dense execution.
-	sparse := c.cfg.Sparse && !c.armAll
-	var run []int
-	active := M
-	if sparse {
-		run = c.runList[:0]
+	// Schedule the run list in ascending machine order (the merge below
+	// walks it in order, which is what keeps delivery deterministic): every
+	// machine after ArmAll or without Config.Sparse, otherwise the union of
+	// the armed set and the current receivers.
+	run := c.runList[:0]
+	if c.armAll || !c.cfg.Sparse {
+		for m := 0; m < M; m++ {
+			run = append(run, m)
+		}
+	} else {
 		run = append(run, c.armedNext...)
 		for _, m := range c.recv {
 			if !c.armedMark[m] {
 				run = append(run, m)
 			}
 		}
-		c.runList = run
 		sort.Ints(run)
-		active = len(run)
 	}
+	c.runList = run
+	active := len(run)
 	c.drainArmed()
 
 	// Rewind the receivers' cursors (other inboxes are empty) and execute.
@@ -436,16 +418,10 @@ func (c *Cluster) Round(f RoundFunc) error {
 		c.inbox[m].Reset()
 	}
 	c.inRound = true
-	if sparse {
-		c.exec.Execute(len(run), func(i int) {
-			m := run[i]
-			f(m, &c.inbox[m], &c.outboxes[m])
-		})
-	} else {
-		c.exec.Execute(M, func(machine int) {
-			f(machine, &c.inbox[machine], &c.outboxes[machine])
-		})
-	}
+	c.exec.Execute(len(run), func(i int) {
+		m := run[i]
+		f(m, &c.inbox[m], &c.outboxes[m])
+	})
 	c.inRound = false
 	if sink != nil {
 		computeEnd = time.Now()
@@ -462,7 +438,7 @@ func (c *Cluster) Round(f RoundFunc) error {
 	// machines that ran can have sent, and only the machines that ran can
 	// have self-armed.
 	c.recvNxt = c.recvNxt[:0]
-	mergeOne := func(machine int) {
+	for _, machine := range run {
 		o := &c.outboxes[machine]
 		if o.cur != nil {
 			panic(fmt.Sprintf("mpc: machine %d ended the round with an open record (Begin without End)", machine))
@@ -478,15 +454,6 @@ func (c *Cluster) Round(f RoundFunc) error {
 		if c.armedSelf[machine] {
 			c.armedSelf[machine] = false
 			c.enqueueArm(machine)
-		}
-	}
-	if sparse {
-		for _, m := range run {
-			mergeOne(m)
-		}
-	} else {
-		for machine := 0; machine < M; machine++ {
-			mergeOne(machine)
 		}
 	}
 
@@ -514,7 +481,7 @@ func (c *Cluster) Round(f RoundFunc) error {
 	// or received — against the incremental aggregates for everyone else: a
 	// dormant machine's load is exactly its unchanged resident words.
 	var violated bool
-	maxLoad, roundViolations := c.accountDirty(run, sparse)
+	maxLoad, roundViolations := c.accountDirty(run)
 	if roundViolations > 0 {
 		c.metrics.Violations += roundViolations
 		violated = true
@@ -533,14 +500,8 @@ func (c *Cluster) Round(f RoundFunc) error {
 
 	// Release the senders' outbox bookkeeping last: accounting above reads
 	// the outboxes' word counters directly.
-	if sparse {
-		for _, m := range run {
-			c.outboxes[m].reset()
-		}
-	} else {
-		for machine := 0; machine < M; machine++ {
-			c.outboxes[machine].reset()
-		}
+	for _, m := range run {
+		c.outboxes[m].reset()
 	}
 
 	if sink != nil {
@@ -603,21 +564,8 @@ func (c *Cluster) assembleInbox(dest int) {
 // both in run and in recv; the dirtyMark scratch (all-false between rounds,
 // and distinct from armedMark, which at this point already carries the next
 // round's self-armed machines) deduplicates it.
-func (c *Cluster) accountDirty(run []int, sparse bool) (maxLoad, roundViolations int) {
+func (c *Cluster) accountDirty(run []int) (maxLoad, roundViolations int) {
 	cap := c.cfg.SpaceCap
-	if !sparse {
-		// Dense round: every machine is dirty; measure all of them directly.
-		for machine := 0; machine < c.cfg.Machines; machine++ {
-			used := c.resident[machine] + c.inbox[machine].words + c.outboxes[machine].words
-			if used > maxLoad {
-				maxLoad = used
-			}
-			if cap > 0 && used > cap {
-				roundViolations++
-			}
-		}
-		return maxLoad, roundViolations
-	}
 	maxLoad = c.residentMaxNow()
 	if cap > 0 {
 		roundViolations = c.residentOverCap

@@ -1,8 +1,8 @@
 package mpc
 
-// Tests for sparse round scheduling: the arming contract, dirty-set
-// accounting equivalence against dense execution, the Quiet fast path, and
-// the Active activity measurements.
+// Tests for run-list scheduling: the arming contract, dirty-set accounting
+// equivalence against dense clusters (no Config.Sparse, so every round runs
+// every machine), the Quiet fast path, and the Active activity measurements.
 
 import (
 	"errors"
@@ -306,35 +306,6 @@ func TestTreeHelpersSparse(t *testing.T) {
 		if scrubActivity(dM) != scrubActivity(sM) {
 			t.Fatalf("machines=%d metrics diverge:\ndense:  %+v\nsparse: %+v", machines, dM, sM)
 		}
-	}
-}
-
-func TestRunJobSparse(t *testing.T) {
-	run := func(sparse bool) ([][]KV, Metrics) {
-		c := NewCluster(Config{Machines: 3, Sparse: sparse})
-		defer c.Close()
-		input := [][]KV{{{Key: 1, Value: 2}, {Key: 4, Value: 1}}, {{Key: 1, Value: 3}}, nil}
-		out, err := RunJob(c, input,
-			func(kv KV) []KV { return []KV{kv} },
-			func(key int64, values []int64) []KV {
-				sum := int64(0)
-				for _, v := range values {
-					sum += v
-				}
-				return []KV{{Key: key, Value: sum}}
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out, c.Metrics()
-	}
-	dOut, dM := run(false)
-	sOut, sM := run(true)
-	if fmt.Sprint(dOut) != fmt.Sprint(sOut) {
-		t.Fatalf("RunJob output diverges: %v vs %v", dOut, sOut)
-	}
-	if scrubActivity(dM) != scrubActivity(sM) {
-		t.Fatalf("RunJob metrics diverge: %+v vs %+v", dM, sM)
 	}
 }
 

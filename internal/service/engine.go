@@ -174,33 +174,53 @@ func jobKey(instanceID, alg string, args map[string]float64, mu float64, seed ui
 	return b.String()
 }
 
-// Submit validates a request and enqueues (or instantly answers) a job.
-// The returned Job's Done channel closes on completion.
-func (e *Engine) Submit(req JobRequest) (*Job, error) {
+// canonJob is a validated request in canonical form: everything Submit
+// derives from the request before it touches the engine's state.
+type canonJob struct {
+	args   map[string]float64
+	instID string
+	mu     float64
+	key    string
+}
+
+// canonRequest validates a request and canonicalizes it without building
+// its instance.
+func canonRequest(req JobRequest) (canonJob, error) {
 	alg, ok := core.LookupAlgorithm(req.Alg)
 	if !ok {
-		return nil, fmt.Errorf("service: unknown algorithm %q", req.Alg)
+		return canonJob{}, fmt.Errorf("service: unknown algorithm %q", req.Alg)
 	}
 	args, err := alg.CanonArgs(req.Args)
 	if err != nil {
-		return nil, err
+		return canonJob{}, err
 	}
 	if err := req.Instance.Validate(); err != nil {
-		return nil, err
+		return canonJob{}, err
 	}
 	if !req.Instance.Provides(alg.Input) {
-		return nil, fmt.Errorf("service: instance type %q does not provide the %s input algorithm %q needs",
+		return canonJob{}, fmt.Errorf("service: instance type %q does not provide the %s input algorithm %q needs",
 			req.Instance.Type, alg.Input, req.Alg)
 	}
 	instID, err := SpecID(req.Instance)
 	if err != nil {
-		return nil, err
+		return canonJob{}, err
 	}
 	mu := defaultMu
 	if req.Mu != nil {
 		mu = *req.Mu
 	}
-	key := jobKey(instID, req.Alg, args, mu, req.Seed)
+	return canonJob{args: args, instID: instID, mu: mu,
+		key: jobKey(instID, req.Alg, args, mu, req.Seed)}, nil
+}
+
+// Submit validates a request and enqueues (or instantly answers) a job.
+// The returned Job's Done channel closes on completion.
+func (e *Engine) Submit(req JobRequest) (*Job, error) {
+	cj, err := canonRequest(req)
+	if err != nil {
+		return nil, err
+	}
+	args, instID, mu, key := cj.args, cj.instID, cj.mu, cj.key
 
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -91,14 +91,14 @@ func (s InstanceSpec) Validate() error {
 		if s.N < 1 || s.N > maxInstanceN {
 			return fmt.Errorf("service: %s spec needs 1 <= n <= %d, got %d", s.Type, maxInstanceN, s.N)
 		}
-		if s.C < 0 || s.C > 1 {
+		if !(s.C >= 0 && s.C <= 1) { // NaN fails every comparison
 			return fmt.Errorf("service: %s spec needs 0 <= c <= 1, got %g", s.Type, s.C)
 		}
 	case "setcover-f":
 		if s.N < 1 || s.N > maxInstanceN {
 			return fmt.Errorf("service: setcover-f spec needs 1 <= n <= %d, got %d", maxInstanceN, s.N)
 		}
-		if s.C < 0 || s.C > 1 {
+		if !(s.C >= 0 && s.C <= 1) {
 			return fmt.Errorf("service: setcover-f spec needs 0 <= c <= 1, got %g", s.C)
 		}
 		if s.F < 1 || s.F > s.N {

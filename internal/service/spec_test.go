@@ -1,6 +1,7 @@
 package service
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -34,6 +35,11 @@ func TestValidateBoundsImpliedSize(t *testing.T) {
 		{Type: "vertexcover", N: 1 << 20, C: 0.5},
 		{Type: "setcover-f", N: 4194304, C: 1, F: 3},
 		{Type: "setcover-f", N: 100000, C: 0.3, F: 100000},
+		// NaN fails every comparison, so only a bound written as
+		// !(0 <= c && c <= 1) rejects it.
+		{Type: "density", N: 50, C: math.NaN()},
+		{Type: "vertexcover", N: 50, C: math.NaN()},
+		{Type: "setcover-f", N: 50, C: math.NaN(), F: 3},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
