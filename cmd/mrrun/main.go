@@ -89,6 +89,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mrrun: -mu must be finite, got %g\n", *mu)
 		os.Exit(2)
 	}
+	args := map[string]float64{}
+	for _, p := range entry.Params {
+		switch p.Name {
+		case "b":
+			args["b"] = float64(*bcap)
+		case "eps":
+			args["eps"] = *eps
+		}
+	}
+	if _, err := entry.CanonArgs(args); err != nil {
+		fmt.Fprintln(os.Stderr, "mrrun:", err)
+		os.Exit(2)
+	}
 
 	// Map the flags onto the instance spec the service layer also builds:
 	// the algorithm's input kind picks the generator family, the shared
@@ -139,16 +152,6 @@ func main() {
 		}
 	}
 	instanceDone := time.Now()
-
-	args := map[string]float64{}
-	for _, p := range entry.Params {
-		switch p.Name {
-		case "b":
-			args["b"] = float64(*bcap)
-		case "eps":
-			args["eps"] = *eps
-		}
-	}
 
 	p := core.Params{Mu: *mu, Seed: *seed, Workers: *workers}
 	var sink *obs.ChromeTraceSink

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/mpc"
 	"repro/internal/rng"
@@ -82,6 +83,7 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 
 	covered := make([]bool, m)
 	coveredCount := 0
+	dual := inst.Dual()
 	uncov := make([]int, n)
 	for i, s := range inst.Sets {
 		uncov[i] = len(s)
@@ -109,21 +111,14 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 					if !covered[e] {
 						covered[e] = true
 						coveredCount++
+						for _, j := range dual[e] {
+							uncov[j]--
+						}
 					}
 				}
 			case inst.Weights[i] > expensive:
 				excluded[i] = true
 			}
-		}
-		// Refresh the uncovered counts after the upfront selections.
-		for i := 0; i < n; i++ {
-			cnt := 0
-			for _, e := range inst.Sets[i] {
-				if !covered[e] {
-					cnt++
-				}
-			}
-			uncov[i] = cnt
 		}
 	}
 
@@ -134,6 +129,14 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 	classes := int(math.Ceil(1 / alpha))
 	mf := float64(m)
 	groupSample := math.Pow(mf, p.Mu/2)
+	// Class i has numGroups[i] = ⌈2·m^{(i+1)α}⌉ groups, which depends on m
+	// and α only; its group g is global group gbase[i]+g.
+	numGroups := make([]int, classes+1)
+	gbase := make([]int, classes+2)
+	for i := 1; i <= classes; i++ {
+		numGroups[i] = int(math.Ceil(2 * math.Pow(mf, float64(i+1)*alpha)))
+		gbase[i+1] = gbase[i] + numGroups[i]
+	}
 
 	// maxRatio aggregates the maximum eligible cost ratio to the central
 	// machine and back (two rounds, like the f=2 aggregation).
@@ -197,10 +200,29 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 		return nil, err
 	}
 	res := &CoverResult{}
-	type sampleEntry struct {
-		set   int
-		elems []int // uncovered elements at sampling time
-	}
+
+	// Per-iteration scratch, allocated once. A sampled set becomes one entry
+	// whose payload [set, k, k group ids, uncovered elements] is a range of
+	// slab; the central machine reads the elements from the same range. The
+	// entries of machine j are entries[planStart[j]:planStart[j+1]] (draw
+	// order: machine, then set). members lists (global group, entry) pairs in
+	// draw order; a stable counting sort lays them out as byGroup, group g
+	// holding byGroup[gstart[g]:gstart[g+1]] in draw order.
+	type sampleEntry struct{ set, payload, elems, end int }
+	type membership struct{ group, entry int32 }
+	var (
+		slab    []int64
+		entries []sampleEntry
+		members []membership
+		byGroup []int32
+		deltaC  []int64
+	)
+	gstart := make([]int32, gbase[classes+1]+2)
+	planStart := make([]int, M+1)
+	width := classes + 1
+	machineClass := make([]int64, M*width)
+	setClass := make([]int32, n)
+	maxGroup := int(math.Ceil(4 * groupSample))
 
 	for coveredCount < m {
 		if res.Iterations >= p.maxIter() {
@@ -219,23 +241,21 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 			L = cur
 		}
 		res.Iterations++
-		eligible := func(i int) bool {
-			return !inSolution[i] && !excluded[i] && uncov[i] > 0 &&
-				float64(uncov[i])/inst.Weights[i] >= L/(1+eps)
-		}
 
-		// Aggregate class sizes |S_{k,i}| over the tree.
-		machineClass := make([][]int64, M)
-		for machine := range machineClass {
-			machineClass[machine] = make([]int64, classes+1)
-		}
+		// Aggregate class sizes |S_{k,i}| over the tree. setClass[i] is the
+		// class of an eligible set (uncovered ratio at least L/(1+ε)), 0 for
+		// any other.
+		clear(machineClass)
 		for i := 0; i < n; i++ {
-			if eligible(i) {
-				machineClass[setOwner(i)][classOf(uncov[i])]++
+			setClass[i] = 0
+			if !inSolution[i] && !excluded[i] && uncov[i] > 0 &&
+				float64(uncov[i])/inst.Weights[i] >= L/(1+eps) {
+				setClass[i] = int32(classOf(uncov[i]))
+				machineClass[setOwner(i)*width+int(setClass[i])]++
 			}
 		}
-		classCounts, err := tree.AllReduceSum(cluster, classes+1, func(machine int) []int64 {
-			return machineClass[machine]
+		classCounts, err := tree.AllReduceSum(cluster, width, func(machine int) []int64 {
+			return machineClass[machine*width : (machine+1)*width]
 		})
 		if err != nil {
 			return nil, err
@@ -244,27 +264,15 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 		// Sampling round: each eligible set joins each of its class's
 		// 2·m^{(i+1)α} groups independently with probability
 		// min(1, m^{µ/2}/|S_{k,i}|); the set ships its uncovered elements
-		// plus its group list to the central machine.
-		numGroups := make([]int, classes+1)
-		for i := 1; i <= classes; i++ {
-			numGroups[i] = int(math.Ceil(2 * math.Pow(mf, float64(i+1)*alpha)))
-		}
-		groupsByClass := make([][][]sampleEntry, classes+1)
-		for i := 1; i <= classes; i++ {
-			groupsByClass[i] = make([][]sampleEntry, numGroups[i])
-		}
-		overflow := false
-		// Draw each machine's group memberships before the round (machine
-		// order, then set order); the closures replay the per-machine
-		// payload plans concurrently.
-		plan := make([][][]int64, M)
+		// plus its group list to the central machine. Each machine's
+		// memberships are drawn before the round (machine order, then set
+		// order); the closures replay the per-machine payloads concurrently.
+		slab, entries, members = slab[:0], entries[:0], members[:0]
 		for machine := 1; machine < M; machine++ {
+			planStart[machine] = len(entries)
 			for _, i := range ownedSets[machine] {
-				if !eligible(i) {
-					continue
-				}
-				cls := classOf(uncov[i])
-				if classCounts[cls] == 0 {
+				cls := int(setClass[i])
+				if cls == 0 || classCounts[cls] == 0 {
 					continue
 				}
 				prob := math.Min(1, groupSample/float64(classCounts[cls]))
@@ -273,63 +281,75 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 					continue
 				}
 				gids := r.SampleWithoutReplacement(numGroups[cls], k)
-				elems := make([]int, 0, uncov[i])
+				entry := sampleEntry{set: i, payload: len(slab)}
+				slab = append(slab, int64(i), int64(k))
+				for _, gid := range gids {
+					slab = append(slab, int64(gid))
+					members = append(members, membership{int32(gbase[cls] + gid), int32(len(entries))})
+				}
+				entry.elems = len(slab)
 				for _, e := range inst.Sets[i] {
 					if !covered[e] {
-						elems = append(elems, e)
+						slab = append(slab, int64(e))
 					}
 				}
-				payload := make([]int64, 0, len(elems)+len(gids)+2)
-				payload = append(payload, int64(i), int64(len(gids)))
-				for _, gid := range gids {
-					payload = append(payload, int64(gid))
-				}
-				for _, e := range elems {
-					payload = append(payload, int64(e))
-				}
-				plan[machine] = append(plan[machine], payload)
-				entry := sampleEntry{set: i, elems: elems}
-				for _, gid := range gids {
-					groupsByClass[cls][gid] = append(groupsByClass[cls][gid], entry)
-				}
+				entry.end = len(slab)
+				entries = append(entries, entry)
 			}
 		}
-		armPlanned(cluster, plan)
+		planStart[M] = len(entries)
+		for machine := 1; machine < M; machine++ {
+			if planStart[machine] < planStart[machine+1] {
+				cluster.Arm(machine)
+			}
+		}
 		err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			for _, payload := range plan[machine] {
-				out.Send(0, payload, nil)
+			for _, e := range entries[planStart[machine]:planStart[machine+1]] {
+				out.Send(0, slab[e.payload:e.end], nil)
 			}
 		})
 		if err != nil {
 			return nil, err
 		}
-		// Claim 4.1 check: any group larger than 4·m^{µ/2} fails this
+
+		// Bucket the memberships by group (counts in gstart[g+2], so that
+		// after the prefix sums and the placement gstart[g] is group g's
+		// start). Claim 4.1 check: any group larger than 4·m^{µ/2} fails this
 		// iteration (Lines 15-17: skip to the next iteration).
-		maxGroup := int(math.Ceil(4 * groupSample))
-		for i := 1; i <= classes && !overflow; i++ {
-			for _, grp := range groupsByClass[i] {
-				if len(grp) > maxGroup {
-					overflow = true
-					break
-				}
+		clear(gstart)
+		overflow := false
+		for _, mb := range members {
+			gstart[mb.group+2]++
+			if int(gstart[mb.group+2]) > maxGroup {
+				overflow = true
 			}
 		}
 		if overflow {
 			continue
 		}
+		for g := 1; g < len(gstart); g++ {
+			gstart[g] += gstart[g-1]
+		}
+		byGroup = slices.Grow(byGroup[:0], len(members))[:len(members)]
+		for _, mb := range members {
+			byGroup[gstart[mb.group+1]] = mb.entry
+			gstart[mb.group+1]++
+		}
 
 		// Central machine (Lines 18-22): per class, per group, add the
 		// first set that still has ≥ m^{1-(i+1)α}/2 uncovered elements.
-		var deltaC []int64
+		deltaC = deltaC[:0]
 		for i := 1; i <= classes; i++ {
 			threshold := math.Pow(mf, 1-float64(i+1)*alpha) / 2
-			for _, grp := range groupsByClass[i] {
-				for _, entry := range grp {
+			for g := gbase[i]; g < gbase[i+1]; g++ {
+				for _, ei := range byGroup[gstart[g]:gstart[g+1]] {
+					entry := entries[ei]
 					if inSolution[entry.set] {
 						continue
 					}
+					elems := slab[entry.elems:entry.end]
 					curUncov := 0
-					for _, e := range entry.elems {
+					for _, e := range elems {
 						if !covered[e] {
 							curUncov++
 						}
@@ -339,11 +359,11 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 					}
 					inSolution[entry.set] = true
 					solution = append(solution, entry.set)
-					for _, e := range entry.elems {
+					for _, e := range elems {
 						if !covered[e] {
 							covered[e] = true
 							coveredCount++
-							deltaC = append(deltaC, int64(e))
+							deltaC = append(deltaC, e)
 						}
 					}
 					break
@@ -352,22 +372,16 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 		}
 
 		// Broadcast ΔC down the tree; owners refresh their uncovered
-		// counts.
+		// counts. Only the sets containing a newly covered element change,
+		// so the refresh walks ΔC's dual lists: O(total size) over the whole
+		// run. uncov counts occurrences, and the dual holds one entry per
+		// occurrence, so it stays exact for sets that repeat an element.
 		if err := tree.Broadcast(cluster, deltaC, nil); err != nil {
 			return nil, err
 		}
-		newlyCovered := make(map[int]bool, len(deltaC))
 		for _, e := range deltaC {
-			newlyCovered[int(e)] = true
-		}
-		for i := 0; i < n; i++ {
-			if uncov[i] == 0 {
-				continue
-			}
-			for _, e := range inst.Sets[i] {
-				if newlyCovered[e] {
-					uncov[i]--
-				}
+			for _, i := range dual[e] {
+				uncov[i]--
 			}
 		}
 	}

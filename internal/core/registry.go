@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/graph"
@@ -104,7 +105,9 @@ type Algorithm struct {
 	run func(in Input, p Params, args map[string]float64) (*RunResult, error)
 }
 
-// CanonArgs fills defaults for absent parameters and rejects unknown ones.
+// CanonArgs fills defaults for absent parameters and rejects unknown ones
+// and non-finite values (a NaN or infinite ε or b has no meaning, and the
+// drivers would otherwise panic or spin to their iteration limit on it).
 // The returned map has exactly the schema's keys, making it a canonical
 // basis for request hashing.
 func (a Algorithm) CanonArgs(args map[string]float64) (map[string]float64, error) {
@@ -115,6 +118,9 @@ func (a Algorithm) CanonArgs(args map[string]float64) (map[string]float64, error
 	for k, v := range args {
 		if _, ok := out[k]; !ok {
 			return nil, fmt.Errorf("core: algorithm %q has no parameter %q", a.Name, k)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("core: algorithm %q parameter %q must be finite, got %v", a.Name, k, v)
 		}
 		out[k] = v
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -265,10 +266,11 @@ func TestSubmitValidation(t *testing.T) {
 	e := NewEngine(Config{Pool: 1})
 	defer e.Close()
 	spec := InstanceSpec{Type: "density", N: 50, C: 0.3, Seed: 1}
-	cases := []struct {
+	type submitCase struct {
 		name string
 		req  JobRequest
-	}{
+	}
+	cases := []submitCase{
 		{"unknown alg", JobRequest{Instance: spec, Alg: "nope"}},
 		{"unknown arg", JobRequest{Instance: spec, Alg: "matching", Args: map[string]float64{"zeta": 1}}},
 		{"bad spec type", JobRequest{Instance: InstanceSpec{Type: "wat", N: 5}, Alg: "matching"}},
@@ -277,6 +279,17 @@ func TestSubmitValidation(t *testing.T) {
 		{"incompatible input", JobRequest{Instance: spec, Alg: "setcover-f"}},
 		{"graph alg on setcover", JobRequest{Instance: InstanceSpec{Type: "setcover-greedy", N: 40}, Alg: "mis"}},
 		{"upload without data", JobRequest{Instance: InstanceSpec{Type: "upload"}, Alg: "mis"}},
+	}
+	// Non-finite algorithm arguments are refused by core's CanonArgs.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cases = append(cases,
+			submitCase{fmt.Sprintf("bmatching b=%v", v),
+				JobRequest{Instance: spec, Alg: "bmatching", Args: map[string]float64{"b": v}}},
+			submitCase{fmt.Sprintf("bmatching eps=%v", v),
+				JobRequest{Instance: spec, Alg: "bmatching", Args: map[string]float64{"eps": v}}},
+			submitCase{fmt.Sprintf("setcover-greedy eps=%v", v),
+				JobRequest{Instance: InstanceSpec{Type: "setcover-greedy", N: 40}, Alg: "setcover-greedy",
+					Args: map[string]float64{"eps": v}}})
 	}
 	for _, tc := range cases {
 		if _, err := e.Submit(tc.req); err == nil {

@@ -148,9 +148,10 @@ func (in *Instance) IsCover(x []int) bool {
 }
 
 // Weight returns the total weight of the set indices in X (duplicates are
-// counted once).
+// counted once). The weights are summed in the order of each index's first
+// occurrence.
 func (in *Instance) Weight(x []int) float64 {
-	seen := make(map[int]bool, len(x))
+	seen := make([]bool, len(in.Sets))
 	w := 0.0
 	for _, i := range x {
 		if !seen[i] {

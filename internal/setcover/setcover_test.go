@@ -90,6 +90,31 @@ func TestIsCoverAndWeight(t *testing.T) {
 	}
 }
 
+// TestWeightSumsFirstOccurrences checks Weight bit for bit against summing
+// each index at its first occurrence: floating-point addition is not
+// associative, so the order is part of every cover's reported weight.
+func TestWeightSumsFirstOccurrences(t *testing.T) {
+	r := rng.New(31)
+	in := RandomSized(300, 60, 6, 1000, r)
+	for trial := 0; trial < 20; trial++ {
+		x := make([]int, 1+r.Intn(400))
+		for j := range x {
+			x[j] = r.Intn(in.NumSets())
+		}
+		want := 0.0
+		seen := map[int]bool{}
+		for _, i := range x {
+			if !seen[i] {
+				seen[i] = true
+				want += in.Weights[i]
+			}
+		}
+		if got := in.Weight(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: Weight = %v, first-occurrence sum %v", trial, got, want)
+		}
+	}
+}
+
 func TestWeightSpread(t *testing.T) {
 	in := tiny()
 	if s := in.WeightSpread(); s != 2.5 {
