@@ -12,13 +12,13 @@
 //	mrrun -load g.txt.gz ...   # run on a saved instance (format sniffed:
 //	                           # text, binary container, gzip of either)
 //	mrrun -load g.txt -convert g.mrg   # convert to a mappable binary
-//	                           # container (streaming; no run) and exit
+//	                           # container (no run) and exit
 //	mrrun -n 100000 -c 0.3 -save g.mrg # generate straight to a container
 //
-// Loading a raw binary container (.mrg) memory-maps it: start-up is
-// O(header) regardless of graph size and the kernel pages edge data in on
-// demand. -convert streams text input through the external-sort builder, so
-// converting never needs the graph in memory; its output is byte-identical
+// Loading a raw binary container (.mrg) memory-maps it: start-up reads the
+// file once to check its checksums and slab invariants, keeps no copy on the
+// heap, and the kernel pages edge data in on demand. -convert decodes the
+// input into memory and writes the container; its output is byte-identical
 // to saving the in-heap graph.
 //
 // Standard output is the result and is deterministic; one line on standard
@@ -54,7 +54,7 @@ func main() {
 	f := flag.Int("f", 3, "set cover max frequency (setcover-f)")
 	load := flag.String("load", "", "load the graph from a file (text, binary container, or gzip of either — sniffed) instead of generating one")
 	save := flag.String("save", "", "save the generated graph before running (.mrg binary container, .mrgz compressed container, .gz gzip, else text)")
-	convert := flag.String("convert", "", "with -load: stream-convert the input to a raw binary container at this path and exit without running")
+	convert := flag.String("convert", "", "with -load: convert the input to a raw binary container at this path and exit without running")
 	traceOut := flag.String("trace-out", "", "write a Chrome-trace-event/Perfetto JSON file of per-round phase timings (open in ui.perfetto.dev)")
 	workers := flag.Int("workers", 0, "round-executor pool size: 0|1 sequential, >1 that many goroutines, -1 one per CPU")
 	flag.Parse()

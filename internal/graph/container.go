@@ -37,9 +37,10 @@ import (
 // containers (flagCompressed, WriteFile ".mrgz") replace all five with one
 // delta-varint edge stream for cold storage; they are not mappable and
 // decode through the heap path. Section checksums are CRC-32C; ReadContainer
-// verifies them on every load, OpenMapped verifies the header checksum only
-// (the point of mapping is not to touch 2m words up front) — use
-// VerifyContainer for a full offline check.
+// and OpenVerified (ReadFile's path for raw containers) verify them on every
+// load, OpenMapped verifies the header checksum only (for a file the
+// process has just written itself) — use VerifyContainer for a full offline
+// check.
 
 // ContainerMagic identifies the binary container format, version 1 ("1" is
 // the version byte: bump it for incompatible layout changes).
@@ -331,8 +332,8 @@ func rawSections(g *Graph) []func(se *sectionEncoder) {
 
 // EncodeContainer writes g to w as a raw (mappable) binary container. The
 // encoding is canonical: the same graph — same N, edge list and edge order —
-// produces byte-identical output everywhere (in particular, BuildExternal
-// emits the same bytes without ever holding the graph in memory).
+// produces byte-identical output everywhere, whatever format it was decoded
+// from (ConvertFile relies on this).
 func EncodeContainer(w io.Writer, g *Graph) error {
 	if err := checkCSRBounds(g.N, len(g.Edges)); err != nil {
 		return err

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -181,4 +182,45 @@ func FuzzDecodeAuto(f *testing.F) {
 	f.Add(append(tiny, make([]byte, rawLayout(2, 1).totalSize()-uint64(len(tiny)))...))
 	f.Add(binary.LittleEndian.AppendUint64(ContainerMagic[:], 3))
 	f.Fuzz(func(t *testing.T, data []byte) { fuzzDecode(t, data, DecodeAuto) })
+}
+
+// FuzzTextLine is the differential oracle for the text parser's fast path:
+// on any line, fastEdgeLine either declines or returns exactly the edge
+// parseEdgeLine returns for the trimmed line, bit for bit, without error.
+func FuzzTextLine(f *testing.F) {
+	golden := strings.Split(string(goldenEncodings(f)[2]), "\n")
+	for _, line := range golden[:min(len(golden), 32)] {
+		f.Add(line, 1000)
+	}
+	for _, line := range []string{
+		"e 0 1 -0", "e 0 1 1e-320", "e 0 1 +1", "e +1 2 1", "e 0 1 1.",
+		"e 0\t1 1", "e 0 1 1\r", "e 0 1 1 ", "e 0 1 1", " e 0 1 1",
+		"e 0 1 1 ", "e 00 1 2", "e 12345678901 1 1", "e 4294967297 1 1",
+		"e 0 1 1e400", "e 0 1 1e-400", "e 0 1 0x1p-2", "e 0 1 1_0",
+		"e 0 1 inf", "e 0 1 NaN", "e 1 1 1", "e 0 1000 1", "e 0 1", "e  0 1 1",
+		"# e 0 1 1", "",
+	} {
+		f.Add(line, 1000)
+	}
+	f.Add("e 2147483646 0 1", math.MaxInt32)
+	f.Fuzz(func(t *testing.T, line string, n int) {
+		if n < 0 || n > math.MaxInt32 {
+			return
+		}
+		fast, ok := fastEdgeLine([]byte(line), n)
+		if !ok {
+			return
+		}
+		trimmed := strings.TrimSpace(line)
+		if trimmed == "" || strings.HasPrefix(trimmed, "#") {
+			t.Fatalf("fast path accepted a blank or comment line %q", line)
+		}
+		want, err := parseEdgeLine(trimmed, n)
+		if err != nil {
+			t.Fatalf("fast path accepted %q as %+v; the general parser says %v", line, fast, err)
+		}
+		if fast.U != want.U || fast.V != want.V || math.Float64bits(fast.W) != math.Float64bits(want.W) {
+			t.Fatalf("line %q: fast path %+v, general parser %+v", line, fast, want)
+		}
+	})
 }

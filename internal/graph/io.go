@@ -28,15 +28,29 @@ import (
 // the extension (.mrg container, .mrgz compressed container, .gz gzip).
 
 // Encode writes g to w in the text format, with edges in their current
-// order. Call SortEdges first for a canonical encoding.
+// order. Call SortEdges first for a canonical encoding. Each line is built
+// in one reused buffer, so Encode allocates the same few buffers whatever
+// the graph's size.
 func Encode(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "graph %d %d\n", g.N, g.M()); err != nil {
+	bw := bufio.NewWriterSize(w, 1<<16)
+	line := make([]byte, 0, 64)
+	line = append(line, "graph "...)
+	line = strconv.AppendInt(line, int64(g.N), 10)
+	line = append(line, ' ')
+	line = strconv.AppendInt(line, int64(g.M()), 10)
+	line = append(line, '\n')
+	if _, err := bw.Write(line); err != nil {
 		return err
 	}
 	for _, e := range g.Edges {
-		if _, err := fmt.Fprintf(bw, "e %d %d %s\n", e.U, e.V,
-			strconv.FormatFloat(e.W, 'g', -1, 64)); err != nil {
+		line = append(line[:0], 'e', ' ')
+		line = strconv.AppendInt(line, int64(e.U), 10)
+		line = append(line, ' ')
+		line = strconv.AppendInt(line, int64(e.V), 10)
+		line = append(line, ' ')
+		line = strconv.AppendFloat(line, e.W, 'g', -1, 64)
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
@@ -44,8 +58,7 @@ func Encode(w io.Writer, g *Graph) error {
 }
 
 // textStream is a streaming parser for the text format: header first, then
-// one edge per Next call. It backs both Decode (into a heap graph) and
-// ConvertFile's external build (never holding the edges).
+// one edge per Next call.
 type textStream struct {
 	sc   *bufio.Scanner
 	n, m int
@@ -73,40 +86,27 @@ func newTextStream(r io.Reader) (*textStream, error) {
 }
 
 // Next returns the next edge. After exactly m edges it verifies the
-// trailing input and returns io.EOF.
+// trailing input and returns io.EOF. Lines in the shape Encode writes take
+// fastEdgeLine, which allocates nothing; every other line, and every line
+// that would be an error, takes parseEdgeLine.
 func (t *textStream) Next() (Edge, error) {
 	for t.sc.Scan() {
-		line := strings.TrimSpace(t.sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 4 || fields[0] != "e" {
-			return Edge{}, fmt.Errorf("graph: bad edge line %q", line)
-		}
-		u, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return Edge{}, fmt.Errorf("graph: bad endpoint %q", fields[1])
-		}
-		v, err := strconv.Atoi(fields[2])
-		if err != nil {
-			return Edge{}, fmt.Errorf("graph: bad endpoint %q", fields[2])
-		}
-		wt, err := strconv.ParseFloat(fields[3], 64)
-		if err != nil {
-			return Edge{}, fmt.Errorf("graph: bad weight %q", fields[3])
-		}
-		if math.IsNaN(wt) || math.IsInf(wt, 0) {
-			return Edge{}, fmt.Errorf("graph: non-finite weight %q on edge (%d,%d)", fields[3], u, v)
-		}
-		if u < 0 || u >= t.n || v < 0 || v >= t.n || u == v {
-			return Edge{}, fmt.Errorf("graph: invalid edge (%d,%d) for n=%d", u, v, t.n)
+		e, ok := fastEdgeLine(t.sc.Bytes(), t.n)
+		if !ok {
+			line := strings.TrimSpace(t.sc.Text())
+			if line == "" || strings.HasPrefix(line, "#") {
+				continue
+			}
+			var err error
+			if e, err = parseEdgeLine(line, t.n); err != nil {
+				return Edge{}, err
+			}
 		}
 		if t.read >= t.m {
 			return Edge{}, fmt.Errorf("graph: header promises %d edges, found more", t.m)
 		}
 		t.read++
-		return Edge{U: u, V: v, W: wt}, nil
+		return e, nil
 	}
 	if err := t.sc.Err(); err != nil {
 		return Edge{}, err
@@ -115,6 +115,87 @@ func (t *textStream) Next() (Edge, error) {
 		return Edge{}, fmt.Errorf("graph: header promises %d edges, found %d", t.m, t.read)
 	}
 	return Edge{}, io.EOF
+}
+
+// parseEdgeLine parses one trimmed, non-blank, non-comment line as an edge
+// of a graph on n vertices. It is the general parser: any whitespace
+// between fields, signed endpoints, every float syntax ParseFloat accepts.
+func parseEdgeLine(line string, n int) (Edge, error) {
+	fields := strings.Fields(line)
+	if len(fields) != 4 || fields[0] != "e" {
+		return Edge{}, fmt.Errorf("graph: bad edge line %q", line)
+	}
+	u, err := strconv.Atoi(fields[1])
+	if err != nil {
+		return Edge{}, fmt.Errorf("graph: bad endpoint %q", fields[1])
+	}
+	v, err := strconv.Atoi(fields[2])
+	if err != nil {
+		return Edge{}, fmt.Errorf("graph: bad endpoint %q", fields[2])
+	}
+	wt, err := strconv.ParseFloat(fields[3], 64)
+	if err != nil {
+		return Edge{}, fmt.Errorf("graph: bad weight %q", fields[3])
+	}
+	if math.IsNaN(wt) || math.IsInf(wt, 0) {
+		return Edge{}, fmt.Errorf("graph: non-finite weight %q on edge (%d,%d)", fields[3], u, v)
+	}
+	if u < 0 || u >= n || v < 0 || v >= n || u == v {
+		return Edge{}, fmt.Errorf("graph: invalid edge (%d,%d) for n=%d", u, v, n)
+	}
+	return Edge{U: u, V: v, W: wt}, nil
+}
+
+// fastEdgeLine parses the line shape Encode writes — "e <u> <v> <w>" with
+// single ASCII spaces, unsigned decimal endpoints and a weight made of
+// digits, '.', 'e', 'E', '+' and '-' — and reports ok only for a valid edge
+// of a graph on n vertices. It declines everything else (blank lines,
+// comments, other whitespace, signs or overflow in an endpoint, non-finite
+// or unparsable weights, invalid edges), so an accepted line yields exactly
+// the edge parseEdgeLine returns for it and every error comes from
+// parseEdgeLine.
+func fastEdgeLine(b []byte, n int) (Edge, bool) {
+	if len(b) < 2 || b[0] != 'e' || b[1] != ' ' {
+		return Edge{}, false
+	}
+	b = b[2:]
+	u, b, ok := fastEndpoint(b, n)
+	if !ok {
+		return Edge{}, false
+	}
+	v, b, ok := fastEndpoint(b, n)
+	if !ok || u == v || len(b) == 0 {
+		return Edge{}, false
+	}
+	for _, c := range b {
+		if (c < '0' || c > '9') && c != '.' && c != 'e' && c != 'E' && c != '+' && c != '-' {
+			return Edge{}, false
+		}
+	}
+	wt, err := strconv.ParseFloat(string(b), 64)
+	if err != nil || math.IsInf(wt, 0) {
+		return Edge{}, false
+	}
+	return Edge{U: u, V: v, W: wt}, true
+}
+
+// fastEndpoint parses an unsigned decimal below n followed by one space and
+// returns the rest of b. More than maxEndpointDigits digits declines, which
+// rules out overflow (n never exceeds MaxInt32).
+func fastEndpoint(b []byte, n int) (int, []byte, bool) {
+	const maxEndpointDigits = 10
+	var x int64
+	i := 0
+	for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
+		if i == maxEndpointDigits {
+			return 0, nil, false
+		}
+		x = x*10 + int64(b[i]-'0')
+	}
+	if i == 0 || i == len(b) || b[i] != ' ' || x >= int64(n) {
+		return 0, nil, false
+	}
+	return int(x), b[i+1:], true
 }
 
 // minEdgeLine is the fewest input bytes a text edge line takes: "e u v w"
@@ -239,9 +320,10 @@ func presize(count, unit int, size int64) int {
 }
 
 // ReadFile loads a graph from path in any supported format. Raw binary
-// containers are opened via OpenMapped — zero-copy, O(header) — so callers
-// automatically get the out-of-core form when the file provides it; text,
-// gzip and compressed containers decode into the heap.
+// containers are opened via OpenVerified — zero-copy, with every checksum
+// and slab invariant checked once — so callers automatically get the
+// out-of-core form when the file provides it; text, gzip and compressed
+// containers decode into the heap.
 func ReadFile(path string) (*Graph, error) {
 	fh, err := os.Open(path)
 	if err != nil {
@@ -251,7 +333,7 @@ func ReadFile(path string) (*Graph, error) {
 	k, _ := fh.ReadAt(head, 0)
 	if sniff(head[:k]) == kindContainer {
 		fh.Close()
-		return OpenMapped(path)
+		return OpenVerified(path)
 	}
 	defer fh.Close()
 	return DecodeAuto(fh)
@@ -293,50 +375,58 @@ func WriteFile(path string, g *Graph) error {
 	return fh.Close()
 }
 
+// ExtBuildConfig is the type of ConvertFile's and BuildExternal's last
+// parameter. Both build in memory and ignore it; it stays so that callers
+// passing nil keep compiling.
+type ExtBuildConfig struct{}
+
 // ConvertFile rewrites the graph at src — any format ReadFile accepts — as
-// a raw binary container at dst. Text input is streamed through
-// BuildExternal, so converting never needs the graph in memory; container
-// input (raw or compressed) is re-encoded through the heap-free mapped view
-// where possible. The output is byte-identical to
-// WriteContainerFile(dst, ReadFile(src)).
-func ConvertFile(src, dst string, cfg *ExtBuildConfig) error {
+// a raw binary container at dst: it decodes src through DecodeAuto, which
+// verifies container checksums and slab invariants, and writes the heap
+// graph with WriteContainerFile. A plain text or raw container source is
+// sized from the file, so its slabs are allocated once. Converting holds
+// the whole graph in memory: its peak resident set is about the size of
+// the container it writes. The last parameter is ignored.
+func ConvertFile(src, dst string, _ *ExtBuildConfig) error {
 	fh, err := os.Open(src)
 	if err != nil {
 		return err
 	}
-	defer fh.Close()
-	head := make([]byte, len(ContainerMagic))
-	k, _ := fh.ReadAt(head, 0)
-	if sniff(head[:k]) == kindContainer {
-		g, err := OpenMapped(src)
-		if err != nil {
-			return err
-		}
-		defer g.Close()
-		return WriteContainerFile(dst, g)
-	}
-
-	var r io.Reader = bufio.NewReaderSize(fh, 1<<16)
-	if sniff(head[:k]) == kindGzip {
-		zr, err := gzip.NewReader(r)
-		if err != nil {
-			return fmt.Errorf("graph: gzip: %v", err)
-		}
-		defer zr.Close()
-		br := bufio.NewReader(zr)
-		inner, _ := br.Peek(len(ContainerMagic))
-		if sniff(inner) == kindContainer {
-			g, err := ReadContainer(br)
-			if err != nil {
-				return err
-			}
-			return WriteContainerFile(dst, g)
-		}
-		r = br
-	}
-	t, err := newTextStream(r)
+	g, err := DecodeAuto(fh)
+	fh.Close()
 	if err != nil {
 		return err
 	}
-	return BuildExternal(dst, t.n, t.m, func() (Edge, error) { return t.Next() }, cfg)
+	return WriteContainerFile(dst, g)
+}
+
+// BuildExternal writes the raw container of the graph on n vertices whose m
+// edges next yields, in input order, to path. Every edge is checked as
+// Decode checks a text edge line; the file is byte-identical to
+// WriteContainerFile of the heap graph with the same edges. The edges are
+// collected in memory; m is believed only as far as the edges arrive, and
+// the last parameter is ignored.
+func BuildExternal(path string, n, m int, next func() (Edge, error), _ *ExtBuildConfig) error {
+	if n < 0 || m < 0 {
+		return fmt.Errorf("graph: negative dimensions n=%d m=%d", n, m)
+	}
+	if err := checkCSRBounds(n, m); err != nil {
+		return err
+	}
+	g := New(n)
+	g.Edges = make([]Edge, 0, presize(m, 1, -1))
+	for i := 0; i < m; i++ {
+		e, err := next()
+		if err != nil {
+			return fmt.Errorf("graph: edge stream ended at edge %d of %d: %v", i, m, err)
+		}
+		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n || e.U == e.V {
+			return fmt.Errorf("graph: invalid edge (%d,%d) for n=%d", e.U, e.V, n)
+		}
+		if math.IsNaN(e.W) || math.IsInf(e.W, 0) {
+			return fmt.Errorf("graph: non-finite weight on edge (%d,%d)", e.U, e.V)
+		}
+		g.Edges = append(g.Edges, e)
+	}
+	return WriteContainerFile(path, g)
 }

@@ -2,7 +2,13 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"io"
+	"math"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -163,5 +169,291 @@ func TestCanonicalEncoding(t *testing.T) {
 	// Canonical up to endpoint orientation within an edge.
 	if len(sa) != len(sb) {
 		t.Fatalf("canonical encodings differ:\n%s\nvs\n%s", sa, sb)
+	}
+}
+
+// edgeFeeder replays a fixed edge list through BuildExternal's callback.
+func edgeFeeder(edges []Edge) func() (Edge, error) {
+	i := 0
+	return func() (Edge, error) {
+		if i >= len(edges) {
+			return Edge{}, errors.New("exhausted")
+		}
+		e := edges[i]
+		i++
+		return e, nil
+	}
+}
+
+// TestBuildExternalByteIdentical: building from an edge stream writes the
+// bytes WriteContainerFile writes for the heap graph, with or without
+// edges.
+func TestBuildExternalByteIdentical(t *testing.T) {
+	r := rng.New(99)
+	g := GNM(800, 6000, r)
+	g.AssignUniformWeights(r, 1, 50)
+	dir := t.TempDir()
+	for _, g := range []*Graph{g, New(5)} {
+		want, got := filepath.Join(dir, "heap.mrg"), filepath.Join(dir, "stream.mrg")
+		if err := WriteContainerFile(want, g); err != nil {
+			t.Fatal(err)
+		}
+		if err := BuildExternal(got, g.N, g.M(), edgeFeeder(g.Edges), nil); err != nil {
+			t.Fatal(err)
+		}
+		wantB, err := os.ReadFile(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotB, err := os.ReadFile(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wantB, gotB) {
+			t.Fatalf("n=%d m=%d: streamed container differs from the heap graph's", g.N, g.M())
+		}
+	}
+}
+
+// TestBuildExternalValidation checks the stream validator matches the
+// in-heap rules: bad endpoints, self-loops, non-finite weights, short
+// streams.
+func TestBuildExternalValidation(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "x.mrg")
+	cases := []struct {
+		name  string
+		n, m  int
+		edges []Edge
+		want  string
+	}{
+		{"endpoint-range", 3, 1, []Edge{{U: 0, V: 3, W: 1}}, "invalid edge"},
+		{"negative", 3, 1, []Edge{{U: -1, V: 2, W: 1}}, "invalid edge"},
+		{"self-loop", 3, 1, []Edge{{U: 1, V: 1, W: 1}}, "invalid edge"},
+		{"non-finite", 3, 1, []Edge{{U: 0, V: 1, W: math.Inf(1)}}, "non-finite"},
+		{"short-stream", 3, 2, []Edge{{U: 0, V: 1, W: 1}}, "edge stream ended"},
+		{"negative-m", 3, -1, nil, "negative dimensions"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := BuildExternal(out, tc.n, tc.m, edgeFeeder(tc.edges), nil)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got %v, want error containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestConvertFile checks every source format converts to the same container
+// bytes as writing the in-heap graph directly.
+func TestConvertFile(t *testing.T) {
+	r := rng.New(7)
+	g := GNM(300, 1500, r)
+	g.AssignUniformWeights(r, 1, 10)
+	dir := t.TempDir()
+
+	want := filepath.Join(dir, "want.mrg")
+	if err := WriteContainerFile(want, g); err != nil {
+		t.Fatal(err)
+	}
+	wantB, err := os.ReadFile(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, src := range []string{"g.txt", "g.txt.gz", "g.mrg", "g.mrgz", "g.mrg.gz"} {
+		srcPath := filepath.Join(dir, src)
+		if err := WriteFile(srcPath, g); err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		dst := filepath.Join(dir, "conv-"+src+".mrg")
+		if err := ConvertFile(srcPath, dst, nil); err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		gotB, err := os.ReadFile(dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wantB, gotB) {
+			t.Fatalf("%s: converted container differs from direct encoding", src)
+		}
+	}
+}
+
+// corruptNeighbour writes a 120-vertex raw container to dir and flips the
+// high byte of adjNbr[0], so the mapped Neighbors(0)[0] reads 2^30 past a
+// real vertex id while the header and its checksum stay intact.
+func corruptNeighbour(t *testing.T, dir string) string {
+	t.Helper()
+	r := rng.New(5)
+	g := GNM(120, 600, r)
+	g.AssignUniformWeights(r, 1, 10)
+	path := filepath.Join(dir, "bad.mrg")
+	if err := WriteContainerFile(path, g); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[rawLayout(g.N, g.M()).sections[1].off+3] ^= 0x40
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestCorruptMappedContainerRejected: a raw container whose section body is
+// corrupt still opens through the unverified OpenMapped, but ReadFile
+// (mrrun -load, mrserve -preload) and ConvertFile refuse it instead of
+// serving, or re-checksumming, a neighbour id out of range.
+func TestCorruptMappedContainerRejected(t *testing.T) {
+	dir := t.TempDir()
+	path := corruptNeighbour(t, dir)
+	if g, err := OpenMapped(path); err != nil {
+		t.Fatalf("OpenMapped checks only the header, yet failed: %v", err)
+	} else {
+		if nb := g.Neighbors(0)[0]; nb < int32(g.N) {
+			t.Fatalf("corruption did not reach the mapping: Neighbors(0)[0] = %d", nb)
+		}
+		g.Close()
+	}
+	if _, err := ReadFile(path); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("ReadFile of a corrupt container: %v, want a checksum mismatch", err)
+	}
+	if _, err := OpenVerified(path); err == nil {
+		t.Fatal("OpenVerified accepted a corrupt container")
+	}
+	dst := filepath.Join(dir, "out.mrg")
+	if err := ConvertFile(path, dst, nil); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("ConvertFile of a corrupt container: %v, want a checksum mismatch", err)
+	}
+	if _, err := os.Stat(dst); !os.IsNotExist(err) {
+		t.Fatalf("ConvertFile left %s behind for a corrupt source: %v", dst, err)
+	}
+}
+
+// TestDecodeTextAllocsBounded pins the text parser's allocations: decoding
+// the serve graph's text (~300 000 lines) allocates a fixed handful of
+// buffers, not one or more per line.
+func TestDecodeTextAllocsBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	var text bytes.Buffer
+	if err := Encode(&text, serveGraph()); err != nil {
+		t.Fatal(err)
+	}
+	data := text.Bytes()
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := Decode(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 64 {
+		t.Fatalf("decoding %d bytes of text made %.0f allocations, want <= 64", len(data), allocs)
+	}
+}
+
+// TestEncodeAllocsConstant: Encode's allocations do not grow with the graph.
+func TestEncodeAllocsConstant(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	r := rng.New(3)
+	small, large := GNM(10, 20, r), GNM(2000, 40000, r)
+	large.AssignUniformWeights(r, 1, 100)
+	count := func(g *Graph) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if err := Encode(io.Discard, g); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if s, l := count(small), count(large); s != l || l > 4 {
+		t.Fatalf("Encode allocations: %.0f for 20 edges, %.0f for 40000, want equal and <= 4", s, l)
+	}
+}
+
+// BenchmarkEncodeText, BenchmarkDecodeText and BenchmarkConvertText time
+// the three codec layers of the serve workload's set-up on its graph.
+func BenchmarkEncodeText(b *testing.B) {
+	g := serveGraph()
+	var text bytes.Buffer
+	if err := Encode(&text, g); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(text.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Encode(io.Discard, g); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDecodeText(b *testing.B) {
+	var text bytes.Buffer
+	if err := Encode(&text, serveGraph()); err != nil {
+		b.Fatal(err)
+	}
+	data := text.Bytes()
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Decode(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkConvertText(b *testing.B) {
+	dir := b.TempDir()
+	src, dst := filepath.Join(dir, "g.txt"), filepath.Join(dir, "g.mrg")
+	if err := WriteFile(src, serveGraph()); err != nil {
+		b.Fatal(err)
+	}
+	st, err := os.Stat(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(st.Size())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ConvertFile(src, dst, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestOpenVerifiedChecksSlabs: a container that lies consistently — a
+// neighbour id out of range, with every checksum recomputed to match — gets
+// past the checksums and is refused by OpenVerified's slab check.
+func TestOpenVerifiedChecksSlabs(t *testing.T) {
+	var buf bytes.Buffer
+	if err := EncodeContainer(&buf, Path(4)); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	h, _, err := parseHeaderBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nbr := h.sections[1]
+	binary.LittleEndian.PutUint32(data[nbr.off:], 1<<30)
+	h.sections[1].crc = crc32.Checksum(data[nbr.off:nbr.off+nbr.len], castagnoli)
+	copy(data, h.marshal())
+	path := filepath.Join(t.TempDir(), "lie.mrg")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyContainer(path); err != nil {
+		t.Fatalf("the forged container should pass its checksums: %v", err)
+	}
+	if _, err := OpenVerified(path); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("OpenVerified of a container whose slabs lie: %v, want a neighbour id out of range", err)
 	}
 }

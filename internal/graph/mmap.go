@@ -3,6 +3,7 @@ package graph
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"runtime"
@@ -94,7 +95,20 @@ func viewEdges(b []byte) []Edge {
 // The returned graph is immutable — in-place mutators panic; Clone gives a
 // mutable heap copy. Close (or garbage collection of the graph and every
 // holder of its slices) releases the mapping.
-func OpenMapped(path string) (*Graph, error) {
+//
+// A mapping whose payload is corrupt serves out-of-range neighbour ids to
+// whatever scans it, so files this process did not just write itself
+// should go through OpenVerified.
+func OpenMapped(path string) (*Graph, error) { return openMapped(path, false) }
+
+// OpenVerified is OpenMapped plus the checks ReadContainer makes on every
+// load: each section checksum over the mapped bytes, then the slab
+// invariants (validateSlabs). It reads the whole file once, about 4 ms per
+// 16 MB, and returns an error instead of a graph that would index out of
+// range.
+func OpenVerified(path string) (*Graph, error) { return openMapped(path, true) }
+
+func openMapped(path string, verify bool) (*Graph, error) {
 	fh, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -141,6 +155,14 @@ func OpenMapped(path string) (*Graph, error) {
 	}
 	m := &mapping{data: data, unmap: mapped}
 	runtime.SetFinalizer(m, (*mapping).close)
+	if verify {
+		for _, s := range h.sections {
+			if crc := crc32.Checksum(data[s.off:s.off+s.len], castagnoli); crc != s.crc {
+				m.close()
+				return nil, fmt.Errorf("graph: container section kind %d checksum mismatch (%08x != %08x)", s.kind, crc, s.crc)
+			}
+		}
+	}
 
 	sec := func(kind uint32) []byte {
 		s, _ := h.find(kind)
@@ -160,6 +182,12 @@ func OpenMapped(path string) (*Graph, error) {
 	g.built = true
 	g.wBuilt = true
 	g.backing = m
+	if verify {
+		if err := g.validateSlabs(); err != nil {
+			m.close()
+			return nil, err
+		}
+	}
 	return g, nil
 }
 

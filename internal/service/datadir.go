@@ -71,10 +71,12 @@ func spoolMapped(dir, id string, g *graph.Graph) (*graph.Graph, error) {
 }
 
 // openSpooled maps a previously spooled instance, if the data directory has
-// it. Used to resurrect evicted uploads by id.
+// it. Used to resurrect evicted uploads by id and to audit ledger records
+// against them. The file may have changed on disk since it was written, so
+// every checksum and slab invariant is checked before it is served.
 func openSpooled(dir, id string) (*graph.Graph, error) {
 	if dir == "" {
 		return nil, os.ErrNotExist
 	}
-	return graph.OpenMapped(spoolPath(dir, id))
+	return graph.OpenVerified(spoolPath(dir, id))
 }

@@ -9,6 +9,7 @@ import (
 	"compress/gzip"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -248,5 +249,73 @@ func TestPreloadFile(t *testing.T) {
 	}))
 	if v.Result == nil {
 		t.Fatal("no result from preloaded instance")
+	}
+}
+
+// corruptFile flips a bit in the last byte of a container at path — the
+// high byte of the last edge's weight — through a rename, so a mapping of
+// the old file is never touched.
+func corruptFile(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0x40
+	tmp := path + ".corrupt"
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPreloadRejectsCorruptContainer: mrserve -preload of a container whose
+// section body fails its checksum is an error, not a served instance.
+func TestPreloadRejectsCorruptContainer(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.mrg")
+	if err := graph.WriteContainerFile(path, uploadGraph()); err != nil {
+		t.Fatal(err)
+	}
+	corruptFile(t, path)
+	e := NewEngine(Config{Pool: 1})
+	defer e.Close()
+	if _, _, err := e.PreloadFile(path); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("preloading a corrupt container: %v, want a checksum mismatch", err)
+	}
+	if n := len(e.Instances()); n != 0 {
+		t.Fatalf("the cache holds %d instances after a refused preload", n)
+	}
+}
+
+// TestResurrectionRejectsCorruptSpool: an evicted upload whose spooled
+// container was corrupted on disk fails its job with the checksum error
+// instead of being remapped and served.
+func TestResurrectionRejectsCorruptSpool(t *testing.T) {
+	dir := t.TempDir()
+	e := NewEngine(Config{Pool: 1, Instances: 1, DataDir: dir})
+	defer e.Close()
+	var a, b bytes.Buffer
+	if err := graph.Encode(&a, uploadGraph()); err != nil {
+		t.Fatal(err)
+	}
+	if err := graph.Encode(&b, graph.GNM(80, 200, rng.New(99))); err != nil {
+		t.Fatal(err)
+	}
+	idA, _, err := e.Upload(a.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e.Upload(b.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	corruptFile(t, spoolPath(dir, idA))
+
+	j := mustSubmit(t, e, JobRequest{Instance: InstanceSpec{Type: "upload", ID: idA}, Alg: "mis", Seed: 3})
+	j.Wait()
+	v := e.Snapshot(j)
+	if v.Status != StatusFailed || !strings.Contains(v.Error, "checksum mismatch") {
+		t.Fatalf("job on a corrupt spool: status %s, error %q; want failed with a checksum mismatch", v.Status, v.Error)
 	}
 }

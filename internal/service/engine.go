@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -351,17 +352,25 @@ func (e *Engine) Instances() []InstanceInfo { return e.instances.list() }
 // is format-invariant: text, gzip and binary uploads of the same graph
 // coincide). Jobs may then reference it as {"type": "upload", "id": id}.
 // With Config.DataDir set, the graph is additionally spooled to
-// DataDir/<id>.mrg and served zero-copy from the mapped container.
+// DataDir/<id>.mrg and served zero-copy from the mapped container. The
+// bytes are decoded once: the id (SpecID's) and the instance
+// (BuildInstance's) both come from that one graph.
 func (e *Engine) Upload(data []byte) (string, InstanceInfo, error) {
 	spec := InstanceSpec{Type: "upload", Data: data}
-	id, err := SpecID(spec)
+	if err := spec.Validate(); err != nil {
+		return "", InstanceInfo{}, err
+	}
+	g, err := graph.DecodeAuto(bytes.NewReader(data))
 	if err != nil {
 		return "", InstanceInfo{}, err
 	}
-	in, err := BuildInstance(spec)
+	canon, err := uploadCanonical(g)
 	if err != nil {
 		return "", InstanceInfo{}, err
 	}
+	id := canonicalID(canon)
+	in := core.Input{Graph: g}
+	materialize(in)
 	in = e.spoolInput(id, in)
 	e.instances.put(id, spec, in)
 	return id, e.uploadInfo(id, in), nil

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"sort"
 	"sync"
 
@@ -56,6 +58,9 @@ func (c *instanceCache) get(id string, spec InstanceSpec) (core.Input, error) {
 			g, rerr := openSpooled(c.dataDir, id)
 			if rerr != nil {
 				c.mu.Unlock()
+				if !errors.Is(rerr, os.ErrNotExist) {
+					return core.Input{}, fmt.Errorf("service: spooled instance %q: %v", id, rerr)
+				}
 				return core.Input{}, fmt.Errorf("service: unknown instance id %q (evicted or never uploaded)", id)
 			}
 			e = &instanceEntry{id: id, spec: spec, in: core.Input{Graph: g}, uploaded: true}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/ledger"
 	"repro/internal/rng"
 )
@@ -372,7 +371,7 @@ func buildAuditInstance(spec InstanceSpec, dataDir string) (core.Input, error) {
 		if dataDir == "" {
 			return core.Input{}, fmt.Errorf("upload instance %s needs -data pointing at the server's spool directory", spec.ID)
 		}
-		g, err := graph.OpenMapped(spoolPath(dataDir, spec.ID))
+		g, err := openSpooled(dataDir, spec.ID)
 		if err != nil {
 			return core.Input{}, err
 		}

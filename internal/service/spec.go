@@ -172,12 +172,11 @@ func (s InstanceSpec) canonical() (string, error) {
 // same graph share one instance — but sensitive to edge order (edge order is
 // part of the algorithms' determinism contract).
 func uploadCanonical(g *graph.Graph) (string, error) {
-	var buf bytes.Buffer
-	if err := graph.Encode(&buf, g); err != nil {
+	h := sha256.New()
+	if err := graph.Encode(h, g); err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	return "upload sha256=" + hex.EncodeToString(sum[:]), nil
+	return "upload sha256=" + hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // canonicalID hashes a canonical serialization into a spec id.
