@@ -18,8 +18,10 @@
 // Loading a raw binary container (.mrg) memory-maps it: start-up reads the
 // file once to check its checksums and slab invariants, keeps no copy on the
 // heap, and the kernel pages edge data in on demand. -convert decodes the
-// input into memory and writes the container; its output is byte-identical
-// to saving the in-heap graph.
+// input into memory and writes the container when the container fits in
+// 256 MiB, and streams larger text graphs through the external-sort builder
+// instead; either way its output is byte-identical to saving the in-heap
+// graph.
 //
 // Standard output is the result and is deterministic; one line on standard
 // error, "mrrun: instance <s> run <s> total <s> peak_rss <MB> heap <MB>",

@@ -19,8 +19,9 @@
 //   - internal/graph    — the CSR-native graph kernel (contiguous int32
 //     neighbour/weight/edge-id slabs, parallel deterministic Build and
 //     generators), solution validators, and the out-of-core binary
-//     container (checksummed CSR sections opened zero-copy via mmap, and
-//     written from the in-heap graph whatever format it was decoded from);
+//     container (checksummed CSR sections opened zero-copy via mmap,
+//     converted in memory or, for large graphs, by a streaming external
+//     sort, both byte-identical to the in-heap encoder);
 //   - internal/setcover — weighted set cover instances and generators;
 //   - internal/bench    — the Figure 1 reproduction experiments;
 //   - internal/service  — the concurrent job-serving subsystem (instance

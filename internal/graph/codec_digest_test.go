@@ -73,26 +73,30 @@ func TestEncodeDigests(t *testing.T) {
 }
 
 // TestConvertFileDigests pins ConvertFile's output on the same two graphs
-// from a text, a gzip-wrapped text and a raw container source.
+// from a text, a gzip-wrapped text and a raw container source, with text
+// built both in memory and through the external sort.
 func TestConvertFileDigests(t *testing.T) {
 	for _, tc := range codecPins {
 		g := tc.graph(t)
 		dir := t.TempDir()
 		for _, src := range []string{"g.txt", "g.txt.gz", "g.mrg"} {
-			srcPath, dst := filepath.Join(dir, src), filepath.Join(dir, "out-"+src+".mrg")
+			srcPath := filepath.Join(dir, src)
 			if err := WriteFile(srcPath, g); err != nil {
 				t.Fatal(err)
 			}
-			if err := ConvertFile(srcPath, dst, nil); err != nil {
-				t.Fatalf("%s from %s: %v", tc.name, src, err)
-			}
-			out, err := os.ReadFile(dst)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := sha256Hex(out); got != tc.container {
-				t.Errorf("%s from %s: container digest %s, want %s", tc.name, src, got, tc.container)
-			}
+			convertPaths(dir, 1<<16, func(path string, cfg *ExtBuildConfig) {
+				dst := filepath.Join(dir, "out.mrg")
+				if err := ConvertFile(srcPath, dst, cfg); err != nil {
+					t.Fatalf("%s from %s, %s: %v", tc.name, src, path, err)
+				}
+				out, err := os.ReadFile(dst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := sha256Hex(out); got != tc.container {
+					t.Errorf("%s from %s, %s: container digest %s, want %s", tc.name, src, path, got, tc.container)
+				}
+			})
 		}
 	}
 }

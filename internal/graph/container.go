@@ -333,7 +333,8 @@ func rawSections(g *Graph) []func(se *sectionEncoder) {
 // EncodeContainer writes g to w as a raw (mappable) binary container. The
 // encoding is canonical: the same graph — same N, edge list and edge order —
 // produces byte-identical output everywhere, whatever format it was decoded
-// from (ConvertFile relies on this).
+// from (ConvertFile relies on this, and BuildExternal emits the same bytes
+// without ever holding the graph in memory).
 func EncodeContainer(w io.Writer, g *Graph) error {
 	if err := checkCSRBounds(g.N, len(g.Edges)); err != nil {
 		return err

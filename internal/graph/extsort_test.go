@@ -97,39 +97,3 @@ func TestBuildExternalValidation(t *testing.T) {
 		})
 	}
 }
-
-// TestConvertFile checks every source format converts to the same container
-// bytes as writing the in-heap graph directly.
-func TestConvertFile(t *testing.T) {
-	r := rng.New(7)
-	g := GNM(300, 1500, r)
-	g.AssignUniformWeights(r, 1, 10)
-	dir := t.TempDir()
-
-	want := filepath.Join(dir, "want.mrg")
-	if err := WriteContainerFile(want, g); err != nil {
-		t.Fatal(err)
-	}
-	wantB, err := os.ReadFile(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, src := range []string{"g.txt", "g.txt.gz", "g.mrg", "g.mrgz", "g.mrg.gz"} {
-		srcPath := filepath.Join(dir, src)
-		if err := WriteFile(srcPath, g); err != nil {
-			t.Fatalf("%s: %v", src, err)
-		}
-		dst := filepath.Join(dir, "conv-"+src+".mrg")
-		if err := ConvertFile(srcPath, dst, &ExtBuildConfig{ChunkEdges: 101, TmpDir: dir}); err != nil {
-			t.Fatalf("%s: %v", src, err)
-		}
-		gotB, err := os.ReadFile(dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(wantB, gotB) {
-			t.Fatalf("%s: converted container differs from direct encoding", src)
-		}
-	}
-}

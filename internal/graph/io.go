@@ -212,6 +212,12 @@ func decodeText(r io.Reader, size int64) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
+	return t.graph(size)
+}
+
+// graph collects the stream's edges into a heap graph; size is as for
+// decodeText.
+func (t *textStream) graph(size int64) (*Graph, error) {
 	g := New(t.n)
 	g.Edges = make([]Edge, 0, presize(t.m, minEdgeLine, size))
 	for {
@@ -375,58 +381,80 @@ func WriteFile(path string, g *Graph) error {
 	return fh.Close()
 }
 
-// ExtBuildConfig is the type of ConvertFile's and BuildExternal's last
-// parameter. Both build in memory and ignore it; it stays so that callers
-// passing nil keep compiling.
-type ExtBuildConfig struct{}
-
 // ConvertFile rewrites the graph at src — any format ReadFile accepts — as
-// a raw binary container at dst: it decodes src through DecodeAuto, which
-// verifies container checksums and slab invariants, and writes the heap
-// graph with WriteContainerFile. A plain text or raw container source is
-// sized from the file, so its slabs are allocated once. Converting holds
-// the whole graph in memory: its peak resident set is about the size of
-// the container it writes. The last parameter is ignored.
-func ConvertFile(src, dst string, _ *ExtBuildConfig) error {
+// a raw binary container at dst; the output is byte-identical to
+// WriteContainerFile(dst, ReadFile(src)). A container source is opened with
+// every checksum and slab invariant checked (a raw one through
+// OpenVerified's mapping) and re-encoded. A text source, plain or gzipped,
+// whose container is at most 256 MiB (about 4.7 M edges) decodes to the
+// heap and is written with WriteContainerFile, peaking at about the
+// container's size in memory; a larger one streams through BuildExternal
+// under cfg, so its peak memory stays at the chunk budget. A nil cfg uses
+// the defaults.
+func ConvertFile(src, dst string, cfg *ExtBuildConfig) error {
 	fh, err := os.Open(src)
 	if err != nil {
 		return err
 	}
-	g, err := DecodeAuto(fh)
-	fh.Close()
+	defer fh.Close()
+	head := make([]byte, len(ContainerMagic))
+	k, _ := fh.ReadAt(head, 0)
+	kind := sniff(head[:k])
+	if kind == kindContainer {
+		g, err := OpenVerified(src)
+		if err != nil {
+			return err
+		}
+		defer g.Close()
+		return WriteContainerFile(dst, g)
+	}
+
+	size := inputSize(fh)
+	r := bufio.NewReaderSize(fh, 1<<16)
+	if kind == kindGzip {
+		zr, err := gzip.NewReader(r)
+		if err != nil {
+			return fmt.Errorf("graph: gzip: %v", err)
+		}
+		defer zr.Close()
+		r, size = bufio.NewReaderSize(zr, 1<<16), -1
+		if inner, _ := r.Peek(len(ContainerMagic)); sniff(inner) != kindText {
+			g, err := DecodeAuto(r)
+			if err != nil {
+				return err
+			}
+			return WriteContainerFile(dst, g)
+		}
+	}
+	t, err := newTextStream(r)
+	if err != nil {
+		return err
+	}
+	if int64(rawLayout(t.n, t.m).totalSize()) > convertInMemoryBytes {
+		return t.buildExternal(dst, cfg)
+	}
+	g, err := t.graph(size)
 	if err != nil {
 		return err
 	}
 	return WriteContainerFile(dst, g)
 }
 
-// BuildExternal writes the raw container of the graph on n vertices whose m
-// edges next yields, in input order, to path. Every edge is checked as
-// Decode checks a text edge line; the file is byte-identical to
-// WriteContainerFile of the heap graph with the same edges. The edges are
-// collected in memory; m is believed only as far as the edges arrive, and
-// the last parameter is ignored.
-func BuildExternal(path string, n, m int, next func() (Edge, error), _ *ExtBuildConfig) error {
-	if n < 0 || m < 0 {
-		return fmt.Errorf("graph: negative dimensions n=%d m=%d", n, m)
-	}
-	if err := checkCSRBounds(n, m); err != nil {
-		return err
-	}
-	g := New(n)
-	g.Edges = make([]Edge, 0, presize(m, 1, -1))
-	for i := 0; i < m; i++ {
-		e, err := next()
-		if err != nil {
-			return fmt.Errorf("graph: edge stream ended at edge %d of %d: %v", i, m, err)
+// convertInMemoryBytes is the largest container ConvertFile builds from text
+// in memory. A variable only so tests can send small graphs down the
+// external path.
+var convertInMemoryBytes int64 = 1 << 28
+
+// buildExternal streams the rest of t through BuildExternal into dst and
+// then checks that the input holds no edge past the header's count, as
+// Decode does. On any error dst is removed.
+func (t *textStream) buildExternal(dst string, cfg *ExtBuildConfig) error {
+	err := BuildExternal(dst, t.n, t.m, t.Next, cfg)
+	if err == nil {
+		if _, err = t.Next(); err == io.EOF {
+			return nil
 		}
-		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n || e.U == e.V {
-			return fmt.Errorf("graph: invalid edge (%d,%d) for n=%d", e.U, e.V, n)
-		}
-		if math.IsNaN(e.W) || math.IsInf(e.W, 0) {
-			return fmt.Errorf("graph: non-finite weight on edge (%d,%d)", e.U, e.V)
-		}
-		g.Edges = append(g.Edges, e)
 	}
-	return WriteContainerFile(path, g)
+	os.Remove(dst)
+	return err
 }

@@ -3,10 +3,8 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -172,80 +170,20 @@ func TestCanonicalEncoding(t *testing.T) {
 	}
 }
 
-// edgeFeeder replays a fixed edge list through BuildExternal's callback.
-func edgeFeeder(edges []Edge) func() (Edge, error) {
-	i := 0
-	return func() (Edge, error) {
-		if i >= len(edges) {
-			return Edge{}, errors.New("exhausted")
-		}
-		e := edges[i]
-		i++
-		return e, nil
-	}
-}
-
-// TestBuildExternalByteIdentical: building from an edge stream writes the
-// bytes WriteContainerFile writes for the heap graph, with or without
-// edges.
-func TestBuildExternalByteIdentical(t *testing.T) {
-	r := rng.New(99)
-	g := GNM(800, 6000, r)
-	g.AssignUniformWeights(r, 1, 50)
-	dir := t.TempDir()
-	for _, g := range []*Graph{g, New(5)} {
-		want, got := filepath.Join(dir, "heap.mrg"), filepath.Join(dir, "stream.mrg")
-		if err := WriteContainerFile(want, g); err != nil {
-			t.Fatal(err)
-		}
-		if err := BuildExternal(got, g.N, g.M(), edgeFeeder(g.Edges), nil); err != nil {
-			t.Fatal(err)
-		}
-		wantB, err := os.ReadFile(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotB, err := os.ReadFile(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(wantB, gotB) {
-			t.Fatalf("n=%d m=%d: streamed container differs from the heap graph's", g.N, g.M())
-		}
-	}
-}
-
-// TestBuildExternalValidation checks the stream validator matches the
-// in-heap rules: bad endpoints, self-loops, non-finite weights, short
-// streams.
-func TestBuildExternalValidation(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "x.mrg")
-	cases := []struct {
-		name  string
-		n, m  int
-		edges []Edge
-		want  string
-	}{
-		{"endpoint-range", 3, 1, []Edge{{U: 0, V: 3, W: 1}}, "invalid edge"},
-		{"negative", 3, 1, []Edge{{U: -1, V: 2, W: 1}}, "invalid edge"},
-		{"self-loop", 3, 1, []Edge{{U: 1, V: 1, W: 1}}, "invalid edge"},
-		{"non-finite", 3, 1, []Edge{{U: 0, V: 1, W: math.Inf(1)}}, "non-finite"},
-		{"short-stream", 3, 2, []Edge{{U: 0, V: 1, W: 1}}, "edge stream ended"},
-		{"negative-m", 3, -1, nil, "negative dimensions"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := BuildExternal(out, tc.n, tc.m, edgeFeeder(tc.edges), nil)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("got %v, want error containing %q", err, tc.want)
-			}
-		})
-	}
+// convertPaths calls f for both ways ConvertFile builds from text: in
+// memory (every test graph fits the budget), then through the external
+// sort, forced by a negative budget, with runs of chunk half-edges.
+func convertPaths(dir string, chunk int, f func(path string, cfg *ExtBuildConfig)) {
+	f("in-memory", nil)
+	defer func(budget int64) { convertInMemoryBytes = budget }(convertInMemoryBytes)
+	convertInMemoryBytes = -1
+	f("external", &ExtBuildConfig{ChunkEdges: chunk, TmpDir: dir})
 }
 
 // TestConvertFile checks every source format converts to the same container
-// bytes as writing the in-heap graph directly.
+// bytes as writing the in-heap graph directly, on both text paths, and that
+// both paths refuse a text with more or fewer edges than its header
+// promises. The second error's wording tells which path ran.
 func TestConvertFile(t *testing.T) {
 	r := rng.New(7)
 	g := GNM(300, 1500, r)
@@ -260,24 +198,46 @@ func TestConvertFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	for _, src := range []string{"g.txt", "g.txt.gz", "g.mrg", "g.mrgz", "g.mrg.gz"} {
-		srcPath := filepath.Join(dir, src)
-		if err := WriteFile(srcPath, g); err != nil {
-			t.Fatalf("%s: %v", src, err)
-		}
-		dst := filepath.Join(dir, "conv-"+src+".mrg")
-		if err := ConvertFile(srcPath, dst, nil); err != nil {
-			t.Fatalf("%s: %v", src, err)
-		}
-		gotB, err := os.ReadFile(dst)
-		if err != nil {
+	bad := map[string]string{"excess": "graph 3 1\ne 0 1 1\ne 1 2 1\n", "short": "graph 3 2\ne 0 1 1\n"}
+	for name, text := range bad {
+		if err := os.WriteFile(filepath.Join(dir, name+".txt"), []byte(text), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(wantB, gotB) {
-			t.Fatalf("%s: converted container differs from direct encoding", src)
-		}
 	}
+	badErr := map[string]map[string]string{
+		"in-memory": {"excess": "found more", "short": "header promises 2 edges, found 1"},
+		"external":  {"excess": "found more", "short": "edge stream ended at edge 1 of 2"},
+	}
+
+	convertPaths(dir, 101, func(path string, cfg *ExtBuildConfig) {
+		for _, src := range []string{"g.txt", "g.txt.gz", "g.mrg", "g.mrgz", "g.mrg.gz"} {
+			srcPath := filepath.Join(dir, src)
+			if err := WriteFile(srcPath, g); err != nil {
+				t.Fatalf("%s: %v", src, err)
+			}
+			dst := filepath.Join(dir, "conv-"+src+".mrg")
+			if err := ConvertFile(srcPath, dst, cfg); err != nil {
+				t.Fatalf("%s, %s: %v", path, src, err)
+			}
+			gotB, err := os.ReadFile(dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(wantB, gotB) {
+				t.Fatalf("%s, %s: converted container differs from direct encoding", path, src)
+			}
+		}
+		for name, want := range badErr[path] {
+			dst := filepath.Join(dir, name+".mrg")
+			err := ConvertFile(filepath.Join(dir, name+".txt"), dst, cfg)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: converting the %s text: %v, want an error containing %q", path, name, err, want)
+			}
+			if _, err := os.Stat(dst); !os.IsNotExist(err) {
+				t.Fatalf("%s: a failed conversion left %s behind: %v", path, dst, err)
+			}
+		}
+	})
 }
 
 // corruptNeighbour writes a 120-vertex raw container to dir and flips the

@@ -21,8 +21,11 @@ import (
 // spoolPath is the content-addressed container location for an instance id.
 func spoolPath(dir, id string) string { return filepath.Join(dir, id+".mrg") }
 
-// spoolMapped writes g to the data directory as a raw binary container
-// (unless the content-addressed file already exists) and reopens it mapped.
+// spoolMapped writes g to the data directory as a raw binary container and
+// reopens it mapped. A content-addressed file already there — left by an
+// earlier spool, possibly by another process on the same directory — may
+// have changed on disk since it was written, so it is served only if
+// OpenVerified accepts it, and is otherwise replaced by g's container.
 // The write is atomic AND durable — temp file, fsync, rename, directory
 // fsync — so neither a concurrent spool of the same id nor a crash at any
 // point can leave a partial or unlinked container behind. Durability
@@ -31,42 +34,46 @@ func spoolPath(dir, id string) string { return filepath.Join(dir, id+".mrg") }
 // replay of the jobs recorded against it.
 func spoolMapped(dir, id string, g *graph.Graph) (*graph.Graph, error) {
 	path := spoolPath(dir, id)
-	if _, err := os.Stat(path); err != nil {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, err
-		}
-		tmp, err := os.CreateTemp(dir, ".spool-*.tmp")
-		if err != nil {
-			return nil, err
-		}
-		tmpName := tmp.Name()
-		if err := graph.EncodeContainer(tmp, g); err != nil {
-			tmp.Close()
-			os.Remove(tmpName)
-			return nil, err
-		}
-		// The container's bytes must be on stable storage before the
-		// rename publishes the name: rename-then-crash must never expose
-		// an empty or torn file under the content-addressed id.
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			os.Remove(tmpName)
-			return nil, err
-		}
-		if err := tmp.Close(); err != nil {
-			os.Remove(tmpName)
-			return nil, err
-		}
-		if err := os.Rename(tmpName, path); err != nil {
-			os.Remove(tmpName)
-			return nil, err
-		}
-		// And the directory entry itself must survive the crash, or the
-		// file exists with no name.
-		if err := ledger.SyncDir(dir); err != nil {
-			return nil, err
+	if _, err := os.Stat(path); err == nil {
+		if mg, err := graph.OpenVerified(path); err == nil {
+			return mg, nil
 		}
 	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	tmp, err := os.CreateTemp(dir, ".spool-*.tmp")
+	if err != nil {
+		return nil, err
+	}
+	tmpName := tmp.Name()
+	if err := graph.EncodeContainer(tmp, g); err != nil {
+		tmp.Close()
+		os.Remove(tmpName)
+		return nil, err
+	}
+	// The container's bytes must be on stable storage before the rename
+	// publishes the name: rename-then-crash must never expose an empty or
+	// torn file under the content-addressed id.
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		os.Remove(tmpName)
+		return nil, err
+	}
+	if err := tmp.Close(); err != nil {
+		os.Remove(tmpName)
+		return nil, err
+	}
+	if err := os.Rename(tmpName, path); err != nil {
+		os.Remove(tmpName)
+		return nil, err
+	}
+	// And the directory entry itself must survive the crash, or the file
+	// exists with no name.
+	if err := ledger.SyncDir(dir); err != nil {
+		return nil, err
+	}
+	// The file was written just now from g, so the header check suffices.
 	return graph.OpenMapped(path)
 }
 

@@ -319,3 +319,48 @@ func TestResurrectionRejectsCorruptSpool(t *testing.T) {
 		t.Fatalf("job on a corrupt spool: status %s, error %q; want failed with a checksum mismatch", v.Status, v.Error)
 	}
 }
+
+// TestRespoolReplacesCorruptSpool: an upload whose <id>.mrg is already in
+// the data directory — written by an earlier engine, then corrupted on disk
+// — is not served from that file. The new engine replaces it with the
+// uploaded graph's container, and jobs see the uploaded graph.
+func TestRespoolReplacesCorruptSpool(t *testing.T) {
+	var text bytes.Buffer
+	if err := graph.Encode(&text, uploadGraph()); err != nil {
+		t.Fatal(err)
+	}
+	req := func(id string) JobRequest {
+		return JobRequest{Instance: InstanceSpec{Type: "upload", ID: id}, Alg: "matching", Seed: 7}
+	}
+	heapEng := NewEngine(Config{Pool: 1})
+	defer heapEng.Close()
+	heapID, _, err := heapEng.Upload(text.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := finished(t, heapEng, mustSubmit(t, heapEng, req(heapID)))
+
+	dir := t.TempDir()
+	first := NewEngine(Config{Pool: 1, DataDir: dir})
+	id, _, err := first.Upload(text.Bytes())
+	first.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spool := spoolPath(dir, id)
+	corruptFile(t, spool)
+
+	e := NewEngine(Config{Pool: 1, DataDir: dir})
+	defer e.Close()
+	if _, info, err := e.Upload(text.Bytes()); err != nil || !info.Mapped {
+		t.Fatalf("re-upload over a corrupt spool: mapped %v, err %v", info.Mapped, err)
+	}
+	if err := graph.VerifyContainer(spool); err != nil {
+		t.Fatalf("the corrupt spool was not replaced: %v", err)
+	}
+	got := finished(t, e, mustSubmit(t, e, req(id)))
+	if got.Result.Summary != want.Result.Summary || got.Result.Metrics != want.Result.Metrics {
+		t.Fatalf("job on the re-uploaded instance differs from the heap upload's:\n  heap:   %s\n  spool:  %s",
+			want.Result.Summary, got.Result.Summary)
+	}
+}

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -353,24 +352,18 @@ func (e *Engine) Instances() []InstanceInfo { return e.instances.list() }
 // coincide). Jobs may then reference it as {"type": "upload", "id": id}.
 // With Config.DataDir set, the graph is additionally spooled to
 // DataDir/<id>.mrg and served zero-copy from the mapped container. The
-// bytes are decoded once: the id (SpecID's) and the instance
-// (BuildInstance's) both come from that one graph.
+// bytes are decoded once, by BuildInstance; the id (SpecID's) is taken from
+// the graph it built.
 func (e *Engine) Upload(data []byte) (string, InstanceInfo, error) {
 	spec := InstanceSpec{Type: "upload", Data: data}
-	if err := spec.Validate(); err != nil {
-		return "", InstanceInfo{}, err
-	}
-	g, err := graph.DecodeAuto(bytes.NewReader(data))
+	in, err := BuildInstance(spec)
 	if err != nil {
 		return "", InstanceInfo{}, err
 	}
-	canon, err := uploadCanonical(g)
+	id, err := uploadID(in.Graph)
 	if err != nil {
 		return "", InstanceInfo{}, err
 	}
-	id := canonicalID(canon)
-	in := core.Input{Graph: g}
-	materialize(in)
 	in = e.spoolInput(id, in)
 	e.instances.put(id, spec, in)
 	return id, e.uploadInfo(id, in), nil
@@ -378,8 +371,9 @@ func (e *Engine) Upload(data []byte) (string, InstanceInfo, error) {
 
 // PreloadFile registers a graph file from local disk as an uploaded
 // instance without going through the HTTP body: mrserve -preload. Raw
-// binary containers open mapped directly (O(header), zero-copy); other
-// formats decode to the heap and, with Config.DataDir set, are spooled and
+// binary containers are mapped zero-copy after one pass over the file that
+// checks every checksum and slab invariant (graph.ReadFile); other formats
+// decode to the heap and, with Config.DataDir set, are spooled and
 // remapped. The returned id is the same the file's bytes would get through
 // Upload.
 func (e *Engine) PreloadFile(path string) (string, InstanceInfo, error) {
@@ -387,11 +381,10 @@ func (e *Engine) PreloadFile(path string) (string, InstanceInfo, error) {
 	if err != nil {
 		return "", InstanceInfo{}, err
 	}
-	canon, err := uploadCanonical(g)
+	id, err := uploadID(g)
 	if err != nil {
 		return "", InstanceInfo{}, err
 	}
-	id := canonicalID(canon)
 	in := e.spoolInput(id, core.Input{Graph: g})
 	materialize(in)
 	e.instances.put(id, InstanceSpec{Type: "upload", ID: id}, in)

@@ -185,6 +185,16 @@ func canonicalID(canon string) string {
 	return hex.EncodeToString(sum[:16])
 }
 
+// uploadID is the instance id of an uploaded graph: SpecID of an upload
+// spec carrying any encoding of g.
+func uploadID(g *graph.Graph) (string, error) {
+	canon, err := uploadCanonical(g)
+	if err != nil {
+		return "", err
+	}
+	return canonicalID(canon), nil
+}
+
 // errUploadByID marks a spec that references an uploaded instance by id:
 // it cannot be built from the spec alone, only found in the cache.
 var errUploadByID = fmt.Errorf("service: upload spec references an instance by id")
