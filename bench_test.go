@@ -440,123 +440,6 @@ func benchEdgeColouringWorkers(b *testing.B, workers int) {
 func BenchmarkExecutorEdgeColouringSeq(b *testing.B)  { benchEdgeColouringWorkers(b, 1) }
 func BenchmarkExecutorEdgeColouringPar4(b *testing.B) { benchEdgeColouringWorkers(b, 4) }
 
-// --- Message plane allocation pairs ---
-//
-// The before/after evidence for the columnar message plane: allocations per
-// op on a small-message-heavy workload (the MIS sampling rounds of
-// Algorithm 6, which ship one short record per sampled vertex per round and
-// fan status updates back out) and on a broadcast-tree-heavy workload
-// (Tree.Broadcast + AggregateSum over a 64-machine cluster, where every
-// hop used to clone its payload). Run with -benchmem. Against the
-// per-Message representation these dropped from ~20.4k to well under half
-// that allocs/op (MIS sampling) and from ~1.3k to tens of allocs/op
-// (~150 allocs/op, broadcast); the remaining allocations are
-// algorithm-side (sampling plans, candidate lists), not message plane.
-
-func benchMsgPlaneMISSampling(b *testing.B, workers int) {
-	g := benchGraph(30)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := core.MISFast(g, core.Params{Mu: benchMu, Seed: 7, Workers: workers})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMsgPlaneMISSamplingSeq(b *testing.B)  { benchMsgPlaneMISSampling(b, 1) }
-func BenchmarkMsgPlaneMISSamplingPar4(b *testing.B) { benchMsgPlaneMISSampling(b, 4) }
-
-func benchMsgPlaneBroadcast(b *testing.B, workers int) {
-	c := mpc.NewCluster(mpc.Config{Machines: 64, Workers: workers})
-	tr := mpc.NewTree(c, 0, 4)
-	payload := make([]int64, 32)
-	for i := range payload {
-		payload[i] = int64(i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tr.Broadcast(c, payload, nil); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := tr.AggregateSum(c, 4, func(machine int) []int64 {
-			return payload[:4]
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMsgPlaneBroadcastSeq(b *testing.B)  { benchMsgPlaneBroadcast(b, 1) }
-func BenchmarkMsgPlaneBroadcastPar4(b *testing.B) { benchMsgPlaneBroadcast(b, 4) }
-
-// benchMsgPlaneFanout is the message plane at the shape the MIS-family
-// dissemination rounds give it: 45 machines, every round each one reads what
-// the last round delivered and sends 10 000 records to pseudo-random vertex
-// owners. With wideEvery == 0 every record is one word, so every column stays
-// uniform; otherwise every wideEvery-th record carries two words, which
-// forces the per-record framing index. One op is one round — 450 000 records
-// written and 450 000 read — reported as ns/rec. The owners are shuffled
-// within blocks of 44, one record per owner, so every column is equally long
-// every round and the warm-up leaves the pool in a steady state: -benchmem
-// shows the one closure Cluster.Round hands its executor and nothing for the
-// 900 000 record operations.
-func benchMsgPlaneFanout(b *testing.B, wideEvery int) {
-	const machines, perMachine = 45, 10000
-	c := mpc.NewCluster(mpc.Config{Machines: machines})
-	defer c.Close()
-	r := rng.New(17)
-	targets := make([][]int64, machines)
-	block := make([]int64, machines-1)
-	for m := range targets {
-		targets[m] = make([]int64, perMachine)
-		for k := range targets[m] {
-			if k%len(block) == 0 {
-				for i := range block {
-					block[i] = int64(i)
-				}
-				r.Shuffle(len(block), func(i, j int) { block[i], block[j] = block[j], block[i] })
-			}
-			// A vertex id in [0, 20000) whose owner is 1 + block[k%44].
-			targets[m][k] = block[k%len(block)] + int64(len(block)*r.Intn(20000/len(block)))
-		}
-	}
-	sums := make([]int64, machines)
-	round := func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-		sum := int64(0)
-		for rec, ok := in.Next(); ok; rec, ok = in.Next() {
-			sum += rec.Ints[0]
-		}
-		sums[machine] = sum
-		for k, u := range targets[machine] {
-			owner := 1 + int(u)%(machines-1)
-			if wideEvery > 0 && k%wideEvery == 0 {
-				out.SendInts(owner, u, u)
-			} else {
-				out.SendInts(owner, u)
-			}
-		}
-	}
-	for warm := 0; warm < 5; warm++ {
-		if err := c.Round(round); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.Round(round); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*machines*perMachine), "ns/rec")
-}
-
-func BenchmarkMsgPlaneOneWordFanout(b *testing.B)    { benchMsgPlaneFanout(b, 0) }
-func BenchmarkMsgPlaneMixedShapeFanout(b *testing.B) { benchMsgPlaneFanout(b, 16) }
-
 // --- Neighbor-scan kernels ---
 //
 // The alive-neighbour accumulation every algorithm in this repository runs
@@ -961,37 +844,3 @@ func benchRoundTrace(b *testing.B, sink obs.TraceSink) {
 func BenchmarkRoundTraceOff(b *testing.B)  { benchRoundTrace(b, nil) }
 func BenchmarkRoundTraceRing(b *testing.B) { benchRoundTrace(b, obs.NewRingSink(256)) }
 func BenchmarkRoundTraceFile(b *testing.B) { benchRoundTrace(b, obs.NewChromeTrace(io.Discard)) }
-
-// --- Merge-phase pairs ---
-//
-// The post-barrier inbox assembly (ordering every destination's received
-// segments by ascending sender) is embarrassingly parallel across
-// destinations and runs on the round executor when there are enough
-// destinations to pay for the fan-out (mergeParDests). The pair measures
-// the same 256-machine all-scatter round with sequential assembly versus
-// four pooled workers; results are bit-identical (executor independence).
-
-func benchMergePhase(b *testing.B, workers int) {
-	const machines = 256
-	c := mpc.NewCluster(mpc.Config{Machines: machines, Workers: workers})
-	defer c.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		err := c.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			for _, ok := in.Next(); ok; _, ok = in.Next() {
-			}
-			// Four spread destinations per machine: every machine receives,
-			// so the assembly fan-out covers the whole cluster.
-			for j := 1; j <= 4; j++ {
-				out.SendInts((machine+j*machines/5)%machines, int64(machine))
-			}
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMergePhaseSeq(b *testing.B) { benchMergePhase(b, 1) }
-func BenchmarkMergePhasePar(b *testing.B) { benchMergePhase(b, 4) }

@@ -33,7 +33,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"time"
 
@@ -87,8 +86,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mrrun: unknown algorithm %q (use -alg list)\n", *alg)
 		os.Exit(2)
 	}
-	if math.IsNaN(*mu) || math.IsInf(*mu, 0) {
-		fmt.Fprintf(os.Stderr, "mrrun: -mu must be finite, got %g\n", *mu)
+	if !(*mu >= 0 && *mu <= 1) { // also refuses NaN
+		fmt.Fprintf(os.Stderr, "mrrun: -mu must be in [0, 1], got %g\n", *mu)
 		os.Exit(2)
 	}
 	args := map[string]float64{}

@@ -117,11 +117,13 @@ func LubyMIS(g *graph.Graph, p Params) (*MISResult, error) {
 		epoch := int32(iterations)
 		armAlive()
 		err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			for msg, ok := in.Next(); ok; msg, ok = in.Next() {
-				u := int(msg.Ints[0]) // recipient vertex
-				v := int(msg.Ints[1]) // sending neighbour
-				if better(msg.Floats[0], v, priority[u], u) {
-					beaten[u] = epoch
+			// Every record is (recipient u, sending neighbour v; priority[v]).
+			for run, ok := in.NextRun(); ok; run, ok = in.NextRun() {
+				for i, pv := range run.Floats {
+					u, v := int(run.Ints[2*i]), int(run.Ints[2*i+1])
+					if better(pv, v, priority[u], u) {
+						beaten[u] = epoch
+					}
 				}
 			}
 			for _, v := range owned[machine] {
@@ -146,10 +148,12 @@ func LubyMIS(g *graph.Graph, p Params) (*MISResult, error) {
 		// dominated. (Two adjacent local minima cannot both exist because
 		// the priority order is strict.)
 		err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			for msg, ok := in.Next(); ok; msg, ok = in.Next() {
-				u := int(msg.Ints[0])
-				if aliveVertex(u) && !localMin[u] {
-					dominated[u] = true
+			// Every record is (recipient u, local minimum v).
+			for run, ok := in.NextRun(); ok; run, ok = in.NextRun() {
+				for i := 0; i < len(run.Ints); i += 2 {
+					if u := int(run.Ints[i]); aliveVertex(u) && !localMin[u] {
+						dominated[u] = true
+					}
 				}
 			}
 		})

@@ -267,18 +267,21 @@ func (s *misState) disseminate() error {
 		return err
 	}
 	// Round 2: owners record the status change and broadcast "v left the
-	// alive set" to the owners of v's neighbours.
+	// alive set" to the owners of v's neighbours. Every record is the pair
+	// (v, joined I), so the inbox is one run of pairs.
 	err = s.cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-		for msg, ok := in.Next(); ok; msg, ok = in.Next() {
-			v := int(msg.Ints[0])
-			if msg.Ints[1] == 1 {
-				s.inI[v] = true
-			} else {
-				s.dominated[v] = true
-			}
-			s.dI[v] = 0
-			for _, u := range s.g.Neighbors(v) {
-				out.SendInts(s.vertexOwner(int(u)), int64(u))
+		for run, ok := in.NextRun(); ok; run, ok = in.NextRun() {
+			for i := 0; i < len(run.Ints); i += 2 {
+				v := int(run.Ints[i])
+				if run.Ints[i+1] == 1 {
+					s.inI[v] = true
+				} else {
+					s.dominated[v] = true
+				}
+				s.dI[v] = 0
+				for _, u := range s.g.Neighbors(v) {
+					out.SendInts(s.vertexOwner(int(u)), int64(u))
+				}
 			}
 		}
 	})
@@ -288,10 +291,13 @@ func (s *misState) disseminate() error {
 	// Round 3: owners decrement dI of their still-alive vertices once per
 	// removed neighbour. A vertex outside the alive set has had dI = 0 since
 	// the round 2 that removed it, so the degree alone tells the two apart.
+	// Every record is one word, so a run's Ints are the removed neighbours.
 	return s.cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-		for msg, ok := in.Next(); ok; msg, ok = in.Next() {
-			if u := msg.Ints[0]; s.dI[u] > 0 {
-				s.dI[u]--
+		for run, ok := in.NextRun(); ok; run, ok = in.NextRun() {
+			for _, u := range run.Ints {
+				if s.dI[u] > 0 {
+					s.dI[u]--
+				}
 			}
 		}
 	})

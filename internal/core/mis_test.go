@@ -851,3 +851,28 @@ func (s *misStateClassic) centralProcessGroupsWithState(groups [][]candidateClas
 	}
 	return batch
 }
+
+// BenchmarkMsgPlaneMISSampling{Seq,Par4} are the message plane's allocation
+// pair on a small-message-heavy workload: the sampling rounds of Algorithm 6,
+// which ship one short record per sampled vertex per round and fan status
+// updates back out, on an n = 800, c = 0.3 graph at µ = 0.2. Run with
+// -benchmem. Against the per-Message representation this dropped from
+// ~20.4k to well under half that allocs/op; what remains is algorithm-side
+// (sampling plans, candidate lists), not message plane.
+// BenchmarkMsgPlaneBroadcast{Seq,Par4} in internal/mpc is the pair's
+// broadcast-tree half.
+func benchMsgPlaneMISSampling(b *testing.B, workers int) {
+	r := rng.New(30)
+	g := graph.Density(800, 0.3, r)
+	g.AssignUniformWeights(r, 1, 100)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := MISFast(g, Params{Mu: 0.2, Seed: 7, Workers: workers}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkMsgPlaneMISSamplingSeq(b *testing.B)  { benchMsgPlaneMISSampling(b, 1) }
+func BenchmarkMsgPlaneMISSamplingPar4(b *testing.B) { benchMsgPlaneMISSampling(b, 4) }

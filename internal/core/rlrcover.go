@@ -186,11 +186,12 @@ func RLRSetCover(inst *setcover.Instance, p Params, opt CoverOptions) (*CoverRes
 				return nil, err
 			}
 			err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-				for msg, ok := in.Next(); ok; msg, ok = in.Next() {
-					i := int(msg.Ints[0])
-					for _, j := range inst.Sets[i] {
-						if alive[j] {
-							out.SendInts(elemOwner(j), int64(j))
+				for run, ok := in.NextRun(); ok; run, ok = in.NextRun() {
+					for _, i := range run.Ints { // one-word records: set ids
+						for _, j := range inst.Sets[i] {
+							if alive[j] {
+								out.SendInts(elemOwner(j), int64(j))
+							}
 						}
 					}
 				}
@@ -200,8 +201,10 @@ func RLRSetCover(inst *setcover.Instance, p Params, opt CoverOptions) (*CoverRes
 			}
 			// Delivery round: element owners mark covered elements dead.
 			err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-				for msg, ok := in.Next(); ok; msg, ok = in.Next() {
-					alive[int(msg.Ints[0])] = false
+				for run, ok := in.NextRun(); ok; run, ok = in.NextRun() {
+					for _, j := range run.Ints { // one-word records: element ids
+						alive[j] = false
+					}
 				}
 			})
 			if err != nil {

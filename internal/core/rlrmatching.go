@@ -308,7 +308,9 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 
 		// Update round B: vertex owners forward ϕ(v) to the machines owning
 		// v's alive incident edges. A first pass over the inbox counts the
-		// records per destination so each column is sized once.
+		// records per destination so each column is sized once. Round A's
+		// column to a machine holds the (v; ϕ(v)) records and then the pushed
+		// ids, so it reads as runs: the ϕ records are the runs of one float.
 		err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
 			if in.Len() == 0 {
 				return
@@ -318,9 +320,12 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 				fan = make([]int32, M)
 				fanout[machine] = fan
 			}
-			for msg, ok := in.Next(); ok; msg, ok = in.Next() {
-				if len(msg.Floats) == 1 {
-					for _, id := range g.IncidentEdges(int(msg.Ints[0])) {
+			for run, ok := in.NextRun(); ok; run, ok = in.NextRun() {
+				if run.FloatLen != 1 {
+					continue
+				}
+				for _, v := range run.Ints {
+					for _, id := range g.IncidentEdges(int(v)) {
 						if alive[id] {
 							fan[edgeOwner(int(id))]++
 						}
@@ -332,10 +337,12 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 				fan[to] = 0
 			}
 			in.Reset()
-			for msg, ok := in.Next(); ok; msg, ok = in.Next() {
-				if len(msg.Floats) == 1 {
-					v := msg.Ints[0]
-					phi := msg.Floats[0]
+			for run, ok := in.NextRun(); ok; run, ok = in.NextRun() {
+				if run.FloatLen != 1 {
+					continue
+				}
+				for i, v := range run.Ints {
+					phi := run.Floats[i]
 					for _, id := range g.IncidentEdges(int(v)) {
 						if alive[id] {
 							out.Begin(edgeOwner(int(id)))

@@ -431,26 +431,29 @@ func (c *Cluster) Round(f RoundFunc) error {
 		c.metrics.ActiveMax = active
 	}
 
-	// Deterministic merge after the barrier: traffic totals come from the
-	// per-outbox counters, and each inbox lists the senders' columns in
-	// machine order, so its cursor yields records ordered by (sender,
-	// emission order) regardless of the executor's scheduling. Only the
-	// machines that ran can have sent, and only the machines that ran can
-	// have self-armed.
+	// Deterministic merge after the barrier: each outbox's traffic totals
+	// are summed over its columns here, once (the send path counts
+	// nothing), and each inbox lists the senders' columns in machine order,
+	// so its cursor yields records ordered by (sender, emission order)
+	// regardless of the executor's scheduling. Only the machines that ran
+	// can have sent, and only the machines that ran can have self-armed.
 	c.recvNxt = c.recvNxt[:0]
 	for _, machine := range run {
 		o := &c.outboxes[machine]
 		if o.cur != nil {
 			panic(fmt.Sprintf("mpc: machine %d ended the round with an open record (Begin without End)", machine))
 		}
-		c.metrics.WordsSent += int64(o.words)
-		c.metrics.Messages += int64(o.count)
 		for _, dest := range o.dests {
+			col := o.byDest[dest]
+			o.words += col.accounted()
+			o.count += col.n
 			if len(c.senders[dest]) == 0 {
 				c.recvNxt = append(c.recvNxt, dest)
 			}
 			c.senders[dest] = append(c.senders[dest], machine)
 		}
+		c.metrics.WordsSent += int64(o.words)
+		c.metrics.Messages += int64(o.count)
 		if c.armedSelf[machine] {
 			c.armedSelf[machine] = false
 			c.enqueueArm(machine)
@@ -552,7 +555,7 @@ func (c *Cluster) assembleInbox(dest int) {
 		col := c.outboxes[src].byDest[dest]
 		in.segs = append(in.segs, segment{from: src, col: col})
 		in.records += col.n
-		in.words += col.words
+		in.words += col.accounted()
 	}
 	c.senders[dest] = c.senders[dest][:0]
 }

@@ -12,11 +12,15 @@ package mpc
 // of same-shape records is framed once — a count and the one shape — and
 // only a column that mixes shapes carries a per-record index. A record's
 // accounted size is 1 header word (the sender) + intLen + floatLen, the
-// exact accounting the Message representation used. After the round's
-// barrier, each destination's Inbox is the ordered list of the columns sent
-// to it — senders in machine order — and a cursor walks records in (sender,
-// emission order) order, so delivery order, metrics, and traces are
-// bit-identical to the per-Message representation.
+// exact accounting the Message representation used. Nothing is counted on
+// the send path: every payload word in a column belongs to a closed record,
+// so a column's accounted words are n + len(ints) + len(floats), summed once
+// per column after the round's barrier. There, each destination's Inbox
+// becomes the ordered list of the columns sent to it — senders in machine
+// order — and a cursor walks records in (sender, emission order) order, so
+// delivery order, metrics, and traces are bit-identical to the per-Message
+// representation. The cursor hands out one record at a time (Next) or a
+// maximal stretch of same-shape records as one slice (NextRun).
 //
 // Pooling. A column travels outbox → inbox → back, and the columns backing
 // a round's inboxes are released when the round that consumed them ends,
@@ -48,6 +52,21 @@ type Record struct {
 // (the sender) plus one word per int and float.
 func (r Record) Words() int { return 1 + len(r.Ints) + len(r.Floats) }
 
+// Run is a stretch of N consecutive records from one sender that share one
+// shape: IntLen int words and FloatLen float words each. Ints and Floats
+// hold the N records back to back, so record i's payload is
+// Ints[i*IntLen:(i+1)*IntLen] and Floats[i*FloatLen:(i+1)*FloatLen]. Like a
+// Record's, the slices are views valid only until the end of the round that
+// delivered them, and must not be modified or retained.
+type Run struct {
+	From     int
+	N        int
+	IntLen   int
+	FloatLen int
+	Ints     []int64
+	Floats   []float64
+}
+
 // recMeta frames one record inside a column.
 type recMeta struct{ intLen, floatLen int32 }
 
@@ -65,17 +84,21 @@ type column struct {
 	n      int       // records
 	shape  recMeta   // shape of every record while recs is empty
 	recs   []recMeta // per-record framing index, empty while uniform
-	words  int       // accounted words, including one header word per record
 	owner  *Outbox   // the outbox whose Reserve sized the column, nil if none did
 }
 
 func (c *column) reset() {
 	c.ints, c.floats, c.recs = c.ints[:0], c.floats[:0], c.recs[:0]
-	c.n, c.shape, c.words, c.owner = 0, recMeta{}, 0, nil
+	c.n, c.shape, c.owner = 0, recMeta{}, nil
 }
 
+// accounted returns the column's accounted words: one header word per record
+// plus every payload word. It is exact only with no record open, so only the
+// post-barrier merge reads it.
+func (c *column) accounted() int { return c.n + len(c.ints) + len(c.floats) }
+
 // frame appends one record of shape m to the framing. It is the only place
-// that advances n; payload words and the words account are the caller's.
+// that advances n; payload words are the caller's.
 // The fast path — one more record of the uniform shape — is a compare and an
 // increment, small enough to inline into the send paths.
 func (c *column) frame(m recMeta) {
@@ -205,11 +228,11 @@ type Outbox struct {
 	spare   []*column // lazily allocated: columns sized by Reserve that no record has claimed yet
 	spared  []int     // destinations Reserve put a spare column under this round
 	kept    []*column // columns this outbox reserved, back from the inboxes that consumed them
-	words   int
-	count   int
-	cur     *column // column of the open record, nil outside Begin/End
-	curInt  int     // len(cur.ints) at Begin
-	curFlt  int     // len(cur.floats) at Begin
+	words   int       // accounted words sent this round, summed over dests at the barrier
+	count   int       // records sent this round, summed over dests at the barrier
+	cur     *column   // column of the open record, nil outside Begin/End
+	curInt  int       // len(cur.ints) at Begin
+	curFlt  int       // len(cur.floats) at Begin
 }
 
 // Reserve sizes the column addressed to machine `to` for recs further
@@ -311,14 +334,6 @@ func (o *Outbox) claimColumn(to int) *column {
 	return col
 }
 
-// account charges one framed record of the given accounted size (header
-// word included) to its column and to the outbox's round totals.
-func (o *Outbox) account(col *column, words int) {
-	col.words += words
-	o.words += words
-	o.count++
-}
-
 // Begin opens a record addressed to machine `to`. Every Begin must be
 // matched by an End before the round's computation returns.
 func (o *Outbox) Begin(to int) {
@@ -363,17 +378,14 @@ func (o *Outbox) Floats(vs ...float64) {
 	o.cur.floats = append(o.cur.floats, vs...)
 }
 
-// End closes the open record, framing it and charging its words (one header
-// word plus the appended payload words).
+// End closes the open record, framing it as the words appended since Begin.
 func (o *Outbox) End() {
 	col := o.cur
 	if col == nil {
 		panic("mpc: Outbox.End without Begin")
 	}
 	o.cur = nil
-	intLen, floatLen := len(col.ints)-o.curInt, len(col.floats)-o.curFlt
-	col.frame(recMeta{int32(intLen), int32(floatLen)})
-	o.account(col, 1+intLen+floatLen)
+	col.frame(recMeta{int32(len(col.ints) - o.curInt), int32(len(col.floats) - o.curFlt)})
 }
 
 // Send emits one record to machine `to` with the given payload. The slices
@@ -386,7 +398,6 @@ func (o *Outbox) Send(to int, ints []int64, floats []float64) {
 	col.ints = append(col.ints, ints...)
 	col.floats = append(col.floats, floats...)
 	col.frame(recMeta{int32(len(ints)), int32(len(floats))})
-	o.account(col, 1+len(ints)+len(floats))
 }
 
 // SendInts is shorthand for Send(to, ints, nil). It does not allocate, and a
@@ -404,7 +415,6 @@ func (o *Outbox) SendInts(to int, ints ...int64) {
 		col.ints = append(col.ints, ints...)
 	}
 	col.frame(recMeta{int32(len(ints)), 0})
-	o.account(col, 1+len(ints))
 }
 
 // reset prepares the outbox for the next round. The columns it filled are
@@ -437,7 +447,12 @@ type segment struct {
 //
 //	for rec, ok := in.Next(); ok; rec, ok = in.Next() { ... }
 //
-// Records are views into pooled buffers that are recycled when the round
+// or, a same-shape stretch at a time,
+//
+//	for run, ok := in.NextRun(); ok; run, ok = in.NextRun() { ... }
+//
+// Next and NextRun advance the same cursor, so they may be mixed. Records
+// and runs are views into pooled buffers that are recycled when the round
 // ends; they must not be retained or modified. Use Reset to iterate again
 // within the same round.
 type Inbox struct {
@@ -478,6 +493,45 @@ func (in *Inbox) Next() (rec Record, ok bool) {
 		in.rec, in.iOff, in.fOff = 0, 0, 0
 	}
 	return Record{}, false
+}
+
+// NextRun returns the records from the cursor to the end of their
+// same-shape stretch as one Run, or ok=false when the inbox is exhausted. A
+// uniform column is one run from the cursor; a column that mixes shapes
+// yields its maximal same-shape stretches in order. A run never spans two
+// senders.
+func (in *Inbox) NextRun() (run Run, ok bool) {
+	for in.seg < len(in.segs) {
+		s := &in.segs[in.seg]
+		col := s.col
+		if in.rec < col.n {
+			meta := col.meta(in.rec)
+			end := col.n
+			if len(col.recs) != 0 {
+				end = in.rec + 1
+				for end < col.n && col.recs[end] == meta {
+					end++
+				}
+			}
+			n := end - in.rec
+			ints, floats := n*int(meta.intLen), n*int(meta.floatLen)
+			run = Run{
+				From:     s.from,
+				N:        n,
+				IntLen:   int(meta.intLen),
+				FloatLen: int(meta.floatLen),
+				Ints:     col.ints[in.iOff : in.iOff+ints],
+				Floats:   col.floats[in.fOff : in.fOff+floats],
+			}
+			in.rec = end
+			in.iOff += ints
+			in.fOff += floats
+			return run, true
+		}
+		in.seg++
+		in.rec, in.iOff, in.fOff = 0, 0, 0
+	}
+	return Run{}, false
 }
 
 // clear releases the inbox's columns and empties it.

@@ -412,8 +412,8 @@ func TestUniformHeaderOnlyColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := c.inbox[1].segs[0].col
-	if col.n != n || col.words != n || len(col.recs) != 0 || len(col.ints) != 0 || len(col.floats) != 0 {
-		t.Fatalf("column: n=%d words=%d index=%d ints=%d floats=%d", col.n, col.words, len(col.recs), len(col.ints), len(col.floats))
+	if col.n != n || col.accounted() != n || len(col.recs) != 0 || len(col.ints) != 0 || len(col.floats) != 0 {
+		t.Fatalf("column: n=%d words=%d index=%d ints=%d floats=%d", col.n, col.accounted(), len(col.recs), len(col.ints), len(col.floats))
 	}
 	if m := c.Metrics(); m.Messages != n || m.WordsSent != n || m.MaxSpace != n {
 		t.Fatalf("metrics: %+v", m)

@@ -165,9 +165,11 @@ func (t *Tree) AggregateSum(c *Cluster, width int, value func(machine int) []int
 			}
 		}
 		err := c.Round(func(machine int, in *Inbox, out *Outbox) {
-			for m, ok := in.Next(); ok; m, ok = in.Next() {
-				for i, v := range m.Ints {
-					acc[machine][i] += v
+			for run, ok := in.NextRun(); ok; run, ok = in.NextRun() {
+				for k := 0; k < len(run.Ints); k += run.IntLen {
+					for i, v := range run.Ints[k : k+run.IntLen] {
+						acc[machine][i] += v
+					}
 				}
 			}
 			if sendDepth >= 1 && t.depth(machine) == sendDepth {

@@ -209,6 +209,12 @@ func canonRequest(req JobRequest) (canonJob, error) {
 	if req.Mu != nil {
 		mu = *req.Mu
 	}
+	// Machines hold ~n^{1+µ} words: above 1 that count overflows int and
+	// sends to machines that do not exist, below 0 it leaves a few words
+	// per machine and thousands of machines.
+	if !(mu >= 0 && mu <= 1) {
+		return canonJob{}, fmt.Errorf("service: mu must be in [0, 1], got %g", mu)
+	}
 	return canonJob{args: args, instID: instID, mu: mu,
 		key: jobKey(instID, req.Alg, args, mu, req.Seed)}, nil
 }

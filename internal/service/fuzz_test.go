@@ -13,7 +13,8 @@ import (
 // jobRequestSeeds returns JSON job requests for the fuzz corpus: the smoke
 // script's request, one request per job kind the serve benchmark submits, at
 // full and tiny scale, and boundary specs — the largest n, c = 1, an implied
-// item count over the limit, and an upload by content and by id.
+// item count over the limit, µ outside [0, 1], and an upload by content and
+// by id.
 func jobRequestSeeds(tb testing.TB) [][]byte {
 	smoke, err := os.ReadFile("../../scripts/smoke_job.json")
 	if err != nil {
@@ -23,7 +24,7 @@ func jobRequestSeeds(tb testing.TB) [][]byte {
 	if err := graph.Encode(&text, graph.Path(5)); err != nil {
 		tb.Fatal(err)
 	}
-	zero := 0.0
+	zero, five, minusOne := 0.0, 5.0, -1.0
 	reqs := []JobRequest{
 		{Instance: InstanceSpec{Type: "upload", Data: text.Bytes()}, Alg: "matching", Seed: 1},
 		{Instance: InstanceSpec{Type: "upload", ID: "0123456789abcdef0123456789abcdef"}, Alg: "mis", Seed: 1},
@@ -31,6 +32,8 @@ func jobRequestSeeds(tb testing.TB) [][]byte {
 		{Instance: InstanceSpec{Type: "density", N: maxInstanceN, C: 0, Seed: 3}, Alg: "mis"},
 		{Instance: InstanceSpec{Type: "density", N: maxInstanceN, C: 1, Seed: 3}, Alg: "mis"},
 		{Instance: InstanceSpec{Type: "density", N: 100, C: 1}, Alg: "ecolour", Mu: &zero},
+		{Instance: InstanceSpec{Type: "density", N: 2000, C: 0.3, Seed: 5}, Alg: "matching", Seed: 5, Mu: &five},
+		{Instance: InstanceSpec{Type: "density", N: 2000, C: 0.3, Seed: 5}, Alg: "matching", Seed: 5, Mu: &minusOne},
 		{Instance: InstanceSpec{Type: "setcover-greedy", N: maxInstanceN}, Alg: "setcover-greedy"},
 		{Instance: InstanceSpec{Type: "setcover-f", N: 100000, C: 0.3, F: 100000}, Alg: "setcover-f"},
 	}
@@ -69,6 +72,9 @@ func FuzzJobRequest(f *testing.F) {
 		cj, err := canonRequest(req)
 		if err != nil {
 			return
+		}
+		if !(cj.mu >= 0 && cj.mu <= 1) {
+			t.Fatalf("request %s: accepted mu %g", data, cj.mu)
 		}
 		if cj.instID == "" || !strings.HasPrefix(cj.key, "inst="+cj.instID+" alg="+req.Alg+" ") {
 			t.Fatalf("request %s: key %q for instance %q", data, cj.key, cj.instID)

@@ -312,6 +312,35 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 }
 
+// TestHTTPRejectsMuOutOfRange: a µ above 1 used to overflow the machine
+// count's n^{1+µ} and panic the daemon with a send to a negative machine; a
+// negative µ ran with machines of a few words. Both are now a 400, and the
+// daemon goes on serving.
+func TestHTTPRejectsMuOutOfRange(t *testing.T) {
+	srv, _ := newTestServer(t, Config{Pool: 1})
+	for _, mu := range []string{"5", "-1", "1.5"} {
+		body := `{"instance":{"type":"density","n":2000,"c":0.3,"seed":5},"alg":"matching","seed":5,"mu":` + mu + `,"wait":true}`
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("mu=%s: status %d, want 400", mu, resp.StatusCode)
+		}
+	}
+	one := 1.0
+	req := JobRequest{Instance: InstanceSpec{Type: "density", N: 100, C: 0.3, Seed: 5}, Alg: "matching", Seed: 5, Mu: &one}
+	var view JobView
+	if status := postJSON(t, srv.URL+"/v1/jobs", jobSubmission{JobRequest: req, Wait: true}, &view); status != http.StatusOK {
+		t.Fatalf("status %d after the rejections", status)
+	}
+	if view.Status != StatusDone {
+		t.Fatalf("job status %s, error %q", view.Status, view.Error)
+	}
+	assertSameResult(t, "mu=1", view.Result, directRun(t, req))
+}
+
 // TestHTTPWaitClientGone: a waiting client whose connection dies abandons
 // the job — the flight's context is canceled instead of burning the worker
 // pool on a result nobody will read, and the job is left pollable in a
