@@ -1,6 +1,6 @@
 // Command mrbench runs the Figure 1 reproduction experiments and the
-// ablations, and renders their result tables as markdown (the contents of
-// EXPERIMENTS.md) or as machine-readable JSON.
+// ablations, and renders their result tables as markdown or as
+// machine-readable JSON (BENCH_quick.json records `mrbench -quick -json`).
 //
 // Usage:
 //
@@ -8,8 +8,8 @@
 //	        [-cpuprofile FILE] [-memprofile FILE]
 //
 // With no -run flag, all experiments run in registry order. -quick shrinks
-// the parameter sweeps (used by CI); the recorded EXPERIMENTS.md numbers
-// come from a full run. -workers sets the simulator's round-executor pool
+// the parameter sweeps (used by CI, which checks the results against the
+// committed BENCH_quick.json). -workers sets the simulator's round-executor pool
 // (-1 = one per CPU); it changes wall-clock only, never results. -json
 // replaces the markdown with one JSON document carrying every experiment's
 // measurements plus wall-clock, the active worker count, and the

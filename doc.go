@@ -41,8 +41,9 @@
 // results bit-identically without re-execution),
 // cmd/mrverify (offline ledger audit: verify the Merkle chain, re-execute
 // ledgered jobs, prove the chained hashes reproduce),
-// examples/ (runnable scenarios), and the
-// root-level benchmarks in bench_test.go (one per Figure 1 row, plus the
-// service throughput and round-trace triple). See README.md, DESIGN.md
-// and EXPERIMENTS.md.
+// and examples/ (runnable scenarios). "go run ./cmd/mrbench -quick -json"
+// reproduces BENCH_quick.json, the committed record of every table. The Go
+// benchmarks live beside the code they measure, in internal/mpc,
+// internal/graph, internal/seq, internal/core, internal/service and the
+// other internal packages. See README.md and DESIGN.md.
 package repro

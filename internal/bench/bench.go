@@ -10,8 +10,9 @@
 //   - the measured per-machine space high-water mark against the cap, and
 //   - the communication volume.
 //
-// The cmd/mrbench binary drives these experiments and renders the tables
-// recorded in EXPERIMENTS.md.
+// The cmd/mrbench binary drives these experiments and renders the tables;
+// `go run ./cmd/mrbench -quick -json` reproduces the committed
+// BENCH_quick.json.
 package bench
 
 import (
@@ -50,8 +51,8 @@ type Table struct {
 
 	// Per-experiment scheduling-activity aggregate, fed by Observe: across
 	// every algorithm run of the experiment, the mean and max number of
-	// machines that actually ran per simulator round (RoundStat.Active /
-	// Metrics.ActiveSum). Under sparse scheduling this is the experiment's
+	// machines that actually ran per simulator round (Metrics.ActiveSum /
+	// Metrics.Rounds). Under sparse scheduling this is the experiment's
 	// measured per-round work, the quantity the paper's geometric decay
 	// shrinks; mrbench reports it per experiment in text and JSON output.
 	activeSum int64

@@ -48,9 +48,6 @@ type Params struct {
 	// cap, mirroring the "fail" lines of Algorithms 1, 3 and 4. When false,
 	// violations are recorded in the metrics but execution continues.
 	Strict bool
-	// MaxIterations bounds the main loop as a safety net against
-	// non-termination; 0 means a generous default.
-	MaxIterations int
 	// Workers selects the simulator's round executor: 0 or 1 executes the
 	// machines of each round sequentially, > 1 runs them concurrently on a
 	// pool of that many goroutines, < 0 uses one per CPU. Results and
@@ -69,12 +66,11 @@ type Params struct {
 	TraceLabel string
 }
 
-func (p Params) maxIter() int {
-	if p.MaxIterations > 0 {
-		return p.MaxIterations
-	}
-	return 10000
-}
+// maxIterations bounds every algorithm's main loop as a safety net against
+// non-termination.
+const maxIterations = 10000
+
+func (p Params) maxIter() int { return maxIterations }
 
 // eta returns the per-machine space target base^{1+mu}, at least minimum.
 func eta(base int, mu float64, minimum int) int {

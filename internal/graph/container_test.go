@@ -370,3 +370,44 @@ func goldenGraph() *Graph {
 	g.AssignUniformWeights(r, 1, 100)
 	return g
 }
+
+// BenchmarkMmapScan is BenchmarkNeighborScanCSR over the slabs of the same
+// graph opened as a mapped container: the two must stay within ~1.5x of each
+// other (the views are the same int32 slices, so the only possible gap is
+// page-fault noise on first touch).
+func BenchmarkMmapScan(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "scan.mrg")
+	if err := WriteContainerFile(path, neighborScanGraph()); err != nil {
+		b.Fatal(err)
+	}
+	g, err := OpenMapped(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer g.Close()
+	benchAliveScan(b, g)
+}
+
+// BenchmarkContainerLoad{Text,Binary} time cold-loading the scan graph from
+// the text format, and opening it as a mapped binary container: O(header)
+// work, so the binary load must be at least an order of magnitude faster.
+func benchContainerLoad(b *testing.B, name string, mapped bool) {
+	path := filepath.Join(b.TempDir(), name)
+	if err := WriteFile(path, neighborScanGraph()); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g, err := ReadFile(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if g.N == 0 || g.Mapped() != mapped {
+			b.Fatalf("%s loaded %d vertices, mapped %v", name, g.N, g.Mapped())
+		}
+		g.Close()
+	}
+}
+
+func BenchmarkContainerLoadText(b *testing.B)   { benchContainerLoad(b, "scan.txt", false) }
+func BenchmarkContainerLoadBinary(b *testing.B) { benchContainerLoad(b, "scan.mrg", true) }

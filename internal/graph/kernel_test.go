@@ -185,3 +185,96 @@ func TestVertexSet(t *testing.T) {
 		t.Fatal("VertexSet(nil) not empty")
 	}
 }
+
+// neighborScanGraph is the kernel benchmarks' graph: 4000 vertices at
+// density c = 0.45, weighted, with its CSR slabs built.
+func neighborScanGraph() *Graph {
+	r := rng.New(42)
+	g := Density(4000, 0.45, r)
+	g.AssignUniformWeights(r, 1, 100)
+	g.Build()
+	return g
+}
+
+// benchAliveScan times the alive-neighbour accumulation every algorithm in
+// this repository runs per machine, over g's contiguous Neighbors slab.
+func benchAliveScan(b *testing.B, g *Graph) {
+	alive := make([]bool, g.N)
+	for v := range alive {
+		alive[v] = v%3 != 0
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		count := 0
+		for v := 0; v < g.N; v++ {
+			for _, u := range g.Neighbors(v) {
+				if alive[u] {
+					count++
+				}
+			}
+		}
+		if count == 0 {
+			b.Fatal("empty scan")
+		}
+	}
+}
+
+func BenchmarkNeighborScanCSR(b *testing.B) { benchAliveScan(b, neighborScanGraph()) }
+
+func BenchmarkNeighborScanWeightedCSR(b *testing.B) {
+	g := neighborScanGraph()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sum := 0.0
+		for v := 0; v < g.N; v++ {
+			nbrs, ws := g.NeighborsW(v)
+			for k, u := range nbrs {
+				if int(u) > v {
+					sum += ws[k]
+				}
+			}
+		}
+		if sum == 0 {
+			b.Fatal("empty scan")
+		}
+	}
+}
+
+// BenchmarkNeighborScanValidateMIS times the same kernel inside
+// IsMaximalIndependentSet, on the index-order greedy MIS (seq.GreedyMIS's
+// set; seq imports this package, so it is rebuilt here).
+func BenchmarkNeighborScanValidateMIS(b *testing.B) {
+	g := neighborScanGraph()
+	in, blocked := make([]bool, g.N), make([]bool, g.N)
+	for v := 0; v < g.N; v++ {
+		if !blocked[v] {
+			in[v] = true
+			for _, u := range g.Neighbors(v) {
+				blocked[u] = true
+			}
+		}
+	}
+	set := VertexSet(in)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !IsMaximalIndependentSet(g, set) {
+			b.Fatal("invalid MIS")
+		}
+	}
+}
+
+// BenchmarkGraphBuild{Seq,Par4} time the CSR build itself, sequential and on
+// the package's parallel path (identical slabs, see
+// TestBuildParallelMatchesSequential).
+func benchGraphBuild(b *testing.B, workers int) {
+	defer SetParallelism(SetParallelism(workers))
+	g := neighborScanGraph()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Invalidate()
+		g.Build()
+	}
+}
+
+func BenchmarkGraphBuildSeq(b *testing.B)  { benchGraphBuild(b, 1) }
+func BenchmarkGraphBuildPar4(b *testing.B) { benchGraphBuild(b, 4) }

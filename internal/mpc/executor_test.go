@@ -86,7 +86,7 @@ func TestParallelRoundsMatchSequential(t *testing.T) {
 	// The transcript is captured from the inboxes between rounds, where the
 	// cluster state is quiescent.
 	record := func(workers int) (string, Metrics) {
-		c := NewCluster(Config{Machines: 17, SpaceCap: 1000, Trace: true, Workers: workers})
+		c := NewCluster(Config{Machines: 17, SpaceCap: 1000, Workers: workers})
 		m := c.M()
 		var transcript strings.Builder
 		for round := 0; round < 5; round++ {
@@ -215,4 +215,26 @@ func TestClusterCloseReleasesPool(t *testing.T) {
 	}
 	c.Close()
 	c.Close() // idempotent
+}
+
+// BenchmarkExecutorRoundOverheadPersistent runs a chunked batch of trivial
+// tasks per round through a long-lived Pool. In steady state it spawns zero
+// goroutines per round (TestPoolSteadyStateSpawnsNoGoroutines pins this)
+// and allocates only its per-batch job header; run with -benchmem.
+func BenchmarkExecutorRoundOverheadPersistent(b *testing.B) {
+	const tasks = 256
+	p := NewPool(4)
+	defer p.Close()
+	sink := make([]int64, tasks)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Execute(tasks, func(t int) { sink[t]++ })
+	}
+	b.StopTimer()
+	for t := range sink {
+		if sink[t] != int64(b.N) {
+			b.Fatalf("task %d ran %d times, want %d", t, sink[t], b.N)
+		}
+	}
 }

@@ -41,7 +41,7 @@
 // list and the receivers, so a round costs in proportion to its activity
 // rather than to M. A machine off the run list is accounted as holding
 // exactly its unchanged resident words, which is its whole load: it neither
-// sent nor received. The activity measurements (RoundStat.Active,
+// sent nor received. The activity measurements (obs.RoundSpan.Active,
 // Metrics.ActiveSum/ActiveMax) record the run list's length.
 package mpc
 
@@ -74,9 +74,6 @@ type Config struct {
 	// Strict makes Round return ErrSpaceExceeded when a machine exceeds the
 	// cap; otherwise violations are only counted in Metrics.Violations.
 	Strict bool
-	// Trace records a RoundStat per executed round, retrievable via
-	// Trace(). Off by default (it costs memory proportional to rounds).
-	Trace bool
 	// Workers selects the round executor: 0 or 1 runs machines sequentially
 	// on one goroutine (the default), > 1 runs each round's machines
 	// concurrently on a persistent pool of that many goroutines, and < 0
@@ -97,29 +94,20 @@ type Config struct {
 	// Sink, when non-nil, receives an obs.RoundSpan at the end of every
 	// round (Quiet rounds included): wall-clock compute and merge timings
 	// next to the round's model quantities. Timing lives only in the
-	// spans, never in Metrics or RoundStat, so attaching a sink changes
-	// nothing the equivalence suites compare; with Sink nil the round path
-	// takes no timestamps and performs no allocations for tracing.
+	// spans, never in Metrics, so attaching a sink changes nothing the
+	// equivalence suites compare; with Sink nil the round path takes no
+	// timestamps and performs no allocations for tracing.
 	Sink obs.TraceSink
 	// TraceLabel annotates the cluster's spans (a job id, an algorithm
 	// name); purely cosmetic.
 	TraceLabel string
 }
 
-// RoundStat is the per-round record captured when tracing is enabled.
-type RoundStat struct {
-	Round    int   // 1-based round number
-	Words    int64 // words communicated in this round
-	Messages int   // records delivered in this round
-	MaxLoad  int   // max over machines of resident+in+out this round
-	Active   int   // machines whose RoundFunc was invoked this round
-}
-
 // Metrics accumulates the model-level costs of an execution.
 //
 // ActiveSum and ActiveMax measure the simulator's scheduling activity, not a
 // model-level cost: they count RoundFunc invocations (each round's run-list
-// length, as does RoundStat.Active), so they expose the geometric decay of
+// length, as does obs.RoundSpan.Active), so they expose the geometric decay of
 // per-round work the paper predicts.
 type Metrics struct {
 	Machines    int   // cluster size M
@@ -142,7 +130,6 @@ type Cluster struct {
 	inbox    []Inbox
 	outboxes []Outbox
 	metrics  Metrics
-	trace    []RoundStat
 	// Per-round merge scratch, held across rounds so the steady-state round
 	// allocates nothing.
 	senders [][]int // dest -> sending machines, in machine order; empty outside Round
@@ -248,10 +235,6 @@ func (c *Cluster) Metrics() Metrics {
 	m.Machines = c.cfg.Machines
 	return m
 }
-
-// Trace returns the per-round records captured so far (nil unless tracing
-// was enabled in the Config). The slice must not be modified.
-func (c *Cluster) Trace() []RoundStat { return c.trace }
 
 // SetResident declares the resident state size of a machine, in words. It
 // must be called from driver code between rounds or by at most one machine's
@@ -492,14 +475,6 @@ func (c *Cluster) Round(f RoundFunc) error {
 	if maxLoad > c.metrics.MaxSpace {
 		c.metrics.MaxSpace = maxLoad
 	}
-	if c.cfg.Trace {
-		stat := RoundStat{Round: c.metrics.Rounds, MaxLoad: maxLoad, Active: active}
-		for _, m := range c.recv {
-			stat.Words += int64(c.inbox[m].words)
-			stat.Messages += c.inbox[m].records
-		}
-		c.trace = append(c.trace, stat)
-	}
 
 	// Release the senders' outbox bookkeeping last: accounting above reads
 	// the outboxes' word counters directly.
@@ -634,9 +609,6 @@ func (c *Cluster) Quiet() error {
 		violations = c.residentOverCap
 	}
 	c.metrics.Violations += violations
-	if c.cfg.Trace {
-		c.trace = append(c.trace, RoundStat{Round: c.metrics.Rounds, MaxLoad: maxLoad})
-	}
 	if sink != nil {
 		// A quiet round has no compute or exchange; its whole (tiny)
 		// duration is bookkeeping, kept in the stream so round numbers

@@ -338,7 +338,7 @@ func TestResidentTracking(t *testing.T) {
 }
 
 func TestTraceRecordsRounds(t *testing.T) {
-	c := NewCluster(Config{Machines: 2, Trace: true})
+	c, trace := tracedCluster(Config{Machines: 2})
 	c.SetResident(0, 3)
 	_ = c.Round(func(machine int, in *Inbox, out *Outbox) {
 		if machine == 0 {
@@ -346,7 +346,7 @@ func TestTraceRecordsRounds(t *testing.T) {
 		}
 	})
 	_ = c.Quiet()
-	tr := c.Trace()
+	tr := trace.rounds
 	if len(tr) != 2 {
 		t.Fatalf("trace length %d, want 2", len(tr))
 	}
@@ -359,14 +359,6 @@ func TestTraceRecordsRounds(t *testing.T) {
 	}
 	if tr[1].Words != 0 || tr[1].Messages != 0 {
 		t.Fatalf("quiet round stat: %+v", tr[1])
-	}
-}
-
-func TestTraceDisabledByDefault(t *testing.T) {
-	c := NewCluster(Config{Machines: 2})
-	_ = c.Quiet()
-	if c.Trace() != nil {
-		t.Fatal("trace recorded without being enabled")
 	}
 }
 

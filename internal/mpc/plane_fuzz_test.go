@@ -106,7 +106,7 @@ func FuzzInboxRuns(f *testing.F) {
 		b := fuzzBytes(data)
 		M := 1 + b.next()%6
 		rounds := 1 + b.next()%3
-		c := NewCluster(Config{Machines: M, Trace: true, Workers: 1 + b.next()%2})
+		c, trace := tracedCluster(Config{Machines: M, Workers: 1 + b.next()%2})
 		defer c.Close()
 		var serial, words, records int64
 		maxSpace := 0
@@ -150,7 +150,7 @@ func FuzzInboxRuns(f *testing.F) {
 			maxSpace = max(maxSpace, roundMax)
 			words += int64(roundWords)
 			records += int64(roundRecords)
-			stat := c.Trace()[r]
+			stat := trace.rounds[r]
 			if stat.Words != int64(roundWords) || stat.Messages != roundRecords || stat.MaxLoad != roundMax {
 				t.Fatalf("round %d: trace %+v, want %d words, %d records, max load %d", r, stat, roundWords, roundRecords, roundMax)
 			}

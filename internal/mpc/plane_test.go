@@ -167,7 +167,7 @@ func TestOutboxSelfSend(t *testing.T) {
 }
 
 func TestQuietAccounting(t *testing.T) {
-	c := NewCluster(Config{Machines: 3, Trace: true})
+	c, trace := tracedCluster(Config{Machines: 3})
 	c.SetResident(1, 7)
 	if err := c.Quiet(); err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestQuietAccounting(t *testing.T) {
 	if m.MaxSpace != 7 {
 		t.Fatalf("MaxSpace = %d, want 7", m.MaxSpace)
 	}
-	tr := c.Trace()
+	tr := trace.rounds
 	if len(tr) != 1 || tr[0].Words != 0 || tr[0].Messages != 0 || tr[0].MaxLoad != 7 {
 		t.Fatalf("trace = %+v", tr)
 	}
@@ -294,7 +294,6 @@ func TestColumnShapeChangeMidRound(t *testing.T) {
 		{Machines: 6, Sparse: true, Workers: 2},
 		{Machines: 6, Workers: 2},
 	} {
-		cfg.Trace = true
 		M := cfg.Machines
 		script := shapeChangeScript(M)
 		want := make([][]Record, M)
@@ -318,14 +317,14 @@ func TestColumnShapeChangeMidRound(t *testing.T) {
 		for m := range in {
 			load = max(load, in[m]+out[m])
 		}
-		wantTrace := []RoundStat{
+		wantTrace := []roundModel{
 			{Round: 1, Words: words, Messages: len(script), MaxLoad: load, Active: active(M - 1)},
 			{Round: 2, Active: active(M)},
 		}
 		wantMetrics := Metrics{Machines: M, Rounds: 2, WordsSent: words, Messages: int64(len(script)), MaxSpace: load,
 			ActiveSum: int64(wantTrace[0].Active + wantTrace[1].Active), ActiveMax: active(M)}
 
-		c := NewCluster(cfg)
+		c, trace := tracedCluster(cfg)
 		for m := 1; m < M; m++ {
 			c.Arm(m)
 		}
@@ -389,8 +388,8 @@ func TestColumnShapeChangeMidRound(t *testing.T) {
 		if m := c.Metrics(); m != wantMetrics {
 			t.Errorf("%+v: metrics\n got %+v\nwant %+v", cfg, m, wantMetrics)
 		}
-		if !reflect.DeepEqual(c.Trace(), wantTrace) {
-			t.Errorf("%+v: trace\n got %+v\nwant %+v", cfg, c.Trace(), wantTrace)
+		if !reflect.DeepEqual(trace.rounds, wantTrace) {
+			t.Errorf("%+v: trace\n got %+v\nwant %+v", cfg, trace.rounds, wantTrace)
 		}
 		c.Close()
 	}
@@ -618,7 +617,6 @@ func TestReserveIsInvisible(t *testing.T) {
 		{Machines: 5, Sparse: true, Workers: 2},
 		{Machines: 6, Workers: 2},
 	} {
-		cfg.Trace = true
 		cfg.SpaceCap = 150 // low enough that reserveScript's fan-in round violates it
 		for k, scripts := range [][2]func(*testing.T, *Cluster, bool) [][]Record{
 			{reserveScript, reserveScript},
@@ -628,8 +626,9 @@ func TestReserveIsInvisible(t *testing.T) {
 			// set, so the reserved clusters then run back to back.
 			var want [2][][]Record
 			var plain [2]*Cluster
+			var plainTrace [2]*modelTrace
 			for i, script := range scripts {
-				plain[i] = NewCluster(cfg)
+				plain[i], plainTrace[i] = tracedCluster(cfg)
 				want[i] = script(t, plain[i], false)
 				plain[i].Close()
 			}
@@ -638,7 +637,7 @@ func TestReserveIsInvisible(t *testing.T) {
 			}
 			for i, script := range scripts {
 				handed := handOffLen()
-				reserved := NewCluster(cfg)
+				reserved, trace := tracedCluster(cfg)
 				got := script(t, reserved, true)
 				if i == 1 && handOffLen() == handed {
 					t.Errorf("%+v: cluster 2 took none of the %d columns cluster 1 handed off", cfg, handed)
@@ -649,8 +648,8 @@ func TestReserveIsInvisible(t *testing.T) {
 				if g, w := reserved.Metrics(), plain[i].Metrics(); g != w {
 					t.Errorf("%+v: cluster %d: metrics differ with Reserve\n got %+v\nwant %+v", cfg, i+1, g, w)
 				}
-				if !reflect.DeepEqual(reserved.Trace(), plain[i].Trace()) {
-					t.Errorf("%+v: cluster %d: trace differs with Reserve\n got %+v\nwant %+v", cfg, i+1, reserved.Trace(), plain[i].Trace())
+				if !reflect.DeepEqual(trace.rounds, plainTrace[i].rounds) {
+					t.Errorf("%+v: cluster %d: trace differs with Reserve\n got %+v\nwant %+v", cfg, i+1, trace.rounds, plainTrace[i].rounds)
 				}
 				reserved.Close()
 			}
@@ -666,7 +665,7 @@ func handOffLen() int {
 }
 
 func TestReserveWithoutRecordLeavesNoTrace(t *testing.T) {
-	c := NewCluster(Config{Machines: 3, Sparse: true, Trace: true})
+	c, trace := tracedCluster(Config{Machines: 3, Sparse: true})
 	c.Arm(0)
 	err := c.Round(func(machine int, in *Inbox, out *Outbox) {
 		out.Reserve(1, 50, 100, 50)
@@ -697,7 +696,7 @@ func TestReserveWithoutRecordLeavesNoTrace(t *testing.T) {
 	if err := c.Round(func(machine int, in *Inbox, out *Outbox) { t.Errorf("machine %d invoked", machine) }); err != nil {
 		t.Fatal(err)
 	}
-	if tr := c.Trace(); tr[1].Active != 0 || tr[0].Messages != 0 {
+	if tr := trace.rounds; tr[1].Active != 0 || tr[0].Messages != 0 {
 		t.Fatalf("trace: %+v", tr)
 	}
 }

@@ -107,7 +107,7 @@ func TestSparseMatchesDense(t *testing.T) {
 }
 
 func TestSparseSkipsDormantMachines(t *testing.T) {
-	c := NewCluster(Config{Machines: 100, Sparse: true, Trace: true})
+	c, trace := tracedCluster(Config{Machines: 100, Sparse: true})
 	ran := make([]int, c.M())
 	// Nothing armed, nothing in flight: nobody runs, but the round counts.
 	if err := c.Round(func(machine int, in *Inbox, out *Outbox) { ran[machine]++ }); err != nil {
@@ -140,7 +140,7 @@ func TestSparseSkipsDormantMachines(t *testing.T) {
 	if m.Rounds != 3 || m.ActiveSum != 2 || m.ActiveMax != 1 {
 		t.Fatalf("activity accounting: %+v", m)
 	}
-	tr := c.Trace()
+	tr := trace.rounds
 	if len(tr) != 3 || tr[0].Active != 0 || tr[1].Active != 1 || tr[2].Active != 1 {
 		t.Fatalf("trace Active: %+v", tr)
 	}
@@ -173,8 +173,8 @@ func TestSparseArmAllRunsEveryMachine(t *testing.T) {
 // clusters, including undelivered-traffic disposal.
 func TestQuietFastPathMetricsEquivalence(t *testing.T) {
 	for _, sparse := range []bool{false, true} {
-		run := func(quiet bool) (Metrics, []RoundStat, error) {
-			c := NewCluster(Config{Machines: 5, SpaceCap: 10, Trace: true, Sparse: sparse})
+		run := func(quiet bool) (Metrics, []roundModel, error) {
+			c, trace := tracedCluster(Config{Machines: 5, SpaceCap: 10, Sparse: sparse})
 			defer c.Close()
 			c.SetResident(1, 13) // over cap: every round records a violation
 			c.SetResident(2, 9)
@@ -205,7 +205,7 @@ func TestQuietFastPathMetricsEquivalence(t *testing.T) {
 					out.SendInts(0, 9)
 				}
 			})
-			return c.Metrics(), c.Trace(), err
+			return c.Metrics(), trace.rounds, err
 		}
 		newM, newT, err := run(true)
 		if err != nil {
@@ -249,7 +249,7 @@ func TestQuietStrictViolation(t *testing.T) {
 // machine holding the maximum shrinks while dormant machines keep the old
 // values, and the per-round MaxLoad must follow exactly.
 func TestResidentDecreaseAccounting(t *testing.T) {
-	c := NewCluster(Config{Machines: 4, SpaceCap: 100, Trace: true, Sparse: true})
+	c, trace := tracedCluster(Config{Machines: 4, SpaceCap: 100, Sparse: true})
 	c.SetResident(0, 50)
 	c.SetResident(1, 30)
 	if err := c.Quiet(); err != nil {
@@ -263,7 +263,7 @@ func TestResidentDecreaseAccounting(t *testing.T) {
 	if err := c.Quiet(); err != nil {
 		t.Fatal(err)
 	}
-	tr := c.Trace()
+	tr := trace.rounds
 	if tr[0].MaxLoad != 50 || tr[1].MaxLoad != 30 || tr[2].MaxLoad != 120 {
 		t.Fatalf("max loads: %+v", tr)
 	}
@@ -343,4 +343,66 @@ func TestSelfArmPlusTrafficRunsOnce(t *testing.T) {
 	if m := c.Metrics(); m.ActiveSum != 2 || m.ActiveMax != 1 {
 		t.Fatalf("activity accounting: %+v", m)
 	}
+}
+
+// BenchmarkSparseTailSparse replays the tail-round pattern of the MIS
+// algorithms (misState.disseminate: one sampled candidate ships to the
+// central machine, the central machine routes the decision to the owner, the
+// owner notifies two neighbours' owners, the owners apply the update) on a
+// large sparse cluster where almost every machine is already decided and
+// dormant: each round runs only its 1-3 active machines, not all 1024.
+func BenchmarkSparseTailSparse(b *testing.B) {
+	const machines = 1024
+	c := NewCluster(Config{Machines: machines, Sparse: true})
+	defer c.Close()
+	var m Metrics
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		owner := 1 + i%(machines-1)
+		// Sampling round: one owner ships its candidate to the central
+		// machine.
+		c.Arm(owner)
+		err := c.Round(func(machine int, in *Inbox, out *Outbox) {
+			if machine == owner {
+				out.SendInts(0, int64(owner), int64(owner+1), int64(owner+2))
+			}
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Decision round: central routes the verdict back to the owner.
+		c.Arm(0)
+		err = c.Round(func(machine int, in *Inbox, out *Outbox) {
+			if machine != 0 {
+				return
+			}
+			for msg, ok := in.Next(); ok; msg, ok = in.Next() {
+				out.SendInts(int(msg.Ints[0]), msg.Ints[1], msg.Ints[2])
+			}
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Notify round: the owner tells its two neighbours' owners.
+		err = c.Round(func(machine int, in *Inbox, out *Outbox) {
+			for msg, ok := in.Next(); ok; msg, ok = in.Next() {
+				out.SendInts(1+int(msg.Ints[0])%(machines-1), msg.Ints[0])
+				out.SendInts(1+int(msg.Ints[1])%(machines-1), msg.Ints[1])
+			}
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Apply round: the notified owners consume the updates.
+		err = c.Round(func(machine int, in *Inbox, out *Outbox) {
+			for _, ok := in.Next(); ok; _, ok = in.Next() {
+			}
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		m = c.Metrics()
+	}
+	b.ReportMetric(float64(m.ActiveSum)/float64(m.Rounds), "active/round")
 }

@@ -2,6 +2,7 @@ package mpc
 
 import (
 	"fmt"
+	"io"
 	"reflect"
 	"testing"
 	"time"
@@ -9,11 +10,39 @@ import (
 	"repro/internal/obs"
 )
 
+// roundModel is the model projection of an obs.RoundSpan: the five fields
+// that are identical across executors, schedulers and sinks. Tests compare
+// traces as slices of it, never as spans, which carry wall-clock times.
+type roundModel struct {
+	Round    int
+	Words    int64
+	Messages int
+	MaxLoad  int
+	Active   int
+}
+
+func modelOf(s obs.RoundSpan) roundModel {
+	return roundModel{Round: s.Round, Words: s.Words, Messages: s.Messages, MaxLoad: s.MaxLoad, Active: s.Active}
+}
+
+// modelTrace is a TraceSink that keeps the model projection of every span.
+type modelTrace struct{ rounds []roundModel }
+
+func (t *modelTrace) RoundDone(s obs.RoundSpan) { t.rounds = append(t.rounds, modelOf(s)) }
+func (t *modelTrace) Close() error              { return nil }
+
+// tracedCluster returns a cluster for cfg whose rounds are recorded into the
+// returned modelTrace.
+func tracedCluster(cfg Config) (*Cluster, *modelTrace) {
+	tr := new(modelTrace)
+	cfg.Sink = tr
+	return NewCluster(cfg), tr
+}
+
 // runWorkload drives a structurally rich deterministic workload — a dense
 // scatter, a sparse funnel with self-arming, float payloads, a quiet round —
-// and returns the per-machine state, metrics, and trace.
-func runWorkload(cfg Config) ([]int64, Metrics, []RoundStat, error) {
-	cfg.Trace = true
+// and returns the per-machine state and metrics.
+func runWorkload(cfg Config) ([]int64, Metrics, error) {
 	c := NewCluster(cfg)
 	defer c.Close()
 	M := cfg.Machines
@@ -29,7 +58,7 @@ func runWorkload(cfg Config) ([]int64, Metrics, []RoundStat, error) {
 		out.SendInts((m+3)%M, int64(m), int64(m*m))
 	})
 	if err != nil {
-		return nil, Metrics{}, nil, fmt.Errorf("scatter round: %w", err)
+		return nil, Metrics{}, fmt.Errorf("scatter round: %w", err)
 	}
 
 	// Funnel rounds: receivers fold their traffic toward machine 0; every
@@ -57,26 +86,28 @@ func runWorkload(cfg Config) ([]int64, Metrics, []RoundStat, error) {
 			}
 		})
 		if err != nil {
-			return nil, Metrics{}, nil, fmt.Errorf("funnel round %d: %w", r, err)
+			return nil, Metrics{}, fmt.Errorf("funnel round %d: %w", r, err)
 		}
 		c.SetResident(r%M, 10+r)
 	}
 	if err := c.Quiet(); err != nil {
-		return nil, Metrics{}, nil, fmt.Errorf("quiet round: %w", err)
+		return nil, Metrics{}, fmt.Errorf("quiet round: %w", err)
 	}
-	return state, c.Metrics(), c.Trace(), nil
+	return state, c.Metrics(), nil
 }
 
 // TestTracingDoesNotChangeResults is the determinism-vs-timing segregation
 // proof at the mpc layer: attaching a TraceSink changes nothing the
-// equivalence suites compare — state, metrics, and model traces are
-// bit-identical with and without a sink, sequential and pooled — while the
-// sink itself observes exactly the executed rounds.
+// equivalence suites compare — state and metrics are bit-identical with and
+// without a sink, sequential and pooled, and so is the spans' model
+// projection across executors — while the sink itself observes exactly the
+// executed rounds, whose model quantities sum to the metrics.
 func TestTracingDoesNotChangeResults(t *testing.T) {
 	for _, sparse := range []bool{false, true} {
+		var wantModel []roundModel
 		for _, workers := range []int{1, 2} {
 			base := Config{Machines: 33, SpaceCap: 1 << 20, Sparse: sparse, Workers: workers}
-			wantState, wantMetrics, wantTrace, err := runWorkload(base)
+			wantState, wantMetrics, err := runWorkload(base)
 			if err != nil {
 				t.Fatalf("sparse=%v workers=%d untraced: %v", sparse, workers, err)
 			}
@@ -85,7 +116,7 @@ func TestTracingDoesNotChangeResults(t *testing.T) {
 			traced := base
 			traced.Sink = ring
 			traced.TraceLabel = "workload"
-			state, metrics, trace, err := runWorkload(traced)
+			state, metrics, err := runWorkload(traced)
 			if err != nil {
 				t.Fatalf("sparse=%v workers=%d traced: %v", sparse, workers, err)
 			}
@@ -96,25 +127,26 @@ func TestTracingDoesNotChangeResults(t *testing.T) {
 				t.Errorf("sparse=%v workers=%d: tracing changed metrics\n got %+v\nwant %+v",
 					sparse, workers, metrics, wantMetrics)
 			}
-			if !reflect.DeepEqual(trace, wantTrace) {
-				t.Errorf("sparse=%v workers=%d: tracing changed the model trace", sparse, workers)
-			}
 
-			// The sink saw every round, in order, with the model quantities
-			// agreeing with the model trace and timing fields consistent.
+			// The sink saw every round, in order, with timing fields
+			// consistent and model quantities that add up to the metrics,
+			// which are computed apart from the spans.
 			spans := ring.Snapshot()
 			if len(spans) != metrics.Rounds {
 				t.Fatalf("sparse=%v workers=%d: %d spans for %d rounds",
 					sparse, workers, len(spans), metrics.Rounds)
 			}
+			var total Metrics
+			model := make([]roundModel, len(spans))
 			for i, s := range spans {
-				st := wantTrace[i]
-				if s.Round != st.Round || s.Words != st.Words ||
-					s.Messages != st.Messages || s.MaxLoad != st.MaxLoad ||
-					s.Active != st.Active {
-					t.Errorf("span %d model quantities diverge from RoundStat:\nspan %+v\nstat %+v",
-						i, s, st)
+				model[i] = modelOf(s)
+				if s.Round != i+1 {
+					t.Errorf("span %d: Round = %d", i, s.Round)
 				}
+				total.WordsSent += s.Words
+				total.Messages += int64(s.Messages)
+				total.ActiveSum += int64(s.Active)
+				total.MaxSpace = max(total.MaxSpace, s.MaxLoad)
 				if s.Label != "workload" || s.Cluster == 0 {
 					t.Errorf("span %d label/cluster not set: %+v", i, s)
 				}
@@ -127,6 +159,16 @@ func TestTracingDoesNotChangeResults(t *testing.T) {
 				if s.Barrier != 0 {
 					t.Errorf("span %d: Barrier = %v, want always zero", i, s.Barrier)
 				}
+			}
+			if total.WordsSent != metrics.WordsSent || total.Messages != metrics.Messages ||
+				total.ActiveSum != metrics.ActiveSum || total.MaxSpace != metrics.MaxSpace {
+				t.Errorf("sparse=%v workers=%d: spans sum to words %d, messages %d, active %d, max load %d; metrics %+v",
+					sparse, workers, total.WordsSent, total.Messages, total.ActiveSum, total.MaxSpace, metrics)
+			}
+			if wantModel == nil {
+				wantModel = model
+			} else if !reflect.DeepEqual(model, wantModel) {
+				t.Errorf("sparse=%v workers=%d: the model trace differs from workers=1", sparse, workers)
 			}
 		}
 	}
@@ -184,3 +226,36 @@ func TestRoundTraceOffNoAllocs(t *testing.T) {
 			avg, preTraceBaseline)
 	}
 }
+
+// BenchmarkRoundTrace{Off,Ring,File} price observability per round on
+// TestRoundTraceOffNoAllocs's 64-machine half-rotation scatter: tracing off
+// (no sink, no timestamps), the ring sink (three time.Now calls plus one span
+// copy into a recycled slot), and the Chrome-trace file sink (JSON encoding
+// per round; io.Discard isolates encoding cost from disk). Results and model
+// metrics are bit-identical across all three.
+func benchRoundTrace(b *testing.B, sink obs.TraceSink) {
+	const machines = 64
+	cfg := Config{Machines: machines}
+	if sink != nil {
+		cfg.Sink = sink
+		cfg.TraceLabel = "bench"
+	}
+	c := NewCluster(cfg)
+	defer c.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		err := c.Round(func(m int, in *Inbox, out *Outbox) {
+			for _, ok := in.Next(); ok; _, ok = in.Next() {
+			}
+			out.SendInts((m+machines/2)%machines, int64(m), int64(i))
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkRoundTraceOff(b *testing.B)  { benchRoundTrace(b, nil) }
+func BenchmarkRoundTraceRing(b *testing.B) { benchRoundTrace(b, obs.NewRingSink(256)) }
+func BenchmarkRoundTraceFile(b *testing.B) { benchRoundTrace(b, obs.NewChromeTrace(io.Discard)) }

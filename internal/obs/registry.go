@@ -7,11 +7,12 @@
 // # Determinism vs. timing
 //
 // The repo's core invariant is bit-identity: results, model metrics
-// (mpc.Metrics) and model traces (mpc.RoundStat) are identical across
-// executors and scheduling modes. Wall-clock measurements can
-// never satisfy that, so this package keeps them strictly segregated:
-// timing lives only in RoundSpan records streamed to a TraceSink, never
-// in the model structs the equivalence suites compare. Attaching or
+// (mpc.Metrics) and the model fields of each round's RoundSpan are
+// identical across executors and scheduling modes. Wall-clock
+// measurements can never satisfy that, so this package keeps them
+// strictly segregated: timing lives only in the timing fields of
+// RoundSpan records streamed to a TraceSink, never in the model structs
+// the equivalence suites compare. Attaching or
 // detaching a sink changes nothing observable about an execution except
 // the stream itself.
 //

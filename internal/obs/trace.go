@@ -6,12 +6,12 @@ import (
 )
 
 // RoundSpan is the wall-clock record of one simulator round, streamed to a
-// TraceSink as the round ends. It deliberately duplicates the *model*
-// quantities of mpc.RoundStat (round number, words, messages, load,
-// activity) next to the *timing* quantities the model must never see:
-// phase durations and real timestamps. The model structs stay
-// bit-identical across executors; spans do not and are never compared for
-// identity.
+// TraceSink as the round ends. It carries the round's *model* quantities
+// (round number, words, messages, load, activity) next to the *timing*
+// quantities the model must never see: phase durations and real
+// timestamps. The model fields are bit-identical across executors; the
+// timing fields are not, so spans are compared only through their model
+// projection, never whole.
 //
 // The phase split follows the round structure of mpc.Cluster.Round:
 //
@@ -25,7 +25,7 @@ type RoundSpan struct {
 	// Cluster distinguishes concurrently traced clusters within one
 	// process; ids are allocated per traced cluster and never reused.
 	Cluster int64
-	// Round is the 1-based round number (mpc.RoundStat.Round).
+	// Round is the 1-based round number.
 	Round int
 	// Active is the number of RoundFunc invocations this round.
 	Active int

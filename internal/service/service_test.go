@@ -484,3 +484,33 @@ func TestAlgorithmsRegistry(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkServiceThroughput{1,4} measure the job engine's end-to-end
+// throughput at a worker-pool size of 1 and 4: batches of jobs on one shared
+// cached instance, every job a distinct seed so nothing coalesces or
+// cache-hits — each is a full algorithm execution on its own mpc.Cluster.
+// Pool=4 vs Pool=1 shows cross-job scaling on a multi-core host; results and
+// model metrics are identical by the determinism contract.
+func benchmarkServiceThroughput(b *testing.B, pool int) {
+	e := NewEngine(Config{Pool: pool, Workers: 1, Results: 16, Instances: 4})
+	defer e.Close()
+	spec := InstanceSpec{Type: "density", N: 300, C: 0.3, Seed: 17}
+	const batch = 8
+	seed := uint64(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		jobs := make([]*Job, 0, batch)
+		for k := 0; k < batch; k++ {
+			seed++
+			jobs = append(jobs, mustSubmit(b, e, JobRequest{Instance: spec, Alg: "mis", Seed: seed}))
+		}
+		for _, j := range jobs {
+			j.Wait()
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "jobs/s")
+}
+
+func BenchmarkServiceThroughput1(b *testing.B) { benchmarkServiceThroughput(b, 1) }
+func BenchmarkServiceThroughput4(b *testing.B) { benchmarkServiceThroughput(b, 4) }
