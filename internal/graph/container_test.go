@@ -362,6 +362,30 @@ func TestGoldenContainer(t *testing.T) {
 	graphsEquivalent(t, want, mapped)
 }
 
+// goldenMrgz is the compressed container fixture: golden.mrg's graph written
+// by the delta-varint encoder, and its SHA-256.
+const (
+	goldenMrgz       = "testdata/golden.mrgz"
+	goldenMrgzSHA256 = "261c02171f43515c5ba122522ee3b5c3b442b5f81a3b01b1473a8c2e88e8a913"
+)
+
+// TestGoldenCompressedContainer pins the compressed fixture's bytes and its
+// content: it is the golden graph.
+func TestGoldenCompressedContainer(t *testing.T) {
+	data, err := os.ReadFile(goldenMrgz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sha256Hex(data); got != goldenMrgzSHA256 {
+		t.Fatalf("%s has SHA-256 %s, want %s", goldenMrgz, got, goldenMrgzSHA256)
+	}
+	g, err := ReadContainer(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphsEquivalent(t, goldenGraph(), g)
+}
+
 // goldenGraph is the fixture's content; regenerating the fixture must use
 // exactly this graph (see TestGoldenContainer and scripts in CI).
 func goldenGraph() *Graph {
