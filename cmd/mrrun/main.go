@@ -54,7 +54,7 @@ func main() {
 	eps := flag.Float64("eps", 0.2, "epsilon (b-matching, greedy set cover)")
 	f := flag.Int("f", 3, "set cover max frequency (setcover-f)")
 	load := flag.String("load", "", "load the graph from a file (text, binary container, or gzip of either — sniffed) instead of generating one")
-	save := flag.String("save", "", "save the generated graph before running (.mrg binary container, .mrgz compressed container, .gz gzip, else text)")
+	save := flag.String("save", "", "save the generated graph before running (.mrg binary container, .gz gzip, else text)")
 	convert := flag.String("convert", "", "with -load: convert the input to a raw binary container at this path and exit without running")
 	traceOut := flag.String("trace-out", "", "write a Chrome-trace-event/Perfetto JSON file of per-round phase timings (open in ui.perfetto.dev)")
 	workers := flag.Int("workers", 0, "round-executor pool size: 0|1 sequential, >1 that many goroutines, -1 one per CPU")

@@ -19,12 +19,12 @@ import (
 //
 // Layout (all integers little-endian, every section 8-byte aligned):
 //
-//	header     magic "MRGRAPH1" | n u64 | m u64 | flags u32 | nsec u32
-//	table      nsec × { kind u32 | _ u32 | off u64 | len u64 | crc32c u32 | _ u32 }
+//	header     magic "MRGRAPH1" | n u64 | m u64 | flags u32 = 0 | nsec u32 = 5
+//	table      5 × { kind u32 | _ u32 | off u64 | len u64 | crc32c u32 | _ u32 }
 //	headerCRC  crc32c over header+table | _ u32
-//	sections   zero-padded to 8-byte boundaries, in offset order
+//	sections   zero-padded to 8-byte boundaries, in table order
 //
-// Raw containers (flags == 0) carry the five sections of a built graph:
+// The five sections of a built graph, kinds 1 to 5 in this order:
 //
 //	adjStart  (n+1) × i32      CSR offsets
 //	adjNbr    2m × i32         neighbour vertex ids, slab order
@@ -32,44 +32,38 @@ import (
 //	adjW      2m × f64         edge weights, positional with adjNbr
 //	edges     m × {u i64, v i64, w f64}   the edge list, input order
 //
+// This is the only layout: the table is a fixed function of (n, m)
+// (rawLayout), and readers refuse any other table, whatever its checksum —
+// only the section CRCs vary between containers of the same dimensions. The
+// delta-varint variant (flags bit 0, ".mrgz") is no longer written or read.
 // The edge record layout equals the in-memory Edge struct on 64-bit
-// little-endian hosts, so a mapping aliases g.Edges too. Compressed
-// containers (flagCompressed, WriteFile ".mrgz") replace all five with one
-// delta-varint edge stream for cold storage; they are not mappable and
-// decode through the heap path. Section checksums are CRC-32C; ReadContainer
-// and OpenVerified (ReadFile's path for raw containers) verify them on every
-// load, OpenMapped verifies the header checksum only (for a file the
-// process has just written itself) — use VerifyContainer for a full offline
-// check.
+// little-endian hosts, so a mapping aliases g.Edges too. Section checksums
+// are CRC-32C; ReadContainer and OpenVerified (ReadFile's path for
+// containers) verify them on every load, OpenMapped verifies the header
+// checksum only (for a file the process has just written itself) — use
+// VerifyContainer for a full offline check.
 
 // ContainerMagic identifies the binary container format, version 1 ("1" is
 // the version byte: bump it for incompatible layout changes).
 var ContainerMagic = [8]byte{'M', 'R', 'G', 'R', 'A', 'P', 'H', '1'}
 
-// Container flags.
+// Section kinds, which are also table positions plus one: section kind k
+// is containerHeader.sections[k-1].
 const (
-	// flagCompressed marks a delta-varint edge-stream container (cold
-	// storage; not mappable).
-	flagCompressed = 1 << 0
-	// flagUnitWeights marks a compressed container whose edges all weigh 1;
-	// the weight column is omitted from the stream.
-	flagUnitWeights = 1 << 1
-)
-
-// Section kinds.
-const (
-	secAdjStart = 1
-	secAdjNbr   = 2
-	secAdjEdge  = 3
-	secAdjW     = 4
-	secEdges    = 5
-	secVarint   = 6
+	secAdjStart = iota + 1
+	secAdjNbr
+	secAdjEdge
+	secAdjW
+	secEdges
+	numSections = secEdges
 )
 
 const (
 	headerSize   = 32 // magic + n + m + flags + nsec
 	sectionSize  = 32 // kind + pad + off + len + crc + pad
 	headerCRCLen = 8  // crc32c + pad
+	// prologueLen is the length of the header, table and header CRC.
+	prologueLen = headerSize + numSections*sectionSize + headerCRCLen
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -82,66 +76,57 @@ type section struct {
 	crc  uint32
 }
 
+// check compares a checksum computed over the section's payload with the
+// table's.
+func (s section) check(crc uint32) error {
+	if crc != s.crc {
+		return fmt.Errorf("graph: container section kind %d checksum mismatch (%08x != %08x)", s.kind, crc, s.crc)
+	}
+	return nil
+}
+
 // containerHeader is the parsed fixed prologue.
 type containerHeader struct {
 	n, m     uint64
-	flags    uint32
-	sections []section
+	sections [numSections]section
 }
-
-// headerLen returns the total prologue length for nsec sections.
-func headerLen(nsec int) int { return headerSize + nsec*sectionSize + headerCRCLen }
 
 func align8(x uint64) uint64 { return (x + 7) &^ 7 }
 
-// rawLayout computes the five-section layout of a raw container for a graph
-// with n vertices and m edges. Checksums are zero; writers fill them.
+// rawLayout computes the container layout for a graph with n vertices and
+// m edges. Checksums are zero; writers fill them.
 func rawLayout(n, m int) containerHeader {
 	h := containerHeader{n: uint64(n), m: uint64(m)}
-	off := uint64(headerLen(5))
-	add := func(kind uint32, size uint64) {
+	sizes := [numSections]uint64{
+		uint64(n+1) * 4, // adjStart
+		uint64(2*m) * 4, // adjNbr
+		uint64(2*m) * 4, // adjEdge
+		uint64(2*m) * 8, // adjW
+		uint64(m) * 24,  // edges
+	}
+	off := uint64(prologueLen)
+	for i, size := range sizes {
 		off = align8(off)
-		h.sections = append(h.sections, section{kind: kind, off: off, len: size})
+		h.sections[i] = section{kind: uint32(i + 1), off: off, len: size}
 		off += size
 	}
-	add(secAdjStart, uint64(n+1)*4)
-	add(secAdjNbr, uint64(2*m)*4)
-	add(secAdjEdge, uint64(2*m)*4)
-	add(secAdjW, uint64(2*m)*8)
-	add(secEdges, uint64(m)*24)
 	return h
 }
 
 // totalSize returns the container file size the header describes.
 func (h containerHeader) totalSize() uint64 {
-	end := uint64(headerLen(len(h.sections)))
-	for _, s := range h.sections {
-		if s.off+s.len > end {
-			end = s.off + s.len
-		}
-	}
-	return end
-}
-
-// find returns the section of the given kind.
-func (h containerHeader) find(kind uint32) (section, bool) {
-	for _, s := range h.sections {
-		if s.kind == kind {
-			return s, true
-		}
-	}
-	return section{}, false
+	last := h.sections[numSections-1]
+	return last.off + last.len
 }
 
 // marshal serializes the prologue (header + table + header CRC).
 func (h containerHeader) marshal() []byte {
-	buf := make([]byte, headerLen(len(h.sections)))
+	buf := make([]byte, prologueLen)
 	copy(buf, ContainerMagic[:])
 	le := binary.LittleEndian
 	le.PutUint64(buf[8:], h.n)
 	le.PutUint64(buf[16:], h.m)
-	le.PutUint32(buf[24:], h.flags)
-	le.PutUint32(buf[28:], uint32(len(h.sections)))
+	le.PutUint32(buf[28:], numSections)
 	for i, s := range h.sections {
 		b := buf[headerSize+i*sectionSize:]
 		le.PutUint32(b, s.kind)
@@ -149,91 +134,51 @@ func (h containerHeader) marshal() []byte {
 		le.PutUint64(b[16:], s.len)
 		le.PutUint32(b[24:], s.crc)
 	}
-	crcOff := headerSize + len(h.sections)*sectionSize
+	crcOff := prologueLen - headerCRCLen
 	le.PutUint32(buf[crcOff:], crc32.Checksum(buf[:crcOff], castagnoli))
 	return buf
 }
 
-// parseHeaderBytes validates and parses a serialized prologue. prefix must
-// hold at least headerSize bytes; the full prologue length is returned so
-// callers with a short prefix can re-read.
-func parseHeaderBytes(prefix []byte) (containerHeader, int, error) {
+// parseHeaderBytes validates and parses a serialized prologue, refusing
+// every table but rawLayout(n, m): a short prefix is an error at the first
+// field it lacks.
+func parseHeaderBytes(b []byte) (containerHeader, error) {
 	var h containerHeader
-	if len(prefix) < headerSize {
-		return h, 0, fmt.Errorf("graph: container truncated in header (%d bytes)", len(prefix))
+	if len(b) < headerSize {
+		return h, fmt.Errorf("graph: container truncated in header (%d bytes)", len(b))
 	}
-	if string(prefix[:8]) != string(ContainerMagic[:]) {
-		return h, 0, fmt.Errorf("graph: bad container magic %q", prefix[:8])
+	if string(b[:8]) != string(ContainerMagic[:]) {
+		return h, fmt.Errorf("graph: bad container magic %q", b[:8])
 	}
 	le := binary.LittleEndian
-	h.n = le.Uint64(prefix[8:])
-	h.m = le.Uint64(prefix[16:])
-	h.flags = le.Uint32(prefix[24:])
-	nsec := int(le.Uint32(prefix[28:]))
-	if nsec < 1 || nsec > 16 {
-		return h, 0, fmt.Errorf("graph: container declares %d sections", nsec)
+	if flags := le.Uint32(b[24:]); flags != 0 {
+		return h, fmt.Errorf("graph: container has flags %#x: compressed .mrgz containers are no longer read; use .mrg, or .mrg.gz for a smaller file", flags)
 	}
-	total := headerLen(nsec)
-	if len(prefix) < total {
-		return h, total, nil // caller must supply the full prologue
+	if nsec := le.Uint32(b[28:]); nsec != numSections {
+		return h, fmt.Errorf("graph: container declares %d sections, want %d", nsec, numSections)
 	}
-	crcOff := headerSize + nsec*sectionSize
-	want := le.Uint32(prefix[crcOff:])
-	if got := crc32.Checksum(prefix[:crcOff], castagnoli); got != want {
-		return h, total, fmt.Errorf("graph: container header checksum mismatch (%08x != %08x)", got, want)
+	if len(b) < prologueLen {
+		return h, fmt.Errorf("graph: container truncated in section table (%d bytes)", len(b))
 	}
-	if h.n > math.MaxInt32 || h.m > math.MaxInt32/2 {
-		return h, total, fmt.Errorf("graph: %v", errCSRBounds(int(h.n), int(h.m)))
+	crcOff := prologueLen - headerCRCLen
+	if got, want := crc32.Checksum(b[:crcOff], castagnoli), le.Uint32(b[crcOff:]); got != want {
+		return h, fmt.Errorf("graph: container header checksum mismatch (%08x != %08x)", got, want)
 	}
-	for i := 0; i < nsec; i++ {
-		b := prefix[headerSize+i*sectionSize:]
-		s := section{
-			kind: le.Uint32(b),
-			off:  le.Uint64(b[8:]),
-			len:  le.Uint64(b[16:]),
-			crc:  le.Uint32(b[24:]),
+	n, m := le.Uint64(b[8:]), le.Uint64(b[16:])
+	if n > math.MaxInt32 || m > math.MaxInt32/2 {
+		return h, fmt.Errorf("graph: %v", errCSRBounds(int(n), int(m)))
+	}
+	h = rawLayout(int(n), int(m))
+	for i := range h.sections {
+		e, want := b[headerSize+i*sectionSize:], &h.sections[i]
+		got := section{kind: le.Uint32(e), off: le.Uint64(e[8:]), len: le.Uint64(e[16:])}
+		if got != *want {
+			return h, fmt.Errorf("graph: container section %d is (kind %d, [%d,+%d)), the layout for n=%d m=%d has (kind %d, [%d,+%d))",
+				i, got.kind, got.off, got.len, n, m, want.kind, want.off, want.len)
 		}
-		if s.off < uint64(total) || s.off%8 != 0 || s.off+s.len < s.off {
-			return h, total, fmt.Errorf("graph: container section %d has bad bounds [%d,+%d)", i, s.off, s.len)
-		}
-		h.sections = append(h.sections, s)
+		want.crc = le.Uint32(e[24:])
 	}
-	if err := h.checkSections(); err != nil {
-		return h, total, err
-	}
-	return h, total, nil
-}
-
-// checkSections verifies the section set matches the flags and the declared
-// n/m, so readers can index sections without further bounds checks.
-func (h containerHeader) checkSections() error {
-	if h.flags&flagCompressed != 0 {
-		if _, ok := h.find(secVarint); !ok {
-			return fmt.Errorf("graph: compressed container missing edge stream section")
-		}
-		return nil
-	}
-	want := []struct {
-		kind uint32
-		len  uint64
-	}{
-		{secAdjStart, (h.n + 1) * 4},
-		{secAdjNbr, 2 * h.m * 4},
-		{secAdjEdge, 2 * h.m * 4},
-		{secAdjW, 2 * h.m * 8},
-		{secEdges, h.m * 24},
-	}
-	for _, w := range want {
-		s, ok := h.find(w.kind)
-		if !ok {
-			return fmt.Errorf("graph: container missing section kind %d", w.kind)
-		}
-		if s.len != w.len {
-			return fmt.Errorf("graph: container section kind %d has %d bytes, header promises %d",
-				w.kind, s.len, w.len)
-		}
-	}
-	return nil
+	return h, nil
 }
 
 // --- encoding ---
@@ -314,7 +259,7 @@ func (se *sectionEncoder) finish() (uint32, uint64, error) {
 	return se.cw.crc, se.cw.n, se.err
 }
 
-// rawSections enumerates the five raw payloads of a built graph in layout
+// rawSections enumerates the five payloads of a built graph in layout
 // order; the writer and the checksum pass share it.
 func rawSections(g *Graph) []func(se *sectionEncoder) {
 	return []func(se *sectionEncoder){
@@ -330,7 +275,7 @@ func rawSections(g *Graph) []func(se *sectionEncoder) {
 	}
 }
 
-// EncodeContainer writes g to w as a raw (mappable) binary container. The
+// EncodeContainer writes g to w as a mappable binary container. The
 // encoding is canonical: the same graph — same N, edge list and edge order —
 // produces byte-identical output everywhere, whatever format it was decoded
 // from (ConvertFile relies on this, and BuildExternal emits the same bytes
@@ -364,7 +309,7 @@ func EncodeContainer(w io.Writer, g *Graph) error {
 	if _, err := bw.Write(h.marshal()); err != nil {
 		return err
 	}
-	pos := uint64(headerLen(len(h.sections)))
+	pos := uint64(prologueLen)
 	for i, part := range parts {
 		for ; pos < h.sections[i].off; pos++ {
 			if err := bw.WriteByte(0); err != nil {
@@ -381,71 +326,7 @@ func EncodeContainer(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// EncodeContainerCompressed writes g to w as a delta-varint compressed
-// container: one edge-stream section (zigzag delta of U, delta of V from U,
-// raw float64 weight — omitted entirely when every weight is 1). Compressed
-// containers are for cold storage: they are typically several times smaller
-// than raw but decode through the heap path, never via mmap.
-func EncodeContainerCompressed(w io.Writer, g *Graph) error {
-	if err := checkCSRBounds(g.N, len(g.Edges)); err != nil {
-		return err
-	}
-	h := containerHeader{n: uint64(g.N), m: uint64(len(g.Edges)), flags: flagCompressed}
-	unit := true
-	for _, e := range g.Edges {
-		if e.W != 1 {
-			unit = false
-			break
-		}
-	}
-	if unit {
-		h.flags |= flagUnitWeights
-	}
-
-	encode := func(se *sectionEncoder) {
-		var varint [binary.MaxVarintLen64]byte
-		putVarint := func(v int64) {
-			n := binary.PutVarint(varint[:], v)
-			copy(se.need(n), varint[:n])
-		}
-		prevU := 0
-		for _, e := range g.Edges {
-			putVarint(int64(e.U - prevU))
-			putVarint(int64(e.V - e.U))
-			if !unit {
-				se.putUint64(math.Float64bits(e.W))
-			}
-			prevU = e.U
-		}
-	}
-
-	var se sectionEncoder
-	se.reset(nil)
-	encode(&se)
-	crc, n, err := se.finish()
-	if err != nil {
-		return err
-	}
-	h.sections = []section{{kind: secVarint, off: align8(uint64(headerLen(1))), len: n, crc: crc}}
-
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.Write(h.marshal()); err != nil {
-		return err
-	}
-	for pos := uint64(headerLen(1)); pos < h.sections[0].off; pos++ {
-		if err := bw.WriteByte(0); err != nil {
-			return err
-		}
-	}
-	se.reset(bw)
-	encode(&se)
-	if _, _, err := se.finish(); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// WriteContainerFile saves g to path as a raw binary container.
+// WriteContainerFile saves g to path as a binary container.
 func WriteContainerFile(path string, g *Graph) error {
 	fh, err := os.Create(path)
 	if err != nil {
@@ -460,23 +341,32 @@ func WriteContainerFile(path string, g *Graph) error {
 
 // --- decoding ---
 
-// readFullProlog reads and parses the prologue from a sequential reader.
-func readFullProlog(r io.Reader) (containerHeader, int, error) {
-	head := make([]byte, headerSize)
-	if _, err := io.ReadFull(r, head); err != nil {
-		return containerHeader{}, 0, fmt.Errorf("graph: container header: %v", err)
+// readProlog reads and parses the prologue from a sequential reader.
+func readProlog(r io.Reader) (containerHeader, error) {
+	buf := make([]byte, prologueLen)
+	k, err := io.ReadFull(r, buf)
+	h, perr := parseHeaderBytes(buf[:k])
+	if perr != nil && err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
+		return h, fmt.Errorf("graph: container prologue: %v", err)
 	}
-	_, total, err := parseHeaderBytes(head)
-	if err != nil {
-		return containerHeader{}, 0, err
+	return h, perr
+}
+
+// eachSection advances br, positioned just past the prologue, over every
+// section in table order: it skips the padding and calls f at the section's
+// first byte; f must consume exactly s.len bytes.
+func eachSection(br *bufio.Reader, h containerHeader, f func(i int, s section) error) error {
+	pos := uint64(prologueLen)
+	for i, s := range h.sections {
+		if _, err := br.Discard(int(s.off - pos)); err != nil {
+			return fmt.Errorf("graph: container padding: %v", err)
+		}
+		if err := f(i, s); err != nil {
+			return err
+		}
+		pos = s.off + s.len
 	}
-	full := make([]byte, total)
-	copy(full, head)
-	if _, err := io.ReadFull(r, full[headerSize:]); err != nil {
-		return containerHeader{}, 0, fmt.Errorf("graph: container section table: %v", err)
-	}
-	h, _, err := parseHeaderBytes(full)
-	return h, total, err
+	return nil
 }
 
 // sectionDecoder reads one section's payload sequentially, verifying its
@@ -538,17 +428,12 @@ func decodeSection(r io.Reader, s section, body func(sd *sectionDecoder) error) 
 	if len(sd.buf) != 0 {
 		return fmt.Errorf("graph: container section kind %d has %d trailing bytes", s.kind, len(sd.buf))
 	}
-	if sd.crc != s.crc {
-		return fmt.Errorf("graph: container section kind %d checksum mismatch (%08x != %08x)", s.kind, sd.crc, s.crc)
-	}
-	return nil
+	return s.check(sd.crc)
 }
 
-// ReadContainer decodes a binary container (raw or compressed) from a
-// sequential reader into a heap graph, verifying every section checksum.
-// Raw containers arrive fully built (the slabs are read, not recomputed);
-// compressed containers carry only the edge stream and rebuild the CSR index
-// lazily like any other graph.
+// ReadContainer decodes a binary container from a sequential reader into a
+// heap graph, verifying every section checksum. The graph arrives fully
+// built: the slabs are read, not recomputed.
 func ReadContainer(r io.Reader) (*Graph, error) { return readContainer(r, inputSize(r)) }
 
 // readContainer is ReadContainer for an input of size bytes (< 0: unknown).
@@ -556,74 +441,12 @@ func ReadContainer(r io.Reader) (*Graph, error) { return readContainer(r, inputS
 // the header's n and m are believed only as far as size can back them.
 func readContainer(r io.Reader, size int64) (*Graph, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	h, total, err := readFullProlog(br)
+	h, err := readProlog(br)
 	if err != nil {
 		return nil, err
 	}
-	pos := uint64(total)
-	skipTo := func(off uint64) error {
-		if off < pos {
-			return fmt.Errorf("graph: container sections out of order")
-		}
-		if _, err := io.CopyN(io.Discard, br, int64(off-pos)); err != nil {
-			return fmt.Errorf("graph: container padding: %v", err)
-		}
-		pos = off
-		return nil
-	}
-
-	g := New(int(h.n))
-	if h.flags&flagCompressed != 0 {
-		s, _ := h.find(secVarint)
-		if err := skipTo(s.off); err != nil {
-			return nil, err
-		}
-		err := decodeSection(br, s, func(sd *sectionDecoder) error {
-			unit := 2 // two one-byte varints
-			if h.flags&flagUnitWeights == 0 {
-				unit += 8
-			}
-			g.Edges = make([]Edge, 0, presize(int(h.m), unit, size))
-			byteReader := &sectionByteReader{sd: sd}
-			prevU := 0
-			for i := uint64(0); i < h.m; i++ {
-				du, err := binary.ReadVarint(byteReader)
-				if err != nil {
-					return err
-				}
-				dv, err := binary.ReadVarint(byteReader)
-				if err != nil {
-					return err
-				}
-				u := prevU + int(du)
-				v := u + int(dv)
-				w := 1.0
-				if h.flags&flagUnitWeights == 0 {
-					bits, err := sd.uint64()
-					if err != nil {
-						return err
-					}
-					w = math.Float64frombits(bits)
-				}
-				if u < 0 || u >= g.N || v < 0 || v >= g.N || u == v {
-					return fmt.Errorf("invalid edge (%d,%d) for n=%d", u, v, g.N)
-				}
-				if math.IsNaN(w) || math.IsInf(w, 0) {
-					return fmt.Errorf("non-finite weight on edge (%d,%d)", u, v)
-				}
-				g.Edges = append(g.Edges, Edge{U: u, V: v, W: w})
-				prevU = u
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return g, nil
-	}
-
-	// Raw: read the five sections in offset order into fresh slabs.
 	n, m := int(h.n), int(h.m)
+	g := New(n)
 	readInt32s := func(dst *[]int32, count int) func(sd *sectionDecoder) error {
 		return func(sd *sectionDecoder) error {
 			*dst = make([]int32, 0, presize(count, 4, size))
@@ -637,11 +460,11 @@ func readContainer(r io.Reader, size int64) (*Graph, error) {
 			return nil
 		}
 	}
-	bodies := map[uint32]func(sd *sectionDecoder) error{
-		secAdjStart: readInt32s(&g.adjStart, n+1),
-		secAdjNbr:   readInt32s(&g.adjNbr, 2*m),
-		secAdjEdge:  readInt32s(&g.adjEdge, 2*m),
-		secAdjW: func(sd *sectionDecoder) error {
+	bodies := [numSections]func(sd *sectionDecoder) error{
+		readInt32s(&g.adjStart, n+1),
+		readInt32s(&g.adjNbr, 2*m),
+		readInt32s(&g.adjEdge, 2*m),
+		func(sd *sectionDecoder) error {
 			g.adjW = make([]float64, 0, presize(2*m, 8, size))
 			for i := 0; i < 2*m; i++ {
 				bits, err := sd.uint64()
@@ -652,7 +475,7 @@ func readContainer(r io.Reader, size int64) (*Graph, error) {
 			}
 			return nil
 		},
-		secEdges: func(sd *sectionDecoder) error {
+		func(sd *sectionDecoder) error {
 			g.Edges = make([]Edge, 0, presize(m, 24, size))
 			for i := 0; i < m; i++ {
 				b, err := sd.next(24)
@@ -669,24 +492,9 @@ func readContainer(r io.Reader, size int64) (*Graph, error) {
 			return nil
 		},
 	}
-	for _, s := range h.sections {
-		if err := skipTo(s.off); err != nil {
-			return nil, err
-		}
-		body, ok := bodies[s.kind]
-		if !ok {
-			// Unknown section kinds are skipped, not rejected: a newer
-			// writer may append sections an old reader can ignore.
-			if _, err := io.CopyN(io.Discard, br, int64(s.len)); err != nil {
-				return nil, fmt.Errorf("graph: container section kind %d: %v", s.kind, err)
-			}
-			pos += s.len
-			continue
-		}
-		if err := decodeSection(br, s, body); err != nil {
-			return nil, err
-		}
-		pos += s.len
+	err = eachSection(br, h, func(i int, s section) error { return decodeSection(br, s, bodies[i]) })
+	if err != nil {
+		return nil, err
 	}
 	if err := g.validateSlabs(); err != nil {
 		return nil, err
@@ -694,17 +502,6 @@ func readContainer(r io.Reader, size int64) (*Graph, error) {
 	g.built = true
 	g.wBuilt = true
 	return g, nil
-}
-
-// sectionByteReader adapts a sectionDecoder to io.ByteReader for varints.
-type sectionByteReader struct{ sd *sectionDecoder }
-
-func (r *sectionByteReader) ReadByte() (byte, error) {
-	b, err := r.sd.next(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
 }
 
 // validateSlabs sanity-checks slabs loaded from external bytes: monotone
@@ -749,37 +546,15 @@ func VerifyContainer(path string) error {
 	}
 	defer fh.Close()
 	br := bufio.NewReaderSize(fh, 1<<16)
-	h, total, err := readFullProlog(br)
+	h, err := readProlog(br)
 	if err != nil {
 		return err
 	}
-	pos := uint64(total)
-	for _, s := range h.sections {
-		if s.off < pos {
-			return fmt.Errorf("graph: container sections out of order")
+	return eachSection(br, h, func(_ int, s section) error {
+		var cw crcWriter
+		if _, err := io.CopyN(&cw, br, int64(s.len)); err != nil {
+			return fmt.Errorf("graph: container section kind %d truncated: %v", s.kind, err)
 		}
-		if _, err := io.CopyN(io.Discard, br, int64(s.off-pos)); err != nil {
-			return err
-		}
-		crc := uint32(0)
-		buf := make([]byte, 1<<16)
-		remaining := s.len
-		for remaining > 0 {
-			chunk := buf
-			if uint64(len(chunk)) > remaining {
-				chunk = chunk[:remaining]
-			}
-			k, err := io.ReadFull(br, chunk)
-			if err != nil {
-				return fmt.Errorf("graph: container section kind %d truncated: %v", s.kind, err)
-			}
-			crc = crc32.Update(crc, castagnoli, chunk[:k])
-			remaining -= uint64(k)
-		}
-		if crc != s.crc {
-			return fmt.Errorf("graph: container section kind %d checksum mismatch (%08x != %08x)", s.kind, crc, s.crc)
-		}
-		pos = s.off + s.len
-	}
-	return nil
+		return s.check(cw.crc)
+	})
 }

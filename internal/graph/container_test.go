@@ -2,8 +2,8 @@ package graph
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -49,7 +49,7 @@ func graphsEquivalent(t *testing.T, want, got *Graph) {
 }
 
 // TestContainerRoundTrip checks encode → decode and encode → open-mapped
-// against the in-heap graph on all accessors, raw and compressed.
+// against the in-heap graph on all accessors.
 func TestContainerRoundTrip(t *testing.T) {
 	g := testGraph(t)
 
@@ -79,61 +79,13 @@ func TestContainerRoundTrip(t *testing.T) {
 	if err := VerifyContainer(path); err != nil {
 		t.Fatalf("VerifyContainer: %v", err)
 	}
-
-	var comp bytes.Buffer
-	if err := EncodeContainerCompressed(&comp, g); err != nil {
-		t.Fatal(err)
-	}
-	if comp.Len() >= raw.Len() {
-		t.Fatalf("compressed container (%d bytes) not smaller than raw (%d bytes)", comp.Len(), raw.Len())
-	}
-	cdec, err := ReadContainer(bytes.NewReader(comp.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	graphsEquivalent(t, g, cdec)
-}
-
-// TestContainerUnitWeights checks the unit-weight compressed fast path and
-// gzip-wrapped container sniffing through DecodeAuto.
-func TestContainerUnitWeights(t *testing.T) {
-	g := Path(50)
-	var comp, weighted bytes.Buffer
-	if err := EncodeContainerCompressed(&comp, g); err != nil {
-		t.Fatal(err)
-	}
-	h := g.Clone()
-	h.Edges[3].W = 2.5
-	if err := EncodeContainerCompressed(&weighted, h); err != nil {
-		t.Fatal(err)
-	}
-	if comp.Len() >= weighted.Len() {
-		t.Fatalf("unit-weight container (%d bytes) not smaller than weighted (%d bytes)", comp.Len(), weighted.Len())
-	}
-	dec, err := ReadContainer(bytes.NewReader(comp.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	graphsEquivalent(t, g, dec)
-
-	// gzip(container) decodes through DecodeAuto's nested sniff.
-	var gz bytes.Buffer
-	zw := gzip.NewWriter(&gz)
-	if _, err := zw.Write(comp.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	gdec, err := DecodeAuto(bytes.NewReader(gz.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	graphsEquivalent(t, g, gdec)
 }
 
 // TestContainerRejectsCorrupt checks that malformed containers are rejected
-// by both the sequential reader and the mapped opener.
+// by the sequential reader, both mapped openers and the offline verifier.
+// The forged tables keep every section's bytes consistent with their entry,
+// so a reader that interpreted the table instead of checking it against
+// rawLayout would accept them.
 func TestContainerRejectsCorrupt(t *testing.T) {
 	g := testGraph(t)
 	var buf bytes.Buffer
@@ -141,11 +93,14 @@ func TestContainerRejectsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
-	h, _, err := parseHeaderBytes(good)
+	h, err := parseHeaderBytes(good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nbrSec, _ := h.find(secAdjNbr)
+	nbrSec := h.sections[secAdjNbr-1]
+	table := func(edit func(t []section) []section) []section {
+		return edit(append([]section(nil), h.sections[:]...))
+	}
 
 	cases := []struct {
 		name   string
@@ -166,9 +121,31 @@ func TestContainerRejectsCorrupt(t *testing.T) {
 			// Grow a section length; the header CRC must be recomputed so
 			// only the bounds check can catch it.
 			binary.LittleEndian.PutUint64(b[headerSize+16:], uint64(len(b))*2)
-			crcOff := headerSize + len(h.sections)*sectionSize
-			binary.LittleEndian.PutUint32(b[crcOff:], crc32Of(b[:crcOff]))
-			return b
+			return resealHeader(b)
+		}, true},
+		{"nonzero-flags", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[24:], flagCompressedV1)
+			return resealHeader(b)
+		}, true},
+		{"sixth-section", func([]byte) []byte {
+			return forgeTable(good, h, table(func(t []section) []section {
+				for i := range t {
+					t[i].off += sectionSize
+				}
+				return append(t, section{kind: numSections + 1, off: align8(h.totalSize() + sectionSize), len: 8})
+			}))
+		}, true},
+		{"sections-swapped", func([]byte) []byte {
+			return forgeTable(good, h, table(func(t []section) []section {
+				t[1], t[2] = t[2], t[1]
+				return t
+			}))
+		}, true},
+		{"offset-moved", func([]byte) []byte {
+			return forgeTable(good, h, table(func(t []section) []section {
+				t[secEdges-1].off += 8
+				return t
+			}))
 		}, true},
 	}
 	for _, tc := range cases {
@@ -186,6 +163,9 @@ func TestContainerRejectsCorrupt(t *testing.T) {
 					t.Fatal("OpenMapped accepted a corrupt container")
 				}
 			}
+			if _, err := OpenVerified(path); err == nil {
+				t.Fatal("OpenVerified accepted a corrupt container")
+			}
 			// VerifyContainer checks payload checksums too, so it must
 			// reject every corruption in the table.
 			if err := VerifyContainer(path); err == nil {
@@ -195,10 +175,47 @@ func TestContainerRejectsCorrupt(t *testing.T) {
 	}
 }
 
-func crc32Of(b []byte) uint32 {
-	cw := crcWriter{}
-	cw.Write(b)
-	return cw.crc
+// flagCompressedV1 is the flag word of the retired delta-varint container.
+const flagCompressedV1 = 1
+
+// resealHeader recomputes the header checksum of a container's prologue as
+// written by the one layout (five table entries), so only the check that a
+// test targets can refuse the edited header.
+func resealHeader(b []byte) []byte {
+	crcOff := prologueLen - headerCRCLen
+	binary.LittleEndian.PutUint32(b[crcOff:], crc32.Checksum(b[:crcOff], castagnoli))
+	return b
+}
+
+// forgeTable returns a container with good's dimensions, the given table
+// and a valid header checksum. Each entry of a kind good has carries that
+// section's bytes and checksum from good at the entry's offset; other bytes
+// are zero.
+func forgeTable(good []byte, h containerHeader, table []section) []byte {
+	le := binary.LittleEndian
+	plen := headerSize + len(table)*sectionSize + headerCRCLen
+	end := uint64(plen)
+	for _, s := range table {
+		end = max(end, s.off+s.len)
+	}
+	b := make([]byte, end)
+	copy(b, good[:headerSize])
+	le.PutUint32(b[28:], uint32(len(table)))
+	for i, s := range table {
+		if s.kind >= 1 && s.kind <= numSections {
+			src := h.sections[s.kind-1]
+			copy(b[s.off:s.off+s.len], good[src.off:src.off+src.len])
+			s.crc = src.crc
+		}
+		e := b[headerSize+i*sectionSize:]
+		le.PutUint32(e, s.kind)
+		le.PutUint64(e[8:], s.off)
+		le.PutUint64(e[16:], s.len)
+		le.PutUint32(e[24:], s.crc)
+	}
+	crcOff := plen - headerCRCLen
+	le.PutUint32(b[crcOff:], crc32.Checksum(b[:crcOff], castagnoli))
+	return b
 }
 
 // TestWriteFileExtensions checks the extension-driven format selection and
@@ -213,7 +230,6 @@ func TestWriteFileExtensions(t *testing.T) {
 		{"g.txt", false},
 		{"g.txt.gz", false},
 		{"g.mrg", true},
-		{"g.mrgz", false},
 		{"g.mrg.gz", false}, // gzip-wrapped container decodes to the heap
 	} {
 		path := filepath.Join(dir, tc.name)
@@ -308,9 +324,7 @@ func TestCSRBoundsRejected(t *testing.T) {
 	}
 	b := buf.Bytes()
 	binary.LittleEndian.PutUint64(b[16:], uint64(big)) // m
-	crcOff := headerSize + 5*sectionSize
-	binary.LittleEndian.PutUint32(b[crcOff:], crc32Of(b[:crcOff]))
-	if _, err := ReadContainer(bytes.NewReader(b)); err == nil ||
+	if _, err := ReadContainer(bytes.NewReader(resealHeader(b))); err == nil ||
 		!strings.Contains(err.Error(), "CSR kernel") {
 		t.Fatalf("ReadContainer accepted an overflowing header: %v", err)
 	}
@@ -362,16 +376,18 @@ func TestGoldenContainer(t *testing.T) {
 	graphsEquivalent(t, want, mapped)
 }
 
-// goldenMrgz is the compressed container fixture: golden.mrg's graph written
-// by the delta-varint encoder, and its SHA-256.
+// goldenMrgz is a container in the retired delta-varint layout: golden.mrg's
+// graph, written by the compressed encoder this package used to have, and
+// its SHA-256.
 const (
 	goldenMrgz       = "testdata/golden.mrgz"
 	goldenMrgzSHA256 = "261c02171f43515c5ba122522ee3b5c3b442b5f81a3b01b1473a8c2e88e8a913"
 )
 
-// TestGoldenCompressedContainer pins the compressed fixture's bytes and its
-// content: it is the golden graph.
-func TestGoldenCompressedContainer(t *testing.T) {
+// TestCompressedContainerRefused: every reader refuses the compressed
+// fixture with the flags error, ConvertFile writes nothing for it, and
+// WriteFile refuses the .mrgz extension instead of writing text under it.
+func TestCompressedContainerRefused(t *testing.T) {
 	data, err := os.ReadFile(goldenMrgz)
 	if err != nil {
 		t.Fatal(err)
@@ -379,11 +395,32 @@ func TestGoldenCompressedContainer(t *testing.T) {
 	if got := sha256Hex(data); got != goldenMrgzSHA256 {
 		t.Fatalf("%s has SHA-256 %s, want %s", goldenMrgz, got, goldenMrgzSHA256)
 	}
-	g, err := ReadContainer(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	dst := filepath.Join(dir, "out.mrg")
+	const flagsErr = "compressed .mrgz containers are no longer read"
+	for name, read := range map[string]func() error{
+		"ReadContainer":   func() error { _, err := ReadContainer(bytes.NewReader(data)); return err },
+		"DecodeAuto":      func() error { _, err := DecodeAuto(bytes.NewReader(data)); return err },
+		"ReadFile":        func() error { _, err := ReadFile(goldenMrgz); return err },
+		"OpenMapped":      func() error { _, err := OpenMapped(goldenMrgz); return err },
+		"OpenVerified":    func() error { _, err := OpenVerified(goldenMrgz); return err },
+		"VerifyContainer": func() error { return VerifyContainer(goldenMrgz) },
+		"ConvertFile":     func() error { return ConvertFile(goldenMrgz, dst, nil) },
+	} {
+		if err := read(); err == nil || !strings.Contains(err.Error(), flagsErr) {
+			t.Errorf("%s of the .mrgz fixture: %v, want an error containing %q", name, err, flagsErr)
+		}
 	}
-	graphsEquivalent(t, goldenGraph(), g)
+	if _, err := os.Stat(dst); !os.IsNotExist(err) {
+		t.Errorf("ConvertFile left %s behind for a .mrgz source: %v", dst, err)
+	}
+	out := filepath.Join(dir, "x.mrgz")
+	if err := WriteFile(out, goldenGraph()); err == nil {
+		t.Error("WriteFile wrote a .mrgz file")
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("a refused WriteFile left %s behind: %v", out, err)
+	}
 }
 
 // goldenGraph is the fixture's content; regenerating the fixture must use

@@ -13,7 +13,7 @@ import (
 )
 
 // This file is the out-of-core construction path: BuildExternal turns a
-// stream of edges into a raw binary container without ever holding the
+// stream of edges into a binary container without ever holding the
 // graph in memory. Peak memory is O(n) (the degree histogram) plus the
 // configured chunk budget; everything else spools through temporary run
 // files and a k-way merge. ConvertFile takes this path for text graphs
@@ -82,7 +82,7 @@ func (w *fileRegionWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// BuildExternal streams m edges from next into a raw binary container at
+// BuildExternal streams m edges from next into a binary container at
 // path, using external sorting so the graph never needs to fit in memory.
 // next is called exactly m times and must yield the edges in their input
 // order (the order that defines the graph: g.Edges, and through it every

@@ -22,25 +22,20 @@ func allocBytes(f func()) uint64 {
 }
 
 // forgedContainer returns a bare container prologue — header, section table
-// and a valid header checksum, no section bodies — claiming n vertices and
-// m edges: a raw container's five sections, or one compressed edge stream.
-func forgedContainer(n, m uint64, compressed bool) []byte {
-	h := containerHeader{n: n, m: m}
-	if compressed {
-		h.flags = flagCompressed
-		h.sections = []section{{kind: secVarint, off: uint64(headerLen(1)), len: 1 << 40}}
-	} else {
-		h = rawLayout(int(n), int(m))
-	}
-	return h.marshal()
+// and a valid header checksum, no section bodies — claiming n vertices, m
+// edges and the given flag word.
+func forgedContainer(n, m uint64, flags uint32) []byte {
+	b := rawLayout(int(n), int(m)).marshal()
+	binary.LittleEndian.PutUint32(b[24:], flags)
+	return resealHeader(b)
 }
 
 // boundInputs are headers that claim far more than the bytes behind them.
 func boundInputs() map[string][]byte {
 	return map[string][]byte{
-		"text":       []byte("graph 10 1073741823\n"),
-		"compressed": forgedContainer(10, math.MaxInt32/2, true),
-		"raw":        forgedContainer(math.MaxInt32, math.MaxInt32/2, false),
+		"text":  []byte("graph 10 1073741823\n"),
+		"flags": forgedContainer(10, math.MaxInt32/2, flagCompressedV1),
+		"raw":   forgedContainer(math.MaxInt32, math.MaxInt32/2, 0),
 	}
 }
 
@@ -67,7 +62,7 @@ func TestDecodeBelievesHeadersOnlyAsFarAsBytes(t *testing.T) {
 }
 
 // goldenEncodings returns the golden fixture in every encoding DecodeAuto
-// reads: raw container, compressed container, text, and gzip of each.
+// reads: container, text, and gzip of each.
 func goldenEncodings(t testing.TB) [][]byte {
 	raw, err := os.ReadFile("testdata/golden.mrg")
 	if err != nil {
@@ -77,22 +72,20 @@ func goldenEncodings(t testing.TB) [][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var compressed, text bytes.Buffer
-	if err := EncodeContainerCompressed(&compressed, g); err != nil {
-		t.Fatal(err)
-	}
+	var text bytes.Buffer
 	if err := Encode(&text, g); err != nil {
 		t.Fatal(err)
 	}
-	out := [][]byte{raw, compressed.Bytes(), text.Bytes()}
-	for _, plain := range out[:3] {
-		var z bytes.Buffer
-		zw := gzip.NewWriter(&z)
-		zw.Write(plain)
-		zw.Close()
-		out = append(out, z.Bytes())
-	}
-	return out
+	return [][]byte{raw, text.Bytes(), gzipBytes(raw), gzipBytes(text.Bytes())}
+}
+
+// gzipBytes returns plain wrapped in gzip.
+func gzipBytes(plain []byte) []byte {
+	var z bytes.Buffer
+	zw := gzip.NewWriter(&z)
+	zw.Write(plain)
+	zw.Close()
+	return z.Bytes()
 }
 
 // inflated returns data with every gzip layer removed (up to a cap): the
@@ -163,7 +156,7 @@ func fuzzDecode(t *testing.T, data []byte, decode func(io.Reader) (*Graph, error
 }
 
 func FuzzDecode(f *testing.F) {
-	f.Add(goldenEncodings(f)[2])
+	f.Add(goldenEncodings(f)[1])
 	f.Add(boundInputs()["text"])
 	f.Add([]byte("graph 3 2\n# comment\n\ne 0 1 2.5\ne 1 2 -1\n"))
 	f.Add([]byte("graph 2147483647 0\n"))
@@ -178,9 +171,17 @@ func FuzzDecodeAuto(f *testing.F) {
 		f.Add(data)
 	}
 	// A one-edge raw container whose section bodies are all zero bytes.
-	tiny := forgedContainer(2, 1, false)
+	tiny := forgedContainer(2, 1, 0)
 	f.Add(append(tiny, make([]byte, rawLayout(2, 1).totalSize()-uint64(len(tiny)))...))
 	f.Add(binary.LittleEndian.AppendUint64(ContainerMagic[:], 3))
+	// The retired compressed layout, plain and gzipped: refused, but its
+	// mutations probe the flags and section-count checks.
+	mrgz, err := os.ReadFile(goldenMrgz)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(mrgz)
+	f.Add(gzipBytes(mrgz))
 	f.Fuzz(func(t *testing.T, data []byte) { fuzzDecode(t, data, DecodeAuto) })
 }
 
@@ -188,7 +189,7 @@ func FuzzDecodeAuto(f *testing.F) {
 // on any line, fastEdgeLine either declines or returns exactly the edge
 // parseEdgeLine returns for the trimmed line, bit for bit, without error.
 func FuzzTextLine(f *testing.F) {
-	golden := strings.Split(string(goldenEncodings(f)[2]), "\n")
+	golden := strings.Split(string(goldenEncodings(f)[1]), "\n")
 	for _, line := range golden[:min(len(golden), 32)] {
 		f.Add(line, 1000)
 	}

@@ -21,11 +21,11 @@ import (
 //
 // Weights are serialized with full float64 round-trip precision. The file
 // helpers sniff formats transparently: ReadFile and DecodeAuto accept the
-// text format, the binary container (container.go, raw or compressed), and
-// gzip wrappings of either, dispatching on the leading magic bytes, so
-// every ingest point (mrrun -load, mrserve uploads, fixtures) speaks all
-// formats through this one path. WriteFile picks the output format from
-// the extension (.mrg container, .mrgz compressed container, .gz gzip).
+// text format, the binary container (container.go), and gzip wrappings of
+// either, dispatching on the leading magic bytes, so every ingest point
+// (mrrun -load, mrserve uploads, fixtures) speaks all formats through this
+// one path. WriteFile picks the output format from the extension (.mrg
+// container, .gz gzip).
 
 // Encode writes g to w in the text format, with edges in their current
 // order. Call SortEdges first for a canonical encoding. Each line is built
@@ -255,12 +255,12 @@ func sniff(head []byte) streamKind {
 }
 
 // DecodeAuto reads a graph in any of the three supported encodings — the
-// Encode text format, the binary container (raw or compressed), or a gzip
-// wrapping of either — sniffing the format from the first bytes. This is
-// the one ingest path: mrrun -load, mrbench fixtures and mrserve instance
-// uploads all accept all formats through it. The result is always a heap
-// graph; use ReadFile or OpenMapped on a file path to get the zero-copy
-// mapped form of a raw container.
+// Encode text format, the binary container, or a gzip wrapping of either —
+// sniffing the format from the first bytes. This is the one ingest path:
+// mrrun -load, mrbench fixtures and mrserve instance uploads all accept all
+// formats through it. The result is always a heap graph; use ReadFile or
+// OpenMapped on a file path to get the zero-copy mapped form of a
+// container.
 func DecodeAuto(r io.Reader) (*Graph, error) {
 	size := inputSize(r)
 	br := bufio.NewReader(r)
@@ -325,11 +325,11 @@ func presize(count, unit int, size int64) int {
 	return int(min(int64(count), limit))
 }
 
-// ReadFile loads a graph from path in any supported format. Raw binary
+// ReadFile loads a graph from path in any supported format. Binary
 // containers are opened via OpenVerified — zero-copy, with every checksum
 // and slab invariant checked once — so callers automatically get the
-// out-of-core form when the file provides it; text, gzip and compressed
-// containers decode into the heap.
+// out-of-core form when the file provides it; text and gzip decode into
+// the heap.
 func ReadFile(path string) (*Graph, error) {
 	fh, err := os.Open(path)
 	if err != nil {
@@ -347,9 +347,9 @@ func ReadFile(path string) (*Graph, error) {
 
 // WriteFile saves g to path in the format the extension selects:
 //
-//	.mrg          raw binary container (mappable; OpenMapped serves it)
-//	.mrgz         delta-varint compressed binary container (cold storage)
+//	.mrg          binary container (mappable; OpenMapped serves it)
 //	.gz           gzip-wrapped — applied to the inner extension's format
+//	.mrgz         refused: the compressed container is no longer written
 //	anything else Encode text
 func WriteFile(path string, g *Graph) error {
 	inner := strings.TrimSuffix(path, ".gz")
@@ -358,7 +358,7 @@ func WriteFile(path string, g *Graph) error {
 	case strings.HasSuffix(inner, ".mrg"):
 		encode = EncodeContainer
 	case strings.HasSuffix(inner, ".mrgz"):
-		encode = EncodeContainerCompressed
+		return fmt.Errorf("graph: %s: compressed .mrgz containers are no longer written; use .mrg, or .mrg.gz for a smaller file", path)
 	}
 	fh, err := os.Create(path)
 	if err != nil {
@@ -382,15 +382,14 @@ func WriteFile(path string, g *Graph) error {
 }
 
 // ConvertFile rewrites the graph at src — any format ReadFile accepts — as
-// a raw binary container at dst; the output is byte-identical to
+// a binary container at dst; the output is byte-identical to
 // WriteContainerFile(dst, ReadFile(src)). A container source is opened with
-// every checksum and slab invariant checked (a raw one through
-// OpenVerified's mapping) and re-encoded. A text source, plain or gzipped,
-// whose container is at most 256 MiB (about 4.7 M edges) decodes to the
-// heap and is written with WriteContainerFile, peaking at about the
-// container's size in memory; a larger one streams through BuildExternal
-// under cfg, so its peak memory stays at the chunk budget. A nil cfg uses
-// the defaults.
+// every checksum and slab invariant checked (through OpenVerified's
+// mapping) and re-encoded. A text source, plain or gzipped, whose container
+// is at most 256 MiB (about 4.7 M edges) decodes to the heap and is written
+// with WriteContainerFile, peaking at about the container's size in memory;
+// a larger one streams through BuildExternal under cfg, so its peak memory
+// stays at the chunk budget. A nil cfg uses the defaults.
 func ConvertFile(src, dst string, cfg *ExtBuildConfig) error {
 	fh, err := os.Open(src)
 	if err != nil {

@@ -210,7 +210,7 @@ func TestConvertFile(t *testing.T) {
 	}
 
 	convertPaths(dir, 101, func(path string, cfg *ExtBuildConfig) {
-		for _, src := range []string{"g.txt", "g.txt.gz", "g.mrg", "g.mrgz", "g.mrg.gz"} {
+		for _, src := range []string{"g.txt", "g.txt.gz", "g.mrg", "g.mrg.gz"} {
 			srcPath := filepath.Join(dir, src)
 			if err := WriteFile(srcPath, g); err != nil {
 				t.Fatalf("%s: %v", src, err)
@@ -398,7 +398,7 @@ func TestOpenVerifiedChecksSlabs(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	h, _, err := parseHeaderBytes(data)
+	h, err := parseHeaderBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}

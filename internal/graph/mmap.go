@@ -11,7 +11,7 @@ import (
 )
 
 // This file is the mmap-backed side of the binary container: OpenMapped
-// maps a raw container read-only and serves the kernel accessors
+// maps a container read-only and serves the kernel accessors
 // (Neighbors, NeighborsW, IncidentEdges, Degree — and g.Edges itself) as
 // zero-copy views straight off the mapping. Opening costs O(header): no
 // edge is touched until an algorithm scans it, and then the OS page cache —
@@ -82,15 +82,15 @@ func viewEdges(b []byte) []Edge {
 	return unsafe.Slice((*Edge)(unsafe.Pointer(&b[0])), len(b)/24)
 }
 
-// OpenMapped opens the raw binary container at path as a read-only mapped
+// OpenMapped opens the binary container at path as a read-only mapped
 // graph: the CSR slabs (and the edge list, on 64-bit little-endian hosts)
 // are zero-copy views of the file mapping, the open itself is O(header),
 // and one physical mapping serves any number of concurrent readers.
 //
-// The header checksum and every section bound are verified; section
-// payloads are not (that would fault in the whole file — run
-// VerifyContainer for a full integrity check). Compressed containers and
-// big-endian hosts fall back to ReadContainer: same graph, heap-resident.
+// The header checksum is verified and the table must be the one layout for
+// the header's n and m; section payloads are not (that would fault in the whole file — run
+// VerifyContainer for a full integrity check). Big-endian hosts fall back
+// to ReadContainer: same graph, heap-resident.
 //
 // The returned graph is immutable — in-place mutators panic; Clone gives a
 // mutable heap copy. Close (or garbage collection of the graph and every
@@ -115,24 +115,12 @@ func openMapped(path string, verify bool) (*Graph, error) {
 	}
 	defer fh.Close()
 
-	prefix := make([]byte, headerSize)
-	if _, err := fh.ReadAt(prefix, 0); err != nil {
-		return nil, fmt.Errorf("graph: container header: %v", err)
-	}
-	_, total, err := parseHeaderBytes(prefix)
-	if err != nil {
-		return nil, err
-	}
-	full := make([]byte, total)
-	if _, err := fh.ReadAt(full, 0); err != nil {
-		return nil, fmt.Errorf("graph: container section table: %v", err)
-	}
-	h, _, err := parseHeaderBytes(full)
+	h, err := readProlog(fh)
 	if err != nil {
 		return nil, err
 	}
 
-	if h.flags&flagCompressed != 0 || !hostLittleEndian {
+	if !hostLittleEndian {
 		// Not mappable: decode to the heap through the verifying path.
 		if _, err := fh.Seek(0, 0); err != nil {
 			return nil, err
@@ -157,15 +145,15 @@ func openMapped(path string, verify bool) (*Graph, error) {
 	runtime.SetFinalizer(m, (*mapping).close)
 	if verify {
 		for _, s := range h.sections {
-			if crc := crc32.Checksum(data[s.off:s.off+s.len], castagnoli); crc != s.crc {
+			if err := s.check(crc32.Checksum(data[s.off:s.off+s.len], castagnoli)); err != nil {
 				m.close()
-				return nil, fmt.Errorf("graph: container section kind %d checksum mismatch (%08x != %08x)", s.kind, crc, s.crc)
+				return nil, err
 			}
 		}
 	}
 
 	sec := func(kind uint32) []byte {
-		s, _ := h.find(kind)
+		s := h.sections[kind-1]
 		return data[s.off : s.off+s.len]
 	}
 	g := New(int(h.n))

@@ -226,9 +226,6 @@ func (c *Cluster) M() int { return c.cfg.Machines }
 // the rounds themselves.
 func (c *Cluster) Exec() Executor { return c.exec }
 
-// Cap returns the per-machine space cap in words (<= 0 if disabled).
-func (c *Cluster) Cap() int { return c.cfg.SpaceCap }
-
 // Metrics returns a copy of the accumulated metrics.
 func (c *Cluster) Metrics() Metrics {
 	m := c.metrics

@@ -30,7 +30,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Collector renders one or more exposition lines. Implementations must be
@@ -73,26 +72,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Counter is a monotonically increasing uint64 metric.
-type Counter struct {
-	name string
-	v    atomic.Uint64
-}
-
-// NewCounter returns a counter rendered as "<name> <value>".
-func NewCounter(name string) *Counter { return &Counter{name: name} }
-
-// Add increments the counter by delta.
-func (c *Counter) Add(delta uint64) { c.v.Add(delta) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// AppendText implements Collector.
-func (c *Counter) AppendText(dst []string) []string {
-	return append(dst, fmt.Sprintf("%s %d", c.name, c.v.Load()))
 }
 
 // GaugeFunc exposes an externally owned value — e.g. one leg of a

@@ -23,9 +23,9 @@ func render(t *testing.T, r *Registry) []string {
 
 func TestRegistryRendersInRegistrationOrder(t *testing.T) {
 	r := NewRegistry()
-	c := NewCounter("z_first")
-	c.Add(7)
-	r.Register(c)
+	first := NewCounterSet("z_")
+	first.Add("first", 7)
+	r.Register(first)
 	set := NewCounterSet("app_")
 	set.Add("b", 2)
 	set.Add("a", 1)
@@ -92,10 +92,8 @@ func TestHistogramRendering(t *testing.T) {
 // update was lost.
 func TestRegistryConcurrency(t *testing.T) {
 	r := NewRegistry()
-	c := NewCounter("c")
 	set := NewCounterSet("s_")
 	h := NewHistogram("h", 8)
-	r.Register(c)
 	r.Register(set)
 	r.Register(h)
 
@@ -108,7 +106,6 @@ func TestRegistryConcurrency(t *testing.T) {
 			defer wg.Done()
 			name := fmt.Sprintf("k%d", w%4)
 			for i := 0; i < perWorker; i++ {
-				c.Add(1)
 				set.Add(name, 1)
 				h.Observe(float64(i % 300))
 				if i%100 == 0 {
@@ -123,9 +120,6 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 	wg.Wait()
 
-	if c.Value() != workers*perWorker {
-		t.Errorf("counter lost updates: %d != %d", c.Value(), workers*perWorker)
-	}
 	total := uint64(0)
 	for k := 0; k < 4; k++ {
 		total += set.Value(fmt.Sprintf("k%d", k))

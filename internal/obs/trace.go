@@ -59,47 +59,6 @@ type TraceSink interface {
 	Close() error
 }
 
-// multiSink fans spans out to several sinks.
-type multiSink struct {
-	sinks []TraceSink
-}
-
-// MultiSink returns a sink that forwards every span to each of sinks in
-// order and closes them all (returning the first error). Nil entries are
-// skipped; with zero or one live sinks the sink (or nil) is returned
-// directly.
-func MultiSink(sinks ...TraceSink) TraceSink {
-	live := make([]TraceSink, 0, len(sinks))
-	for _, s := range sinks {
-		if s != nil {
-			live = append(live, s)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return &multiSink{sinks: live}
-}
-
-func (m *multiSink) RoundDone(s RoundSpan) {
-	for _, sink := range m.sinks {
-		sink.RoundDone(s)
-	}
-}
-
-func (m *multiSink) Close() error {
-	var first error
-	for _, sink := range m.sinks {
-		if err := sink.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // PhaseAccumulator is a TraceSink that folds spans into per-phase totals —
 // the aggregate mrbench reports per experiment. Safe for concurrent use.
 type PhaseAccumulator struct {

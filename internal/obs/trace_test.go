@@ -64,28 +64,6 @@ func TestRingSinkPartialFill(t *testing.T) {
 	}
 }
 
-func TestMultiSinkFanOutAndNilFiltering(t *testing.T) {
-	if MultiSink() != nil {
-		t.Error("MultiSink() should be nil")
-	}
-	if MultiSink(nil, nil) != nil {
-		t.Error("MultiSink(nil, nil) should be nil")
-	}
-	solo := NewRingSink(2)
-	if MultiSink(nil, solo) != TraceSink(solo) {
-		t.Error("MultiSink with one live sink should return it directly")
-	}
-	a, b := NewRingSink(4), NewRingSink(4)
-	m := MultiSink(a, nil, b)
-	m.RoundDone(span(1))
-	if a.Len() != 1 || b.Len() != 1 {
-		t.Fatalf("fan-out missed a sink: a=%d b=%d", a.Len(), b.Len())
-	}
-	if err := m.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-}
-
 func TestPhaseAccumulatorMeans(t *testing.T) {
 	var acc PhaseAccumulator
 	if m := acc.Means(); m.Rounds != 0 || m.ComputeUS != 0 {

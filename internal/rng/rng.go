@@ -94,11 +94,6 @@ func (r *RNG) Intn(n int) int {
 	}
 }
 
-// Int63 returns a uniform non-negative int64.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -118,16 +113,6 @@ func (r *RNG) Bernoulli(p float64) bool {
 // UniformWeight returns a uniform weight in [lo, hi).
 func (r *RNG) UniformWeight(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
-}
-
-// Exp returns an exponentially distributed float64 with rate 1.
-func (r *RNG) Exp() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
 }
 
 // Perm returns a uniformly random permutation of [0, n).

@@ -253,22 +253,6 @@ func TestQuickSampleDistinct(t *testing.T) {
 	}
 }
 
-func TestExpPositive(t *testing.T) {
-	r := New(15)
-	sum := 0.0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		e := r.Exp()
-		if e < 0 {
-			t.Fatalf("Exp() = %v < 0", e)
-		}
-		sum += e
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Fatalf("Exp mean = %v, want ~1", mean)
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {

@@ -28,14 +28,11 @@ func uploadGraph() *graph.Graph {
 func encodeAll(t *testing.T, g *graph.Graph) map[string][]byte {
 	t.Helper()
 	out := make(map[string][]byte)
-	var text, bin, comp bytes.Buffer
+	var text, bin bytes.Buffer
 	if err := graph.Encode(&text, g); err != nil {
 		t.Fatal(err)
 	}
 	if err := graph.EncodeContainer(&bin, g); err != nil {
-		t.Fatal(err)
-	}
-	if err := graph.EncodeContainerCompressed(&comp, g); err != nil {
 		t.Fatal(err)
 	}
 	var gz bytes.Buffer
@@ -48,7 +45,6 @@ func encodeAll(t *testing.T, g *graph.Graph) map[string][]byte {
 	}
 	out["text"] = text.Bytes()
 	out["container"] = bin.Bytes()
-	out["compressed"] = comp.Bytes()
 	out["gzip-text"] = gz.Bytes()
 	return out
 }

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log/slog"
 	"sort"
@@ -32,10 +31,10 @@ type JobRequest struct {
 // defaultMu mirrors cmd/mrrun's -mu default.
 const defaultMu = 0.2
 
-// ErrQueueFull reports transient backpressure: the execution queue is at
-// capacity. Unlike validation errors, the same request can succeed once
-// in-flight work drains (the HTTP layer maps it to 503).
-var ErrQueueFull = errors.New("service: job queue full")
+// ErrQueueFull reports transient backpressure: queueDepth executions are
+// already queued. Unlike validation errors, the same request can succeed
+// once in-flight work drains (the HTTP layer maps it to 503).
+var ErrQueueFull = fmt.Errorf("service: job queue full (%d executions queued)", queueDepth)
 
 // Result is the deterministic outcome of a job: identical for the same
 // request whether served cold, coalesced, or from the result cache.
@@ -137,7 +136,7 @@ func NewEngine(cfg Config) *Engine {
 		batch:     newBatcher(),
 		results:   newResultStore(cfg.Results),
 		jobs:      make(map[string]*Job),
-		queue:     make(chan *flight, cfg.QueueDepth),
+		queue:     make(chan *flight, queueDepth),
 	}
 	// Seed the abandonment counter so it renders as an explicit zero in
 	// /metrics before the first incident.
@@ -285,7 +284,7 @@ func (e *Engine) Submit(req JobRequest) (*Job, error) {
 			delete(e.jobs, j.ID)
 			e.history = e.history[:len(e.history)-1]
 			e.metrics.inc("jobs_rejected_total", 1)
-			return nil, fmt.Errorf("%w (%d queued)", ErrQueueFull, e.cfg.QueueDepth)
+			return nil, ErrQueueFull
 		}
 	} else {
 		j.Source = SourceBatch
@@ -524,11 +523,11 @@ func (e *Engine) finishLocked(j *Job, res *Result, err error) {
 // pruneHistoryLocked drops the oldest finished job records beyond the
 // retention cap so a long-lived daemon's job map stays bounded.
 func (e *Engine) pruneHistoryLocked() {
-	if len(e.history) <= e.cfg.JobHistory {
+	if len(e.history) <= jobHistory {
 		return
 	}
 	kept := e.history[:0]
-	excess := len(e.history) - e.cfg.JobHistory
+	excess := len(e.history) - jobHistory
 	for i, id := range e.history {
 		j := e.jobs[id]
 		if excess > 0 && i < len(e.history)-1 && j != nil &&

@@ -258,7 +258,7 @@ func AuditLedger(dir, dataDir string, sample int, seed uint64, workers int,
 	latest := make(map[string]*ledger.Record)
 	order := []string{}
 	stats, err := ledger.ReadDir(dir, func(r *ledger.Record) error {
-		next, err := verifyLedgerChain(seq, link, r)
+		next, err := ledger.VerifyStep(seq, link, r)
 		if err != nil {
 			return err
 		}
@@ -302,12 +302,6 @@ func AuditLedger(dir, dataDir string, sample int, seed uint64, workers int,
 		logf("ok   seq %d: %s", rec.Seq, rec.Key)
 	}
 	return rep, nil
-}
-
-// verifyLedgerChain mirrors the ledger's internal chain fold for the
-// read-only audit path.
-func verifyLedgerChain(prevSeq uint64, prevLink ledger.Hash, r *ledger.Record) (ledger.Hash, error) {
-	return ledger.VerifyStep(prevSeq, prevLink, r)
 }
 
 // cloneAuditRecord keeps a stable copy of a replayed record (ReadDir may

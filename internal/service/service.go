@@ -42,6 +42,15 @@ import (
 	"repro/internal/obs"
 )
 
+// Engine limits no caller sets.
+const (
+	// queueDepth bounds the number of queued (not yet running)
+	// executions; submissions beyond it are rejected with ErrQueueFull.
+	queueDepth = 1024
+	// jobHistory caps retained completed job records.
+	jobHistory = 4096
+)
+
 // Config sizes the engine.
 type Config struct {
 	// Pool is the number of jobs executed concurrently (the worker pool
@@ -57,11 +66,6 @@ type Config struct {
 	Results int
 	// Instances caps the instance cache entry count. Default: 64.
 	Instances int
-	// QueueDepth bounds the number of queued (not yet running)
-	// executions; submissions beyond it are rejected. Default: 1024.
-	QueueDepth int
-	// JobHistory caps retained completed job records. Default: 4096.
-	JobHistory int
 	// TraceRounds caps the per-flight round-trace ring served by
 	// GET /v1/jobs/{id}/trace: each executed flight retains its newest
 	// TraceRounds wall-clock round spans (phase timings — observability
@@ -106,12 +110,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Instances <= 0 {
 		c.Instances = 64
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 1024
-	}
-	if c.JobHistory <= 0 {
-		c.JobHistory = 4096
 	}
 	if c.TraceRounds == 0 {
 		c.TraceRounds = 256

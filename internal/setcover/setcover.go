@@ -107,19 +107,6 @@ func (in *Instance) MaxSetSize() int {
 	return d
 }
 
-// WeightSpread returns w_max / w_min (1 for empty instances).
-func (in *Instance) WeightSpread() float64 {
-	if len(in.Weights) == 0 {
-		return 1
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, w := range in.Weights {
-		lo = math.Min(lo, w)
-		hi = math.Max(hi, w)
-	}
-	return hi / lo
-}
-
 // TotalSize returns Σ|S_i|, the input size N of the instance.
 func (in *Instance) TotalSize() int {
 	t := 0

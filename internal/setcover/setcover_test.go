@@ -115,17 +115,6 @@ func TestWeightSumsFirstOccurrences(t *testing.T) {
 	}
 }
 
-func TestWeightSpread(t *testing.T) {
-	in := tiny()
-	if s := in.WeightSpread(); s != 2.5 {
-		t.Fatalf("spread %v", s)
-	}
-	empty := &Instance{}
-	if empty.WeightSpread() != 1 {
-		t.Fatal("empty spread")
-	}
-}
-
 func TestClone(t *testing.T) {
 	in := tiny()
 	cp := in.Clone()
