@@ -98,9 +98,7 @@ func TestContainerRejectsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	nbrSec := h.sections[secAdjNbr-1]
-	table := func(edit func(t []section) []section) []section {
-		return edit(append([]section(nil), h.sections[:]...))
-	}
+	table := func() []section { return append([]section(nil), h.sections[:]...) }
 
 	cases := []struct {
 		name   string
@@ -119,7 +117,7 @@ func TestContainerRejectsCorrupt(t *testing.T) {
 		}, true},
 		{"section-out-of-bounds", func(b []byte) []byte {
 			// Grow a section length; the header CRC must be recomputed so
-			// only the bounds check can catch it.
+			// only the layout check can catch it.
 			binary.LittleEndian.PutUint64(b[headerSize+16:], uint64(len(b))*2)
 			return resealHeader(b)
 		}, true},
@@ -128,24 +126,22 @@ func TestContainerRejectsCorrupt(t *testing.T) {
 			return resealHeader(b)
 		}, true},
 		{"sixth-section", func([]byte) []byte {
-			return forgeTable(good, h, table(func(t []section) []section {
-				for i := range t {
-					t[i].off += sectionSize
-				}
-				return append(t, section{kind: numSections + 1, off: align8(h.totalSize() + sectionSize), len: 8})
-			}))
+			t := table()
+			for i := range t {
+				t[i].off += sectionSize
+			}
+			t = append(t, section{kind: numSections + 1, off: align8(h.totalSize() + sectionSize), len: 8})
+			return forgeTable(good, h, t)
 		}, true},
 		{"sections-swapped", func([]byte) []byte {
-			return forgeTable(good, h, table(func(t []section) []section {
-				t[1], t[2] = t[2], t[1]
-				return t
-			}))
+			t := table()
+			t[1], t[2] = t[2], t[1]
+			return forgeTable(good, h, t)
 		}, true},
 		{"offset-moved", func([]byte) []byte {
-			return forgeTable(good, h, table(func(t []section) []section {
-				t[secEdges-1].off += 8
-				return t
-			}))
+			t := table()
+			t[secEdges-1].off += 8
+			return forgeTable(good, h, t)
 		}, true},
 	}
 	for _, tc := range cases {
