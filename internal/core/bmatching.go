@@ -19,9 +19,6 @@ type BMatchingOptions struct {
 	// once reduced below a 1/(1+ε) fraction of their weight, giving the
 	// (3 − 2/b + 2ε) approximation.
 	Eps float64
-	// Eta overrides the per-vertex sampling scale n^µ factor base (default
-	// n^{1+µ} total budget as in Algorithm 7).
-	Eta int
 }
 
 // BMatching is Algorithm 7: the ε-adjusted randomized local ratio
@@ -52,10 +49,7 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 	if lnInvDelta < 1 {
 		lnInvDelta = 1
 	}
-	etaWords := opt.Eta
-	if etaWords <= 0 {
-		etaWords = eta(n, p.Mu, 8)
-	}
+	etaWords := eta(n, p.Mu, 8)
 	nMu := math.Pow(float64(n), p.Mu)
 	if nMu < 1 {
 		nMu = 1

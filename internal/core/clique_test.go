@@ -117,26 +117,35 @@ func TestLubyMISMedium(t *testing.T) {
 }
 
 func TestFilteringMatchingSmall(t *testing.T) {
-	r := rng.New(65)
-	for trial := 0; trial < 20; trial++ {
-		n := 5 + r.Intn(15)
-		m := r.Intn(3*n + 1)
-		if max := n * (n - 1) / 2; m > max {
-			m = max
+	// At µ = 0, η = max(n, 8) and up to 3n edges, so some trials start
+	// above η and filter by sampling before the final iteration.
+	for _, mu := range []float64{0.3, 0} {
+		r := rng.New(65)
+		sampled := false
+		for trial := 0; trial < 20; trial++ {
+			n := 5 + r.Intn(15)
+			m := r.Intn(3*n + 1)
+			if max := n * (n - 1) / 2; m > max {
+				m = max
+			}
+			g := graph.GNM(n, m, r)
+			res, err := FilteringMatching(g, Params{Mu: mu, Seed: uint64(trial)})
+			if err != nil {
+				t.Fatalf("mu=%v trial %d: %v", mu, trial, err)
+			}
+			if !graph.IsMaximalMatching(g, res.Edges) {
+				t.Fatalf("mu=%v trial %d: not a maximal matching", mu, trial)
+			}
+			if !graph.IsVertexCover(g, res.VertexCover) {
+				t.Fatalf("mu=%v trial %d: matched vertices are not a vertex cover", mu, trial)
+			}
+			if len(res.VertexCover) != 2*len(res.Edges) {
+				t.Fatalf("mu=%v trial %d: cover size %d != 2*matching %d", mu, trial, len(res.VertexCover), len(res.Edges))
+			}
+			sampled = sampled || res.Iterations >= 2
 		}
-		g := graph.GNM(n, m, r)
-		res, err := FilteringMatching(g, Params{Mu: 0.3, Seed: uint64(trial)})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if !graph.IsMaximalMatching(g, res.Edges) {
-			t.Fatalf("trial %d: not a maximal matching", trial)
-		}
-		if !graph.IsVertexCover(g, res.VertexCover) {
-			t.Fatalf("trial %d: matched vertices are not a vertex cover", trial)
-		}
-		if len(res.VertexCover) != 2*len(res.Edges) {
-			t.Fatalf("trial %d: cover size %d != 2*matching %d", trial, len(res.VertexCover), len(res.Edges))
+		if mu == 0 && !sampled {
+			t.Fatal("mu=0: no trial took two iterations, so none sampled")
 		}
 	}
 }

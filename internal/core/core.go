@@ -20,9 +20,10 @@
 //   - Algorithm 5: (1+o(1))∆ vertex colouring and edge colouring in O(1)
 //     rounds (Theorems 6.4/6.6);
 //
-// plus two prior-work baselines used in the Figure 1 comparisons: the
-// filtering technique of Lattanzi et al. for maximal matching, and Luby's
-// MIS.
+// plus the prior-work baselines used in the Figure 1 comparisons: the
+// filtering technique of Lattanzi et al. for maximal matching and its
+// layered 8-approximation for weighted matching (one filtering loop drives
+// both), and Luby's MIS.
 //
 // Every algorithm runs its communication for real on an mpc.Cluster, so the
 // returned metrics (rounds, words, per-machine space high-water) are

@@ -101,9 +101,6 @@ var equivRuns = []struct {
 	{"FilteringWeighted", func(in equivInstance, p Params) (interface{}, error) {
 		return FilteringWeightedMatching(in.g, p)
 	}},
-	{"LayeredParallel", func(in equivInstance, p Params) (interface{}, error) {
-		return LayeredParallelMatching(in.g, p, 0.5)
-	}},
 }
 
 // equivDigests pins the SHA-256 of each run's full %+v result — solution
@@ -120,7 +117,6 @@ var equivDigests = map[string]string{
 	"density/FilteringWeighted":     "5421d7db67644bc8c28fc131970f6b711710f2395d8141ed608c5b1f9baedc32",
 	"density/HGSetCover":            "35a3239ac03585a07e0053d6408a1f0b6182615b59299d5eb077efbbf3e098b4",
 	"density/HGSetCover-preprocess": "26909c23206dc1422460b2469fc18ab947502e18ee0f03f3dd3e8b3df0dc73ac",
-	"density/LayeredParallel":       "bfc640b8ad98526a701e609464da37211f828a2273ee85e1b0c3ac0d0873e551",
 	"density/LubyMIS":               "2b8af58e42c8420d8991723c87ebef60a744f83cfa364d3d5fb5c31cca477170",
 	"density/MIS":                   "cdba58c418452ecec71550cf9f0ff1d44e8e78b95180bd81a1f646868bb20974",
 	"density/MISFast":               "ea1c9fe2b6554c84b00559a1fdc5928926f17ec3431b64d22b7ec40b63cdda39",
@@ -135,7 +131,6 @@ var equivDigests = map[string]string{
 	"pa/FilteringWeighted":          "a6f42f86f8ecd9ffcc89d16f7dd42866a6c104821124628e64589e453b9c9a1a",
 	"pa/HGSetCover":                 "327c3925a8a760b2fae5e48aa22cb6605704993f75158a4837bc510eca948158",
 	"pa/HGSetCover-preprocess":      "d4d912d7c02b59bc3fc47c6bd0d208ce91c5f13e340e59d92eb707e0bce1a3e8",
-	"pa/LayeredParallel":            "e52ddc0d1d17e7151dc2ff98ec024c431a4676ee9d8164a8661f393670fe7381",
 	"pa/LubyMIS":                    "7f47ea26966b7ac770eae06766b8501e5c47e3328132fb128b14a9ae91089080",
 	"pa/MIS":                        "7282ff838da80edf41fe569cf0f90582638c8ca682700c38db1976fef9cf44ed",
 	"pa/MISFast":                    "5968f72dfabfbbe3233a06f26ac2529b6b9a04fd76762e5cafffacf1d8e969ec",

@@ -8,6 +8,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mpc"
 	"repro/internal/rng"
+	"repro/internal/seq"
 )
 
 // FilteringResult is the output of the Lattanzi et al. filtering baselines.
@@ -23,6 +24,127 @@ type FilteringResult struct {
 	Metrics mpc.Metrics
 }
 
+// filtering is the state both filtering baselines share: an edge-partitioned
+// cluster whose central machine 0 holds the matched-vertex bitmap, and the
+// matching grown so far. One value serves every run of a call, so the
+// weighted baseline's classes extend one matching and count iterations
+// against one cap.
+type filtering struct {
+	g          *graph.Graph
+	p          Params
+	name       string // the caller, for the iteration-cap error
+	etaWords   int
+	cluster    *mpc.Cluster
+	tree       *mpc.Tree
+	r          *rng.RNG
+	owned      [][]int // edge ids per data machine
+	matched    []bool
+	matching   []int
+	iterations int
+}
+
+// newFiltering lays g's edges out three words each over data machines
+// 1..M-1 under a budget of η = n^{1+µ} words; the caller closes the cluster.
+func newFiltering(g *graph.Graph, p Params, name string) *filtering {
+	n, m := g.N, g.M()
+	etaWords := eta(n, p.Mu, 8)
+	M := dataMachines(3*m, 3*etaWords)
+	cluster := newCluster(M, etaWords, p, capSlack)
+	f := &filtering{
+		g:        g,
+		p:        p,
+		name:     name,
+		etaWords: etaWords,
+		cluster:  cluster,
+		tree:     mpc.NewTree(cluster, 0, treeDegree(n, p.Mu)),
+		r:        rng.New(p.Seed),
+		matched:  make([]bool, n),
+	}
+	f.owned = partitionByOwner(m, M, f.owner)
+	for machine := 1; machine < M; machine++ {
+		cluster.SetResident(machine, 3*len(f.owned[machine]))
+	}
+	cluster.SetResident(0, n) // matched-vertex bitmap
+	return f
+}
+
+func (f *filtering) owner(id int) int { return 1 + id%(f.cluster.M()-1) }
+
+// run filters the count edges marked in alive down to nothing, extending
+// the matching. Each iteration samples every alive edge with probability
+// η/count (all of them once count ≤ η, which ends the run), extends the
+// matching over the sample on the central machine, broadcasts the newly
+// matched vertices and drops every alive edge they touch. A run with
+// count 0 issues no rounds. On return alive is all false.
+func (f *filtering) run(alive []bool, count int64) error {
+	M := f.cluster.M()
+	for count > 0 {
+		if f.iterations >= f.p.maxIter() {
+			return fmt.Errorf("core: %s exceeded %d iterations", f.name, f.p.maxIter())
+		}
+		f.iterations++
+		final := count <= int64(f.etaWords)
+		prob := 1.0
+		if !final {
+			prob = math.Min(1, float64(f.etaWords)/float64(count))
+		}
+		// Draw the sample machine by machine before the round; the closures
+		// replay each machine's plan concurrently.
+		var sampled []int
+		plan := make([][]int64, M)
+		for machine := 1; machine < M; machine++ {
+			for _, id := range f.owned[machine] {
+				if alive[id] && (final || f.r.Bernoulli(prob)) {
+					plan[machine] = append(plan[machine], int64(id))
+					sampled = append(sampled, id)
+				}
+			}
+		}
+		armPlanned(f.cluster, plan)
+		err := f.cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
+			for _, id := range plan[machine] {
+				out.SendInts(0, id)
+			}
+		})
+		if err != nil {
+			return err
+		}
+		sort.Ints(sampled)
+		before := len(f.matching)
+		f.matching = seq.MaximalMatching(f.g, sampled, f.matched, f.matching)
+
+		// Broadcast the newly matched vertices down the tree; owners kill
+		// incident edges.
+		newly := make([]int64, 0, 2*(len(f.matching)-before))
+		for _, id := range f.matching[before:] {
+			e := f.g.Edges[id]
+			newly = append(newly, int64(e.U), int64(e.V))
+		}
+		if err := f.tree.Broadcast(f.cluster, newly, nil); err != nil {
+			return err
+		}
+		counts := make([]int64, M)
+		for id, e := range f.g.Edges {
+			if !alive[id] {
+				continue
+			}
+			if final || f.matched[e.U] || f.matched[e.V] {
+				alive[id] = false
+			} else {
+				counts[f.owner(id)]++
+			}
+		}
+		total, err := f.tree.AllReduceSum(f.cluster, 1, func(machine int) []int64 {
+			return []int64{counts[machine]}
+		})
+		if err != nil {
+			return err
+		}
+		count = total[0]
+	}
+	return nil
+}
+
 // FilteringMatching is the filtering technique of Lattanzi, Moseley, Suri
 // and Vassilvitskii (SPAA 2011) for unweighted maximal matching, the
 // prior-work baseline in Figure 1 (2-approximation for matching; its matched
@@ -33,127 +155,25 @@ type FilteringResult struct {
 // both endpoints unmatched; when the residue fits on one machine it is
 // finished there.
 func FilteringMatching(g *graph.Graph, p Params) (*FilteringResult, error) {
-	n, m := g.N, g.M()
+	m := g.M()
 	if m == 0 {
 		return &FilteringResult{VertexCover: map[int]bool{}}, nil
 	}
-	etaWords := eta(n, p.Mu, 8)
-	M := dataMachines(3*m, 3*etaWords)
-	cluster := newCluster(M, etaWords, p, capSlack)
-	defer cluster.Close()
-	tree := mpc.NewTree(cluster, 0, treeDegree(n, p.Mu))
-	r := rng.New(p.Seed)
-	edgeOwner := func(id int) int { return 1 + id%(M-1) }
-
-	ownedEdges := partitionByOwner(m, M, edgeOwner)
-	resident := make([]int, M)
-	for id := 0; id < m; id++ {
-		resident[edgeOwner(id)] += 3
-	}
-	for machine := 1; machine < M; machine++ {
-		cluster.SetResident(machine, resident[machine])
-	}
-	cluster.SetResident(0, n) // matched-vertex bitmap
-
-	matched := make([]bool, n)
+	f := newFiltering(g, p, "FilteringMatching")
+	defer f.cluster.Close()
 	alive := make([]bool, m)
-	aliveCount := int64(m)
 	for id := range alive {
 		alive[id] = true
 	}
-	var matching []int
-	iterations := 0
-
-	// centralMaximal adds a maximal matching over the given edge ids
-	// (respecting already-matched vertices) and returns the newly matched
-	// vertices.
-	centralMaximal := func(ids []int) []int {
-		sort.Ints(ids)
-		var newly []int
-		for _, id := range ids {
-			e := g.Edges[id]
-			if !matched[e.U] && !matched[e.V] {
-				matched[e.U] = true
-				matched[e.V] = true
-				matching = append(matching, id)
-				newly = append(newly, e.U, e.V)
-			}
-		}
-		return newly
+	if err := f.run(alive, int64(m)); err != nil {
+		return nil, err
 	}
-
-	for aliveCount > 0 {
-		if iterations >= p.maxIter() {
-			return nil, fmt.Errorf("core: FilteringMatching exceeded %d iterations", p.maxIter())
-		}
-		iterations++
-		final := aliveCount <= int64(etaWords)
-		prob := 1.0
-		if !final {
-			prob = math.Min(1, float64(etaWords)/float64(aliveCount))
-		}
-		// Draw the sample machine by machine before the round; the closures
-		// replay each machine's plan concurrently.
-		var sampled []int
-		plan := make([][]int64, M)
-		for machine := 1; machine < M; machine++ {
-			for _, id := range ownedEdges[machine] {
-				if !alive[id] {
-					continue
-				}
-				if final || r.Bernoulli(prob) {
-					plan[machine] = append(plan[machine], int64(id))
-					sampled = append(sampled, id)
-				}
-			}
-		}
-		armPlanned(cluster, plan)
-		err := cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			for _, id := range plan[machine] {
-				out.SendInts(0, id)
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		newly := centralMaximal(sampled)
-
-		// Broadcast the newly matched vertices down the tree; owners kill
-		// incident edges.
-		payload := make([]int64, len(newly))
-		for i, v := range newly {
-			payload[i] = int64(v)
-		}
-		if err := tree.Broadcast(cluster, payload, nil); err != nil {
-			return nil, err
-		}
-		counts := make([]int64, M)
-		for id := 0; id < m; id++ {
-			if alive[id] {
-				e := g.Edges[id]
-				if matched[e.U] || matched[e.V] || final {
-					alive[id] = false
-				}
-			}
-			if alive[id] {
-				counts[edgeOwner(id)]++
-			}
-		}
-		total, err := tree.AllReduceSum(cluster, 1, func(machine int) []int64 {
-			return []int64{counts[machine]}
-		})
-		if err != nil {
-			return nil, err
-		}
-		aliveCount = total[0]
-	}
-
 	// matched is exactly the endpoint set of the maximal matching, so the
 	// public cover map is one pre-sized conversion from the bitmap.
 	return &FilteringResult{
-		Edges:       matching,
-		VertexCover: graph.VertexSet(matched),
-		Iterations:  iterations,
-		Metrics:     cluster.Metrics(),
+		Edges:       f.matching,
+		VertexCover: graph.VertexSet(f.matched),
+		Iterations:  f.iterations,
+		Metrics:     f.cluster.Metrics(),
 	}, nil
 }

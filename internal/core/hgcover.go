@@ -16,9 +16,6 @@ type HGCoverOptions struct {
 	// least 1/(1+ε) of the maximum, giving a (1+ε)·H_∆ approximation.
 	// Defaults to 0.2.
 	Eps float64
-	// Eta overrides the per-machine space target (default m^{1+µ} where m
-	// is the ground set size — this is the paper's m ≪ n regime).
-	Eta int
 	// Preprocess enables the weight clamping of Remark 4.7: with
 	// γ = max_j min_{S∋j} w(S) (a lower bound on OPT), every set of weight
 	// at most γε/n is added to the cover upfront (total extra cost ≤ ε·OPT)
@@ -56,10 +53,8 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 	if eps <= 0 {
 		eps = 0.2
 	}
-	etaWords := opt.Eta
-	if etaWords <= 0 {
-		etaWords = eta(m, p.Mu, 8)
-	}
+	// Space is m^{1+µ} words in the ground set size: the paper's m ≪ n regime.
+	etaWords := eta(m, p.Mu, 8)
 	inputWords := inst.TotalSize() + 2*n
 	M := dataMachines(inputWords, 4*etaWords)
 	cluster := newCluster(M, etaWords, p, capSlack)

@@ -3,11 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/graph"
-	"repro/internal/mpc"
-	"repro/internal/rng"
 )
 
 // FilteringWeightedMatching is the layered filtering 8-approximation for
@@ -21,7 +18,7 @@ import (
 // whose endpoints are still free. Greedy-by-layer loses a factor 4 on top of
 // maximality's factor 2, giving 8.
 func FilteringWeightedMatching(g *graph.Graph, p Params) (*MatchingResult, error) {
-	n, m := g.N, g.M()
+	m := g.M()
 	if m == 0 {
 		return &MatchingResult{}, nil
 	}
@@ -35,286 +32,29 @@ func FilteringWeightedMatching(g *graph.Graph, p Params) (*MatchingResult, error
 	classOf := func(w float64) int { return int(math.Floor(math.Log2(w / wmin))) }
 	maxClass := 0
 	for _, e := range g.Edges {
-		if c := classOf(e.W); c > maxClass {
-			maxClass = c
-		}
+		maxClass = max(maxClass, classOf(e.W))
 	}
 
-	etaWords := eta(n, p.Mu, 8)
-	M := dataMachines(3*m, 3*etaWords)
-	cluster := newCluster(M, etaWords, p, capSlack)
-	defer cluster.Close()
-	tree := mpc.NewTree(cluster, 0, treeDegree(n, p.Mu))
-	r := rng.New(p.Seed)
-	edgeOwner := func(id int) int { return 1 + id%(M-1) }
-
-	ownedEdges := partitionByOwner(m, M, edgeOwner)
-	resident := make([]int, M)
-	for id := 0; id < m; id++ {
-		resident[edgeOwner(id)] += 3
-	}
-	for machine := 1; machine < M; machine++ {
-		cluster.SetResident(machine, resident[machine])
-	}
-	cluster.SetResident(0, n)
-
-	matched := make([]bool, n)
-	var matching []int
-	res := &MatchingResult{}
-
-	// filterClass runs the unweighted filtering loop over the edges of one
-	// weight class, respecting the globally matched vertices.
-	filterClass := func(class int) error {
-		alive := make([]bool, m)
-		aliveCount := int64(0)
-		for id, e := range g.Edges {
-			if classOf(e.W) == class && !matched[e.U] && !matched[e.V] {
-				alive[id] = true
-				aliveCount++
-			}
-		}
-		for aliveCount > 0 {
-			if res.Iterations >= p.maxIter() {
-				return fmt.Errorf("core: FilteringWeightedMatching exceeded %d iterations", p.maxIter())
-			}
-			res.Iterations++
-			final := aliveCount <= int64(etaWords)
-			prob := 1.0
-			if !final {
-				prob = math.Min(1, float64(etaWords)/float64(aliveCount))
-			}
-			var sampled []int
-			plan := make([][]int64, M)
-			for machine := 1; machine < M; machine++ {
-				for _, id := range ownedEdges[machine] {
-					if !alive[id] {
-						continue
-					}
-					if final || r.Bernoulli(prob) {
-						plan[machine] = append(plan[machine], int64(id))
-						sampled = append(sampled, id)
-					}
-				}
-			}
-			armPlanned(cluster, plan)
-			err := cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-				for _, id := range plan[machine] {
-					out.SendInts(0, id)
-				}
-			})
-			if err != nil {
-				return err
-			}
-			sort.Ints(sampled)
-			var newly []int64
-			for _, id := range sampled {
-				e := g.Edges[id]
-				if !matched[e.U] && !matched[e.V] {
-					matched[e.U] = true
-					matched[e.V] = true
-					matching = append(matching, id)
-					newly = append(newly, int64(e.U), int64(e.V))
-				}
-			}
-			if err := tree.Broadcast(cluster, newly, nil); err != nil {
-				return err
-			}
-			counts := make([]int64, M)
-			for id := 0; id < m; id++ {
-				if alive[id] {
-					e := g.Edges[id]
-					if matched[e.U] || matched[e.V] || final {
-						alive[id] = false
-					}
-				}
-				if alive[id] {
-					counts[edgeOwner(id)]++
-				}
-			}
-			total, err := tree.AllReduceSum(cluster, 1, func(machine int) []int64 {
-				return []int64{counts[machine]}
-			})
-			if err != nil {
-				return err
-			}
-			aliveCount = total[0]
-		}
-		return nil
-	}
-
-	for class := maxClass; class >= 0; class-- {
-		// Skipping empty classes costs nothing: check locally whether any
-		// edge of this class is alive before spending rounds on it.
-		empty := true
-		for _, e := range g.Edges {
-			if classOf(e.W) == class && !matched[e.U] && !matched[e.V] {
-				empty = false
-				break
-			}
-		}
-		if empty {
-			continue
-		}
-		if err := filterClass(class); err != nil {
-			return nil, err
-		}
-	}
-
-	res.Edges = matching
-	res.Weight = graph.MatchingWeight(g, matching)
-	res.Metrics = cluster.Metrics()
-	return res, nil
-}
-
-// LayeredParallelMatching is the Crouch–Stubbs-style improvement over the
-// sequential layering of FilteringWeightedMatching — the (4+ε) comparator
-// row of Figure 1 ([14], applied to MapReduce by Grigorescu et al.). Edge
-// weights are rounded into geometric classes [(1+eps)^i, (1+eps)^{i+1}); an
-// unweighted maximal matching is computed in every class simultaneously
-// (each class's filtering iterations share the cluster's rounds rather than
-// running one class after another); finally the central machine merges the
-// class matchings greedily from heaviest class to lightest.
-func LayeredParallelMatching(g *graph.Graph, p Params, eps float64) (*MatchingResult, error) {
-	n, m := g.N, g.M()
-	if m == 0 {
-		return &MatchingResult{}, nil
-	}
-	if eps <= 0 {
-		eps = 0.5
-	}
-	wmin := math.Inf(1)
-	for _, e := range g.Edges {
-		if e.W <= 0 {
-			return nil, fmt.Errorf("core: LayeredParallelMatching requires positive weights")
-		}
-		wmin = math.Min(wmin, e.W)
-	}
-	base := math.Log(1 + eps)
-	classOf := func(w float64) int { return int(math.Floor(math.Log(w/wmin) / base)) }
-	maxClass := 0
-	for _, e := range g.Edges {
-		if c := classOf(e.W); c > maxClass {
-			maxClass = c
-		}
-	}
-
-	etaWords := eta(n, p.Mu, 8)
-	M := dataMachines(3*m, 3*etaWords)
-	cluster := newCluster(M, etaWords, p, capSlack)
-	defer cluster.Close()
-	tree := mpc.NewTree(cluster, 0, treeDegree(n, p.Mu))
-	r := rng.New(p.Seed)
-	edgeOwner := func(id int) int { return 1 + id%(M-1) }
-
-	ownedEdges := partitionByOwner(m, M, edgeOwner)
-	resident := make([]int, M)
-	for id := 0; id < m; id++ {
-		resident[edgeOwner(id)] += 3
-	}
-	for machine := 1; machine < M; machine++ {
-		cluster.SetResident(machine, resident[machine])
-	}
-	cluster.SetResident(0, n)
-
-	// Per-class matched-vertex sets and matchings, filtered in lockstep:
-	// every iteration samples each class's alive edges in one shared round.
-	matchedIn := make([]map[int]bool, maxClass+1)
-	classMatch := make([][]int, maxClass+1)
-	for c := range matchedIn {
-		matchedIn[c] = make(map[int]bool)
-	}
+	f := newFiltering(g, p, "FilteringWeightedMatching")
+	defer f.cluster.Close()
+	// Each run leaves alive all false, so the classes share one bitmap.
 	alive := make([]bool, m)
-	aliveCount := int64(0)
-	for id := range alive {
-		alive[id] = true
-		aliveCount++
-	}
-	res := &MatchingResult{}
-	for aliveCount > 0 {
-		if res.Iterations >= p.maxIter() {
-			return nil, fmt.Errorf("core: LayeredParallelMatching exceeded %d iterations", p.maxIter())
-		}
-		res.Iterations++
-		final := aliveCount <= int64(etaWords)
-		prob := 1.0
-		if !final {
-			prob = math.Min(1, float64(etaWords)/float64(aliveCount))
-		}
-		var sampled []int
-		plan := make([][]int64, M)
-		for machine := 1; machine < M; machine++ {
-			for _, id := range ownedEdges[machine] {
-				if !alive[id] {
-					continue
-				}
-				if final || r.Bernoulli(prob) {
-					plan[machine] = append(plan[machine], int64(id))
-					sampled = append(sampled, id)
-				}
+	for class := maxClass; class >= 0; class-- {
+		count := int64(0)
+		for id, e := range g.Edges {
+			if classOf(e.W) == class && !f.matched[e.U] && !f.matched[e.V] {
+				alive[id] = true
+				count++
 			}
 		}
-		armPlanned(cluster, plan)
-		err := cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			for _, id := range plan[machine] {
-				out.SendInts(0, id)
-			}
-		})
-		if err != nil {
+		if err := f.run(alive, count); err != nil {
 			return nil, err
 		}
-		sort.Ints(sampled)
-		var newly []int64
-		for _, id := range sampled {
-			e := g.Edges[id]
-			c := classOf(e.W)
-			if !matchedIn[c][e.U] && !matchedIn[c][e.V] {
-				matchedIn[c][e.U] = true
-				matchedIn[c][e.V] = true
-				classMatch[c] = append(classMatch[c], id)
-				newly = append(newly, int64(c), int64(e.U), int64(e.V))
-			}
-		}
-		if err := tree.Broadcast(cluster, newly, nil); err != nil {
-			return nil, err
-		}
-		counts := make([]int64, M)
-		for id := 0; id < m; id++ {
-			if alive[id] {
-				e := g.Edges[id]
-				c := classOf(e.W)
-				if matchedIn[c][e.U] || matchedIn[c][e.V] || final {
-					alive[id] = false
-				}
-			}
-			if alive[id] {
-				counts[edgeOwner(id)]++
-			}
-		}
-		total, err := tree.AllReduceSum(cluster, 1, func(machine int) []int64 {
-			return []int64{counts[machine]}
-		})
-		if err != nil {
-			return nil, err
-		}
-		aliveCount = total[0]
 	}
-
-	// Merge on the central machine: classes from heaviest to lightest,
-	// edges greedily if both endpoints are globally free.
-	used := make([]bool, n)
-	var matching []int
-	for c := maxClass; c >= 0; c-- {
-		for _, id := range classMatch[c] {
-			e := g.Edges[id]
-			if !used[e.U] && !used[e.V] {
-				used[e.U] = true
-				used[e.V] = true
-				matching = append(matching, id)
-			}
-		}
-	}
-	res.Edges = matching
-	res.Weight = graph.MatchingWeight(g, matching)
-	res.Metrics = cluster.Metrics()
-	return res, nil
+	return &MatchingResult{
+		Edges:      f.matching,
+		Weight:     graph.MatchingWeight(g, f.matching),
+		Iterations: f.iterations,
+		Metrics:    f.cluster.Metrics(),
+	}, nil
 }

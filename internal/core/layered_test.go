@@ -9,25 +9,44 @@ import (
 )
 
 func TestFilteringWeightedMatchingSmallExact(t *testing.T) {
-	r := rng.New(80)
-	for trial := 0; trial < 25; trial++ {
-		n := 5 + r.Intn(5)
-		m := 1 + r.Intn(15)
-		if max := n * (n - 1) / 2; m > max {
-			m = max
+	// At µ = 0, η = max(n, 8). Weights in [1, 2) put every edge in one
+	// class, so trials with more than η edges filter that class by sampling
+	// (a one-class run ends in the iteration after it samples) and must
+	// still return a maximal matching.
+	rows := []struct {
+		mu       float64
+		whi      float64
+		oneClass bool
+	}{{0.3, 50, false}, {0, 50, false}, {0, 2, true}}
+	for _, row := range rows {
+		r := rng.New(80)
+		sampled := false
+		for trial := 0; trial < 25; trial++ {
+			n := 5 + r.Intn(5)
+			m := 1 + r.Intn(15)
+			if max := n * (n - 1) / 2; m > max {
+				m = max
+			}
+			g := graph.GNM(n, m, r)
+			g.AssignUniformWeights(r, 1, row.whi)
+			res, err := FilteringWeightedMatching(g, Params{Mu: row.mu, Seed: uint64(trial)})
+			if err != nil {
+				t.Fatalf("%+v trial %d: %v", row, trial, err)
+			}
+			if !graph.IsMatching(g, res.Edges) {
+				t.Fatalf("%+v trial %d: invalid matching", row, trial)
+			}
+			if row.oneClass && !graph.IsMaximalMatching(g, res.Edges) {
+				t.Fatalf("%+v trial %d: one weight class must give a maximal matching", row, trial)
+			}
+			opt := seq.BruteForceMatching(g)
+			if 8*res.Weight < opt-1e-9 {
+				t.Fatalf("%+v trial %d: weight %v < OPT/8 (OPT=%v)", row, trial, res.Weight, opt)
+			}
+			sampled = sampled || res.Iterations >= 2
 		}
-		g := graph.GNM(n, m, r)
-		g.AssignUniformWeights(r, 1, 50)
-		res, err := FilteringWeightedMatching(g, Params{Mu: 0.3, Seed: uint64(trial)})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if !graph.IsMatching(g, res.Edges) {
-			t.Fatalf("trial %d: invalid matching", trial)
-		}
-		opt := seq.BruteForceMatching(g)
-		if 8*res.Weight < opt-1e-9 {
-			t.Fatalf("trial %d: weight %v < OPT/8 (OPT=%v)", trial, res.Weight, opt)
+		if row.oneClass && !sampled {
+			t.Fatalf("%+v: no trial took two iterations, so none sampled", row)
 		}
 	}
 }
@@ -77,53 +96,5 @@ func TestFilteringWeightedMatchingUniformWeights(t *testing.T) {
 	}
 	if !graph.IsMaximalMatching(g, res.Edges) {
 		t.Fatal("uniform-weight layered filtering must give a maximal matching")
-	}
-}
-
-func TestLayeredParallelMatchingValid(t *testing.T) {
-	r := rng.New(85)
-	for trial := 0; trial < 20; trial++ {
-		n := 5 + r.Intn(8)
-		m := 1 + r.Intn(16)
-		if max := n * (n - 1) / 2; m > max {
-			m = max
-		}
-		g := graph.GNM(n, m, r)
-		g.AssignUniformWeights(r, 1, 100)
-		res, err := LayeredParallelMatching(g, Params{Mu: 0.3, Seed: uint64(trial)}, 0.5)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if !graph.IsMatching(g, res.Edges) {
-			t.Fatalf("trial %d: invalid matching", trial)
-		}
-		// Conservative sanity bound: the merged matching keeps at least the
-		// heaviest class's contribution, so it cannot be arbitrarily bad.
-		opt := seq.BruteForceMatching(g)
-		if 8*res.Weight < opt-1e-9 {
-			t.Fatalf("trial %d: weight %v below OPT/8", trial, res.Weight)
-		}
-	}
-}
-
-func TestLayeredParallelFewerIterationsThanSequentialLayers(t *testing.T) {
-	// The point of the parallel variant: classes filter simultaneously, so
-	// the iteration count does not scale with the number of weight classes.
-	r := rng.New(86)
-	g := graph.Density(300, 0.4, r)
-	g.AssignUniformWeights(r, 1, 10000) // many weight classes
-	par, err := LayeredParallelMatching(g, Params{Mu: 0.15, Seed: 2}, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sequ, err := FilteringWeightedMatching(g, Params{Mu: 0.15, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Iterations > sequ.Iterations {
-		t.Fatalf("parallel layers used %d iterations vs sequential %d", par.Iterations, sequ.Iterations)
-	}
-	if !graph.IsMatching(g, par.Edges) || !graph.IsMatching(g, sequ.Edges) {
-		t.Fatal("invalid matching")
 	}
 }

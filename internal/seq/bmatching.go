@@ -61,9 +61,6 @@ func (lr *BMatchingLocalRatio) Alive(id int) bool {
 // Phi returns ϕ(v).
 func (lr *BMatchingLocalRatio) Phi(v int) float64 { return lr.phi[v] }
 
-// OnStack reports whether edge id has been pushed.
-func (lr *BMatchingLocalRatio) OnStack(id int) bool { return lr.onStk[id] }
-
 // StackSize returns the number of stacked edges.
 func (lr *BMatchingLocalRatio) StackSize() int { return len(lr.stack) }
 

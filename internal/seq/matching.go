@@ -56,9 +56,6 @@ func (lr *MatchingLocalRatio) Alive(id int) bool {
 	return alive
 }
 
-// OnStack reports whether edge id has been pushed.
-func (lr *MatchingLocalRatio) OnStack(id int) bool { return lr.onStk[id] }
-
 // Phi returns ϕ(v).
 func (lr *MatchingLocalRatio) Phi(v int) float64 { return lr.phi[v] }
 
@@ -139,16 +136,18 @@ func GreedyMatching(g *graph.Graph) []int {
 	return match
 }
 
-// MaximalMatching adds edges in index order whenever both endpoints are
-// free, producing an (unweighted) maximal matching — the Lattanzi et al.
-// filtering baseline's central-machine subroutine.
-func MaximalMatching(g *graph.Graph) []int {
-	used := make([]bool, g.N)
-	var match []int
-	for id, e := range g.Edges {
-		if !used[e.U] && !used[e.V] {
-			used[e.U] = true
-			used[e.V] = true
+// MaximalMatching extends match over the edges ids, in the given order:
+// an edge joins whenever both its endpoints are unmatched in the bitmap
+// matched, which it then updates. Over every edge id with a fresh bitmap it
+// returns an (unweighted) maximal matching. It is the Lattanzi et al.
+// filtering baseline's central-machine subroutine, run once per iteration
+// on the sorted sample.
+func MaximalMatching(g *graph.Graph, ids []int, matched []bool, match []int) []int {
+	for _, id := range ids {
+		e := g.Edges[id]
+		if !matched[e.U] && !matched[e.V] {
+			matched[e.U] = true
+			matched[e.V] = true
 			match = append(match, id)
 		}
 	}

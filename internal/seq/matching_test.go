@@ -82,7 +82,11 @@ func TestMaximalMatching(t *testing.T) {
 	r := rng.New(24)
 	for trial := 0; trial < 20; trial++ {
 		g := graph.GNM(12, 25, r)
-		sel := MaximalMatching(g)
+		ids := make([]int, g.M())
+		for i := range ids {
+			ids[i] = i
+		}
+		sel := MaximalMatching(g, ids, make([]bool, g.N), nil)
 		if !graph.IsMaximalMatching(g, sel) {
 			t.Fatalf("trial %d: not maximal", trial)
 		}
