@@ -123,20 +123,10 @@ func GreedyMatching(g *graph.Graph) []int {
 		}
 		return order[a] < order[b]
 	})
-	used := make([]bool, g.N)
-	var match []int
-	for _, id := range order {
-		e := g.Edges[id]
-		if !used[e.U] && !used[e.V] {
-			used[e.U] = true
-			used[e.V] = true
-			match = append(match, id)
-		}
-	}
-	return match
+	return MaximalMatching(g, order, make([]bool, g.N), nil)
 }
 
-// MaximalMatching extends match over the edges ids, in the given order:
+// MaximalMatching extends match over the edge ids, in the given order:
 // an edge joins whenever both its endpoints are unmatched in the bitmap
 // matched, which it then updates. Over every edge id with a fresh bitmap it
 // returns an (unweighted) maximal matching. It is the Lattanzi et al.
