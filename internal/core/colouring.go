@@ -54,131 +54,35 @@ func colouringGroups(n, m int, mu float64) int {
 // Lemma 6.2 bounds each group's edge count by 13·n^{1+µ} w.h.p., so the
 // total colour count is (1+o(1))∆.
 func VertexColouring(g *graph.Graph, p Params) (*ColouringResult, error) {
-	n, m := g.N, g.M()
+	n := g.N
 	if n == 0 {
 		return &ColouringResult{Colours: []int{}}, nil
 	}
-	etaWords := eta(n, p.Mu, 8)
-	kappa := colouringGroups(n, m, p.Mu)
-	// Machine 0 coordinates; group i is coloured on machine 1+i; edges are
-	// initially spread over all machines.
-	M := 1 + kappa
-	if dm := dataMachines(3*m, 4*etaWords); dm > M {
-		M = dm
-	}
-	cluster := newCluster(M, etaWords, p, capSlack)
-	defer cluster.Close()
-	r := rng.New(p.Seed)
-	edgeOwner := func(id int) int { return 1 + id%(M-1) }
-	groupMachine := func(grp int) int { return 1 + grp%(M-1) }
-
-	ownedEdges := partitionByOwner(m, M, edgeOwner)
-	resident := make([]int, M)
-	for id := 0; id < m; id++ {
-		resident[edgeOwner(id)] += 3
-	}
-	for machine := 1; machine < M; machine++ {
-		cluster.SetResident(machine, resident[machine])
-	}
-
+	kappa := colouringGroups(n, g.M(), p.Mu)
 	// Group assignment is a shared hash (every machine can evaluate it), so
-	// no communication is needed to learn a vertex's group.
+	// no communication is needed to learn a vertex's group. Only the
+	// monochromatic edges are routed.
+	r := rng.New(p.Seed)
 	group := make([]int, n)
-	for v := 0; v < n; v++ {
+	for v := range group {
 		group[v] = r.Intn(kappa)
 	}
-
-	// Route round: every monochromatic edge goes to its group's machine.
-	// The per-group edge lists are assembled up front in machine order,
-	// then edge order — the order they arrive in — because groups are
-	// shared destinations that concurrent senders could not append to. The
-	// same pass arms the machines that will send (Arm deduplicates).
-	groupEdges := make([][]graph.Edge, kappa)
-	for machine := 1; machine < M; machine++ {
-		for _, id := range ownedEdges[machine] {
-			e := g.Edges[id]
-			if group[e.U] == group[e.V] {
-				groupEdges[group[e.U]] = append(groupEdges[group[e.U]], e)
-				cluster.Arm(machine)
-			}
+	edgeGroup := make([]int, g.M())
+	for id, e := range g.Edges {
+		edgeGroup[id] = -1
+		if group[e.U] == group[e.V] {
+			edgeGroup[id] = group[e.U]
 		}
 	}
-	err := cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-		for _, id := range ownedEdges[machine] {
-			e := g.Edges[id]
-			if group[e.U] == group[e.V] {
-				out.SendInts(groupMachine(group[e.U]), int64(e.U), int64(e.V))
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Failure check (Line 4): any group with more than 13·n^{1+µ} edges
-	// fails the algorithm (a w.h.p.-never event).
-	capEdges := int(math.Ceil(13 * math.Pow(float64(n), 1+p.Mu)))
-	for i, ge := range groupEdges {
-		if len(ge) > capEdges {
-			return nil, fmt.Errorf("core: VertexColouring group %d has %d > 13n^{1+µ} = %d edges", i, len(ge), capEdges)
-		}
-	}
-
-	// Each group machine colours its induced subgraph greedily; one round
-	// of local computation plus one output round. The groups are
-	// independent (each writes only its own vertices' colours), so the
-	// colouring runs under the cluster's executor.
 	members := partitionByOwner(n, kappa, func(v int) int { return group[v] })
-	colours := make([]int, n)
-	localColour := make([]int, n)
-	groupDeg := make([]int, kappa)
-	groupMaxLocal := make([]int, kappa)
-	cluster.Exec().Execute(kappa, func(i int) {
-		sub, toLocal := induced(n, members[i], groupEdges[i])
+	return colourGroups("VertexColouring", g, p, kappa, group, edgeGroup, func(i int, ids, local []int) int {
+		sub, toLocal := induced(g, members[i], ids)
 		col := seq.GreedyVertexColouring(sub, nil)
-		groupDeg[i] = sub.MaxDegree()
 		for _, v := range members[i] {
-			localColour[v] = col[toLocal[v]]
-			if localColour[v] > groupMaxLocal[i] {
-				groupMaxLocal[i] = localColour[v]
-			}
+			local[v] = col[toLocal[v]]
 		}
+		return sub.MaxDegree()
 	})
-	maxGroupDeg, maxLocal := 0, 0
-	for i := 0; i < kappa; i++ {
-		if groupDeg[i] > maxGroupDeg {
-			maxGroupDeg = groupDeg[i]
-		}
-		if groupMaxLocal[i] > maxLocal {
-			maxLocal = groupMaxLocal[i]
-		}
-	}
-	// Output round: group machines emit (v, group, local colour), each from
-	// the ascending list of the vertices whose group it hosts. A machine
-	// hosting a group whose induced subgraph has no edges received no route
-	// traffic, so every machine hosting any vertex's group is armed.
-	emits := partitionByOwner(n, M, func(v int) int { return groupMachine(group[v]) })
-	armPlanned(cluster, emits)
-	err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-		for _, v := range emits[machine] {
-			out.SendInts(0, int64(v), int64(group[v]), int64(localColour[v]))
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	stride := maxLocal + 1
-	for v := 0; v < n; v++ {
-		colours[v] = group[v]*stride + localColour[v]
-	}
-
-	return &ColouringResult{
-		Colours:        colours,
-		NumColours:     graph.NumColours(colours),
-		Groups:         kappa,
-		MaxGroupDegree: maxGroupDeg,
-		Metrics:        cluster.Metrics(),
-	}, nil
 }
 
 // EdgeColouring is the edge-colouring variant of Algorithm 5 (Remark 6.5,
@@ -190,117 +94,136 @@ func EdgeColouring(g *graph.Graph, p Params) (*ColouringResult, error) {
 	if m == 0 {
 		return &ColouringResult{Colours: []int{}}, nil
 	}
-	etaWords := eta(n, p.Mu, 8)
 	kappa := colouringGroups(n, m, p.Mu)
+	r := rng.New(p.Seed)
+	group := make([]int, m)
+	for id := range group {
+		group[id] = r.Intn(kappa)
+	}
+	// Every edge is routed to its own group's machine.
+	return colourGroups("EdgeColouring", g, p, kappa, group, group, func(i int, ids, local []int) int {
+		// The group subgraph keeps the original vertex ids; its edge k is
+		// edge ids[k] of g.
+		sub := graph.New(n)
+		sub.Edges = make([]graph.Edge, len(ids))
+		for k, id := range ids {
+			e := g.Edges[id]
+			sub.Edges[k] = graph.Edge{U: e.U, V: e.V, W: 1}
+		}
+		col := seq.MisraGries(sub)
+		for k, id := range ids {
+			local[id] = col[k]
+		}
+		return sub.MaxDegree()
+	})
+}
+
+// colourGroups runs Algorithm 5 once its items (the vertices, or the edges)
+// are in κ random groups: group[x] is item x's group, and edgeGroup[id] is
+// the group whose machine edge id is routed to, or −1 if it goes nowhere.
+// Edges start spread over data machines 1..M−1 (3 resident words each) and
+// group i is coloured on machine 1 + i mod (M−1). colourGroup(i, ids,
+// local) colours group i from its routed edge ids, writes each of the
+// group's items' local colours into local, and returns the group's maximum
+// degree; it writes only its own items, so the groups run under the
+// cluster's executor. The global colour of x is group[x]·stride + local[x],
+// where stride is one more than the largest local colour of any group.
+func colourGroups(name string, g *graph.Graph, p Params, kappa int, group, edgeGroup []int,
+	colourGroup func(i int, ids, local []int) int) (*ColouringResult, error) {
+	n, m := g.N, g.M()
+	etaWords := eta(n, p.Mu, 8)
+	// Machine 0 collects the output; group i is coloured on machine 1+i;
+	// edges are initially spread over all machines.
 	M := 1 + kappa
 	if dm := dataMachines(3*m, 4*etaWords); dm > M {
 		M = dm
 	}
 	cluster := newCluster(M, etaWords, p, capSlack)
 	defer cluster.Close()
-	r := rng.New(p.Seed)
 	edgeOwner := func(id int) int { return 1 + id%(M-1) }
 	groupMachine := func(grp int) int { return 1 + grp%(M-1) }
 
 	ownedEdges := partitionByOwner(m, M, edgeOwner)
-	resident := make([]int, M)
-	for id := 0; id < m; id++ {
-		resident[edgeOwner(id)] += 3
-	}
 	for machine := 1; machine < M; machine++ {
-		cluster.SetResident(machine, resident[machine])
+		cluster.SetResident(machine, 3*len(ownedEdges[machine]))
 	}
 
-	group := make([]int, m)
-	for id := 0; id < m; id++ {
-		group[id] = r.Intn(kappa)
-	}
-
-	// Route round: each edge goes to its group's machine, so every machine
-	// owning an edge sends and is armed. The output round needs no arming:
-	// a machine emits only for groups with edges, and those received route
-	// traffic. Group edge lists are assembled up front in arrival (machine,
-	// then edge) order.
+	// Route round: every routed edge goes to its group's machine. The
+	// per-group id lists are sized by a counting pass and filled up front in
+	// the order the edges arrive in — machine, then edge — because groups
+	// are shared destinations that concurrent senders could not append to.
+	// The same pass arms the machines that will send (Arm deduplicates).
 	groupSize := make([]int, kappa)
-	for _, grp := range group {
-		groupSize[grp]++
+	for _, grp := range edgeGroup {
+		if grp >= 0 {
+			groupSize[grp]++
+		}
 	}
 	groupIDs := make([][]int, kappa)
 	for i, size := range groupSize {
 		groupIDs[i] = make([]int, 0, size)
 	}
 	for machine := 1; machine < M; machine++ {
-		if len(ownedEdges[machine]) > 0 {
-			cluster.Arm(machine)
-		}
 		for _, id := range ownedEdges[machine] {
-			groupIDs[group[id]] = append(groupIDs[group[id]], id)
+			if grp := edgeGroup[id]; grp >= 0 {
+				groupIDs[grp] = append(groupIDs[grp], id)
+				cluster.Arm(machine)
+			}
 		}
 	}
 	err := cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
 		for _, id := range ownedEdges[machine] {
-			e := g.Edges[id]
-			out.SendInts(groupMachine(group[id]), int64(e.U), int64(e.V))
+			if grp := edgeGroup[id]; grp >= 0 {
+				e := g.Edges[id]
+				out.SendInts(groupMachine(grp), int64(e.U), int64(e.V))
+			}
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
+
+	// Failure check (Line 4): any group with more than 13·n^{1+µ} edges
+	// fails the algorithm (a w.h.p.-never event).
 	capEdges := int(math.Ceil(13 * math.Pow(float64(n), 1+p.Mu)))
 	for i, ids := range groupIDs {
 		if len(ids) > capEdges {
-			return nil, fmt.Errorf("core: EdgeColouring group %d has %d > %d edges", i, len(ids), capEdges)
+			return nil, fmt.Errorf("core: %s group %d has %d > 13n^{1+µ} = %d edges", name, i, len(ids), capEdges)
 		}
 	}
 
-	// Per-group Misra–Gries colouring is independent across groups (each
-	// writes only its own edges' colours), so it runs under the cluster's
-	// executor.
-	colours := make([]int, m)
-	localColour := make([]int, m)
+	// Each group machine colours its group: local computation, no round.
+	local := make([]int, len(group))
 	groupDeg := make([]int, kappa)
-	groupMaxLocal := make([]int, kappa)
 	cluster.Exec().Execute(kappa, func(i int) {
-		// The group subgraph keeps the original vertex ids; its edge k is
-		// edge groupIDs[i][k] of g.
-		sub := graph.New(n)
-		sub.Edges = make([]graph.Edge, len(groupIDs[i]))
-		for k, id := range groupIDs[i] {
-			e := g.Edges[id]
-			sub.Edges[k] = graph.Edge{U: e.U, V: e.V, W: 1}
-		}
-		col := seq.MisraGries(sub)
-		groupDeg[i] = sub.MaxDegree()
-		for k, id := range groupIDs[i] {
-			localColour[id] = col[k]
-			if col[k] > groupMaxLocal[i] {
-				groupMaxLocal[i] = col[k]
-			}
-		}
+		groupDeg[i] = colourGroup(i, groupIDs[i], local)
 	})
 	maxGroupDeg, maxLocal := 0, 0
-	for i := 0; i < kappa; i++ {
-		if groupDeg[i] > maxGroupDeg {
-			maxGroupDeg = groupDeg[i]
-		}
-		if groupMaxLocal[i] > maxLocal {
-			maxLocal = groupMaxLocal[i]
-		}
+	for _, deg := range groupDeg {
+		maxGroupDeg = max(maxGroupDeg, deg)
 	}
-	// Output round: each machine emits, in ascending edge order, the edges
-	// of the groups it hosts.
-	emits := partitionByOwner(m, M, func(id int) int { return groupMachine(group[id]) })
+	for _, c := range local {
+		maxLocal = max(maxLocal, c)
+	}
+
+	// Output round: group machines emit (x, group, local colour), each from
+	// the ascending list of the items whose group it hosts. A machine
+	// hosting a group with no routed edges received no route traffic, so
+	// every machine hosting any item's group is armed.
+	emits := partitionByOwner(len(group), M, func(x int) int { return groupMachine(group[x]) })
+	armPlanned(cluster, emits)
 	err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-		for _, id := range emits[machine] {
-			out.SendInts(0, int64(id), int64(group[id]), int64(localColour[id]))
+		for _, x := range emits[machine] {
+			out.SendInts(0, int64(x), int64(group[x]), int64(local[x]))
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
 	stride := maxLocal + 1
-	for id := 0; id < m; id++ {
-		colours[id] = group[id]*stride + localColour[id]
+	colours := local
+	for x := range colours {
+		colours[x] += group[x] * stride
 	}
 
 	return &ColouringResult{
@@ -312,12 +235,12 @@ func EdgeColouring(g *graph.Graph, p Params) (*ColouringResult, error) {
 	}, nil
 }
 
-// induced builds the subgraph induced by members (ascending vertex ids of
-// an n-vertex graph) from the edges among them, with compacted vertex ids.
-// It returns the subgraph and the old→new vertex id map, -1 for a vertex
-// outside members.
-func induced(n int, members []int, edges []graph.Edge) (*graph.Graph, []int32) {
-	toLocal := make([]int32, n)
+// induced builds the subgraph of g induced by members (ascending vertex
+// ids) from the edges ids among them, with compacted vertex ids. It returns
+// the subgraph and the old→new vertex id map, -1 for a vertex outside
+// members.
+func induced(g *graph.Graph, members, ids []int) (*graph.Graph, []int32) {
+	toLocal := make([]int32, g.N)
 	for v := range toLocal {
 		toLocal[v] = -1
 	}
@@ -325,8 +248,9 @@ func induced(n int, members []int, edges []graph.Edge) (*graph.Graph, []int32) {
 		toLocal[v] = int32(local)
 	}
 	sub := graph.New(len(members))
-	sub.Edges = make([]graph.Edge, len(edges))
-	for k, e := range edges {
+	sub.Edges = make([]graph.Edge, len(ids))
+	for k, id := range ids {
+		e := g.Edges[id]
 		sub.Edges[k] = graph.Edge{U: int(toLocal[e.U]), V: int(toLocal[e.V]), W: e.W}
 	}
 	return sub, toLocal
