@@ -1,13 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/mpc"
-	"repro/internal/rng"
 	"repro/internal/seq"
 )
 
@@ -57,22 +55,17 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 
 	// Vertex-partitioned layout (Appendix D samples per vertex): owners
 	// hold each vertex's incident edge ids with weights and alive bits.
-	M := dataMachines(3*n+3*m, 4*etaWords)
-	cluster := newCluster(M, etaWords*maxB(g, b), p, capSlack)
-	defer cluster.Close()
-	tree := mpc.NewTree(cluster, 0, treeDegree(n, p.Mu))
-	r := rng.New(p.Seed)
-	vertexOwner := func(v int) int { return 1 + v%(M-1) }
+	f := newFrame("BMatching", p, dataMachines(3*n+3*m, 4*etaWords), etaWords*maxB(g, b), n)
+	defer f.cluster.Close()
+	M, cluster := f.M, f.cluster
 
 	g.Build()
-	owned := partitionByOwner(n, M, vertexOwner)
+	owned := partitionByOwner(n, M, f.owner)
 	resident := make([]int, M)
 	for v := 0; v < n; v++ {
-		resident[vertexOwner(v)] += 2 + 2*g.Degree(v)
+		resident[f.owner(v)] += 2 + 2*g.Degree(v)
 	}
-	for machine := 1; machine < M; machine++ {
-		cluster.SetResident(machine, resident[machine])
-	}
+	f.setResident(resident)
 	cluster.SetResident(0, 2*n)
 
 	lr := seq.NewBMatchingLocalRatio(g, b, eps)
@@ -91,12 +84,10 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 	sampleOf := make([]span, n) // vertex -> its stretch of sampled; empty if it sent nothing
 	changed := newMarkSet(n)
 
-	res := &MatchingResult{}
 	for aliveCount > 0 {
-		if res.Iterations >= p.maxIter() {
-			return nil, fmt.Errorf("core: BMatching exceeded %d iterations", p.maxIter())
+		if err := f.next(); err != nil {
+			return nil, err
 		}
-		res.Iterations++
 
 		// Sampling round: vertex v samples b(v)·ln(1/δ)·n^µ alive incident
 		// edges without replacement (all of them when |E_i| is small,
@@ -127,7 +118,7 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 				want := int(math.Ceil(float64(b(v)) * lnInvDelta * nMu))
 				if !smallGraph && want < aliveIDs {
 					// Keep only the drawn edges, in draw order.
-					for _, idx := range r.SampleWithoutReplacement(aliveIDs, want) {
+					for _, idx := range f.r.SampleWithoutReplacement(aliveIDs, want) {
 						sampled = append(sampled, sampled[lo+idx])
 					}
 					copy(sampled[lo:], sampled[lo+aliveIDs:])
@@ -192,7 +183,7 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 				return
 			}
 			for _, v := range changedList {
-				out.Begin(vertexOwner(v))
+				out.Begin(f.owner(v))
 				out.Int(int64(v))
 				out.Float(lr.Phi(v))
 				out.End()
@@ -213,7 +204,7 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 				nbrs := g.Neighbors(v)
 				for i, id := range ids {
 					if alive[id] {
-						out.Begin(vertexOwner(int(nbrs[i])))
+						out.Begin(f.owner(int(nbrs[i])))
 						out.Int(int64(id))
 						out.Float(msg.Floats[0])
 						out.End()
@@ -228,30 +219,29 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 		if err := cluster.Quiet(); err != nil {
 			return nil, err
 		}
-		counts := make([]int64, M)
+		clear(f.counts)
 		for id := 0; id < m; id++ {
 			if alive[id] && !lr.Alive(id) {
 				alive[id] = false
 			}
 			if alive[id] {
 				e := g.Edges[id]
-				counts[vertexOwner(e.U)]++ // counted once, by U's owner
+				f.counts[f.owner(e.U)]++ // counted once, by U's owner
 			}
 		}
-		total, err := tree.AllReduceSum(cluster, 1, func(machine int) []int64 {
-			return []int64{counts[machine]}
-		})
-		if err != nil {
+		if aliveCount, err = f.sumCounts(); err != nil {
 			return nil, err
 		}
-		aliveCount = total[0]
 	}
 
-	res.Edges = lr.Unwind()
-	res.Weight = graph.MatchingWeight(g, res.Edges)
-	res.StackSize = lr.StackSize()
-	res.Metrics = cluster.Metrics()
-	return res, nil
+	edges := lr.Unwind()
+	return &MatchingResult{
+		Edges:      edges,
+		Weight:     graph.MatchingWeight(g, edges),
+		Iterations: f.iterations,
+		StackSize:  lr.StackSize(),
+		Metrics:    cluster.Metrics(),
+	}, nil
 }
 
 // maxB returns max_v b(v), used for space budgeting.

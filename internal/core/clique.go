@@ -1,13 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/mpc"
-	"repro/internal/rng"
 )
 
 // CliqueResult is the output of MaximalClique.
@@ -40,32 +38,27 @@ func MaximalClique(g *graph.Graph, p Params) (*CliqueResult, error) {
 	}
 	g.Build()
 	etaWords := eta(n, p.Mu, 8)
-	M := dataMachines(3*n+2*g.M(), 4*etaWords)
-	cluster := newCluster(M, etaWords, p, capSlack)
-	defer cluster.Close()
-	r := rng.New(p.Seed)
-	vertexOwner := func(v int) int { return 1 + v%(M-1) }
+	f := newFrame("MaximalClique", p, dataMachines(3*n+2*g.M(), 4*etaWords), etaWords, n)
+	defer f.cluster.Close()
+	M, cluster := f.M, f.cluster
 
 	inA := make([]bool, n)
 	degA := make([]int, n)
 	nbrMark := make([]bool, n) // activeComplement scratch, reused per call
-	owned := partitionByOwner(n, M, vertexOwner)
+	owned := partitionByOwner(n, M, f.owner)
 	for v := 0; v < n; v++ {
 		inA[v] = true
 		degA[v] = g.Degree(v)
 	}
 	resident := make([]int, M)
 	for v := 0; v < n; v++ {
-		resident[vertexOwner(v)] += 3 + g.Degree(v)
+		resident[f.owner(v)] += 3 + g.Degree(v)
 	}
-	for machine := 1; machine < M; machine++ {
-		cluster.SetResident(machine, resident[machine])
-	}
+	f.setResident(resident)
 	cluster.SetResident(0, n) // central: the active-set bitmap (the labels)
 
 	sizeA := int64(n)
 	var clique []int
-	iterations := 0
 
 	// relabelRounds charges the relabeling traffic of Appendix B: the
 	// central machine sends each active vertex its new label (one routed
@@ -81,7 +74,7 @@ func MaximalClique(g *graph.Graph, p Params) (*CliqueResult, error) {
 			}
 			for v := 0; v < n; v++ {
 				if inA[v] {
-					out.SendInts(vertexOwner(v), int64(v))
+					out.SendInts(f.owner(v), int64(v))
 				}
 			}
 		})
@@ -92,7 +85,7 @@ func MaximalClique(g *graph.Graph, p Params) (*CliqueResult, error) {
 			for msg, ok := in.Next(); ok; msg, ok = in.Next() {
 				v := int(msg.Ints[0])
 				for _, u := range g.Neighbors(v) {
-					out.SendInts(vertexOwner(int(u)), int64(u), int64(v))
+					out.SendInts(f.owner(int(u)), int64(u), int64(v))
 				}
 			}
 		})
@@ -129,7 +122,7 @@ func MaximalClique(g *graph.Graph, p Params) (*CliqueResult, error) {
 				return
 			}
 			for _, v := range removed {
-				out.SendInts(vertexOwner(v), int64(v))
+				out.SendInts(f.owner(v), int64(v))
 			}
 		})
 		if err != nil {
@@ -142,7 +135,7 @@ func MaximalClique(g *graph.Graph, p Params) (*CliqueResult, error) {
 				if inA[v] {
 					inA[v] = false
 					for _, u := range g.Neighbors(v) {
-						out.SendInts(vertexOwner(int(u)), int64(u))
+						out.SendInts(f.owner(int(u)), int64(u))
 					}
 				}
 			}
@@ -210,9 +203,6 @@ func MaximalClique(g *graph.Graph, p Params) (*CliqueResult, error) {
 		}
 		heavyMin := math.Pow(nf, float64(i)*alpha)
 		for sizeA > 0 {
-			if iterations >= p.maxIter() {
-				return nil, fmt.Errorf("core: MaximalClique exceeded %d iterations", p.maxIter())
-			}
 			// Count complement-heavy vertices (direct aggregation).
 			heavy, err := directAllReduce(cluster, 0, func(machine int) int64 {
 				c := int64(0)
@@ -229,6 +219,9 @@ func MaximalClique(g *graph.Graph, p Params) (*CliqueResult, error) {
 			if heavy == 0 {
 				break
 			}
+			if err := f.next(); err != nil {
+				return nil, err
+			}
 			if err := relabelRounds(); err != nil {
 				return nil, err
 			}
@@ -243,7 +236,7 @@ func MaximalClique(g *graph.Graph, p Params) (*CliqueResult, error) {
 			plan := make([][]cliqueCand, M)
 			for machine := 1; machine < M; machine++ {
 				for _, v := range owned[machine] {
-					if !inA[v] || compDeg(v) < threshold || !r.Bernoulli(prob) {
+					if !inA[v] || compDeg(v) < threshold || !f.r.Bernoulli(prob) {
 						continue
 					}
 					cand := cliqueCand{v: v, comp: activeComplement(g, inA, v, nbrMark)}
@@ -263,7 +256,6 @@ func MaximalClique(g *graph.Graph, p Params) (*CliqueResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			iterations++
 			var groups [][]cliqueCand
 			if gatherAll {
 				sort.Slice(sample, func(a, b int) bool { return sample[a].v < sample[b].v })
@@ -275,7 +267,7 @@ func MaximalClique(g *graph.Graph, p Params) (*CliqueResult, error) {
 				}
 				break
 			}
-			r.Shuffle(len(sample), func(a, b int) { sample[a], sample[b] = sample[b], sample[a] })
+			f.r.Shuffle(len(sample), func(a, b int) { sample[a], sample[b] = sample[b], sample[a] })
 			for k := 0; k < len(sample); k += groupSize {
 				end := k + groupSize
 				if end > len(sample) {
@@ -316,7 +308,7 @@ func MaximalClique(g *graph.Graph, p Params) (*CliqueResult, error) {
 
 	return &CliqueResult{
 		Clique:     clique,
-		Iterations: iterations,
+		Iterations: f.iterations,
 		Metrics:    cluster.Metrics(),
 	}, nil
 }

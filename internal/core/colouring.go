@@ -132,18 +132,13 @@ func colourGroups(name string, g *graph.Graph, p Params, kappa int, group, edgeG
 	colourGroup func(i int, ids, local []int) int) (*ColouringResult, error) {
 	n, m := g.N, g.M()
 	etaWords := eta(n, p.Mu, 8)
-	// Machine 0 collects the output; group i is coloured on machine 1+i;
-	// edges are initially spread over all machines.
-	M := 1 + kappa
-	if dm := dataMachines(3*m, 4*etaWords); dm > M {
-		M = dm
-	}
-	cluster := newCluster(M, etaWords, p, capSlack)
-	defer cluster.Close()
-	edgeOwner := func(id int) int { return 1 + id%(M-1) }
-	groupMachine := func(grp int) int { return 1 + grp%(M-1) }
+	// Machine 0 collects the output and group i is coloured on machine 1+i,
+	// so there are at least 1+κ machines.
+	f := newFrame(name, p, max(1+kappa, dataMachines(3*m, 4*etaWords)), etaWords, n)
+	defer f.cluster.Close()
+	M, cluster := f.M, f.cluster
 
-	ownedEdges := partitionByOwner(m, M, edgeOwner)
+	ownedEdges := partitionByOwner(m, M, f.owner)
 	for machine := 1; machine < M; machine++ {
 		cluster.SetResident(machine, 3*len(ownedEdges[machine]))
 	}
@@ -175,7 +170,7 @@ func colourGroups(name string, g *graph.Graph, p Params, kappa int, group, edgeG
 		for _, id := range ownedEdges[machine] {
 			if grp := edgeGroup[id]; grp >= 0 {
 				e := g.Edges[id]
-				out.SendInts(groupMachine(grp), int64(e.U), int64(e.V))
+				out.SendInts(f.owner(grp), int64(e.U), int64(e.V))
 			}
 		}
 	})
@@ -210,7 +205,7 @@ func colourGroups(name string, g *graph.Graph, p Params, kappa int, group, edgeG
 	// the ascending list of the items whose group it hosts. A machine
 	// hosting a group with no routed edges received no route traffic, so
 	// every machine hosting any item's group is armed.
-	emits := partitionByOwner(len(group), M, func(x int) int { return groupMachine(group[x]) })
+	emits := partitionByOwner(len(group), M, func(x int) int { return f.owner(group[x]) })
 	armPlanned(cluster, emits)
 	err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
 		for _, x := range emits[machine] {

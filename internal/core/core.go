@@ -32,10 +32,12 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 
 	"repro/internal/mpc"
 	"repro/internal/obs"
+	"repro/internal/rng"
 )
 
 // Params are the model parameters shared by all algorithms.
@@ -68,10 +70,8 @@ type Params struct {
 }
 
 // maxIterations bounds every algorithm's main loop as a safety net against
-// non-termination.
+// non-termination (frame.next).
 const maxIterations = 10000
-
-func (p Params) maxIter() int { return maxIterations }
 
 // eta returns the per-machine space target base^{1+mu}, at least minimum.
 func eta(base int, mu float64, minimum int) int {
@@ -80,19 +80,6 @@ func eta(base int, mu float64, minimum int) int {
 		e = minimum
 	}
 	return e
-}
-
-// machinesFor returns the machine count ceil(inputWords / capWords), at
-// least 1.
-func machinesFor(inputWords, capWords int) int {
-	if capWords <= 0 || inputWords <= 0 {
-		return 1
-	}
-	m := (inputWords + capWords - 1) / capWords
-	if m < 1 {
-		m = 1
-	}
-	return m
 }
 
 // treeDegree returns the broadcast tree degree n^µ (at least 2), the degree
@@ -189,12 +176,79 @@ func armPlanned[T any](c *mpc.Cluster, plan [][]T) {
 }
 
 // dataMachines returns the cluster size for a layout with a dedicated
-// central machine (machine 0) plus enough data machines to hold inputWords
-// under capWords each. The paper's blue-line computations run on a single
+// central machine (machine 0) plus ceil(inputWords / capWords) data machines,
+// at least one. The paper's blue-line computations run on a single
 // distinguished machine; giving it no data partition keeps its space budget
 // for the samples it receives.
 func dataMachines(inputWords, capWords int) int {
-	return 1 + machinesFor(inputWords, capWords)
+	if capWords <= 0 || inputWords <= 0 {
+		return 2
+	}
+	return 1 + (inputWords+capWords-1)/capWords
+}
+
+// frame is the MapReduce layout every driver shares: machine 0 is the
+// central machine, data machine 1 + id mod (M−1) owns item id, broadcasts
+// and aggregates go over the degree-n^µ tree of §2.2/§4.1 rooted at machine
+// 0, and the driver draws from one RNG seeded by Params.Seed (the
+// colourings draw their groups from that seed before colourGroups builds
+// its frame). It also counts the driver's main-loop iterations against
+// maxIterations and holds the per-machine slab of the one-word all-reduces.
+type frame struct {
+	name       string // the driver, for the iteration guard's error
+	M          int
+	cluster    *mpc.Cluster
+	tree       *mpc.Tree
+	r          *rng.RNG
+	iterations int
+	counts     []int64 // per-machine contributions to sumCounts
+}
+
+// newFrame sets up M machines under an enforced cap of capSlack·capWords
+// words and the tree of degree treeDegree(base, µ); the caller closes
+// f.cluster.
+func newFrame(name string, p Params, M, capWords, base int) frame {
+	cluster := newCluster(M, capWords, p, capSlack)
+	return frame{
+		name:    name,
+		M:       M,
+		cluster: cluster,
+		tree:    mpc.NewTree(cluster, 0, treeDegree(base, p.Mu)),
+		r:       rng.New(p.Seed),
+		counts:  make([]int64, M),
+	}
+}
+
+// owner is the data machine that owns item id (a vertex, edge, element or
+// set): never the central machine.
+func (f *frame) owner(id int) int { return 1 + id%(f.M-1) }
+
+// next is the iteration guard: it counts one more iteration of the driver's
+// main loop, or fails once maxIterations have run.
+func (f *frame) next() error {
+	if f.iterations >= maxIterations {
+		return fmt.Errorf("core: %s exceeded %d iterations", f.name, maxIterations)
+	}
+	f.iterations++
+	return nil
+}
+
+// setResident declares resident[machine] words on every machine.
+func (f *frame) setResident(resident []int) {
+	for machine, words := range resident {
+		f.cluster.SetResident(machine, words)
+	}
+}
+
+// sumCounts sums f.counts, one word per machine, over the tree.
+func (f *frame) sumCounts() (int64, error) {
+	total, err := f.tree.AllReduceSum(f.cluster, 1, func(machine int) []int64 {
+		return f.counts[machine : machine+1]
+	})
+	if err != nil {
+		return 0, err
+	}
+	return total[0], nil
 }
 
 // directAllReduce computes the sum of per-machine int64 contributions using

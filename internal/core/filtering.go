@@ -1,13 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/mpc"
-	"repro/internal/rng"
 	"repro/internal/seq"
 )
 
@@ -30,17 +28,12 @@ type FilteringResult struct {
 // weighted baseline's classes extend one matching and count iterations
 // against one cap.
 type filtering struct {
-	g          *graph.Graph
-	p          Params
-	name       string // the caller, for the iteration-cap error
-	etaWords   int
-	cluster    *mpc.Cluster
-	tree       *mpc.Tree
-	r          *rng.RNG
-	owned      [][]int // edge ids per data machine
-	matched    []bool
-	matching   []int
-	iterations int
+	frame
+	g        *graph.Graph
+	etaWords int
+	owned    [][]int // edge ids per data machine
+	matched  []bool
+	matching []int
 }
 
 // newFiltering lays g's edges out three words each over data machines
@@ -48,27 +41,19 @@ type filtering struct {
 func newFiltering(g *graph.Graph, p Params, name string) *filtering {
 	n, m := g.N, g.M()
 	etaWords := eta(n, p.Mu, 8)
-	M := dataMachines(3*m, 3*etaWords)
-	cluster := newCluster(M, etaWords, p, capSlack)
 	f := &filtering{
+		frame:    newFrame(name, p, dataMachines(3*m, 3*etaWords), etaWords, n),
 		g:        g,
-		p:        p,
-		name:     name,
 		etaWords: etaWords,
-		cluster:  cluster,
-		tree:     mpc.NewTree(cluster, 0, treeDegree(n, p.Mu)),
-		r:        rng.New(p.Seed),
 		matched:  make([]bool, n),
 	}
-	f.owned = partitionByOwner(m, M, f.owner)
-	for machine := 1; machine < M; machine++ {
-		cluster.SetResident(machine, 3*len(f.owned[machine]))
+	f.owned = partitionByOwner(m, f.M, f.owner)
+	for machine, ids := range f.owned {
+		f.cluster.SetResident(machine, 3*len(ids))
 	}
-	cluster.SetResident(0, n) // matched-vertex bitmap
+	f.cluster.SetResident(0, n) // matched-vertex bitmap
 	return f
 }
-
-func (f *filtering) owner(id int) int { return 1 + id%(f.cluster.M()-1) }
 
 // run filters the count edges marked in alive down to nothing, extending
 // the matching. Each iteration samples every alive edge with probability
@@ -77,12 +62,10 @@ func (f *filtering) owner(id int) int { return 1 + id%(f.cluster.M()-1) }
 // matched vertices and drops every alive edge they touch. A run with
 // count 0 issues no rounds. On return alive is all false.
 func (f *filtering) run(alive []bool, count int64) error {
-	M := f.cluster.M()
 	for count > 0 {
-		if f.iterations >= f.p.maxIter() {
-			return fmt.Errorf("core: %s exceeded %d iterations", f.name, f.p.maxIter())
+		if err := f.next(); err != nil {
+			return err
 		}
-		f.iterations++
 		final := count <= int64(f.etaWords)
 		prob := 1.0
 		if !final {
@@ -91,8 +74,8 @@ func (f *filtering) run(alive []bool, count int64) error {
 		// Draw the sample machine by machine before the round; the closures
 		// replay each machine's plan concurrently.
 		var sampled []int
-		plan := make([][]int64, M)
-		for machine := 1; machine < M; machine++ {
+		plan := make([][]int64, f.M)
+		for machine := 1; machine < f.M; machine++ {
 			for _, id := range f.owned[machine] {
 				if alive[id] && (final || f.r.Bernoulli(prob)) {
 					plan[machine] = append(plan[machine], int64(id))
@@ -123,7 +106,7 @@ func (f *filtering) run(alive []bool, count int64) error {
 		if err := f.tree.Broadcast(f.cluster, newly, nil); err != nil {
 			return err
 		}
-		counts := make([]int64, M)
+		clear(f.counts)
 		for id, e := range f.g.Edges {
 			if !alive[id] {
 				continue
@@ -131,16 +114,12 @@ func (f *filtering) run(alive []bool, count int64) error {
 			if final || f.matched[e.U] || f.matched[e.V] {
 				alive[id] = false
 			} else {
-				counts[f.owner(id)]++
+				f.counts[f.owner(id)]++
 			}
 		}
-		total, err := f.tree.AllReduceSum(f.cluster, 1, func(machine int) []int64 {
-			return []int64{counts[machine]}
-		})
-		if err != nil {
+		if count, err = f.sumCounts(); err != nil {
 			return err
 		}
-		count = total[0]
 	}
 	return nil
 }

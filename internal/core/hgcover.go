@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"repro/internal/mpc"
-	"repro/internal/rng"
 	"repro/internal/setcover"
 )
 
@@ -56,24 +55,19 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 	// Space is m^{1+µ} words in the ground set size: the paper's m ≪ n regime.
 	etaWords := eta(m, p.Mu, 8)
 	inputWords := inst.TotalSize() + 2*n
-	M := dataMachines(inputWords, 4*etaWords)
-	cluster := newCluster(M, etaWords, p, capSlack)
-	defer cluster.Close()
-	tree := mpc.NewTree(cluster, 0, treeDegree(m, p.Mu))
-	r := rng.New(p.Seed)
-	setOwner := func(i int) int { return 1 + i%(M-1) }
+	f := newFrame("HGSetCover", p, dataMachines(inputWords, 4*etaWords), etaWords, m)
+	defer f.cluster.Close()
+	M, cluster := f.M, f.cluster
 
-	ownedSets := partitionByOwner(n, M, setOwner)
+	ownedSets := partitionByOwner(n, M, f.owner)
 
 	// Residents: set owners hold (elements, weight, uncovered count);
 	// central holds the covered bitmap and the solution.
 	resident := make([]int, M)
 	for i, s := range inst.Sets {
-		resident[setOwner(i)] += len(s) + 3
+		resident[f.owner(i)] += len(s) + 3
 	}
-	for machine := 1; machine < M; machine++ {
-		cluster.SetResident(machine, resident[machine])
-	}
+	f.setResident(resident)
 	cluster.SetResident(0, m+n)
 
 	covered := make([]bool, m)
@@ -91,7 +85,7 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 		// Remark 4.7. γ is computed with one aggregation up the tree (each
 		// machine contributes per-element minima over its sets) and one
 		// broadcast down; the simulator charges those rounds.
-		gamma, err := remark47Gamma(cluster, tree, inst, ownedSets)
+		gamma, err := remark47Gamma(cluster, f.tree, inst, ownedSets)
 		if err != nil {
 			return nil, err
 		}
@@ -194,7 +188,6 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 	if err != nil {
 		return nil, err
 	}
-	res := &CoverResult{}
 
 	// Per-iteration scratch, allocated once. A sampled set becomes one entry
 	// whose payload [set, k, k group ids, uncovered elements] is a range of
@@ -220,8 +213,8 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 	maxGroup := int(math.Ceil(4 * groupSample))
 
 	for coveredCount < m {
-		if res.Iterations >= p.maxIter() {
-			return nil, fmt.Errorf("core: HGSetCover exceeded %d iterations", p.maxIter())
+		if err := f.next(); err != nil {
+			return nil, err
 		}
 		cur, err := maxRatio()
 		if err != nil {
@@ -235,7 +228,6 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 			// skips the empty buckets; see the doc comment.)
 			L = cur
 		}
-		res.Iterations++
 
 		// Aggregate class sizes |S_{k,i}| over the tree. setClass[i] is the
 		// class of an eligible set (uncovered ratio at least L/(1+ε)), 0 for
@@ -246,10 +238,10 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 			if !inSolution[i] && !excluded[i] && uncov[i] > 0 &&
 				float64(uncov[i])/inst.Weights[i] >= L/(1+eps) {
 				setClass[i] = int32(classOf(uncov[i]))
-				machineClass[setOwner(i)*width+int(setClass[i])]++
+				machineClass[f.owner(i)*width+int(setClass[i])]++
 			}
 		}
-		classCounts, err := tree.AllReduceSum(cluster, width, func(machine int) []int64 {
+		classCounts, err := f.tree.AllReduceSum(cluster, width, func(machine int) []int64 {
 			return machineClass[machine*width : (machine+1)*width]
 		})
 		if err != nil {
@@ -271,11 +263,11 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 					continue
 				}
 				prob := math.Min(1, groupSample/float64(classCounts[cls]))
-				k := r.Binomial(numGroups[cls], prob)
+				k := f.r.Binomial(numGroups[cls], prob)
 				if k == 0 {
 					continue
 				}
-				gids := r.SampleWithoutReplacement(numGroups[cls], k)
+				gids := f.r.SampleWithoutReplacement(numGroups[cls], k)
 				entry := sampleEntry{set: i, payload: len(slab)}
 				slab = append(slab, int64(i), int64(k))
 				for _, gid := range gids {
@@ -371,7 +363,7 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 		// so the refresh walks ΔC's dual lists: O(total size) over the whole
 		// run. uncov counts occurrences, and the dual holds one entry per
 		// occurrence, so it stays exact for sets that repeat an element.
-		if err := tree.Broadcast(cluster, deltaC, nil); err != nil {
+		if err := f.tree.Broadcast(cluster, deltaC, nil); err != nil {
 			return nil, err
 		}
 		for _, e := range deltaC {
@@ -381,10 +373,12 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 		}
 	}
 
-	res.Cover = append([]int(nil), solution...)
-	res.Weight = inst.Weight(res.Cover)
-	res.Metrics = cluster.Metrics()
-	return res, nil
+	return &CoverResult{
+		Cover:      append([]int(nil), solution...),
+		Weight:     inst.Weight(solution),
+		Iterations: f.iterations,
+		Metrics:    cluster.Metrics(),
+	}, nil
 }
 
 // remark47Gamma computes γ = max_j min_{S∋j} w(S), the preprocessing pivot

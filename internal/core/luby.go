@@ -1,11 +1,8 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/graph"
 	"repro/internal/mpc"
-	"repro/internal/rng"
 )
 
 // LubyMIS is Luby's classic randomized maximal independent set algorithm
@@ -24,12 +21,9 @@ func LubyMIS(g *graph.Graph, p Params) (*MISResult, error) {
 	}
 	g.Build()
 	etaWords := eta(n, p.Mu, 8)
-	M := dataMachines(3*n+2*g.M(), 4*etaWords)
-	cluster := newCluster(M, etaWords, p, capSlack)
-	defer cluster.Close()
-	tree := mpc.NewTree(cluster, 0, treeDegree(n, p.Mu))
-	r := rng.New(p.Seed)
-	vertexOwner := func(v int) int { return 1 + v%(M-1) }
+	f := newFrame("LubyMIS", p, dataMachines(3*n+2*g.M(), 4*etaWords), etaWords, n)
+	defer f.cluster.Close()
+	M, cluster := f.M, f.cluster
 
 	inI := make([]bool, n)
 	dominated := make([]bool, n)
@@ -38,14 +32,12 @@ func LubyMIS(g *graph.Graph, p Params) (*MISResult, error) {
 	// Per-machine partition: owned[machine] lists the machine's vertices in
 	// ascending order. Rounds only write per-vertex state owned by the
 	// invoking machine, so they are race-free under a parallel executor.
-	owned := partitionByOwner(n, M, vertexOwner)
+	owned := partitionByOwner(n, M, f.owner)
 	resident := make([]int, M)
 	for v := 0; v < n; v++ {
-		resident[vertexOwner(v)] += 3 + g.Degree(v)
+		resident[f.owner(v)] += 3 + g.Degree(v)
 	}
-	for machine := 1; machine < M; machine++ {
-		cluster.SetResident(machine, resident[machine])
-	}
+	f.setResident(resident)
 
 	// beaten[u] == iterations: u has seen a better neighbour this iteration.
 	// Owner-partitioned like the status arrays — a machine stamps only the
@@ -53,12 +45,10 @@ func LubyMIS(g *graph.Graph, p Params) (*MISResult, error) {
 	beaten := make([]int32, n)
 
 	aliveCount := int64(n)
-	iterations := 0
 	for aliveCount > 0 {
-		if iterations >= p.maxIter() {
-			return nil, fmt.Errorf("core: LubyMIS exceeded %d iterations", p.maxIter())
+		if err := f.next(); err != nil {
+			return nil, err
 		}
-		iterations++
 
 		// Draw priorities machine by machine before the round (the order the
 		// machines would draw in), then exchange them along alive edges.
@@ -73,7 +63,7 @@ func LubyMIS(g *graph.Graph, p Params) (*MISResult, error) {
 		for machine := 1; machine < M; machine++ {
 			for _, v := range owned[machine] {
 				if aliveVertex(v) {
-					priority[v] = r.Float64()
+					priority[v] = f.r.Float64()
 					hasAlive[machine] = true
 				}
 			}
@@ -93,7 +83,7 @@ func LubyMIS(g *graph.Graph, p Params) (*MISResult, error) {
 				}
 				for _, u := range g.Neighbors(v) {
 					if !inI[u] && !dominated[u] {
-						out.Begin(vertexOwner(int(u)))
+						out.Begin(f.owner(int(u)))
 						out.Int(int64(u))
 						out.Int(int64(v))
 						out.Float(priority[v])
@@ -114,7 +104,7 @@ func LubyMIS(g *graph.Graph, p Params) (*MISResult, error) {
 			return u < v
 		}
 		localMin := make([]bool, n)
-		epoch := int32(iterations)
+		epoch := int32(f.iterations)
 		armAlive()
 		err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
 			// Every record is (recipient u, sending neighbour v; priority[v]).
@@ -134,7 +124,7 @@ func LubyMIS(g *graph.Graph, p Params) (*MISResult, error) {
 					localMin[v] = true
 					for _, u := range g.Neighbors(v) {
 						if !inI[u] && !dominated[u] {
-							out.SendInts(vertexOwner(int(u)), int64(u), int64(v))
+							out.SendInts(f.owner(int(u)), int64(u), int64(v))
 						}
 					}
 				}
@@ -166,20 +156,16 @@ func LubyMIS(g *graph.Graph, p Params) (*MISResult, error) {
 			}
 		}
 
-		counts := make([]int64, M)
+		clear(f.counts)
 		for v := 0; v < n; v++ {
 			if aliveVertex(v) {
-				counts[vertexOwner(v)]++
+				f.counts[f.owner(v)]++
 			}
 		}
-		total, err := tree.AllReduceSum(cluster, 1, func(machine int) []int64 {
-			return []int64{counts[machine]}
-		})
-		if err != nil {
+		if aliveCount, err = f.sumCounts(); err != nil {
 			return nil, err
 		}
-		aliveCount = total[0]
 	}
 
-	return &MISResult{Set: graph.VertexSet(inI), Iterations: iterations, Metrics: cluster.Metrics()}, nil
+	return &MISResult{Set: graph.VertexSet(inI), Iterations: f.iterations, Metrics: cluster.Metrics()}, nil
 }

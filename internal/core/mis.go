@@ -1,13 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/mpc"
-	"repro/internal/rng"
 )
 
 // MISResult is the output of the maximal independent set algorithms.
@@ -43,10 +41,8 @@ type MISResult struct {
 // and the central machine's batch-local "left the alive set" marks clear by
 // epoch.
 type misState struct {
-	g       *graph.Graph
-	cluster *mpc.Cluster
-	r       *rng.RNG
-	M       int
+	frame
+	g *graph.Graph
 
 	owned [][]int // owned[machine]: vertices of machine, ascending
 
@@ -60,39 +56,33 @@ type misState struct {
 	groups  [][]candidate // chopGroups' result buffer
 	batch   centralBatch  // the central machine's additions of the current iteration
 	left    *markSet      // vertices the central machine removed from the alive set this batch
-	counts  []int64       // per-machine contributions to an all-reduce
 }
-
-func (s *misState) vertexOwner(v int) int { return 1 + v%(s.M-1) }
 
 func (s *misState) aliveVertex(v int) bool { return !s.inI[v] && !s.dominated[v] }
 
-func newMISState(g *graph.Graph, cluster *mpc.Cluster, r *rng.RNG) *misState {
+// newMISState lays g's vertices out with their adjacency lists over the
+// data machines under a budget of η = n^{1+µ} words; the caller closes the
+// cluster.
+func newMISState(name string, g *graph.Graph, p Params) *misState {
 	g.Build()
+	etaWords := eta(g.N, p.Mu, 8)
 	s := &misState{
+		frame:     newFrame(name, p, dataMachines(3*g.N+2*g.M(), 4*etaWords), etaWords, g.N),
 		g:         g,
-		cluster:   cluster,
-		r:         r,
-		M:         cluster.M(),
 		inI:       make([]bool, g.N),
 		dominated: make([]bool, g.N),
 		dI:        make([]int, g.N),
-		planEnd:   make([]int, cluster.M()),
 		left:      newMarkSet(g.N),
-		counts:    make([]int64, cluster.M()),
 	}
-	s.owned = partitionByOwner(g.N, s.M, s.vertexOwner)
-	for v := 0; v < g.N; v++ {
-		s.dI[v] = g.Degree(v)
-	}
+	s.owned = partitionByOwner(g.N, s.M, s.owner)
+	s.planEnd = make([]int, s.M)
 	resident := make([]int, s.M)
 	for v := 0; v < g.N; v++ {
-		resident[s.vertexOwner(v)] += 3 + g.Degree(v)
+		s.dI[v] = g.Degree(v)
+		resident[s.owner(v)] += 3 + g.Degree(v)
 	}
-	for machine := 1; machine < s.M; machine++ {
-		cluster.SetResident(machine, resident[machine])
-	}
-	cluster.SetResident(0, g.N) // central: I and N+(I) bitmaps
+	s.setResident(resident)
+	s.cluster.SetResident(0, g.N) // central: I and N+(I) bitmaps
 	return s
 }
 
@@ -257,10 +247,10 @@ func (s *misState) disseminate() error {
 			return
 		}
 		for _, v := range s.batch.added {
-			out.SendInts(s.vertexOwner(v), int64(v), 1)
+			out.SendInts(s.owner(v), int64(v), 1)
 		}
 		for _, v := range s.batch.newDominated {
-			out.SendInts(s.vertexOwner(v), int64(v), 0)
+			out.SendInts(s.owner(v), int64(v), 0)
 		}
 	})
 	if err != nil {
@@ -280,7 +270,7 @@ func (s *misState) disseminate() error {
 				}
 				s.dI[v] = 0
 				for _, u := range s.g.Neighbors(v) {
-					out.SendInts(s.vertexOwner(int(u)), int64(u))
+					out.SendInts(s.owner(int(u)), int64(u))
 				}
 			}
 		}
@@ -334,36 +324,25 @@ func (s *misState) finishCentrally() error {
 	return s.disseminate()
 }
 
-// allReduceCounts sums s.counts, one word per machine, over the tree.
-func (s *misState) allReduceCounts(tree *mpc.Tree) (int64, error) {
-	total, err := tree.AllReduceSum(s.cluster, 1, func(machine int) []int64 {
-		return s.counts[machine : machine+1]
-	})
-	if err != nil {
-		return 0, err
-	}
-	return total[0], nil
-}
-
 // aliveEdgeCount aggregates Σ_v alive dI(v) / 2 = |E_k| over the tree.
-func (s *misState) aliveEdgeCount(tree *mpc.Tree) (int64, error) {
+func (s *misState) aliveEdgeCount() (int64, error) {
 	clear(s.counts)
 	for v := 0; v < s.g.N; v++ {
 		if s.aliveVertex(v) {
-			s.counts[s.vertexOwner(v)] += int64(s.dI[v])
+			s.counts[s.owner(v)] += int64(s.dI[v])
 		}
 	}
-	total, err := s.allReduceCounts(tree)
+	total, err := s.sumCounts()
 	return total / 2, err
 }
 
 // result assembles the final MISResult. The membership bitmap s.inI is the
 // internal representation; the public map shape is a single pre-sized
 // conversion (no per-insert rehash growth).
-func (s *misState) result(iterations, phases int) *MISResult {
+func (s *misState) result(phases int) *MISResult {
 	return &MISResult{
 		Set:        graph.VertexSet(s.inI),
-		Iterations: iterations,
+		Iterations: s.iterations,
 		Phases:     phases,
 		Metrics:    s.cluster.Metrics(),
 	}
@@ -379,13 +358,8 @@ func MIS(g *graph.Graph, p Params) (*MISResult, error) {
 	if n == 0 {
 		return &MISResult{Set: map[int]bool{}}, nil
 	}
-	etaWords := eta(n, p.Mu, 8)
-	M := dataMachines(3*n+2*g.M(), 4*etaWords)
-	cluster := newCluster(M, etaWords, p, capSlack)
-	defer cluster.Close()
-	tree := mpc.NewTree(cluster, 0, treeDegree(n, p.Mu))
-	r := rng.New(p.Seed)
-	s := newMISState(g, cluster, r)
+	s := newMISState("MIS", g, p)
+	defer s.cluster.Close()
 
 	alpha := p.Mu / 2
 	if alpha <= 0 {
@@ -394,7 +368,6 @@ func MIS(g *graph.Graph, p Params) (*MISResult, error) {
 	phases := int(math.Ceil(1 / alpha))
 	nf := float64(n)
 	groupSize := int(math.Ceil(math.Pow(nf, p.Mu/2)))
-	iterations := 0
 
 	for i := 1; i <= phases; i++ {
 		thresholdF := math.Pow(nf, 1-float64(i)*alpha)
@@ -413,22 +386,22 @@ func MIS(g *graph.Graph, p Params) (*MISResult, error) {
 			return 0
 		}
 		for {
-			if iterations >= p.maxIter() {
-				return nil, fmt.Errorf("core: MIS exceeded %d iterations", p.maxIter())
-			}
 			// Count heavy vertices (aggregated over the tree).
 			clear(s.counts)
 			for v := 0; v < n; v++ {
 				if heavySet(v) {
-					s.counts[s.vertexOwner(v)]++
+					s.counts[s.owner(v)]++
 				}
 			}
-			heavy, err := s.allReduceCounts(tree)
+			heavy, err := s.sumCounts()
 			if err != nil {
 				return nil, err
 			}
 			if heavy == 0 {
 				break
+			}
+			if err := s.next(); err != nil {
+				return nil, err
 			}
 			if float64(heavy) < heavyMin {
 				// Line 12: fewer than n^{iα} heavy vertices remain; gather
@@ -444,7 +417,6 @@ func MIS(g *graph.Graph, p Params) (*MISResult, error) {
 				if err := s.disseminate(); err != nil {
 					return nil, err
 				}
-				iterations++
 				break
 			}
 			// Draw ~n^{iα} groups of n^{µ/2} heavy vertices via
@@ -461,7 +433,6 @@ func MIS(g *graph.Graph, p Params) (*MISResult, error) {
 			if err := s.disseminate(); err != nil {
 				return nil, err
 			}
-			iterations++
 		}
 	}
 	// All alive vertices now have dI < n^{1-phases*α} ≤ 1, i.e. dI = 0:
@@ -469,7 +440,7 @@ func MIS(g *graph.Graph, p Params) (*MISResult, error) {
 	if err := s.finishCentrally(); err != nil {
 		return nil, err
 	}
-	return s.result(iterations, phases), nil
+	return s.result(phases), nil
 }
 
 // MISFast is Algorithm 6: the improved hungry-greedy maximal independent
@@ -485,13 +456,8 @@ func MISFast(g *graph.Graph, p Params) (*MISResult, error) {
 	if n == 0 {
 		return &MISResult{Set: map[int]bool{}}, nil
 	}
-	etaWords := eta(n, p.Mu, 8)
-	M := dataMachines(3*n+2*g.M(), 4*etaWords)
-	cluster := newCluster(M, etaWords, p, capSlack)
-	defer cluster.Close()
-	tree := mpc.NewTree(cluster, 0, treeDegree(n, p.Mu))
-	r := rng.New(p.Seed)
-	s := newMISState(g, cluster, r)
+	s := newMISState("MISFast", g, p)
+	defer s.cluster.Close()
 
 	alpha := p.Mu / 8
 	if alpha <= 0 {
@@ -501,7 +467,6 @@ func MISFast(g *graph.Graph, p Params) (*MISResult, error) {
 	nf := float64(n)
 	logN := math.Log(nf)
 	groupSize := int(math.Ceil(math.Pow(nf, p.Mu/2)))
-	iterations := 0
 	var history []int64
 
 	// Per-iteration scratch, sized once: each vertex's degree class (0 for
@@ -510,17 +475,14 @@ func MISFast(g *graph.Graph, p Params) (*MISResult, error) {
 	// sample starts.
 	class := make([]int32, n)
 	width := classes + 1
-	machineClassCounts := make([]int64, M*width)
+	machineClassCounts := make([]int64, s.M*width)
 	classProb := make([]float64, width)
 	classStart := make([]int, width+1)
 	var byClass []candidate
 	rate := func(v int) float64 { return classProb[class[v]] }
 
 	for {
-		if iterations >= p.maxIter() {
-			return nil, fmt.Errorf("core: MISFast exceeded %d iterations", p.maxIter())
-		}
-		edges, err := s.aliveEdgeCount(tree)
+		edges, err := s.aliveEdgeCount()
 		if err != nil {
 			return nil, err
 		}
@@ -528,7 +490,9 @@ func MISFast(g *graph.Graph, p Params) (*MISResult, error) {
 		if float64(edges) < math.Pow(nf, 1+p.Mu) {
 			break
 		}
-		iterations++
+		if err := s.next(); err != nil {
+			return nil, err
+		}
 		// One sampling round covers all degree classes: each alive vertex
 		// knows its class from d_I and self-samples with the class's rate.
 		// Class i holds n^{1-iα} <= d < n^{1-(i-1)α}; status and d_I change
@@ -543,9 +507,9 @@ func MISFast(g *graph.Graph, p Params) (*MISResult, error) {
 			i := int(math.Ceil((1 - math.Log(float64(s.dI[v]))/logN) / alpha))
 			i = min(max(i, 1), classes)
 			class[v] = int32(i)
-			machineClassCounts[s.vertexOwner(v)*width+i]++
+			machineClassCounts[s.owner(v)*width+i]++
 		}
-		classCounts, err := tree.AllReduceSum(cluster, width, func(machine int) []int64 {
+		classCounts, err := s.tree.AllReduceSum(s.cluster, width, func(machine int) []int64 {
 			return machineClassCounts[machine*width : (machine+1)*width]
 		})
 		if err != nil {
@@ -599,7 +563,7 @@ func MISFast(g *graph.Graph, p Params) (*MISResult, error) {
 	if err := s.finishCentrally(); err != nil {
 		return nil, err
 	}
-	res := s.result(iterations, 0)
+	res := s.result(0)
 	res.History = history
 	return res, nil
 }

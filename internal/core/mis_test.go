@@ -606,8 +606,8 @@ func misClassic(g *graph.Graph, p Params) (*MISResult, error) {
 		}
 		heavyMin := math.Pow(nf, float64(i)*alpha) // while |V_H| >= n^{iα}
 		for {
-			if iterations >= p.maxIter() {
-				return nil, fmt.Errorf("core: MIS exceeded %d iterations", p.maxIter())
+			if iterations >= maxIterations {
+				return nil, fmt.Errorf("core: MIS exceeded %d iterations", maxIterations)
 			}
 			// Count heavy vertices (aggregated over the tree).
 			counts := make([]int64, M)
@@ -705,8 +705,8 @@ func misFastClassic(g *graph.Graph, p Params) (*MISResult, error) {
 	var history []int64
 
 	for {
-		if iterations >= p.maxIter() {
-			return nil, fmt.Errorf("core: MISFast exceeded %d iterations", p.maxIter())
+		if iterations >= maxIterations {
+			return nil, fmt.Errorf("core: MISFast exceeded %d iterations", maxIterations)
 		}
 		edges, err := s.aliveEdgeCount(tree)
 		if err != nil {

@@ -72,8 +72,8 @@ func rlrMatchingClassic(g *graph.Graph, p Params, opt MatchingOptions) (*Matchin
 	}
 
 	for iter := 0; aliveCount > 0; iter++ {
-		if iter >= p.maxIter() {
-			return nil, fmt.Errorf("core: RLRMatching exceeded %d iterations", p.maxIter())
+		if iter >= maxIterations {
+			return nil, fmt.Errorf("core: RLRMatching exceeded %d iterations", maxIterations)
 		}
 		res.Iterations++
 

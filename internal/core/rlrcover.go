@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/mpc"
-	"repro/internal/rng"
 	"repro/internal/seq"
 	"repro/internal/setcover"
 )
@@ -70,36 +69,29 @@ func RLRSetCover(inst *setcover.Instance, p Params, opt CoverOptions) (*CoverRes
 	}
 	// Machine 0 is the dedicated central machine; machines 1..M-1 hold the
 	// element (and, in vertex-cover mode, set) partitions.
-	M := dataMachines(inputWords, 4*etaWords)
-	cluster := newCluster(M, etaWords*(1+inst.MaxFrequency()), p, capSlack)
-	defer cluster.Close()
-	tree := mpc.NewTree(cluster, 0, treeDegree(n, p.Mu))
-	r := rng.New(p.Seed)
+	f := newFrame("RLRSetCover", p, dataMachines(inputWords, 4*etaWords), etaWords*(1+inst.MaxFrequency()), n)
+	defer f.cluster.Close()
+	M, cluster := f.M, f.cluster
 
-	elemOwner := func(j int) int { return 1 + j%(M-1) }
-	setOwner := func(i int) int { return 1 + i%(M-1) }
-
-	ownedElems := partitionByOwner(m, M, elemOwner)
+	ownedElems := partitionByOwner(m, M, f.owner)
 
 	// Resident: element owners hold T_j + alive bit; in vertex-cover mode
 	// set owners additionally hold their element lists for bit forwarding;
 	// everyone keeps an n-bit view of the cover in general mode.
 	resident := make([]int, M)
 	for j := 0; j < m; j++ {
-		resident[elemOwner(j)] += len(dual[j]) + 2
+		resident[f.owner(j)] += len(dual[j]) + 2
 	}
 	if opt.VertexCoverMode {
 		for i, s := range inst.Sets {
-			resident[setOwner(i)] += len(s) + 1
+			resident[f.owner(i)] += len(s) + 1
 		}
 	} else {
 		for machine := 1; machine < M; machine++ {
 			resident[machine] += n // local copy of the cover bitmap
 		}
 	}
-	for machine := 0; machine < M; machine++ {
-		cluster.SetResident(machine, resident[machine])
-	}
+	f.setResident(resident)
 
 	// Central machine: residual weights and the cover.
 	lr := seq.NewCoverLocalRatio(inst)
@@ -116,11 +108,10 @@ func RLRSetCover(inst *setcover.Instance, p Params, opt CoverOptions) (*CoverRes
 	}
 
 	res := &CoverResult{}
-	for iter := 0; aliveCount > 0; iter++ {
-		if iter >= p.maxIter() {
-			return nil, fmt.Errorf("core: RLRSetCover exceeded %d iterations", p.maxIter())
+	for aliveCount > 0 {
+		if err := f.next(); err != nil {
+			return nil, err
 		}
-		res.Iterations++
 
 		// Sampling round (Line 5): each alive element joins U' with
 		// probability p = min(1, 2η/|U_r|) and ships (j, T_j) to central.
@@ -131,7 +122,7 @@ func RLRSetCover(inst *setcover.Instance, p Params, opt CoverOptions) (*CoverRes
 		plan := make([][]int, M)
 		for machine := 1; machine < M; machine++ {
 			for _, j := range ownedElems[machine] {
-				if alive[j] && r.Bernoulli(prob) {
+				if alive[j] && f.r.Bernoulli(prob) {
 					plan[machine] = append(plan[machine], j)
 					sampled = append(sampled, j)
 				}
@@ -179,7 +170,7 @@ func RLRSetCover(inst *setcover.Instance, p Params, opt CoverOptions) (*CoverRes
 					return
 				}
 				for _, i := range newSets {
-					out.SendInts(setOwner(i), int64(i))
+					out.SendInts(f.owner(i), int64(i))
 				}
 			})
 			if err != nil {
@@ -190,7 +181,7 @@ func RLRSetCover(inst *setcover.Instance, p Params, opt CoverOptions) (*CoverRes
 					for _, i := range run.Ints { // one-word records: set ids
 						for _, j := range inst.Sets[i] {
 							if alive[j] {
-								out.SendInts(elemOwner(j), int64(j))
+								out.SendInts(f.owner(j), int64(j))
 							}
 						}
 					}
@@ -218,7 +209,7 @@ func RLRSetCover(inst *setcover.Instance, p Params, opt CoverOptions) (*CoverRes
 			for k, i := range newSets {
 				payload[k] = int64(i)
 			}
-			if err := tree.Broadcast(cluster, payload, nil); err != nil {
+			if err := f.tree.Broadcast(cluster, payload, nil); err != nil {
 				return nil, err
 			}
 			for j := 0; j < m; j++ {
@@ -230,34 +221,27 @@ func RLRSetCover(inst *setcover.Instance, p Params, opt CoverOptions) (*CoverRes
 		// In vertex-cover mode the forwarding already killed exactly the
 		// elements of the new sets; elements covered earlier stay dead, and
 		// lr.Covered is the ground truth either way.
-		counts := make([]int64, M)
+		clear(f.counts)
 		for j := 0; j < m; j++ {
 			if alive[j] && lr.Covered(j) {
 				alive[j] = false
 			}
 			if alive[j] {
-				counts[elemOwner(j)]++
+				f.counts[f.owner(j)]++
 			}
 		}
 		if opt.VertexCoverMode {
 			// Theorem 2.4 (f = 2): per-machine counts go straight to the
 			// central machine, which replies with |U_{r+1}| — two rounds,
 			// independent of the tree depth.
-			total, err := directAllReduce(cluster, 0, func(machine int) int64 {
-				return counts[machine]
+			aliveCount, err = directAllReduce(cluster, 0, func(machine int) int64 {
+				return f.counts[machine]
 			})
-			if err != nil {
-				return nil, err
-			}
-			aliveCount = total
 		} else {
-			total, err := tree.AllReduceSum(cluster, 1, func(machine int) []int64 {
-				return []int64{counts[machine]}
-			})
-			if err != nil {
-				return nil, err
-			}
-			aliveCount = total[0]
+			aliveCount, err = f.sumCounts()
+		}
+		if err != nil {
+			return nil, err
 		}
 		res.History = append(res.History, aliveCount)
 	}
@@ -265,6 +249,7 @@ func RLRSetCover(inst *setcover.Instance, p Params, opt CoverOptions) (*CoverRes
 	res.Cover = append([]int(nil), lr.Cover()...)
 	res.Weight = inst.Weight(res.Cover)
 	res.LowerBound = lr.SumEps
+	res.Iterations = f.iterations
 	res.Metrics = cluster.Metrics()
 	return res, nil
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/mpc"
-	"repro/internal/rng"
 	"repro/internal/seq"
 )
 
@@ -61,29 +60,25 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 	}
 	// Machine 0 is the dedicated central machine; machines 1..M-1 hold the
 	// edge and vertex partitions.
-	M := dataMachines(4*m, 4*etaWords)
-	cluster := newCluster(M, etaWords, p, capSlack)
-	defer cluster.Close()
-	tree := mpc.NewTree(cluster, 0, treeDegree(n, p.Mu))
-	r := rng.New(p.Seed)
+	f := newFrame("RLRMatching", p, dataMachines(4*m, 4*etaWords), etaWords, n)
+	defer f.cluster.Close()
+	M, cluster := f.M, f.cluster
 
-	// Item id lives on machine 1 + id mod (M-1), so a machine's own edges are
-	// the stride-(M-1) progression from machine-1: its closures walk that
-	// progression instead of a materialized id list.
+	// Item id lives on machine f.owner(id) = 1 + id mod (M-1), so a
+	// machine's own edges are the stride-(M-1) progression from machine-1:
+	// its closures walk that progression instead of a materialized id list.
 	stride := M - 1
-	edgeOwner := func(id int) int { return 1 + id%stride }
-	vertexOwner := func(v int) int { return 1 + v%stride }
 
 	// Resident state: each edge owner stores (u, v, w, alive) per edge and the
 	// number of its edges still alive; each vertex owner stores ϕ(v) plus the
 	// incident edge list used to forward potentials.
 	g.Build()
 	alive := make([]bool, m)
-	counts := make([]int64, M) // alive edges per owner, kept by the owner
+	counts := f.counts // alive edges per owner, kept by the owner
 	resident := make([]int, M)
 	aliveCount := int64(0)
 	for id := range g.Edges {
-		owner := edgeOwner(id)
+		owner := f.owner(id)
 		resident[owner] += 4
 		if g.Edges[id].W > 0 {
 			alive[id] = true
@@ -92,11 +87,9 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 		}
 	}
 	for v := 0; v < n; v++ {
-		resident[vertexOwner(v)] += 2 + g.Degree(v)
+		resident[f.owner(v)] += 2 + g.Degree(v)
 	}
-	for machine := 0; machine < M; machine++ {
-		cluster.SetResident(machine, resident[machine])
-	}
+	f.setResident(resident)
 
 	// Central machine state: the local ratio potentials and stack.
 	lr := seq.NewMatchingLocalRatio(g)
@@ -120,11 +113,10 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 	)
 
 	res := &MatchingResult{}
-	for iter := 0; aliveCount > 0; iter++ {
-		if iter >= p.maxIter() {
-			return nil, fmt.Errorf("core: RLRMatching exceeded %d iterations", p.maxIter())
+	for aliveCount > 0 {
+		if err := f.next(); err != nil {
+			return nil, err
 		}
-		res.Iterations++
 
 		// Sampling round: edge owners sample each alive edge into E'_u and
 		// E'_v independently and ship sampled edges to the central machine.
@@ -171,10 +163,10 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 						continue
 					}
 					var mask int8
-					if r.Bernoulli(prob) {
+					if f.r.Bernoulli(prob) {
 						mask |= 1
 					}
-					if r.Bernoulli(prob) {
+					if f.r.Bernoulli(prob) {
 						mask |= 2
 					}
 					if mask == 0 {
@@ -293,13 +285,13 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 				return
 			}
 			for _, v := range changedList {
-				out.Begin(vertexOwner(v))
+				out.Begin(f.owner(v))
 				out.Int(int64(v))
 				out.Float(lr.Phi(v))
 				out.End()
 			}
 			for _, id := range pushed {
-				out.SendInts(edgeOwner(int(id)), id)
+				out.SendInts(f.owner(int(id)), id)
 			}
 		})
 		if err != nil {
@@ -327,7 +319,7 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 				for _, v := range run.Ints {
 					for _, id := range g.IncidentEdges(int(v)) {
 						if alive[id] {
-							fan[edgeOwner(int(id))]++
+							fan[f.owner(int(id))]++
 						}
 					}
 				}
@@ -345,7 +337,7 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 					phi := run.Floats[i]
 					for _, id := range g.IncidentEdges(int(v)) {
 						if alive[id] {
-							out.Begin(edgeOwner(int(id)))
+							out.Begin(f.owner(int(id)))
 							out.Int(int64(id))
 							out.Int(v)
 							out.Float(phi)
@@ -387,18 +379,15 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 			return nil, err
 		}
 		// Recompute the alive count with an aggregation over the tree.
-		total, err := tree.AllReduceSum(cluster, 1, func(machine int) []int64 {
-			return counts[machine : machine+1]
-		})
-		if err != nil {
+		if aliveCount, err = f.sumCounts(); err != nil {
 			return nil, err
 		}
-		aliveCount = total[0]
 		res.History = append(res.History, aliveCount)
 	}
 
 	res.Edges = lr.Unwind()
 	res.Weight = graph.MatchingWeight(g, res.Edges)
+	res.Iterations = f.iterations
 	res.StackSize = lr.StackSize()
 	res.Metrics = cluster.Metrics()
 	return res, nil
