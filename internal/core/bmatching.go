@@ -60,7 +60,6 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 	M, cluster := f.M, f.cluster
 
 	g.Build()
-	owned := partitionByOwner(n, M, f.owner)
 	resident := make([]int, M)
 	for v := 0; v < n; v++ {
 		resident[f.owner(v)] += 2 + 2*g.Degree(v)
@@ -104,7 +103,7 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 		// payload, which is what the word accounting charges.
 		plan := make([][]int, M)
 		for machine := 1; machine < M; machine++ {
-			for _, v := range owned[machine] {
+			for v := machine - 1; v < n; v += M - 1 {
 				lo := len(sampled)
 				for _, id := range g.IncidentEdges(v) {
 					if alive[id] {

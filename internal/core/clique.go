@@ -45,7 +45,6 @@ func MaximalClique(g *graph.Graph, p Params) (*CliqueResult, error) {
 	inA := make([]bool, n)
 	degA := make([]int, n)
 	nbrMark := make([]bool, n) // activeComplement scratch, reused per call
-	owned := partitionByOwner(n, M, f.owner)
 	for v := 0; v < n; v++ {
 		inA[v] = true
 		degA[v] = g.Degree(v)
@@ -206,7 +205,7 @@ func MaximalClique(g *graph.Graph, p Params) (*CliqueResult, error) {
 			// Count complement-heavy vertices (direct aggregation).
 			heavy, err := directAllReduce(cluster, 0, func(machine int) int64 {
 				c := int64(0)
-				for _, v := range owned[machine] {
+				for v := machine - 1; machine > 0 && v < n; v += M - 1 {
 					if inA[v] && compDeg(v) >= threshold {
 						c++
 					}
@@ -235,7 +234,7 @@ func MaximalClique(g *graph.Graph, p Params) (*CliqueResult, error) {
 			var sample []cliqueCand
 			plan := make([][]cliqueCand, M)
 			for machine := 1; machine < M; machine++ {
-				for _, v := range owned[machine] {
+				for v := machine - 1; v < n; v += M - 1 {
 					if !inA[v] || compDeg(v) < threshold || !f.r.Bernoulli(prob) {
 						continue
 					}
@@ -287,7 +286,7 @@ func MaximalClique(g *graph.Graph, p Params) (*CliqueResult, error) {
 	var leftovers []int
 	leftoverPlan := make([][]int64, M)
 	for machine := 1; machine < M; machine++ {
-		for _, v := range owned[machine] {
+		for v := machine - 1; v < n; v += M - 1 {
 			if inA[v] {
 				leftoverPlan[machine] = append(leftoverPlan[machine], int64(v))
 				leftovers = append(leftovers, v)

@@ -138,9 +138,8 @@ func colourGroups(name string, g *graph.Graph, p Params, kappa int, group, edgeG
 	defer f.cluster.Close()
 	M, cluster := f.M, f.cluster
 
-	ownedEdges := partitionByOwner(m, M, f.owner)
 	for machine := 1; machine < M; machine++ {
-		cluster.SetResident(machine, 3*len(ownedEdges[machine]))
+		cluster.SetResident(machine, 3*f.ownedCount(machine, m))
 	}
 
 	// Route round: every routed edge goes to its group's machine. The
@@ -159,15 +158,16 @@ func colourGroups(name string, g *graph.Graph, p Params, kappa int, group, edgeG
 		groupIDs[i] = make([]int, 0, size)
 	}
 	for machine := 1; machine < M; machine++ {
-		for _, id := range ownedEdges[machine] {
+		for id := machine - 1; id < m; id += M - 1 {
 			if grp := edgeGroup[id]; grp >= 0 {
 				groupIDs[grp] = append(groupIDs[grp], id)
 				cluster.Arm(machine)
 			}
 		}
 	}
+	// Only the armed data machines run: machine 0 has nothing to send.
 	err := cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-		for _, id := range ownedEdges[machine] {
+		for id := machine - 1; id < m; id += M - 1 {
 			if grp := edgeGroup[id]; grp >= 0 {
 				e := g.Edges[id]
 				out.SendInts(f.owner(grp), int64(e.U), int64(e.V))
@@ -204,7 +204,8 @@ func colourGroups(name string, g *graph.Graph, p Params, kappa int, group, edgeG
 	// Output round: group machines emit (x, group, local colour), each from
 	// the ascending list of the items whose group it hosts. A machine
 	// hosting a group with no routed edges received no route traffic, so
-	// every machine hosting any item's group is armed.
+	// every machine hosting any item's group is armed. The lists are keyed
+	// by group, not by item id, so they are sub-slices of one slab.
 	emits := partitionByOwner(len(group), M, func(x int) int { return f.owner(group[x]) })
 	armPlanned(cluster, emits)
 	err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {

@@ -120,13 +120,21 @@ func newCluster(machines, cap int, p Params, slack float64) *mpc.Cluster {
 // in Algorithm 5) motivate a default slack of 32 "words per O(1) items".
 const capSlack = 32
 
-// partitionByOwner returns, for each machine, the ids it owns in ascending
-// order. Every algorithm keeps its items (vertices, edges, elements, sets)
-// in such a partition: the ascending per-machine order is the iteration
-// order the pre-drawn sampling plans replay, so it is part of the
-// determinism contract — see DESIGN.md.
+// partitionByOwner returns, for each of machines, the ids among 0..count−1
+// that owner assigns to it in ascending order: sub-slices of one slab,
+// sized by a counting pass. It serves partitions keyed by something other
+// than the id, such as an item's group; an item keyed by its own id is on
+// machine f.owner(id), whose ids are a stride (frame.owner).
 func partitionByOwner(count, machines int, owner func(id int) int) [][]int {
+	size := make([]int, machines)
+	for id := 0; id < count; id++ {
+		size[owner(id)]++
+	}
+	slab, start := make([]int, count), 0
 	out := make([][]int, machines)
+	for k, n := range size {
+		out[k], start = slab[start:start:start+n], start+n
+	}
 	for id := 0; id < count; id++ {
 		out[owner(id)] = append(out[owner(id)], id)
 	}
@@ -220,8 +228,14 @@ func newFrame(name string, p Params, M, capWords, base int) frame {
 }
 
 // owner is the data machine that owns item id (a vertex, edge, element or
-// set): never the central machine.
+// set): never the central machine. Data machine k's items among 0..n−1 are
+// the ascending stride for id := k − 1; id < n; id += M − 1, which every
+// driver walks in place of a list.
 func (f *frame) owner(id int) int { return 1 + id%(f.M-1) }
+
+// ownedCount is the length of data machine k's stride among the items
+// 0..n−1: ⌈(n − (k−1)) / (M−1)⌉, and 0 when n ≤ k−1.
+func (f *frame) ownedCount(k, n int) int { return (n - k + f.M - 1) / (f.M - 1) }
 
 // next is the iteration guard: it counts one more iteration of the driver's
 // main loop, or fails once maxIterations have run.

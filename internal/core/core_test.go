@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -43,9 +44,81 @@ func TestFrameGuard(t *testing.T) {
 				t.Fatalf("owner(%d) = %d, outside [1, %d)", id, k, f.M)
 			}
 		}
-		owned := partitionByOwner(items, f.M, f.owner)
-		if len(owned[0]) != 0 {
-			t.Errorf("%d items: the central machine owns %v", items, owned[0])
+	}
+}
+
+// TestOwnedStride checks the ownership idiom every driver walks: data
+// machine k's items among 0..n−1 are the stride for id := k − 1; id < n;
+// id += M − 1, exactly {id < n : owner(id) = k} in ascending order, and
+// ownedCount is its length. (TestFrameGuard keeps the central machine out.)
+func TestOwnedStride(t *testing.T) {
+	for _, M := range []int{2, 3, 7, 45} {
+		f := frame{M: M}
+		for _, n := range []int{0, 1, M - 2, M - 1, 1000} {
+			for machine := 1; machine < M; machine++ {
+				var want, got []int
+				for id := 0; id < n; id++ {
+					if f.owner(id) == machine {
+						want = append(want, id)
+					}
+				}
+				for id := machine - 1; id < n; id += M - 1 {
+					got = append(got, id)
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("M=%d n=%d machine %d: stride %v, owner gives %v", M, n, machine, got, want)
+				}
+				if c := f.ownedCount(machine, n); c != len(want) {
+					t.Errorf("M=%d n=%d: ownedCount(%d) = %d, want %d", M, n, machine, c, len(want))
+				}
+			}
 		}
 	}
+}
+
+// TestPartitionByOwnerSlab checks the one-slab partitionByOwner against the
+// append-grown lists it replaced, on the two group-keyed partitions of
+// Algorithm 5: the vertices of each group, and the items each group
+// machine emits. Each list must also end its stretch of the slab, so that
+// appending to one never overwrites the next.
+func TestPartitionByOwnerSlab(t *testing.T) {
+	r := rng.New(9)
+	for _, M := range []int{2, 3, 7, 45} {
+		f := frame{M: M}
+		for _, tc := range []struct{ items, kappa int }{{0, 1}, {1, 1}, {1000, 1}, {1000, 4}, {5000, 60}} {
+			group := make([]int, tc.items)
+			for x := range group {
+				group[x] = r.Intn(tc.kappa)
+			}
+			for _, p := range []struct {
+				parts int
+				owner func(x int) int
+			}{
+				{tc.kappa, func(x int) int { return group[x] }},
+				{M, func(x int) int { return f.owner(group[x]) }},
+			} {
+				got := partitionByOwner(tc.items, p.parts, p.owner)
+				want := appendPartition(tc.items, p.parts, p.owner)
+				if len(got) != p.parts {
+					t.Fatalf("M=%d %+v: %d lists, want %d", M, tc, len(got), p.parts)
+				}
+				for k := range want {
+					if !slices.Equal(got[k], want[k]) || cap(got[k]) != len(got[k]) {
+						t.Errorf("M=%d %+v: list %d = %v (cap %d), want %v", M, tc, k, got[k], cap(got[k]), want[k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// appendPartition is partitionByOwner as it was before it became one slab,
+// growing every list by append. The frozen classic drivers in the tests
+// build their owned lists with it.
+func appendPartition(count, machines int, owner func(id int) int) [][]int {
+	out := make([][]int, machines)
+	for id := 0; id < count; id++ {
+		out[owner(id)] = append(out[owner(id)], id)
+	}
+	return out
 }

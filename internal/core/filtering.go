@@ -31,7 +31,6 @@ type filtering struct {
 	frame
 	g        *graph.Graph
 	etaWords int
-	owned    [][]int // edge ids per data machine
 	matched  []bool
 	matching []int
 }
@@ -47,9 +46,8 @@ func newFiltering(g *graph.Graph, p Params, name string) *filtering {
 		etaWords: etaWords,
 		matched:  make([]bool, n),
 	}
-	f.owned = partitionByOwner(m, f.M, f.owner)
-	for machine, ids := range f.owned {
-		f.cluster.SetResident(machine, 3*len(ids))
+	for machine := 1; machine < f.M; machine++ {
+		f.cluster.SetResident(machine, 3*f.ownedCount(machine, m))
 	}
 	f.cluster.SetResident(0, n) // matched-vertex bitmap
 	return f
@@ -76,7 +74,7 @@ func (f *filtering) run(alive []bool, count int64) error {
 		var sampled []int
 		plan := make([][]int64, f.M)
 		for machine := 1; machine < f.M; machine++ {
-			for _, id := range f.owned[machine] {
+			for id := machine - 1; id < len(alive); id += f.M - 1 {
 				if alive[id] && (final || f.r.Bernoulli(prob)) {
 					plan[machine] = append(plan[machine], int64(id))
 					sampled = append(sampled, id)

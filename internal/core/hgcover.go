@@ -59,8 +59,6 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 	defer f.cluster.Close()
 	M, cluster := f.M, f.cluster
 
-	ownedSets := partitionByOwner(n, M, f.owner)
-
 	// Residents: set owners hold (elements, weight, uncovered count);
 	// central holds the covered bitmap and the solution.
 	resident := make([]int, M)
@@ -85,7 +83,7 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 		// Remark 4.7. γ is computed with one aggregation up the tree (each
 		// machine contributes per-element minima over its sets) and one
 		// broadcast down; the simulator charges those rounds.
-		gamma, err := remark47Gamma(cluster, f.tree, inst, ownedSets)
+		gamma, err := remark47Gamma(cluster, f.tree, inst)
 		if err != nil {
 			return nil, err
 		}
@@ -133,7 +131,7 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 		cluster.ArmAll() // every machine reports its best ratio
 		err := cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
 			best := 0.0
-			for _, i := range ownedSets[machine] {
+			for i := machine - 1; machine > 0 && i < n; i += M - 1 {
 				if inSolution[i] || excluded[i] || uncov[i] == 0 {
 					continue
 				}
@@ -257,7 +255,7 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 		slab, entries, members = slab[:0], entries[:0], members[:0]
 		for machine := 1; machine < M; machine++ {
 			planStart[machine] = len(entries)
-			for _, i := range ownedSets[machine] {
+			for i := machine - 1; i < n; i += M - 1 {
 				cls := int(setClass[i])
 				if cls == 0 || classCounts[cls] == 0 {
 					continue
@@ -387,8 +385,8 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 // the elementwise minima are combined up the tree (simulated here as a
 // direct aggregation of each machine's (element, min) pairs, whose total
 // volume is at most the input size).
-func remark47Gamma(cluster *mpc.Cluster, tree *mpc.Tree, inst *setcover.Instance, ownedSets [][]int) (float64, error) {
-	m := inst.NumElements
+func remark47Gamma(cluster *mpc.Cluster, tree *mpc.Tree, inst *setcover.Instance) (float64, error) {
+	m, M := inst.NumElements, cluster.M()
 	// Per-machine (element, weight) payloads and the resulting elementwise
 	// minima are computed up front (elements are shared across machines, so
 	// the minima cannot be folded inside the concurrent round); the round
@@ -397,10 +395,10 @@ func remark47Gamma(cluster *mpc.Cluster, tree *mpc.Tree, inst *setcover.Instance
 	for j := range minW {
 		minW[j] = math.Inf(1)
 	}
-	ints := make([][]int64, cluster.M())
-	floats := make([][]float64, cluster.M())
-	for machine := 1; machine < cluster.M(); machine++ {
-		for _, i := range ownedSets[machine] {
+	ints := make([][]int64, M)
+	floats := make([][]float64, M)
+	for machine := 1; machine < M; machine++ {
+		for i := machine - 1; i < len(inst.Sets); i += M - 1 {
 			for _, e := range inst.Sets[i] {
 				ints[machine] = append(ints[machine], int64(e))
 				floats[machine] = append(floats[machine], inst.Weights[i])

@@ -29,10 +29,8 @@ func LubyMIS(g *graph.Graph, p Params) (*MISResult, error) {
 	dominated := make([]bool, n)
 	aliveVertex := func(v int) bool { return !inI[v] && !dominated[v] }
 
-	// Per-machine partition: owned[machine] lists the machine's vertices in
-	// ascending order. Rounds only write per-vertex state owned by the
-	// invoking machine, so they are race-free under a parallel executor.
-	owned := partitionByOwner(n, M, f.owner)
+	// Rounds only write per-vertex state owned by the invoking machine, so
+	// they are race-free under a parallel executor.
 	resident := make([]int, M)
 	for v := 0; v < n; v++ {
 		resident[f.owner(v)] += 3 + g.Degree(v)
@@ -61,7 +59,7 @@ func LubyMIS(g *graph.Graph, p Params) (*MISResult, error) {
 		priority := make([]float64, n)
 		hasAlive := make([]bool, M)
 		for machine := 1; machine < M; machine++ {
-			for _, v := range owned[machine] {
+			for v := machine - 1; v < n; v += M - 1 {
 				if aliveVertex(v) {
 					priority[v] = f.r.Float64()
 					hasAlive[machine] = true
@@ -77,7 +75,7 @@ func LubyMIS(g *graph.Graph, p Params) (*MISResult, error) {
 		}
 		armAlive()
 		err := cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			for _, v := range owned[machine] {
+			for v := machine - 1; v < n; v += M - 1 {
 				if !aliveVertex(v) {
 					continue
 				}
@@ -116,7 +114,7 @@ func LubyMIS(g *graph.Graph, p Params) (*MISResult, error) {
 					}
 				}
 			}
-			for _, v := range owned[machine] {
+			for v := machine - 1; v < n; v += M - 1 {
 				if !aliveVertex(v) {
 					continue
 				}

@@ -44,8 +44,6 @@ type misState struct {
 	frame
 	g *graph.Graph
 
-	owned [][]int // owned[machine]: vertices of machine, ascending
-
 	inI       []bool // v ∈ I
 	dominated []bool // v ∈ N+(I) \ I
 	dI        []int  // alive degree: |N(v) \ N+(I)|, 0 if v ∈ N+(I)
@@ -74,7 +72,6 @@ func newMISState(name string, g *graph.Graph, p Params) *misState {
 		dI:        make([]int, g.N),
 		left:      newMarkSet(g.N),
 	}
-	s.owned = partitionByOwner(g.N, s.M, s.owner)
 	s.planEnd = make([]int, s.M)
 	resident := make([]int, s.M)
 	for v := 0; v < g.N; v++ {
@@ -128,7 +125,7 @@ func (s *misState) newCandidate(v int) candidate {
 func (s *misState) sampleToCentral(rate func(v int) float64) ([]candidate, error) {
 	s.sample, s.nbrs = s.sample[:0], s.nbrs[:0]
 	for machine := 1; machine < s.M; machine++ {
-		for _, v := range s.owned[machine] {
+		for v := machine - 1; v < s.g.N; v += s.M - 1 {
 			if s.r.Bernoulli(rate(v)) {
 				s.sample = append(s.sample, s.newCandidate(v))
 			}

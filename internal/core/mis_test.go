@@ -357,7 +357,7 @@ func newMISStateClassic(g *graph.Graph, cluster *mpc.Cluster, r *rng.RNG) *misSt
 		dominated: make([]bool, g.N),
 		dI:        make([]int, g.N),
 	}
-	s.owned = partitionByOwner(g.N, s.M, s.vertexOwner)
+	s.owned = appendPartition(g.N, s.M, s.vertexOwner)
 	for v := 0; v < g.N; v++ {
 		s.dI[v] = g.Degree(v)
 	}

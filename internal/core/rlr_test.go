@@ -47,7 +47,7 @@ func rlrMatchingClassic(g *graph.Graph, p Params, opt MatchingOptions) (*Matchin
 		alive[id] = g.Edges[id].W > 0
 	}
 	g.Build()
-	ownedEdges := partitionByOwner(m, M, edgeOwner)
+	ownedEdges := appendPartition(m, M, edgeOwner)
 	resident := make([]int, M)
 	for id := range g.Edges {
 		resident[edgeOwner(id)] += 4

@@ -73,8 +73,6 @@ func RLRSetCover(inst *setcover.Instance, p Params, opt CoverOptions) (*CoverRes
 	defer f.cluster.Close()
 	M, cluster := f.M, f.cluster
 
-	ownedElems := partitionByOwner(m, M, f.owner)
-
 	// Resident: element owners hold T_j + alive bit; in vertex-cover mode
 	// set owners additionally hold their element lists for bit forwarding;
 	// everyone keeps an n-bit view of the cover in general mode.
@@ -121,7 +119,7 @@ func RLRSetCover(inst *setcover.Instance, p Params, opt CoverOptions) (*CoverRes
 		var sampled []int
 		plan := make([][]int, M)
 		for machine := 1; machine < M; machine++ {
-			for _, j := range ownedElems[machine] {
+			for j := machine - 1; j < m; j += M - 1 {
 				if alive[j] && f.r.Bernoulli(prob) {
 					plan[machine] = append(plan[machine], j)
 					sampled = append(sampled, j)

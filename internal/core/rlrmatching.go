@@ -64,11 +64,6 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 	defer f.cluster.Close()
 	M, cluster := f.M, f.cluster
 
-	// Item id lives on machine f.owner(id) = 1 + id mod (M-1), so a
-	// machine's own edges are the stride-(M-1) progression from machine-1:
-	// its closures walk that progression instead of a materialized id list.
-	stride := M - 1
-
 	// Resident state: each edge owner stores (u, v, w, alive) per edge and the
 	// number of its edges still alive; each vertex owner stores ϕ(v) plus the
 	// incident edge list used to forward potentials.
@@ -146,7 +141,7 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 				}
 				k := int(counts[machine])
 				out.Reserve(0, k, 2*k, 0)
-				for id := machine - 1; id < m; id += stride {
+				for id := machine - 1; id < m; id += M - 1 {
 					if alive[id] {
 						out.SendInts(0, int64(id), 3)
 					}
@@ -158,7 +153,7 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 			prob := math.Min(1, float64(etaWords)/float64(aliveCount))
 			plan = plan[:0]
 			for machine := 1; machine < M; machine++ {
-				for id := machine - 1; id < m; id += stride {
+				for id := machine - 1; id < m; id += M - 1 {
 					if !alive[id] {
 						continue
 					}
@@ -224,7 +219,7 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 		bucket = bucket[:sum]
 		if full {
 			for machine := 1; machine < M; machine++ {
-				for id := machine - 1; id < m; id += stride {
+				for id := machine - 1; id < m; id += M - 1 {
 					if alive[id] {
 						e := &g.Edges[id]
 						bucket[pos[e.U]] = int32(id)
@@ -363,7 +358,7 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 				return
 			}
 			left := int64(0)
-			for id := machine - 1; id < m; id += stride {
+			for id := machine - 1; id < m; id += M - 1 {
 				if !alive[id] {
 					continue
 				}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -596,6 +597,74 @@ func TestNumColours(t *testing.T) {
 		for i := range in {
 			if tc.colour[i] != in[i] {
 				t.Fatalf("NumColours reordered its input: %v, was %v", tc.colour, in)
+			}
+		}
+	}
+}
+
+// TestNumColoursPaths checks NumColours' two counters against each other
+// and against a map: the bitmap over [min, max], taken when max − min <
+// len, and the radix order, taken otherwise. Every input whose span fits a
+// small bitmap runs through both; the MinInt/MaxInt mixes, whose span
+// overflows int, can only be counted through the radix order, so NumColours
+// must take it there.
+func TestNumColoursPaths(t *testing.T) {
+	inputs := [][]int{
+		{},
+		{0},
+		{-5},
+		{math.MinInt},
+		{math.MaxInt},
+		{4, 4, 4, 4},
+		{-3, -3, -3},
+		{-1, -7, -3, -7, -1},
+		{math.MinInt, math.MaxInt},
+		{math.MaxInt, 0, math.MinInt, math.MaxInt, math.MinInt},
+		{math.MinInt, -1, 0, math.MinInt + 1},
+		{math.MaxInt - 1, math.MaxInt, math.MaxInt},
+		{math.MinInt + 1, math.MinInt, math.MinInt},
+		{10, 11, 12, 13},    // span len−1
+		{10, 12, 13, 14},    // span len
+		{-2, 1, -2, -1},     // span len−1, negative
+		{-2, 2, -2, -1},     // span len, negative
+		{0, 64, 63, 1},      // a bitmap word boundary, span > len
+		{0, 127, 64, 63, 1}, // two words
+	}
+	r := rng.New(17)
+	for i := 0; i < 300; i++ {
+		k := 1 + r.Intn(80)
+		lo := r.Intn(2001) - 1000
+		span := r.Intn(2 * k) // about half the spans are below k
+		if i%3 == 0 {
+			span = k - 1 + i%2 // exactly len−1 or len
+		}
+		colour := make([]int, k)
+		for j := range colour {
+			colour[j] = lo + r.Intn(span+1)
+		}
+		colour[r.Intn(k)] = lo + span // the span is exact
+		colour[r.Intn(k)] = lo
+		inputs = append(inputs, colour)
+	}
+	for _, colour := range inputs {
+		distinct := map[int]bool{}
+		for _, c := range colour {
+			distinct[c] = true
+		}
+		want := len(distinct)
+		if got := NumColours(colour); got != want {
+			t.Errorf("NumColours(%v) = %d, want %d", colour, got, want)
+		}
+		if got := numColoursSorted(colour); got != want {
+			t.Errorf("numColoursSorted(%v) = %d, want %d", colour, got, want)
+		}
+		if len(colour) == 0 {
+			continue
+		}
+		lo, hi := slices.Min(colour), slices.Max(colour)
+		if span := uint(hi) - uint(lo); span < 1<<16 {
+			if got := numColoursBitmap(colour, lo, span); got != want {
+				t.Errorf("numColoursBitmap(%v) = %d, want %d", colour, got, want)
 			}
 		}
 	}

@@ -234,8 +234,43 @@ func IsProperEdgeColouring(g *Graph, colour []int) bool {
 	return true
 }
 
-// NumColours returns the number of distinct colours used.
+// NumColours returns the number of distinct colours used. A palette whose
+// span max − min is below len(colour) is counted in a bitmap over
+// [min, max]; a wider one, through groupByColour.
 func NumColours(colour []int) int {
+	if len(colour) == 0 {
+		return 0
+	}
+	lo, hi := colour[0], colour[0]
+	for _, c := range colour {
+		lo, hi = min(lo, c), max(hi, c)
+	}
+	// The span is compared as a uint: max − min can exceed MaxInt, which
+	// an int would read as negative.
+	if span := uint(hi) - uint(lo); span < uint(len(colour)) {
+		return numColoursBitmap(colour, lo, span)
+	}
+	return numColoursSorted(colour)
+}
+
+// numColoursBitmap counts the distinct colours of a palette lying in
+// [lo, lo+span] with one bit per colour of the span.
+func numColoursBitmap(colour []int, lo int, span uint) int {
+	seen := make([]uint64, span/64+1)
+	distinct := 0
+	for _, c := range colour {
+		b := uint(c) - uint(lo)
+		if w, bit := b/64, uint64(1)<<(b%64); seen[w]&bit == 0 {
+			seen[w] |= bit
+			distinct++
+		}
+	}
+	return distinct
+}
+
+// numColoursSorted counts the distinct colours of any palette by walking
+// groupByColour's order.
+func numColoursSorted(colour []int) int {
 	distinct, last := 0, 0
 	for _, pos := range groupByColour(colour) {
 		if c := colour[pos]; distinct == 0 || c != last {
