@@ -191,22 +191,23 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 		if err != nil {
 			return nil, err
 		}
-		// Owners receive the new potentials and forward them along their
-		// alive incident edges to the other endpoint's owner.
+		// Owners receive the new potentials, records (v; ϕ(v)) read as runs,
+		// and forward them along their alive incident edges to the other
+		// endpoint's owner. IncidentEdges and Neighbors are positional: slot
+		// i of both describes the same incident edge, so one scan yields the
+		// edge id and the other endpoint with no Other() branch.
 		err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			for msg, ok := in.Next(); ok; msg, ok = in.Next() {
-				v := int(msg.Ints[0])
-				// IncidentEdges and Neighbors are positional: slot i of both
-				// describes the same incident edge, so the edge id and the
-				// other endpoint come from one scan with no Other() branch.
-				ids := g.IncidentEdges(v)
-				nbrs := g.Neighbors(v)
-				for i, id := range ids {
-					if alive[id] {
-						out.Begin(f.owner(int(nbrs[i])))
-						out.Int(int64(id))
-						out.Float(msg.Floats[0])
-						out.End()
+			for run, ok := in.NextRun(); ok; run, ok = in.NextRun() {
+				for k, v := range run.Ints {
+					ids := g.IncidentEdges(int(v))
+					nbrs := g.Neighbors(int(v))
+					for i, id := range ids {
+						if alive[id] {
+							out.Begin(f.owner(int(nbrs[i])))
+							out.Int(int64(id))
+							out.Float(run.Floats[k])
+							out.End()
+						}
 					}
 				}
 			}

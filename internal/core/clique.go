@@ -80,11 +80,13 @@ func MaximalClique(g *graph.Graph, p Params) (*CliqueResult, error) {
 		if err != nil {
 			return err
 		}
+		// Every record is one word (v), so a run's Ints are the vertices.
 		return cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			for msg, ok := in.Next(); ok; msg, ok = in.Next() {
-				v := int(msg.Ints[0])
-				for _, u := range g.Neighbors(v) {
-					out.SendInts(f.owner(int(u)), int64(u), int64(v))
+			for run, ok := in.NextRun(); ok; run, ok = in.NextRun() {
+				for _, v := range run.Ints {
+					for _, u := range g.Neighbors(int(v)) {
+						out.SendInts(f.owner(int(u)), int64(u), v)
+					}
 				}
 			}
 		})
@@ -128,13 +130,15 @@ func MaximalClique(g *graph.Graph, p Params) (*CliqueResult, error) {
 			return err
 		}
 		sizeA -= int64(len(removed))
+		// Rounds 2 and 3 read one-word records: a run's Ints are vertices.
 		err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			for msg, ok := in.Next(); ok; msg, ok = in.Next() {
-				v := int(msg.Ints[0])
-				if inA[v] {
-					inA[v] = false
-					for _, u := range g.Neighbors(v) {
-						out.SendInts(f.owner(int(u)), int64(u))
+			for run, ok := in.NextRun(); ok; run, ok = in.NextRun() {
+				for _, v := range run.Ints {
+					if inA[v] {
+						inA[v] = false
+						for _, u := range g.Neighbors(int(v)) {
+							out.SendInts(f.owner(int(u)), int64(u))
+						}
 					}
 				}
 			}
@@ -143,10 +147,11 @@ func MaximalClique(g *graph.Graph, p Params) (*CliqueResult, error) {
 			return err
 		}
 		return cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			for msg, ok := in.Next(); ok; msg, ok = in.Next() {
-				u := int(msg.Ints[0])
-				if degA[u] > 0 {
-					degA[u]--
+			for run, ok := in.NextRun(); ok; run, ok = in.NextRun() {
+				for _, u := range run.Ints {
+					if degA[u] > 0 {
+						degA[u]--
+					}
 				}
 			}
 		})

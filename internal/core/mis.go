@@ -37,9 +37,9 @@ type MISResult struct {
 //
 // Everything below the status arrays is driver scratch the state owns and
 // resets per pass, so an iteration allocates nothing that grows with the
-// graph: a sampling pass refills the sample and the flat neighbour buffer,
-// and the central machine's batch-local "left the alive set" marks clear by
-// epoch.
+// graph: a sampling pass refills the plan and the candidates (views of the
+// central machine's inbox), and the central machine's batch-local "left the
+// alive set" marks clear by epoch.
 type misState struct {
 	frame
 	g *graph.Graph
@@ -48,9 +48,9 @@ type misState struct {
 	dominated []bool // v ∈ N+(I) \ I
 	dI        []int  // alive degree: |N(v) \ N+(I)|, 0 if v ∈ N+(I)
 
-	sample  []candidate   // the current pass's sample in submission order: machine, then vertex
-	planEnd []int         // machine's plan is sample[planEnd[machine-1]:planEnd[machine]]
-	nbrs    []int64       // every candidate's alive neighbours, back to back
+	plan    []int         // the current pass's sampled vertices in submission order: machine, then vertex
+	planEnd []int         // machine's plan is plan[planEnd[machine-1]:planEnd[machine]]
+	sample  []candidate   // the central machine's view of the pass, in the same order
 	groups  [][]candidate // chopGroups' result buffer
 	batch   centralBatch  // the central machine's additions of the current iteration
 	left    *markSet      // vertices the central machine removed from the alive set this batch
@@ -83,9 +83,9 @@ func newMISState(name string, g *graph.Graph, p Params) *misState {
 	return s
 }
 
-// candidate is a sampled vertex with its alive neighbours at sampling time.
-// aliveNbrs is a capacity-clipped view into misState.nbrs, valid until the
-// next sampling pass.
+// candidate is a sampled vertex with its alive neighbours at sampling time
+// as the central machine received them: a view of its record in Inbox(0),
+// valid until the end of the next round, which recycles the inbox.
 type candidate struct {
 	v         int
 	aliveNbrs []int64
@@ -98,39 +98,29 @@ type centralBatch struct {
 	newDominated []int
 }
 
-// newCandidate samples v: its neighbours outside N+(I) are appended to the
-// pass's flat buffer, scanning the contiguous CSR neighbour slice (no
-// edge-id indirection). When the buffer regrows, earlier candidates keep
-// their views of the old array.
-func (s *misState) newCandidate(v int) candidate {
-	start := len(s.nbrs)
-	for _, u := range s.g.Neighbors(v) {
-		if !s.inI[u] && !s.dominated[u] {
-			s.nbrs = append(s.nbrs, int64(u))
-		}
-	}
-	return candidate{v: v, aliveNbrs: s.nbrs[start:len(s.nbrs):len(s.nbrs)]}
-}
+// sampled sees the state after every sampling pass; tests set it.
+var sampled = func(*misState) {}
 
 // sampleToCentral is one sampling pass and its round: vertex v joins the
 // sample with probability rate(v) — 0 for a vertex that does not take part,
 // which draws nothing — and ships (v, alive neighbour list) to the central
 // machine. The sampling decisions are drawn up front in machine order, then
 // vertex order — the order the machines would draw in — so every machine's
-// plan is a run of the sample, which the round's closures replay
-// concurrently, sizing the column to the central machine once. The returned
-// candidates are in submission order, which the central machine chops into
-// groups; they are valid until the next pass, and reordering them after the
-// round has run is the caller's right.
+// plan is a run of vertex ids, which the round's closures replay
+// concurrently, sizing the column to the central machine exactly (a sampled
+// vertex is alive, and between disseminates dI is its alive degree) and
+// scanning the alive neighbours straight into it. The returned candidates
+// are the central machine's inbox in submission order, which it chops into
+// groups; reordering them is the caller's right.
 func (s *misState) sampleToCentral(rate func(v int) float64) ([]candidate, error) {
-	s.sample, s.nbrs = s.sample[:0], s.nbrs[:0]
+	s.plan = s.plan[:0]
 	for machine := 1; machine < s.M; machine++ {
 		for v := machine - 1; v < s.g.N; v += s.M - 1 {
 			if s.r.Bernoulli(rate(v)) {
-				s.sample = append(s.sample, s.newCandidate(v))
+				s.plan = append(s.plan, v)
 			}
 		}
-		s.planEnd[machine] = len(s.sample)
+		s.planEnd[machine] = len(s.plan)
 		if s.planEnd[machine] > s.planEnd[machine-1] {
 			s.cluster.Arm(machine)
 		}
@@ -139,22 +129,33 @@ func (s *misState) sampleToCentral(rate func(v int) float64) ([]candidate, error
 		if machine == 0 {
 			return
 		}
-		plan := s.sample[s.planEnd[machine-1]:s.planEnd[machine]]
+		plan := s.plan[s.planEnd[machine-1]:s.planEnd[machine]]
 		words := len(plan)
-		for _, cand := range plan {
-			words += len(cand.aliveNbrs)
+		for _, v := range plan {
+			words += s.dI[v]
 		}
 		out.Reserve(0, len(plan), words, 0)
-		for _, cand := range plan {
+		for _, v := range plan {
 			out.Begin(0)
-			out.Int(int64(cand.v))
-			out.Ints(cand.aliveNbrs...)
+			out.Int(int64(v))
+			for _, u := range s.g.Neighbors(v) {
+				if s.aliveVertex(int(u)) {
+					out.Int(int64(u))
+				}
+			}
 			out.End()
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
+	s.sample = s.sample[:0]
+	in := s.cluster.Inbox(0)
+	for rec, ok := in.Next(); ok; rec, ok = in.Next() {
+		s.sample = append(s.sample, candidate{v: int(rec.Ints[0]), aliveNbrs: rec.Ints[1:len(rec.Ints):len(rec.Ints)]})
+	}
+	in.Reset()
+	sampled(s)
 	return s.sample, nil
 }
 
@@ -292,7 +293,8 @@ func (s *misState) disseminate() error {
 
 // finishCentrally gathers the remaining alive vertices with their alive
 // adjacency onto the central machine (one round) and completes the
-// independent set greedily.
+// independent set greedily: every leftover is its own group, in vertex
+// order, under threshold 0.
 func (s *misState) finishCentrally() error {
 	leftovers, err := s.sampleToCentral(func(v int) float64 {
 		if s.aliveVertex(v) {
@@ -303,21 +305,8 @@ func (s *misState) finishCentrally() error {
 	if err != nil {
 		return err
 	}
-	sort.Slice(leftovers, func(i, j int) bool { return leftovers[i].v < leftovers[j].v })
 	s.beginBatch()
-	for _, cand := range leftovers {
-		if s.left.has(cand.v) {
-			continue
-		}
-		s.batch.added = append(s.batch.added, cand.v)
-		s.left.add(cand.v)
-		for _, u := range cand.aliveNbrs {
-			if !s.left.has(int(u)) {
-				s.batch.newDominated = append(s.batch.newDominated, int(u))
-				s.left.add(int(u))
-			}
-		}
-	}
+	s.centralProcessGroups(s.singletonGroups(leftovers), 0)
 	return s.disseminate()
 }
 

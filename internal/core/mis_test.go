@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -192,6 +193,65 @@ func TestMISFastMatchesClassic(t *testing.T) { testMISMatchesClassic(t, MISFast,
 
 func TestMISMatchesClassic(t *testing.T) { testMISMatchesClassic(t, MIS, misClassic) }
 
+// TestMISSampleIsTheInbox checks, on every sampling pass of both hungry-
+// greedy MIS drivers, the two facts the sampling round rests on: each
+// candidate the central machine reads from its inbox carries exactly its
+// vertex's alive neighbours in CSR order, and every alive vertex's dI is its
+// alive-neighbour count, which is what sizes the round's columns.
+func TestMISSampleIsTheInbox(t *testing.T) {
+	passes, candidates := 0, 0
+	sampled = func(s *misState) {
+		passes++
+		var want []int64
+		alive := func(v int) []int64 {
+			want = want[:0]
+			for _, u := range s.g.Neighbors(v) {
+				if s.aliveVertex(int(u)) {
+					want = append(want, int64(u))
+				}
+			}
+			return want
+		}
+		for _, cand := range s.sample {
+			candidates++
+			if !s.aliveVertex(cand.v) {
+				t.Fatalf("pass %d: sampled vertex %d is not alive", passes, cand.v)
+			}
+			if got := alive(cand.v); !slices.Equal(cand.aliveNbrs, got) {
+				t.Fatalf("pass %d: vertex %d arrived with %v, want its alive neighbours %v", passes, cand.v, cand.aliveNbrs, got)
+			}
+		}
+		for v := 0; v < s.g.N; v++ {
+			if s.aliveVertex(v) && s.dI[v] != len(alive(v)) {
+				t.Fatalf("pass %d: dI[%d] = %d, want its %d alive neighbours", passes, v, s.dI[v], len(want))
+			}
+		}
+	}
+	t.Cleanup(func() { sampled = func(*misState) {} })
+	for _, alg := range []struct {
+		name string
+		run  func(*graph.Graph, Params) (*MISResult, error)
+	}{{"MIS", MIS}, {"MISFast", MISFast}} {
+		for _, mu := range []float64{0.05, 0.2} {
+			for seed := uint64(1); seed <= 5; seed++ {
+				g := graph.Density(1000, 0.5, rng.New(seed))
+				before := passes
+				res, err := alg.run(g, Params{Mu: mu, Seed: seed})
+				if err != nil {
+					t.Fatalf("%s µ=%v seed %d: %v", alg.name, mu, seed, err)
+				}
+				if !graph.IsMaximalIndependentSet(g, res.Set) {
+					t.Fatalf("%s µ=%v seed %d: not an MIS", alg.name, mu, seed)
+				}
+				if passes-before < 2 {
+					t.Fatalf("%s µ=%v seed %d: %d sampling passes, want a sampled batch and the final gather", alg.name, mu, seed, passes-before)
+				}
+			}
+		}
+	}
+	t.Logf("%d sampling passes, %d candidates checked", passes, candidates)
+}
+
 func TestMISFastAllocsBounded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -202,34 +262,40 @@ func TestMISFastAllocsBounded(t *testing.T) {
 	// vertex, per class or per record. Measured when this was written: 790
 	// and 1 660 allocations a call, where misFastClassic makes 12 500 and
 	// 47 100; the limits leave room for pool misses after a GC and stay under
-	// a tenth of the classic body's count, which is checked as well.
+	// a tenth of the classic body's count, which is checked as well. The
+	// byte ceilings are 1.5× the warm maximum measured once the candidates'
+	// neighbour lists became views of the central machine's inbox (236 kB
+	// and 687 kB a call); a driver-side copy of the sampled lists brings
+	// them to 886 kB and 3.86 MB, over both.
 	for _, tc := range []struct {
 		n     int
 		c     float64
 		limit float64
+		bytes float64
 	}{
-		{740, 0.5, 1100},  // m ≈ 2·10⁴
-		{3420, 0.5, 2200}, // m ≈ 2·10⁵
+		{740, 0.5, 1100, 0.36e6},  // m ≈ 2·10⁴
+		{3420, 0.5, 2200, 1.04e6}, // m ≈ 2·10⁵
 	} {
 		g := graph.Density(tc.n, tc.c, rng.New(62))
 		p := Params{Mu: 0.05, Seed: 1}
-		if _, err := MISFast(g, p); err != nil {
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(5, func() {
+		run := func() {
 			if _, err := MISFast(g, p); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
+		run()
+		allocs := testing.AllocsPerRun(5, run)
+		bytes := bytesPerRun(5, run)
 		classic := testing.AllocsPerRun(2, func() {
 			if _, err := misFastClassic(g, p); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if allocs > tc.limit || allocs > classic/10 {
-			t.Errorf("m=%d: %v allocations per call, want <= %v and <= a tenth of the classic body's %v", g.M(), allocs, tc.limit, classic)
+		if allocs > tc.limit || allocs > classic/10 || bytes > tc.bytes {
+			t.Errorf("m=%d: %v allocations and %.0f bytes per call, want <= %v and <= a tenth of the classic body's %v, and <= %.0f bytes",
+				g.M(), allocs, bytes, tc.limit, classic, tc.bytes)
 		}
-		t.Logf("m=%d: %v allocations per call (classic %v)", g.M(), allocs, classic)
+		t.Logf("m=%d: %v allocations, %.0f bytes per call (classic %v allocations)", g.M(), allocs, bytes, classic)
 	}
 }
 
