@@ -354,6 +354,73 @@ func TestRLRMatchingMatchesClassic(t *testing.T) {
 	}
 }
 
+// rlrTieDigests pins RLRMatching's full result (matching, weight,
+// iterations, stack, history and every Metrics field) over three seeds on
+// graphs whose integer weights tie everywhere: unit weights, and weights
+// drawn from {1, 2, 3}. Every argmax at the central machine is then decided
+// by which of equal maxima arrives first — machine order, then edge id — so
+// each row has at least three machines, where that order differs from id
+// order. η = n/4 rows take sampled iterations, the default-η rows only full
+// ones. The digests were taken before the full iteration stopped grouping
+// its sides per vertex and started scanning the CSR with a tie clause.
+var rlrTieDigests = map[string]string{
+	"w=1..1/n=300/mu=0/eta=0":      "ecf4d9e716783484a4e8db9c2d05248df0c6422579c4e9e8592b7e7dc9ff514c",
+	"w=1..1/n=300/mu=0/eta=75":     "f67f64872dbfe368244809328fee03f7d53129fa886427035c05a7992d7893e7",
+	"w=1..1/n=300/mu=0.2/eta=0":    "3aa148dd0e6d1c7d1e0ae9a27e653928ba90ed3c347c0bba46b103edb26c3c1c",
+	"w=1..1/n=300/mu=0.2/eta=75":   "25c07048028b958c0728e11da0e2877a7ace617fcfb35a8021056abe6cfc4ace",
+	"w=1..1/n=2000/mu=0/eta=0":     "059a736f862826c2717a04dff7fbc5f157961bc5d2e0b0d5c88cf5afc7761281",
+	"w=1..1/n=2000/mu=0/eta=500":   "798cbb126c08507c095bdd809eaa22fe5fea525725eafac3d20d1c2f8c41abea",
+	"w=1..1/n=2000/mu=0.2/eta=0":   "79bbb54fad0f2e65cb21ca618ec9fd5b1ddee912229299eaa78c4d923c2e4a33",
+	"w=1..1/n=2000/mu=0.2/eta=500": "c906c9dd165f07e1e0d69f60befb3adaa7570704f3e715fae5e79c4aaab4151b",
+	"w=1..3/n=300/mu=0/eta=0":      "f1167b5ab21d790a8a6a5ebe0f82e528b3ea30e303fd883f23cfd8ef47c54271",
+	"w=1..3/n=300/mu=0/eta=75":     "9443127599ae7b83e0fdf16d52aa553427f373176cd3ef87c8cdc3566dae9494",
+	"w=1..3/n=300/mu=0.2/eta=0":    "d84e09c64a8ea902f7dad4d1e2fd733cfeb728f0bffe0b236c16cca8fa84db0c",
+	"w=1..3/n=300/mu=0.2/eta=75":   "47f49fee749d0b416b0e50917acac3c5e9d2c9d6ecbb8f5fc771dbc83f409f4e",
+	"w=1..3/n=2000/mu=0/eta=0":     "5c5312aeafc25736cb9bbfe12f197bb4621ebead0d352931cf782e45a8fc375b",
+	"w=1..3/n=2000/mu=0/eta=500":   "83d5c0a96bb1a66c37f04150e2c548f8f188a6639d36aa8d9ec01c58dcb595d2",
+	"w=1..3/n=2000/mu=0.2/eta=0":   "ca96b85f73ab88df7775d0244dac713e8dfa2f4f5c192701fdf37cfa2f6d523c",
+	"w=1..3/n=2000/mu=0.2/eta=500": "ae0ab34dad0558a630d23f3cc9e9c0e004b2d2ea6cac0179bfd6cb3286f45b26",
+}
+
+func TestRLRMatchingTieDigests(t *testing.T) {
+	for _, weights := range []int{1, 3} {
+		for _, n := range []int{300, 2000} {
+			g := graph.Density(n, 0.4, rng.New(uint64(41+n)))
+			wr := rng.New(uint64(43 + weights))
+			for id := range g.Edges {
+				g.Edges[id].W = float64(1 + wr.Intn(weights))
+			}
+			g.Build()
+			for _, mu := range []float64{0, 0.2} {
+				for _, etaWords := range []int{0, n / 4} {
+					key := fmt.Sprintf("w=1..%d/n=%d/mu=%v/eta=%d", weights, n, mu, etaWords)
+					e := etaWords
+					if e == 0 {
+						e = eta(n, mu, 8)
+					}
+					if M := dataMachines(4*g.M(), 4*e); M < 3 {
+						t.Fatalf("%s: %d machines, the row needs >= 3", key, M)
+					}
+					var runs []MatchingResult
+					for seed := uint64(1); seed <= 3; seed++ {
+						res, err := RLRMatching(g, Params{Mu: mu, Seed: seed}, MatchingOptions{Eta: etaWords})
+						if err != nil {
+							t.Fatalf("%s seed=%d: %v", key, seed, err)
+						}
+						if etaWords > 0 && sampledIterations(int64(g.M()), res.History, e) == 0 {
+							t.Fatalf("%s seed=%d: no sampled iteration", key, seed)
+						}
+						runs = append(runs, *res)
+					}
+					if got := resultDigest(runs); got != rlrTieDigests[key] {
+						t.Errorf("%s: digest %s, pinned %s", key, got, rlrTieDigests[key])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestRLRMatchingAllocsBounded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
