@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/mpc"
@@ -79,9 +80,13 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 
 	// Scratch reused by every iteration.
 	type span struct{ lo, hi int }
-	var sampled []int           // every vertex's sampled edge ids, back to back
-	sampleOf := make([]span, n) // vertex -> its stretch of sampled; empty if it sent nothing
-	changed := newMarkSet(n)
+	var (
+		sampled  []int             // every vertex's sampled edge ids, back to back
+		sampleOf = make([]span, n) // vertex -> its stretch of sampled; empty if it sent nothing
+		plan     []int             // plan[planEnd[k-1]:planEnd[k]] is machine k's
+		planEnd  = make([]int, M)
+		changed  = newMarkSet(n)
+	)
 
 	for aliveCount > 0 {
 		if err := f.next(); err != nil {
@@ -98,10 +103,10 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 		// sampled; sampleOf[v] is vertex v's stretch of it.
 		sampled = sampled[:0]
 		clear(sampleOf)
-		// plan lists, per machine, every owned vertex with alive incident
-		// edges — such a vertex always ships its (possibly header-only)
-		// payload, which is what the word accounting charges.
-		plan := make([][]int, M)
+		// plan lists, machine by machine, every owned vertex with alive
+		// incident edges — such a vertex always ships its (possibly
+		// header-only) payload, which is what the word accounting charges.
+		plan = plan[:0]
 		for machine := 1; machine < M; machine++ {
 			for v := machine - 1; v < n; v += M - 1 {
 				lo := len(sampled)
@@ -123,13 +128,19 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 					copy(sampled[lo:], sampled[lo+aliveIDs:])
 					sampled = sampled[:lo+want]
 				}
-				plan[machine] = append(plan[machine], v)
+				plan = append(plan, v)
 				sampleOf[v] = span{lo, len(sampled)}
 			}
+			planEnd[machine] = len(plan)
+			if planEnd[machine] > planEnd[machine-1] {
+				cluster.Arm(machine)
+			}
 		}
-		armPlanned(cluster, plan)
 		err := cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			for _, v := range plan[machine] {
+			if machine == 0 {
+				return
+			}
+			for _, v := range plan[planEnd[machine-1]:planEnd[machine]] {
 				out.Begin(0)
 				out.Int(int64(v))
 				for _, id := range sampled[sampleOf[v].lo:sampleOf[v].hi] {
@@ -144,20 +155,20 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 
 		// Central machine (Lines 11-17): per vertex, in vertex order, push up
 		// to b(v)·ln(1/δ) heaviest sampled alive edges with ε-adjusted
-		// reductions.
+		// reductions. Each vertex's sample is sorted in place: the round has
+		// already shipped it.
 		changed.clear()
 		for v, sp := range sampleOf {
 			if sp.lo == sp.hi {
 				continue
 			}
 			budget := int(math.Ceil(float64(b(v)) * lnInvDelta))
-			ids := append([]int(nil), sampled[sp.lo:sp.hi]...)
-			sort.Slice(ids, func(a, c int) bool {
-				wa, wc := lr.Reduced(ids[a]), lr.Reduced(ids[c])
-				if wa != wc {
-					return wa > wc
+			ids := sampled[sp.lo:sp.hi]
+			slices.SortFunc(ids, func(a, c int) int {
+				if wa, wc := lr.Reduced(a), lr.Reduced(c); wa != wc {
+					return cmp.Compare(wc, wa)
 				}
-				return ids[a] < ids[c]
+				return cmp.Compare(a, c)
 			})
 			for j := 0; j < budget && j < len(ids); j++ {
 				// Re-pick the heaviest alive each time: reductions at v
@@ -175,17 +186,18 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 		// Dissemination: central routes the changed potentials ϕ(v) to the
 		// vertex owners; owners re-evaluate the ε-adjusted kill rule for
 		// their incident edges.
-		changedList := changed.sorted()
 		cluster.Arm(0) // the forwarding round runs off its delivered records
 		err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
 			if machine != 0 {
 				return
 			}
-			for _, v := range changedList {
-				out.Begin(f.owner(v))
-				out.Int(int64(v))
-				out.Float(lr.Phi(v))
-				out.End()
+			for v := 0; v < n; v++ {
+				if changed.has(v) {
+					out.Begin(f.owner(v))
+					out.Int(int64(v))
+					out.Float(lr.Phi(v))
+					out.End()
+				}
 			}
 		})
 		if err != nil {

@@ -149,7 +149,6 @@ func partitionByOwner(count, machines int, owner func(id int) int) [][]int {
 type markSet struct {
 	mark  []int32
 	epoch int32
-	list  []int // sorted()'s result buffer
 }
 
 func newMarkSet(n int) *markSet { return &markSet{mark: make([]int32, n), epoch: 1} }
@@ -159,18 +158,6 @@ func (s *markSet) clear() { s.epoch++ }
 func (s *markSet) add(v int) { s.mark[v] = s.epoch }
 
 func (s *markSet) has(v int) bool { return s.mark[v] == s.epoch }
-
-// sorted returns the members in ascending order; the slice is valid until the
-// next call.
-func (s *markSet) sorted() []int {
-	s.list = s.list[:0]
-	for v, e := range s.mark {
-		if e == s.epoch {
-			s.list = append(s.list, v)
-		}
-	}
-	return s.list
-}
 
 // armPlanned arms every machine whose pre-drawn per-machine plan is
 // non-empty — the common arming pattern of the sampling rounds, where the

@@ -140,6 +140,44 @@ func TestBMatchingMedium(t *testing.T) {
 	}
 }
 
+// TestBMatchingAllocsBounded pins what one Algorithm 7 call allocates at
+// µ = 0.05, where both iterations sample each vertex's edges. The ceilings
+// are 1.25× the mallocs and 1.5× the bytes of the warm maximum of 8 calls
+// (1 050 and 354 kB at n = 800; 4 327 and 2.04 MB at n = 4000), with each
+// vertex's sample sorted in place and the per-machine plans in one flat
+// slice. Nearly all that is left per call are SampleWithoutReplacement's
+// results, one per sampled vertex. A sorted copy of every sample and a
+// plan list per machine took up to 3 888 and 19 871 mallocs.
+func TestBMatchingAllocsBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, tc := range []struct {
+		n              int
+		mallocs, bytes float64
+	}{
+		{800, 1313, 0.53e6},  // m = 5 943
+		{4000, 5409, 3.05e6}, // m = 48 159
+	} {
+		g := graph.Density(tc.n, 0.3, rng.New(81))
+		g.AssignUniformWeights(rng.New(82), 1, 100)
+		p := Params{Mu: 0.05, Seed: 1}
+		run := func() {
+			if _, err := BMatching(g, p, BMatchingOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		mallocs := testing.AllocsPerRun(5, run)
+		bytes := bytesPerRun(5, run)
+		if mallocs > tc.mallocs || bytes > tc.bytes {
+			t.Errorf("m=%d: %v mallocs and %.0f bytes per call, want <= %v and <= %.0f",
+				g.M(), mallocs, bytes, tc.mallocs, tc.bytes)
+		}
+		t.Logf("m=%d: %v mallocs, %.0f bytes per call", g.M(), mallocs, bytes)
+	}
+}
+
 func TestVertexColouringSmall(t *testing.T) {
 	r := rng.New(75)
 	for trial := 0; trial < 20; trial++ {

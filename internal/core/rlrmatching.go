@@ -90,9 +90,9 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 	lr := seq.NewMatchingLocalRatio(g)
 	cluster.AddResident(0, 2*n) // ϕ plus stacked-bit bookkeeping
 
-	// Scratch reused by every iteration. pos and bucket are the counting sort
-	// that groups the sampled sides per vertex; plan exists only while an
-	// iteration actually draws randomness.
+	// Scratch reused by every iteration. plan, pos and bucket exist only
+	// once an iteration actually draws randomness: pos and bucket are the
+	// counting sort that groups its sampled sides per vertex.
 	type sample struct {
 		id   int32
 		mask int8 // bit0 = sampled for U's list, bit1 = for V's list
@@ -100,10 +100,9 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 	var (
 		plan    []sample
 		planEnd = make([]int, M) // plan[planEnd[k-1]:planEnd[k]] is machine k's
-		pos     = make([]int32, n)
+		pos     []int32
 		bucket  []int32
 		changed = newMarkSet(n)
-		pushed  []int64
 		fanout  = make([][]int32, M) // round B's per-destination record counts
 	)
 
@@ -115,7 +114,8 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 
 		// Sampling round: edge owners sample each alive edge into E'_u and
 		// E'_v independently and ship sampled edges to the central machine.
-		// Message layout: [edgeID, sideMask]. pos[v] counts |E'_v| on the way.
+		// Message layout: [edgeID, sideMask]. A sampled iteration counts
+		// |E'_v| in pos[v] on the way.
 		full := aliveCount < 4*int64(etaWords)
 		var sampledSides int64 // Σ|E'_v|, counted only when it is random
 		var err error
@@ -126,13 +126,6 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 			for machine := 1; machine < M; machine++ {
 				if counts[machine] > 0 {
 					cluster.Arm(machine)
-				}
-			}
-			for id, a := range alive {
-				if a {
-					e := &g.Edges[id]
-					pos[e.U]++
-					pos[e.V]++
 				}
 			}
 			err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
@@ -152,6 +145,9 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 			// the round; the closures replay each machine's plan concurrently.
 			prob := math.Min(1, float64(etaWords)/float64(aliveCount))
 			plan = plan[:0]
+			if pos == nil {
+				pos = make([]int32, n)
+			}
 			for machine := 1; machine < M; machine++ {
 				for id := machine - 1; id < m; id += M - 1 {
 					if !alive[id] {
@@ -204,32 +200,23 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 			return nil, fmt.Errorf("core: RLRMatching sampling overflow (%d > 8η=%d)", sampledSides, 8*etaWords)
 		}
 
-		// Central machine: group the sampled sides per vertex. Turning the
-		// counts into bucket starts and filling in the order the samples were
-		// sent (machine, then id) leaves E'_v at bucket[pos[v-1]:pos[v]] in
-		// arrival order, vertices ascending.
-		sum := int32(0)
-		for v, c := range pos {
-			pos[v] = sum
-			sum += c
-		}
-		if cap(bucket) < int(sum) {
-			bucket = make([]int32, sum)
-		}
-		bucket = bucket[:sum]
-		if full {
-			for machine := 1; machine < M; machine++ {
-				for id := machine - 1; id < m; id += M - 1 {
-					if alive[id] {
-						e := &g.Edges[id]
-						bucket[pos[e.U]] = int32(id)
-						pos[e.U]++
-						bucket[pos[e.V]] = int32(id)
-						pos[e.V]++
-					}
-				}
+		// Central machine (Lines 12-14): push the heaviest alive edge of each
+		// E'_v, vertices ascending; of equal maxima the first to arrive wins.
+		// Samples arrive in the order they were sent, machine then id, so
+		// edge id arrives under the key (id mod (M−1), id).
+		if !full {
+			// Group the sampled sides per vertex: turning the counts into
+			// bucket starts and filling in arrival order leaves E'_v at
+			// bucket[pos[v-1]:pos[v]], vertices ascending.
+			sum := int32(0)
+			for v, c := range pos {
+				pos[v] = sum
+				sum += c
 			}
-		} else {
+			if cap(bucket) < int(sum) {
+				bucket = make([]int32, sum)
+			}
+			bucket = bucket[:sum]
 			for _, s := range plan {
 				e := &g.Edges[s.id]
 				if s.mask&1 != 0 {
@@ -242,23 +229,34 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 				}
 			}
 		}
-
-		// Push the heaviest alive edge of each E'_v (Lines 12-14); the first
-		// of equal maxima wins. pos is zeroed behind the scan for the next
-		// iteration's counts.
+		// A full iteration needs no grouping: E'_v is v's alive incident
+		// edges, which the CSR lists by ascending id, so of equal maxima the
+		// one with the smaller id mod (M−1) arrived first. A sampled one
+		// scans its buckets and zeroes pos behind it for the next counts.
 		changed.clear()
-		pushed = pushed[:0]
+		top := lr.StackSize()
 		lo := int32(0)
-		for v := range pos {
-			hi := pos[v]
-			pos[v] = 0
+		for v := 0; v < n; v++ {
 			best, bestW := -1, 0.0
-			for _, id := range bucket[lo:hi] {
-				if w, ok := lr.AliveReduced(int(id)); ok && w > bestW {
-					best, bestW = int(id), w
+			if full {
+				for _, id := range g.IncidentEdges(v) {
+					if !alive[id] {
+						continue
+					}
+					if w, ok := lr.AliveReduced(int(id)); ok && (w > bestW || w == bestW && int(id)%(M-1) < best%(M-1)) {
+						best, bestW = int(id), w
+					}
 				}
+			} else {
+				hi := pos[v]
+				pos[v] = 0
+				for _, id := range bucket[lo:hi] {
+					if w, ok := lr.AliveReduced(int(id)); ok && w > bestW {
+						best, bestW = int(id), w
+					}
+				}
+				lo = hi
 			}
-			lo = hi
 			if best < 0 {
 				continue
 			}
@@ -266,27 +264,29 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 				e := &g.Edges[best]
 				changed.add(e.U)
 				changed.add(e.V)
-				pushed = append(pushed, int64(best))
 			}
 		}
 		cluster.SetResident(0, 2*n+2*lr.StackSize())
 
 		// Update round A: central sends the changed ϕ values to the vertex
-		// owners and the stacked edge ids to the edge owners (§5.3).
-		changedList := changed.sorted()
+		// owners and the ids pushed this iteration, the top of lr's stack, to
+		// the edge owners (§5.3).
+		pushed := lr.Stack()[top:]
 		cluster.Arm(0) // rounds B and the delivery round run off their inboxes
 		err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
 			if machine != 0 {
 				return
 			}
-			for _, v := range changedList {
-				out.Begin(f.owner(v))
-				out.Int(int64(v))
-				out.Float(lr.Phi(v))
-				out.End()
+			for v := 0; v < n; v++ {
+				if changed.has(v) {
+					out.Begin(f.owner(v))
+					out.Int(int64(v))
+					out.Float(lr.Phi(v))
+					out.End()
+				}
 			}
 			for _, id := range pushed {
-				out.SendInts(f.owner(int(id)), id)
+				out.SendInts(f.owner(id), int64(id))
 			}
 		})
 		if err != nil {

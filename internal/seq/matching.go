@@ -62,6 +62,10 @@ func (lr *MatchingLocalRatio) Phi(v int) float64 { return lr.phi[v] }
 // StackSize returns the number of stacked edges.
 func (lr *MatchingLocalRatio) StackSize() int { return len(lr.stack) }
 
+// Stack returns the stacked edge ids in push order. The slice aliases the
+// stack and must not be modified.
+func (lr *MatchingLocalRatio) Stack() []int { return lr.stack }
+
 // Push applies the weight reduction for edge id and stacks it. It returns
 // the reduction ψ (the edge's reduced weight at push time) and reports
 // whether the push happened; pushing a dead or already-stacked edge is a
