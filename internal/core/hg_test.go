@@ -141,7 +141,9 @@ func TestBMatchingMedium(t *testing.T) {
 }
 
 // TestBMatchingAllocsBounded pins what one Algorithm 7 call allocates at
-// µ = 0.05, where both iterations sample each vertex's edges. The ceilings
+// µ = 0.05, in two iterations: the first samples each vertex's edges and the
+// second, under Line 7's small-graph bound, ships the few left whole. The
+// run asserts that shape before it measures. The ceilings
 // are 1.25× the mallocs and 1.5× the bytes of the warm maximum of 8 calls
 // (1 050 and 354 kB at n = 800; 4 327 and 2.04 MB at n = 4000), with each
 // vertex's sample sorted in place and the per-machine plans in one flat
@@ -167,7 +169,17 @@ func TestBMatchingAllocsBounded(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		run()
+		res, err := BMatching(g, p, BMatchingOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Line 7's bound at the defaults b = 2, ε = 0.25 (δ = 0.2): every
+		// edge is alive at first, so the first iteration samples iff m ≥ it.
+		small := 2 * 2 * math.Log(1/0.2) * float64(eta(tc.n, p.Mu, 8)) / math.Pow(float64(tc.n), p.Mu)
+		if float64(g.M()) < small || res.Iterations != 2 {
+			t.Fatalf("n=%d: %d iterations, m = %d against the small-graph bound %.0f; want a sampled first of 2",
+				tc.n, res.Iterations, g.M(), small)
+		}
 		mallocs := testing.AllocsPerRun(5, run)
 		bytes := bytesPerRun(5, run)
 		if mallocs > tc.mallocs || bytes > tc.bytes {

@@ -439,8 +439,8 @@ func TestRLRMatchingAllocsBounded(t *testing.T) {
 		n     int
 		bytes float64
 	}{
-		{2000, 0.186e6}, // m = 19 483
-		{12000, 1.42e6}, // m = 203 903
+		{2000, 0.186e6}, // m = 19 558
+		{12000, 1.42e6}, // m = 200 879
 	} {
 		g := graph.Density(tc.n, 0.3, rng.New(31))
 		g.AssignUniformWeights(rng.New(32), 1, 100)

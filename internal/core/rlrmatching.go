@@ -202,8 +202,8 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 
 		// Central machine (Lines 12-14): push the heaviest alive edge of each
 		// E'_v, vertices ascending; of equal maxima the first to arrive wins.
-		// Samples arrive in the order they were sent, machine then id, so
-		// edge id arrives under the key (id mod (M−1), id).
+		// Samples arrive in the order they were sent: by owner (f.owner),
+		// then by id.
 		if !full {
 			// Group the sampled sides per vertex: turning the counts into
 			// bucket starts and filling in arrival order leaves E'_v at
@@ -231,8 +231,9 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 		}
 		// A full iteration needs no grouping: E'_v is v's alive incident
 		// edges, which the CSR lists by ascending id, so of equal maxima the
-		// one with the smaller id mod (M−1) arrived first. A sampled one
-		// scans its buckets and zeroes pos behind it for the next counts.
+		// one whose owner sent first arrived first (best ≥ 0 on a tie, since
+		// an alive edge has w > 0). A sampled one scans its buckets and
+		// zeroes pos behind it for the next counts.
 		changed.clear()
 		top := lr.StackSize()
 		lo := int32(0)
@@ -243,7 +244,7 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 					if !alive[id] {
 						continue
 					}
-					if w, ok := lr.AliveReduced(int(id)); ok && (w > bestW || w == bestW && int(id)%(M-1) < best%(M-1)) {
+					if w, ok := lr.AliveReduced(int(id)); ok && (w > bestW || w == bestW && f.owner(int(id)) < f.owner(best)) {
 						best, bestW = int(id), w
 					}
 				}

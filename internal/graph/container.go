@@ -504,28 +504,15 @@ func readContainer(r io.Reader, size int64) (*Graph, error) {
 	return g, nil
 }
 
-// validateSlabs sanity-checks slabs loaded from external bytes: monotone
-// adjStart covering exactly 2m half-edges, in-range neighbour ids and edge
-// indices, and edge endpoints inside [0,n). The checksums catch corruption;
-// this catches well-formed containers that lie.
+// validateSlabs checks slabs loaded from external bytes against the edge
+// list: edge endpoints inside [0,n), a monotone adjStart covering exactly 2m
+// half-edges, and each vertex's entries exactly its incident edges in
+// ascending edge id, with the other endpoint as neighbour and the edge's
+// weight — the CSR that Build would make from the edges. The checksums
+// catch corruption; this catches well-formed containers that lie, which
+// would otherwise run differently from the text upload of the same edges.
 func (g *Graph) validateSlabs() error {
 	m := len(g.Edges)
-	if len(g.adjStart) != g.N+1 || int(g.adjStart[g.N]) != 2*m || g.adjStart[0] != 0 {
-		return fmt.Errorf("graph: container adjacency index does not cover 2m=%d half-edges", 2*m)
-	}
-	for v := 0; v < g.N; v++ {
-		if g.adjStart[v] > g.adjStart[v+1] {
-			return fmt.Errorf("graph: container adjacency index not monotone at vertex %d", v)
-		}
-	}
-	for k := range g.adjNbr {
-		if u := g.adjNbr[k]; u < 0 || int(u) >= g.N {
-			return fmt.Errorf("graph: container neighbour id %d out of range", u)
-		}
-		if id := g.adjEdge[k]; id < 0 || int(id) >= m {
-			return fmt.Errorf("graph: container edge index %d out of range", id)
-		}
-	}
 	for i, e := range g.Edges {
 		if e.U < 0 || e.U >= g.N || e.V < 0 || e.V >= g.N || e.U == e.V {
 			return fmt.Errorf("graph: container edge %d = (%d,%d) invalid for n=%d", i, e.U, e.V, g.N)
@@ -533,6 +520,41 @@ func (g *Graph) validateSlabs() error {
 		if math.IsNaN(e.W) || math.IsInf(e.W, 0) {
 			return fmt.Errorf("graph: container edge %d has non-finite weight", i)
 		}
+	}
+	if len(g.adjNbr) != 2*m || len(g.adjEdge) != 2*m || len(g.adjW) != 2*m ||
+		len(g.adjStart) != g.N+1 || int(g.adjStart[g.N]) != 2*m || g.adjStart[0] != 0 {
+		return fmt.Errorf("graph: container adjacency index does not cover 2m=%d half-edges", 2*m)
+	}
+	for v := 0; v < g.N; v++ {
+		if g.adjStart[v] > g.adjStart[v+1] {
+			return fmt.Errorf("graph: container adjacency index not monotone at vertex %d", v)
+		}
+	}
+	for _, u := range g.adjNbr {
+		if u < 0 || int(u) >= g.N {
+			return fmt.Errorf("graph: container neighbour id %d out of range", u)
+		}
+	}
+	// Replay Build's fill: taking the edges in id order, the next entry of
+	// each endpoint's range must be this edge, with the other endpoint as
+	// neighbour and the edge's weight. The 2m entries are then all consumed,
+	// so each range is exactly its vertex's incident edges, ascending. The
+	// edge list is read in order and each range front to back, which keeps
+	// the pass near Build's own cost rather than a random lookup per entry.
+	fill := make([]int32, g.N)
+	copy(fill, g.adjStart[:g.N])
+	for id := range g.Edges {
+		e := &g.Edges[id]
+		ku, kv := fill[e.U], fill[e.V]
+		if ku == g.adjStart[e.U+1] || int(g.adjEdge[ku]) != id || int(g.adjNbr[ku]) != e.V ||
+			math.Float64bits(g.adjW[ku]) != math.Float64bits(e.W) {
+			return fmt.Errorf("graph: container adjacency of vertex %d disagrees with the edge list at edge %d", e.U, id)
+		}
+		if kv == g.adjStart[e.V+1] || int(g.adjEdge[kv]) != id || int(g.adjNbr[kv]) != e.U ||
+			math.Float64bits(g.adjW[kv]) != math.Float64bits(e.W) {
+			return fmt.Errorf("graph: container adjacency of vertex %d disagrees with the edge list at edge %d", e.V, id)
+		}
+		fill[e.U], fill[e.V] = ku+1, kv+1
 	}
 	return nil
 }

@@ -65,10 +65,10 @@ type Graph struct {
 	// CSR adjacency, built by Build: for vertex v the half-open slab range
 	// is adjStart[v]:adjStart[v+1]. The three slabs are positional: entry k
 	// of the range describes one incident edge — adjNbr[k] is the other
-	// endpoint, adjW[k] its weight, adjEdge[k] its index into Edges. The
-	// weight slab is filled lazily on first NeighborsW use (most algorithms
-	// never read weights through the adjacency, so Build skips the 2m
-	// float64 writes).
+	// endpoint, adjW[k] its weight, adjEdge[k] its index into Edges; a
+	// range lists its edges by ascending index. The weight slab is filled
+	// lazily on first NeighborsW use (most algorithms never read weights
+	// through the adjacency, so Build skips the 2m float64 writes).
 	adjStart []int32   // len N+1
 	adjNbr   []int32   // len 2*len(Edges); neighbour vertex ids
 	adjW     []float64 // len 2*len(Edges); edge weights, lazily filled
@@ -289,10 +289,10 @@ func (g *Graph) buildParallel(workers int) {
 	})
 }
 
-// IncidentEdges returns the indices (into g.Edges) of edges incident to v.
-// The returned slice aliases internal storage and must not be modified. It
-// is positional with Neighbors(v): entry i of both slices describes the
-// same incident edge.
+// IncidentEdges returns the indices (into g.Edges) of edges incident to v,
+// ascending. The returned slice aliases internal storage and must not be
+// modified. It is positional with Neighbors(v): entry i of both slices
+// describes the same incident edge.
 func (g *Graph) IncidentEdges(v int) []int32 {
 	g.Build()
 	return g.adjEdge[g.adjStart[v]:g.adjStart[v+1]]

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -389,31 +390,82 @@ func BenchmarkConvertText(b *testing.B) {
 	}
 }
 
-// TestOpenVerifiedChecksSlabs: a container that lies consistently — a
-// neighbour id out of range, with every checksum recomputed to match — gets
-// past the checksums and is refused by OpenVerified's slab check.
+// TestOpenVerifiedChecksSlabs: a container that lies consistently — its
+// adjacency slabs edited, with every checksum recomputed to match — gets
+// past the checksums and is refused by the slab check of ReadContainer and
+// OpenVerified. Drivers read the adjacency beside the edge list, so one
+// that is not what Build makes from the edges would run differently from
+// the text upload of the same edges, which hashes to the same instance id.
 func TestOpenVerifiedChecksSlabs(t *testing.T) {
+	g := New(4) // path 0-1-2-3; vertex 1's entries are k = 1 (edge 0), 2 (edge 1)
+	g.Edges = []Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 2}, {U: 2, V: 3, W: 3}}
 	var buf bytes.Buffer
-	if err := EncodeContainer(&buf, Path(4)); err != nil {
+	if err := EncodeContainer(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	h, err := parseHeaderBytes(data)
+	good := buf.Bytes()
+	h, err := parseHeaderBytes(good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nbr := h.sections[1]
-	binary.LittleEndian.PutUint32(data[nbr.off:], 1<<30)
-	h.sections[1].crc = crc32.Checksum(data[nbr.off:nbr.off+nbr.len], castagnoli)
-	copy(data, h.marshal())
-	path := filepath.Join(t.TempDir(), "lie.mrg")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
+	le := binary.LittleEndian
+	swap32 := func(s []byte, i, j int) {
+		a, b := le.Uint32(s[4*i:]), le.Uint32(s[4*j:])
+		le.PutUint32(s[4*i:], b)
+		le.PutUint32(s[4*j:], a)
 	}
-	if err := VerifyContainer(path); err != nil {
-		t.Fatalf("the forged container should pass its checksums: %v", err)
+	cases := []struct {
+		name   string
+		want   string // in the error, when set
+		mutate func(sec func(kind uint32) []byte)
+	}{
+		{"neighbour-out-of-range", "out of range", func(sec func(uint32) []byte) {
+			le.PutUint32(sec(secAdjNbr), 1<<30)
+		}},
+		{"descending", "", func(sec func(uint32) []byte) {
+			swap32(sec(secAdjNbr), 1, 2)
+			swap32(sec(secAdjEdge), 1, 2)
+			w := sec(secAdjW)
+			a, b := le.Uint64(w[8:]), le.Uint64(w[16:])
+			le.PutUint64(w[8:], b)
+			le.PutUint64(w[16:], a)
+		}},
+		{"duplicate-edge", "", func(sec func(uint32) []byte) { // edge 1 left out at vertex 1
+			le.PutUint32(sec(secAdjEdge)[8:], 0)
+			le.PutUint32(sec(secAdjNbr)[8:], 0)
+			le.PutUint64(sec(secAdjW)[16:], math.Float64bits(1))
+		}},
+		{"foreign-edge", "", func(sec func(uint32) []byte) { le.PutUint32(sec(secAdjEdge), 2) }},
+		{"wrong-neighbour", "", func(sec func(uint32) []byte) { le.PutUint32(sec(secAdjNbr)[4:], 2) }},
+		{"wrong-weight", "", func(sec func(uint32) []byte) {
+			le.PutUint64(sec(secAdjW)[8:], math.Float64bits(5))
+		}},
 	}
-	if _, err := OpenVerified(path); err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Fatalf("OpenVerified of a container whose slabs lie: %v, want a neighbour id out of range", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			data, hb := append([]byte(nil), good...), h
+			sec := func(kind uint32) []byte {
+				s := hb.sections[kind-1]
+				return data[s.off : s.off+s.len]
+			}
+			tc.mutate(sec)
+			for i := range hb.sections {
+				hb.sections[i].crc = crc32.Checksum(sec(uint32(i+1)), castagnoli)
+			}
+			copy(data, hb.marshal())
+			path := filepath.Join(t.TempDir(), "lie.mrg")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := VerifyContainer(path); err != nil {
+				t.Fatalf("the forged container should pass its checksums: %v", err)
+			}
+			if _, err := ReadContainer(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("ReadContainer of a container whose slabs lie: %v, want an error containing %q", err, tc.want)
+			}
+			if _, err := OpenVerified(path); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("OpenVerified of a container whose slabs lie: %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }

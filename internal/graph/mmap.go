@@ -103,9 +103,11 @@ func OpenMapped(path string) (*Graph, error) { return openMapped(path, false) }
 
 // OpenVerified is OpenMapped plus the checks ReadContainer makes on every
 // load: each section checksum over the mapped bytes, then the slab
-// invariants (validateSlabs). It reads the whole file once, about 4 ms per
-// 16 MB, and returns an error instead of a graph that would index out of
-// range.
+// invariants (validateSlabs), which replay Build's fill against the loaded
+// adjacency. On a 35 MB container of 661 k edges that is about 13 ms of
+// checksums and 30 ms of replay (2 CPUs). It returns an error instead of a
+// graph that would index out of range or whose adjacency disagrees with its
+// edge list.
 func OpenVerified(path string) (*Graph, error) { return openMapped(path, true) }
 
 func openMapped(path string, verify bool) (*Graph, error) {
