@@ -53,10 +53,11 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 	if nMu < 1 {
 		nMu = 1
 	}
+	bMax := maxB(g, b)
 
 	// Vertex-partitioned layout (Appendix D samples per vertex): owners
 	// hold each vertex's incident edge ids with weights and alive bits.
-	f := newFrame("BMatching", p, dataMachines(3*n+3*m, 4*etaWords), etaWords*maxB(g, b), n)
+	f := newFrame("BMatching", p, dataMachines(3*n+3*m, 4*etaWords), etaWords*bMax, n)
 	defer f.cluster.Close()
 	M, cluster := f.M, f.cluster
 
@@ -96,7 +97,7 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 		// Sampling round: vertex v samples b(v)·ln(1/δ)·n^µ alive incident
 		// edges without replacement (all of them when |E_i| is small,
 		// Line 7) and ships (edge id, weight) pairs to the central machine.
-		smallGraph := float64(aliveCount) < 2*float64(maxB(g, b))*lnInvDelta*float64(etaWords)/nMu
+		smallGraph := float64(aliveCount) < 2*float64(bMax)*lnInvDelta*float64(etaWords)/nMu
 		// Draw each vertex's edge sample machine by machine before the round
 		// (machine order, then vertex order); the closures replay the
 		// per-machine plans concurrently. The samples sit back to back in
@@ -256,7 +257,8 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 	}, nil
 }
 
-// maxB returns max_v b(v), used for space budgeting.
+// maxB returns max_v b(v), used for space budgeting and Line 7's
+// small-graph test.
 func maxB(g *graph.Graph, b func(int) int) int {
 	mb := 1
 	for v := 0; v < g.N; v++ {

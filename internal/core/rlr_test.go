@@ -299,14 +299,25 @@ func TestRLRMatchingMatchesClassic(t *testing.T) {
 		}
 	}
 	// Equal weights everywhere: every argmax is a tie, so the first-max rule
-	// and the bucket order decide the whole run.
+	// and the arrival order decide the whole run.
 	ties := graph.Density(150, 0.4, rng.New(23))
+	// Even edges stored as (smaller, larger), odd ones as (larger, smaller):
+	// a central machine that read an edge's side from its endpoints' order
+	// instead of from U filters the wrong side of half of them. The mix is
+	// set here, not left to the generator's own orientation.
+	swapped := weighted(graph.Density(300, 0.4, rng.New(24)), 25)
+	for id := range swapped.Edges {
+		e := &swapped.Edges[id]
+		if (e.U > e.V) != (id%2 == 1) {
+			e.U, e.V = e.V, e.U
+		}
+	}
 	cases := []struct {
 		name string
 		g    *graph.Graph
 		mu   float64
 		eta  int
-		// minSampled is the number of plan-drawing iterations the case must
+		// minSampled is the number of sampled iterations the case must
 		// reach to be worth keeping.
 		minSampled int
 	}{
@@ -315,6 +326,7 @@ func TestRLRMatchingMatchesClassic(t *testing.T) {
 		{"appendixC/eta=n", weighted(graph.Density(400, 0.5, rng.New(15)), 16), 0, 400, 1},
 		{"sampled/tiny-eta", weighted(graph.Density(1000, 0.5, rng.New(17)), 18), 0.05, 32, 10},
 		{"sampled/ties", ties, 0.1, 40, 2},
+		{"sampled/orientation", swapped, 0.1, 40, 2},
 		{"nonpositive-weights", holed, 0.1, 60, 1},
 		{"star", graph.Star(300), 0.1, 20, 1},
 		{"path", weighted(graph.Path(500), 19), 0.1, 30, 1},
@@ -360,9 +372,10 @@ func TestRLRMatchingMatchesClassic(t *testing.T) {
 // drawn from {1, 2, 3}. Every argmax at the central machine is then decided
 // by which of equal maxima arrives first — machine order, then edge id — so
 // each row has at least three machines, where that order differs from id
-// order. η = n/4 rows take sampled iterations, the default-η rows only full
-// ones. The digests were taken before the full iteration stopped grouping
-// its sides per vertex and started scanning the CSR with a tie clause.
+// order. Every row but n = 300, µ = 0.2 at the default η takes a sampled
+// iteration before its full one; that row takes only the full one. The
+// digests were taken while both kinds still grouped their sides per vertex
+// in a counting sort, before each came to scan the CSR with a tie clause.
 var rlrTieDigests = map[string]string{
 	"w=1..1/n=300/mu=0/eta=0":      "ecf4d9e716783484a4e8db9c2d05248df0c6422579c4e9e8592b7e7dc9ff514c",
 	"w=1..1/n=300/mu=0/eta=75":     "f67f64872dbfe368244809328fee03f7d53129fa886427035c05a7992d7893e7",
@@ -390,31 +403,34 @@ func TestRLRMatchingTieDigests(t *testing.T) {
 			for id := range g.Edges {
 				g.Edges[id].W = float64(1 + wr.Intn(weights))
 			}
-			g.Build()
+			g.Build() // before the rows share g read-only
 			for _, mu := range []float64{0, 0.2} {
 				for _, etaWords := range []int{0, n / 4} {
 					key := fmt.Sprintf("w=1..%d/n=%d/mu=%v/eta=%d", weights, n, mu, etaWords)
-					e := etaWords
-					if e == 0 {
-						e = eta(n, mu, 8)
-					}
-					if M := dataMachines(4*g.M(), 4*e); M < 3 {
-						t.Fatalf("%s: %d machines, the row needs >= 3", key, M)
-					}
-					var runs []MatchingResult
-					for seed := uint64(1); seed <= 3; seed++ {
-						res, err := RLRMatching(g, Params{Mu: mu, Seed: seed}, MatchingOptions{Eta: etaWords})
-						if err != nil {
-							t.Fatalf("%s seed=%d: %v", key, seed, err)
+					t.Run(key, func(t *testing.T) {
+						t.Parallel()
+						e := etaWords
+						if e == 0 {
+							e = eta(n, mu, 8)
 						}
-						if etaWords > 0 && sampledIterations(int64(g.M()), res.History, e) == 0 {
-							t.Fatalf("%s seed=%d: no sampled iteration", key, seed)
+						if M := dataMachines(4*g.M(), 4*e); M < 3 {
+							t.Fatalf("%d machines, the row needs >= 3", M)
 						}
-						runs = append(runs, *res)
-					}
-					if got := resultDigest(runs); got != rlrTieDigests[key] {
-						t.Errorf("%s: digest %s, pinned %s", key, got, rlrTieDigests[key])
-					}
+						var runs []MatchingResult
+						for seed := uint64(1); seed <= 3; seed++ {
+							res, err := RLRMatching(g, Params{Mu: mu, Seed: seed}, MatchingOptions{Eta: etaWords})
+							if err != nil {
+								t.Fatalf("seed=%d: %v", seed, err)
+							}
+							if etaWords > 0 && sampledIterations(int64(g.M()), res.History, e) == 0 {
+								t.Fatalf("seed=%d: no sampled iteration", seed)
+							}
+							runs = append(runs, *res)
+						}
+						if got := resultDigest(runs); got != rlrTieDigests[key] {
+							t.Errorf("digest %s, pinned %s", got, rlrTieDigests[key])
+						}
+					})
 				}
 			}
 		}
@@ -425,33 +441,39 @@ func TestRLRMatchingAllocsBounded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	// A full-sampling run allocates its state and scratch once, then a few
-	// slices per round helper: ten times the edges must stay under the same
-	// small constant. (rlrMatchingClassic makes 11 847 and 80 048 allocations
-	// on these two graphs.) The byte ceilings are 1.5× the warm maximum of 8
-	// calls (124 kB and 946 kB), measured once the central machine of a full
-	// iteration scanned the CSR instead of grouping its sides per vertex; a
-	// 2m-entry bucket alone is 156 kB and 1.6 MB here, and with it and the
-	// copied lists of changed vertices and pushed edges a call took 381 kB
-	// and 3.15 MB.
-	const limit = 400
+	// A run allocates its state and scratch once, then a few slices per
+	// round helper: ten times the edges must stay under the same small
+	// constant. (rlrMatchingClassic makes 11 847 and 80 048 allocations on
+	// these two graphs.) At µ = 0.2 the run is one full iteration, at µ =
+	// 0.05 a sampled iteration and then a full one; the central machine of
+	// both kinds scans the CSR. The byte ceilings are 1.5× the warm maximum
+	// of 8 calls: 124 kB and 946 kB full, 224 kB and 1.35 MB sampled, where
+	// the only m-sized scratch is the sampled iteration's m-byte side slab.
+	// Grouping the sides per vertex in a 2m-entry bucket took a full call to
+	// 381 kB and 3.15 MB, and a sampled one to 422 kB and 2.86 MB. The
+	// sampled rows' malloc limits are 1.25× their warm maximum (322, 494).
 	for _, tc := range []struct {
-		n     int
-		bytes float64
+		n       int
+		mu      float64
+		sampled int // sampled iterations the row must take
+		allocs  float64
+		bytes   float64
 	}{
-		{2000, 0.186e6}, // m = 19 558
-		{12000, 1.42e6}, // m = 200 879
+		{2000, 0.2, 0, 400, 0.186e6},  // m = 19 558
+		{12000, 0.2, 0, 400, 1.42e6},  // m = 200 879
+		{2000, 0.05, 1, 405, 0.336e6}, // 1 113 edges left for the full iteration
+		{12000, 0.05, 1, 620, 2.03e6}, // 11 165 left
 	} {
 		g := graph.Density(tc.n, 0.3, rng.New(31))
 		g.AssignUniformWeights(rng.New(32), 1, 100)
 		g.Build()
-		p := Params{Mu: 0.2, Seed: 1}
+		p := Params{Mu: tc.mu, Seed: 1}
 		res, err := RLRMatching(g, p, MatchingOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sampledIterations(int64(g.M()), res.History, eta(tc.n, p.Mu, 8)) != 0 {
-			t.Fatalf("n=%d: not a full-sampling run", tc.n)
+		if k := sampledIterations(int64(g.M()), res.History, eta(tc.n, p.Mu, 8)); k != tc.sampled {
+			t.Fatalf("n=%d mu=%v: %d sampled iterations, the row needs %d", tc.n, tc.mu, k, tc.sampled)
 		}
 		run := func() {
 			if _, err := RLRMatching(g, p, MatchingOptions{}); err != nil {
@@ -460,11 +482,11 @@ func TestRLRMatchingAllocsBounded(t *testing.T) {
 		}
 		allocs := testing.AllocsPerRun(5, run)
 		bytes := bytesPerRun(5, run)
-		if allocs > limit || bytes > tc.bytes {
-			t.Errorf("m=%d: %v allocations and %.0f bytes per call, want <= %d and <= %.0f",
-				g.M(), allocs, bytes, limit, tc.bytes)
+		if allocs > tc.allocs || bytes > tc.bytes {
+			t.Errorf("m=%d mu=%v: %v allocations and %.0f bytes per call, want <= %.0f and <= %.0f",
+				g.M(), tc.mu, allocs, bytes, tc.allocs, tc.bytes)
 		}
-		t.Logf("m=%d: %v allocations, %.0f bytes per call", g.M(), allocs, bytes)
+		t.Logf("m=%d mu=%v: %v allocations, %.0f bytes per call", g.M(), tc.mu, allocs, bytes)
 	}
 }
 

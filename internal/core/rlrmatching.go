@@ -68,7 +68,9 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 	// number of its edges still alive; each vertex owner stores ϕ(v) plus the
 	// incident edge list used to forward potentials.
 	g.Build()
-	alive := make([]bool, m)
+	// alive[id] is edge id's side mask in a full iteration: 3 (bit0 = in
+	// E'_u, bit1 = in E'_v) while the edge is alive, 0 once it is dead.
+	alive := make([]int8, m)
 	counts := f.counts // alive edges per owner, kept by the owner
 	resident := make([]int, M)
 	aliveCount := int64(0)
@@ -76,7 +78,7 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 		owner := f.owner(id)
 		resident[owner] += 4
 		if g.Edges[id].W > 0 {
-			alive[id] = true
+			alive[id] = 3
 			counts[owner]++
 			aliveCount++
 		}
@@ -90,18 +92,13 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 	lr := seq.NewMatchingLocalRatio(g)
 	cluster.AddResident(0, 2*n) // ϕ plus stacked-bit bookkeeping
 
-	// Scratch reused by every iteration. plan, pos and bucket exist only
-	// once an iteration actually draws randomness: pos and bucket are the
-	// counting sort that groups its sampled sides per vertex.
-	type sample struct {
-		id   int32
-		mask int8 // bit0 = sampled for U's list, bit1 = for V's list
-	}
+	// Scratch reused by every iteration. side and drawn exist only once an
+	// iteration actually draws randomness: side[id] is the mask of sides
+	// drawn for edge id, 0 for a dead or undrawn edge, and drawn[k] the
+	// number of edges machine k sends.
 	var (
-		plan    []sample
-		planEnd = make([]int, M) // plan[planEnd[k-1]:planEnd[k]] is machine k's
-		pos     []int32
-		bucket  []int32
+		side    []int8
+		drawn   []int64
 		changed = newMarkSet(n)
 		fanout  = make([][]int32, M) // round B's per-destination record counts
 	)
@@ -114,43 +111,26 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 
 		// Sampling round: edge owners sample each alive edge into E'_u and
 		// E'_v independently and ship sampled edges to the central machine.
-		// Message layout: [edgeID, sideMask]. A sampled iteration counts
-		// |E'_v| in pos[v] on the way.
+		// Message layout: [edgeID, sideMask]. lists holds the iteration's
+		// side masks: a full iteration puts every alive edge in both lists
+		// and draws nothing, so its masks are alive itself; a sampled one
+		// draws the two sides of each alive edge machine by machine before
+		// the round. The closures send every edge with a non-zero mask.
 		full := aliveCount < 4*int64(etaWords)
+		sends, lists := counts, alive
 		var sampledSides int64 // Σ|E'_v|, counted only when it is random
-		var err error
-		if full {
-			// Every alive edge goes to both lists: nothing is drawn, so there
-			// is nothing to pre-draw and the owners send straight from their
-			// own alive bits.
-			for machine := 1; machine < M; machine++ {
-				if counts[machine] > 0 {
-					cluster.Arm(machine)
-				}
+		if !full {
+			if side == nil {
+				side = make([]int8, m)
+				drawn = make([]int64, M)
+			} else {
+				clear(side)
 			}
-			err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-				if machine == 0 {
-					return
-				}
-				k := int(counts[machine])
-				out.Reserve(0, k, 2*k, 0)
-				for id := machine - 1; id < m; id += M - 1 {
-					if alive[id] {
-						out.SendInts(0, int64(id), 3)
-					}
-				}
-			})
-		} else {
-			// Draw the two per-edge side samples machine by machine before
-			// the round; the closures replay each machine's plan concurrently.
 			prob := math.Min(1, float64(etaWords)/float64(aliveCount))
-			plan = plan[:0]
-			if pos == nil {
-				pos = make([]int32, n)
-			}
 			for machine := 1; machine < M; machine++ {
+				k := int64(0)
 				for id := machine - 1; id < m; id += M - 1 {
-					if !alive[id] {
+					if alive[id] == 0 {
 						continue
 					}
 					var mask int8
@@ -160,103 +140,66 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 					if f.r.Bernoulli(prob) {
 						mask |= 2
 					}
-					if mask == 0 {
-						continue
+					if mask != 0 {
+						side[id] = mask
+						k++
+						sampledSides += int64(mask&1 + mask>>1)
 					}
-					e := &g.Edges[id]
-					if mask&1 != 0 {
-						pos[e.U]++
-						sampledSides++
-					}
-					if mask&2 != 0 {
-						pos[e.V]++
-						sampledSides++
-					}
-					plan = append(plan, sample{int32(id), mask})
 				}
-				planEnd[machine] = len(plan)
-				if planEnd[machine] > planEnd[machine-1] {
-					cluster.Arm(machine)
+				drawn[machine] = k
+			}
+			sends, lists = drawn, side
+		}
+		for machine := 1; machine < M; machine++ {
+			if sends[machine] > 0 {
+				cluster.Arm(machine)
+			}
+		}
+		err := cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
+			if machine == 0 {
+				return
+			}
+			k := int(sends[machine])
+			out.Reserve(0, k, 2*k, 0)
+			for id := machine - 1; id < m; id += M - 1 {
+				if mask := lists[id]; mask != 0 {
+					out.SendInts(0, int64(id), int64(mask))
 				}
 			}
-			err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-				if machine == 0 {
-					return
-				}
-				mine := plan[planEnd[machine-1]:planEnd[machine]]
-				out.Reserve(0, len(mine), 2*len(mine), 0)
-				for _, s := range mine {
-					out.SendInts(0, int64(s.id), int64(s.mask))
-				}
-			})
-		}
+		})
 		if err != nil {
 			return nil, err
 		}
 
 		// Line 10-11: if Σ|E'_v| > 8η the algorithm fails. This is a
 		// w.h.p.-never event at the paper's constants.
-		if !full && sampledSides > 8*int64(etaWords) {
+		if sampledSides > 8*int64(etaWords) {
 			return nil, fmt.Errorf("core: RLRMatching sampling overflow (%d > 8η=%d)", sampledSides, 8*etaWords)
 		}
 
 		// Central machine (Lines 12-14): push the heaviest alive edge of each
 		// E'_v, vertices ascending; of equal maxima the first to arrive wins.
 		// Samples arrive in the order they were sent: by owner (f.owner),
-		// then by id.
-		if !full {
-			// Group the sampled sides per vertex: turning the counts into
-			// bucket starts and filling in arrival order leaves E'_v at
-			// bucket[pos[v-1]:pos[v]], vertices ascending.
-			sum := int32(0)
-			for v, c := range pos {
-				pos[v] = sum
-				sum += c
-			}
-			if cap(bucket) < int(sum) {
-				bucket = make([]int32, sum)
-			}
-			bucket = bucket[:sum]
-			for _, s := range plan {
-				e := &g.Edges[s.id]
-				if s.mask&1 != 0 {
-					bucket[pos[e.U]] = s.id
-					pos[e.U]++
-				}
-				if s.mask&2 != 0 {
-					bucket[pos[e.V]] = s.id
-					pos[e.V]++
-				}
-			}
-		}
-		// A full iteration needs no grouping: E'_v is v's alive incident
-		// edges, which the CSR lists by ascending id, so of equal maxima the
-		// one whose owner sent first arrived first (best ≥ 0 on a tie, since
-		// an alive edge has w > 0). A sampled one scans its buckets and
-		// zeroes pos behind it for the next counts.
+		// then by id. No iteration groups them: E'_v is v's incident edges
+		// whose mask has v's bit (bit0 when v is the edge's U), which the
+		// CSR lists by ascending id, so of equal maxima the one whose owner
+		// sent first arrived first (best ≥ 0 on a tie, since an alive edge
+		// has w > 0).
 		changed.clear()
 		top := lr.StackSize()
-		lo := int32(0)
 		for v := 0; v < n; v++ {
 			best, bestW := -1, 0.0
-			if full {
-				for _, id := range g.IncidentEdges(v) {
-					if !alive[id] {
-						continue
-					}
-					if w, ok := lr.AliveReduced(int(id)); ok && (w > bestW || w == bestW && f.owner(int(id)) < f.owner(best)) {
-						best, bestW = int(id), w
-					}
+			for _, id := range g.IncidentEdges(v) {
+				mask := lists[id]
+				if mask == 0 {
+					continue // dead, or not drawn: most edges of a sampled iteration
 				}
-			} else {
-				hi := pos[v]
-				pos[v] = 0
-				for _, id := range bucket[lo:hi] {
-					if w, ok := lr.AliveReduced(int(id)); ok && w > bestW {
-						best, bestW = int(id), w
-					}
+				if mask != 3 && (mask == 1) != (g.Edges[id].U == v) {
+					continue // drawn for the other endpoint's list only
 				}
-				lo = hi
+				if w, ok := lr.AliveReduced(int(id)); ok && (w > bestW || w == bestW && f.owner(int(id)) < f.owner(best)) {
+					best, bestW = int(id), w
+				}
 			}
 			if best < 0 {
 				continue
@@ -314,7 +257,7 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 				}
 				for _, v := range run.Ints {
 					for _, id := range g.IncidentEdges(int(v)) {
-						if alive[id] {
+						if alive[id] != 0 {
 							fan[f.owner(int(id))]++
 						}
 					}
@@ -332,7 +275,7 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 				for i, v := range run.Ints {
 					phi := run.Floats[i]
 					for _, id := range g.IncidentEdges(int(v)) {
-						if alive[id] {
+						if alive[id] != 0 {
 							out.Begin(f.owner(int(id)))
 							out.Int(int64(id))
 							out.Int(v)
@@ -360,13 +303,13 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 			}
 			left := int64(0)
 			for id := machine - 1; id < m; id += M - 1 {
-				if !alive[id] {
+				if alive[id] == 0 {
 					continue
 				}
 				if lr.Alive(id) {
 					left++
 				} else {
-					alive[id] = false
+					alive[id] = 0
 				}
 			}
 			counts[machine] = left
