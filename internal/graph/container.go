@@ -8,14 +8,17 @@ import (
 	"io"
 	"math"
 	"os"
+	"unsafe"
 )
 
 // This file implements the binary graph container: a versioned, checksummed,
 // directly-mappable on-disk form of the CSR kernel. The text format (io.go)
 // re-parses every edge on load; the container stores the built slabs
 // verbatim, so a cold load is O(header) — OpenMapped (mmap.go) serves the
-// kernel accessors as zero-copy views straight off the page cache, and
-// ReadContainer rebuilds a heap graph with a single sequential read.
+// kernel accessors as zero-copy views straight off the page cache. There is
+// one reader of those bytes, containerGraph: OpenMapped and OpenVerified run
+// it on the mapping, ReadContainer on the container read into one heap
+// buffer.
 //
 // Layout (all integers little-endian, every section 8-byte aligned):
 //
@@ -76,11 +79,13 @@ type section struct {
 	crc  uint32
 }
 
-// check compares a checksum computed over the section's payload with the
-// table's.
-func (s section) check(crc uint32) error {
-	if crc != s.crc {
-		return fmt.Errorf("graph: container section kind %d checksum mismatch (%08x != %08x)", s.kind, crc, s.crc)
+// checkSections compares the checksum of every section in a container's
+// bytes with the table's.
+func checkSections(data []byte, h containerHeader) error {
+	for _, s := range h.sections {
+		if crc := crc32.Checksum(data[s.off:s.off+s.len], castagnoli); crc != s.crc {
+			return fmt.Errorf("graph: container section kind %d checksum mismatch (%08x != %08x)", s.kind, crc, s.crc)
+		}
 	}
 	return nil
 }
@@ -94,15 +99,16 @@ type containerHeader struct {
 func align8(x uint64) uint64 { return (x + 7) &^ 7 }
 
 // rawLayout computes the container layout for a graph with n vertices and
-// m edges. Checksums are zero; writers fill them.
+// m edges. Checksums are zero; writers fill them. The sizes are computed in
+// uint64, where n+1 and 2m cannot overflow on a 32-bit host.
 func rawLayout(n, m int) containerHeader {
 	h := containerHeader{n: uint64(n), m: uint64(m)}
 	sizes := [numSections]uint64{
-		uint64(n+1) * 4, // adjStart
-		uint64(2*m) * 4, // adjNbr
-		uint64(2*m) * 4, // adjEdge
-		uint64(2*m) * 8, // adjW
-		uint64(m) * 24,  // edges
+		(h.n + 1) * 4, // adjStart
+		2 * h.m * 4,   // adjNbr
+		2 * h.m * 4,   // adjEdge
+		2 * h.m * 8,   // adjW
+		h.m * 24,      // edges
 	}
 	off := uint64(prologueLen)
 	for i, size := range sizes {
@@ -165,8 +171,8 @@ func parseHeaderBytes(b []byte) (containerHeader, error) {
 		return h, fmt.Errorf("graph: container header checksum mismatch (%08x != %08x)", got, want)
 	}
 	n, m := le.Uint64(b[8:]), le.Uint64(b[16:])
-	if n > math.MaxInt32 || m > math.MaxInt32/2 {
-		return h, fmt.Errorf("graph: %v", errCSRBounds(int(n), int(m)))
+	if err := csrBounds(n, m); err != nil {
+		return h, err
 	}
 	h = rawLayout(int(n), int(m))
 	for i := range h.sections {
@@ -341,7 +347,8 @@ func WriteContainerFile(path string, g *Graph) error {
 
 // --- decoding ---
 
-// readProlog reads and parses the prologue from a sequential reader.
+// readProlog reads and parses the prologue from a sequential reader, and
+// refuses a container larger than this host can address.
 func readProlog(r io.Reader) (containerHeader, error) {
 	buf := make([]byte, prologueLen)
 	k, err := io.ReadFull(r, buf)
@@ -349,159 +356,128 @@ func readProlog(r io.Reader) (containerHeader, error) {
 	if perr != nil && err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
 		return h, fmt.Errorf("graph: container prologue: %v", err)
 	}
+	if perr == nil && h.totalSize() > math.MaxInt {
+		perr = fmt.Errorf("graph: container of %d bytes exceeds this host's address space", h.totalSize())
+	}
 	return h, perr
 }
 
-// eachSection advances br, positioned just past the prologue, over every
-// section in table order: it skips the padding and calls f at the section's
-// first byte; f must consume exactly s.len bytes.
-func eachSection(br *bufio.Reader, h containerHeader, f func(i int, s section) error) error {
-	pos := uint64(prologueLen)
-	for i, s := range h.sections {
-		if _, err := br.Discard(int(s.off - pos)); err != nil {
-			return fmt.Errorf("graph: container padding: %v", err)
-		}
-		if err := f(i, s); err != nil {
-			return err
-		}
-		pos = s.off + s.len
+// containerGraph builds the graph a container holds from its bytes: data is
+// the whole container, 8-byte aligned, and h its parsed prologue. With
+// verify it checks every section checksum first and the slab invariants
+// (validateSlabs) last; without, it trusts the bytes, as OpenMapped does.
+// The slabs and the edge list view data where the host's layout is the
+// file's (loadSections), so the graph then keeps data alive.
+func containerGraph(data []byte, h containerHeader, verify bool) (*Graph, error) {
+	sec := func(kind int) []byte {
+		s := h.sections[kind-1]
+		return data[s.off : s.off+s.len]
 	}
-	return nil
-}
-
-// sectionDecoder reads one section's payload sequentially, verifying its
-// checksum at the end.
-type sectionDecoder struct {
-	r       io.Reader
-	crc     uint32
-	scratch [1 << 13]byte
-	buf     []byte // unread slice of scratch
-}
-
-func (sd *sectionDecoder) next(n int) ([]byte, error) {
-	for len(sd.buf) < n {
-		// Refill: compact the remainder to the front, then read.
-		rem := copy(sd.scratch[:], sd.buf)
-		k, err := sd.r.Read(sd.scratch[rem:])
-		if k > 0 {
-			sd.crc = crc32.Update(sd.crc, castagnoli, sd.scratch[rem:rem+k])
-		}
-		sd.buf = sd.scratch[:rem+k]
-		if len(sd.buf) >= n {
-			break
-		}
-		if err == io.EOF {
-			return nil, io.ErrUnexpectedEOF
-		}
-		if err != nil {
+	if verify {
+		if err := checkSections(data, h); err != nil {
 			return nil, err
 		}
 	}
-	out := sd.buf[:n]
-	sd.buf = sd.buf[n:]
-	return out, nil
+	g := New(int(h.n))
+	g.loadSections(sec, hostLittleEndian, edgeLayoutMatches)
+	g.built = true
+	g.wBuilt = true
+	if verify {
+		if err := g.validateSlabs(); err != nil {
+			return nil, err
+		}
+	}
+	return g, nil
 }
 
-func (sd *sectionDecoder) uint32() (uint32, error) {
-	b, err := sd.next(4)
-	if err != nil {
-		return 0, err
+// loadSections sets g's slabs and edge list from the sections sec returns:
+// as zero-copy views when the host's layout is the file's, else copied out
+// field by field from the little-endian bytes. Slabs alias on a
+// little-endian host, the edge list only where edgeLayoutMatches; a 32-bit
+// host copies the edges, a big-endian one everything.
+func (g *Graph) loadSections(sec func(kind int) []byte, aliasSlabs, aliasEdges bool) {
+	if aliasSlabs {
+		g.adjStart = viewInt32(sec(secAdjStart))
+		g.adjNbr = viewInt32(sec(secAdjNbr))
+		g.adjEdge = viewInt32(sec(secAdjEdge))
+		g.adjW = viewFloat64(sec(secAdjW))
+	} else {
+		g.adjStart = copyOut(sec(secAdjStart), 4, leInt32)
+		g.adjNbr = copyOut(sec(secAdjNbr), 4, leInt32)
+		g.adjEdge = copyOut(sec(secAdjEdge), 4, leInt32)
+		g.adjW = copyOut(sec(secAdjW), 8, leFloat64)
 	}
-	return binary.LittleEndian.Uint32(b), nil
+	if aliasEdges {
+		g.Edges = viewEdges(sec(secEdges))
+	} else {
+		g.Edges = copyOut(sec(secEdges), 24, leEdge)
+	}
 }
 
-func (sd *sectionDecoder) uint64() (uint64, error) {
-	b, err := sd.next(8)
-	if err != nil {
-		return 0, err
+// copyOut is the byte-order fallback: it decodes b, a run of size-byte
+// little-endian records, into a fresh slice one record at a time.
+func copyOut[T any](b []byte, size int, decode func(rec []byte) T) []T {
+	out := make([]T, len(b)/size)
+	for i := range out {
+		out[i] = decode(b[size*i:])
 	}
-	return binary.LittleEndian.Uint64(b), nil
+	return out
 }
 
-// decodeSection runs body over exactly s.len payload bytes and verifies the
-// checksum. The reader must be positioned at the section start.
-func decodeSection(r io.Reader, s section, body func(sd *sectionDecoder) error) error {
-	sd := sectionDecoder{r: io.LimitReader(r, int64(s.len))}
-	if err := body(&sd); err != nil {
-		return fmt.Errorf("graph: container section kind %d: %v", s.kind, err)
-	}
-	if len(sd.buf) != 0 {
-		return fmt.Errorf("graph: container section kind %d has %d trailing bytes", s.kind, len(sd.buf))
-	}
-	return s.check(sd.crc)
+func leInt32(b []byte) int32     { return int32(binary.LittleEndian.Uint32(b)) }
+func leFloat64(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
+
+func leEdge(b []byte) Edge {
+	le := binary.LittleEndian
+	return Edge{U: int(int64(le.Uint64(b))), V: int(int64(le.Uint64(b[8:]))), W: leFloat64(b[16:])}
 }
 
 // ReadContainer decodes a binary container from a sequential reader into a
-// heap graph, verifying every section checksum. The graph arrives fully
-// built: the slabs are read, not recomputed.
+// heap graph, with the checks OpenVerified makes: every section checksum,
+// then the slab invariants. The graph arrives fully built: the slabs are
+// read, not recomputed.
 func ReadContainer(r io.Reader) (*Graph, error) { return readContainer(r, inputSize(r)) }
 
 // readContainer is ReadContainer for an input of size bytes (< 0: unknown).
-// Every slab is allocated when its section is reached, sized by presize, so
-// the header's n and m are believed only as far as size can back them.
+// It reads the container into one heap buffer and builds the graph on it as
+// OpenVerified does on a mapping. The header's n and m are believed only as
+// far as the bytes go: a sized input shorter than the layout is refused
+// before the buffer is allocated, and an unsized one grows its buffer only
+// as bytes arrive.
 func readContainer(r io.Reader, size int64) (*Graph, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	h, err := readProlog(br)
+	h, err := readProlog(r)
 	if err != nil {
 		return nil, err
 	}
-	n, m := int(h.n), int(h.m)
-	g := New(n)
-	readInt32s := func(dst *[]int32, count int) func(sd *sectionDecoder) error {
-		return func(sd *sectionDecoder) error {
-			*dst = make([]int32, 0, presize(count, 4, size))
-			for i := 0; i < count; i++ {
-				v, err := sd.uint32()
-				if err != nil {
-					return err
-				}
-				*dst = append(*dst, int32(v))
-			}
-			return nil
+	total := h.totalSize()
+	if size >= 0 && uint64(size) < total {
+		return nil, fmt.Errorf("graph: container truncated: %d bytes, header promises %d", size, total)
+	}
+	first := total
+	if size < 0 {
+		first = min(total, 8*unsizedPresize) // unsizedPresize 8-byte words
+	}
+	data := alignedBytes(first)
+	for have := prologueLen; uint64(have) < total; {
+		if have == len(data) {
+			grown := alignedBytes(min(2*uint64(have), total))
+			copy(grown, data)
+			data = grown
+		}
+		k, err := io.ReadFull(r, data[have:])
+		have += k
+		if err != nil {
+			return nil, fmt.Errorf("graph: container truncated at byte %d of %d: %v", have, total, err)
 		}
 	}
-	bodies := [numSections]func(sd *sectionDecoder) error{
-		readInt32s(&g.adjStart, n+1),
-		readInt32s(&g.adjNbr, 2*m),
-		readInt32s(&g.adjEdge, 2*m),
-		func(sd *sectionDecoder) error {
-			g.adjW = make([]float64, 0, presize(2*m, 8, size))
-			for i := 0; i < 2*m; i++ {
-				bits, err := sd.uint64()
-				if err != nil {
-					return err
-				}
-				g.adjW = append(g.adjW, math.Float64frombits(bits))
-			}
-			return nil
-		},
-		func(sd *sectionDecoder) error {
-			g.Edges = make([]Edge, 0, presize(m, 24, size))
-			for i := 0; i < m; i++ {
-				b, err := sd.next(24)
-				if err != nil {
-					return err
-				}
-				le := binary.LittleEndian
-				g.Edges = append(g.Edges, Edge{
-					U: int(int64(le.Uint64(b))),
-					V: int(int64(le.Uint64(b[8:]))),
-					W: math.Float64frombits(le.Uint64(b[16:])),
-				})
-			}
-			return nil
-		},
-	}
-	err = eachSection(br, h, func(i int, s section) error { return decodeSection(br, s, bodies[i]) })
-	if err != nil {
-		return nil, err
-	}
-	if err := g.validateSlabs(); err != nil {
-		return nil, err
-	}
-	g.built = true
-	g.wBuilt = true
-	return g, nil
+	return containerGraph(data, h, true)
+}
+
+// alignedBytes returns n zero bytes starting at an 8-byte boundary, so that
+// the container's 8-aligned sections can be viewed as typed slices.
+func alignedBytes(n uint64) []byte {
+	words := make([]uint64, (n+7)/8)
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), n)
 }
 
 // validateSlabs checks slabs loaded from external bytes against the edge
@@ -562,21 +538,10 @@ func (g *Graph) validateSlabs() error {
 // VerifyContainer checks every checksum of the container at path — the full
 // offline integrity check that OpenMapped deliberately skips.
 func VerifyContainer(path string) error {
-	fh, err := os.Open(path)
+	m, h, err := mapContainer(path)
 	if err != nil {
 		return err
 	}
-	defer fh.Close()
-	br := bufio.NewReaderSize(fh, 1<<16)
-	h, err := readProlog(br)
-	if err != nil {
-		return err
-	}
-	return eachSection(br, h, func(_ int, s section) error {
-		var cw crcWriter
-		if _, err := io.CopyN(&cw, br, int64(s.len)); err != nil {
-			return fmt.Errorf("graph: container section kind %d truncated: %v", s.kind, err)
-		}
-		return s.check(cw.crc)
-	})
+	defer m.close()
+	return checkSections(m.data, h)
 }

@@ -36,6 +36,8 @@ func boundInputs() map[string][]byte {
 		"text":  []byte("graph 10 1073741823\n"),
 		"flags": forgedContainer(10, math.MaxInt32/2, flagCompressedV1),
 		"raw":   forgedContainer(math.MaxInt32, math.MaxInt32/2, 0),
+		// An unsized stream: the container reader cannot see its length.
+		"raw.gz": gzipBytes(forgedContainer(math.MaxInt32, math.MaxInt32/2, 0)),
 	}
 }
 

@@ -112,16 +112,17 @@ func (g *Graph) ensureMutable() {
 // int32 kernel: the half-edge slabs are indexed by int32, so both n and 2m
 // must stay below 2^31. Build panics with this error; the decoding paths
 // (Decode, ReadContainer, BuildExternal) return it before allocating.
-func checkCSRBounds(n, m int) error {
-	if n > math.MaxInt32 || m < 0 || 2*m > math.MaxInt32 || m > math.MaxInt32/2 {
-		return errCSRBounds(n, m)
+func checkCSRBounds(n, m int) error { return csrBounds(uint64(n), uint64(m)) }
+
+// csrBounds is checkCSRBounds for dimensions read from input, which need not
+// fit an int on a 32-bit host. A negative int converts to a value past the
+// bounds, so it is refused too (every caller refuses it first).
+func csrBounds(n, m uint64) error {
+	if n > math.MaxInt32 || m > math.MaxInt32/2 {
+		return fmt.Errorf("graph: n=%d m=%d exceeds the int32 CSR kernel (need n <= %d and 2m <= %d)",
+			n, m, math.MaxInt32, math.MaxInt32)
 	}
 	return nil
-}
-
-func errCSRBounds(n, m int) error {
-	return fmt.Errorf("graph: n=%d m=%d exceeds the int32 CSR kernel (need n <= %d and 2m <= %d)",
-		n, m, math.MaxInt32, math.MaxInt32)
 }
 
 // New returns an empty graph on n vertices.

@@ -72,17 +72,17 @@ func newTextStream(r io.Reader) (*textStream, error) {
 	if !sc.Scan() {
 		return nil, fmt.Errorf("graph: empty input")
 	}
-	var n, m int
+	var n, m int64 // a 32-bit int cannot hold every header csrBounds must refuse
 	if _, err := fmt.Sscanf(sc.Text(), "graph %d %d", &n, &m); err != nil {
 		return nil, fmt.Errorf("graph: bad header %q: %v", sc.Text(), err)
 	}
 	if n < 0 || m < 0 {
 		return nil, fmt.Errorf("graph: negative dimensions in header")
 	}
-	if err := checkCSRBounds(n, m); err != nil {
+	if err := csrBounds(uint64(n), uint64(m)); err != nil {
 		return nil, err
 	}
-	return &textStream{sc: sc, n: n, m: m}, nil
+	return &textStream{sc: sc, n: int(n), m: int(m)}, nil
 }
 
 // Next returns the next edge. After exactly m edges it verifies the

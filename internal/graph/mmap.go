@@ -1,10 +1,7 @@
 package graph
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"math"
 	"os"
 	"runtime"
 	"unsafe"
@@ -60,7 +57,8 @@ var edgeLayoutMatches = hostLittleEndian &&
 
 // viewInt32, viewFloat64 and viewEdges reinterpret an aligned byte section
 // as a typed slice without copying. The container format 8-aligns every
-// section and mmap returns page-aligned bases, so the casts are aligned.
+// section, and both mmap and ReadContainer's buffer (alignedBytes) start at
+// an 8-aligned base, so the casts are aligned.
 func viewInt32(b []byte) []int32 {
 	if len(b) == 0 {
 		return nil
@@ -89,8 +87,8 @@ func viewEdges(b []byte) []Edge {
 //
 // The header checksum is verified and the table must be the one layout for
 // the header's n and m; section payloads are not (that would fault in the whole file — run
-// VerifyContainer for a full integrity check). Big-endian hosts fall back
-// to ReadContainer: same graph, heap-resident.
+// VerifyContainer for a full integrity check). A big-endian host copies
+// every section out of the mapping and unmaps it: same graph, heap-resident.
 //
 // The returned graph is immutable — in-place mutators panic; Clone gives a
 // mutable heap copy. Close (or garbage collection of the graph and every
@@ -102,96 +100,59 @@ func viewEdges(b []byte) []Edge {
 func OpenMapped(path string) (*Graph, error) { return openMapped(path, false) }
 
 // OpenVerified is OpenMapped plus the checks ReadContainer makes on every
-// load: each section checksum over the mapped bytes, then the slab
-// invariants (validateSlabs), which replay Build's fill against the loaded
-// adjacency. On a 35 MB container of 661 k edges that is about 13 ms of
-// checksums and 30 ms of replay (2 CPUs). It returns an error instead of a
-// graph that would index out of range or whose adjacency disagrees with its
-// edge list.
+// load (the two share containerGraph): each section checksum over the
+// mapped bytes, then the slab invariants (validateSlabs), which replay
+// Build's fill against the loaded adjacency. On a 35 MB container of 661 k
+// edges that is about 13 ms of checksums and 30 ms of replay (2 CPUs). It
+// returns an error instead of a graph that would index out of range or
+// whose adjacency disagrees with its edge list.
 func OpenVerified(path string) (*Graph, error) { return openMapped(path, true) }
 
 func openMapped(path string, verify bool) (*Graph, error) {
-	fh, err := os.Open(path)
+	m, h, err := mapContainer(path)
 	if err != nil {
 		return nil, err
+	}
+	g, err := containerGraph(m.data, h, verify)
+	if err != nil {
+		m.close()
+		return nil, err
+	}
+	if !hostLittleEndian {
+		m.close() // every section was copied out: a heap graph
+		return g, nil
+	}
+	g.backing = m
+	return g, nil
+}
+
+// mapContainer checks the prologue of the container at path and maps the
+// h.totalSize() bytes it describes.
+func mapContainer(path string) (*mapping, containerHeader, error) {
+	fh, err := os.Open(path)
+	if err != nil {
+		return nil, containerHeader{}, err
 	}
 	defer fh.Close()
 
 	h, err := readProlog(fh)
 	if err != nil {
-		return nil, err
+		return nil, h, err
 	}
-
-	if !hostLittleEndian {
-		// Not mappable: decode to the heap through the verifying path.
-		if _, err := fh.Seek(0, 0); err != nil {
-			return nil, err
-		}
-		return ReadContainer(fh)
-	}
-
 	st, err := fh.Stat()
 	if err != nil {
-		return nil, err
+		return nil, h, err
 	}
 	size := h.totalSize()
 	if uint64(st.Size()) < size {
-		return nil, fmt.Errorf("graph: container truncated: %d bytes on disk, header promises %d", st.Size(), size)
+		return nil, h, fmt.Errorf("graph: container truncated: %d bytes on disk, header promises %d", st.Size(), size)
 	}
 
 	data, mapped, err := mmapFile(fh, int(size))
 	if err != nil {
-		return nil, fmt.Errorf("graph: mmap %s: %v", path, err)
+		return nil, h, fmt.Errorf("graph: mmap %s: %v", path, err)
 	}
 	m := &mapping{data: data, unmap: mapped}
 	runtime.SetFinalizer(m, (*mapping).close)
-	if verify {
-		for _, s := range h.sections {
-			if err := s.check(crc32.Checksum(data[s.off:s.off+s.len], castagnoli)); err != nil {
-				m.close()
-				return nil, err
-			}
-		}
-	}
-
-	sec := func(kind uint32) []byte {
-		s := h.sections[kind-1]
-		return data[s.off : s.off+s.len]
-	}
-	g := New(int(h.n))
-	g.adjStart = viewInt32(sec(secAdjStart))
-	g.adjNbr = viewInt32(sec(secAdjNbr))
-	g.adjEdge = viewInt32(sec(secAdjEdge))
-	g.adjW = viewFloat64(sec(secAdjW))
-	if edgeLayoutMatches {
-		g.Edges = viewEdges(sec(secEdges))
-	} else {
-		// 32-bit host: the record layout differs from Edge, copy out.
-		g.Edges = decodeEdgeSection(sec(secEdges))
-	}
-	g.built = true
-	g.wBuilt = true
-	g.backing = m
-	if verify {
-		if err := g.validateSlabs(); err != nil {
-			m.close()
-			return nil, err
-		}
-	}
-	return g, nil
-}
-
-// decodeEdgeSection decodes the edges section field by field (the fallback
-// when the in-memory Edge layout differs from the on-disk record).
-func decodeEdgeSection(b []byte) []Edge {
-	edges := make([]Edge, len(b)/24)
-	for i := range edges {
-		rec := b[i*24 : i*24+24]
-		edges[i] = Edge{
-			U: int(int64(binary.LittleEndian.Uint64(rec))),
-			V: int(int64(binary.LittleEndian.Uint64(rec[8:]))),
-			W: math.Float64frombits(binary.LittleEndian.Uint64(rec[16:])),
-		}
-	}
-	return edges
+	return m, h, nil
 }
