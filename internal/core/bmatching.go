@@ -84,8 +84,6 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 	var (
 		sampled  []int             // every vertex's sampled edge ids, back to back
 		sampleOf = make([]span, n) // vertex -> its stretch of sampled; empty if it sent nothing
-		plan     []int             // plan[planEnd[k-1]:planEnd[k]] is machine k's
-		planEnd  = make([]int, M)
 		changed  = newMarkSet(n)
 	)
 
@@ -98,50 +96,39 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 		// edges without replacement (all of them when |E_i| is small,
 		// Line 7) and ships (edge id, weight) pairs to the central machine.
 		smallGraph := float64(aliveCount) < 2*float64(bMax)*lnInvDelta*float64(etaWords)/nMu
-		// Draw each vertex's edge sample machine by machine before the round
-		// (machine order, then vertex order); the closures replay the
-		// per-machine plans concurrently. The samples sit back to back in
-		// sampled; sampleOf[v] is vertex v's stretch of it.
+		// Draw each vertex's edge sample into the frame's plan before the
+		// round; the closures replay the per-machine plans concurrently. The
+		// plan holds every vertex with alive incident edges — such a vertex
+		// always ships its (possibly header-only) payload, which is what the
+		// word accounting charges. The samples sit back to back in sampled;
+		// sampleOf[v] is vertex v's stretch of it.
 		sampled = sampled[:0]
 		clear(sampleOf)
-		// plan lists, machine by machine, every owned vertex with alive
-		// incident edges — such a vertex always ships its (possibly
-		// header-only) payload, which is what the word accounting charges.
-		plan = plan[:0]
-		for machine := 1; machine < M; machine++ {
-			for v := machine - 1; v < n; v += M - 1 {
-				lo := len(sampled)
-				for _, id := range g.IncidentEdges(v) {
-					if alive[id] {
-						sampled = append(sampled, int(id))
-					}
+		f.drawPlan(n, func(v int) bool {
+			lo := len(sampled)
+			for _, id := range g.IncidentEdges(v) {
+				if alive[id] {
+					sampled = append(sampled, int(id))
 				}
-				aliveIDs := len(sampled) - lo
-				if aliveIDs == 0 {
-					continue
-				}
-				want := int(math.Ceil(float64(b(v)) * lnInvDelta * nMu))
-				if !smallGraph && want < aliveIDs {
-					// Keep only the drawn edges, in draw order.
-					for _, idx := range f.r.SampleWithoutReplacement(aliveIDs, want) {
-						sampled = append(sampled, sampled[lo+idx])
-					}
-					copy(sampled[lo:], sampled[lo+aliveIDs:])
-					sampled = sampled[:lo+want]
-				}
-				plan = append(plan, v)
-				sampleOf[v] = span{lo, len(sampled)}
 			}
-			planEnd[machine] = len(plan)
-			if planEnd[machine] > planEnd[machine-1] {
-				cluster.Arm(machine)
+			aliveIDs := len(sampled) - lo
+			if aliveIDs == 0 {
+				return false
 			}
-		}
+			want := int(math.Ceil(float64(b(v)) * lnInvDelta * nMu))
+			if !smallGraph && want < aliveIDs {
+				// Keep only the drawn edges, in draw order.
+				for _, idx := range f.r.SampleWithoutReplacement(aliveIDs, want) {
+					sampled = append(sampled, sampled[lo+idx])
+				}
+				copy(sampled[lo:], sampled[lo+aliveIDs:])
+				sampled = sampled[:lo+want]
+			}
+			sampleOf[v] = span{lo, len(sampled)}
+			return true
+		})
 		err := cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			if machine == 0 {
-				return
-			}
-			for _, v := range plan[planEnd[machine-1]:planEnd[machine]] {
+			for _, v := range f.planned(machine) {
 				out.Begin(0)
 				out.Int(int64(v))
 				for _, id := range sampled[sampleOf[v].lo:sampleOf[v].hi] {

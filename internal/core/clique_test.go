@@ -32,8 +32,8 @@ func TestMaximalCliqueSmall(t *testing.T) {
 }
 
 // cliqueDigests pins the full result (clique, iterations, every metric) of
-// each MaximalClique row below, keyed "case/µ". They were taken before the
-// driver ran on the MIS state's complement view, which reproduces them.
+// each MaximalClique row below, keyed "case/µ": any drift in the driver's
+// draws, groups, rounds or charging moves one.
 var cliqueDigests = map[string]string{
 	"complete/0.05": "d71aa5a93698b4ed6535d838f4b39349fc9099c6115e0c43f08dd094fc43fd69",
 	"complete/0.25": "7aeadbcb458ecefc310d4d43b68febbbf7cd2082cbea3de5286426a9c24a1857",

@@ -188,7 +188,8 @@ func dataMachines(inputWords, capWords int) int {
 // 0, and the driver draws from one RNG seeded by Params.Seed (the
 // colourings draw their groups from that seed before colourGroups builds
 // its frame). It also counts the driver's main-loop iterations against
-// maxIterations and holds the per-machine slab of the one-word all-reduces.
+// maxIterations and holds the per-machine slab of the one-word all-reduces
+// and the plan of the current sampling pass.
 type frame struct {
 	name       string // the driver, for the iteration guard's error
 	M          int
@@ -197,6 +198,8 @@ type frame struct {
 	r          *rng.RNG
 	iterations int
 	counts     []int64 // per-machine contributions to sumCounts
+	plan       []int   // drawPlan's ids, machine by machine
+	planEnd    []int   // data machine k's ids are plan[planEnd[k-1]:planEnd[k]]
 }
 
 // newFrame sets up M machines under an enforced cap of capSlack·capWords
@@ -211,6 +214,7 @@ func newFrame(name string, p Params, M, capWords, base int) frame {
 		tree:    mpc.NewTree(cluster, 0, treeDegree(base, p.Mu)),
 		r:       rng.New(p.Seed),
 		counts:  make([]int64, M),
+		planEnd: make([]int, M),
 	}
 }
 
@@ -232,6 +236,41 @@ func (f *frame) next() error {
 	}
 	f.iterations++
 	return nil
+}
+
+// drawPlan refills the plan with the items among 0..n−1 that pick takes,
+// asking in machine order, then stride order — the order the machines would
+// draw in — and arms every machine that took one, so a round's closures can
+// replay their parts (planned) concurrently. It returns the whole plan, one
+// slab that the next pass refills.
+func (f *frame) drawPlan(n int, pick func(id int) bool) []int {
+	f.plan = f.plan[:0]
+	for machine := 1; machine < f.M; machine++ {
+		for id := machine - 1; id < n; id += f.M - 1 {
+			if pick(id) {
+				f.plan = append(f.plan, id)
+			}
+		}
+		f.endPlan(machine)
+	}
+	return f.plan
+}
+
+// endPlan closes data machine's part of a plan filled in machine order,
+// arming the machine if its part is non-empty.
+func (f *frame) endPlan(machine int) {
+	f.planEnd[machine] = len(f.plan)
+	if f.planEnd[machine] > f.planEnd[machine-1] {
+		f.cluster.Arm(machine)
+	}
+}
+
+// planned is machine's part of the plan: nothing for the central machine.
+func (f *frame) planned(machine int) []int {
+	if machine == 0 {
+		return nil
+	}
+	return f.plan[f.planEnd[machine-1]:f.planEnd[machine]]
 }
 
 // setResident declares resident[machine] words on every machine.

@@ -33,6 +33,7 @@ type filtering struct {
 	etaWords int
 	matched  []bool
 	matching []int
+	newly    []int64 // the endpoints an iteration matched, broadcast down the tree
 }
 
 // newFiltering lays g's edges out three words each over data machines
@@ -69,39 +70,39 @@ func (f *filtering) run(alive []bool, count int64) error {
 		if !final {
 			prob = math.Min(1, float64(f.etaWords)/float64(count))
 		}
-		// Draw the sample machine by machine before the round; the closures
-		// replay each machine's plan concurrently.
-		var sampled []int
-		plan := make([][]int64, f.M)
+		// The frame's plan, drawn in place rather than through drawPlan: the
+		// draw is all the per-edge work here, and a pick call per edge would
+		// add about a tenth to a run.
+		f.plan = f.plan[:0]
 		for machine := 1; machine < f.M; machine++ {
 			for id := machine - 1; id < len(alive); id += f.M - 1 {
 				if alive[id] && (final || f.r.Bernoulli(prob)) {
-					plan[machine] = append(plan[machine], int64(id))
-					sampled = append(sampled, id)
+					f.plan = append(f.plan, id)
 				}
 			}
+			f.endPlan(machine)
 		}
-		armPlanned(f.cluster, plan)
+		sampled := f.plan
 		err := f.cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			for _, id := range plan[machine] {
-				out.SendInts(0, id)
+			for _, id := range f.planned(machine) {
+				out.SendInts(0, int64(id))
 			}
 		})
 		if err != nil {
 			return err
 		}
-		sort.Ints(sampled)
+		sort.Ints(sampled) // in place: the round has shipped the plan
 		before := len(f.matching)
 		f.matching = seq.MaximalMatching(f.g, sampled, f.matched, f.matching)
 
 		// Broadcast the newly matched vertices down the tree; owners kill
 		// incident edges.
-		newly := make([]int64, 0, 2*(len(f.matching)-before))
+		f.newly = f.newly[:0]
 		for _, id := range f.matching[before:] {
 			e := f.g.Edges[id]
-			newly = append(newly, int64(e.U), int64(e.V))
+			f.newly = append(f.newly, int64(e.U), int64(e.V))
 		}
-		if err := f.tree.Broadcast(f.cluster, newly, nil); err != nil {
+		if err := f.tree.Broadcast(f.cluster, f.newly, nil); err != nil {
 			return err
 		}
 		clear(f.counts)

@@ -41,6 +41,11 @@ func LubyMIS(g *graph.Graph, p Params) (*MISResult, error) {
 	// Owner-partitioned like the status arrays — a machine stamps only the
 	// vertices it owns — and never cleared: the iteration number is the epoch.
 	beaten := make([]int32, n)
+	// Per-iteration scratch, sized once: the drawn priorities, which data
+	// machines still own an alive vertex, and this iteration's local minima.
+	priority := make([]float64, n)
+	hasAlive := make([]bool, M)
+	localMin := make([]bool, n)
 
 	aliveCount := int64(n)
 	for aliveCount > 0 {
@@ -56,8 +61,7 @@ func LubyMIS(g *graph.Graph, p Params) (*MISResult, error) {
 		// vertex (an isolated alive vertex receives no traffic but must
 		// still declare itself a local minimum), so those machines are
 		// armed and retired machines go dormant.
-		priority := make([]float64, n)
-		hasAlive := make([]bool, M)
+		clear(hasAlive)
 		for machine := 1; machine < M; machine++ {
 			for v := machine - 1; v < n; v += M - 1 {
 				if aliveVertex(v) {
@@ -101,7 +105,7 @@ func LubyMIS(g *graph.Graph, p Params) (*MISResult, error) {
 			}
 			return u < v
 		}
-		localMin := make([]bool, n)
+		clear(localMin)
 		epoch := int32(f.iterations)
 		armAlive()
 		err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {

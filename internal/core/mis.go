@@ -24,9 +24,19 @@ type MISResult struct {
 	Metrics mpc.Metrics
 }
 
-// misState is the shared distributed state of Algorithms 2 and 6: vertices
-// (with adjacency lists) partitioned over data machines, per-vertex status
-// and alive-degree, and the central machine's record of the independent set.
+// misState is the shared distributed state of Algorithms 2 and 6 and of
+// Appendix B's clique: vertices (with adjacency lists) partitioned over data
+// machines, per-vertex status and alive-degree, and the central machine's
+// record of the independent set.
+//
+// In the complement view (Appendix B) the state runs the same hungry-greedy
+// machinery on the complement graph, which is never materialized. The alive
+// set is the clique's active set A, the central machine's additions join the
+// clique, and every vertex that leaves A is marked dominated. dI still
+// counts alive neighbours in g; the view differs in exactly three places:
+// degree is the complement degree |A| − 1 − dI, a sampled vertex ships its
+// alive non-neighbours, and disseminate's records carry no joined bit (the
+// clique driver keeps the members from the batches, and |A| in size).
 //
 // The per-vertex arrays are owner-partitioned: during a round, machine k's
 // RoundFunc invocation only ever writes entries of vertices it owns, so the
@@ -37,9 +47,10 @@ type MISResult struct {
 //
 // Everything below the status arrays is driver scratch the state owns and
 // resets per pass, so an iteration allocates nothing that grows with the
-// graph: a sampling pass refills the plan and the candidates (views of the
-// central machine's inbox), and the central machine's batch-local "left the
-// alive set" marks clear by epoch.
+// graph: a sampling pass refills the frame's plan and the candidates (views
+// of the central machine's inbox), the central machine's batch-local "left
+// the alive set" marks clear by epoch, and a machine's complement marks are
+// cleared by the record that set them.
 type misState struct {
 	frame
 	g *graph.Graph
@@ -48,15 +59,26 @@ type misState struct {
 	dominated []bool // v ∈ N+(I) \ I
 	dI        []int  // alive degree: |N(v) \ N+(I)|, 0 if v ∈ N+(I)
 
-	plan    []int         // the current pass's sampled vertices in submission order: machine, then vertex
-	planEnd []int         // machine's plan is plan[planEnd[machine-1]:planEnd[machine]]
-	sample  []candidate   // the central machine's view of the pass, in the same order
-	groups  [][]candidate // chopGroups' result buffer
-	batch   centralBatch  // the central machine's additions of the current iteration
-	left    *markSet      // vertices the central machine removed from the alive set this batch
+	complement bool     // Appendix B's view: the hungry-greedy MIS of the complement graph
+	size       int      // the complement view's |A|, kept by the clique driver
+	marks      [][]bool // the complement view's per-machine neighbour marks, made on first use
+
+	sample []candidate   // the central machine's view of the pass, in submission order
+	groups [][]candidate // chopGroups' result buffer
+	batch  centralBatch  // the central machine's additions of the current iteration
+	left   *markSet      // vertices the central machine removed from the alive set this batch
 }
 
 func (s *misState) aliveVertex(v int) bool { return !s.inI[v] && !s.dominated[v] }
+
+// degree is an alive vertex's degree in the view's graph: dI, or its
+// complement degree |A| − 1 − dI.
+func (s *misState) degree(v int) int {
+	if s.complement {
+		return s.size - 1 - s.dI[v]
+	}
+	return s.dI[v]
+}
 
 // newMISState lays g's vertices out with their adjacency lists over the
 // data machines under a budget of η = n^{1+µ} words; the caller closes the
@@ -72,7 +94,6 @@ func newMISState(name string, g *graph.Graph, p Params) *misState {
 		dI:        make([]int, g.N),
 		left:      newMarkSet(g.N),
 	}
-	s.planEnd = make([]int, s.M)
 	resident := make([]int, s.M)
 	for v := 0; v < g.N; v++ {
 		s.dI[v] = g.Degree(v)
@@ -83,7 +104,8 @@ func newMISState(name string, g *graph.Graph, p Params) *misState {
 	return s
 }
 
-// candidate is a sampled vertex with its alive neighbours at sampling time
+// candidate is a sampled vertex with its alive neighbours in the view's
+// graph at sampling time (in the complement view its alive non-neighbours),
 // as the central machine received them: a view of its record in Inbox(0),
 // valid until the end of the next round, which recycles the inbox.
 type candidate struct {
@@ -104,43 +126,33 @@ var sampled = func(*misState) {}
 // sampleToCentral is one sampling pass and its round: vertex v joins the
 // sample with probability rate(v) — 0 for a vertex that does not take part,
 // which draws nothing — and ships (v, alive neighbour list) to the central
-// machine. The sampling decisions are drawn up front in machine order, then
-// vertex order — the order the machines would draw in — so every machine's
-// plan is a run of vertex ids, which the round's closures replay
-// concurrently, sizing the column to the central machine exactly (a sampled
-// vertex is alive, and between disseminates dI is its alive degree) and
-// scanning the alive neighbours straight into it. The returned candidates
-// are the central machine's inbox in submission order, which it chops into
-// groups; reordering them is the caller's right.
+// machine. The sampling decisions are drawn up front into the frame's plan,
+// which the round's closures replay concurrently, sizing the column to the
+// central machine by degree (a sampled vertex is alive, and between
+// disseminates dI is its alive degree) and writing the list straight into
+// it. In the complement view the list is v's alive non-neighbours, ascending
+// and without v, found through a mark bitmap of the machine's own. The
+// returned candidates are the central machine's inbox in submission order,
+// which it chops into groups; reordering them is the caller's right.
 func (s *misState) sampleToCentral(rate func(v int) float64) ([]candidate, error) {
-	s.plan = s.plan[:0]
-	for machine := 1; machine < s.M; machine++ {
-		for v := machine - 1; v < s.g.N; v += s.M - 1 {
-			if s.r.Bernoulli(rate(v)) {
-				s.plan = append(s.plan, v)
-			}
-		}
-		s.planEnd[machine] = len(s.plan)
-		if s.planEnd[machine] > s.planEnd[machine-1] {
-			s.cluster.Arm(machine)
-		}
-	}
+	s.drawPlan(s.g.N, func(v int) bool { return s.r.Bernoulli(rate(v)) })
 	err := s.cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-		if machine == 0 {
-			return
-		}
-		plan := s.plan[s.planEnd[machine-1]:s.planEnd[machine]]
+		plan := s.planned(machine)
 		words := len(plan)
 		for _, v := range plan {
-			words += s.dI[v]
+			words += s.degree(v)
 		}
 		out.Reserve(0, len(plan), words, 0)
 		for _, v := range plan {
 			out.Begin(0)
 			out.Int(int64(v))
-			for _, u := range s.g.Neighbors(v) {
-				if s.aliveVertex(int(u)) {
-					out.Int(int64(u))
+			if s.complement {
+				s.writeNonNeighbours(machine, v, out)
+			} else {
+				for _, u := range s.g.Neighbors(v) {
+					if s.aliveVertex(int(u)) {
+						out.Int(int64(u))
+					}
 				}
 			}
 			out.End()
@@ -157,6 +169,31 @@ func (s *misState) sampleToCentral(rate func(v int) float64) ([]candidate, error
 	in.Reset()
 	sampled(s)
 	return s.sample, nil
+}
+
+// writeNonNeighbours writes v's alive non-neighbours, ascending and without
+// v, into machine's open record. machine's marks are set on v and its
+// neighbours for the scan and cleared after it.
+func (s *misState) writeNonNeighbours(machine, v int, out *mpc.Outbox) {
+	mark := s.marks[machine]
+	if mark == nil {
+		mark = make([]bool, s.g.N)
+		s.marks[machine] = mark
+	}
+	nbrs := s.g.Neighbors(v)
+	mark[v] = true
+	for _, u := range nbrs {
+		mark[u] = true
+	}
+	for u := range mark {
+		if !mark[u] && s.aliveVertex(u) {
+			out.Int(int64(u))
+		}
+	}
+	mark[v] = false
+	for _, u := range nbrs {
+		mark[u] = false
+	}
 }
 
 // chopGroups shuffles a sample and splits it into groups of the given size.
@@ -237,31 +274,40 @@ func (s *misState) centralProcessGroups(groups [][]candidate, threshold int) {
 // round), mirroring the update step of Theorem 3.3's proof sketch.
 func (s *misState) disseminate() error {
 	// Round 1: central tells each owner which of its vertices entered I or
-	// became dominated. Only the central machine acts on an empty inbox;
-	// rounds 2 and 3 are driven entirely by delivered records.
+	// became dominated: (v, joined I), or (v) alone in the complement view,
+	// where an owner only learns that v left A. Only the central machine
+	// acts on an empty inbox; rounds 2 and 3 are driven entirely by
+	// delivered records.
 	s.cluster.Arm(0)
 	err := s.cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
 		if machine != 0 {
 			return
 		}
+		send := func(v int, joined int64) {
+			if s.complement {
+				out.SendInts(s.owner(v), int64(v))
+			} else {
+				out.SendInts(s.owner(v), int64(v), joined)
+			}
+		}
 		for _, v := range s.batch.added {
-			out.SendInts(s.owner(v), int64(v), 1)
+			send(v, 1)
 		}
 		for _, v := range s.batch.newDominated {
-			out.SendInts(s.owner(v), int64(v), 0)
+			send(v, 0)
 		}
 	})
 	if err != nil {
 		return err
 	}
 	// Round 2: owners record the status change and broadcast "v left the
-	// alive set" to the owners of v's neighbours. Every record is the pair
-	// (v, joined I), so the inbox is one run of pairs.
+	// alive set" to the owners of v's neighbours. Every record has the same
+	// shape, so the inbox is one run of records of run.IntLen words.
 	err = s.cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
 		for run, ok := in.NextRun(); ok; run, ok = in.NextRun() {
-			for i := 0; i < len(run.Ints); i += 2 {
+			for i := 0; i < len(run.Ints); i += run.IntLen {
 				v := int(run.Ints[i])
-				if run.Ints[i+1] == 1 {
+				if run.IntLen == 2 && run.Ints[i+1] == 1 {
 					s.inI[v] = true
 				} else {
 					s.dominated[v] = true

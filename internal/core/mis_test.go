@@ -194,10 +194,12 @@ func TestMISFastMatchesClassic(t *testing.T) { testMISMatchesClassic(t, MISFast,
 func TestMISMatchesClassic(t *testing.T) { testMISMatchesClassic(t, MIS, misClassic) }
 
 // TestMISSampleIsTheInbox checks, on every sampling pass of both hungry-
-// greedy MIS drivers, the two facts the sampling round rests on: each
-// candidate the central machine reads from its inbox carries exactly its
-// vertex's alive neighbours in CSR order, and every alive vertex's dI is its
-// alive-neighbour count, which is what sizes the round's columns.
+// greedy MIS drivers and of the clique's complement view, the two facts the
+// sampling round rests on: each candidate the central machine reads from its
+// inbox carries exactly its vertex's alive neighbours in CSR order (in the
+// complement view its alive non-neighbours, ascending and without v), and
+// every alive vertex's dI is its alive-neighbour count, which is what sizes
+// the round's columns.
 func TestMISSampleIsTheInbox(t *testing.T) {
 	passes, candidates := 0, 0
 	sampled = func(s *misState) {
@@ -212,13 +214,31 @@ func TestMISSampleIsTheInbox(t *testing.T) {
 			}
 			return want
 		}
+		adjacent := make([]bool, s.g.N)
+		nonAdjacent := func(v int) []int64 {
+			for _, u := range s.g.Neighbors(v) {
+				adjacent[u] = true
+			}
+			want = want[:0]
+			for u := range s.g.N {
+				if u != v && !adjacent[u] && s.aliveVertex(u) {
+					want = append(want, int64(u))
+				}
+			}
+			clear(adjacent)
+			return want
+		}
 		for _, cand := range s.sample {
 			candidates++
 			if !s.aliveVertex(cand.v) {
 				t.Fatalf("pass %d: sampled vertex %d is not alive", passes, cand.v)
 			}
-			if got := alive(cand.v); !slices.Equal(cand.aliveNbrs, got) {
-				t.Fatalf("pass %d: vertex %d arrived with %v, want its alive neighbours %v", passes, cand.v, cand.aliveNbrs, got)
+			listed := alive
+			if s.complement {
+				listed = nonAdjacent
+			}
+			if got := listed(cand.v); !slices.Equal(cand.aliveNbrs, got) {
+				t.Fatalf("pass %d: vertex %d arrived with %v, want its alive neighbours in the view %v", passes, cand.v, cand.aliveNbrs, got)
 			}
 		}
 		for v := 0; v < s.g.N; v++ {
@@ -228,23 +248,32 @@ func TestMISSampleIsTheInbox(t *testing.T) {
 		}
 	}
 	t.Cleanup(func() { sampled = func(*misState) {} })
+	mis := func(alg func(*graph.Graph, Params) (*MISResult, error)) func(*graph.Graph, Params) (bool, error) {
+		return func(g *graph.Graph, p Params) (bool, error) {
+			res, err := alg(g, p)
+			return err == nil && graph.IsMaximalIndependentSet(g, res.Set), err
+		}
+	}
 	for _, alg := range []struct {
 		name string
-		run  func(*graph.Graph, Params) (*MISResult, error)
-	}{{"MIS", MIS}, {"MISFast", MISFast}} {
+		run  func(*graph.Graph, Params) (maximal bool, err error)
+	}{{"MIS", mis(MIS)}, {"MISFast", mis(MISFast)}, {"MaximalClique", func(g *graph.Graph, p Params) (bool, error) {
+		res, err := MaximalClique(g, p)
+		return err == nil && graph.IsMaximalClique(g, res.Clique), err
+	}}} {
 		for _, mu := range []float64{0.05, 0.2} {
 			for seed := uint64(1); seed <= 5; seed++ {
 				g := graph.Density(1000, 0.5, rng.New(seed))
 				before := passes
-				res, err := alg.run(g, Params{Mu: mu, Seed: seed})
+				maximal, err := alg.run(g, Params{Mu: mu, Seed: seed})
 				if err != nil {
 					t.Fatalf("%s µ=%v seed %d: %v", alg.name, mu, seed, err)
 				}
-				if !graph.IsMaximalIndependentSet(g, res.Set) {
-					t.Fatalf("%s µ=%v seed %d: not an MIS", alg.name, mu, seed)
+				if !maximal {
+					t.Fatalf("%s µ=%v seed %d: not maximal", alg.name, mu, seed)
 				}
 				if passes-before < 2 {
-					t.Fatalf("%s µ=%v seed %d: %d sampling passes, want a sampled batch and the final gather", alg.name, mu, seed, passes-before)
+					t.Fatalf("%s µ=%v seed %d: %d sampling passes, want at least two", alg.name, mu, seed, passes-before)
 				}
 			}
 		}

@@ -106,6 +106,7 @@ func RLRSetCover(inst *setcover.Instance, p Params, opt CoverOptions) (*CoverRes
 	}
 
 	res := &CoverResult{}
+	var payload []int64 // general f: the new cover sets, broadcast each iteration
 	for aliveCount > 0 {
 		if err := f.next(); err != nil {
 			return nil, err
@@ -114,21 +115,9 @@ func RLRSetCover(inst *setcover.Instance, p Params, opt CoverOptions) (*CoverRes
 		// Sampling round (Line 5): each alive element joins U' with
 		// probability p = min(1, 2η/|U_r|) and ships (j, T_j) to central.
 		prob := math.Min(1, 2*float64(etaWords)/float64(aliveCount))
-		// Draw the sample machine by machine before the round; the closures
-		// replay each machine's plan concurrently.
-		var sampled []int
-		plan := make([][]int, M)
-		for machine := 1; machine < M; machine++ {
-			for j := machine - 1; j < m; j += M - 1 {
-				if alive[j] && f.r.Bernoulli(prob) {
-					plan[machine] = append(plan[machine], j)
-					sampled = append(sampled, j)
-				}
-			}
-		}
-		armPlanned(cluster, plan)
+		sampled := f.drawPlan(m, func(j int) bool { return alive[j] && f.r.Bernoulli(prob) })
 		err := cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			for _, j := range plan[machine] {
+			for _, j := range f.planned(machine) {
 				out.Begin(0)
 				out.Int(int64(j))
 				for _, i := range dual[j] {
@@ -146,7 +135,8 @@ func RLRSetCover(inst *setcover.Instance, p Params, opt CoverOptions) (*CoverRes
 		}
 
 		// Central machine (Lines 7-8): run local ratio on the sample in
-		// ascending element order; record newly zeroed sets.
+		// ascending element order (the round has shipped the plan, so it
+		// sorts in place); record newly zeroed sets.
 		sort.Ints(sampled)
 		coverBefore := len(lr.Cover())
 		for _, j := range sampled {
@@ -202,23 +192,19 @@ func RLRSetCover(inst *setcover.Instance, p Params, opt CoverOptions) (*CoverRes
 		} else {
 			// General f: broadcast the new cover sets down the degree-n^µ
 			// tree (§2.2); every machine then kills its covered elements
-			// locally using its T_j lists.
-			payload := make([]int64, len(newSets))
-			for k, i := range newSets {
-				payload[k] = int64(i)
+			// locally using its T_j lists, below.
+			payload = payload[:0]
+			for _, i := range newSets {
+				payload = append(payload, int64(i))
 			}
 			if err := f.tree.Broadcast(cluster, payload, nil); err != nil {
 				return nil, err
 			}
-			for j := 0; j < m; j++ {
-				if alive[j] && lr.Covered(j) {
-					alive[j] = false
-				}
-			}
 		}
-		// In vertex-cover mode the forwarding already killed exactly the
-		// elements of the new sets; elements covered earlier stay dead, and
-		// lr.Covered is the ground truth either way.
+		// In general mode this kills the covered elements. In vertex-cover
+		// mode the forwarding already killed exactly the elements of the new
+		// sets; elements covered earlier stay dead, and lr.Covered is the
+		// ground truth either way.
 		clear(f.counts)
 		for j := 0; j < m; j++ {
 			if alive[j] && lr.Covered(j) {
