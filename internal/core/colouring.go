@@ -205,10 +205,13 @@ func colourGroups(name string, g *graph.Graph, p Params, kappa int, group, edgeG
 	// the ascending list of the items whose group it hosts. A machine
 	// hosting a group with no routed edges received no route traffic, so
 	// every machine hosting any item's group is armed. The lists are keyed
-	// by group, not by item id, so they are sub-slices of one slab.
+	// by group, not by item id, so they are sub-slices of one slab. A list
+	// is its machine's whole traffic, so the column is sized once; grown by
+	// appends it would reallocate about five times its final size.
 	emits := partitionByOwner(len(group), M, func(x int) int { return f.owner(group[x]) })
 	armPlanned(cluster, emits)
 	err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
+		out.Reserve(0, len(emits[machine]), 3*len(emits[machine]), 0)
 		for _, x := range emits[machine] {
 			out.SendInts(0, int64(x), int64(group[x]), int64(local[x]))
 		}

@@ -185,18 +185,26 @@ func NewCluster(cfg Config) *Cluster {
 	return c
 }
 
-// Close releases the cluster's persistent worker pool, if it owns one, and
+// Close releases the cluster's persistent worker pool, if it owns one,
 // passes the message columns its outboxes reserved to the clusters that
-// follow. It is idempotent and safe to call on clusters that never had a
-// pool; Round and Quiet after Close return ErrClusterClosed. A cluster that
-// is garbage-collected without Close leaks its pool goroutines only until
-// the pool's finalizer runs.
+// follow, and drops the last round's deliveries, so a closed cluster holds
+// no message column: a stale reference to it (the collector scans a
+// preempted goroutine's innermost frame conservatively) pins kilobytes, not
+// the final round's traffic. It is idempotent and safe to call on clusters
+// that never had a pool; Round and Quiet after Close return
+// ErrClusterClosed, and every Inbox is empty. A cluster that is
+// garbage-collected without Close leaks its pool goroutines only until the
+// pool's finalizer runs.
 func (c *Cluster) Close() {
 	if c.closed {
 		return
 	}
 	c.closed = true
 	handOff(c.outboxes)
+	for _, m := range c.recv {
+		c.inbox[m] = Inbox{}
+	}
+	c.recv = c.recv[:0]
 	if c.pool != nil {
 		c.pool.Close()
 		c.pool = nil

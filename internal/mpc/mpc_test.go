@@ -386,6 +386,39 @@ func TestCloseIdempotentAndGuard(t *testing.T) {
 	}
 }
 
+// TestCloseDropsLastDeliveries: the last round's traffic is never consumed,
+// so Close drops it — a closed cluster references no column, and a stale
+// pointer to it pins none of that traffic.
+func TestCloseDropsLastDeliveries(t *testing.T) {
+	c := NewCluster(Config{Machines: 3})
+	if err := c.Round(func(m int, in *Inbox, out *Outbox) {
+		if m != 0 {
+			out.Reserve(0, 2, 2, 0)
+			out.SendInts(0, 1)
+			out.SendInts(0, 2)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Inbox(0).Len(); got != 4 {
+		t.Fatalf("inbox 0 holds %d records before Close, want 4", got)
+	}
+	c.Close()
+	for m := range c.inbox {
+		if in := &c.inbox[m]; in.Len() != 0 || in.Words() != 0 || in.segs != nil {
+			t.Fatalf("inbox %d after Close: %d records, %d words, %d segments; want none", m, in.Len(), in.Words(), len(in.segs))
+		}
+	}
+	if len(c.recv) != 0 {
+		t.Fatalf("receivers after Close: %v, want none", c.recv)
+	}
+	for m := range c.outboxes {
+		if o := &c.outboxes[m]; len(o.kept) != 0 || len(o.dests) != 0 {
+			t.Fatalf("outbox %d after Close keeps %d columns, %d destinations; want none", m, len(o.kept), len(o.dests))
+		}
+	}
+}
+
 // TestRoundContextCancel: a canceled Config.Ctx fails the next round with
 // the context's error.
 func TestRoundContextCancel(t *testing.T) {
