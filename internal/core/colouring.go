@@ -114,7 +114,11 @@ func EdgeColouring(g *graph.Graph, p Params) (*ColouringResult, error) {
 		for k, id := range ids {
 			local[id] = col[k]
 		}
-		return sub.MaxDegree()
+		maxDeg := sub.MaxDegree()
+		// A stale stack word can pin sub past this call (see colourGroups'
+		// end). The edge copy is its largest slab, so drop it.
+		sub.Edges = nil
+		return maxDeg
 	})
 }
 
@@ -224,6 +228,11 @@ func colourGroups(name string, g *graph.Graph, p Params, kappa int, group, edgeG
 	for x := range colours {
 		colours[x] += group[x] * stride
 	}
+	// The id slabs are done with. The round closures capture them; the
+	// collector can pin a dead closure through a stale word in a preempted
+	// goroutine's innermost frame, which it scans conservatively. Dropped
+	// here, the slabs cannot be pinned with it (DESIGN.md, Algorithm 5).
+	groupIDs, emits, group, edgeGroup = nil, nil, nil, nil
 
 	return &ColouringResult{
 		Colours:        colours,
