@@ -351,3 +351,41 @@ func TestHistoriesDecreaseToZero(t *testing.T) {
 		prev = v
 	}
 }
+
+func TestDegenerateInputs(t *testing.T) {
+	empty := graph.New(0)
+	one := graph.New(1)
+	p := Params{Mu: 0.2, Seed: 1}
+
+	if res, err := RLRMatching(empty, p, MatchingOptions{}); err != nil || len(res.Edges) != 0 {
+		t.Fatal("matching on empty graph")
+	}
+	if res, err := BMatching(empty, p, BMatchingOptions{}); err != nil || len(res.Edges) != 0 {
+		t.Fatal("b-matching on empty graph")
+	}
+	if res, err := MISFast(one, p); err != nil || len(res.Set) != 1 {
+		t.Fatal("MIS of a single vertex must be that vertex")
+	}
+	if res, err := MIS(one, p); err != nil || len(res.Set) != 1 {
+		t.Fatal("Alg2 MIS of a single vertex")
+	}
+	if res, err := LubyMIS(one, p); err != nil || len(res.Set) != 1 {
+		t.Fatal("Luby MIS of a single vertex")
+	}
+	if res, err := MaximalClique(one, p); err != nil || len(res.Clique) != 1 {
+		t.Fatal("clique of a single vertex")
+	}
+	if res, err := VertexColouring(one, p); err != nil || len(res.Colours) != 1 {
+		t.Fatal("colouring a single vertex")
+	}
+	if res, err := FilteringMatching(empty, p); err != nil || len(res.Edges) != 0 {
+		t.Fatal("filtering on empty graph")
+	}
+	inst := &setcover.Instance{NumElements: 0}
+	if res, err := RLRSetCover(inst, p, CoverOptions{}); err != nil || len(res.Cover) != 0 {
+		t.Fatal("set cover with no elements")
+	}
+	if res, err := HGSetCover(inst, p, HGCoverOptions{}); err != nil || len(res.Cover) != 0 {
+		t.Fatal("hg set cover with no elements")
+	}
+}

@@ -107,27 +107,6 @@ func TestMISMediumDensity(t *testing.T) {
 	}
 }
 
-func TestMISDeterministic(t *testing.T) {
-	r := rng.New(53)
-	g := graph.Density(150, 0.3, r)
-	a, err := MISFast(g, Params{Mu: 0.25, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := MISFast(g, Params{Mu: 0.25, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Set) != len(b.Set) || a.Metrics.Rounds != b.Metrics.Rounds {
-		t.Fatal("same seed differs")
-	}
-	for v := range a.Set {
-		if !b.Set[v] {
-			t.Fatal("sets differ")
-		}
-	}
-}
-
 func TestMISPowerLaw(t *testing.T) {
 	g := graph.PreferentialAttachment(500, 4, rng.New(54))
 	res, err := MISFast(g, Params{Mu: 0.25, Seed: 9})

@@ -1,12 +1,8 @@
 package core
 
-// Out-of-core equivalence: a graph served from a read-only mmap'ed binary
-// container must be indistinguishable from the same graph held in the heap.
-// Every registered graph algorithm runs on both forms; the summaries and the
-// full mpc.Metrics must match bit for bit (the repo's determinism contract
-// extends across storage forms, not just executors). The test runs under
-// -race in CI, so it also exercises concurrent-safe reads of the shared
-// mapping through the parallel executor.
+// A graph served from a read-only mmap'ed container must be indistinguishable
+// from the heap copy: TestPinnedResults runs every registry graph algorithm on
+// both against one pin, and this file shares one mapping between goroutines.
 
 import (
 	"os"
@@ -15,76 +11,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/rng"
-	"repro/internal/setcover"
 )
-
-func TestMmapMatchesHeap(t *testing.T) {
-	r := rng.New(4242)
-	heap := graph.Density(220, 0.4, r)
-	heap.AssignUniformWeights(r, 1, 20)
-
-	path := filepath.Join(t.TempDir(), "g.mrg")
-	if err := graph.WriteContainerFile(path, heap); err != nil {
-		t.Fatal(err)
-	}
-	mapped, err := graph.OpenMapped(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mapped.Close()
-	if !mapped.Mapped() {
-		t.Fatal("container did not open as a mapped graph")
-	}
-
-	vcWeights := func(g *graph.Graph) []float64 {
-		w := make([]float64, g.N)
-		wr := rng.New(11)
-		for i := range w {
-			w[i] = wr.UniformWeight(1, 10)
-		}
-		return w
-	}
-	input := func(g *graph.Graph, kind InputKind) Input {
-		in := Input{Graph: g}
-		if kind == InputVertexCover {
-			in.Cover = setcover.FromVertexCover(g, vcWeights(g))
-		}
-		return in
-	}
-
-	p := Params{Mu: 0.3, Seed: 99, Workers: 4}
-	ran := 0
-	for _, alg := range Algorithms() {
-		if alg.Input == InputSetCover {
-			continue // no graph involved; nothing to compare
-		}
-		alg := alg
-		t.Run(alg.Name, func(t *testing.T) {
-			want, err := alg.Run(input(heap, alg.Input), p, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := alg.Run(input(mapped, alg.Input), p, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Summary != want.Summary {
-				t.Errorf("summary differs:\n  heap:   %s\n  mapped: %s", want.Summary, got.Summary)
-			}
-			if got.Metrics != want.Metrics {
-				t.Errorf("metrics differ:\n  heap:   %+v\n  mapped: %+v", want.Metrics, got.Metrics)
-			}
-			if got.Size != want.Size || got.Weight != want.Weight ||
-				got.Valid != want.Valid || got.Iterations != want.Iterations {
-				t.Errorf("scalars differ: heap %+v, mapped %+v", want, got)
-			}
-		})
-		ran++
-	}
-	if ran < 8 {
-		t.Fatalf("only %d graph algorithms exercised; registry shrank?", ran)
-	}
-}
 
 // TestMmapSharedAcrossGoroutines scans one mapping from many goroutines the
 // way concurrent service jobs share a cached instance; under -race this

@@ -271,6 +271,30 @@ func TestAggregateSumNonZeroRoot(t *testing.T) {
 	}
 }
 
+// TestAggregateSumIgnoresStaleInbox sums after a round that left a record
+// in machine 3's inbox: that record belongs to the caller's round, not to
+// the tree, so the total must be the machines' values alone.
+func TestAggregateSumIgnoresStaleInbox(t *testing.T) {
+	c := NewCluster(Config{Machines: 9})
+	tr := NewTree(c, 0, 2)
+	if err := c.Round(func(machine int, in *Inbox, out *Outbox) {
+		if machine == 0 {
+			out.SendInts(3, 1000)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	total, err := tr.AggregateSum(c, 1, func(machine int) []int64 {
+		return []int64{int64(machine)}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total[0] != 36 {
+		t.Fatalf("total = %v, want [36]", total)
+	}
+}
+
 func TestAllReduceSum(t *testing.T) {
 	c := NewCluster(Config{Machines: 6})
 	tr := NewTree(c, 0, 2)

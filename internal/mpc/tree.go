@@ -165,7 +165,9 @@ func (t *Tree) AggregateSum(c *Cluster, width int, value func(machine int) []int
 			}
 		}
 		err := c.Round(func(machine int, in *Inbox, out *Outbox) {
-			for run, ok := in.NextRun(); ok; run, ok = in.NextRun() {
+			// Round 0's inbox holds what the caller's previous round
+			// delivered, not partial sums: only later rounds read theirs.
+			for run, ok := in.NextRun(); ok && r > 0; run, ok = in.NextRun() {
 				for k := 0; k < len(run.Ints); k += run.IntLen {
 					for i, v := range run.Ints[k : k+run.IntLen] {
 						acc[machine][i] += v
