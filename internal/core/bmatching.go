@@ -54,6 +54,8 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 		nMu = 1
 	}
 	bMax := maxB(g, b)
+	// want is the size of v's sample outside Line 7's small graphs.
+	want := func(v int) int { return int(math.Ceil(float64(b(v)) * lnInvDelta * nMu)) }
 
 	// Vertex-partitioned layout (Appendix D samples per vertex): owners
 	// hold each vertex's incident edge ids with weights and alive bits.
@@ -63,8 +65,11 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 
 	g.Build()
 	resident := make([]int, M)
+	maxDeg, wanted := 0, 0 // wanted bounds a sampled iteration's sample ids
 	for v := 0; v < n; v++ {
 		resident[f.owner(v)] += 2 + 2*g.Degree(v)
+		maxDeg = max(maxDeg, g.Degree(v))
+		wanted += min(g.Degree(v), want(v))
 	}
 	f.setResident(resident)
 	cluster.SetResident(0, 2*n)
@@ -82,10 +87,13 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 	// Scratch reused by every iteration.
 	type span struct{ lo, hi int }
 	var (
-		sampled  []int             // every vertex's sampled edge ids, back to back
-		sampleOf = make([]span, n) // vertex -> its stretch of sampled; empty if it sent nothing
-		changed  = newMarkSet(n)
+		sampled   []int                    // every vertex's sampled edge ids, back to back
+		sampleOf  = make([]span, n)        // vertex -> its stretch of sampled; empty if it sent nothing
+		aliveIDs  = make([]int, 0, maxDeg) // one vertex's alive incident edge ids
+		drawTable []uint64                 // the sampler's duplicate table
+		changed   = newMarkSet(n)
 	)
+	f.plan = make([]int, 0, n) // the plan holds each vertex at most once
 
 	for aliveCount > 0 {
 		if err := f.next(); err != nil {
@@ -101,28 +109,36 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 		// plan holds every vertex with alive incident edges — such a vertex
 		// always ships its (possibly header-only) payload, which is what the
 		// word accounting charges. The samples sit back to back in sampled;
-		// sampleOf[v] is vertex v's stretch of it.
-		sampled = sampled[:0]
+		// sampleOf[v] is vertex v's stretch of it. sampled is sized before
+		// the draw, so appends never regrow it: a vertex ships at most its
+		// alive incident ids, 2|E_i| in all, and outside small graphs at most
+		// want(v) of them.
+		need := 2 * int(aliveCount)
+		if !smallGraph {
+			need = min(need, wanted)
+		}
+		sampled = slices.Grow(sampled[:0], need)
 		clear(sampleOf)
 		f.drawPlan(n, func(v int) bool {
-			lo := len(sampled)
+			aliveIDs = aliveIDs[:0]
 			for _, id := range g.IncidentEdges(v) {
 				if alive[id] {
-					sampled = append(sampled, int(id))
+					aliveIDs = append(aliveIDs, int(id))
 				}
 			}
-			aliveIDs := len(sampled) - lo
-			if aliveIDs == 0 {
+			if len(aliveIDs) == 0 {
 				return false
 			}
-			want := int(math.Ceil(float64(b(v)) * lnInvDelta * nMu))
-			if !smallGraph && want < aliveIDs {
-				// Keep only the drawn edges, in draw order.
-				for _, idx := range f.r.SampleWithoutReplacement(aliveIDs, want) {
-					sampled = append(sampled, sampled[lo+idx])
+			lo := len(sampled)
+			if k := want(v); !smallGraph && k < len(aliveIDs) {
+				// Keep only the drawn edges, in draw order: draw positions
+				// into sampled, then replace each by its edge id.
+				sampled, drawTable = f.r.SampleAppend(sampled, drawTable, len(aliveIDs), k)
+				for i := lo; i < len(sampled); i++ {
+					sampled[i] = aliveIDs[sampled[i]]
 				}
-				copy(sampled[lo:], sampled[lo+aliveIDs:])
-				sampled = sampled[:lo+want]
+			} else {
+				sampled = append(sampled, aliveIDs...)
 			}
 			sampleOf[v] = span{lo, len(sampled)}
 			return true

@@ -143,13 +143,14 @@ func TestBMatchingMedium(t *testing.T) {
 // TestBMatchingAllocsBounded pins what one Algorithm 7 call allocates at
 // µ = 0.05, in two iterations: the first samples each vertex's edges and the
 // second, under Line 7's small-graph bound, ships the few left whole. The
-// run asserts that shape before it measures. The ceilings
-// are 1.25× the mallocs and 1.5× the bytes of the warm maximum of 8 calls
-// (1 050 and 354 kB at n = 800; 4 327 and 2.04 MB at n = 4000), with each
-// vertex's sample sorted in place and the per-machine plans in one flat
-// slice. Nearly all that is left per call are SampleWithoutReplacement's
-// results, one per sampled vertex. A sorted copy of every sample and a
-// plan list per machine took up to 3 888 and 19 871 mallocs.
+// run asserts that shape before it measures. The ceilings are 1.25× the
+// mallocs and 1.5× the bytes of the warm maximum of 8 calls over nine
+// processes (217 and 210 kB at n = 800; 301 and 1.49 MB at n = 4000). Each
+// vertex collects its alive edge ids in a max-degree scratch and draws its
+// sample into the sampled slab, sized before the draw, over one reused
+// duplicate table. A fresh sample per sampled vertex took 1 050 and 4 327
+// mallocs; a sorted copy of every sample and a plan list per machine took up
+// to 3 888 and 19 871.
 func TestBMatchingAllocsBounded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -158,8 +159,8 @@ func TestBMatchingAllocsBounded(t *testing.T) {
 		n              int
 		mallocs, bytes float64
 	}{
-		{800, 1313, 0.53e6},  // m = 5 943
-		{4000, 5409, 3.05e6}, // m = 48 159
+		{800, 271, 0.315e6}, // m = 5 943
+		{4000, 376, 2.24e6}, // m = 48 159
 	} {
 		g := graph.Density(tc.n, 0.3, rng.New(81))
 		g.AssignUniformWeights(rng.New(82), 1, 100)

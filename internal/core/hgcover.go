@@ -193,15 +193,18 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 	// entries of machine j are entries[planStart[j]:planStart[j+1]] (draw
 	// order: machine, then set). members lists (global group, entry) pairs in
 	// draw order; a stable counting sort lays them out as byGroup, group g
-	// holding byGroup[gstart[g]:gstart[g+1]] in draw order.
+	// holding byGroup[gstart[g]:gstart[g+1]] in draw order. A set's group ids
+	// are drawn into gids over the duplicate table drawTable.
 	type sampleEntry struct{ set, payload, elems, end int }
 	type membership struct{ group, entry int32 }
 	var (
-		slab    []int64
-		entries []sampleEntry
-		members []membership
-		byGroup []int32
-		deltaC  []int64
+		slab      []int64
+		entries   []sampleEntry
+		members   []membership
+		byGroup   []int32
+		deltaC    []int64
+		gids      []int
+		drawTable []uint64
 	)
 	gstart := make([]int32, gbase[classes+1]+2)
 	planStart := make([]int, M+1)
@@ -265,7 +268,7 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 				if k == 0 {
 					continue
 				}
-				gids := f.r.SampleWithoutReplacement(numGroups[cls], k)
+				gids, drawTable = f.r.SampleAppend(gids[:0], drawTable, numGroups[cls], k)
 				entry := sampleEntry{set: i, payload: len(slab)}
 				slab = append(slab, int64(i), int64(k))
 				for _, gid := range gids {

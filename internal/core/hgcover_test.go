@@ -16,11 +16,12 @@ func serveCoverInstance() *setcover.Instance {
 
 // TestHGSetCoverAllocsBounded pins the driver's bookkeeping at the serve
 // instance: the dual-driven refresh and the flat group layout leave no
-// allocation per element probe, per group or per sampled set beyond the
-// sampler's own result. Measured when this was written: about 2 470
-// allocations a call, where a map and per-group slices took about 339 000.
-// The bytes ceiling is 1.5× the warm maximum of 8 calls (16.15–16.63 MB over
-// three runs), about 12 MB of it the sampler's results and Floyd sets.
+// allocation per element probe or per group, and each sampled set's group
+// ids are drawn into one reused buffer over one reused duplicate table. The
+// ceilings are 1.25× the mallocs and 1.5× the bytes of the warm maximum of 8
+// calls over nine processes (668 and 5.53 MB). A map and per-group slices
+// took about 339 000 allocations a call; a fresh sample and Floyd set per
+// sampled set took about 2 470 and 16 MB.
 func TestHGSetCoverAllocsBounded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -36,8 +37,8 @@ func TestHGSetCoverAllocsBounded(t *testing.T) {
 	run()
 	allocs := testing.AllocsPerRun(3, run)
 	bytes := bytesPerRun(3, run)
-	if allocs > 8000 || bytes > 24.9e6 {
-		t.Errorf("%v allocations and %.0f bytes per call, want <= 8000 and <= 24.9e6", allocs, bytes)
+	if allocs > 835 || bytes > 8.3e6 {
+		t.Errorf("%v allocations and %.0f bytes per call, want <= 835 and <= 8.3e6", allocs, bytes)
 	}
 	t.Logf("%v allocations, %.0f bytes per call", allocs, bytes)
 }

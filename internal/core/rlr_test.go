@@ -14,6 +14,25 @@ import (
 	"repro/internal/setcover"
 )
 
+// BenchmarkRLRMatchingManyMachines runs Algorithm 4 where the message
+// plane's column bookkeeping weighs: Density(5000, 0.6) at µ = 0.05 spreads
+// m ≈ 826 000 edges over M = 111 machines, in 3 iterations, and every
+// reservation of a fresh cluster looks among up to M² columns the last one
+// handed off.
+func BenchmarkRLRMatchingManyMachines(b *testing.B) {
+	g := graph.Density(5000, 0.6, rng.New(31))
+	g.AssignUniformWeights(rng.New(32), 1, 100)
+	g.Build()
+	p := Params{Mu: 0.05, Seed: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RLRMatching(g, p, MatchingOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // rlrMatchingClassic is the RLRMatching driver as it stood before the
 // map-free rewrite, kept verbatim as the oracle: per-machine [][]int64 plans
 // for every iteration, a perVertex map with sorted keys, a changed map, and a
@@ -609,6 +628,66 @@ func TestRLRSetCoverMedium(t *testing.T) {
 	}
 	if res.Metrics.Rounds == 0 {
 		t.Fatal("no rounds recorded")
+	}
+}
+
+// serveRLRCoverInstances builds the instances the serve workload's
+// setcover-f and vertexcover jobs run on (service.BuildInstance of {n: 8000,
+// c: 0.3, f: 3, seed: 1} and {n: 8000, c: 0.3, seed: 1}), duals built.
+func serveRLRCoverInstances() (setcoverF, vertexCover *setcover.Instance) {
+	const n, c = 8000, 0.3
+	setcoverF = setcover.RandomFrequency(n, int(math.Pow(n, 1+c)), 3, 10, rng.New(1).Split())
+	r := rng.New(1)
+	g := graph.Density(n, c, r.Split())
+	g.AssignUniformWeights(r.Split(), 1, 100)
+	wr := r.Split()
+	w := make([]float64, g.N)
+	for i := range w {
+		w[i] = wr.UniformWeight(1, 10)
+	}
+	vertexCover = setcover.FromVertexCover(g, w)
+	setcoverF.Dual()
+	vertexCover.Dual()
+	return setcoverF, vertexCover
+}
+
+// TestRLRSetCoverAllocsBounded pins what one Algorithm 1 call allocates on
+// the serve workload's setcover-f and vertexcover instances at µ = 0.2. The
+// ceilings are 1.25× the mallocs and 1.5× the bytes of the warm maximum of 8
+// calls over nine processes: 201 and 12.1 MB for setcover-f, 218 and 11.4 MB
+// for vertexcover. setcover-f's bytes are bimodal, 1.7 or 12.1 MB a call: the
+// high mode comes with a collection that empties the message-column pool,
+// and with the collector off every call reads 1.7 MB. The plan of sampled
+// elements is sized once, at min(m, 6η); left to append, it regrew by a
+// quarter at a time.
+func TestRLRSetCoverAllocsBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	setcoverF, vertexCover := serveRLRCoverInstances()
+	for _, tc := range []struct {
+		name           string
+		inst           *setcover.Instance
+		opt            CoverOptions
+		mallocs, bytes float64
+	}{
+		{"setcover-f", setcoverF, CoverOptions{}, 251, 18.2e6},
+		{"vertexcover", vertexCover, CoverOptions{VertexCoverMode: true}, 273, 17.1e6},
+	} {
+		p := Params{Mu: 0.2, Seed: 1}
+		run := func() {
+			if _, err := RLRSetCover(tc.inst, p, tc.opt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		mallocs := testing.AllocsPerRun(3, run)
+		bytes := bytesPerRun(3, run)
+		if mallocs > tc.mallocs || bytes > tc.bytes {
+			t.Errorf("%s: %v mallocs and %.0f bytes per call, want <= %v and <= %.0f",
+				tc.name, mallocs, bytes, tc.mallocs, tc.bytes)
+		}
+		t.Logf("%s: %v mallocs, %.0f bytes per call", tc.name, mallocs, bytes)
 	}
 }
 

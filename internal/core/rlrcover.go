@@ -107,6 +107,9 @@ func RLRSetCover(inst *setcover.Instance, p Params, opt CoverOptions) (*CoverRes
 
 	res := &CoverResult{}
 	var payload []int64 // general f: the new cover sets, broadcast each iteration
+	// The plan is sized once: Line 6 fails any sample larger than 6η, and
+	// with p = 1 (|U_r| ≤ 2η) the plan is every alive element.
+	f.plan = make([]int, 0, min(m, 6*etaWords))
 	for aliveCount > 0 {
 		if err := f.next(); err != nil {
 			return nil, err

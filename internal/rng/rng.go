@@ -12,7 +12,10 @@
 // reproducible from its seed.
 package rng
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // RNG is a deterministic pseudo-random number generator. The zero value is a
 // valid generator seeded with 0; prefer New to make seeding explicit.
@@ -135,36 +138,55 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 }
 
 // SampleWithoutReplacement returns k distinct uniform indices from [0, n),
-// in no particular order. It panics if k > n or k < 0.
+// in no particular order. It panics if k > n or k < 0. Up to 16 indices its
+// duplicate table is an array on its stack, so the small samples drawn per
+// element, per set and per vertex in the generators allocate only their
+// result.
 func (r *RNG) SampleWithoutReplacement(n, k int) []int {
+	var stackSlots [32]uint64
+	var out []int
+	if k > 0 {
+		out = make([]int, 0, k)
+	}
+	out, _ = r.SampleAppend(out, stackSlots[:], n, k)
+	return out
+}
+
+// SampleAppend appends k distinct uniform indices from [0, n) to dst and
+// returns it, making exactly the draws SampleWithoutReplacement makes. table
+// is the storage of the duplicate table, reused whatever it holds: only the
+// setSlots(k) slots the draw uses are cleared, and a table too short for
+// them is replaced by a larger one. It returns the table it used, for the
+// next call. A caller that keeps both across calls samples without
+// allocating. It panics if k > n or k < 0.
+func (r *RNG) SampleAppend(dst []int, table []uint64, n, k int) ([]int, []uint64) {
 	if k < 0 || k > n {
 		panic("rng: SampleWithoutReplacement requires 0 <= k <= n")
 	}
 	if k == 0 {
-		return nil
+		return dst, table
 	}
-	// Floyd's algorithm: O(k) expected time, O(k) space. The set stores t+1
-	// (its keys are non-zero); up to 16 keys it lives in stackSlots, so the
-	// small samples drawn per element, per set and per vertex in the
-	// generators and inside algorithm rounds allocate only their result.
-	var stackSlots [32]uint64
-	var chosen Set
-	if slots := setSlots(k); slots <= len(stackSlots) {
-		chosen = setOver(stackSlots[:slots])
+	// Floyd's algorithm: O(k) expected time, O(k) space. The set stores t+1,
+	// so its keys are non-zero.
+	slots := setSlots(k)
+	if cap(table) < slots {
+		table = make([]uint64, slots)
 	} else {
-		chosen = setOver(make([]uint64, slots))
+		table = table[:slots]
+		clear(table)
 	}
-	out := make([]int, k)
-	for i := range out {
+	chosen := setOver(table)
+	dst = slices.Grow(dst, k)
+	for i := 0; i < k; i++ {
 		j := n - k + i
 		t := r.Intn(j + 1)
 		if chosen.Add(uint64(t) + 1) {
 			t = j
 			chosen.Add(uint64(j) + 1)
 		}
-		out[i] = t
+		dst = append(dst, t)
 	}
-	return out
+	return dst, table
 }
 
 // Binomial returns a sample from Binomial(n, p). For small n it sums

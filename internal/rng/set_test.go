@@ -1,6 +1,9 @@
 package rng
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // TestSetMatchesMap drives Set and a map[uint64]bool with the same keys and
 // requires the same answer from every Add, then re-inserts every key. Each
@@ -81,6 +84,57 @@ func TestSampleWithoutReplacementAllocatesOnlyItsResult(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { r.SampleWithoutReplacement(1000, 17) }); allocs != 2 {
 		t.Errorf("SampleWithoutReplacement(1000, 17) made %v allocations, want 2 (result and table)", allocs)
+	}
+}
+
+// TestSampleAppendIsSampleWithoutReplacement: the appending sampler makes
+// the same draws as SampleWithoutReplacement, in the same order, and leaves
+// the generator where it leaves it, whatever the reused duplicate table held
+// and whatever dst already holds. The table starts too short for the larger
+// draws, so the first of them replaces it.
+func TestSampleAppendIsSampleWithoutReplacement(t *testing.T) {
+	prefix := []int{-1, -2, -3}
+	table := make([]uint64, 8)
+	dst := append([]int(nil), prefix...)
+	for _, tc := range []struct{ n, k int }{
+		{1000, 0}, {1000, 1}, {1000, 16}, {1000, 17}, {5000, 1000}, {1000, 16}, {1000, 1000}, {17, 17}, {1, 1}, {0, 0},
+	} {
+		want, got := New(uint64(tc.n+tc.k)), New(uint64(tc.n+tc.k))
+		sample := want.SampleWithoutReplacement(tc.n, tc.k)
+		if slots := setSlots(tc.k); cap(table) >= slots {
+			// Leave in the slots this draw uses, and nothing else, the keys
+			// of its last quarter, each where Add would look for it: a slot
+			// left uncleared changes a draw, and the table never fills.
+			clear(table[:slots])
+			dirty := setOver(table[:slots])
+			for _, v := range sample[len(sample)*3/4:] {
+				dirty.Add(uint64(v) + 1)
+			}
+		}
+		dst, table = got.SampleAppend(dst[:len(prefix)], table, tc.n, tc.k)
+		if !slices.Equal(dst[:len(prefix)], prefix) || !slices.Equal(dst[len(prefix):], sample) {
+			t.Errorf("SampleAppend(n=%d, k=%d) appended %v to %v, want %v", tc.n, tc.k, dst[len(prefix):], dst[:len(prefix)], sample)
+		}
+		if a, b := got.Uint64(), want.Uint64(); a != b {
+			t.Errorf("n=%d, k=%d: next draw %#x after SampleAppend, %#x after SampleWithoutReplacement", tc.n, tc.k, a, b)
+		}
+	}
+}
+
+// TestSampleAppendWarmAllocatesNothing: with dst and table warm, a draw of
+// any size allocates nothing.
+func TestSampleAppendWarmAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	r := New(5)
+	var dst []int
+	var table []uint64
+	for _, k := range []int{0, 1, 16, 17, 1000, 5000} {
+		dst, table = r.SampleAppend(dst[:0], table, 5000, k)
+		if allocs := testing.AllocsPerRun(100, func() { dst, table = r.SampleAppend(dst[:0], table, 5000, k) }); allocs != 0 {
+			t.Errorf("warm SampleAppend(5000, %d) made %v allocations, want 0", k, allocs)
+		}
 	}
 }
 
