@@ -139,9 +139,8 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 
 // SampleWithoutReplacement returns k distinct uniform indices from [0, n),
 // in no particular order. It panics if k > n or k < 0. Up to 16 indices its
-// duplicate table is an array on its stack, so the small samples drawn per
-// element, per set and per vertex in the generators allocate only their
-// result.
+// duplicate table is an array on its stack, so the small samples the
+// generators draw per element and per set allocate only their result.
 func (r *RNG) SampleWithoutReplacement(n, k int) []int {
 	var stackSlots [32]uint64
 	var out []int
@@ -161,7 +160,7 @@ func (r *RNG) SampleWithoutReplacement(n, k int) []int {
 // allocating. It panics if k > n or k < 0.
 func (r *RNG) SampleAppend(dst []int, table []uint64, n, k int) ([]int, []uint64) {
 	if k < 0 || k > n {
-		panic("rng: SampleWithoutReplacement requires 0 <= k <= n")
+		panic("rng: sampling without replacement requires 0 <= k <= n")
 	}
 	if k == 0 {
 		return dst, table
