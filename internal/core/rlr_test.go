@@ -16,7 +16,7 @@ import (
 
 // BenchmarkRLRMatchingManyMachines runs Algorithm 4 where the message
 // plane's column bookkeeping weighs: Density(5000, 0.6) at µ = 0.05 spreads
-// m ≈ 826 000 edges over M = 111 machines, in 3 iterations, and every
+// m = 828 613 edges over M = 110 machines, in 3 iterations, and every
 // reservation of a fresh cluster looks among up to M² columns the last one
 // handed off.
 func BenchmarkRLRMatchingManyMachines(b *testing.B) {
