@@ -33,10 +33,8 @@ package mpc
 // fan-out, which would leave its capacity spread across the pool.
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -159,11 +157,11 @@ func release(c *column) {
 		return
 	}
 	c.reset()
-	putFit(&o.kept, c)
+	o.kept = append(o.kept, c)
 }
 
 // handoff holds the columns the outboxes of the last closed cluster had
-// reserved, for the reservations of the clusters that follow, in fit order.
+// reserved, for the reservations of the clusters that follow.
 var handoff struct {
 	sync.Mutex
 	cols []*column
@@ -178,7 +176,6 @@ func handOff(outboxes []Outbox) {
 		cols = append(cols, outboxes[i].kept...)
 		outboxes[i].kept = nil
 	}
-	slices.SortFunc(cols, func(a, b *column) int { return cmp.Compare(cap(a.ints), cap(b.ints)) })
 	handoff.Lock()
 	cols, handoff.cols = handoff.cols, cols
 	handoff.Unlock()
@@ -187,59 +184,25 @@ func handOff(outboxes []Outbox) {
 	}
 }
 
-// Column sets in fit order — kept and the hand-off set — are sorted by the
-// capacity of their ints buffers, ascending. A fresh cluster's reservations
-// look among up to M² handed-off columns, but the capacities are few (8
-// among the 11 881 columns of BenchmarkRLRMatchingManyMachines), so a best
-// fit is a binary search, and taking or putting a column moves one column per
-// run of equal capacities after it instead of every column.
-
-// runEnd returns the end of the run of equal capacities that holds cols[i].
-func runEnd(cols []*column, i int) int {
-	c := cap(cols[i].ints)
-	return i + sort.Search(len(cols)-i, func(j int) bool { return cap(cols[i+j].ints) > c })
-}
-
-// putFit adds c to cols, which are in fit order, after the columns of its
-// capacity.
-func putFit(cols *[]*column, c *column) {
-	s := append(*cols, nil)
-	// Open the slot run by run: the first column of each run of larger
-	// capacities moves to the slot just past the run.
-	i := len(s) - 1
-	for i > 0 && cap(s[i-1].ints) > cap(c.ints) {
-		k := cap(s[i-1].ints)
-		first := sort.Search(i, func(j int) bool { return cap(s[j].ints) >= k })
-		s[i] = s[first]
-		i = first
-	}
-	s[i] = c
-	*cols = s
-}
-
-// takeFit removes from cols, which are in fit order, and returns the column
-// that best fits ints words: the smallest with room for them, else the
-// largest (the last of its run of equal capacities either way). It returns
-// nil if cols is empty.
+// takeFit removes from cols and returns the column that best fits ints
+// words: the smallest with room for them, else the largest. It returns nil
+// if cols is empty.
 func takeFit(cols *[]*column, ints int) *column {
 	s := *cols
 	if len(s) == 0 {
 		return nil
 	}
-	i := len(s) - 1
-	if fit := sort.Search(len(s), func(j int) bool { return cap(s[j].ints) >= ints }); fit < len(s) {
-		i = runEnd(s, fit) - 1
+	best := 0
+	for i, c := range s[1:] {
+		b, k := cap(s[best].ints), cap(c.ints)
+		if b >= ints && k >= ints && k < b || b < ints && k > b {
+			best = i + 1
+		}
 	}
-	c := s[i]
-	// Close the gap run by run: the last column of each later run moves to
-	// the slot just before the run.
-	for i+1 < len(s) {
-		last := runEnd(s, i+1) - 1
-		s[i] = s[last]
-		i = last
-	}
-	s[i] = nil
-	*cols = s[:i]
+	c := s[best]
+	last := len(s) - 1
+	s[best], s[last] = s[last], nil
+	*cols = s[:last]
 	return c
 }
 
@@ -264,7 +227,7 @@ type Outbox struct {
 	dests   []int     // destinations with at least one record, in first-use order
 	spare   []*column // lazily allocated: columns sized by Reserve that no record has claimed yet
 	spared  []int     // destinations Reserve put a spare column under this round
-	kept    []*column // columns this outbox reserved, back from the inboxes that consumed them, in fit order
+	kept    []*column // columns this outbox reserved, back from the inboxes that consumed them
 	words   int       // accounted words sent this round, summed over dests at the barrier
 	count   int       // records sent this round, summed over dests at the barrier
 	cur     *column   // column of the open record, nil outside Begin/End

@@ -657,56 +657,6 @@ func TestReserveIsInvisible(t *testing.T) {
 	}
 }
 
-// TestTakeFitIsBestFit drives putFit and takeFit with random capacities,
-// few of them distinct as in a cluster's reservations, against a scan for
-// the best fit: the smallest capacity with room, else the largest. The set
-// must stay in fit order and hold exactly the columns put and not taken.
-func TestTakeFitIsBestFit(t *testing.T) {
-	caps := []int{0, 8, 64, 512, 4096}
-	var cols []*column
-	held := map[*column]bool{}
-	seed := uint64(1)
-	next := func(n int) int {
-		seed = seed*6364136223846793005 + 1442695040888963407
-		return int(seed>>33) % n
-	}
-	for step := 0; step < 5000; step++ {
-		if next(3) != 0 {
-			c := &column{ints: make([]int64, 0, caps[next(len(caps))])}
-			putFit(&cols, c)
-			held[c] = true
-		} else {
-			ints := next(5000)
-			if next(2) == 0 {
-				ints = caps[next(len(caps))] // an exact fit
-			}
-			want := -1
-			for c := range held {
-				k := cap(c.ints)
-				if want < 0 || want >= ints && k >= ints && k < want || want < ints && k > want {
-					want = k
-				}
-			}
-			c := takeFit(&cols, ints)
-			switch {
-			case c == nil && want >= 0, c != nil && !held[c]:
-				t.Fatalf("step %d: takeFit(%d) = %v of %d held columns", step, ints, c, len(held))
-			case c != nil && cap(c.ints) != want:
-				t.Fatalf("step %d: takeFit(%d) took capacity %d, the best fit is %d", step, ints, cap(c.ints), want)
-			}
-			delete(held, c)
-		}
-		if len(cols) != len(held) {
-			t.Fatalf("step %d: %d columns in the set, %d held", step, len(cols), len(held))
-		}
-		for i, c := range cols {
-			if !held[c] || i > 0 && cap(cols[i-1].ints) > cap(c.ints) {
-				t.Fatalf("step %d: set out of fit order or holding a taken column at %d", step, i)
-			}
-		}
-	}
-}
-
 // handOffLen returns the number of columns in the hand-off set.
 func handOffLen() int {
 	handoff.Lock()
