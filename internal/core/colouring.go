@@ -75,7 +75,7 @@ func VertexColouring(g *graph.Graph, p Params) (*ColouringResult, error) {
 		}
 	}
 	members := partitionByOwner(n, kappa, func(v int) int { return group[v] })
-	return colourGroups("VertexColouring", g, p, kappa, group, edgeGroup, func(i int, ids, local []int) int {
+	return colourGroups("VertexColouring", g, p, kappa, group, edgeGroup, members, func(i int, ids, local []int) int {
 		sub, toLocal := induced(g, members[i], ids)
 		col := seq.GreedyVertexColouring(sub, nil)
 		for _, v := range members[i] {
@@ -100,25 +100,10 @@ func EdgeColouring(g *graph.Graph, p Params) (*ColouringResult, error) {
 	for id := range group {
 		group[id] = r.Intn(kappa)
 	}
-	// Every edge is routed to its own group's machine.
-	return colourGroups("EdgeColouring", g, p, kappa, group, group, func(i int, ids, local []int) int {
-		// The group subgraph keeps the original vertex ids; its edge k is
-		// edge ids[k] of g.
-		sub := graph.New(n)
-		sub.Edges = make([]graph.Edge, len(ids))
-		for k, id := range ids {
-			e := g.Edges[id]
-			sub.Edges[k] = graph.Edge{U: e.U, V: e.V, W: 1}
-		}
-		col := seq.MisraGries(sub)
-		for k, id := range ids {
-			local[id] = col[k]
-		}
-		maxDeg := sub.MaxDegree()
-		// A stale stack word can pin sub past this call (see colourGroups'
-		// end). The edge copy is its largest slab, so drop it.
-		sub.Edges = nil
-		return maxDeg
+	// Every edge is routed to its own group's machine, which colours the
+	// group straight from its routed ids: the subgraph keeps g's vertex ids.
+	return colourGroups("EdgeColouring", g, p, kappa, group, group, nil, func(i int, ids, local []int) int {
+		return seq.MisraGriesOf(g, ids, local)
 	})
 }
 
@@ -126,13 +111,15 @@ func EdgeColouring(g *graph.Graph, p Params) (*ColouringResult, error) {
 // are in κ random groups: group[x] is item x's group, and edgeGroup[id] is
 // the group whose machine edge id is routed to, or −1 if it goes nowhere.
 // Edges start spread over data machines 1..M−1 (3 resident words each) and
-// group i is coloured on machine 1 + i mod (M−1). colourGroup(i, ids,
-// local) colours group i from its routed edge ids, writes each of the
-// group's items' local colours into local, and returns the group's maximum
-// degree; it writes only its own items, so the groups run under the
-// cluster's executor. The global colour of x is group[x]·stride + local[x],
-// where stride is one more than the largest local colour of any group.
-func colourGroups(name string, g *graph.Graph, p Params, kappa int, group, edgeGroup []int,
+// group i is coloured on machine 1 + i mod (M−1). members[i] lists group
+// i's items; nil means the items are the edges, so a group's members are
+// its routed ids. colourGroup(i, ids, local) colours group i from its
+// routed edge ids, writes each of the group's items' local colours into
+// local, and returns the group's maximum degree; it writes only its own
+// items, so the groups run under the cluster's executor. The global colour
+// of x is group[x]·stride + local[x], where stride is one more than the
+// largest local colour of any group.
+func colourGroups(name string, g *graph.Graph, p Params, kappa int, group, edgeGroup []int, members [][]int,
 	colourGroup func(i int, ids, local []int) int) (*ColouringResult, error) {
 	n, m := g.N, g.M()
 	etaWords := eta(n, p.Mu, 8)
@@ -205,19 +192,30 @@ func colourGroups(name string, g *graph.Graph, p Params, kappa int, group, edgeG
 		maxLocal = max(maxLocal, c)
 	}
 
-	// Output round: group machines emit (x, group, local colour), each from
-	// the ascending list of the items whose group it hosts. A machine
-	// hosting a group with no routed edges received no route traffic, so
-	// every machine hosting any item's group is armed. The lists are keyed
-	// by group, not by item id, so they are sub-slices of one slab. A list
-	// is its machine's whole traffic, so the column is sized once; grown by
-	// appends it would reallocate about five times its final size.
-	emits := partitionByOwner(len(group), M, func(x int) int { return f.owner(group[x]) })
-	armPlanned(cluster, emits)
+	// Output round: each group machine emits (x, group, local colour) for
+	// the members of the groups it hosts, group by group. A machine hosting
+	// a group with no routed edges received no route traffic, so every
+	// machine hosting a group with members is armed. A machine's lists are
+	// its whole traffic, so its column is sized once; grown by appends it
+	// would reallocate about five times its final size.
+	if members == nil {
+		members = groupIDs
+	}
+	for i, items := range members {
+		if len(items) > 0 {
+			cluster.Arm(f.owner(i))
+		}
+	}
 	err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-		out.Reserve(0, len(emits[machine]), 3*len(emits[machine]), 0)
-		for _, x := range emits[machine] {
-			out.SendInts(0, int64(x), int64(group[x]), int64(local[x]))
+		items := 0
+		for i := machine - 1; i < kappa; i += M - 1 {
+			items += len(members[i])
+		}
+		out.Reserve(0, items, 3*items, 0)
+		for i := machine - 1; i < kappa; i += M - 1 {
+			for _, x := range members[i] {
+				out.SendInts(0, int64(x), int64(i), int64(local[x]))
+			}
 		}
 	})
 	if err != nil {
@@ -232,7 +230,7 @@ func colourGroups(name string, g *graph.Graph, p Params, kappa int, group, edgeG
 	// collector can pin a dead closure through a stale word in a preempted
 	// goroutine's innermost frame, which it scans conservatively. Dropped
 	// here, the slabs cannot be pinned with it (DESIGN.md, Algorithm 5).
-	groupIDs, emits, group, edgeGroup = nil, nil, nil, nil
+	groupIDs, members, group, edgeGroup = nil, nil, nil, nil
 
 	return &ColouringResult{
 		Colours:        colours,

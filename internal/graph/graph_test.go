@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -575,6 +576,88 @@ func TestIsProperEdgeColouringMatchesReference(t *testing.T) {
 	check("parallel", multi, []int{4, 5}, true)
 	check("parallel/clash", multi, []int{4, 4}, false)
 	check("empty", New(3), nil, true)
+}
+
+// TestEdgeColouringValidatorPaths holds both paths of IsProperEdgeColouring
+// to the map reference on one table: proper colourings, every single-edge
+// mutation of them, parallel edges, self-loops, and palettes shifted
+// negative or spread wide. properByStamp runs on every row whose span fits
+// (max − min < m); the rest must take properByClass.
+func TestEdgeColouringValidatorPaths(t *testing.T) {
+	type row struct {
+		name   string
+		g      *Graph
+		colour []int
+	}
+	var rows []row
+	add := func(name string, g *Graph, colour []int) {
+		rows = append(rows, row{name, g, colour})
+	}
+	r := rng.New(29)
+	for trial := 0; trial < 12; trial++ {
+		n := 6 + r.Intn(30)
+		g := GNM(n, n+r.Intn(n*(n-1)/2-n+1), r)
+		base := greedyEdgeColouring(g)
+		for _, pal := range []struct {
+			name string
+			f    func(c int) int
+		}{
+			{"greedy", func(c int) int { return c }},
+			{"negative", func(c int) int { return c - 1000 }},
+			{"huge", func(c int) int { return math.MinInt + c*(math.MaxInt>>10) }},
+		} {
+			colour := make([]int, len(base))
+			for id, c := range base {
+				colour[id] = pal.f(c)
+			}
+			name := fmt.Sprintf("%s-%d", pal.name, trial)
+			add(name, g, colour)
+			// Each edge takes its successor's colour, then a fresh one.
+			for id := range colour {
+				for _, c := range []int{colour[(id+1)%len(colour)], pal.f(len(colour))} {
+					mutant := append([]int(nil), colour...)
+					mutant[id] = c
+					add(fmt.Sprintf("%s/edge-%d=%d", name, id, c), g, mutant)
+				}
+			}
+		}
+	}
+	// Edge lists written directly may hold what AddEdge refuses.
+	multi := New(3)
+	multi.Edges = []Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 0, W: 1}, {U: 1, V: 2, W: 1}}
+	add("parallel", multi, []int{3, 4, 5})
+	add("parallel/shared", multi, []int{3, 3, 4})
+	loop := New(3)
+	loop.Edges = []Edge{{U: 1, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 0, V: 1, W: 1}, {U: 0, V: 2, W: 1}}
+	add("self-loop", loop, []int{0, 1, 2, 0})
+	add("self-loop/clash", loop, []int{0, 1, 0, 3})
+	loops := New(2)
+	loops.Edges = []Edge{{U: 1, V: 1, W: 1}, {U: 0, V: 1, W: 1}, {U: 1, V: 1, W: 1}}
+	add("two-loops", loops, []int{-2, -1, 0})
+	add("two-loops/shared", loops, []int{-2, -1, -2})
+
+	stamped, proper := 0, 0
+	for _, tc := range rows {
+		want := isProperEdgeColouringRef(tc.g, tc.colour)
+		if got := IsProperEdgeColouring(tc.g, tc.colour); got != want {
+			t.Fatalf("%s: IsProperEdgeColouring %v, reference %v", tc.name, got, want)
+		}
+		if got := properByClass(tc.g, tc.colour); got != want {
+			t.Fatalf("%s: properByClass %v, reference %v", tc.name, got, want)
+		}
+		if lo, span := colourSpan(tc.colour); span < uint(len(tc.colour)) {
+			if got := properByStamp(tc.g, tc.colour, lo, span); got != want {
+				t.Fatalf("%s: properByStamp %v, reference %v", tc.name, got, want)
+			}
+			stamped++
+		}
+		if want {
+			proper++
+		}
+	}
+	if stamped == 0 || stamped == len(rows) || proper == 0 || proper == len(rows) {
+		t.Fatalf("%d rows: %d on the stamp path, %d proper; want both paths and both answers", len(rows), stamped, proper)
+	}
 }
 
 func TestNumColours(t *testing.T) {

@@ -212,13 +212,50 @@ func IsProperVertexColouring(g *Graph, colour []int) bool {
 
 // IsProperEdgeColouring reports whether colour assigns every edge a colour
 // and no two edges sharing a vertex have the same colour: every colour class
-// must be a matching. The classes are taken one at a time from
-// groupByColour, and seenAt[v] names the last class met at v, so any int is
-// a colour and nothing is hashed.
+// must be a matching. A palette whose span max − min is below len(colour)
+// (NumColours' guard) is checked vertex by vertex, by properByStamp; a
+// wider one, class by class, by properByClass.
 func IsProperEdgeColouring(g *Graph, colour []int) bool {
 	if len(colour) != len(g.Edges) {
 		return false
 	}
+	if len(colour) == 0 {
+		return true
+	}
+	lo, span := colourSpan(colour)
+	if span >= uint(len(colour)) {
+		return properByClass(g, colour)
+	}
+	return properByStamp(g, colour, lo, span)
+}
+
+// properByStamp checks a palette lying in [lo, lo+span] over g's incidence
+// lists: seenAt[c − lo] holds v + 1 once colour c is met at v. A self-loop
+// holds its colour at its vertex once, so its second incidence entry, which
+// follows the first, is skipped.
+func properByStamp(g *Graph, colour []int, lo int, span uint) bool {
+	seenAt := make([]int32, span+1)
+	g.Build()
+	for v := 0; v < g.N; v++ {
+		ids, stamp := g.IncidentEdges(v), int32(v+1)
+		for k, id := range ids {
+			if k > 0 && id == ids[k-1] {
+				continue
+			}
+			c := uint(colour[id]) - uint(lo)
+			if seenAt[c] == stamp {
+				return false
+			}
+			seenAt[c] = stamp
+		}
+	}
+	return true
+}
+
+// properByClass is IsProperEdgeColouring for any palette: the classes are
+// taken one at a time from groupByColour, and seenAt[v] names the last class
+// met at v, so any int is a colour and nothing is hashed.
+func properByClass(g *Graph, colour []int) bool {
 	seenAt := make([]int, g.N)
 	class, last := 0, 0
 	for _, id := range groupByColour(colour) {
@@ -241,16 +278,21 @@ func NumColours(colour []int) int {
 	if len(colour) == 0 {
 		return 0
 	}
+	if lo, span := colourSpan(colour); span < uint(len(colour)) {
+		return numColoursBitmap(colour, lo, span)
+	}
+	return numColoursSorted(colour)
+}
+
+// colourSpan returns the smallest colour of a non-empty palette and the
+// span max − min, as a uint: the span can exceed MaxInt, which an int would
+// read as negative.
+func colourSpan(colour []int) (lo int, span uint) {
 	lo, hi := colour[0], colour[0]
 	for _, c := range colour {
 		lo, hi = min(lo, c), max(hi, c)
 	}
-	// The span is compared as a uint: max − min can exceed MaxInt, which
-	// an int would read as negative.
-	if span := uint(hi) - uint(lo); span < uint(len(colour)) {
-		return numColoursBitmap(colour, lo, span)
-	}
-	return numColoursSorted(colour)
+	return lo, uint(hi) - uint(lo)
 }
 
 // numColoursBitmap counts the distinct colours of a palette lying in

@@ -60,3 +60,23 @@ func BenchmarkSeqGreedyMIS(b *testing.B) {
 		_ = GreedyMIS(g, nil)
 	}
 }
+
+// BenchmarkMisraGriesOf colours one of the two edge groups an ecolour job
+// splits the benchmark workload's instance into (Density(15000, 0.3),
+// κ = 2 at µ = 0.2), straight from the group's edge ids.
+func BenchmarkMisraGriesOf(b *testing.B) {
+	g := graph.Density(15000, 0.3, rng.New(1).Split())
+	r := rng.New(1)
+	var ids []int
+	for id := range g.Edges {
+		if r.Intn(2) == 0 {
+			ids = append(ids, id)
+		}
+	}
+	colour := make([]int, g.M())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MisraGriesOf(g, ids, colour)
+	}
+}

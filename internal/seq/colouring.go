@@ -49,44 +49,93 @@ func GreedyVertexColouring(g *graph.Graph, order []int) []int {
 // (Vizing's bound), following the constructive algorithm of Misra and Gries
 // (1992), which is the subroutine Remark 6.5 uses to colour each edge group.
 // Colours are 0-based in the returned slice (internally 1..∆+1). It runs in
-// O(nm) time and, on the flat index, allocates a constant number of times:
-// the result, the index, and one fan scratch reused for every edge.
+// O(nm) time. It is MisraGriesOf over every edge of g, in id order.
 func MisraGries(g *graph.Graph) []int {
-	g.Build()
-	m := g.M()
-	if m == 0 {
-		return []int{}
+	// The result doubles as the identity id list.
+	colour := make([]int, g.M())
+	for id := range colour {
+		colour[id] = id
 	}
-	maxC := g.MaxDegree() + 1
+	MisraGriesOf(g, colour, colour)
+	return colour
+}
+
+// MisraGriesOf edge-colours the subgraph of g formed by the edges ids, in
+// that order, exactly as MisraGries colours a graph on g's vertices that
+// holds copies of those edges. It writes colour[id] for every id in ids and
+// nothing else, so disjoint id lists can be coloured concurrently, and it
+// never builds g's own index: endpoints are read from g.Edges once. It
+// returns the subgraph's maximum degree. The colours are copied out in list
+// order, each id read just before its colour is written, so colour may be
+// ids itself when ids[j] = j.
+//
+// The working state is local and int32, carved from two allocations: the
+// endpoints as pairs, an incidence index built by one counting pass in id
+// list order (the layout Graph.Build gives the copy), one colour per listed
+// edge, copied out at the end, and the (vertex, colour) index.
+func MisraGriesOf(g *graph.Graph, ids, colour []int) (maxDeg int) {
+	n, k := g.N, len(ids)
+	if k == 0 {
+		return 0
+	}
+	slab := make([]int32, 5*k+2*n+1)
 	s := misraGries{
-		g:       g,
-		colour:  make([]int, m), // 0 = uncoloured; valid colours 1..maxC
-		maxC:    maxC,
-		stride:  maxC + 1,
-		inFan:   make([]int32, g.N),
-		fan:     make([]int32, 0, maxC),
-		fanEdge: make([]int32, 0, maxC),
+		ends:   slab[:2*k],
+		adj:    slab[2*k : 4*k],
+		colour: slab[4*k : 5*k], // 0 = uncoloured; valid colours 1..maxC
+		inFan:  slab[5*k : 5*k+n],
+		start:  slab[5*k+n:],
 	}
-	// The (vertex, colour) index stores edge id + 1 for the edge coloured c
-	// at v, 0 when the colour is free. On near-regular graphs it is a flat
-	// slab (flat[v*stride+c]) — direct indexing, no hashing. A flat slab is
-	// Θ(n·∆) though, which a skewed degree sequence (one hub) can blow up
-	// to Θ(n²), so when the slab would exceed a constant factor of the
-	// graph's own size the index falls back to lazy per-vertex maps. Both
-	// layouts answer identical queries, so the colouring is the same.
-	if g.N*s.stride <= 8*(g.N+2*m)+1024 {
-		s.flat = make([]int32, g.N*s.stride)
+	for j, id := range ids {
+		e := &g.Edges[id]
+		s.ends[2*j], s.ends[2*j+1] = int32(e.U), int32(e.V)
+		s.start[e.U+1]++
+		s.start[e.V+1]++
+	}
+	for v := 0; v < n; v++ {
+		maxDeg = max(maxDeg, int(s.start[v+1]))
+		s.start[v+1] += s.start[v]
+	}
+	// inFan is zero until the first fan, so it serves as the fill cursor.
+	fill := s.inFan
+	for j := range k {
+		u, v := s.ends[2*j], s.ends[2*j+1]
+		s.adj[s.start[u]+fill[u]] = int32(j)
+		fill[u]++
+		s.adj[s.start[v]+fill[v]] = int32(j)
+		fill[v]++
+	}
+	clear(fill)
+
+	s.maxC = maxDeg + 1
+	s.stride = s.maxC + 1
+	// The (vertex, colour) index stores local edge id + 1 for the edge
+	// coloured c at v, 0 when the colour is free. On near-regular graphs it
+	// is a flat slab (flat[v*stride+c]) — direct indexing, no hashing. A flat
+	// slab is Θ(n·∆) though, which a skewed degree sequence (one hub) can
+	// blow up to Θ(n²), so when the slab would exceed a constant factor of
+	// the subgraph's own size the index falls back to lazy per-vertex maps.
+	// Both layouts answer identical queries, so the colouring is the same.
+	flat := n*s.stride <= 8*(n+2*k)+1024
+	index := 2 * s.maxC
+	if flat {
+		index += n * s.stride
 	} else {
-		s.sparse = make([]map[int]int32, g.N)
+		s.sparse = make([]map[int]int32, n)
+	}
+	index32 := make([]int32, index)
+	s.fan, s.fanEdge = index32[:0:s.maxC], index32[s.maxC:s.maxC:2*s.maxC]
+	if flat {
+		s.flat = index32[2*s.maxC:]
 	}
 
-	for id, e := range g.Edges {
-		u, v := e.U, e.V
+	for j := range k {
+		u, v := int(s.ends[2*j]), int(s.ends[2*j+1])
 		for attempt := 0; ; attempt++ {
-			if attempt > 2*g.N+10 {
-				panic(fmt.Sprintf("seq: MisraGries failed to colour edge %d", id))
+			if attempt > 2*n+10 {
+				panic(fmt.Sprintf("seq: MisraGries failed to colour edge %d", ids[j]))
 			}
-			s.makeFan(u, v, id)
+			s.makeFan(u, v, j)
 			c := s.freeColour(u)
 			d := s.freeColour(int(s.fan[len(s.fan)-1]))
 			if c != d && s.at(u, d) != 0 {
@@ -103,24 +152,28 @@ func MisraGries(g *graph.Graph) []int {
 		}
 	}
 
-	for id, c := range s.colour {
+	for j, id := range ids {
+		c := s.colour[j]
 		if c == 0 {
 			panic("seq: MisraGries left an edge uncoloured")
 		}
-		s.colour[id] = c - 1
+		colour[id] = int(c) - 1
 	}
-	return s.colour
+	return maxDeg
 }
 
-// misraGries is the working state of one MisraGries call. It is per call,
+// misraGries is the working state of one MisraGriesOf call. It is per call,
 // never shared: edge groups are coloured concurrently under Cluster.Exec().
+// Edges are local ids 0..k−1, positions in the call's id list.
 type misraGries struct {
-	g      *graph.Graph
-	colour []int // per edge; becomes the result
-	maxC   int
+	// Local edge j joins ends[2j] and ends[2j+1]; the local edges at v are
+	// adj[start[v]:start[v+1]], ascending.
+	ends, start, adj []int32
+	colour           []int32 // per local edge
+	maxC             int
 
-	// The (vertex, colour) → edge id + 1 index: exactly one of flat and
-	// sparse is non-nil.
+	// The (vertex, colour) → local edge id + 1 index: exactly one of flat
+	// and sparse is non-nil.
 	stride int
 	flat   []int32
 	sparse []map[int]int32
@@ -179,12 +232,18 @@ func (s *misraGries) makeFan(u, v, id int) {
 	s.fan = append(s.fan[:0], int32(v))
 	s.fanEdge = append(s.fanEdge[:0], int32(id))
 	s.inFan[v] = s.epoch
-	ids, nbrs := s.g.IncidentEdges(u), s.g.Neighbors(u)
+	adj, u32 := s.adj[s.start[u]:s.start[u+1]], int32(u)
 	for last := v; ; {
 		extended := false
-		for i, e := range ids {
-			w, ce := nbrs[i], s.colour[e]
-			if ce == 0 || s.inFan[w] == s.epoch {
+		for _, e := range adj {
+			// Read the far end only for a coloured edge: the later edges at
+			// u are still uncoloured.
+			ce := int(s.colour[e])
+			if ce == 0 {
+				continue
+			}
+			w := s.ends[2*e] ^ s.ends[2*e+1] ^ u32
+			if s.inFan[w] == s.epoch {
 				continue
 			}
 			if s.at(last, ce) == 0 {
@@ -206,7 +265,7 @@ func (s *misraGries) makeFan(u, v, id int) {
 // on F[w]; -1 if the fan breaks before any such w.
 func (s *misraGries) fanPrefix(d int) int {
 	for i, x := range s.fan {
-		if i > 0 && s.at(int(s.fan[i-1]), s.colour[s.fanEdge[i]]) != 0 {
+		if i > 0 && s.at(int(s.fan[i-1]), int(s.colour[s.fanEdge[i]])) != 0 {
 			return -1
 		}
 		if s.at(int(x), d) == 0 {
@@ -226,9 +285,9 @@ func (s *misraGries) invertPath(u, c, d int) {
 	id := s.at(u, d)
 	s.put(u, d, 0)
 	for id != 0 {
-		next := s.g.Edges[id-1].Other(cur)
+		next := int(s.ends[2*id-2] ^ s.ends[2*id-1] ^ int32(cur))
 		nextID := s.at(next, other)
-		s.colour[id-1] = other
+		s.colour[id-1] = int32(other)
 		s.put(cur, other, id)
 		s.put(next, other, id)
 		if nextID == 0 {
@@ -246,14 +305,14 @@ func (s *misraGries) invertPath(u, c, d int) {
 func (s *misraGries) rotateFan(u, w, d int) {
 	for i := 0; i <= w; i++ {
 		x, id := int(s.fan[i]), s.fanEdge[i]
-		if old := s.colour[id]; old != 0 {
+		if old := int(s.colour[id]); old != 0 {
 			s.put(x, old, 0)
 		}
 		nc := d
 		if i < w {
-			nc = s.colour[s.fanEdge[i+1]]
+			nc = int(s.colour[s.fanEdge[i+1]])
 		}
-		s.colour[id] = nc
+		s.colour[id] = int32(nc)
 		s.put(x, nc, id+1)
 		s.put(u, nc, id+1)
 	}

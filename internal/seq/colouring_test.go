@@ -125,6 +125,81 @@ func TestMisraGriesMatchesClassic(t *testing.T) {
 	}
 }
 
+// TestMisraGriesOfMatchesSubgraph checks MisraGriesOf against the copy it
+// replaces. The id lists are one random group of the edges, listed as
+// colourGroups collects them (machine by machine, each machine's edges as
+// its stride, so not ascending) or shuffled. The colours must equal
+// MisraGries, and the classic oracle, run on a graph on g's vertices that
+// holds copies of those edges; entries outside the list keep a sentinel;
+// the returned degree is the copy's maximum degree. The hub graph's groups
+// take the sparse index, the dense graphs' the flat one.
+func TestMisraGriesOfMatchesSubgraph(t *testing.T) {
+	const sentinel = -7
+	r := rng.New(47)
+	// skewedHub's shape at 150 vertices: every group still takes the sparse
+	// index, at a tenth of the cost under the race detector.
+	hub := graph.Star(150)
+	for v := 1; v+1 < hub.N; v += 2 {
+		hub.AddEdge(v, v+1, 1)
+	}
+	cases := map[string]*graph.Graph{"hub": hub}
+	for i := 0; i < 4; i++ {
+		n := 40 + 30*i
+		cases[fmt.Sprintf("density-%d(n=%d)", i, n)] = graph.Density(n, 0.4, r.Split())
+	}
+	for name, g := range cases {
+		for trial := 0; trial < 4; trial++ {
+			kappa, machines := 2-trial%2, 2+r.Intn(6)
+			group := make([]int, g.M())
+			for id := range group {
+				group[id] = r.Intn(kappa)
+			}
+			var ids []int
+			for machine := 1; machine < machines; machine++ {
+				for id := machine - 1; id < g.M(); id += machines - 1 {
+					if group[id] == 0 {
+						ids = append(ids, id)
+					}
+				}
+			}
+			if trial >= 2 {
+				r.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+			}
+			sub := graph.New(g.N)
+			for _, id := range ids {
+				e := g.Edges[id]
+				sub.AddEdge(e.U, e.V, e.W)
+			}
+			want, classic := MisraGries(sub), misraGriesClassic(sub)
+			colour := make([]int, g.M())
+			for id := range colour {
+				colour[id] = sentinel
+			}
+			maxDeg := MisraGriesOf(g, ids, colour)
+			if maxDeg != sub.MaxDegree() {
+				t.Fatalf("%s trial %d: degree %d, copy's %d", name, trial, maxDeg, sub.MaxDegree())
+			}
+			sparse := g.N*(maxDeg+3) > 8*(g.N+2*len(ids))+1024
+			if sparse != (name == "hub") {
+				t.Fatalf("%s trial %d: sparse index %v", name, trial, sparse)
+			}
+			in := make([]bool, g.M())
+			for k, id := range ids {
+				in[id] = true
+				if colour[id] != want[k] || colour[id] != classic[k] {
+					t.Fatalf("%s trial %d: edge %d coloured %d, copy %d, classic %d",
+						name, trial, id, colour[id], want[k], classic[k])
+				}
+			}
+			for id, c := range colour {
+				if !in[id] && c != sentinel {
+					t.Fatalf("%s trial %d: edge %d outside the list written (%d)", name, trial, id, c)
+				}
+			}
+		}
+	}
+}
+
 // regular returns a d-regular circulant graph on n vertices (d even).
 func regular(n, d int) *graph.Graph {
 	g := graph.New(n)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -145,6 +146,8 @@ func NewEngine(cfg Config) *Engine {
 	// a restarted server can prove "everything served from the ledger,
 	// nothing re-executed" straight off /metrics.
 	m.inc("flights_executed_total", 0)
+	// A run that panics fails its jobs and is counted here, from zero.
+	m.inc("jobs_panicked_total", 0)
 	// Open (and, after a crash, recover) the durable job ledger before any
 	// job can complete, so the chain never misses a record.
 	e.openLedger()
@@ -449,11 +452,12 @@ func (e *Engine) execute(f *flight) {
 		"instance", f.instID, "jobs", attached)
 
 	var res *Result
+	panicked := false
 	in, err := e.instances.get(f.instID, f.spec)
 	if err == nil {
 		var run *core.RunResult
 		alg, _ := core.LookupAlgorithm(f.alg)
-		run, err = e.run(alg, in, f)
+		run, panicked, err = e.run(alg, in, f)
 		if err == nil {
 			res = &Result{
 				InstanceID: f.instID, Alg: f.alg, Args: f.args,
@@ -469,6 +473,9 @@ func (e *Engine) execute(f *flight) {
 	}
 	for _, j := range fl.jobs {
 		e.finishLocked(j, res, err)
+	}
+	if panicked {
+		e.metrics.inc("jobs_panicked_total", uint64(len(fl.jobs)))
 	}
 	e.mu.Unlock()
 	if res != nil {
@@ -494,7 +501,20 @@ func (e *Engine) execute(f *flight) {
 
 // run executes one flight's algorithm under the engine's executor
 // configuration, canceled with the flight's context.
-func (e *Engine) run(alg core.Algorithm, in core.Input, f *flight) (*core.RunResult, error) {
+func (e *Engine) run(alg core.Algorithm, in core.Input, f *flight) (run *core.RunResult, panicked bool, err error) {
+	// A panic in the run (an algorithm given input outside its contract,
+	// such as Misra–Gries on parallel edges) fails the flight, not the
+	// daemon. A panic inside the executor's pool is re-raised on this
+	// goroutine, so one recover covers every machine.
+	defer func() {
+		if r := recover(); r != nil {
+			msg := fmt.Sprint(r)
+			e.log.Error("run panicked", "alg", f.alg, "instance", f.instID,
+				"panic", msg, "stack", string(debug.Stack()))
+			first, _, _ := strings.Cut(msg, "\n")
+			run, panicked, err = nil, true, fmt.Errorf("service: %s panicked: %s", f.alg, first)
+		}
+	}()
 	p := core.Params{Mu: f.mu, Seed: f.seed, Workers: e.cfg.Workers, Ctx: f.ctx}
 	if f.ring != nil {
 		// Guarded assignment: an unconditional p.Sink = f.ring would store a
@@ -502,7 +522,8 @@ func (e *Engine) run(alg core.Algorithm, in core.Input, f *flight) (*core.RunRes
 		p.Sink = f.ring
 		p.TraceLabel = f.alg
 	}
-	return alg.Run(in, p, f.args)
+	run, err = alg.Run(in, p, f.args)
+	return run, false, err
 }
 
 // finishLocked completes a job; requires the engine mutex.

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/rng"
 )
 
 // encodeGraph serializes a built instance's graph in the Encode text
@@ -405,5 +406,63 @@ func TestHTTPWaitClientGone(t *testing.T) {
 			t.Fatalf("jobs did not reach terminal states: %+v / %+v", v1, v2)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestRunPanicFailsJob: Misra–Gries assumes a simple graph, and on this one
+// (every edge of a G(200, 1200) doubled) it fails to colour an edge and
+// panics. The daemon fails that job with the panic as its error, counts it,
+// and answers the next job.
+func TestRunPanicFailsJob(t *testing.T) {
+	srv, _ := newTestServer(t, Config{Pool: 1})
+	simple := graph.GNM(200, 1200, rng.New(1))
+	doubled := graph.New(simple.N)
+	for _, e := range simple.Edges {
+		doubled.AddEdge(e.U, e.V, e.W)
+		doubled.AddEdge(e.U, e.V, e.W)
+	}
+	var buf bytes.Buffer
+	if err := graph.Encode(&buf, doubled); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/v1/instances", "application/octet-stream", &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info InstanceInfo
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("upload: status %d", resp.StatusCode)
+	}
+	upload := InstanceSpec{Type: "upload", ID: info.ID}
+
+	var view JobView
+	postJSON(t, srv.URL+"/v1/jobs", jobSubmission{JobRequest: JobRequest{Instance: upload, Alg: "ecolour", Seed: 1}, Wait: true}, &view)
+	if view.Status != StatusFailed || !strings.Contains(view.Error, "ecolour panicked: seq: ") {
+		t.Fatalf("ecolour on doubled edges: status %s, error %q; want failed with the panic", view.Status, view.Error)
+	}
+
+	var next JobView
+	postJSON(t, srv.URL+"/v1/jobs", jobSubmission{JobRequest: JobRequest{Instance: upload, Alg: "vcolour", Seed: 1}, Wait: true}, &next)
+	if next.Status != StatusDone {
+		t.Fatalf("next job: status %s, error %q", next.Status, next.Error)
+	}
+
+	resp, err = http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc bytes.Buffer
+	if _, err := doc.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"mrserve_jobs_panicked_total 1\n", "mrserve_jobs_failed_total 1\n", "mrserve_jobs_completed_total 1\n"} {
+		if !strings.Contains(doc.String(), want) {
+			t.Errorf("/metrics lacks %q:\n%s", want, doc.String())
+		}
 	}
 }

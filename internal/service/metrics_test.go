@@ -18,6 +18,7 @@ func goldenMetrics() *Metrics {
 	m := newMetricsWith(func() (uint64, uint64) { return 1200, 4800 })
 	// The counter mix NewEngine seeds plus a short serving history.
 	m.inc("jobs_abandoned_total", 0)
+	m.inc("jobs_panicked_total", 0)
 	m.inc("jobs_submitted_total", 5)
 	m.inc("jobs_completed_total", 4)
 	m.inc("jobs_cache_hits_total", 1)
@@ -81,6 +82,7 @@ func TestMetricsLiveTotalsWired(t *testing.T) {
 		"mrserve_executor_pool_chunks_total ",
 		"mrserve_jobs_abandoned_total 0\n",
 		"mrserve_flights_executed_total 0\n",
+		"mrserve_jobs_panicked_total 0\n",
 	} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Errorf("live document missing %q:\n%s", want, buf.Bytes())
