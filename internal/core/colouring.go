@@ -67,21 +67,21 @@ func VertexColouring(g *graph.Graph, p Params) (*ColouringResult, error) {
 	for v := range group {
 		group[v] = r.Intn(kappa)
 	}
-	edgeGroup := make([]int, g.M())
-	for id, e := range g.Edges {
-		edgeGroup[id] = -1
-		if group[e.U] == group[e.V] {
-			edgeGroup[id] = group[e.U]
+	// An edge is routed to its endpoints' group when they share one.
+	edgeGroup := func(id int) int {
+		e := g.Edges[id]
+		if gu := group[e.U]; gu == group[e.V] {
+			return gu
 		}
+		return -1
 	}
 	members := partitionByOwner(n, kappa, func(v int) int { return group[v] })
-	return colourGroups("VertexColouring", g, p, kappa, group, edgeGroup, members, func(i int, ids, local []int) int {
-		sub, toLocal := induced(g, members[i], ids)
-		col := seq.GreedyVertexColouring(sub, nil)
-		for _, v := range members[i] {
-			local[v] = col[toLocal[v]]
-		}
-		return sub.MaxDegree()
+	// Each group is coloured greedily straight from g's index, counting only
+	// its own neighbours: no induced subgraph is copied. The groups read g
+	// concurrently, so its index is built before the fan-out.
+	g.Build()
+	return colourGroups("VertexColouring", g, p, kappa, group, edgeGroup, members, func(i int, items, local []int) int {
+		return seq.GreedyVertexColouringOf(g, items, group, i, local)
 	})
 }
 
@@ -102,25 +102,26 @@ func EdgeColouring(g *graph.Graph, p Params) (*ColouringResult, error) {
 	}
 	// Every edge is routed to its own group's machine, which colours the
 	// group straight from its routed ids: the subgraph keeps g's vertex ids.
-	return colourGroups("EdgeColouring", g, p, kappa, group, group, nil, func(i int, ids, local []int) int {
+	edgeGroup := func(id int) int { return group[id] }
+	return colourGroups("EdgeColouring", g, p, kappa, group, edgeGroup, nil, func(i int, ids, local []int) int {
 		return seq.MisraGriesOf(g, ids, local)
 	})
 }
 
 // colourGroups runs Algorithm 5 once its items (the vertices, or the edges)
-// are in κ random groups: group[x] is item x's group, and edgeGroup[id] is
+// are in κ random groups: group[x] is item x's group, and edgeGroup(id) is
 // the group whose machine edge id is routed to, or −1 if it goes nowhere.
 // Edges start spread over data machines 1..M−1 (3 resident words each) and
 // group i is coloured on machine 1 + i mod (M−1). members[i] lists group
 // i's items; nil means the items are the edges, so a group's members are
-// its routed ids. colourGroup(i, ids, local) colours group i from its
-// routed edge ids, writes each of the group's items' local colours into
-// local, and returns the group's maximum degree; it writes only its own
-// items, so the groups run under the cluster's executor. The global colour
-// of x is group[x]·stride + local[x], where stride is one more than the
-// largest local colour of any group.
-func colourGroups(name string, g *graph.Graph, p Params, kappa int, group, edgeGroup []int, members [][]int,
-	colourGroup func(i int, ids, local []int) int) (*ColouringResult, error) {
+// its routed ids, collected only then. colourGroup(i, items, local) colours
+// group i's items, writes each one's local colour into local, and returns
+// the group's maximum degree; it writes only its own items, so the groups
+// run under the cluster's executor. The global colour of x is
+// group[x]·stride + local[x], where stride is one more than the largest
+// local colour of any group.
+func colourGroups(name string, g *graph.Graph, p Params, kappa int, group []int, edgeGroup func(id int) int,
+	members [][]int, colourGroup func(i int, items, local []int) int) (*ColouringResult, error) {
 	n, m := g.N, g.M()
 	etaWords := eta(n, p.Mu, 8)
 	// Machine 0 collects the output and group i is coloured on machine 1+i,
@@ -133,33 +134,42 @@ func colourGroups(name string, g *graph.Graph, p Params, kappa int, group, edgeG
 		cluster.SetResident(machine, 3*f.ownedCount(machine, m))
 	}
 
-	// Route round: every routed edge goes to its group's machine. The
-	// per-group id lists are sized by a counting pass and filled up front in
-	// the order the edges arrive in — machine, then edge — because groups
-	// are shared destinations that concurrent senders could not append to.
-	// The same pass arms the machines that will send (Arm deduplicates).
+	// Route round: every routed edge goes to its group's machine. One pass
+	// over each machine's edges counts the groups' sizes and arms the
+	// machines that will send. Edge groups are then listed by their routed
+	// ids, sized by the counts and filled up front in the order the edges
+	// arrive in — machine, then edge — because groups are shared
+	// destinations that concurrent senders could not append to.
 	groupSize := make([]int, kappa)
-	for _, grp := range edgeGroup {
-		if grp >= 0 {
-			groupSize[grp]++
+	for machine := 1; machine < M; machine++ {
+		sends := false
+		for id := machine - 1; id < m; id += M - 1 {
+			if grp := edgeGroup(id); grp >= 0 {
+				groupSize[grp]++
+				sends = true
+			}
+		}
+		if sends {
+			cluster.Arm(machine)
 		}
 	}
-	groupIDs := make([][]int, kappa)
-	for i, size := range groupSize {
-		groupIDs[i] = make([]int, 0, size)
-	}
-	for machine := 1; machine < M; machine++ {
-		for id := machine - 1; id < m; id += M - 1 {
-			if grp := edgeGroup[id]; grp >= 0 {
-				groupIDs[grp] = append(groupIDs[grp], id)
-				cluster.Arm(machine)
+	if members == nil {
+		members = make([][]int, kappa)
+		for i, size := range groupSize {
+			members[i] = make([]int, 0, size)
+		}
+		for machine := 1; machine < M; machine++ {
+			for id := machine - 1; id < m; id += M - 1 {
+				if grp := edgeGroup(id); grp >= 0 {
+					members[grp] = append(members[grp], id)
+				}
 			}
 		}
 	}
 	// Only the armed data machines run: machine 0 has nothing to send.
 	err := cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
 		for id := machine - 1; id < m; id += M - 1 {
-			if grp := edgeGroup[id]; grp >= 0 {
+			if grp := edgeGroup(id); grp >= 0 {
 				e := g.Edges[id]
 				out.SendInts(f.owner(grp), int64(e.U), int64(e.V))
 			}
@@ -172,9 +182,9 @@ func colourGroups(name string, g *graph.Graph, p Params, kappa int, group, edgeG
 	// Failure check (Line 4): any group with more than 13·n^{1+µ} edges
 	// fails the algorithm (a w.h.p.-never event).
 	capEdges := int(math.Ceil(13 * math.Pow(float64(n), 1+p.Mu)))
-	for i, ids := range groupIDs {
-		if len(ids) > capEdges {
-			return nil, fmt.Errorf("core: %s group %d has %d > 13n^{1+µ} = %d edges", name, i, len(ids), capEdges)
+	for i, size := range groupSize {
+		if size > capEdges {
+			return nil, fmt.Errorf("core: %s group %d has %d > 13n^{1+µ} = %d edges", name, i, size, capEdges)
 		}
 	}
 
@@ -182,7 +192,7 @@ func colourGroups(name string, g *graph.Graph, p Params, kappa int, group, edgeG
 	local := make([]int, len(group))
 	groupDeg := make([]int, kappa)
 	cluster.Exec().Execute(kappa, func(i int) {
-		groupDeg[i] = colourGroup(i, groupIDs[i], local)
+		groupDeg[i] = colourGroup(i, members[i], local)
 	})
 	maxGroupDeg, maxLocal := 0, 0
 	for _, deg := range groupDeg {
@@ -198,9 +208,6 @@ func colourGroups(name string, g *graph.Graph, p Params, kappa int, group, edgeG
 	// machine hosting a group with members is armed. A machine's lists are
 	// its whole traffic, so its column is sized once; grown by appends it
 	// would reallocate about five times its final size.
-	if members == nil {
-		members = groupIDs
-	}
 	for i, items := range members {
 		if len(items) > 0 {
 			cluster.Arm(f.owner(i))
@@ -229,8 +236,9 @@ func colourGroups(name string, g *graph.Graph, p Params, kappa int, group, edgeG
 	// The id slabs are done with. The round closures capture them; the
 	// collector can pin a dead closure through a stale word in a preempted
 	// goroutine's innermost frame, which it scans conservatively. Dropped
-	// here, the slabs cannot be pinned with it (DESIGN.md, Algorithm 5).
-	groupIDs, members, group, edgeGroup = nil, nil, nil, nil
+	// here, the slabs cannot be pinned with it (DESIGN.md, Algorithm 5);
+	// edgeGroup holds the caller's group slab.
+	members, group, edgeGroup = nil, nil, nil
 
 	return &ColouringResult{
 		Colours:        colours,
@@ -239,25 +247,4 @@ func colourGroups(name string, g *graph.Graph, p Params, kappa int, group, edgeG
 		MaxGroupDegree: maxGroupDeg,
 		Metrics:        cluster.Metrics(),
 	}, nil
-}
-
-// induced builds the subgraph of g induced by members (ascending vertex
-// ids) from the edges ids among them, with compacted vertex ids. It returns
-// the subgraph and the old→new vertex id map, -1 for a vertex outside
-// members.
-func induced(g *graph.Graph, members, ids []int) (*graph.Graph, []int32) {
-	toLocal := make([]int32, g.N)
-	for v := range toLocal {
-		toLocal[v] = -1
-	}
-	for local, v := range members {
-		toLocal[v] = int32(local)
-	}
-	sub := graph.New(len(members))
-	sub.Edges = make([]graph.Edge, len(ids))
-	for k, id := range ids {
-		e := g.Edges[id]
-		sub.Edges[k] = graph.Edge{U: int(toLocal[e.U]), V: int(toLocal[e.V]), W: e.W}
-	}
-	return sub, toLocal
 }

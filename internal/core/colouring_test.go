@@ -14,12 +14,15 @@ import (
 // (c = 0.3, µ = 0.2; κ = 1 at n = 2000, 2 at n = 8000). It measures with
 // the collector off, as TestRLRSetCoverAllocsBounded does, so the readings
 // do not spread. Three processes read the same counts to the byte:
-// vertex/edge 68/56 mallocs and 1 305 434/1 673 864 bytes at n = 2000,
-// 92/72 and 4 558 168/10 341 336 at n = 8000. The ceilings are 1.25× those
-// readings. Colouring each edge group on a copied subgraph, with an int
-// colour per edge, and emitting from a second partition of all the items
-// read 69 mallocs and 2 419 888 bytes, and 94 and 14 716 784, so it fails
-// both EdgeColouring rows.
+// vertex/edge 56/56 mallocs and 109 242/1 673 856 bytes at n = 2000,
+// 70/72 and 429 072/10 341 328 at n = 8000. The ceilings are 1.25× those
+// readings. Colouring each vertex group on a copied induced subgraph, with
+// an m-sized slab of edge groups, read 68 mallocs and 1 305 434 bytes, and
+// 92 and 4 558 168, so it fails both VertexColouring rows. Colouring each
+// edge group on a copied subgraph, with an int colour per edge, and
+// emitting from a second partition of all the items read 69 mallocs and
+// 2 419 888 bytes, and 94 and 14 716 784, so it fails both EdgeColouring
+// rows.
 func TestColouringAllocsBounded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -29,8 +32,8 @@ func TestColouringAllocsBounded(t *testing.T) {
 		vMallocs, eMallocs float64
 		vBytes, eBytes     float64
 	}{
-		{2000, 85, 70, 1.64e6, 2.10e6},
-		{8000, 115, 90, 5.70e6, 12.93e6},
+		{2000, 70, 70, 1.37e5, 2.10e6},
+		{8000, 87, 90, 5.37e5, 12.93e6},
 	} {
 		g := graph.Density(tc.n, 0.3, rng.New(71))
 		p := Params{Mu: 0.2, Seed: 1}
@@ -86,6 +89,22 @@ func BenchmarkEdgeColouring(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := EdgeColouring(g, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkVertexColouring runs one vcolour job of the serve workload: its
+// uploaded graph (a density graph with n = 16000, c = 0.3, seed 1; weights
+// play no part) at µ = 0.2, κ = 2.
+func BenchmarkVertexColouring(b *testing.B) {
+	g := graph.Density(16000, 0.3, rng.New(1).Split())
+	g.Build()
+	p := Params{Mu: 0.2, Seed: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := VertexColouring(g, p); err != nil {
 			b.Fatal(err)
 		}
 	}

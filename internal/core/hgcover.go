@@ -269,6 +269,8 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 					continue
 				}
 				gids, drawTable = f.r.SampleAppend(gids[:0], drawTable, numGroups[cls], k)
+				slab = growDoubling(slab, 2+k+len(inst.Sets[i]))
+				members = growDoubling(members, k)
 				entry := sampleEntry{set: i, payload: len(slab)}
 				slab = append(slab, int64(i), int64(k))
 				for _, gid := range gids {
@@ -380,6 +382,17 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 		Iterations: f.iterations,
 		Metrics:    cluster.Metrics(),
 	}, nil
+}
+
+// growDoubling returns s with room for need more elements, doubling its
+// capacity when it has to grow. append grows a large slice by about a
+// quarter at a time, so a slice that grows to its size by appends
+// reallocates about five times that size; doubling keeps it to about twice.
+func growDoubling[T any](s []T, need int) []T {
+	if cap(s)-len(s) >= need {
+		return s
+	}
+	return slices.Grow(s, max(need, len(s)))
 }
 
 // remark47Gamma computes γ = max_j min_{S∋j} w(S), the preprocessing pivot

@@ -9,40 +9,66 @@ import (
 
 // GreedyVertexColouring colours vertices in the given order (or 0..n-1 when
 // order is nil) with the smallest colour unused among coloured neighbours.
-// It uses at most ∆+1 colours; colours are 0-based. This is the "standard
-// (∆_i + 1)-vertex colouring algorithm" each central machine runs in
-// Algorithm 5.
+// It uses at most ∆+1 colours; colours are 0-based, and a vertex outside
+// order keeps −1. This is the "standard (∆_i + 1)-vertex colouring
+// algorithm" each central machine runs in Algorithm 5. It is
+// GreedyVertexColouringOf with every neighbour counted.
 func GreedyVertexColouring(g *graph.Graph, order []int) []int {
+	colour := make([]int, g.N)
+	for v := range colour {
+		colour[v] = -1
+	}
 	if order == nil {
 		order = make([]int, g.N)
 		for v := range order {
 			order[v] = v
 		}
 	}
-	colour := make([]int, g.N)
-	for i := range colour {
-		colour[i] = -1
+	GreedyVertexColouringOf(g, order, nil, 0, colour)
+	return colour
+}
+
+// GreedyVertexColouringOf colours the vertices of order, in that order,
+// exactly as GreedyVertexColouring colours the subgraph of g they induce,
+// reading g's own index. order lists the vertices x with group[x] == grp,
+// and a neighbour u counts only if group[u] == grp; with group nil every
+// neighbour counts, and colour must be negative outside order. It first
+// sets colour[v] = −1 for every v in order, so a neighbour is coloured when
+// colour[u] ≥ 0, and it writes nothing outside order: disjoint groups of a
+// built g can be coloured concurrently. It returns the subgraph's maximum
+// degree, counting the index entries that pass the filter, as the
+// subgraph's MaxDegree counts parallel edges and self-loops.
+func GreedyVertexColouringOf(g *graph.Graph, order, group []int, grp int, colour []int) (maxDeg int) {
+	for _, v := range order {
+		colour[v] = -1
 	}
 	// usedAt[c] == step marks colour c as used by the current vertex's
-	// neighbours; the stamp replaces a per-vertex map and the greedy rule
-	// needs at most ∆+1 ≤ n palette slots.
-	usedAt := make([]int, g.N+1)
+	// neighbours; the stamp replaces a per-vertex map. A vertex has at most
+	// len(order)−1 distinct coloured neighbours in the subgraph, so the
+	// greedy rule needs at most len(order)+1 palette slots.
+	usedAt := make([]int32, len(order)+1)
 	for i := range usedAt {
 		usedAt[i] = -1
 	}
 	for step, v := range order {
+		deg := 0
 		for _, u := range g.Neighbors(v) {
+			if group != nil && group[u] != grp {
+				continue
+			}
+			deg++
 			if cu := colour[u]; cu >= 0 {
-				usedAt[cu] = step
+				usedAt[cu] = int32(step)
 			}
 		}
+		maxDeg = max(maxDeg, deg)
 		c := 0
-		for usedAt[c] == step {
+		for usedAt[c] == int32(step) {
 			c++
 		}
 		colour[v] = c
 	}
-	return colour
+	return maxDeg
 }
 
 // MisraGries edge-colours the simple graph g with at most ∆+1 colours

@@ -36,6 +36,98 @@ func TestGreedyVertexColouringCustomOrder(t *testing.T) {
 	}
 }
 
+// TestGreedyVertexColouringOfMatchesInduced checks GreedyVertexColouringOf
+// against the copy it replaces. Each graph holds parallel edges and a
+// self-loop. Its vertices are split into κ random groups, and the groups
+// are coloured one after another into one shared slice, as colourGroups
+// colours them, in ascending or shuffled order; a group's entries hold 0
+// before its call, as colourGroups' fresh slice does. Each group's colours
+// must equal GreedyVertexColouring run on the induced copy in the same
+// order, the returned degree must be the copy's maximum degree, and entries
+// of groups not yet coloured keep a sentinel.
+func TestGreedyVertexColouringOfMatchesInduced(t *testing.T) {
+	const sentinel = -7
+	r := rng.New(53)
+	for i := 0; i < 4; i++ {
+		n := 30 + 30*i
+		g := graph.Density(n, 0.4, r.Split())
+		for k := 0; k < 10; k++ {
+			e := g.Edges[r.Intn(g.M())]
+			g.AddEdge(e.V, e.U, e.W)
+		}
+		v := r.Intn(n)
+		g.Edges = append(g.Edges, graph.Edge{U: v, V: v, W: 1})
+		g.Invalidate()
+		for _, kappa := range []int{1, 2, 5} {
+			for _, shuffled := range []bool{false, true} {
+				name := fmt.Sprintf("n=%d/kappa=%d/shuffled=%v", n, kappa, shuffled)
+				group := make([]int, n)
+				members := make([][]int, kappa)
+				for v := range group {
+					group[v] = r.Intn(kappa)
+					members[group[v]] = append(members[group[v]], v)
+				}
+				colour := make([]int, n)
+				for v := range colour {
+					colour[v] = sentinel
+				}
+				for grp, vs := range members {
+					var ids []int
+					for id, e := range g.Edges {
+						if group[e.U] == grp && group[e.V] == grp {
+							ids = append(ids, id)
+						}
+					}
+					sub, toLocal := induced(g, vs, ids)
+					order := append([]int(nil), vs...)
+					if shuffled {
+						r.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+					}
+					localOrder := make([]int, len(order))
+					for k, v := range order {
+						localOrder[k] = int(toLocal[v])
+						colour[v] = 0
+					}
+					want := GreedyVertexColouring(sub, localOrder)
+					maxDeg := GreedyVertexColouringOf(g, order, group, grp, colour)
+					if maxDeg != sub.MaxDegree() {
+						t.Fatalf("%s group %d: degree %d, copy's %d", name, grp, maxDeg, sub.MaxDegree())
+					}
+					for v, c := range colour {
+						switch {
+						case group[v] == grp && c != want[toLocal[v]]:
+							t.Fatalf("%s group %d: vertex %d coloured %d, copy %d", name, grp, v, c, want[toLocal[v]])
+						case group[v] > grp && c != sentinel:
+							t.Fatalf("%s group %d: vertex %d outside the order written (%d)", name, grp, v, c)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// induced builds the subgraph of g induced by members (ascending vertex
+// ids) from the edges ids among them, with compacted vertex ids. It returns
+// the subgraph and the old→new vertex id map, -1 for a vertex outside
+// members.
+func induced(g *graph.Graph, members, ids []int) (*graph.Graph, []int32) {
+	toLocal := make([]int32, g.N)
+	for v := range toLocal {
+		toLocal[v] = -1
+	}
+	for local, v := range members {
+		toLocal[v] = int32(local)
+	}
+	sub := graph.New(len(members))
+	sub.Edges = make([]graph.Edge, len(ids))
+	for k, id := range ids {
+		e := g.Edges[id]
+		sub.Edges[k] = graph.Edge{U: int(toLocal[e.U]), V: int(toLocal[e.V]), W: e.W}
+	}
+	return sub, toLocal
+}
+
 func TestMisraGriesSmallKnown(t *testing.T) {
 	// A triangle has delta=2 and chromatic index 3 = delta+1.
 	g := graph.Cycle(3)
@@ -212,8 +304,8 @@ func regular(n, d int) *graph.Graph {
 }
 
 func TestMisraGriesAllocsBounded(t *testing.T) {
-	// The result, the index and the fan scratch are allocated once per call
-	// (5 allocations today), so ten times the edges at equal ∆ must stay
+	// The result and MisraGriesOf's two slabs are allocated once per call
+	// (3 allocations today), so ten times the edges at equal ∆ must stay
 	// under the same small constant.
 	const limit = 8
 	for _, n := range []int{200, 2000} {
