@@ -135,17 +135,22 @@ func colourGroups(name string, g *graph.Graph, p Params, kappa int, group []int,
 	}
 
 	// Route round: every routed edge goes to its group's machine. One pass
-	// over each machine's edges counts the groups' sizes and arms the
-	// machines that will send. Edge groups are then listed by their routed
-	// ids, sized by the counts and filled up front in the order the edges
-	// arrive in — machine, then edge — because groups are shared
-	// destinations that concurrent senders could not append to.
+	// over each machine's edges counts the groups' sizes, counts what the
+	// machine sends to each of the hosts 1..hosts, and arms the machines
+	// that will send. Edge groups are then listed by their routed ids, sized
+	// by the counts and filled up front in the order the edges arrive in —
+	// machine, then edge — because groups are shared destinations that
+	// concurrent senders could not append to.
+	hosts := min(kappa, M-1)
 	groupSize := make([]int, kappa)
+	routed := make([]int, (M-1)*hosts)
 	for machine := 1; machine < M; machine++ {
 		sends := false
+		row := routed[(machine-1)*hosts : machine*hosts]
 		for id := machine - 1; id < m; id += M - 1 {
 			if grp := edgeGroup(id); grp >= 0 {
 				groupSize[grp]++
+				row[f.owner(grp)-1]++
 				sends = true
 			}
 		}
@@ -166,8 +171,16 @@ func colourGroups(name string, g *graph.Graph, p Params, kappa int, group []int,
 			}
 		}
 	}
-	// Only the armed data machines run: machine 0 has nothing to send.
+	// Only the armed data machines run: machine 0 has nothing to send. The
+	// route columns are the job's largest traffic, so each is sized once
+	// from the counts. Drawn from sync.Pool and grown by appends, they would
+	// reallocate about four times their size whenever the collector had
+	// emptied the pool since the last job, so a job's bytes would move with
+	// GC timing.
 	err := cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
+		for j, k := range routed[(machine-1)*hosts : machine*hosts] {
+			out.Reserve(1+j, k, 2*k, 0)
+		}
 		for id := machine - 1; id < m; id += M - 1 {
 			if grp := edgeGroup(id); grp >= 0 {
 				e := g.Edges[id]
