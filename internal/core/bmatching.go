@@ -189,22 +189,9 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 
 		// Dissemination: central routes the changed potentials ϕ(v) to the
 		// vertex owners; owners re-evaluate the ε-adjusted kill rule for
-		// their incident edges.
-		cluster.Arm(0) // the forwarding round runs off its delivered records
-		err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			if machine != 0 {
-				return
-			}
-			for v := 0; v < n; v++ {
-				if changed.has(v) {
-					out.Begin(f.owner(v))
-					out.Int(int64(v))
-					out.Float(lr.Phi(v))
-					out.End()
-				}
-			}
-		})
-		if err != nil {
+		// their incident edges. The forwarding round runs off its delivered
+		// records.
+		if err := centralRound(&f, phiUpdate{lr: lr, changed: changed}, sendPhis); err != nil {
 			return nil, err
 		}
 		// Owners receive the new potentials, records (v; ϕ(v)) read as runs,

@@ -159,17 +159,6 @@ func (s *markSet) add(v int) { s.mark[v] = s.epoch }
 
 func (s *markSet) has(v int) bool { return s.mark[v] == s.epoch }
 
-// armPlanned arms every machine whose pre-drawn per-machine plan is
-// non-empty — the common arming pattern of the sampling rounds, where the
-// driver already knows exactly which machines will send.
-func armPlanned[T any](c *mpc.Cluster, plan [][]T) {
-	for machine, p := range plan {
-		if len(p) > 0 {
-			c.Arm(machine)
-		}
-	}
-}
-
 // dataMachines returns the cluster size for a layout with a dedicated
 // central machine (machine 0) plus ceil(inputWords / capWords) data machines,
 // at least one. The paper's blue-line computations run on a single
@@ -188,8 +177,12 @@ func dataMachines(inputWords, capWords int) int {
 // 0, and the driver draws from one RNG seeded by Params.Seed (the
 // colourings draw their groups from that seed before colourGroups builds
 // its frame). It also counts the driver's main-loop iterations against
-// maxIterations and holds the per-machine slab of the one-word all-reduces
-// and the plan of the current sampling pass.
+// maxIterations. Its steps are the ones every driver would otherwise write
+// out: a plan of per-machine items drawn before a round (drawPlan, or
+// endPlan after each machine's part; planned in the round), a round in
+// which only the central machine sends (centralRound), and the one-word
+// all-reduces of counts, direct with a combine (directAllReduce) or over the
+// tree (sumCounts).
 type frame struct {
 	name       string // the driver, for the iteration guard's error
 	M          int
@@ -197,7 +190,7 @@ type frame struct {
 	tree       *mpc.Tree
 	r          *rng.RNG
 	iterations int
-	counts     []int64 // per-machine contributions to sumCounts
+	counts     []int64 // per-machine words of sumCounts and directAllReduce
 	plan       []int   // drawPlan's ids, machine by machine
 	planEnd    []int   // data machine k's ids are plan[planEnd[k-1]:planEnd[k]]
 }
@@ -291,36 +284,63 @@ func (f *frame) sumCounts() (int64, error) {
 	return total[0], nil
 }
 
-// directAllReduce computes the sum of per-machine int64 contributions using
+// directAllReduce folds f.counts, one word per machine, with combine, using
 // the 2-round direct scheme of Theorem 2.4's f = 2 case: every machine sends
-// its count straight to the central machine, which replies with the total to
-// every machine. This beats the broadcast tree when M is small relative to
-// the space cap (the tree exists because a direct send of a large payload
-// could exceed the cap; a single word per machine cannot).
-func directAllReduce(c *mpc.Cluster, central int, value func(machine int) int64) (int64, error) {
+// its word straight to the central machine, which folds them in machine
+// order starting from 0 and replies with the result to every other machine —
+// 2M − 1 one-word records. 0 must be combine's identity on the words (a sum,
+// or the max of non-negative words). This beats the broadcast tree when M is
+// small relative to the space cap (the tree exists because a direct send of
+// a large payload could exceed the cap; a single word per machine cannot).
+func (f *frame) directAllReduce(combine func(a, b int64) int64) (int64, error) {
+	c, counts := f.cluster, f.counts
 	c.ArmAll() // every machine contributes a word, empty inbox or not
 	err := c.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-		out.SendInts(central, value(machine))
+		out.SendInts(0, counts[machine])
 	})
 	if err != nil {
 		return 0, err
 	}
 	total := int64(0)
 	err = c.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-		if machine != central {
+		if machine != 0 {
 			return
 		}
 		for msg, ok := in.Next(); ok; msg, ok = in.Next() {
-			total += msg.Ints[0]
+			total = combine(total, msg.Ints[0])
 		}
-		for to := 0; to < c.M(); to++ {
-			if to != central {
-				out.SendInts(to, total)
-			}
+		for to := 1; to < c.M(); to++ {
+			out.SendInts(to, total)
 		}
 	})
 	if err != nil {
 		return 0, err
 	}
 	return total, nil
+}
+
+// sumInt64 and maxInt64 are directAllReduce's combines.
+func sumInt64(a, b int64) int64 { return a + b }
+
+func maxInt64(a, b int64) int64 { return max(a, b) }
+
+// centralRound runs a round in which only the central machine has work: it
+// arms machine 0, which calls send(f, s, out); a machine that runs only to
+// read a delivered inbox does nothing. send receives its state as s instead
+// of capturing it, so the round allocates one closure, as a round written
+// out by hand does.
+func centralRound[S any](f *frame, s S, send func(f *frame, s S, out *mpc.Outbox)) error {
+	f.cluster.Arm(0)
+	return f.cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
+		if machine == 0 {
+			send(f, s, out)
+		}
+	})
+}
+
+// sendToOwners is a central send: each id to its owner as a one-word record.
+func sendToOwners(f *frame, ids []int, out *mpc.Outbox) {
+	for _, id := range ids {
+		out.SendInts(f.owner(id), int64(id))
+	}
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/mpc"
 	"repro/internal/rng"
 )
 
@@ -76,6 +78,62 @@ func TestOwnedStride(t *testing.T) {
 	}
 }
 
+// TestDirectAllReduce checks the 2-round direct scheme on its own: a sum of
+// f.counts, and a max over the float64 bits of non-negative ratios (0, a
+// subnormal and +Inf among them, as HGSetCover's maxRatio folds them),
+// reach every machine in exactly two rounds that charge 2M − 1 one-word
+// records: M to the central machine and M − 1 replies, two words each with
+// the record's header.
+func TestDirectAllReduce(t *testing.T) {
+	ratios := []float64{0, math.SmallestNonzeroFloat64, 2.5, math.Inf(1), 1e-300, 7}
+	for _, M := range []int{2, 5, 45} {
+		for _, tc := range []struct {
+			name    string
+			combine func(a, b int64) int64
+			value   func(machine int) int64
+		}{
+			{"sum", sumInt64, func(machine int) int64 { return int64(7*machine - 20) }},
+			{"max", maxInt64, func(machine int) int64 {
+				return int64(math.Float64bits(ratios[machine%len(ratios)]))
+			}},
+		} {
+			f := newFrame("DirectAllReduce", Params{}, M, 8, 2)
+			want, best := int64(0), 0.0
+			for machine := 0; machine < M; machine++ {
+				f.counts[machine] = tc.value(machine)
+				want += f.counts[machine]
+				best = math.Max(best, ratios[machine%len(ratios)])
+			}
+			if tc.name == "max" {
+				want = int64(math.Float64bits(best))
+			}
+			before := f.cluster.Metrics()
+			got, err := f.directAllReduce(tc.combine)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := f.cluster.Metrics()
+			if got != want {
+				t.Errorf("M=%d %s: got %d (%v as a float), want %d (%v)", M, tc.name,
+					got, math.Float64frombits(uint64(got)), want, math.Float64frombits(uint64(want)))
+			}
+			records := int64(2*M - 1)
+			if rounds, msgs, words := after.Rounds-before.Rounds, after.Messages-before.Messages,
+				after.WordsSent-before.WordsSent; rounds != 2 || msgs != records || words != 2*records {
+				t.Errorf("M=%d %s: %d rounds, %d messages, %d words; want 2, %d, %d",
+					M, tc.name, rounds, msgs, words, records, 2*records)
+			}
+			for machine := 1; machine < M; machine++ {
+				rec, ok := f.cluster.Inbox(machine).Next()
+				if !ok || len(rec.Ints) != 1 || rec.Ints[0] != want {
+					t.Errorf("M=%d %s: machine %d received %v, want [%d]", M, tc.name, machine, rec.Ints, want)
+				}
+			}
+			f.cluster.Close()
+		}
+	}
+}
+
 // TestPartitionByOwnerSlab checks the one-slab partitionByOwner against the
 // append-grown lists it replaced, on the two group-keyed partitions of
 // Algorithm 5: the vertices of each group, and the items each group
@@ -121,4 +179,14 @@ func appendPartition(count, machines int, owner func(id int) int) [][]int {
 		out[owner(id)] = append(out[owner(id)], id)
 	}
 	return out
+}
+
+// armPlanned arms every machine whose per-machine plan is non-empty, as the
+// frozen classic drivers in the tests arm their sampling rounds.
+func armPlanned[T any](c *mpc.Cluster, plan [][]T) {
+	for machine, p := range plan {
+		if len(p) > 0 {
+			c.Arm(machine)
+		}
+	}
 }

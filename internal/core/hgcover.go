@@ -58,6 +58,7 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 	f := newFrame("HGSetCover", p, dataMachines(inputWords, 4*etaWords), etaWords, m)
 	defer f.cluster.Close()
 	M, cluster := f.M, f.cluster
+	f.plan = make([]int, 0, n) // a pass plans each set at most once
 
 	// Residents: set owners hold (elements, weight, uncovered count);
 	// central holds the covered bitmap and the solution.
@@ -83,7 +84,7 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 		// Remark 4.7. γ is computed with one aggregation up the tree (each
 		// machine contributes per-element minima over its sets) and one
 		// broadcast down; the simulator charges those rounds.
-		gamma, err := remark47Gamma(cluster, f.tree, inst)
+		gamma, err := remark47Gamma(&f, inst)
 		if err != nil {
 			return nil, err
 		}
@@ -126,46 +127,21 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 	}
 
 	// maxRatio aggregates the maximum eligible cost ratio to the central
-	// machine and back (two rounds, like the f=2 aggregation).
+	// machine and back (the direct all-reduce of the f = 2 case). Weights
+	// are positive, so a ratio is > 0, and on non-negative float64s the bits
+	// order as int64s do: each machine's best and the max over them are
+	// exact in bits.
 	maxRatio := func() (float64, error) {
-		cluster.ArmAll() // every machine reports its best ratio
-		err := cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			best := 0.0
-			for i := machine - 1; machine > 0 && i < n; i += M - 1 {
-				if inSolution[i] || excluded[i] || uncov[i] == 0 {
-					continue
-				}
-				if ratio := float64(uncov[i]) / inst.Weights[i]; ratio > best {
-					best = ratio
-				}
+		clear(f.counts)
+		for i := 0; i < n; i++ {
+			if inSolution[i] || excluded[i] || uncov[i] == 0 {
+				continue
 			}
-			out.Begin(0)
-			out.Float(best)
-			out.End()
-		})
-		if err != nil {
-			return 0, err
+			ratio := int64(math.Float64bits(float64(uncov[i]) / inst.Weights[i]))
+			f.counts[f.owner(i)] = max(f.counts[f.owner(i)], ratio)
 		}
-		best := 0.0
-		err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			if machine != 0 {
-				return
-			}
-			for msg, ok := in.Next(); ok; msg, ok = in.Next() {
-				if msg.Floats[0] > best {
-					best = msg.Floats[0]
-				}
-			}
-			for to := 1; to < M; to++ {
-				out.Begin(to)
-				out.Float(best)
-				out.End()
-			}
-		})
-		if err != nil {
-			return 0, err
-		}
-		return best, nil
+		best, err := f.directAllReduce(maxInt64)
+		return math.Float64frombits(uint64(best)), err
 	}
 
 	classOf := func(sz int) int {
@@ -190,11 +166,12 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 	// Per-iteration scratch, allocated once. A sampled set becomes one entry
 	// whose payload [set, k, k group ids, uncovered elements] is a range of
 	// slab; the central machine reads the elements from the same range. The
-	// entries of machine j are entries[planStart[j]:planStart[j+1]] (draw
-	// order: machine, then set). members lists (global group, entry) pairs in
-	// draw order; a stable counting sort lays them out as byGroup, group g
-	// holding byGroup[gstart[g]:gstart[g+1]] in draw order. A set's group ids
-	// are drawn into gids over the duplicate table drawTable.
+	// frame's plan lists the entries' indices, machine j's part those of its
+	// sets (draw order: machine, then set). members lists (global group,
+	// entry) pairs in draw order; a stable counting sort lays them out as
+	// byGroup, group g holding byGroup[gstart[g]:gstart[g+1]] in draw order.
+	// A set's group ids are drawn into gids over the duplicate table
+	// drawTable.
 	type sampleEntry struct{ set, payload, elems, end int }
 	type membership struct{ group, entry int32 }
 	var (
@@ -207,7 +184,6 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 		drawTable []uint64
 	)
 	gstart := make([]int32, gbase[classes+1]+2)
-	planStart := make([]int, M+1)
 	width := classes + 1
 	machineClass := make([]int64, M*width)
 	setClass := make([]int32, n)
@@ -255,9 +231,8 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 		// plus its group list to the central machine. Each machine's
 		// memberships are drawn before the round (machine order, then set
 		// order); the closures replay the per-machine payloads concurrently.
-		slab, entries, members = slab[:0], entries[:0], members[:0]
+		slab, entries, members, f.plan = slab[:0], entries[:0], members[:0], f.plan[:0]
 		for machine := 1; machine < M; machine++ {
-			planStart[machine] = len(entries)
 			for i := machine - 1; i < n; i += M - 1 {
 				cls := int(setClass[i])
 				if cls == 0 || classCounts[cls] == 0 {
@@ -284,17 +259,14 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 					}
 				}
 				entry.end = len(slab)
+				f.plan = append(f.plan, len(entries))
 				entries = append(entries, entry)
 			}
-		}
-		planStart[M] = len(entries)
-		for machine := 1; machine < M; machine++ {
-			if planStart[machine] < planStart[machine+1] {
-				cluster.Arm(machine)
-			}
+			f.endPlan(machine)
 		}
 		err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			for _, e := range entries[planStart[machine]:planStart[machine+1]] {
+			for _, ei := range f.planned(machine) {
+				e := entries[ei]
 				out.Send(0, slab[e.payload:e.end], nil)
 			}
 		})
@@ -320,7 +292,7 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 		for g := 1; g < len(gstart); g++ {
 			gstart[g] += gstart[g-1]
 		}
-		byGroup = slices.Grow(byGroup[:0], len(members))[:len(members)]
+		byGroup = growDoubling(byGroup[:0], len(members))[:len(members)]
 		for _, mb := range members {
 			byGroup[gstart[mb.group+1]] = mb.entry
 			gstart[mb.group+1]++
@@ -384,63 +356,70 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 	}, nil
 }
 
-// growDoubling returns s with room for need more elements, doubling its
-// capacity when it has to grow. append grows a large slice by about a
+// growDoubling returns s with room for need more elements, at least doubling
+// its capacity when it has to grow. append grows a large slice by about a
 // quarter at a time, so a slice that grows to its size by appends
 // reallocates about five times that size; doubling keeps it to about twice.
 func growDoubling[T any](s []T, need int) []T {
 	if cap(s)-len(s) >= need {
 		return s
 	}
-	return slices.Grow(s, max(need, len(s)))
+	return slices.Grow(s, max(need, 2*cap(s)-len(s)))
 }
 
 // remark47Gamma computes γ = max_j min_{S∋j} w(S), the preprocessing pivot
 // of Remark 4.7, charging one aggregation and one broadcast. Machines hold
 // sets, so each machine first derives per-element minima over its own sets;
 // the elementwise minima are combined up the tree (simulated here as a
-// direct aggregation of each machine's (element, min) pairs, whose total
+// direct aggregation of each machine's (element, weight) pairs, whose total
 // volume is at most the input size).
-func remark47Gamma(cluster *mpc.Cluster, tree *mpc.Tree, inst *setcover.Instance) (float64, error) {
-	m, M := inst.NumElements, cluster.M()
-	// Per-machine (element, weight) payloads and the resulting elementwise
-	// minima are computed up front (elements are shared across machines, so
-	// the minima cannot be folded inside the concurrent round); the round
-	// ships each machine's payload to the central machine.
-	minW := make([]float64, m)
+func remark47Gamma(f *frame, inst *setcover.Instance) (float64, error) {
+	// The elementwise minima are computed up front (elements are shared
+	// across machines, so they cannot be folded inside the concurrent
+	// round); the round ships each machine's pairs, the elements of its
+	// planned sets and then their weights, to the central machine as one
+	// record.
+	minW := make([]float64, inst.NumElements)
 	for j := range minW {
 		minW[j] = math.Inf(1)
 	}
-	ints := make([][]int64, M)
-	floats := make([][]float64, M)
-	for machine := 1; machine < M; machine++ {
-		for i := machine - 1; i < len(inst.Sets); i += M - 1 {
-			for _, e := range inst.Sets[i] {
-				ints[machine] = append(ints[machine], int64(e))
-				floats[machine] = append(floats[machine], inst.Weights[i])
-				if inst.Weights[i] < minW[e] {
-					minW[e] = inst.Weights[i]
-				}
+	for i, s := range inst.Sets {
+		for _, e := range s {
+			if inst.Weights[i] < minW[e] {
+				minW[e] = inst.Weights[i]
 			}
 		}
 	}
-	armPlanned(cluster, ints)
-	err := cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-		if len(ints[machine]) > 0 {
-			out.Send(0, ints[machine], floats[machine])
+	f.drawPlan(len(inst.Sets), func(i int) bool { return len(inst.Sets[i]) > 0 })
+	err := f.cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
+		plan := f.planned(machine)
+		if len(plan) == 0 {
+			return
 		}
+		out.Begin(0)
+		for _, i := range plan {
+			for _, e := range inst.Sets[i] {
+				out.Int(int64(e))
+			}
+		}
+		for _, i := range plan {
+			for range inst.Sets[i] {
+				out.Float(inst.Weights[i])
+			}
+		}
+		out.End()
 	})
 	if err != nil {
 		return 0, err
 	}
 	gamma := 0.0
-	for j := 0; j < m; j++ {
-		if !math.IsInf(minW[j], 1) && minW[j] > gamma {
-			gamma = minW[j]
+	for _, w := range minW {
+		if !math.IsInf(w, 1) && w > gamma {
+			gamma = w
 		}
 	}
 	// Broadcast γ so machines can apply the clamps locally.
-	if err := tree.Broadcast(cluster, nil, []float64{gamma}); err != nil {
+	if err := f.tree.Broadcast(f.cluster, nil, []float64{gamma}); err != nil {
 		return 0, err
 	}
 	return gamma, nil

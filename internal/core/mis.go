@@ -33,10 +33,15 @@ type MISResult struct {
 // machinery on the complement graph, which is never materialized. The alive
 // set is the clique's active set A, the central machine's additions join the
 // clique, and every vertex that leaves A is marked dominated. dI still
-// counts alive neighbours in g; the view differs in exactly three places:
-// degree is the complement degree |A| − 1 − dI, a sampled vertex ships its
-// alive non-neighbours, and disseminate's records carry no joined bit (the
-// clique driver keeps the members from the batches, and |A| in size).
+// counts alive neighbours in g. The view differs in these places, each a
+// branch on complement:
+//   - degree is the complement degree |A| − 1 − dI;
+//   - a sampled vertex ships its alive non-neighbours (writeNonNeighbours);
+//   - disseminate keeps the batch's additions in clique and |A| in size, and
+//     its records carry no joined bit;
+//   - countHeavy sums with the direct all-reduce instead of the tree;
+//   - hungryGreedy runs the relabeling rounds (relabel) before each sampling
+//     pass, and stops once A is empty.
 //
 // The per-vertex arrays are owner-partitioned: during a round, machine k's
 // RoundFunc invocation only ever writes entries of vertices it owns, so the
@@ -60,7 +65,8 @@ type misState struct {
 	dI        []int  // alive degree: |N(v) \ N+(I)|, 0 if v ∈ N+(I)
 
 	complement bool     // Appendix B's view: the hungry-greedy MIS of the complement graph
-	size       int      // the complement view's |A|, kept by the clique driver
+	size       int      // the complement view's |A|
+	clique     []int    // the complement view's additions so far
 	marks      [][]bool // the complement view's per-machine neighbour marks, made on first use
 
 	sample []candidate   // the central machine's view of the pass, in submission order
@@ -273,28 +279,25 @@ func (s *misState) centralProcessGroups(groups [][]candidate, threshold int) {
 // every alive vertex can update dI (a second routed round plus a delivery
 // round), mirroring the update step of Theorem 3.3's proof sketch.
 func (s *misState) disseminate() error {
+	if s.complement {
+		s.clique = append(s.clique, s.batch.added...)
+		s.size -= len(s.batch.added) + len(s.batch.newDominated)
+	}
 	// Round 1: central tells each owner which of its vertices entered I or
 	// became dominated: (v, joined I), or (v) alone in the complement view,
-	// where an owner only learns that v left A. Only the central machine
-	// acts on an empty inbox; rounds 2 and 3 are driven entirely by
-	// delivered records.
-	s.cluster.Arm(0)
-	err := s.cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-		if machine != 0 {
+	// where an owner only learns that v left A. Rounds 2 and 3 are driven
+	// entirely by delivered records.
+	err := centralRound(&s.frame, s, func(f *frame, s *misState, out *mpc.Outbox) {
+		if s.complement {
+			sendToOwners(f, s.batch.added, out)
+			sendToOwners(f, s.batch.newDominated, out)
 			return
 		}
-		send := func(v int, joined int64) {
-			if s.complement {
-				out.SendInts(s.owner(v), int64(v))
-			} else {
-				out.SendInts(s.owner(v), int64(v), joined)
-			}
-		}
 		for _, v := range s.batch.added {
-			send(v, 1)
+			out.SendInts(f.owner(v), int64(v), 1)
 		}
 		for _, v := range s.batch.newDominated {
-			send(v, 0)
+			out.SendInts(f.owner(v), int64(v), 0)
 		}
 	})
 	if err != nil {
@@ -380,35 +383,71 @@ func (s *misState) result(phases int) *MISResult {
 	}
 }
 
-// MIS is Algorithm 2: the warm-up hungry-greedy maximal independent set in
-// O(1/µ²) rounds (Theorem 3.3). Phases i = 1..1/α (α = µ/2) reduce the
-// maximum alive degree from n^{1-(i-1)α} to n^{1-iα}; within a phase, heavy
-// vertices (alive degree ≥ n^{1-iα}) are sampled in groups of n^{µ/2} and
-// the central machine adds one qualifying vertex per group.
-func MIS(g *graph.Graph, p Params) (*MISResult, error) {
-	n := g.N
-	if n == 0 {
-		return &MISResult{Set: map[int]bool{}}, nil
+// relabel charges the relabeling traffic of Appendix B: the central machine
+// sends each active vertex its new label (one routed round) and every active
+// vertex forwards its label to its neighbours (a second round). The
+// simulator keeps vertex ids; the words charged are those of the real label
+// exchange, which is what lets a vertex compute its complement list
+// [k] \ σ(N_A(v)) in sublinear space.
+func (s *misState) relabel() error {
+	err := centralRound(&s.frame, s, func(f *frame, s *misState, out *mpc.Outbox) {
+		for v := 0; v < s.g.N; v++ {
+			if s.aliveVertex(v) {
+				out.SendInts(f.owner(v), int64(v))
+			}
+		}
+	})
+	if err != nil {
+		return err
 	}
-	s := newMISState("MIS", g, p)
-	defer s.cluster.Close()
+	// Every record is one word (v), so a run's Ints are the vertices.
+	return s.cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
+		for run, ok := in.NextRun(); ok; run, ok = in.NextRun() {
+			for _, v := range run.Ints {
+				for _, u := range s.g.Neighbors(int(v)) {
+					out.SendInts(s.owner(int(u)), int64(u), v)
+				}
+			}
+		}
+	})
+}
 
-	alpha := p.Mu / 2
+// countHeavy counts the vertices heavy takes: over the tree in the plain
+// view, and with the direct all-reduce in the complement view.
+func (s *misState) countHeavy(heavy func(v int) bool) (int64, error) {
+	clear(s.counts)
+	for v := 0; v < s.g.N; v++ {
+		if heavy(v) {
+			s.counts[s.owner(v)]++
+		}
+	}
+	if s.complement {
+		return s.directAllReduce(sumInt64)
+	}
+	return s.sumCounts()
+}
+
+// hungryGreedy runs Algorithm 2's phases i = 1..1/α (α = µ/2) in the state's
+// view and returns their number. Phase i reduces the maximum alive degree
+// from n^{1-(i-1)α} to n^{1-iα}: while at least n^{iα} heavy vertices
+// (degree ≥ n^{1-iα}) remain, they self-sample ~n^{iα} groups of n^{µ/2}
+// and the central machine adds one qualifying vertex per group; fewer are
+// gathered and finished with the central greedy restricted to them
+// (Line 12).
+func (s *misState) hungryGreedy(mu float64) (int, error) {
+	alpha := mu / 2
 	if alpha <= 0 {
 		alpha = 0.05
 	}
 	phases := int(math.Ceil(1 / alpha))
-	nf := float64(n)
-	groupSize := int(math.Ceil(math.Pow(nf, p.Mu/2)))
+	nf := float64(s.g.N)
+	groupSize := int(math.Ceil(math.Pow(nf, mu/2)))
+	exhausted := func() bool { return s.complement && s.size == 0 }
 
-	for i := 1; i <= phases; i++ {
-		thresholdF := math.Pow(nf, 1-float64(i)*alpha)
-		threshold := int(math.Ceil(thresholdF))
-		if threshold < 1 {
-			threshold = 1
-		}
-		heavyMin := math.Pow(nf, float64(i)*alpha) // while |V_H| >= n^{iα}
-		heavySet := func(v int) bool { return s.aliveVertex(v) && s.dI[v] >= threshold }
+	for i := 1; i <= phases && !exhausted(); i++ {
+		threshold := max(1, int(math.Ceil(math.Pow(nf, 1-float64(i)*alpha))))
+		heavyMin := math.Pow(nf, float64(i)*alpha)
+		heavySet := func(v int) bool { return s.aliveVertex(v) && s.degree(v) >= threshold }
 		// Every heavy vertex self-samples at the iteration's rate.
 		prob := 0.0
 		rate := func(v int) float64 {
@@ -417,55 +456,61 @@ func MIS(g *graph.Graph, p Params) (*MISResult, error) {
 			}
 			return 0
 		}
-		for {
-			// Count heavy vertices (aggregated over the tree).
-			clear(s.counts)
-			for v := 0; v < n; v++ {
-				if heavySet(v) {
-					s.counts[s.owner(v)]++
-				}
-			}
-			heavy, err := s.sumCounts()
+		for !exhausted() {
+			heavy, err := s.countHeavy(heavySet)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
 			if heavy == 0 {
 				break
 			}
 			if err := s.next(); err != nil {
-				return nil, err
+				return 0, err
 			}
-			if float64(heavy) < heavyMin {
-				// Line 12: fewer than n^{iα} heavy vertices remain; gather
-				// them and finish the phase centrally with a greedy MIS
-				// restricted to V_H.
-				prob = 1
-				sample, err := s.sampleToCentral(rate)
-				if err != nil {
-					return nil, err
+			if s.complement {
+				if err := s.relabel(); err != nil {
+					return 0, err
 				}
-				s.beginBatch()
-				s.centralProcessGroups(s.singletonGroups(sample), 0)
-				if err := s.disseminate(); err != nil {
-					return nil, err
-				}
-				break
 			}
-			// Draw ~n^{iα} groups of n^{µ/2} heavy vertices via
-			// self-sampling (each heavy vertex joins with probability
-			// groups*groupSize/|V_H|).
-			target := heavyMin * float64(groupSize)
-			prob = math.Min(1, target/float64(heavy))
+			// Draw ~n^{iα} groups of n^{µ/2} heavy vertices (each joins with
+			// probability groups·groupSize/|V_H|), or gather them all.
+			gatherAll := float64(heavy) < heavyMin
+			prob = 1
+			if !gatherAll {
+				prob = math.Min(1, heavyMin*float64(groupSize)/float64(heavy))
+			}
 			sample, err := s.sampleToCentral(rate)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
 			s.beginBatch()
-			s.centralProcessGroups(s.chopGroups(sample, groupSize), threshold)
+			if gatherAll {
+				s.centralProcessGroups(s.singletonGroups(sample), 0)
+			} else {
+				s.centralProcessGroups(s.chopGroups(sample, groupSize), threshold)
+			}
 			if err := s.disseminate(); err != nil {
-				return nil, err
+				return 0, err
+			}
+			if gatherAll {
+				break
 			}
 		}
+	}
+	return phases, nil
+}
+
+// MIS is Algorithm 2: the warm-up hungry-greedy maximal independent set in
+// O(1/µ²) rounds (Theorem 3.3), hungryGreedy's phases in the plain view.
+func MIS(g *graph.Graph, p Params) (*MISResult, error) {
+	if g.N == 0 {
+		return &MISResult{Set: map[int]bool{}}, nil
+	}
+	s := newMISState("MIS", g, p)
+	defer s.cluster.Close()
+	phases, err := s.hungryGreedy(p.Mu)
+	if err != nil {
+		return nil, err
 	}
 	// All alive vertices now have dI < n^{1-phases*α} ≤ 1, i.e. dI = 0:
 	// gather and add them all.

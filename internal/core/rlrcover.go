@@ -155,16 +155,7 @@ func RLRSetCover(inst *setcover.Instance, p Params, opt CoverOptions) (*CoverRes
 			// f = 2 fast path: central → set owner → element owner, two
 			// routed rounds, O(1) additional rounds per iteration. Only the
 			// central machine starts from an empty inbox.
-			cluster.Arm(0)
-			err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-				if machine != 0 {
-					return
-				}
-				for _, i := range newSets {
-					out.SendInts(f.owner(i), int64(i))
-				}
-			})
-			if err != nil {
+			if err := centralRound(&f, newSets, sendToOwners); err != nil {
 				return nil, err
 			}
 			err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
@@ -221,9 +212,7 @@ func RLRSetCover(inst *setcover.Instance, p Params, opt CoverOptions) (*CoverRes
 			// Theorem 2.4 (f = 2): per-machine counts go straight to the
 			// central machine, which replies with |U_{r+1}| — two rounds,
 			// independent of the tree depth.
-			aliveCount, err = directAllReduce(cluster, 0, func(machine int) int64 {
-				return f.counts[machine]
-			})
+			aliveCount, err = f.directAllReduce(sumInt64)
 		} else {
 			aliveCount, err = f.sumCounts()
 		}

@@ -214,26 +214,9 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 
 		// Update round A: central sends the changed ϕ values to the vertex
 		// owners and the ids pushed this iteration, the top of lr's stack, to
-		// the edge owners (§5.3).
-		pushed := lr.Stack()[top:]
-		cluster.Arm(0) // rounds B and the delivery round run off their inboxes
-		err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			if machine != 0 {
-				return
-			}
-			for v := 0; v < n; v++ {
-				if changed.has(v) {
-					out.Begin(f.owner(v))
-					out.Int(int64(v))
-					out.Float(lr.Phi(v))
-					out.End()
-				}
-			}
-			for _, id := range pushed {
-				out.SendInts(f.owner(id), int64(id))
-			}
-		})
-		if err != nil {
+		// the edge owners (§5.3). Round B and the delivery round run off
+		// their inboxes.
+		if err := centralRound(&f, phiUpdate{lr, changed, lr.Stack()[top:]}, sendPhis); err != nil {
 			return nil, err
 		}
 
@@ -330,4 +313,28 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 	res.StackSize = lr.StackSize()
 	res.Metrics = cluster.Metrics()
 	return res, nil
+}
+
+// phiUpdate is what the central machine of the local ratio matchings sends
+// after its pushes: ϕ(v) of every vertex in changed and, in Algorithm 4, the
+// edge ids pushed this iteration.
+type phiUpdate struct {
+	lr      interface{ Phi(v int) float64 }
+	changed *markSet
+	pushed  []int
+}
+
+// sendPhis is the central send of a phiUpdate: a (v; ϕ(v)) record to v's
+// owner for every changed v in ascending order, then each pushed id to its
+// owner.
+func sendPhis(f *frame, u phiUpdate, out *mpc.Outbox) {
+	for v := range u.changed.mark {
+		if u.changed.has(v) {
+			out.Begin(f.owner(v))
+			out.Int(int64(v))
+			out.Float(u.lr.Phi(v))
+			out.End()
+		}
+	}
+	sendToOwners(f, u.pushed, out)
 }

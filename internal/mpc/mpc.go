@@ -454,17 +454,8 @@ func (c *Cluster) Round(f RoundFunc) error {
 		c.inbox[m].clear()
 	}
 	c.recv = c.recv[:0]
-	// Each destination's inbox is assembled independently in fixed sender
-	// order, so with many receivers the assembly itself fans out across the
-	// round executor — deterministic either way.
-	if len(c.recvNxt) >= mergeParDests && c.parallelExec() {
-		c.exec.Execute(len(c.recvNxt), func(i int) {
-			c.assembleInbox(c.recvNxt[i])
-		})
-	} else {
-		for _, dest := range c.recvNxt {
-			c.assembleInbox(dest)
-		}
+	for _, dest := range c.recvNxt {
+		c.assembleInbox(dest)
 	}
 	c.recv, c.recvNxt = c.recvNxt, c.recv
 
@@ -513,22 +504,8 @@ func (c *Cluster) Round(f RoundFunc) error {
 	return nil
 }
 
-// mergeParDests is the receiver count above which the post-barrier inbox
-// assembly fans out across the round executor. Assembling one inbox is a
-// handful of slice appends, so parallelism pays only when a round delivers
-// to many machines.
-const mergeParDests = 64
-
-// parallelExec reports whether the cluster's executor actually runs tasks
-// concurrently (anything but the sequential executor).
-func (c *Cluster) parallelExec() bool {
-	_, seq := c.exec.(Sequential)
-	return !seq
-}
-
 // assembleInbox builds one destination's inbox for the next round from its
-// senders' columns, in ascending sender order. Safe to run concurrently for
-// distinct destinations: every slice touched is indexed by dest.
+// senders' columns, in ascending sender order.
 func (c *Cluster) assembleInbox(dest int) {
 	in := &c.inbox[dest]
 	for _, src := range c.senders[dest] {

@@ -112,13 +112,13 @@ func BenchmarkMsgPlaneOneWordFanout(b *testing.B)    { benchMsgPlaneFanout(b, 0,
 func BenchmarkMsgPlaneOneWordRuns(b *testing.B)      { benchMsgPlaneFanout(b, 0, true) }
 func BenchmarkMsgPlaneMixedShapeFanout(b *testing.B) { benchMsgPlaneFanout(b, 16, false) }
 
-// BenchmarkMergePhase{Seq,Par}: the post-barrier inbox assembly (ordering
-// every destination's received segments by ascending sender) is
-// embarrassingly parallel across destinations and runs on the round executor
-// when there are enough destinations to pay for the fan-out (mergeParDests).
-// The pair measures the same 256-machine all-scatter round with sequential
-// assembly versus four pooled workers; results are bit-identical (executor
-// independence).
+// BenchmarkMergePhase{Seq,Par}: one whole 256-machine all-scatter round on
+// the sequential executor and on a pool of four workers: the machines'
+// computations, then the post-barrier merge, which assembles every
+// destination's inbox in ascending sender order on the calling goroutine
+// under either executor. Results are bit-identical (executor independence).
+// On a 2-CPU host the pooled round reads about twice as slow as the
+// sequential one.
 func benchMergePhase(b *testing.B, workers int) {
 	const machines = 256
 	c := NewCluster(Config{Machines: machines, Workers: workers})
