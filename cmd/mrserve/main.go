@@ -1,7 +1,8 @@
 // Command mrserve is the job-serving daemon: a long-lived HTTP service
 // that caches built problem instances and runs MapReduce algorithm jobs
-// concurrently on a bounded worker pool, with single-flight batching of
-// identical requests and an LRU result cache (internal/service).
+// concurrently on a bounded worker pool. One job table coalesces identical
+// in-flight requests into one execution and keeps the newest results in
+// LRU order (internal/service).
 //
 // Usage:
 //
@@ -76,7 +77,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	pool := flag.Int("pool", 0, "concurrent jobs (0 = GOMAXPROCS)")
 	workers := flag.Int("workers", 1, "per-job round-executor pool size: 0|1 sequential, >1 that many goroutines, -1 one per CPU")
-	results := flag.Int("results", 256, "LRU result-store capacity")
+	results := flag.Int("results", 256, "done results the job table keeps, least recently used evicted first")
 	instances := flag.Int("instances", 64, "instance-cache capacity")
 	dataDir := flag.String("data", "", "directory for spooled binary containers; uploads are served zero-copy from mmap")
 	ledgerDir := flag.String("ledger", "", "directory for the durable job ledger (empty disables); completed jobs survive restarts and are served without re-execution")

@@ -25,8 +25,8 @@
 //   - internal/setcover — weighted set cover instances and generators;
 //   - internal/bench    — the Figure 1 reproduction experiments;
 //   - internal/service  — the concurrent job-serving subsystem (instance
-//     cache keyed by spec hash, single-flight request batcher, bounded
-//     worker pool, LRU result store, HTTP JSON API, metrics);
+//     cache keyed by spec hash, one job table of open flights and LRU
+//     results, bounded worker pool, HTTP JSON API, metrics);
 //   - internal/ledger   — the durable job ledger: a Merkle-chained,
 //     CRC-framed, fsynced append-only log behind one Store interface
 //     (in-memory and segmented-disk backends), with torn-tail recovery

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"container/list"
 	"context"
 	"fmt"
 	"log/slog"
@@ -64,7 +65,7 @@ type Source string
 const (
 	SourceRun    Source = "run"    // this job's flight executed the algorithm
 	SourceBatch  Source = "batch"  // coalesced into an identical in-flight job
-	SourceCache  Source = "cache"  // answered from the LRU result store
+	SourceCache  Source = "cache"  // answered from a done entry of the job table
 	SourceLedger Source = "ledger" // recovered from the durable job ledger
 )
 
@@ -99,7 +100,7 @@ type JobView struct {
 }
 
 // Engine is the concurrent job engine: a bounded worker pool over the
-// instance cache, the single-flight batcher, and the LRU result store.
+// instance cache and the job table (table.go).
 type Engine struct {
 	cfg       Config
 	metrics   *Metrics
@@ -115,8 +116,8 @@ type Engine struct {
 
 	mu      sync.Mutex
 	closed  bool
-	batch   *batcher
-	results *resultStore
+	table   map[string]*entry // job key -> open flight or done result
+	lru     *list.List        // done entries, most recently used first
 	jobs    map[string]*Job
 	jobSeq  uint64
 	history []string // job ids in creation order, for bounded retention
@@ -134,8 +135,8 @@ func NewEngine(cfg Config) *Engine {
 		metrics:   m,
 		log:       cfg.logger(),
 		instances: newInstanceCache(cfg.Instances, cfg.DataDir, m),
-		batch:     newBatcher(),
-		results:   newResultStore(cfg.Results),
+		table:     make(map[string]*entry),
+		lru:       list.New(),
 		jobs:      make(map[string]*Job),
 		queue:     make(chan *flight, queueDepth),
 	}
@@ -228,7 +229,7 @@ func (e *Engine) Submit(req JobRequest) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	args, instID, mu, key := cj.args, cj.instID, cj.mu, cj.key
+	instID, key := cj.instID, cj.key
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -248,50 +249,54 @@ func (e *Engine) Submit(req JobRequest) (*Job, error) {
 	e.pruneHistoryLocked()
 	e.metrics.inc("jobs_submitted_total", 1)
 
-	if res, ok := e.results.get(key); ok {
+	en := e.table[key]
+	switch {
+	case en != nil && en.flight != nil:
+		f := en.flight
+		f.jobs = append(f.jobs, j)
+		f.waiters++
+		j.flight = f
+		j.Source = SourceBatch
+		e.metrics.inc("jobs_coalesced_total", 1)
+	case en != nil:
+		e.lru.MoveToFront(en.lru)
 		j.Source = SourceCache
-		e.finishLocked(j, res, nil)
+		e.finishLocked(j, en.res, nil)
 		e.metrics.inc("jobs_cache_hits_total", 1)
 		e.log.Info("job served from cache", "job", j.ID, "alg", req.Alg, "instance", instID)
 		return j, nil
-	}
-	if res, ok := e.ledgerLookup(key); ok {
-		// The durable chain remembers jobs the volatile LRU has never seen
-		// (a restart) or has evicted. Promote the record into the LRU and
-		// answer without re-executing — the payload's hash was checked
-		// against the chain, and the chain is the determinism contract.
-		j.Source = SourceLedger
-		e.results.put(key, res)
-		e.finishLocked(j, res, nil)
-		e.metrics.inc("ledger_hits_total", 1)
-		e.log.Info("job served from ledger", "job", j.ID, "alg", req.Alg, "instance", instID)
-		return j, nil
-	}
-	f, leader := e.batch.attach(key, j, func() *flight {
+	default:
+		en = &entry{key: key}
+		e.table[key] = en
+		if res, ok := e.ledgerLookup(key); ok {
+			// The durable chain remembers results the table has never held
+			// (a restart) or has evicted. The payload's hash was checked
+			// against the chain, and the chain is the determinism contract.
+			e.doneLocked(en, res)
+			j.Source = SourceLedger
+			e.finishLocked(j, res, nil)
+			e.metrics.inc("ledger_hits_total", 1)
+			e.log.Info("job served from ledger", "job", j.ID, "alg", req.Alg, "instance", instID)
+			return j, nil
+		}
 		ctx, cancel := context.WithCancel(context.Background())
-		f := &flight{alg: req.Alg, spec: req.Instance, instID: instID,
-			args: args, mu: mu, seed: req.Seed, ctx: ctx, cancel: cancel}
+		f := &flight{key: key, alg: req.Alg, spec: req.Instance, instID: instID, args: cj.args,
+			mu: cj.mu, seed: req.Seed, jobs: []*Job{j}, ctx: ctx, cancel: cancel, waiters: 1}
 		if e.cfg.TraceRounds > 0 {
 			f.ring = obs.NewRingSink(e.cfg.TraceRounds)
 		}
-		return f
-	})
-	if leader {
-		j.Source = SourceRun
+		en.flight, j.flight, j.Source = f, f, SourceRun
 		select {
 		case e.queue <- f:
 		default:
 			// Queue full: roll back the flight and the job record.
-			e.batch.complete(key)
-			f.cancel()
+			delete(e.table, key)
+			cancel()
 			delete(e.jobs, j.ID)
 			e.history = e.history[:len(e.history)-1]
 			e.metrics.inc("jobs_rejected_total", 1)
 			return nil, ErrQueueFull
 		}
-	} else {
-		j.Source = SourceBatch
-		e.metrics.inc("jobs_coalesced_total", 1)
 	}
 	e.log.Info("job submitted", "job", j.ID, "alg", req.Alg, "instance", instID,
 		"seed", req.Seed, "source", string(j.Source))
@@ -437,14 +442,9 @@ func (e *Engine) worker() {
 func (e *Engine) execute(f *flight) {
 	start := time.Now()
 	e.mu.Lock()
-	lead := ""
+	lead := f.jobs[0].ID // the job that opened the flight
 	for _, j := range f.jobs {
-		if j.Status == StatusQueued {
-			j.Status = StatusRunning
-		}
-		if lead == "" {
-			lead = j.ID
-		}
+		j.Status = StatusRunning
 	}
 	attached := len(f.jobs) // Submit may attach more once the mutex is released
 	e.mu.Unlock()
@@ -467,20 +467,21 @@ func (e *Engine) execute(f *flight) {
 	}
 
 	e.mu.Lock()
-	fl := e.batch.complete(f.key)
 	if res != nil {
-		e.results.put(f.key, res)
+		e.doneLocked(e.table[f.key], res)
+	} else {
+		delete(e.table, f.key)
 	}
-	for _, j := range fl.jobs {
+	for _, j := range f.jobs {
 		e.finishLocked(j, res, err)
 	}
 	if panicked {
-		e.metrics.inc("jobs_panicked_total", uint64(len(fl.jobs)))
+		e.metrics.inc("jobs_panicked_total", uint64(len(f.jobs)))
 	}
 	e.mu.Unlock()
 	if res != nil {
 		// Ledger the completed job off the engine mutex: Append chains in
-		// memory and returns; the batcher owns the fsync.
+		// memory and returns; the ledger's write batcher owns the fsync.
 		e.recordLedger(f, res)
 	}
 	if f.cancel != nil {
@@ -541,10 +542,13 @@ func (e *Engine) finishLocked(j *Job, res *Result, err error) {
 	close(j.done)
 }
 
-// pruneHistoryLocked drops the oldest finished job records beyond the
-// retention cap so a long-lived daemon's job map stays bounded.
+// pruneHistoryLocked drops the oldest finished job records so a
+// long-lived daemon's job map stays bounded. It waits until the history
+// exceeds the retention cap by a quarter, then cuts it back to the cap in
+// one pass, so a submission pays O(1) amortized. Unfinished jobs are never
+// dropped.
 func (e *Engine) pruneHistoryLocked() {
-	if len(e.history) <= jobHistory {
+	if len(e.history) <= jobHistory+jobHistory/4 {
 		return
 	}
 	kept := e.history[:0]

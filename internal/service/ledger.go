@@ -10,14 +10,14 @@ import (
 	"repro/internal/rng"
 )
 
-// The durable job ledger (internal/ledger) turns the engine's volatile LRU
-// result store into a system of record: every completed flight appends a
-// Merkle-chained record of (job key → result hash, metrics hash,
-// timestamp) plus a self-contained replay envelope, and a restarted server
-// serves pre-crash results bit-identically from the recovered chain
-// instead of re-executing them. Ledger IO is strictly off the job path —
-// the batcher owns every write, a store failure degrades the ledger to
-// memory-only operation (mrserve_ledger_degraded) and never fails a job.
+// The durable job ledger (internal/ledger) is the system of record behind
+// the engine's job table: every completed flight appends a Merkle-chained
+// record of (job key → result hash, metrics hash, timestamp) plus a
+// self-contained replay envelope, and a restarted server serves pre-crash
+// results bit-identically from the recovered chain instead of re-executing
+// them. Ledger IO is strictly off the job path — the ledger's write batcher
+// owns every write, a store failure degrades the ledger to memory-only
+// operation (mrserve_ledger_degraded) and never fails a job.
 
 // ledgerEnvelope is the payload stored with every record: enough to serve
 // the result on restart (Result) and to re-execute the job offline
@@ -122,10 +122,9 @@ func (e *Engine) recordLedger(f *flight, res *Result) {
 	e.metrics.set("ledger_records", rec.Seq)
 }
 
-// ledgerLookup serves a job key from the recovered chain, if present.
-// Returns the decoded result; any decoding problem is treated as a miss
-// (the job simply executes — never fails — and verification will flag the
-// damage).
+// ledgerLookup serves a job key from the recovered chain, if present. A
+// record that does not decode is a miss: the job simply executes — never
+// fails — and verification will flag the damage.
 func (e *Engine) ledgerLookup(key string) (*Result, bool) {
 	if e.ledger == nil {
 		return nil, false
@@ -134,22 +133,31 @@ func (e *Engine) ledgerLookup(key string) (*Result, bool) {
 	if !ok {
 		return nil, false
 	}
-	var env ledgerEnvelope
-	if err := json.Unmarshal(rec.Payload, &env); err != nil {
+	_, res, err := decodeRecord(rec)
+	if err != nil {
+		e.log.Error("ledger record does not decode; not serving it",
+			"key", key, "seq", rec.Seq, "err", err)
 		return nil, false
 	}
-	// Integrity before serving: the stored result bytes must still hash to
-	// the chained result hash.
+	return res, true
+}
+
+// decodeRecord opens a record's envelope and decodes its stored result,
+// after checking — integrity before serving — that the stored result bytes
+// still hash to the chained result hash.
+func decodeRecord(rec *ledger.Record) (InstanceSpec, *Result, error) {
+	var env ledgerEnvelope
+	if err := json.Unmarshal(rec.Payload, &env); err != nil {
+		return InstanceSpec{}, nil, fmt.Errorf("payload: %w", err)
+	}
 	if ledger.HashBytes(env.Result) != rec.ResultHash {
-		e.log.Error("ledger record failed its result hash; not serving it",
-			"key", key, "seq", rec.Seq)
-		return nil, false
+		return InstanceSpec{}, nil, fmt.Errorf("stored result bytes do not match the chained result hash")
 	}
 	var res Result
 	if err := json.Unmarshal(env.Result, &res); err != nil {
-		return nil, false
+		return InstanceSpec{}, nil, fmt.Errorf("stored result: %w", err)
 	}
-	return &res, true
+	return env.Spec, &res, nil
 }
 
 // LedgerView is the GET /v1/ledger document.
@@ -314,22 +322,15 @@ func cloneAuditRecord(r *ledger.Record) *ledger.Record {
 
 // auditRecord re-executes one ledgered job and compares hashes.
 func auditRecord(rec *ledger.Record, dataDir string, workers int) error {
-	var env ledgerEnvelope
-	if err := json.Unmarshal(rec.Payload, &env); err != nil {
-		return fmt.Errorf("payload: %w", err)
-	}
-	if got := ledger.HashBytes(env.Result); got != rec.ResultHash {
-		return fmt.Errorf("stored result bytes do not match the chained result hash")
-	}
-	var stored Result
-	if err := json.Unmarshal(env.Result, &stored); err != nil {
-		return fmt.Errorf("stored result: %w", err)
+	spec, stored, err := decodeRecord(rec)
+	if err != nil {
+		return err
 	}
 	alg, ok := core.LookupAlgorithm(stored.Alg)
 	if !ok {
 		return fmt.Errorf("unknown algorithm %q", stored.Alg)
 	}
-	in, err := buildAuditInstance(env.Spec, dataDir)
+	in, err := buildAuditInstance(spec, dataDir)
 	if err != nil {
 		return fmt.Errorf("instance: %w", err)
 	}

@@ -12,11 +12,13 @@
 //   - the instance cache (instances.go): builds each distinct spec once
 //     (single-flight) and shares the immutable instance across all jobs
 //     that reference it, with LRU eviction beyond a capacity.
-//   - the job engine (engine.go) with its single-flight batcher
-//     (batcher.go) and LRU result store (store.go): a bounded worker pool
-//     executes jobs, identical in-flight requests coalesce into one
-//     execution whose result fans out to every waiter, and completed
-//     results are served from cache.
+//   - the job engine (engine.go) and its job table (table.go): a bounded
+//     worker pool executes jobs, and one map from job key to an open
+//     flight or a done result answers every submission. Identical
+//     in-flight requests coalesce into one execution whose result fans
+//     out to every waiter; done results are served from the table in LRU
+//     order, and on a miss from the durable ledger (ledger.go) when it
+//     holds the key.
 //   - Metrics (metrics.go): plain-text counters and a job-latency
 //     histogram for GET /metrics.
 //   - Server (http.go): the HTTP JSON API (POST /v1/jobs, GET
@@ -62,7 +64,8 @@ type Config struct {
 	// several jobs in flight, cross-job parallelism usually beats
 	// within-job parallelism.
 	Workers int
-	// Results caps the LRU result store. Default: 256.
+	// Results caps the done results the job table keeps; beyond it the
+	// least recently used is evicted. Default: 256.
 	Results int
 	// Instances caps the instance cache entry count. Default: 64.
 	Instances int

@@ -2,11 +2,14 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"log/slog"
 	"math"
+	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -381,25 +384,138 @@ func TestInstanceEviction(t *testing.T) {
 	}
 }
 
-func TestResultStoreLRU(t *testing.T) {
-	s := newResultStore(2)
-	r := func(i int) *Result { return &Result{Seed: uint64(i)} }
-	s.put("a", r(1))
-	s.put("b", r(2))
-	if _, ok := s.get("a"); !ok { // refresh a
-		t.Fatal("a missing")
+// TestEngineResultEviction drives the job table's done entries through
+// Engine.Submit: a hit refreshes its entry, the least recently used entry
+// is evicted beyond Config.Results, and an evicted key is promoted back
+// from the ledger when there is one and re-executed when there is not,
+// with the first run's result either way.
+func TestEngineResultEviction(t *testing.T) {
+	spec := InstanceSpec{Type: "density", N: 60, C: 0.3, Seed: 1}
+	req := func(seed uint64) JobRequest { return JobRequest{Instance: spec, Alg: "mis", Seed: seed} }
+	// Results compare as the JSON the ledger hashes: a result decoded from
+	// the ledger carries nil Args where the run's are empty.
+	source := func(t *testing.T, e *Engine, seed uint64) (Source, string) {
+		t.Helper()
+		v := finished(t, e, mustSubmit(t, e, req(seed)))
+		b, err := json.Marshal(v.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v.Source, string(b)
 	}
-	s.put("c", r(3)) // evicts b
-	if _, ok := s.get("b"); ok {
-		t.Error("b should have been evicted")
-	}
-	for _, k := range []string{"a", "c"} {
-		if _, ok := s.get(k); !ok {
-			t.Errorf("%s missing", k)
+	expect := func(t *testing.T, e *Engine, seed uint64, want Source, first string) {
+		t.Helper()
+		if got, res := source(t, e, seed); got != want || res != first {
+			t.Errorf("seed %d: source %q, result %s; want %q and the first run's %s",
+				seed, got, res, want, first)
 		}
 	}
-	if s.len() != 2 {
-		t.Errorf("len %d, want 2", s.len())
+
+	t.Run("lru", func(t *testing.T) {
+		e := NewEngine(Config{Pool: 1, Results: 2})
+		defer e.Close()
+		_, a := source(t, e, 1)
+		_, b := source(t, e, 2)
+		expect(t, e, 1, SourceCache, a) // refreshes a
+		_, c := source(t, e, 3)         // evicts b, the least recently used
+		expect(t, e, 1, SourceCache, a)
+		expect(t, e, 3, SourceCache, c)
+		expect(t, e, 2, SourceRun, b)
+		if n := e.lru.Len(); n != 2 || len(e.table) != 2 {
+			t.Errorf("%d done entries in a table of %d, want 2 and 2", n, len(e.table))
+		}
+	})
+	t.Run("ledger", func(t *testing.T) {
+		e := NewEngine(Config{Pool: 1, Results: 1, LedgerDir: filepath.Join(t.TempDir(), "ledger")})
+		defer e.Close()
+		_, a := source(t, e, 1)
+		syncLedgerAt(t, e, 1)
+		source(t, e, 2) // evicts a
+		expect(t, e, 1, SourceLedger, a)
+		expect(t, e, 1, SourceCache, a)
+		if n := e.metrics.counter("flights_executed_total"); n != 2 {
+			t.Errorf("%d flights executed, want 2", n)
+		}
+	})
+}
+
+// armedGate parks the worker like workerGate, but only for flights that
+// start once armed is set.
+type armedGate struct {
+	*workerGate
+	armed atomic.Bool
+}
+
+func (g *armedGate) Handle(ctx context.Context, r slog.Record) error {
+	if g.armed.Load() {
+		return g.workerGate.Handle(ctx, r)
+	}
+	return nil
+}
+
+// TestJobHistoryPrunesOldestFinished submits 3 × jobHistory cache hits
+// behind a running and a queued job: the job records never exceed
+// jobHistory + jobHistory/4, the records dropped are the oldest finished
+// ones, and the unfinished jobs survive.
+func TestJobHistoryPrunesOldestFinished(t *testing.T) {
+	gate := &armedGate{workerGate: newWorkerGate()}
+	e := NewEngine(Config{Pool: 1, Logger: slog.New(gate)})
+	defer e.Close()
+	spec := InstanceSpec{Type: "density", N: 60, C: 0.3, Seed: 1}
+	hit := JobRequest{Instance: spec, Alg: "mis", Seed: 1}
+	first := finished(t, e, mustSubmit(t, e, hit))
+	gate.armed.Store(true)
+	running := mustSubmit(t, e, JobRequest{Instance: spec, Alg: "mis", Seed: 2})
+	gate.waitParked(t)
+	defer close(gate.release)
+	queued := mustSubmit(t, e, JobRequest{Instance: spec, Alg: "mis", Seed: 3})
+
+	for i := 0; i < 3*jobHistory; i++ {
+		mustSubmit(t, e, hit)
+		e.mu.Lock()
+		n := len(e.jobs)
+		e.mu.Unlock()
+		if n > jobHistory+jobHistory/4 {
+			t.Fatalf("after %d hits: %d job records, want <= %d", i+1, n, jobHistory+jobHistory/4)
+		}
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if _, ok := e.jobs[first.ID]; ok {
+		t.Errorf("the oldest finished job %s is still retained", first.ID)
+	}
+	if len(e.history) != len(e.jobs) || len(e.history) < jobHistory {
+		t.Fatalf("%d history ids for %d job records, want equal and >= %d",
+			len(e.history), len(e.jobs), jobHistory)
+	}
+	// Oldest first: what is kept is the unfinished pair, then the newest
+	// finished jobs without a gap.
+	if e.history[0] != running.ID || e.history[1] != queued.ID {
+		t.Errorf("history starts %v, want the unfinished %s and %s", e.history[:2], running.ID, queued.ID)
+	}
+	newest := e.jobSeq - uint64(len(e.history)-2)
+	for i, id := range e.history[2:] {
+		if want := fmt.Sprintf("j-%08d", newest+uint64(i)+1); id != want || e.jobs[id] == nil {
+			t.Fatalf("history[%d] = %s, want %s with its record", i+2, id, want)
+		}
+	}
+}
+
+// BenchmarkSubmitCacheHit measures Engine.Submit on a cached key once the
+// engine retains a full history of job records, as a long-lived daemon
+// does.
+func BenchmarkSubmitCacheHit(b *testing.B) {
+	e := NewEngine(Config{Pool: 1})
+	defer e.Close()
+	req := JobRequest{Instance: InstanceSpec{Type: "density", N: 60, C: 0.3, Seed: 1}, Alg: "mis", Seed: 1}
+	finished(b, e, mustSubmit(b, e, req))
+	for i := 0; i < jobHistory; i++ {
+		mustSubmit(b, e, req)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mustSubmit(b, e, req)
 	}
 }
 
