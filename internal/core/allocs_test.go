@@ -14,20 +14,19 @@ import (
 // measured as TestRLRSetCoverAllocsBounded measures: one warm-up call, one
 // runtime.GC(), then with the collector off one more warm-up call and three
 // measured calls, so a collection cannot empty the message-column pool
-// between them. Every ceiling is 1.25× the reading noted beside it: for
-// mis-simple and clique taken before Algorithm 2 and Appendix B shared one
-// phase loop, for luby and filtering the reading most processes agree on.
-// With more than one P a process can read higher, most likely because the
-// test goroutine may change P between calls and the message-column pool
-// keeps a per-P slot that no other P takes from: in 24 processes luby at
-// n = 3420 read its lower pair 19 times and up to 1 583 mallocs and
-// 373 955 bytes otherwise, so that row's ceiling is 1.25× its highest
-// reading. Under GOMAXPROCS=1 it read 259 395 bytes in 16 of 16 processes.
-// The rows cover algorithms that no other test bounds in bytes.
+// between them. The whole test runs on one P: the pool keeps a per-P slot
+// that no other P takes from, so a test goroutine that changed P between
+// calls could read higher in some processes than in others. Every ceiling is
+// 1.25× the reading noted beside it: for mis-simple and clique taken before
+// Algorithm 2 and Appendix B shared one phase loop, for luby at n = 3420 the
+// one reading eight of eight processes gave, for filtering the reading most
+// processes agree on. The rows cover algorithms that no other test bounds in
+// bytes.
 func TestAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	small := graph.Density(300, 0.5, rng.New(5))
 	large := graph.Density(3420, 0.5, rng.New(62))
 	for _, tc := range []struct {
@@ -37,11 +36,11 @@ func TestAllocCeilings(t *testing.T) {
 		mallocs, bytes float64
 	}{
 		{"mis-simple", small, 0.2, 537, 40730},    // 430 and 32 584
-		{"mis-simple", large, 0.05, 3247, 309700}, // 2 598 and 247 760
+		{"mis-simple", large, 0.05, 3247, 309700}, // 2 598 and 247 760; now 248 464
 		{"clique", small, 0.2, 335, 36910},        // 268 and 29 528
 		{"clique", large, 0.05, 1077, 396120},     // 862 and 316 896
 		{"luby", small, 0.2, 268, 20870},          // 214 and 16 696
-		{"luby", large, 0.05, 1979, 467444},       // 1 159 and 259 395; highest 1 583 and 373 955
+		{"luby", large, 0.05, 1233, 277417},       // 986 and 221 933
 		{"filtering", small, 0.2, 218, 83370},     // 174 and 66 696
 		{"filtering", large, 0.05, 724, 960674},   // 579 and 768 539 (up to 800 027)
 	} {

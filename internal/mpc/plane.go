@@ -31,6 +31,13 @@ package mpc
 // the next cluster's reservations. Every other column goes to a sync.Pool.
 // Within a cluster, a reserved column therefore never serves a one-word
 // fan-out, which would leave its capacity spread across the pool.
+//
+// Growth. A column no Reserve sized grows as it is written, and one the pool
+// hands out after a collection starts empty. Whenever a column's payload or
+// framing index has to grow, its capacity at least doubles (grow), so the
+// buffers a column allocates on the way up sum to about twice its final
+// words. append alone grows a large slice by about a quarter at a time,
+// which sums to about five times.
 
 import (
 	"fmt"
@@ -119,12 +126,12 @@ func (c *column) index(m recMeta) {
 			c.shape = m
 			return
 		}
-		c.recs = slices.Grow(c.recs, c.n+1)
+		c.recs = grow(c.recs, c.n+1)
 		for i := 0; i < c.n; i++ {
 			c.recs = append(c.recs, c.shape)
 		}
 	}
-	c.recs = append(c.recs, m)
+	c.recs = append(grow(c.recs, 1), m)
 }
 
 // meta returns the shape of record i.
@@ -133,6 +140,17 @@ func (c *column) meta(i int) recMeta {
 		return c.shape
 	}
 	return c.recs[i]
+}
+
+// grow returns s with room for need more elements. If s has to grow, it asks
+// append for max(len(s)+need, 2·cap(s)) elements, so every growth of a column
+// buffer at least doubles its capacity (append rounds it up to a size
+// class). It is small enough to inline into Int and Float.
+func grow[E any](s []E, need int) []E {
+	if cap(s)-len(s) >= need {
+		return s
+	}
+	return append(s[:cap(s)], make([]E, max(len(s)+need-cap(s), cap(s)))...)[:len(s)]
 }
 
 // columnPool recycles the columns no Reserve sized across rounds (and
@@ -346,36 +364,51 @@ func (o *Outbox) Begin(to int) {
 	o.curFlt = len(col.floats)
 }
 
-// Int appends one int word to the open record.
+// Int appends one int word to the open record. With room in the column it
+// costs one capacity compare (the compiler drops append's own check behind
+// it) and a store, and it must stay small enough to inline into its callers
+// (scripts/inline_check.sh).
 func (o *Outbox) Int(v int64) {
-	if o.cur == nil {
+	c := o.cur
+	if c == nil {
 		panic("mpc: Outbox.Int outside Begin/End")
 	}
-	o.cur.ints = append(o.cur.ints, v)
+	if len(c.ints) < cap(c.ints) {
+		c.ints = append(c.ints, v)
+	} else {
+		c.ints = append(grow(c.ints, 1), v)
+	}
 }
 
 // Ints appends int words to the open record.
 func (o *Outbox) Ints(vs ...int64) {
-	if o.cur == nil {
+	c := o.cur
+	if c == nil {
 		panic("mpc: Outbox.Ints outside Begin/End")
 	}
-	o.cur.ints = append(o.cur.ints, vs...)
+	c.ints = append(grow(c.ints, len(vs)), vs...)
 }
 
-// Float appends one float word to the open record.
+// Float appends one float word to the open record, as Int appends an int.
 func (o *Outbox) Float(v float64) {
-	if o.cur == nil {
+	c := o.cur
+	if c == nil {
 		panic("mpc: Outbox.Float outside Begin/End")
 	}
-	o.cur.floats = append(o.cur.floats, v)
+	if len(c.floats) < cap(c.floats) {
+		c.floats = append(c.floats, v)
+	} else {
+		c.floats = append(grow(c.floats, 1), v)
+	}
 }
 
 // Floats appends float words to the open record.
 func (o *Outbox) Floats(vs ...float64) {
-	if o.cur == nil {
+	c := o.cur
+	if c == nil {
 		panic("mpc: Outbox.Floats outside Begin/End")
 	}
-	o.cur.floats = append(o.cur.floats, vs...)
+	c.floats = append(grow(c.floats, len(vs)), vs...)
 }
 
 // End closes the open record, framing it as the words appended since Begin.
@@ -395,13 +428,14 @@ func (o *Outbox) Send(to int, ints []int64, floats []float64) {
 	if col == nil {
 		col = o.claimColumn(to)
 	}
-	col.ints = append(col.ints, ints...)
-	col.floats = append(col.floats, floats...)
+	col.ints = append(grow(col.ints, len(ints)), ints...)
+	col.floats = append(grow(col.floats, len(floats)), floats...)
 	col.frame(recMeta{int32(len(ints)), int32(len(floats))})
 }
 
 // SendInts is shorthand for Send(to, ints, nil). It does not allocate, and a
-// one-word payload — the bulk of every routed fan-out — is a scalar append;
+// one-word payload — the bulk of every routed fan-out — is a scalar append
+// behind one capacity compare, with the growth on the other side of it;
 // everything but the first record to a destination and a change of shape
 // runs inside this one call.
 func (o *Outbox) SendInts(to int, ints ...int64) {
@@ -409,10 +443,10 @@ func (o *Outbox) SendInts(to int, ints ...int64) {
 	if col == nil {
 		col = o.claimColumn(to)
 	}
-	if len(ints) == 1 {
+	if len(ints) == 1 && len(col.ints) < cap(col.ints) {
 		col.ints = append(col.ints, ints[0])
 	} else {
-		col.ints = append(col.ints, ints...)
+		col.ints = append(grow(col.ints, len(ints)), ints...)
 	}
 	col.frame(recMeta{int32(len(ints)), 0})
 }

@@ -889,6 +889,72 @@ func TestReservedColumnsStayWithTheirOwner(t *testing.T) {
 	}
 }
 
+func TestUnreservedColumnsGrowByDoubling(t *testing.T) {
+	// A column no Reserve sized comes from the pool, which a collection
+	// empties, and grows as records are written into it. Every growth at
+	// least doubles its buffers, so what they allocate on the way up sums to
+	// at most about twice the capacity they end with; grown a quarter at a
+	// time, as append grows a large slice, it sums to about five times.
+	// Each round below fills its payload buffers to 44 032 words, a capacity
+	// the doubling reaches from empty (…, 17 408, 44 032), so the words its
+	// column holds are close to the capacity it ends with: one fan-in of
+	// one-word records, and one whose records alternate an int and a float,
+	// which materialises the framing index (88 064 entries, of 109 568).
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const words = 44032
+	c := NewCluster(Config{Machines: 2})
+	round := func(f RoundFunc) {
+		t.Helper()
+		if err := c.Round(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One P, so the rounds take columns from the one per-P slot two
+	// collections have emptied. A first small fan-in lets the outbox and
+	// the inbox allocate their tables, and no collection runs after.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	round(func(machine int, _ *Inbox, out *Outbox) { out.SendInts(1, int64(machine)) })
+	round(func(int, *Inbox, *Outbox) {})
+	runtime.GC()
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, tc := range []struct {
+		name    string
+		records int
+		send    func(out *Outbox, i int)
+	}{
+		{"one-word", words, func(out *Outbox, i int) { out.SendInts(1, int64(i)) }},
+		{"mixed", 2 * words, func(out *Outbox, i int) {
+			out.Begin(1)
+			if i%2 == 0 {
+				out.Int(int64(i))
+			} else {
+				out.Float(float64(i))
+			}
+			out.End()
+		}},
+	} {
+		_, bytes := allocated(func() {
+			round(func(machine int, _ *Inbox, out *Outbox) {
+				if machine == 0 {
+					for i := 0; i < tc.records; i++ {
+						tc.send(out, i)
+					}
+				}
+			})
+		})
+		col := c.Inbox(1).segs[0].col
+		held := len(col.ints) + len(col.floats) + len(col.recs)
+		if ratio := float64(bytes) / float64(8*held); ratio > 2.25 {
+			t.Errorf("%s: a round whose column holds %d words allocated %d bytes, %.2f× its words; want <= 2.25×",
+				tc.name, held, bytes, ratio)
+		}
+		t.Logf("%s: column of %d words, %d bytes allocated", tc.name, held, bytes)
+	}
+}
+
 func TestReservePanics(t *testing.T) {
 	t.Run("InsideOpenRecord", func(t *testing.T) {
 		c := NewCluster(Config{Machines: 2})
