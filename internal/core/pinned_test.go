@@ -215,14 +215,12 @@ func memo[T any](build func() T) func() any {
 	return func() any { return get() }
 }
 
-// shared forces what Graph.Build, NeighborsW and Instance.Dual build on
-// first use, so the rows sharing in only read it.
+// shared forces what Graph.Build and Instance.Dual build on first use, so
+// the rows sharing in only read it: the shape service.BuildInstance gives
+// the daemon's instances, without the weight slab no driver reads.
 func shared(in Input) Input {
 	if g := in.Graph; g != nil {
 		g.Build()
-		if g.N > 0 {
-			g.NeighborsW(0)
-		}
 	}
 	if c := in.Cover; c != nil {
 		c.Dual()

@@ -245,12 +245,6 @@ func (se *sectionEncoder) putInt32s(vs []int32) {
 	}
 }
 
-func (se *sectionEncoder) putFloat64s(vs []float64) {
-	for _, v := range vs {
-		se.putUint64(math.Float64bits(v))
-	}
-}
-
 func (se *sectionEncoder) putEdge(e Edge) {
 	b := se.need(24)
 	le := binary.LittleEndian
@@ -266,13 +260,19 @@ func (se *sectionEncoder) finish() (uint32, uint64, error) {
 }
 
 // rawSections enumerates the five payloads of a built graph in layout
-// order; the writer and the checksum pass share it.
+// order; the writer and the checksum pass share it. The adjW section is
+// gathered from the edge list through adjEdge, in slab order — the bytes
+// the weight slab would hold — so encoding never fills g's slab.
 func rawSections(g *Graph) []func(se *sectionEncoder) {
 	return []func(se *sectionEncoder){
 		func(se *sectionEncoder) { se.putInt32s(g.adjStart) },
 		func(se *sectionEncoder) { se.putInt32s(g.adjNbr) },
 		func(se *sectionEncoder) { se.putInt32s(g.adjEdge) },
-		func(se *sectionEncoder) { se.putFloat64s(g.adjW) },
+		func(se *sectionEncoder) {
+			for _, id := range g.adjEdge {
+				se.putUint64(math.Float64bits(g.Edges[id].W))
+			}
+		},
 		func(se *sectionEncoder) {
 			for _, e := range g.Edges {
 				se.putEdge(e)
@@ -291,7 +291,6 @@ func EncodeContainer(w io.Writer, g *Graph) error {
 		return err
 	}
 	g.Build()
-	g.buildWeights()
 	h := rawLayout(g.N, len(g.Edges))
 	parts := rawSections(g)
 

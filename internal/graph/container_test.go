@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/rng"
 )
@@ -523,3 +524,82 @@ func benchContainerLoad(b *testing.B, name string, mapped bool) {
 
 func BenchmarkContainerLoadText(b *testing.B)   { benchContainerLoad(b, "scan.txt", false) }
 func BenchmarkContainerLoadBinary(b *testing.B) { benchContainerLoad(b, "scan.mrg", true) }
+
+// TestEncodeContainerWithoutWeightSlab checks that the container writer's
+// bytes are the same whether or not NeighborsW filled the weight slab, on a
+// G(n, m) graph and on a multigraph whose parallel edges differ in weight,
+// and that encoding leaves an unfilled slab unfilled.
+func TestEncodeContainerWithoutWeightSlab(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		graph func() *Graph
+	}{
+		{"gnm", func() *Graph { return testGraph(t) }},
+		{"multigraph", func() *Graph {
+			g := New(6)
+			for _, e := range []Edge{{0, 1, 1.5}, {0, 1, 2.5}, {1, 2, 3}, {2, 0, 4}, {3, 2, 5}, {1, 0, 7}, {4, 3, 0.25}} {
+				g.AddEdge(e.U, e.V, e.W)
+			}
+			return g
+		}},
+	} {
+		plain, filled := tc.graph(), tc.graph()
+		filled.NeighborsW(0)
+		var a, b bytes.Buffer
+		if err := EncodeContainer(&a, plain); err != nil {
+			t.Fatal(err)
+		}
+		if err := EncodeContainer(&b, filled); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Errorf("%s: the container differs with the weight slab filled", tc.name)
+		}
+		if plain.wBuilt || plain.adjW != nil {
+			t.Errorf("%s: EncodeContainer filled the weight slab", tc.name)
+		}
+	}
+}
+
+// TestResidentBytes checks Graph.ResidentBytes on a heap graph before and
+// after Build, after NeighborsW fills the weight slab (16 B more an edge),
+// and on a mapped graph, whose views of the mapping count nothing: on a
+// 64-bit little-endian host that is every slice, on a 32-bit one the edge
+// list is copied out to the heap, and a big-endian host copies everything.
+func TestResidentBytes(t *testing.T) {
+	g := GNM(300, 2000, rng.New(5))
+	n, m := int64(g.N), int64(g.M())
+	edges := m * int64(unsafe.Sizeof(Edge{}))
+	if got := g.ResidentBytes(); got != edges {
+		t.Fatalf("unbuilt graph holds %d bytes, want the edge list's %d", got, edges)
+	}
+	built := edges + 4*(n+1) + 2*4*2*m // adjStart, adjNbr and adjEdge
+	g.Build()
+	if got := g.ResidentBytes(); got != built {
+		t.Fatalf("built graph holds %d bytes, want %d", got, built)
+	}
+	g.NeighborsW(0)
+	if got := g.ResidentBytes(); got != built+16*m {
+		t.Fatalf("with the weight slab the graph holds %d bytes, want %d", got, built+16*m)
+	}
+
+	path := filepath.Join(t.TempDir(), "g.mrg")
+	if err := WriteContainerFile(path, g); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	var want int64
+	switch {
+	case !hostLittleEndian:
+		want = built + 16*m
+	case !edgeLayoutMatches:
+		want = edges
+	}
+	if got := mapped.ResidentBytes(); got != want {
+		t.Fatalf("mapped graph holds %d heap bytes, want %d", got, want)
+	}
+}

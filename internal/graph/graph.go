@@ -11,9 +11,10 @@
 //
 // Every algorithm in this repository is, per machine, dominated by one
 // primitive: scan the neighbours of a vertex and test or accumulate their
-// state. Build therefore lays the adjacency out as three parallel CSR slabs
-// indexed by the same offsets — neighbour vertex ids (int32), edge weights
-// (float64), and edge indices (int32) — so the hot form of that primitive,
+// state. Build therefore lays the adjacency out as parallel CSR slabs
+// indexed by the same offsets — neighbour vertex ids (int32) and edge
+// indices (int32), with edge weights (float64) a third slab filled only on
+// first NeighborsW use — so the hot form of that primitive,
 // Neighbors(v), is a contiguous int32 slice with no per-edge indirection,
 // no Other() branch, and half the memory per endpoint of an int-based
 // layout. IncidentEdges(v) remains for the call sites that need edge
@@ -29,6 +30,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"unsafe"
 
 	"repro/internal/rng"
 )
@@ -54,24 +56,26 @@ func (e Edge) Other(v int) int {
 }
 
 // Graph is an undirected weighted multigraph on vertices 0..N-1 stored as an
-// edge list with a CSR adjacency index over three parallel slabs (neighbour
-// ids, weights, edge indices), built by Build. Self-loops are rejected by
-// AddEdge; parallel edges are permitted by the representation but the
-// generators never produce them.
+// edge list with a CSR adjacency index over parallel slabs (neighbour ids
+// and edge indices, built by Build; weights, filled by NeighborsW).
+// Self-loops are rejected by AddEdge; parallel edges are permitted by the
+// representation but the generators never produce them.
 type Graph struct {
 	N     int
 	Edges []Edge
 
-	// CSR adjacency, built by Build: for vertex v the half-open slab range
-	// is adjStart[v]:adjStart[v+1]. The three slabs are positional: entry k
-	// of the range describes one incident edge — adjNbr[k] is the other
-	// endpoint, adjW[k] its weight, adjEdge[k] its index into Edges; a
-	// range lists its edges by ascending index. The weight slab is filled
-	// lazily on first NeighborsW use (most algorithms never read weights
-	// through the adjacency, so Build skips the 2m float64 writes).
+	// CSR adjacency: for vertex v the half-open slab range is
+	// adjStart[v]:adjStart[v+1]. The slabs are positional: entry k of the
+	// range describes one incident edge — adjNbr[k] is the other endpoint,
+	// adjEdge[k] its index into Edges, adjW[k] its weight; a range lists its
+	// edges by ascending index. Build fills adjStart, adjNbr and adjEdge.
+	// The weight slab is filled on first NeighborsW use, which none of the
+	// repository's algorithms make (they read Edges[id].W), so a built heap
+	// graph does not hold its 16 B an edge; a container load views or
+	// copies the stored adjW section instead.
 	adjStart []int32   // len N+1
 	adjNbr   []int32   // len 2*len(Edges); neighbour vertex ids
-	adjW     []float64 // len 2*len(Edges); edge weights, lazily filled
+	adjW     []float64 // len 2*len(Edges) once filled; edge weights
 	adjEdge  []int32   // len 2*len(Edges); edge indices
 	built    bool
 	wBuilt   bool
@@ -86,6 +90,24 @@ type Graph struct {
 // Mapped reports whether g's storage aliases a read-only file mapping
 // (OpenMapped). Mapped graphs must not be mutated in place.
 func (g *Graph) Mapped() bool { return g.backing != nil }
+
+// ResidentBytes returns the heap bytes g's edge list and CSR slabs hold:
+// each one's capacity times its element size. A slab or edge list that
+// views g's file mapping counts 0 — the page cache holds it, not the heap —
+// and the weight slab counts only once something filled it.
+func (g *Graph) ResidentBytes() int64 {
+	return heapBytes(g, g.Edges) + heapBytes(g, g.adjStart) + heapBytes(g, g.adjNbr) +
+		heapBytes(g, g.adjW) + heapBytes(g, g.adjEdge)
+}
+
+// heapBytes is one slice's share of ResidentBytes.
+func heapBytes[T any](g *Graph, s []T) int64 {
+	if g.backing.holds(unsafe.Pointer(unsafe.SliceData(s))) {
+		return 0
+	}
+	var zero T
+	return int64(cap(s)) * int64(unsafe.Sizeof(zero))
+}
 
 // Close releases g's file mapping, if any. After Close every accessor on a
 // mapped graph is invalid; callers that share g concurrently must not call
@@ -157,9 +179,11 @@ func (g *Graph) M() int { return len(g.Edges) }
 func (g *Graph) Invalidate() { g.built = false }
 
 // Build constructs the CSR adjacency slabs. It is idempotent and called
-// automatically by the accessors that need it. On graphs with at least
-// 2^14 edges and m ≥ n (the per-chunk histograms cost Θ(chunks·n)) it runs
-// on the package's parallel workers (SetParallelism) with a layout
+// automatically by the accessors that need it. It writes g, so callers that
+// share g across goroutines call it once before fanning out; after that
+// every accessor but NeighborsW only reads. On graphs with at least 2^14
+// edges and m ≥ n (the per-chunk histograms cost Θ(chunks·n)) it runs on
+// the package's parallel workers (SetParallelism) with a layout
 // bit-identical to the sequential pass.
 func (g *Graph) Build() {
 	if g.built {
@@ -183,9 +207,9 @@ func (g *Graph) Build() {
 }
 
 // buildWeights fills the positional weight slab from the edge-index slab.
-// Called lazily by NeighborsW; like Build it must not race with concurrent
-// accessors, so callers sharing a graph across goroutines should touch
-// NeighborsW once up front (the same contract as Build itself).
+// NeighborsW is its only caller; like Build it must not race with
+// concurrent accessors. The container writer gathers the same bytes from
+// the edge list without it.
 func (g *Graph) buildWeights() {
 	if g.wBuilt {
 		return
@@ -310,9 +334,11 @@ func (g *Graph) Neighbors(v int) []int32 {
 
 // NeighborsW returns the neighbours of v and, positionally, the weights of
 // the connecting edges. Both slices alias internal storage and must not be
-// modified. The weight slab is filled on first use; callers sharing g
-// across goroutines should call NeighborsW once before fanning out, the
-// same contract as Build.
+// modified. The weight slab is filled on first use, which costs 16 B an
+// edge and writes g. It is not part of a shared instance: the service
+// builds instances without it, and the algorithms read Edges[id].W. A
+// caller that owns g and shares it across goroutines calls NeighborsW once
+// before fanning out, the same contract as Build.
 func (g *Graph) NeighborsW(v int) ([]int32, []float64) {
 	g.Build()
 	g.buildWeights()

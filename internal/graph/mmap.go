@@ -39,6 +39,12 @@ func (m *mapping) close() error {
 	return nil
 }
 
+// holds reports whether p points into m's bytes; a nil mapping holds
+// nothing.
+func (m *mapping) holds(p unsafe.Pointer) bool {
+	return m != nil && uintptr(p)-uintptr(unsafe.Pointer(unsafe.SliceData(m.data))) < uintptr(len(m.data))
+}
+
 // hostLittleEndian reports the native byte order; the container's on-disk
 // layout is little-endian, so only LE hosts can alias sections in place.
 var hostLittleEndian = func() bool {

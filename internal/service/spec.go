@@ -216,9 +216,9 @@ func SpecID(s InstanceSpec) (string, error) {
 }
 
 // BuildInstance deterministically builds the instance a spec describes and
-// pre-materializes every lazily-built index (CSR adjacency, weight slab,
-// set cover dual), so the returned Input is safe to share across concurrent
-// readers. Upload-by-id specs cannot be built here; the instance cache
+// pre-materializes every lazily-built index the algorithms read (CSR
+// adjacency, set cover dual), so the returned Input is safe to share across
+// concurrent readers. Upload-by-id specs cannot be built here; the instance cache
 // resolves them.
 func BuildInstance(s InstanceSpec) (core.Input, error) {
 	if err := s.Validate(); err != nil {
@@ -265,15 +265,15 @@ func BuildInstance(s InstanceSpec) (core.Input, error) {
 	return in, nil
 }
 
-// materialize forces every lazily-built index so concurrent jobs only ever
-// read. Graph.Build/buildWeights and Instance.Dual mutate on first use —
-// done here, once, before the instance is shared.
+// materialize forces every lazily-built index the algorithms read, so
+// concurrent jobs only ever read. Graph.Build and Instance.Dual mutate on
+// first use — done here, once, before the instance is shared. The weight
+// slab NeighborsW fills is not part of a shared instance: every registry
+// algorithm reads a weight as Edges[id].W, and the slab would add 16 B an
+// edge (TestInstancesStayResident holds that line).
 func materialize(in core.Input) {
 	if g := in.Graph; g != nil {
 		g.Build()
-		if g.N > 0 {
-			g.NeighborsW(0)
-		}
 	}
 	if c := in.Cover; c != nil {
 		c.Dual()
