@@ -39,9 +39,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/rng"
 	"repro/internal/service"
-	"repro/internal/setcover"
 )
 
 func main() {
@@ -130,20 +128,9 @@ func main() {
 		if entry.Input == core.InputSetCover {
 			exitOn(fmt.Errorf("-load carries a graph; %q needs a set cover instance", *alg))
 		}
-		g, err := graph.ReadFile(*load)
+		var err error
+		in, err = loadInput(*load, entry.Input, *seed)
 		exitOn(err)
-		in = core.Input{Graph: g}
-		if entry.Input == core.InputVertexCover {
-			// Derive the vertex weights a generated instance would carry:
-			// deterministic in -seed, uniform in [1,10) as in the
-			// "vertexcover" spec.
-			wr := rng.New(*seed).Split()
-			w := make([]float64, g.N)
-			for i := range w {
-				w[i] = wr.UniformWeight(1, 10)
-			}
-			in.Cover = setcover.FromVertexCover(g, w)
-		}
 	} else {
 		var err error
 		in, err = service.BuildInstance(spec)
@@ -186,6 +173,20 @@ func main() {
 	fmt.Fprintf(os.Stderr, "mrrun: instance %.3fs run %.3fs total %.3fs peak_rss %.1fMB heap %.1fMB\n",
 		instanceDone.Sub(start).Seconds(), runDone.Sub(runStart).Seconds(), total.Seconds(),
 		peakRSSMB(), liveHeapMB())
+}
+
+// loadInput reads the graph at path. A vertex cover algorithm also gets the
+// vertex weights the vertexcover spec of seed draws, so an instance saved
+// with -save and loaded back runs as the generated one did.
+func loadInput(path string, kind core.InputKind, seed uint64) (core.Input, error) {
+	g, err := graph.ReadFile(path)
+	if err != nil {
+		return core.Input{}, err
+	}
+	if kind == core.InputVertexCover {
+		return service.VertexCoverInput(g, seed), nil
+	}
+	return core.Input{Graph: g}, nil
 }
 
 func exitOn(err error) {

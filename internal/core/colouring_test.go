@@ -9,76 +9,6 @@ import (
 	"repro/internal/rng"
 )
 
-// TestColouringAllocsBounded pins what one Algorithm 5 call allocates, in
-// mallocs and in bytes, for both variants at the benchmark's density and µ
-// (c = 0.3, µ = 0.2; κ = 1 at n = 2000, 2 at n = 8000). It measures with
-// the collector off, as TestRLRSetCoverAllocsBounded does, so the readings
-// do not spread. Three processes read the same counts to the byte:
-// vertex/edge 63/63 mallocs and 109 360/1 673 978 bytes at n = 2000,
-// 79/81 and 429 264/10 341 520 at n = 8000. The ceilings are 1.25× the
-// readings taken before the route round reserved its columns (56/56 and
-// 70/72 mallocs, bytes within 200 of today's). Colouring each vertex group on a copied induced subgraph, with
-// an m-sized slab of edge groups, read 68 mallocs and 1 305 434 bytes, and
-// 92 and 4 558 168, so it fails both VertexColouring rows. Colouring each
-// edge group on a copied subgraph, with an int colour per edge, and
-// emitting from a second partition of all the items read 69 mallocs and
-// 2 419 888 bytes, and 94 and 14 716 784, so it fails both EdgeColouring
-// rows.
-func TestColouringAllocsBounded(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates")
-	}
-	for _, tc := range []struct {
-		n                  int
-		vMallocs, eMallocs float64
-		vBytes, eBytes     float64
-	}{
-		{2000, 70, 70, 1.37e5, 2.10e6},
-		{8000, 87, 90, 5.37e5, 12.93e6},
-	} {
-		g := graph.Density(tc.n, 0.3, rng.New(71))
-		p := Params{Mu: 0.2, Seed: 1}
-		for _, alg := range []struct {
-			name           string
-			colour         func(*graph.Graph, Params) (*ColouringResult, error)
-			mallocs, bytes float64
-		}{
-			{"VertexColouring", VertexColouring, tc.vMallocs, tc.vBytes},
-			{"EdgeColouring", EdgeColouring, tc.eMallocs, tc.eBytes},
-		} {
-			run := func() {
-				if _, err := alg.colour(g, p); err != nil {
-					t.Fatal(err)
-				}
-			}
-			run()
-			runtime.GC()
-			mallocs, bytes := func() (float64, float64) {
-				defer debug.SetGCPercent(debug.SetGCPercent(-1))
-				return testing.AllocsPerRun(5, run), bytesPerRun(5, run)
-			}()
-			if mallocs > alg.mallocs || bytes > alg.bytes {
-				t.Errorf("%s m=%d: %v mallocs and %.0f bytes per call, want <= %v and <= %.0f",
-					alg.name, g.M(), mallocs, bytes, alg.mallocs, alg.bytes)
-			}
-			t.Logf("%s m=%d: %v mallocs, %.0f bytes per call", alg.name, g.M(), mallocs, bytes)
-		}
-	}
-}
-
-// bytesPerRun returns the heap bytes one call of run allocates, averaged
-// over runs calls, on one P as testing.AllocsPerRun measures.
-func bytesPerRun(runs int, run func()) float64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		run()
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
-}
-
 // TestColouringBytesIgnoreGC checks that what an Algorithm 5 call allocates
 // does not depend on whether the collector ran since the last call: two GC
 // cycles empty sync.Pool, and the route round's reserved columns come from

@@ -140,57 +140,6 @@ func TestBMatchingMedium(t *testing.T) {
 	}
 }
 
-// TestBMatchingAllocsBounded pins what one Algorithm 7 call allocates at
-// µ = 0.05, in two iterations: the first samples each vertex's edges and the
-// second, under Line 7's small-graph bound, ships the few left whole. The
-// run asserts that shape before it measures. The ceilings are 1.25× the
-// mallocs and 1.5× the bytes of the warm maximum of 8 calls over nine
-// processes (217 and 210 kB at n = 800; 301 and 1.49 MB at n = 4000). Each
-// vertex collects its alive edge ids in a max-degree scratch and draws its
-// sample into the sampled slab, sized before the draw, over one reused
-// duplicate table. A fresh sample per sampled vertex took 1 050 and 4 327
-// mallocs; a sorted copy of every sample and a plan list per machine took up
-// to 3 888 and 19 871.
-func TestBMatchingAllocsBounded(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates")
-	}
-	for _, tc := range []struct {
-		n              int
-		mallocs, bytes float64
-	}{
-		{800, 271, 0.315e6}, // m = 5 943
-		{4000, 376, 2.24e6}, // m = 48 159
-	} {
-		g := graph.Density(tc.n, 0.3, rng.New(81))
-		g.AssignUniformWeights(rng.New(82), 1, 100)
-		p := Params{Mu: 0.05, Seed: 1}
-		run := func() {
-			if _, err := BMatching(g, p, BMatchingOptions{}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		res, err := BMatching(g, p, BMatchingOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Line 7's bound at the defaults b = 2, ε = 0.25 (δ = 0.2): every
-		// edge is alive at first, so the first iteration samples iff m ≥ it.
-		small := 2 * 2 * math.Log(1/0.2) * float64(eta(tc.n, p.Mu, 8)) / math.Pow(float64(tc.n), p.Mu)
-		if float64(g.M()) < small || res.Iterations != 2 {
-			t.Fatalf("n=%d: %d iterations, m = %d against the small-graph bound %.0f; want a sampled first of 2",
-				tc.n, res.Iterations, g.M(), small)
-		}
-		mallocs := testing.AllocsPerRun(5, run)
-		bytes := bytesPerRun(5, run)
-		if mallocs > tc.mallocs || bytes > tc.bytes {
-			t.Errorf("m=%d: %v mallocs and %.0f bytes per call, want <= %v and <= %.0f",
-				g.M(), mallocs, bytes, tc.mallocs, tc.bytes)
-		}
-		t.Logf("m=%d: %v mallocs, %.0f bytes per call", g.M(), mallocs, bytes)
-	}
-}
-
 func TestVertexColouringSmall(t *testing.T) {
 	r := rng.New(75)
 	for trial := 0; trial < 20; trial++ {

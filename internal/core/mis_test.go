@@ -260,53 +260,6 @@ func TestMISSampleIsTheInbox(t *testing.T) {
 	t.Logf("%d sampling passes, %d candidates checked", passes, candidates)
 }
 
-func TestMISFastAllocsBounded(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates")
-	}
-	// What is left per call is the cluster, the state's arrays and a few
-	// dozen small allocations per iteration inside mpc (the all-reduce
-	// accumulators, round closures, column-pool misses) — nothing per sampled
-	// vertex, per class or per record. Measured when this was written: 790
-	// and 1 660 allocations a call, where misFastClassic makes 12 500 and
-	// 47 100; the limits leave room for pool misses after a GC and stay under
-	// a tenth of the classic body's count, which is checked as well. The
-	// byte ceilings are 1.5× the warm maximum measured once the candidates'
-	// neighbour lists became views of the central machine's inbox (236 kB
-	// and 687 kB a call); a driver-side copy of the sampled lists brings
-	// them to 886 kB and 3.86 MB, over both.
-	for _, tc := range []struct {
-		n     int
-		c     float64
-		limit float64
-		bytes float64
-	}{
-		{740, 0.5, 1100, 0.36e6},  // m ≈ 2·10⁴
-		{3420, 0.5, 2200, 1.04e6}, // m ≈ 2·10⁵
-	} {
-		g := graph.Density(tc.n, tc.c, rng.New(62))
-		p := Params{Mu: 0.05, Seed: 1}
-		run := func() {
-			if _, err := MISFast(g, p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		run()
-		allocs := testing.AllocsPerRun(5, run)
-		bytes := bytesPerRun(5, run)
-		classic := testing.AllocsPerRun(2, func() {
-			if _, err := misFastClassic(g, p); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs > tc.limit || allocs > classic/10 || bytes > tc.bytes {
-			t.Errorf("m=%d: %v allocations and %.0f bytes per call, want <= %v and <= a tenth of the classic body's %v, and <= %.0f bytes",
-				g.M(), allocs, bytes, tc.limit, classic, tc.bytes)
-		}
-		t.Logf("m=%d: %v allocations, %.0f bytes per call (classic %v allocations)", g.M(), allocs, bytes, classic)
-	}
-}
-
 func TestMISFastBound(t *testing.T) {
 	// Theorem A.3 and Lemma A.2 as assertions, over 20 seeds × 2 densities ×
 	// 2 values of µ: a valid maximal independent set within the space cap;

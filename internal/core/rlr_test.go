@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"runtime"
-	"runtime/debug"
 	"sort"
 	"testing"
 
@@ -368,59 +366,6 @@ func TestRLRMatchingMatchesClassic(t *testing.T) {
 	}
 }
 
-func TestRLRMatchingAllocsBounded(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates")
-	}
-	// A run allocates its state and scratch once, then a few slices per
-	// round helper: ten times the edges must stay under the same small
-	// constant. (rlrMatchingClassic makes 11 847 and 80 048 allocations on
-	// these two graphs.) At µ = 0.2 the run is one full iteration, at µ =
-	// 0.05 a sampled iteration and then a full one; the central machine of
-	// both kinds scans the CSR. The byte ceilings are 1.5× the warm maximum
-	// of 8 calls: 124 kB and 946 kB full, 224 kB and 1.35 MB sampled, where
-	// the only m-sized scratch is the sampled iteration's m-byte side slab.
-	// Grouping the sides per vertex in a 2m-entry bucket took a full call to
-	// 381 kB and 3.15 MB, and a sampled one to 422 kB and 2.86 MB. The
-	// sampled rows' malloc limits are 1.25× their warm maximum (322, 494).
-	for _, tc := range []struct {
-		n       int
-		mu      float64
-		sampled int // sampled iterations the row must take
-		allocs  float64
-		bytes   float64
-	}{
-		{2000, 0.2, 0, 400, 0.186e6},  // m = 19 558
-		{12000, 0.2, 0, 400, 1.42e6},  // m = 200 879
-		{2000, 0.05, 1, 405, 0.336e6}, // 1 113 edges left for the full iteration
-		{12000, 0.05, 1, 620, 2.03e6}, // 11 165 left
-	} {
-		g := graph.Density(tc.n, 0.3, rng.New(31))
-		g.AssignUniformWeights(rng.New(32), 1, 100)
-		g.Build()
-		p := Params{Mu: tc.mu, Seed: 1}
-		res, err := RLRMatching(g, p, MatchingOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if k := sampledIterations(int64(g.M()), res.History, eta(tc.n, p.Mu, 8)); k != tc.sampled {
-			t.Fatalf("n=%d mu=%v: %d sampled iterations, the row needs %d", tc.n, tc.mu, k, tc.sampled)
-		}
-		run := func() {
-			if _, err := RLRMatching(g, p, MatchingOptions{}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		allocs := testing.AllocsPerRun(5, run)
-		bytes := bytesPerRun(5, run)
-		if allocs > tc.allocs || bytes > tc.bytes {
-			t.Errorf("m=%d mu=%v: %v allocations and %.0f bytes per call, want <= %.0f and <= %.0f",
-				g.M(), tc.mu, allocs, bytes, tc.allocs, tc.bytes)
-		}
-		t.Logf("m=%d mu=%v: %v allocations, %.0f bytes per call", g.M(), tc.mu, allocs, bytes)
-	}
-}
-
 func TestRLRMatchingEmptyGraph(t *testing.T) {
 	g := graph.New(5)
 	res, err := RLRMatching(g, Params{Mu: 0.2, Seed: 1}, MatchingOptions{})
@@ -611,72 +556,6 @@ func TestRLRSetCoverMedium(t *testing.T) {
 	}
 	if res.Metrics.Rounds == 0 {
 		t.Fatal("no rounds recorded")
-	}
-}
-
-// serveRLRCoverInstances builds the instances the serve workload's
-// setcover-f and vertexcover jobs run on (service.BuildInstance of {n: 8000,
-// c: 0.3, f: 3, seed: 1} and {n: 8000, c: 0.3, seed: 1}), duals built.
-func serveRLRCoverInstances() (setcoverF, vertexCover *setcover.Instance) {
-	const n, c = 8000, 0.3
-	setcoverF = setcover.RandomFrequency(n, int(math.Pow(n, 1+c)), 3, 10, rng.New(1).Split())
-	r := rng.New(1)
-	g := graph.Density(n, c, r.Split())
-	g.AssignUniformWeights(r.Split(), 1, 100)
-	wr := r.Split()
-	w := make([]float64, g.N)
-	for i := range w {
-		w[i] = wr.UniformWeight(1, 10)
-	}
-	vertexCover = setcover.FromVertexCover(g, w)
-	setcoverF.Dual()
-	vertexCover.Dual()
-	return setcoverF, vertexCover
-}
-
-// TestRLRSetCoverAllocsBounded pins what one Algorithm 1 call allocates on
-// the serve workload's setcover-f and vertexcover instances at µ = 0.2. It
-// measures with the collector off: a collection empties the message-column
-// pool, and the call after it regrows every column it uses. With the
-// collector off, processes read the same count to the byte (135 mallocs and
-// 1 744 147 bytes for setcover-f in nine, 174 and 5 046 243 for vertexcover
-// in six), so both ceilings are 1.25× those readings. The plan of sampled
-// elements is sized once, at min(m, 6η); left to append, it regrows by a
-// quarter at a time, and the calls read 4.9 and 13.7 MB. Most of
-// vertexcover's bytes are message columns no Reserve sizes, which at least
-// double whenever they grow: grown by append alone, a quarter at a time,
-// they read 207 mallocs and 10 569 571 bytes.
-func TestRLRSetCoverAllocsBounded(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates")
-	}
-	setcoverF, vertexCover := serveRLRCoverInstances()
-	for _, tc := range []struct {
-		name           string
-		inst           *setcover.Instance
-		opt            CoverOptions
-		mallocs, bytes float64
-	}{
-		{"setcover-f", setcoverF, CoverOptions{}, 169, 2.18e6},
-		{"vertexcover", vertexCover, CoverOptions{VertexCoverMode: true}, 218, 6.31e6},
-	} {
-		p := Params{Mu: 0.2, Seed: 1}
-		run := func() {
-			if _, err := RLRSetCover(tc.inst, p, tc.opt); err != nil {
-				t.Fatal(err)
-			}
-		}
-		run()
-		runtime.GC()
-		mallocs, bytes := func() (float64, float64) {
-			defer debug.SetGCPercent(debug.SetGCPercent(-1))
-			return testing.AllocsPerRun(3, run), bytesPerRun(3, run)
-		}()
-		if mallocs > tc.mallocs || bytes > tc.bytes {
-			t.Errorf("%s: %v mallocs and %.0f bytes per call, want <= %v and <= %.0f",
-				tc.name, mallocs, bytes, tc.mallocs, tc.bytes)
-		}
-		t.Logf("%s: %v mallocs, %.0f bytes per call", tc.name, mallocs, bytes)
 	}
 }
 

@@ -85,3 +85,40 @@ func TestBuildInstanceBytesBounded(t *testing.T) {
 	}
 	t.Logf("BuildInstance(%+v): %.0f bytes per call", spec, bytes)
 }
+
+// TestInstanceListingCountsResidentBytes ties the instance listing's words
+// to what a built instance holds: the graph's Graph.ResidentBytes in words,
+// rounded up, plus the set system's words for a vertex cover instance.
+func TestInstanceListingCountsResidentBytes(t *testing.T) {
+	e := NewEngine(Config{Pool: 1})
+	defer e.Close()
+	specs := []InstanceSpec{
+		{Type: "density", N: 600, C: 0.3, Seed: 3},
+		{Type: "vertexcover", N: 600, C: 0.3, Seed: 3},
+	}
+	for _, spec := range specs {
+		alg := "mis"
+		if spec.Type == "vertexcover" {
+			alg = "vertexcover"
+		}
+		finished(t, e, mustSubmit(t, e, JobRequest{Instance: spec, Alg: alg, Seed: 1}))
+	}
+	listed := map[string]int64{}
+	for _, info := range e.Instances() {
+		listed[info.ID] = info.Words
+	}
+	for _, spec := range specs {
+		in, err := BuildInstance(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := (in.Graph.ResidentBytes() + 7) / 8
+		if c := in.Cover; c != nil {
+			want += int64(c.NumSets()) + 2*int64(c.TotalSize())
+		}
+		id, _ := SpecID(spec)
+		if got := listed[id]; got != want {
+			t.Errorf("%s: listed %d words, want %d (%d resident graph bytes)", spec.Type, got, want, in.Graph.ResidentBytes())
+		}
+	}
+}

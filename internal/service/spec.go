@@ -234,12 +234,7 @@ func BuildInstance(s InstanceSpec) (core.Input, error) {
 	case "vertexcover":
 		g := graph.Density(s.N, s.C, r.Split())
 		g.AssignUniformWeights(r.Split(), 1, 100)
-		wr := r.Split()
-		w := make([]float64, g.N)
-		for i := range w {
-			w[i] = wr.UniformWeight(1, 10)
-		}
-		in = core.Input{Graph: g, Cover: setcover.FromVertexCover(g, w)}
+		in = VertexCoverInput(g, s.Seed)
 	case "setcover-f":
 		m := int(math.Pow(float64(s.N), 1+s.C))
 		in = core.Input{Cover: setcover.RandomFrequency(s.N, m, s.F, 10, r.Split())}
@@ -265,6 +260,23 @@ func BuildInstance(s InstanceSpec) (core.Input, error) {
 	return in, nil
 }
 
+// VertexCoverInput pairs g with the vertex weights a vertexcover spec of
+// this seed draws, uniform in [1, 10), and the set cover instance they
+// define. The weights come from the seed's third split, after the graph's
+// and its edge weights', so a generated instance saved and loaded back
+// (mrrun -load) gets the weights it was built with.
+func VertexCoverInput(g *graph.Graph, seed uint64) core.Input {
+	r := rng.New(seed)
+	r.Split() // the graph
+	r.Split() // its edge weights
+	wr := r.Split()
+	w := make([]float64, g.N)
+	for i := range w {
+		w[i] = wr.UniformWeight(1, 10)
+	}
+	return core.Input{Graph: g, Cover: setcover.FromVertexCover(g, w)}
+}
+
 // materialize forces every lazily-built index the algorithms read, so
 // concurrent jobs only ever read. Graph.Build and Instance.Dual mutate on
 // first use — done here, once, before the instance is shared. The weight
@@ -281,11 +293,13 @@ func materialize(in core.Input) {
 }
 
 // instanceWords approximates the resident size of an instance in words,
-// for the instance listing.
+// for the instance listing: the heap bytes the graph's edge list and CSR
+// slabs hold (Graph.ResidentBytes, nothing for the views of a mapped
+// graph), rounded up to words, plus the set system's words.
 func instanceWords(in core.Input) int64 {
 	var w int64
 	if g := in.Graph; g != nil {
-		w += int64(g.N) + 4*int64(g.M())
+		w += (g.ResidentBytes() + 7) / 8
 	}
 	if c := in.Cover; c != nil {
 		w += int64(c.NumSets()) + 2*int64(c.TotalSize())
