@@ -24,10 +24,13 @@
 // graph.
 //
 // Standard output is the result and is deterministic; one line on standard
-// error, "mrrun: instance <s> run <s> total <s> peak_rss <MB> heap <MB>",
-// says where the wall-clock went, how high the resident set peaked (VmHWM,
-// or getrusage's ru_maxrss where there is no /proc) and how much heap the
-// run left live (runtime/metrics' /gc/heap/live:bytes after a collection).
+// error, "mrrun: instance <s> run <s> total <s> peak_rss <MB> heap <MB>
+// resident <MB>", says where the wall-clock went, how high the resident set
+// peaked (VmHWM, or getrusage's ru_maxrss where there is no /proc), how much
+// heap the run left live (runtime/metrics' /gc/heap/live:bytes after a
+// collection) and how much of the heap the instance's graph holds
+// (Graph.ResidentBytes: edge list and CSR slabs; 0 for the views of a
+// memory-mapped container, and for a set cover instance, which has no graph).
 package main
 
 import (
@@ -167,12 +170,16 @@ func main() {
 	// Where the seconds and the megabytes went, on stderr so that stdout
 	// stays the deterministic result: building or loading the instance
 	// (-save included), the algorithm, and the whole process since flag
-	// parsing; then the process's resident-set peak and the heap still live
-	// after the run.
+	// parsing; then the process's resident-set peak, the heap still live
+	// after the run and the part of it the graph holds.
 	total := time.Since(start)
-	fmt.Fprintf(os.Stderr, "mrrun: instance %.3fs run %.3fs total %.3fs peak_rss %.1fMB heap %.1fMB\n",
+	var resident int64
+	if in.Graph != nil {
+		resident = in.Graph.ResidentBytes()
+	}
+	fmt.Fprintf(os.Stderr, "mrrun: instance %.3fs run %.3fs total %.3fs peak_rss %.1fMB heap %.1fMB resident %.1fMB\n",
 		instanceDone.Sub(start).Seconds(), runDone.Sub(runStart).Seconds(), total.Seconds(),
-		peakRSSMB(), liveHeapMB())
+		peakRSSMB(), liveHeapMB(), float64(resident)/(1<<20))
 }
 
 // loadInput reads the graph at path. A vertex cover algorithm also gets the

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/mpc"
 	"repro/internal/rng"
 	"repro/internal/setcover"
 )
@@ -153,7 +154,9 @@ func allocRows() []allocRow {
 	// iteration, at µ = 0.05 a sampled iteration and then a full one; the
 	// only m-sized scratch is the sampled iteration's m-byte side slab.
 	// Grouping the sides per vertex in a 2m-entry bucket reads 303 736,
-	// 2 658 168, 584 787 and 4 775 336 bytes.
+	// 2 658 168, 584 787 and 4 775 336 bytes. Writing the samples, the
+	// pushed ids and the forwarded potentials that no machine reads, instead
+	// of charging them, reads 152, 162, 322 and 494 mallocs.
 	rlrMatching := func(in Input, p Params) (any, error) { return RLRMatching(in.Graph, p, MatchingOptions{}) }
 	matchingGraphs := map[int]func() Input{2000: weighted(2000, 31, 32), 12000: weighted(12000, 31, 32)}
 	for _, tc := range []struct {
@@ -162,10 +165,10 @@ func allocRows() []allocRow {
 		sampled        int // sampled iterations the row must take
 		mallocs, bytes float64
 	}{
-		{2000, 0.2, 0, 190, 154390},    // 152 and 123 512; m = 19 558
-		{12000, 0.2, 0, 203, 1182550},  // 162 and 946 040; m = 200 879
-		{2000, 0.05, 1, 403, 280424},   // 322 and 224 339; 1 113 edges left for the full iteration
-		{12000, 0.05, 1, 618, 1688850}, // 494 and 1 351 080; 11 165 left
+		{2000, 0.2, 0, 172, 153870},    // 137 and 123 096; m = 19 558
+		{12000, 0.2, 0, 184, 1182030},  // 147 and 945 624; m = 200 879
+		{2000, 0.05, 1, 333, 207264},   // 266 and 165 811; 1 113 edges left for the full iteration
+		{12000, 0.05, 1, 487, 1677444}, // 389 and 1 341 955; 11 165 left
 	} {
 		inst := matchingGraphs[tc.n]
 		rows = append(rows, allocRow{alg: "matching", name: fmt.Sprintf("n=%d/mu=%v", tc.n, tc.mu), inst: inst,
@@ -184,14 +187,17 @@ func allocRows() []allocRow {
 	// second, under Line 7's small-graph bound, ships the few left whole.
 	// Each vertex collects its alive edge ids in a max-degree scratch and
 	// draws its sample into the sampled slab over one reused duplicate table.
-	// A fresh sample per sampled vertex reads 1 004 and 4 259 mallocs.
+	// A fresh sample per sampled vertex reads 1 004 and 4 259 mallocs;
+	// writing the samples and the forwarded potentials that no machine
+	// reads, instead of charging them, reads 211 and 279 mallocs and
+	// 152 936 and 837 312 bytes.
 	bMatching := func(in Input, p Params) (any, error) { return BMatching(in.Graph, p, BMatchingOptions{}) }
 	for _, tc := range []struct {
 		n              int
 		mallocs, bytes float64
 	}{
-		{800, 264, 191170},   // 211 and 152 936; m = 5 943
-		{4000, 349, 1046640}, // 279 and 837 312; m = 48 159
+		{800, 262, 151664},  // 209 and 121 331; m = 5 943
+		{4000, 322, 838257}, // 257 and 670 605; m = 48 159
 	} {
 		inst := weighted(tc.n, 81, 82)
 		p := Params{Mu: 0.05, Seed: 1}
@@ -320,4 +326,51 @@ func bytesPerRun(runs int, run func()) float64 {
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestMatchingsLeaveLittleLive pins what Algorithms 4 and 7 leave live after
+// a job: the message columns their outboxes reserved, which wait in the
+// plane's hand-off set for the next cluster. The samples, the pushed ids and
+// the forwarded potentials are charged, not written, so only the central
+// machine's ϕ columns remain, 16 bytes per changed vertex. The hand-off set
+// is emptied first by closing a cluster that reserved nothing, and two
+// collections empty the column pool and its victim cache, so the reading is
+// the job's own. Each ceiling is 1.25× the highest reading beside it.
+// Writing the unread payload into reserved columns reads 1 868 752 bytes
+// for matching. Leaving the ϕ columns unreserved reads at most 5 248 bytes
+// for matching and 96 for b-matching, but costs a matching job more
+// allocation than the reservation keeps live (DESIGN.md, Algorithm 4).
+func TestMatchingsLeaveLittleLive(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	g := graph.Density(3000, 0.3, rng.New(41))
+	g.AssignUniformWeights(rng.New(42), 1, 100)
+	sharedGraph(g)
+	live := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for _, tc := range []struct {
+		name    string
+		run     func() error
+		ceiling int64
+	}{
+		{"matching", func() error { _, err := RLRMatching(g, Params{Mu: 0.2, Seed: 1}, MatchingOptions{}); return err }, 68450}, // 49 528 alone, up to 54 760 after TestAllocCeilings
+		{"bmatching", func() error { _, err := BMatching(g, Params{Mu: 0.2, Seed: 1}, BMatchingOptions{}); return err }, 61740}, // 49 392
+	} {
+		mpc.NewCluster(mpc.Config{Machines: 1}).Close()
+		before := live()
+		if err := tc.run(); err != nil {
+			t.Fatal(err)
+		}
+		grown := live() - before
+		t.Logf("%s: %d bytes live after the job (m = %d)", tc.name, grown, g.M())
+		if grown > tc.ceiling {
+			t.Errorf("%s leaves %d bytes live after the job, want <= %d", tc.name, grown, tc.ceiling)
+		}
+	}
 }

@@ -143,15 +143,15 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 			sampleOf[v] = span{lo, len(sampled)}
 			return true
 		})
+		// The central machine reads sampled and sampleOf, so each vertex's
+		// (v, ids...) record is charged, not written.
 		err := cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			for _, v := range f.planned(machine) {
-				out.Begin(0)
-				out.Int(int64(v))
-				for _, id := range sampled[sampleOf[v].lo:sampleOf[v].hi] {
-					out.Int(int64(id))
-				}
-				out.End()
+			vs := f.planned(machine)
+			ints := len(vs)
+			for _, v := range vs {
+				ints += sampleOf[v].hi - sampleOf[v].lo
 			}
+			out.Charge(0, len(vs), ints, 0)
 		})
 		if err != nil {
 			return nil, err
@@ -196,20 +196,19 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 		}
 		// Owners receive the new potentials, records (v; ϕ(v)) read as runs,
 		// and forward them along their alive incident edges to the other
-		// endpoint's owner. IncidentEdges and Neighbors are positional: slot
-		// i of both describes the same incident edge, so one scan yields the
-		// edge id and the other endpoint with no Other() branch.
+		// endpoint's owner, one (id; ϕ(v)) record per edge. The delivery
+		// round below discards them and the kill rule reads lr, so they are
+		// charged, not written. IncidentEdges and Neighbors are positional:
+		// slot i of both describes the same incident edge, so one scan yields
+		// the edge id and the other endpoint with no Other() branch.
 		err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
 			for run, ok := in.NextRun(); ok; run, ok = in.NextRun() {
-				for k, v := range run.Ints {
+				for _, v := range run.Ints {
 					ids := g.IncidentEdges(int(v))
 					nbrs := g.Neighbors(int(v))
 					for i, id := range ids {
 						if alive[id] {
-							out.Begin(f.owner(int(nbrs[i])))
-							out.Int(int64(id))
-							out.Float(run.Floats[k])
-							out.End()
+							out.Charge(f.owner(int(nbrs[i])), 1, 1, 1)
 						}
 					}
 				}

@@ -193,6 +193,7 @@ type frame struct {
 	counts     []int64 // per-machine words of sumCounts and directAllReduce
 	plan       []int   // drawPlan's ids, machine by machine
 	planEnd    []int   // data machine k's ids are plan[planEnd[k-1]:planEnd[k]]
+	perOwner   []int   // sendPhis' per-owner record counts, all 0 between sends
 }
 
 // newFrame sets up M machines under an enforced cap of capSlack·capWords

@@ -155,17 +155,14 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 				cluster.Arm(machine)
 			}
 		}
+		// The central machine reads lists, so the samples are charged, not
+		// written: k records of two words from each owner.
 		err := cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
 			if machine == 0 {
 				return
 			}
 			k := int(sends[machine])
-			out.Reserve(0, k, 2*k, 0)
-			for id := machine - 1; id < m; id += M - 1 {
-				if mask := lists[id]; mask != 0 {
-					out.SendInts(0, int64(id), int64(mask))
-				}
-			}
+			out.Charge(0, k, 2*k, 0)
 		})
 		if err != nil {
 			return nil, err
@@ -221,10 +218,11 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 		}
 
 		// Update round B: vertex owners forward ϕ(v) to the machines owning
-		// v's alive incident edges. A first pass over the inbox counts the
-		// records per destination so each column is sized once. Round A's
-		// column to a machine holds the (v; ϕ(v)) records and then the pushed
-		// ids, so it reads as runs: the ϕ records are the runs of one float.
+		// v's alive incident edges, one (id, v; ϕ(v)) record per edge. The
+		// edge owners read lr in the delivery round, so the records are
+		// counted per destination and charged, not written. Round A's column
+		// to a machine holds the (v; ϕ(v)) records, read as runs of one
+		// float, and the charged pushed ids, which no cursor yields.
 		err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
 			if in.Len() == 0 {
 				return
@@ -235,9 +233,6 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 				fanout[machine] = fan
 			}
 			for run, ok := in.NextRun(); ok; run, ok = in.NextRun() {
-				if run.FloatLen != 1 {
-					continue
-				}
 				for _, v := range run.Ints {
 					for _, id := range g.IncidentEdges(int(v)) {
 						if alive[id] != 0 {
@@ -247,26 +242,8 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 				}
 			}
 			for to, k := range fan {
-				out.Reserve(to, int(k), 2*int(k), int(k))
+				out.Charge(to, int(k), 2*int(k), int(k))
 				fan[to] = 0
-			}
-			in.Reset()
-			for run, ok := in.NextRun(); ok; run, ok = in.NextRun() {
-				if run.FloatLen != 1 {
-					continue
-				}
-				for i, v := range run.Ints {
-					phi := run.Floats[i]
-					for _, id := range g.IncidentEdges(int(v)) {
-						if alive[id] != 0 {
-							out.Begin(f.owner(int(id)))
-							out.Int(int64(id))
-							out.Int(v)
-							out.Float(phi)
-							out.End()
-						}
-					}
-				}
 			}
 		})
 		if err != nil {
@@ -325,9 +302,23 @@ type phiUpdate struct {
 }
 
 // sendPhis is the central send of a phiUpdate: a (v; ϕ(v)) record to v's
-// owner for every changed v in ascending order, then each pushed id to its
-// owner.
+// owner for every changed v in ascending order, each owner's column reserved
+// from its count, then each pushed id to its owner. The edge owners read lr,
+// not the pushed ids, so those are charged, not written.
 func sendPhis(f *frame, u phiUpdate, out *mpc.Outbox) {
+	if f.perOwner == nil {
+		f.perOwner = make([]int, f.M)
+	}
+	per := f.perOwner
+	for v := range u.changed.mark {
+		if u.changed.has(v) {
+			per[f.owner(v)]++
+		}
+	}
+	for to, k := range per {
+		out.Reserve(to, k, k, k)
+		per[to] = 0
+	}
 	for v := range u.changed.mark {
 		if u.changed.has(v) {
 			out.Begin(f.owner(v))
@@ -336,5 +327,7 @@ func sendPhis(f *frame, u phiUpdate, out *mpc.Outbox) {
 			out.End()
 		}
 	}
-	sendToOwners(f, u.pushed, out)
+	for _, id := range u.pushed {
+		out.Charge(f.owner(id), 1, 1, 0)
+	}
 }

@@ -17,8 +17,7 @@ import (
 // verbatim, so a cold load is O(header) — OpenMapped (mmap.go) serves the
 // kernel accessors as zero-copy views straight off the page cache. There is
 // one reader of those bytes, containerGraph: OpenMapped and OpenVerified run
-// it on the mapping, ReadContainer on the container read into one heap
-// buffer.
+// it on the mapping, ReadContainer on the container read into heap buffers.
 //
 // Layout (all integers little-endian, every section 8-byte aligned):
 //
@@ -79,15 +78,23 @@ type section struct {
 	crc  uint32
 }
 
-// checkSections compares the checksum of every section in a container's
-// bytes with the table's.
-func checkSections(data []byte, h containerHeader) error {
+// checkSections compares the checksum of every section sec returns with the
+// table's.
+func checkSections(sec func(kind int) []byte, h containerHeader) error {
 	for _, s := range h.sections {
-		if crc := crc32.Checksum(data[s.off:s.off+s.len], castagnoli); crc != s.crc {
+		if crc := crc32.Checksum(sec(int(s.kind)), castagnoli); crc != s.crc {
 			return fmt.Errorf("graph: container section kind %d checksum mismatch (%08x != %08x)", s.kind, crc, s.crc)
 		}
 	}
 	return nil
+}
+
+// sectionsOf returns the sections of a container held whole in data.
+func sectionsOf(data []byte, h containerHeader) func(kind int) []byte {
+	return func(kind int) []byte {
+		s := h.sections[kind-1]
+		return data[s.off : s.off+s.len]
+	}
 }
 
 // containerHeader is the parsed fixed prologue.
@@ -361,19 +368,16 @@ func readProlog(r io.Reader) (containerHeader, error) {
 	return h, perr
 }
 
-// containerGraph builds the graph a container holds from its bytes: data is
-// the whole container, 8-byte aligned, and h its parsed prologue. With
-// verify it checks every section checksum first and the slab invariants
-// (validateSlabs) last; without, it trusts the bytes, as OpenMapped does.
-// The slabs and the edge list view data where the host's layout is the
-// file's (loadSections), so the graph then keeps data alive.
-func containerGraph(data []byte, h containerHeader, verify bool) (*Graph, error) {
-	sec := func(kind int) []byte {
-		s := h.sections[kind-1]
-		return data[s.off : s.off+s.len]
-	}
+// containerGraph builds the graph a container holds from its sections: sec
+// returns section kind's bytes, 8-byte aligned, and h is the parsed
+// prologue. With verify it checks every section checksum first and the slab
+// invariants (validateSlabs) last; without, it trusts the bytes, as
+// OpenMapped does. The slabs and the edge list view sec's bytes where the
+// host's layout is the file's (loadSections), so the graph then keeps them
+// alive.
+func containerGraph(sec func(kind int) []byte, h containerHeader, verify bool) (*Graph, error) {
 	if verify {
-		if err := checkSections(data, h); err != nil {
+		if err := checkSections(sec, h); err != nil {
 			return nil, err
 		}
 	}
@@ -438,11 +442,16 @@ func leEdge(b []byte) Edge {
 func ReadContainer(r io.Reader) (*Graph, error) { return readContainer(r, inputSize(r)) }
 
 // readContainer is ReadContainer for an input of size bytes (< 0: unknown).
-// It reads the container into one heap buffer and builds the graph on it as
-// OpenVerified does on a mapping. The header's n and m are believed only as
-// far as the bytes go: a sized input shorter than the layout is refused
-// before the buffer is allocated, and an unsized one grows its buffer only
-// as bytes arrive.
+// It reads the container into heap buffers and builds the graph on them as
+// OpenVerified does on a mapping, checks included. The weight section has a
+// buffer of its own, dropped once checked: no algorithm reads the weight
+// slab (they read Edges[id].W), so the graph holds what Build makes of the
+// text of the same edges, 16 bytes an edge less than the container. The
+// header's n and m are believed only as far as the bytes go: a sized input
+// shorter than the layout is refused before anything is allocated; an
+// unsized one grows the buffer of the sections before the weights only as
+// bytes arrive, and each later buffer is no larger than the bytes read
+// before it.
 func readContainer(r io.Reader, size int64) (*Graph, error) {
 	h, err := readProlog(r)
 	if err != nil {
@@ -452,24 +461,52 @@ func readContainer(r io.Reader, size int64) (*Graph, error) {
 	if size >= 0 && uint64(size) < total {
 		return nil, fmt.Errorf("graph: container truncated: %d bytes, header promises %d", size, total)
 	}
-	first := total
+	// head holds the prologue and the sections before the weights, which
+	// the edge list follows directly (16m bytes keep it 8-aligned).
+	w, e := h.sections[secAdjW-1], h.sections[secEdges-1]
+	first := w.off
 	if size < 0 {
-		first = min(total, 8*unsizedPresize) // unsizedPresize 8-byte words
+		first = min(w.off, 8*unsizedPresize) // unsizedPresize 8-byte words
 	}
-	data := alignedBytes(first)
-	for have := prologueLen; uint64(have) < total; {
-		if have == len(data) {
-			grown := alignedBytes(min(2*uint64(have), total))
-			copy(grown, data)
-			data = grown
+	head := alignedBytes(first)
+	truncated := func(at uint64, err error) error {
+		return fmt.Errorf("graph: container truncated at byte %d of %d: %v", at, total, err)
+	}
+	for have := prologueLen; uint64(have) < w.off; {
+		if have == len(head) {
+			grown := alignedBytes(min(2*uint64(have), w.off))
+			copy(grown, head)
+			head = grown
 		}
-		k, err := io.ReadFull(r, data[have:])
+		k, err := io.ReadFull(r, head[have:])
 		have += k
 		if err != nil {
-			return nil, fmt.Errorf("graph: container truncated at byte %d of %d: %v", have, total, err)
+			return nil, truncated(uint64(have), err)
 		}
 	}
-	return containerGraph(data, h, true)
+	weights := alignedBytes(w.len)
+	if k, err := io.ReadFull(r, weights); err != nil {
+		return nil, truncated(w.off+uint64(k), err)
+	}
+	edges := alignedBytes(e.len)
+	if k, err := io.ReadFull(r, edges); err != nil {
+		return nil, truncated(e.off+uint64(k), err)
+	}
+	g, err := containerGraph(func(kind int) []byte {
+		switch kind {
+		case secAdjW:
+			return weights
+		case secEdges:
+			return edges
+		}
+		s := h.sections[kind-1]
+		return head[s.off : s.off+s.len]
+	}, h, true)
+	if err != nil {
+		return nil, err
+	}
+	g.adjW, g.wBuilt = nil, false // NeighborsW refills it from the edge list
+	return g, nil
 }
 
 // alignedBytes returns n zero bytes starting at an 8-byte boundary, so that
@@ -542,5 +579,5 @@ func VerifyContainer(path string) error {
 		return err
 	}
 	defer m.close()
-	return checkSections(m.data, h)
+	return checkSections(sectionsOf(m.data, h), h)
 }

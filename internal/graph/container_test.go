@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -601,5 +602,45 @@ func TestResidentBytes(t *testing.T) {
 	}
 	if got := mapped.ResidentBytes(); got != want {
 		t.Fatalf("mapped graph holds %d heap bytes, want %d", got, want)
+	}
+}
+
+// TestReadContainerKeepsNoWeightSlab: a container decoded to the heap, from
+// a sized reader and from one that cannot tell its length, holds what Build
+// makes of the same edges — edge list and CSR, no weight slab — and serves
+// the same weights through NeighborsW, which fills the slab from the edge
+// list on demand as it does for a text upload.
+func TestReadContainerKeepsNoWeightSlab(t *testing.T) {
+	g := Density(2000, 0.3, rng.New(9))
+	g.AssignUniformWeights(rng.New(10), 1, 100)
+	g.Build()
+	n, m := int64(g.N), int64(g.M())
+	want := m*int64(unsafe.Sizeof(Edge{})) + 4*(n+1) + 2*4*2*m
+	if got := g.ResidentBytes(); got != want {
+		t.Fatalf("built graph holds %d bytes, want %d", got, want)
+	}
+	var buf bytes.Buffer
+	if err := EncodeContainer(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]func() io.Reader{
+		"sized":   func() io.Reader { return bytes.NewReader(buf.Bytes()) },
+		"unsized": func() io.Reader { return struct{ io.Reader }{bytes.NewReader(buf.Bytes())} },
+	} {
+		got, err := ReadContainer(r())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if b := got.ResidentBytes(); b != want {
+			t.Errorf("%s: the decoded graph holds %d bytes, want %d (%d more is the weight section)", name, b, want, b-want)
+		}
+		graphsEquivalent(t, g, got)
+		for v := 0; v < g.N; v++ {
+			_, w := got.NeighborsW(v)
+			_, gw := g.NeighborsW(v)
+			if !slices.Equal(w, gw) {
+				t.Fatalf("%s: vertex %d weighs %v, want %v", name, v, w, gw)
+			}
+		}
 	}
 }

@@ -119,7 +119,7 @@ func openMapped(path string, verify bool) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, err := containerGraph(m.data, h, verify)
+	g, err := containerGraph(sectionsOf(m.data, h), h, verify)
 	if err != nil {
 		m.close()
 		return nil, err

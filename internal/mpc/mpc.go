@@ -434,7 +434,7 @@ func (c *Cluster) Round(f RoundFunc) error {
 		for _, dest := range o.dests {
 			col := o.byDest[dest]
 			o.words += col.accounted()
-			o.count += col.n
+			o.count += col.records()
 			if len(c.senders[dest]) == 0 {
 				c.recvNxt = append(c.recvNxt, dest)
 			}
@@ -511,7 +511,7 @@ func (c *Cluster) assembleInbox(dest int) {
 	for _, src := range c.senders[dest] {
 		col := c.outboxes[src].byDest[dest]
 		in.segs = append(in.segs, segment{from: src, col: col})
-		in.records += col.n
+		in.records += col.records()
 		in.words += col.accounted()
 	}
 	c.senders[dest] = c.senders[dest][:0]

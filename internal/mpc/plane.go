@@ -14,13 +14,25 @@ package mpc
 // accounted size is 1 header word (the sender) + intLen + floatLen, the
 // exact accounting the Message representation used. Nothing is counted on
 // the send path: every payload word in a column belongs to a closed record,
-// so a column's accounted words are n + len(ints) + len(floats), summed once
-// per column after the round's barrier. There, each destination's Inbox
-// becomes the ordered list of the columns sent to it — senders in machine
-// order — and a cursor walks records in (sender, emission order) order, so
-// delivery order, metrics, and traces are bit-identical to the per-Message
-// representation. The cursor hands out one record at a time (Next) or a
-// maximal stretch of same-shape records as one slice (NextRun).
+// so a column's accounted words are n + len(ints) + len(floats), plus what
+// it charged (below), summed once per column after the round's barrier.
+//
+// Charged records. A record no receiver reads — the driver holds what it
+// would say, as the matchings' central machine holds the samples — can be
+// charged instead of written (Outbox.Charge): the column counts it, records
+// and payload words, but holds none of its words. The model cannot tell:
+// traffic, space, Len and Words and the receiver's arming include charged
+// records. Only the cursor skips them, since it walks the written records.
+// The rule for using it: charge exactly what the paper's algorithm sends,
+// and only where no RoundFunc reads it; a round whose receivers read part
+// of a column writes that part.
+//
+// Delivery. After the barrier, each destination's Inbox becomes the ordered
+// list of the columns sent to it — senders in machine order — and a cursor
+// walks records in (sender, emission order) order, so delivery order,
+// metrics, and traces are bit-identical to the per-Message representation.
+// The cursor hands out one record at a time (Next) or a maximal stretch of
+// same-shape records as one slice (NextRun).
 //
 // Pooling. A column travels outbox → inbox → back, and the columns backing
 // a round's inboxes are released when the round that consumed them ends,
@@ -86,23 +98,31 @@ type recMeta struct{ intLen, floatLen int32 }
 // on holds one entry per record (len(recs) == n). The transition is one-way
 // until reset.
 type column struct {
-	ints   []int64
-	floats []float64
-	n      int       // records
-	shape  recMeta   // shape of every record while recs is empty
-	recs   []recMeta // per-record framing index, empty while uniform
-	owner  *Outbox   // the outbox whose Reserve sized the column, nil if none did
+	ints     []int64
+	floats   []float64
+	n        int       // written records
+	shape    recMeta   // shape of every record while recs is empty
+	recs     []recMeta // per-record framing index, empty while uniform
+	owner    *Outbox   // the outbox whose Reserve sized the column, nil if none did
+	charged  int       // charged records: counted as sent, never written
+	chargedW int       // payload words of the charged records
 }
 
 func (c *column) reset() {
 	c.ints, c.floats, c.recs = c.ints[:0], c.floats[:0], c.recs[:0]
 	c.n, c.shape, c.owner = 0, recMeta{}, nil
+	c.charged, c.chargedW = 0, 0
 }
 
+// records returns the column's sent records, written and charged.
+func (c *column) records() int { return c.n + c.charged }
+
 // accounted returns the column's accounted words: one header word per record
-// plus every payload word. It is exact only with no record open, so only the
-// post-barrier merge reads it.
-func (c *column) accounted() int { return c.n + len(c.ints) + len(c.floats) }
+// plus every payload word, written or charged. It is exact only with no
+// record open, so only the post-barrier merge reads it.
+func (c *column) accounted() int {
+	return c.records() + len(c.ints) + len(c.floats) + c.chargedW
+}
 
 // frame appends one record of shape m to the framing. It is the only place
 // that advances n; payload words are the caller's.
@@ -451,6 +471,29 @@ func (o *Outbox) SendInts(to int, ints ...int64) {
 	col.frame(recMeta{int32(len(ints)), 0})
 }
 
+// Charge sends recs records of ints int words and floats float words in
+// total to machine `to` without writing them: the model charges them exactly
+// as written records — traffic, space, the receiver's Len and Words, the
+// receiver's arming — but no cursor yields them, and no buffer holds their
+// words. It is for payload no receiver reads, because the driver holds what
+// it would say (DESIGN.md, message plane). Charges and written records may
+// share a column in any order; the cursor walks the written ones. recs = 0
+// charges nothing. Like Begin it must not be called with a record open.
+func (o *Outbox) Charge(to, recs, ints, floats int) {
+	if recs < 0 || ints < 0 || floats < 0 || recs == 0 && ints+floats != 0 {
+		panic(fmt.Sprintf("mpc: Outbox.Charge of %d records, %d ints, %d floats", recs, ints, floats))
+	}
+	col := o.lookup(to)
+	if col == nil {
+		if recs == 0 && o.cur == nil && uint(to) < uint(o.cluster.cfg.Machines) {
+			return
+		}
+		col = o.claimColumn(to)
+	}
+	col.charged += recs
+	col.chargedW += ints + floats
+}
+
 // reset prepares the outbox for the next round. The columns it filled are
 // held by the destination inboxes from the merge onwards, so only the
 // references are dropped here; a spare column no record claimed never left
@@ -498,16 +541,18 @@ type Inbox struct {
 	iOff, fOff int
 }
 
-// Len returns the number of records delivered.
+// Len returns the number of records delivered, charged ones included.
 func (in *Inbox) Len() int { return in.records }
 
-// Words returns the accounted incoming words (headers included).
+// Words returns the accounted incoming words (headers and charged records
+// included).
 func (in *Inbox) Words() int { return in.words }
 
 // Reset rewinds the cursor to the first record.
 func (in *Inbox) Reset() { in.seg, in.rec, in.iOff, in.fOff = 0, 0, 0, 0 }
 
-// Next returns the next record, or ok=false when the inbox is exhausted.
+// Next returns the next written record, or ok=false when the inbox is
+// exhausted. Charged records are never returned.
 func (in *Inbox) Next() (rec Record, ok bool) {
 	for in.seg < len(in.segs) {
 		s := &in.segs[in.seg]

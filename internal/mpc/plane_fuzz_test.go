@@ -18,21 +18,35 @@ func (b *fuzzBytes) next() int {
 }
 
 // fuzzOp is one scripted outbox call: a record (planeMsg, through SendInts,
-// Send or Begin/…/End) or, with reserve set, a Reserve hint to msg.to.
+// Send or Begin/…/End) or, with reserve set, a Reserve hint to msg.to, or,
+// with charge set, a Charge of recs records to msg.to.
 type fuzzOp struct {
 	msg                planeMsg
-	reserve            bool
+	reserve, charge    bool
 	recs, ints, floats int
 }
 
+// chargedWords is the accounted size of a charge op: a header word per
+// record plus its payload words.
+func (op fuzzOp) chargedWords() int { return op.recs + op.ints + op.floats }
+
 // fuzzRound decodes one round of traffic on M machines: runs of records that
 // share a shape (so columns hold uniform stretches), empty shapes, shape
-// changes within a column, and Reserve hints, some of which no record
-// follows.
+// changes within a column, Reserve hints, some of which no record follows,
+// and charges, some of them empty, before, between and after the written
+// records of a column.
 func fuzzRound(b *fuzzBytes, M int, serial *int64) []fuzzOp {
 	var ops []fuzzOp
 	for k := b.next() % 24; k > 0; k-- {
-		from, to, kind := b.next()%M, b.next()%M, b.next()%4
+		from, to, kind := b.next()%M, b.next()%M, b.next()%5
+		if kind == 4 {
+			op := fuzzOp{msg: planeMsg{from: from, to: to}, charge: true, recs: b.next() % 4}
+			if op.recs > 0 {
+				op.ints, op.floats = b.next()%16, b.next()%8
+			}
+			ops = append(ops, op)
+			continue
+		}
 		if kind == 3 {
 			ops = append(ops, fuzzOp{msg: planeMsg{from: from, to: to}, reserve: true,
 				recs: b.next()%6 - 1, ints: b.next() % 16, floats: b.next() % 8})
@@ -92,16 +106,18 @@ func expandRun(t *testing.T, run Run, recs []Record) []Record {
 
 // FuzzInboxRuns holds NextRun to Next and the barrier's word count to a
 // per-record sum. Over random rounds of SendInts, Send and Begin/…/End with
-// mixed and empty shapes and Reserve hints, every inbox must yield the
-// scripted records in (sender, emission order) whether it is read by Next,
-// by NextRun, by the two interleaved, or by NextRun after a Reset in the
-// middle; runs must be maximal within a sender; and Len, Words, the round's
-// trace and Cluster.Metrics must equal the sums over the script's records.
+// mixed and empty shapes, Reserve hints and charges interleaved with them,
+// every inbox must yield the scripted written records in (sender, emission
+// order) whether it is read by Next, by NextRun, by the two interleaved, or
+// by NextRun after a Reset in the middle; runs must be maximal within a
+// sender; and Len, Words, the round's trace and Cluster.Metrics must equal
+// the sums over the script's records, written and charged.
 func FuzzInboxRuns(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 2, 8, 1, 2, 0, 1, 0, 7, 1, 0, 1, 1, 0, 3})
 	f.Add([]byte{5, 1, 20, 0, 1, 0, 0, 0, 7, 0, 1, 2, 2, 1, 3, 0, 1, 3, 4, 10, 3, 0, 2, 2, 0, 0, 5, 3, 3, 1, 1, 2, 6, 9})
 	f.Add([]byte{2, 2, 12, 1, 0, 1, 1, 2, 2, 1, 1, 3, 2, 3, 1, 0, 3, 4, 5, 2, 1, 0, 0, 0, 1, 7, 0, 1, 0, 2, 0, 3})
+	f.Add([]byte{2, 0, 0, 5, 1, 0, 4, 2, 3, 1, 1, 0, 0, 1, 0, 1, 1, 0, 4, 0, 1, 0, 4, 1, 0, 0, 2, 0, 2, 2, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := fuzzBytes(data)
 		M := 1 + b.next()%6
@@ -118,6 +134,8 @@ func FuzzInboxRuns(f *testing.F) {
 					case op.msg.from != machine:
 					case op.reserve:
 						out.Reserve(op.msg.to, op.recs, op.ints, op.floats)
+					case op.charge:
+						out.Charge(op.msg.to, op.recs, op.ints, op.floats)
 					default:
 						op.msg.emit(out)
 					}
@@ -126,14 +144,26 @@ func FuzzInboxRuns(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The reference: each destination's records in (sender, emission
-			// order), and every machine's load as received plus sent words.
+			// The reference: each destination's written records in (sender,
+			// emission order), its charged records and words, and every
+			// machine's load as received plus sent words.
 			want := make([][]planeMsg, M)
+			chargedLen, chargedWords := make([]int, M), make([]int, M)
 			load := make([]int, M)
 			roundWords, roundRecords := 0, 0
 			for from := 0; from < M; from++ {
 				for _, op := range ops {
 					if op.reserve || op.msg.from != from {
+						continue
+					}
+					if op.charge {
+						w := op.chargedWords()
+						chargedLen[op.msg.to] += op.recs
+						chargedWords[op.msg.to] += w
+						load[op.msg.to] += w
+						load[from] += w
+						roundWords += w
+						roundRecords += op.recs
 						continue
 					}
 					want[op.msg.to] = append(want[op.msg.to], op.msg)
@@ -157,12 +187,12 @@ func FuzzInboxRuns(f *testing.F) {
 
 			for m := 0; m < M; m++ {
 				in := c.Inbox(m)
-				w := 0
+				w := chargedWords[m]
 				for _, msg := range want[m] {
 					w += msg.words()
 				}
-				if in.Len() != len(want[m]) || in.Words() != w {
-					t.Fatalf("round %d inbox %d: Len %d Words %d, want %d and %d", r, m, in.Len(), in.Words(), len(want[m]), w)
+				if n := len(want[m]) + chargedLen[m]; in.Len() != n || in.Words() != w {
+					t.Fatalf("round %d inbox %d: Len %d Words %d, want %d and %d", r, m, in.Len(), in.Words(), n, w)
 				}
 
 				var next []Record

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 )
 
@@ -952,6 +953,173 @@ func TestUnreservedColumnsGrowByDoubling(t *testing.T) {
 				tc.name, held, bytes, ratio)
 		}
 		t.Logf("%s: column of %d words, %d bytes allocated", tc.name, held, bytes)
+	}
+}
+
+// chargeScript is one round of traffic in which machines 1 and 2 send and
+// some records, marked unread, are never read by their receivers: a column
+// of unread records only (to 0 from 1, to 3 from 2), unread records between
+// and after written ones (to 2), and a header-only unread record (to 1).
+var chargeScript = []struct {
+	msg    planeMsg
+	unread bool
+}{
+	{planeMsg{from: 1, to: 0, ints: []int64{4, 3}}, true},
+	{planeMsg{from: 1, to: 0, ints: []int64{7, 1}}, true},
+	{planeMsg{from: 1, to: 2, ints: []int64{1}}, false},
+	{planeMsg{from: 1, to: 2, ints: []int64{9, 9}, floats: []float64{0.5}}, true},
+	{planeMsg{from: 1, to: 2, ints: []int64{2}, floats: []float64{0.25}, api: 2}, false},
+	{planeMsg{from: 1, to: 2, ints: []int64{3}}, true},
+	{planeMsg{from: 2, to: 0, ints: []int64{5}}, false},
+	{planeMsg{from: 2, to: 3, ints: []int64{8}, floats: []float64{1}}, true},
+	{planeMsg{from: 2, to: 3, ints: []int64{6}, floats: []float64{2}}, true},
+	{planeMsg{from: 2, to: 1}, true},
+}
+
+// runChargeScript runs chargeScript on a sparse cluster of four machines
+// under a cap it breaches, then a round that runs only the receivers, then
+// a quiet round. With charge set, every unread record is charged instead of
+// written. It returns each machine's inbox Len and Words and the records its
+// cursor yields in the second round, the trace and the metrics.
+func runChargeScript(t *testing.T, charge bool) (lens, words []int, got [][]Record, trace []roundModel, m Metrics) {
+	t.Helper()
+	c, tr := tracedCluster(Config{Machines: 4, Sparse: true, SpaceCap: 12})
+	defer c.Close()
+	c.Arm(1)
+	c.Arm(2)
+	err := c.Round(func(machine int, in *Inbox, out *Outbox) {
+		for _, s := range chargeScript {
+			switch {
+			case s.msg.from != machine:
+			case charge && s.unread:
+				out.Charge(s.msg.to, 1, len(s.msg.ints), len(s.msg.floats))
+			default:
+				s.msg.emit(out)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lens, words, got = make([]int, 4), make([]int, 4), make([][]Record, 4)
+	err = c.Round(func(machine int, in *Inbox, out *Outbox) {
+		lens[machine], words[machine] = in.Len(), in.Words()
+		for rec, ok := in.Next(); ok; rec, ok = in.Next() {
+			got[machine] = append(got[machine], Record{From: rec.From,
+				Ints: slices.Clone(rec.Ints), Floats: slices.Clone(rec.Floats)})
+		}
+	})
+	if err == nil {
+		err = c.Quiet()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lens, words, got, tr.rounds, c.Metrics()
+}
+
+func TestChargeAccountsAsWritten(t *testing.T) {
+	// Charging a record must be invisible to the model: traffic, loads,
+	// violations, arming (a machine that receives only charged records runs
+	// the next round) and the receivers' Len and Words read as if the record
+	// had been written. Only the cursor differs: it yields the written
+	// records, in (sender, emission order).
+	wLens, wWords, wGot, wTrace, wMetrics := runChargeScript(t, false)
+	cLens, cWords, cGot, cTrace, cMetrics := runChargeScript(t, true)
+	if !reflect.DeepEqual(cMetrics, wMetrics) {
+		t.Errorf("metrics: charged %+v, written %+v", cMetrics, wMetrics)
+	}
+	if !reflect.DeepEqual(cTrace, wTrace) {
+		t.Errorf("trace: charged %+v, written %+v", cTrace, wTrace)
+	}
+	if !slices.Equal(cLens, wLens) || !slices.Equal(cWords, wWords) {
+		t.Errorf("inbox Len/Words: charged %v/%v, written %v/%v", cLens, cWords, wLens, wWords)
+	}
+	if wMetrics.Violations == 0 || wTrace[1].Active != 4 {
+		t.Fatalf("the script must breach the cap and wake all four receivers: %+v, %+v", wMetrics, wTrace)
+	}
+	for m := 0; m < 4; m++ {
+		var all, written []planeMsg
+		for from := 0; from < 4; from++ {
+			for _, s := range chargeScript {
+				if s.msg.from == from && s.msg.to == m {
+					all = append(all, s.msg)
+					if !s.unread {
+						written = append(written, s.msg)
+					}
+				}
+			}
+		}
+		if !sameRecords(wGot[m], all) {
+			t.Errorf("machine %d, written: cursor yields %v, want %v", m, wGot[m], all)
+		}
+		if !sameRecords(cGot[m], written) {
+			t.Errorf("machine %d, charged: cursor yields %v, want %v", m, cGot[m], written)
+		}
+	}
+}
+
+func TestChargeRuns(t *testing.T) {
+	// NextRun walks only written records too: a charge between two records
+	// of one shape leaves them one run, and a column of charges alone yields
+	// none.
+	c := NewCluster(Config{Machines: 2})
+	defer c.Close()
+	err := c.Round(func(machine int, in *Inbox, out *Outbox) {
+		if machine == 0 {
+			out.Charge(1, 3, 6, 0)
+			out.SendInts(1, 1, 2)
+			out.Charge(1, 2, 0, 2)
+			out.SendInts(1, 3, 4)
+			out.Charge(0, 1, 1, 0)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := c.Inbox(1)
+	if in.Len() != 7 || in.Words() != 7+6+2+4 {
+		t.Fatalf("Len %d Words %d, want 7 and 19", in.Len(), in.Words())
+	}
+	run, ok := in.NextRun()
+	if !ok || run.N != 2 || !slices.Equal(run.Ints, []int64{1, 2, 3, 4}) {
+		t.Fatalf("run %+v, want the two written records as one", run)
+	}
+	if _, ok := in.NextRun(); ok {
+		t.Fatal("a second run after the written records")
+	}
+	self := c.Inbox(0)
+	if _, ok := self.NextRun(); ok || self.Len() != 1 || self.Words() != 2 {
+		t.Fatalf("charged-only inbox: Len %d Words %d, and a run", self.Len(), self.Words())
+	}
+}
+
+func TestChargePanics(t *testing.T) {
+	charges := map[string]func(out *Outbox){
+		"InsideOpenRecord": func(out *Outbox) {
+			out.SendInts(1, 0) // the column exists: the open record alone must stop the charge
+			out.Begin(1)
+			out.Charge(1, 1, 1, 0)
+		},
+		"InsideOpenRecordNoRecords": func(out *Outbox) {
+			out.Begin(1)
+			out.Charge(0, 0, 0, 0)
+		},
+		"InvalidMachine":   func(out *Outbox) { out.Charge(2, 1, 0, 0) },
+		"NegativeRecords":  func(out *Outbox) { out.Charge(1, -1, 0, 0) },
+		"NegativeWords":    func(out *Outbox) { out.Charge(1, 1, -1, 0) },
+		"WordsWithoutRecs": func(out *Outbox) { out.Charge(1, 0, 1, 0) },
+	}
+	for name, charge := range charges {
+		t.Run(name, func(t *testing.T) {
+			c := NewCluster(Config{Machines: 2})
+			defer expectPanic(t)
+			_ = c.Round(func(machine int, in *Inbox, out *Outbox) {
+				if machine == 0 {
+					charge(out)
+				}
+			})
+		})
 	}
 }
 

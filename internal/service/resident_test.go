@@ -1,7 +1,7 @@
 package service
 
 import (
-	"io"
+	"bytes"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -18,6 +18,8 @@ import (
 // gathers the container's weight section from the edge list, so neither
 // moves the figure. A driver that starts reading NeighborsW fails here,
 // and materialize must then force the slab before the instance is shared.
+// The same graph uploaded as a binary container holds the same bytes: the
+// container's weight section streams through its checks and is not kept.
 func TestInstancesStayResident(t *testing.T) {
 	in, err := BuildInstance(InstanceSpec{Type: "density", N: 600, C: 0.3, Seed: 3})
 	if err != nil {
@@ -40,11 +42,19 @@ func TestInstancesStayResident(t *testing.T) {
 			t.Fatalf("after %s the instance holds %d bytes, want %d", a.Name, got, want)
 		}
 	}
-	if err := graph.EncodeContainer(io.Discard, g); err != nil {
+	var container bytes.Buffer
+	if err := graph.EncodeContainer(&container, g); err != nil {
 		t.Fatal(err)
 	}
 	if got := g.ResidentBytes(); got != want {
 		t.Fatalf("after EncodeContainer the instance holds %d bytes, want %d", got, want)
+	}
+	up, err := BuildInstance(InstanceSpec{Type: "upload", Data: container.Bytes()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := up.Graph.ResidentBytes(); got != want {
+		t.Fatalf("the container upload holds %d bytes, want %d", got, want)
 	}
 }
 
