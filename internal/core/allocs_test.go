@@ -44,13 +44,11 @@ type allocRow struct {
 //   - luby: the table; at n = 3420 the one reading eight of eight processes
 //     gave.
 //   - filtering: the table, the reading most processes agree on.
-//   - mis, matching, bmatching, the small setcover-greedy row and the small
-//     setcover-f and vertexcover rows: three processes, each the higher of
+//   - mis, matching, bmatching, vcolour, ecolour, setcover-greedy, the small
+//     setcover-f row and vertexcover: three processes, each the higher of
 //     the row alone and in the table.
-//   - vcolour and ecolour: three processes, before the route round reserved
-//     its columns.
-//   - setcover-greedy, setcover-f and vertexcover at the serve workload's
-//     instances: three to nine processes, each row on its own.
+//   - setcover-f at the serve workload's instance: three to nine processes,
+//     the row on its own.
 func TestAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -217,14 +215,15 @@ func allocRows() []allocRow {
 
 	// vcolour and ecolour: both Algorithm 5 variants at the benchmark's
 	// density and µ (c = 0.3, µ = 0.2; κ = 1 at n = 2000, 2 at n = 8000).
-	// The readings were 56 and 56 mallocs at n = 2000, 70 and 72 at
-	// n = 8000, with bytes within 200 of 109 360, 1 673 978, 429 264 and
-	// 10 341 520. Colouring each vertex group on a copied induced subgraph,
-	// with an m-sized slab of edge groups, reads 92 mallocs and 3 174 557
-	// bytes, and 141 and 9 170 368. Colouring each edge group on a copied
-	// subgraph, with an int colour per edge, and emitting from a second
-	// partition of all the items reads 94 and 4 881 304, and 148 and
-	// 28 102 088.
+	// No column is written: the route and output rounds charge their
+	// records. Writing them into reserved columns read 62 and 63 mallocs
+	// at n = 2000 and 79 and 81 at n = 8000, with 109 296, 1 674 027,
+	// 429 328 and 10 341 584 bytes. Colouring each vertex group on a copied
+	// induced subgraph, with an m-sized slab of edge groups, reads 92
+	// mallocs and 3 174 557 bytes, and 141 and 9 170 368. Colouring each
+	// edge group on a copied subgraph, with an int colour per edge, and
+	// emitting from a second partition of all the items reads 94 and
+	// 4 881 304, and 148 and 28 102 088.
 	vertex := func(in Input, p Params) (any, error) { return VertexColouring(in.Graph, p) }
 	edge := func(in Input, p Params) (any, error) { return EdgeColouring(in.Graph, p) }
 	for _, tc := range []struct {
@@ -232,8 +231,8 @@ func allocRows() []allocRow {
 		vMallocs, eMallocs float64
 		vBytes, eBytes     float64
 	}{
-		{2000, 70, 70, 1.37e5, 2.10e6},
-		{8000, 87, 90, 5.37e5, 12.93e6},
+		{2000, 65, 65, 75080, 1498394},  // 52 and 52; 60 064 and 1 198 715
+		{8000, 79, 82, 290550, 9352890}, // 63 and 65; 232 440 and 7 482 312
 	} {
 		inst, name, p := density(tc.n, 0.3, 71), fmt.Sprintf("n=%d", tc.n), Params{Mu: 0.2, Seed: 1}
 		rows = append(rows,
@@ -246,20 +245,24 @@ func allocRows() []allocRow {
 	// instances. The dual-driven refresh and the flat group layout leave no
 	// allocation per element probe or per group, each sampled set's group
 	// ids are drawn into one reused buffer over one reused duplicate table,
-	// the payload slab, the membership list and the group buckets at least
+	// the element slab, the membership list and the group buckets at least
 	// double their capacity when they grow, and the plan is sized once. The
-	// serve row's bytes ceiling is 1.15× its reading: doubling from the
-	// length instead of the capacity reads 4 504 491 bytes there and fails
-	// it, and so does growing the lists by appends (5 232 176). A fresh
-	// sample and Floyd set per sampled set reads 885 and 4 572 mallocs.
+	// sampled sets' payloads are charged, so the slab holds only the
+	// elements the central machine reads; a slab that also held each set's
+	// id, k and group ids read 570 and 627 mallocs, 346 384 and 3 410 891
+	// bytes. The serve row's bytes ceiling is 1.15× its reading: doubling
+	// from the length instead of the capacity reads 3 320 555 bytes there
+	// and fails it, and so does growing the slab and the memberships by
+	// appends (3 780 075). A fresh sample and Floyd set per sampled set
+	// reads 885 and 4 572 mallocs.
 	hg := func(in Input, p Params) (any, error) { return HGSetCover(in.Cover, p, HGCoverOptions{Eps: 0.2}) }
 	rows = append(rows,
 		allocRow{alg: "setcover-greedy", name: "n=4000", p: Params{Mu: 0.2, Seed: 1000000}, run: hg,
 			inst:    input(func() Input { return Input{Cover: setcover.RandomSized(4000, 400, 12, 8, rng.New(1).Split())} }),
-			mallocs: 713, bytes: 432940}, // 570 and 346 352
+			mallocs: 705, bytes: 387120}, // 564 and 309 696
 		allocRow{alg: "setcover-greedy", name: "n=40000", p: Params{Mu: 0.2, Seed: 1000000}, run: hg,
 			inst:    input(func() Input { return Input{Cover: serveCoverInstance()} }),
-			mallocs: 785, bytes: 3.92e6}, // 628 and 3 410 859
+			mallocs: 778, bytes: 3276943}, // 622 and 2 849 515
 	)
 
 	// setcover-f and vertexcover: Algorithm 1 at µ = 0.2 on the setcover-f
@@ -277,8 +280,8 @@ func allocRows() []allocRow {
 		fMallocs, vMallocs float64
 		fBytes, vBytes     float64
 	}{
-		{2000, 170, 208, 432664, 2003644}, // 136 and 346 131; 166 and 1 602 915
-		{8000, 169, 218, 2.18e6, 6.31e6},  // 135 and 1 744 147; 174 and 5 046 243
+		{2000, 170, 203, 432664, 774984},  // 136 and 346 131; 162 and 619 987
+		{8000, 169, 217, 2.18e6, 4116584}, // 135 and 1 744 147; 173 and 3 293 267
 	} {
 		setcoverF, vertexCover := rlrCoverInstances(tc.n)
 		name, p := fmt.Sprintf("n=%d", tc.n), Params{Mu: 0.2, Seed: 1}
@@ -328,19 +331,23 @@ func bytesPerRun(runs int, run func()) float64 {
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
-// TestMatchingsLeaveLittleLive pins what Algorithms 4 and 7 leave live after
-// a job: the message columns their outboxes reserved, which wait in the
-// plane's hand-off set for the next cluster. The samples, the pushed ids and
-// the forwarded potentials are charged, not written, so only the central
-// machine's ϕ columns remain, 16 bytes per changed vertex. The hand-off set
-// is emptied first by closing a cluster that reserved nothing, and two
-// collections empty the column pool and its victim cache, so the reading is
-// the job's own. Each ceiling is 1.25× the highest reading beside it.
+// TestDriversLeaveLittleLive pins what Algorithms 4, 7 and 5 leave live
+// after a job: the message columns their outboxes reserved, which wait in
+// the plane's hand-off set for the next cluster. The matchings' samples,
+// pushed ids and forwarded potentials are charged, not written, so only the
+// central machine's ϕ columns remain, 16 bytes per changed vertex; the
+// colourings' route and output records are charged too, so they leave no
+// column at all. The hand-off set is emptied first by closing a cluster
+// that reserved nothing, and two collections empty the column pool and its
+// victim cache, so the reading is the job's own. Each ceiling is 1.25× the
+// highest reading beside it, except the colourings', which are a fixed
+// 32 KiB over readings of 0 bytes, room for the runtime's own noise.
 // Writing the unread payload into reserved columns reads 1 868 752 bytes
-// for matching. Leaving the ϕ columns unreserved reads at most 5 248 bytes
-// for matching and 96 for b-matching, but costs a matching job more
-// allocation than the reservation keeps live (DESIGN.md, Algorithm 4).
-func TestMatchingsLeaveLittleLive(t *testing.T) {
+// for matching, and about 541 000 for each colouring, whose output round
+// reserved its column. Leaving the ϕ columns unreserved reads at most
+// 5 248 bytes for matching and 96 for b-matching, but costs a matching job
+// more allocation than the reservation keeps live (DESIGN.md, Algorithm 4).
+func TestDriversLeaveLittleLive(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
@@ -354,13 +361,16 @@ func TestMatchingsLeaveLittleLive(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return int64(ms.HeapAlloc)
 	}
+	p := Params{Mu: 0.2, Seed: 1}
 	for _, tc := range []struct {
 		name    string
 		run     func() error
 		ceiling int64
 	}{
-		{"matching", func() error { _, err := RLRMatching(g, Params{Mu: 0.2, Seed: 1}, MatchingOptions{}); return err }, 68450}, // 49 528 alone, up to 54 760 after TestAllocCeilings
-		{"bmatching", func() error { _, err := BMatching(g, Params{Mu: 0.2, Seed: 1}, BMatchingOptions{}); return err }, 61740}, // 49 392
+		{"matching", func() error { _, err := RLRMatching(g, p, MatchingOptions{}); return err }, 68450}, // 49 528 alone, up to 54 760 after TestAllocCeilings
+		{"bmatching", func() error { _, err := BMatching(g, p, BMatchingOptions{}); return err }, 61740}, // 49 392
+		{"vcolour", func() error { _, err := VertexColouring(g, p); return err }, 32768},                 // 0
+		{"ecolour", func() error { _, err := EdgeColouring(g, p); return err }, 32768},                   // 0
 	} {
 		mpc.NewCluster(mpc.Config{Machines: 1}).Close()
 		before := live()

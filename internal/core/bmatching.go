@@ -145,13 +145,13 @@ func BMatching(g *graph.Graph, p Params, opt BMatchingOptions) (*MatchingResult,
 		})
 		// The central machine reads sampled and sampleOf, so each vertex's
 		// (v, ids...) record is charged, not written.
-		err := cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
+		err := gatherRound(&f, sampleOf, func(f *frame, sampleOf []span, machine int) (recs, ints, floats int) {
 			vs := f.planned(machine)
-			ints := len(vs)
+			ints = len(vs)
 			for _, v := range vs {
 				ints += sampleOf[v].hi - sampleOf[v].lo
 			}
-			out.Charge(0, len(vs), ints, 0)
+			return len(vs), ints, 0
 		})
 		if err != nil {
 			return nil, err

@@ -47,16 +47,12 @@ func MaximalClique(g *graph.Graph, p Params) (*CliqueResult, error) {
 
 	// After the last phase every active vertex has complement degree 0, so
 	// on a simple graph A is a clique all of whose members are adjacent to
-	// every clique member: gather and add them all (one round of ids). A
-	// parallel edge inflates deg_A, so there a leftover can still have an
-	// active non-neighbour; shipping the lists would change the output.
+	// every clique member: gather and add them all (one round of ids, which
+	// the driver holds in the plan, so they are charged). A parallel edge
+	// inflates deg_A, so there a leftover can still have an active
+	// non-neighbour; shipping the lists would change the output.
 	leftovers := s.drawPlan(n, s.aliveVertex)
-	err := s.cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-		for _, v := range s.planned(machine) {
-			out.SendInts(0, int64(v))
-		}
-	})
-	if err != nil {
+	if err := gatherRound(&s.frame, struct{}{}, plannedIDs); err != nil {
 		return nil, err
 	}
 	clique := append(s.clique, leftovers...)

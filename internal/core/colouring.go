@@ -172,20 +172,11 @@ func colourGroups(name string, g *graph.Graph, p Params, kappa int, group []int,
 		}
 	}
 	// Only the armed data machines run: machine 0 has nothing to send. The
-	// route columns are the job's largest traffic, so each is sized once
-	// from the counts. Drawn from sync.Pool and grown by appends, they would
-	// reallocate about four times their size whenever the collector had
-	// emptied the pool since the last job, so a job's bytes would move with
-	// GC timing.
+	// group machines colour from members, so each machine charges host 1+j
+	// its routed[j] (u, v) records instead of writing them.
 	err := cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
 		for j, k := range routed[(machine-1)*hosts : machine*hosts] {
-			out.Reserve(1+j, k, 2*k, 0)
-		}
-		for id := machine - 1; id < m; id += M - 1 {
-			if grp := edgeGroup(id); grp >= 0 {
-				e := g.Edges[id]
-				out.SendInts(f.owner(grp), int64(e.U), int64(e.V))
-			}
+			out.Charge(1+j, k, 2*k, 0)
 		}
 	})
 	if err != nil {
@@ -216,27 +207,20 @@ func colourGroups(name string, g *graph.Graph, p Params, kappa int, group []int,
 	}
 
 	// Output round: each group machine emits (x, group, local colour) for
-	// the members of the groups it hosts, group by group. A machine hosting
-	// a group with no routed edges received no route traffic, so every
-	// machine hosting a group with members is armed. A machine's lists are
-	// its whole traffic, so its column is sized once; grown by appends it
-	// would reallocate about five times its final size.
+	// the members of the groups it hosts; the driver reads local, so the
+	// records are charged. A machine hosting a group with no routed edges
+	// received no route traffic, so every machine hosting a group with
+	// members is armed.
 	for i, items := range members {
 		if len(items) > 0 {
 			cluster.Arm(f.owner(i))
 		}
 	}
-	err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-		items := 0
-		for i := machine - 1; i < kappa; i += M - 1 {
-			items += len(members[i])
+	err = gatherRound(&f, members, func(f *frame, members [][]int, machine int) (recs, ints, floats int) {
+		for i := machine - 1; i < len(members); i += f.M - 1 {
+			recs += len(members[i])
 		}
-		out.Reserve(0, items, 3*items, 0)
-		for i := machine - 1; i < kappa; i += M - 1 {
-			for _, x := range members[i] {
-				out.SendInts(0, int64(x), int64(i), int64(local[x]))
-			}
-		}
+		return recs, 3 * recs, 0
 	})
 	if err != nil {
 		return nil, err
@@ -246,11 +230,11 @@ func colourGroups(name string, g *graph.Graph, p Params, kappa int, group []int,
 	for x := range colours {
 		colours[x] += group[x] * stride
 	}
-	// The id slabs are done with. The round closures capture them; the
-	// collector can pin a dead closure through a stale word in a preempted
-	// goroutine's innermost frame, which it scans conservatively. Dropped
-	// here, the slabs cannot be pinned with it (DESIGN.md, Algorithm 5);
-	// edgeGroup holds the caller's group slab.
+	// The id slabs are done with. The output round's closure captures
+	// members; the collector can pin a dead closure through a stale word in
+	// a preempted goroutine's innermost frame, which it scans
+	// conservatively. Dropped here, the slabs cannot be pinned with it
+	// (DESIGN.md, Algorithm 5); edgeGroup holds the caller's group slab.
 	members, group, edgeGroup = nil, nil, nil
 
 	return &ColouringResult{

@@ -25,9 +25,11 @@
 // layered 8-approximation for weighted matching (one filtering loop drives
 // both), and Luby's MIS.
 //
-// Every algorithm runs its communication for real on an mpc.Cluster, so the
-// returned metrics (rounds, words, per-machine space high-water) are
-// measured quantities, directly comparable to the bounds in Figure 1.
+// Every algorithm runs its rounds on an mpc.Cluster, which counts the
+// returned metrics (rounds, words, per-machine space high-water), directly
+// comparable to the bounds in Figure 1. A record that no machine reads,
+// because the driver holds what it would say, is charged instead of
+// written (mpc.Outbox.Charge): the cluster counts it exactly as written.
 package core
 
 import (
@@ -180,9 +182,10 @@ func dataMachines(inputWords, capWords int) int {
 // maxIterations. Its steps are the ones every driver would otherwise write
 // out: a plan of per-machine items drawn before a round (drawPlan, or
 // endPlan after each machine's part; planned in the round), a round in
-// which only the central machine sends (centralRound), and the one-word
-// all-reduces of counts, direct with a combine (directAllReduce) or over the
-// tree (sumCounts).
+// which only the central machine sends (centralRound), one in which every
+// data machine charges it what the driver already holds (gatherRound), and
+// the one-word all-reduces of counts, direct with a combine
+// (directAllReduce) or over the tree (sumCounts).
 type frame struct {
 	name       string // the driver, for the iteration guard's error
 	M          int
@@ -337,6 +340,27 @@ func centralRound[S any](f *frame, s S, send func(f *frame, s S, out *mpc.Outbox
 			send(f, s, out)
 		}
 	})
+}
+
+// gatherRound runs a round in which every data machine sends the central
+// machine what size(f, s, machine) returns — recs records of ints and floats
+// payload words in all — as charged records (mpc.Outbox.Charge): the driver
+// holds the payload, so no RoundFunc reads it. The machines with something
+// to send must be armed, as drawPlan arms them. s is passed in as
+// centralRound passes it, so the round allocates one closure.
+func gatherRound[S any](f *frame, s S, size func(f *frame, s S, machine int) (recs, ints, floats int)) error {
+	return f.cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
+		if machine != 0 {
+			recs, ints, floats := size(f, s, machine)
+			out.Charge(0, recs, ints, floats)
+		}
+	})
+}
+
+// plannedIDs is a gather size: each planned id as a one-word record.
+func plannedIDs(f *frame, _ struct{}, machine int) (recs, ints, floats int) {
+	n := len(f.planned(machine))
+	return n, n, 0
 }
 
 // sendToOwners is a central send: each id to its owner as a one-word record.

@@ -82,12 +82,9 @@ func (f *filtering) run(alive []bool, count int64) error {
 			}
 			f.endPlan(machine)
 		}
+		// The central machine reads the plan, so the sampled ids are charged.
 		sampled := f.plan
-		err := f.cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			for _, id := range f.planned(machine) {
-				out.SendInts(0, int64(id))
-			}
-		})
+		err := gatherRound(&f.frame, struct{}{}, plannedIDs)
 		if err != nil {
 			return err
 		}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/mpc"
 	"repro/internal/setcover"
 )
 
@@ -164,15 +163,16 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 	}
 
 	// Per-iteration scratch, allocated once. A sampled set becomes one entry
-	// whose payload [set, k, k group ids, uncovered elements] is a range of
-	// slab; the central machine reads the elements from the same range. The
-	// frame's plan lists the entries' indices, machine j's part those of its
-	// sets (draw order: machine, then set). members lists (global group,
+	// whose uncovered elements are a range of slab, which the central machine
+	// reads; the set's payload to it, [set, k, k group ids, elements], is
+	// charged (2 + k + its elements words), never written. The frame's plan
+	// lists the entries' indices, machine j's part those of its sets (draw
+	// order: machine, then set). members lists (global group,
 	// entry) pairs in draw order; a stable counting sort lays them out as
 	// byGroup, group g holding byGroup[gstart[g]:gstart[g+1]] in draw order.
 	// A set's group ids are drawn into gids over the duplicate table
 	// drawTable.
-	type sampleEntry struct{ set, payload, elems, end int }
+	type sampleEntry struct{ set, groups, elems, end int }
 	type membership struct{ group, entry int32 }
 	var (
 		slab      []int64
@@ -230,7 +230,7 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 		// min(1, m^{µ/2}/|S_{k,i}|); the set ships its uncovered elements
 		// plus its group list to the central machine. Each machine's
 		// memberships are drawn before the round (machine order, then set
-		// order); the closures replay the per-machine payloads concurrently.
+		// order), and the round charges each machine's payloads.
 		slab, entries, members, f.plan = slab[:0], entries[:0], members[:0], f.plan[:0]
 		for machine := 1; machine < M; machine++ {
 			for i := machine - 1; i < n; i += M - 1 {
@@ -244,15 +244,12 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 					continue
 				}
 				gids, drawTable = f.r.SampleAppend(gids[:0], drawTable, numGroups[cls], k)
-				slab = growDoubling(slab, 2+k+len(inst.Sets[i]))
+				slab = growDoubling(slab, len(inst.Sets[i]))
 				members = growDoubling(members, k)
-				entry := sampleEntry{set: i, payload: len(slab)}
-				slab = append(slab, int64(i), int64(k))
 				for _, gid := range gids {
-					slab = append(slab, int64(gid))
 					members = append(members, membership{int32(gbase[cls] + gid), int32(len(entries))})
 				}
-				entry.elems = len(slab)
+				entry := sampleEntry{set: i, groups: k, elems: len(slab)}
 				for _, e := range inst.Sets[i] {
 					if !covered[e] {
 						slab = append(slab, int64(e))
@@ -264,11 +261,13 @@ func HGSetCover(inst *setcover.Instance, p Params, opt HGCoverOptions) (*CoverRe
 			}
 			f.endPlan(machine)
 		}
-		err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			for _, ei := range f.planned(machine) {
+		err = gatherRound(&f, entries, func(f *frame, entries []sampleEntry, machine int) (recs, ints, floats int) {
+			plan := f.planned(machine)
+			for _, ei := range plan {
 				e := entries[ei]
-				out.Send(0, slab[e.payload:e.end], nil)
+				ints += 2 + e.groups + e.end - e.elems
 			}
+			return len(plan), ints, 0
 		})
 		if err != nil {
 			return nil, err
@@ -378,7 +377,7 @@ func remark47Gamma(f *frame, inst *setcover.Instance) (float64, error) {
 	// across machines, so they cannot be folded inside the concurrent
 	// round); the round ships each machine's pairs, the elements of its
 	// planned sets and then their weights, to the central machine as one
-	// record.
+	// record, charged because the driver has already folded them.
 	minW := make([]float64, inst.NumElements)
 	for j := range minW {
 		minW[j] = math.Inf(1)
@@ -391,23 +390,12 @@ func remark47Gamma(f *frame, inst *setcover.Instance) (float64, error) {
 		}
 	}
 	f.drawPlan(len(inst.Sets), func(i int) bool { return len(inst.Sets[i]) > 0 })
-	err := f.cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
+	err := gatherRound(f, inst.Sets, func(f *frame, sets [][]int, machine int) (recs, ints, floats int) {
 		plan := f.planned(machine)
-		if len(plan) == 0 {
-			return
-		}
-		out.Begin(0)
 		for _, i := range plan {
-			for _, e := range inst.Sets[i] {
-				out.Int(int64(e))
-			}
+			ints += len(sets[i])
 		}
-		for _, i := range plan {
-			for range inst.Sets[i] {
-				out.Float(inst.Weights[i])
-			}
-		}
-		out.End()
+		return min(len(plan), 1), ints, ints
 	})
 	if err != nil {
 		return 0, err

@@ -117,17 +117,16 @@ func RLRSetCover(inst *setcover.Instance, p Params, opt CoverOptions) (*CoverRes
 
 		// Sampling round (Line 5): each alive element joins U' with
 		// probability p = min(1, 2η/|U_r|) and ships (j, T_j) to central.
+		// The driver holds both, so the records are charged.
 		prob := math.Min(1, 2*float64(etaWords)/float64(aliveCount))
 		sampled := f.drawPlan(m, func(j int) bool { return alive[j] && f.r.Bernoulli(prob) })
-		err := cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			for _, j := range f.planned(machine) {
-				out.Begin(0)
-				out.Int(int64(j))
-				for _, i := range dual[j] {
-					out.Int(int64(i))
-				}
-				out.End()
+		err := gatherRound(&f, dual, func(f *frame, dual [][]int, machine int) (recs, ints, floats int) {
+			plan := f.planned(machine)
+			ints = len(plan)
+			for _, j := range plan {
+				ints += len(dual[j])
 			}
+			return len(plan), ints, 0
 		})
 		if err != nil {
 			return nil, err

@@ -157,12 +157,9 @@ func RLRMatching(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult
 		}
 		// The central machine reads lists, so the samples are charged, not
 		// written: k records of two words from each owner.
-		err := cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			if machine == 0 {
-				return
-			}
+		err := gatherRound(&f, sends, func(f *frame, sends []int64, machine int) (recs, ints, floats int) {
 			k := int(sends[machine])
-			out.Charge(0, k, 2*k, 0)
+			return k, 2 * k, 0
 		})
 		if err != nil {
 			return nil, err

@@ -69,7 +69,7 @@ func TestSpaceAccounting(t *testing.T) {
 	c.SetResident(1, 2)
 	err := c.Round(func(machine int, in *Inbox, out *Outbox) {
 		if machine == 0 {
-			out.Send(1, []int64{1, 2, 3}, nil) // 4 words
+			out.SendInts(1, 1, 2, 3) // 4 words
 		}
 	})
 	if err != nil {
@@ -92,7 +92,7 @@ func TestStrictCapViolation(t *testing.T) {
 	c := NewCluster(Config{Machines: 2, SpaceCap: 3, Strict: true})
 	err := c.Round(func(machine int, in *Inbox, out *Outbox) {
 		if machine == 0 {
-			out.Send(1, []int64{1, 2, 3, 4, 5}, nil) // 6 words > cap 3
+			out.SendInts(1, 1, 2, 3, 4, 5) // 6 words > cap 3
 		}
 	})
 	if !errors.Is(err, ErrSpaceExceeded) {
@@ -107,7 +107,7 @@ func TestLenientCapViolation(t *testing.T) {
 	c := NewCluster(Config{Machines: 2, SpaceCap: 3, Strict: false})
 	err := c.Round(func(machine int, in *Inbox, out *Outbox) {
 		if machine == 0 {
-			out.Send(1, []int64{1, 2, 3, 4, 5}, nil)
+			out.SendInts(1, 1, 2, 3, 4, 5)
 		}
 	})
 	if err != nil {
@@ -123,7 +123,11 @@ func TestFloatsAccounted(t *testing.T) {
 	c := NewCluster(Config{Machines: 2})
 	_ = c.Round(func(machine int, in *Inbox, out *Outbox) {
 		if machine == 0 {
-			out.Send(1, []int64{1}, []float64{2.5, 3.5})
+			out.Begin(1)
+			out.Int(1)
+			out.Float(2.5)
+			out.Float(3.5)
+			out.End()
 		}
 	})
 	if c.Metrics().WordsSent != 4 { // header + 1 int + 2 floats

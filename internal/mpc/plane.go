@@ -252,7 +252,7 @@ func takeFit(cols *[]*column, ints int) *column {
 //
 //	out.Begin(to); out.Int(x); out.Ints(xs...); out.Float(f); out.End()
 //
-// and Send/SendInts frame a whole payload in one call, without opening a
+// and SendInts frames a whole int payload in one call, without opening a
 // record. Payloads are copied into the columns at append time, so callers
 // may freely reuse their own buffers after the call (unlike the retired
 // Message representation, which retained payload slices). A sender that
@@ -353,7 +353,7 @@ func (o *Outbox) lookup(to int) *column {
 // pool.
 func (o *Outbox) claimColumn(to int) *column {
 	if o.cur != nil {
-		panic("mpc: Outbox.Begin or Send with a record already open")
+		panic("mpc: Outbox.Begin, SendInts or Charge with a record already open")
 	}
 	if to < 0 || to >= o.cluster.cfg.Machines {
 		panic(fmt.Sprintf("mpc: send to invalid machine %d (M=%d)", to, o.cluster.cfg.Machines))
@@ -422,15 +422,6 @@ func (o *Outbox) Float(v float64) {
 	}
 }
 
-// Floats appends float words to the open record.
-func (o *Outbox) Floats(vs ...float64) {
-	c := o.cur
-	if c == nil {
-		panic("mpc: Outbox.Floats outside Begin/End")
-	}
-	c.floats = append(grow(c.floats, len(vs)), vs...)
-}
-
 // End closes the open record, framing it as the words appended since Begin.
 func (o *Outbox) End() {
 	col := o.cur
@@ -441,19 +432,8 @@ func (o *Outbox) End() {
 	col.frame(recMeta{int32(len(col.ints) - o.curInt), int32(len(col.floats) - o.curFlt)})
 }
 
-// Send emits one record to machine `to` with the given payload. The slices
-// are copied into the column buffers; callers may reuse them.
-func (o *Outbox) Send(to int, ints []int64, floats []float64) {
-	col := o.lookup(to)
-	if col == nil {
-		col = o.claimColumn(to)
-	}
-	col.ints = append(grow(col.ints, len(ints)), ints...)
-	col.floats = append(grow(col.floats, len(floats)), floats...)
-	col.frame(recMeta{int32(len(ints)), int32(len(floats))})
-}
-
-// SendInts is shorthand for Send(to, ints, nil). It does not allocate, and a
+// SendInts emits one record of int words to machine `to`, copied into the
+// column buffers, so callers may reuse ints. It does not allocate, and a
 // one-word payload — the bulk of every routed fan-out — is a scalar append
 // behind one capacity compare, with the growth on the other side of it;
 // everything but the first record to a destination and a change of shape

@@ -10,7 +10,11 @@ import (
 // pair on a broadcast-tree-heavy workload: Tree.Broadcast + AggregateSum
 // over a 64-machine cluster, where every hop used to clone its payload. Run
 // with -benchmem. Against the per-Message representation this dropped from
-// ~1.3k to ~150 allocs/op. BenchmarkMsgPlaneMISSampling{Seq,Par4}, the pair's
+// ~1.3k to ~150 allocs/op. Since the broadcast charges each hop's record
+// instead of copying the payload into a column, only AggregateSum's partial
+// sums are written; warm pool columns had already made those copies free of
+// allocation, so the op still reads 81 allocs and 4 825 B sequentially.
+// BenchmarkMsgPlaneMISSampling{Seq,Par4}, the pair's
 // small-message half, runs core.MISFast and lives in internal/core.
 func benchMsgPlaneBroadcast(b *testing.B, workers int) {
 	c := NewCluster(Config{Machines: 64, Workers: workers})

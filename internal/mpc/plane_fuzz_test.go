@@ -17,8 +17,8 @@ func (b *fuzzBytes) next() int {
 	return int(v)
 }
 
-// fuzzOp is one scripted outbox call: a record (planeMsg, through SendInts,
-// Send or Begin/…/End) or, with reserve set, a Reserve hint to msg.to, or,
+// fuzzOp is one scripted outbox call: a record (planeMsg, through SendInts
+// or Begin/…/End) or, with reserve set, a Reserve hint to msg.to, or,
 // with charge set, a Charge of recs records to msg.to.
 type fuzzOp struct {
 	msg                planeMsg
@@ -105,7 +105,7 @@ func expandRun(t *testing.T, run Run, recs []Record) []Record {
 }
 
 // FuzzInboxRuns holds NextRun to Next and the barrier's word count to a
-// per-record sum. Over random rounds of SendInts, Send and Begin/…/End with
+// per-record sum. Over random rounds of SendInts and Begin/…/End with
 // mixed and empty shapes, Reserve hints and charges interleaved with them,
 // every inbox must yield the scripted written records in (sender, emission
 // order) whether it is read by Next, by NextRun, by the two interleaved, or

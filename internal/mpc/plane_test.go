@@ -68,7 +68,8 @@ func TestBatchedAppendFraming(t *testing.T) {
 		out.Int(20)
 		out.End()
 		out.Begin(1)
-		out.Floats(1.5, 2.5)
+		out.Float(1.5)
+		out.Float(2.5)
 		out.End()
 	})
 	if err != nil {
@@ -108,7 +109,7 @@ func TestEmptyPayloadRecord(t *testing.T) {
 	c := NewCluster(Config{Machines: 2})
 	err := c.Round(func(machine int, in *Inbox, out *Outbox) {
 		if machine == 0 {
-			out.Send(1, nil, nil) // header-only record
+			out.SendInts(1) // header-only record
 			out.Begin(1)
 			out.End() // another one, via the batched API
 		}
@@ -234,23 +235,28 @@ type planeMsg struct {
 	from, to int
 	ints     []int64
 	floats   []float64
-	api      int // 0 SendInts (Send when there are floats), 1 Send, 2 Begin/…/End
+	api      int // 0 SendInts (as 1 when there are floats), 1 Begin/Int/…/End, 2 Begin/Ints/…/End
 }
 
 func (m planeMsg) words() int { return 1 + len(m.ints) + len(m.floats) }
 
 func (m planeMsg) emit(out *Outbox) {
-	switch {
-	case m.api == 2:
-		out.Begin(m.to)
-		out.Ints(m.ints...)
-		out.Floats(m.floats...)
-		out.End()
-	case m.api == 1 || len(m.floats) > 0:
-		out.Send(m.to, m.ints, m.floats)
-	default:
+	if m.api == 0 && len(m.floats) == 0 {
 		out.SendInts(m.to, m.ints...)
+		return
 	}
+	out.Begin(m.to)
+	if m.api == 2 {
+		out.Ints(m.ints...)
+	} else {
+		for _, v := range m.ints {
+			out.Int(v)
+		}
+	}
+	for _, v := range m.floats {
+		out.Float(v)
+	}
+	out.End()
 }
 
 // shapeChangeScript is one round of traffic on M machines in which every
@@ -518,12 +524,14 @@ func reserveScript(t *testing.T, c *Cluster, reserve bool) [][]Record {
 				if reserve {
 					out.Reserve(to, 100, 100, 100)
 				}
-				out.Send(to, []int64{0}, []float64{float64(to)}) // same shape: still uniform
-				out.SendInts(to, 1, 2)                           // another shape: framed from here
+				// The same shape, so still uniform; then another shape, framed
+				// from there on.
+				planeMsg{to: to, ints: []int64{0}, floats: []float64{float64(to)}}.emit(out)
+				out.SendInts(to, 1, 2)
 				if reserve {
 					out.Reserve(to, 3, 3, 3)
 				}
-				out.Send(to, []int64{3}, []float64{float64(to)})
+				planeMsg{to: to, ints: []int64{3}, floats: []float64{float64(to)}}.emit(out)
 				out.SendInts(to)
 			}
 			if reserve {
@@ -1142,33 +1150,27 @@ func TestReservePanics(t *testing.T) {
 }
 
 func TestSendPanics(t *testing.T) {
-	// The fused Send/SendInts path keeps both of Begin's checks.
-	sends := map[string]func(out *Outbox, to int){
-		"Send":     func(out *Outbox, to int) { out.Send(to, []int64{1}, nil) },
-		"SendInts": func(out *Outbox, to int) { out.SendInts(to, 1) },
-	}
-	for name, send := range sends {
-		t.Run(name+"/InsideOpenRecord", func(t *testing.T) {
+	// SendInts' fused path keeps both of Begin's checks.
+	t.Run("SendInts/InsideOpenRecord", func(t *testing.T) {
+		c := NewCluster(Config{Machines: 2})
+		defer expectPanic(t)
+		_ = c.Round(func(machine int, in *Inbox, out *Outbox) {
+			if machine == 0 {
+				out.SendInts(1, 0) // the column exists: the open record alone must stop the send
+				out.Begin(1)
+				out.SendInts(1, 1)
+			}
+		})
+	})
+	for _, to := range []int{-1, 2} {
+		t.Run(fmt.Sprintf("SendInts/InvalidMachine%d", to), func(t *testing.T) {
 			c := NewCluster(Config{Machines: 2})
 			defer expectPanic(t)
 			_ = c.Round(func(machine int, in *Inbox, out *Outbox) {
-				if machine == 0 {
-					out.SendInts(1, 0) // the column exists: the open record alone must stop the send
-					out.Begin(1)
-					send(out, 1)
-				}
+				out.SendInts(1-machine, 0) // byDest allocated: the range check alone must stop it
+				out.SendInts(to, 1)
 			})
 		})
-		for _, to := range []int{-1, 2} {
-			t.Run(fmt.Sprintf("%s/InvalidMachine%d", name, to), func(t *testing.T) {
-				c := NewCluster(Config{Machines: 2})
-				defer expectPanic(t)
-				_ = c.Round(func(machine int, in *Inbox, out *Outbox) {
-					out.SendInts(1-machine, 0) // byDest allocated: the range check alone must stop it
-					send(out, to)
-				})
-			})
-		}
 	}
 }
 

@@ -50,7 +50,10 @@ func chatterScript(t *testing.T, c *Cluster) (string, Metrics) {
 				c.Arm(machine) // self-arm: runs round 3 with an empty inbox
 			}
 			if round == 3 && machine == 1 && in.Len() == 0 {
-				out.Send(0, []int64{-1}, []float64{0.5})
+				out.Begin(0)
+				out.Int(-1)
+				out.Float(0.5)
+				out.End()
 			}
 			for msg, ok := in.Next(); ok; msg, ok = in.Next() {
 				if len(msg.Ints) > 0 && msg.Ints[0] > 1 {

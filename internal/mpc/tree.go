@@ -102,7 +102,8 @@ func (t *Tree) Depth() int { return t.height }
 
 // Broadcast sends the payload from the tree's root to every machine over
 // Depth()+1 rounds. The payload itself is shared simulator-side; what the
-// helper does is execute (and charge) the real message traffic.
+// helper does is execute the real rounds and charge their traffic, one
+// record of the payload per tree edge (Outbox.Charge): no machine reads it.
 func (t *Tree) Broadcast(c *Cluster, ints []int64, floats []float64) error {
 	depth := t.Depth()
 	if depth == 0 {
@@ -116,9 +117,7 @@ func (t *Tree) Broadcast(c *Cluster, ints []int64, floats []float64) error {
 		}
 		err := c.Round(func(machine int, in *Inbox, out *Outbox) {
 			// A machine at depth r has just received the payload (or is the
-			// root); it forwards to its children. Send copies the payload
-			// into the outbox's columns, so the shared slices need no
-			// defensive clone.
+			// root); it forwards to its children.
 			if t.depth(machine) != r {
 				return
 			}
@@ -126,7 +125,7 @@ func (t *Tree) Broadcast(c *Cluster, ints []int64, floats []float64) error {
 			// materializing a child list per machine per round.
 			lo, hi := t.childRange(t.pos(machine))
 			for q := lo; q < hi; q++ {
-				out.Send(t.machine(q), ints, floats)
+				out.Charge(t.machine(q), 1, len(ints), len(floats))
 			}
 		})
 		if err != nil {
@@ -175,7 +174,7 @@ func (t *Tree) AggregateSum(c *Cluster, width int, value func(machine int) []int
 				}
 			}
 			if sendDepth >= 1 && t.depth(machine) == sendDepth {
-				out.Send(t.parent(machine), acc[machine], nil)
+				out.SendInts(t.parent(machine), acc[machine]...)
 			}
 		})
 		if err != nil {
