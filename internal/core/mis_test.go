@@ -118,25 +118,13 @@ func TestMISPowerLaw(t *testing.T) {
 	}
 }
 
-// misOracleGraphs is the instance table of the classic-oracle tests: dense
-// random graphs at two densities plus the degenerate shapes.
-func misOracleGraphs() map[string]*graph.Graph {
-	return map[string]*graph.Graph{
-		"density0.3": graph.Density(2000, 0.3, rng.New(60)),
-		"density0.5": graph.Density(2000, 0.5, rng.New(61)),
-		"star":       graph.Star(40),
-		"path":       graph.Path(33),
-		"empty":      graph.New(12),
-		"one":        graph.New(1),
-	}
-}
-
 // testMISMatchesClassic checks that algo returns the classic body's whole
 // MISResult — set, iteration and phase counts, history and all nine metrics —
 // on every executor, for three seeds.
 func testMISMatchesClassic(t *testing.T, algo, classic func(*graph.Graph, Params) (*MISResult, error)) {
-	for name, g := range misOracleGraphs() {
-		mus := []float64{0.05, 0.1, 0.25}
+	for name, build := range misOracleGraphs {
+		g := build()
+		mus := misOracleMus
 		if testing.Short() && g.N > 100 {
 			mus = mus[2:]
 		}

@@ -99,6 +99,114 @@ var pins = map[string]string{
 	"hg/serve/seed=1000000":                              "5e0def6c53beb8d5f80d0317cb6073decde9d4342e47153400f61091dc80031c",
 	"hg/serve/seed=1000001":                              "93bbc7a2624b79f8bf7eca75060092ba6b19973e8cc9851b741d500bb2aad184",
 	"hg/serve/seed=1000002":                              "6caf4cc12bd49dd4c1669976bd48fb120a744fe64180889a9331fc277f7f0e5e",
+	"mis/density0.3/MIS/seed=1/mu=0.05":                  "30457364f56bfc350b712b1305a659e428d03cad6f29066ec588d80c701e3af3",
+	"mis/density0.3/MIS/seed=1/mu=0.1":                   "1b02bc44dfa516e2f4c360e458903472e2e8f8ce50a7226e11a0d99aac1de494",
+	"mis/density0.3/MIS/seed=1/mu=0.25":                  "780ee4678f5273e52acdaf840f8f03ebd4f9046a057a97d66c9e22467a4d17f2",
+	"mis/density0.3/MIS/seed=2/mu=0.05":                  "30457364f56bfc350b712b1305a659e428d03cad6f29066ec588d80c701e3af3",
+	"mis/density0.3/MIS/seed=2/mu=0.1":                   "1b02bc44dfa516e2f4c360e458903472e2e8f8ce50a7226e11a0d99aac1de494",
+	"mis/density0.3/MIS/seed=2/mu=0.25":                  "52d742e275247c8d47dc7320fb0613594d907e0bbb772e8d023d9ab58e4eaf0f",
+	"mis/density0.3/MIS/seed=3/mu=0.05":                  "30457364f56bfc350b712b1305a659e428d03cad6f29066ec588d80c701e3af3",
+	"mis/density0.3/MIS/seed=3/mu=0.1":                   "1b02bc44dfa516e2f4c360e458903472e2e8f8ce50a7226e11a0d99aac1de494",
+	"mis/density0.3/MIS/seed=3/mu=0.25":                  "a9dc9e63c14cde7e0be54b3974afbea675f654794878da8ff38b864c0cd4babc",
+	"mis/density0.3/MISFast/seed=1/mu=0.05":              "2637228542ca60f4eeee989b81fbac99c8949e329f66e6d69c4d7f7097165440",
+	"mis/density0.3/MISFast/seed=1/mu=0.1":               "44ab3fd3e5e6dd802b305c013800f190c801cb4629fc0a55dc21a1534dbddf64",
+	"mis/density0.3/MISFast/seed=1/mu=0.25":              "cc4157adf301d7b43b87668c5ed41e616948dcbe5a40b15c125df21c20bb748e",
+	"mis/density0.3/MISFast/seed=2/mu=0.05":              "ed10d0a790addc2da0913d494ab731bf95ad8c48d8d33e7231140bd90afb2389",
+	"mis/density0.3/MISFast/seed=2/mu=0.1":               "81e43f106d831c392bc5a057cff12a805a2e4bbb80b65e2212a5e6921700b825",
+	"mis/density0.3/MISFast/seed=2/mu=0.25":              "74cc663b14af0338a5997ca8a2f28f4c2554d63056eca71499830b0b13673ada",
+	"mis/density0.3/MISFast/seed=3/mu=0.05":              "e4bb98cb09e7665f6b5dc8942bbb8818b2e2a9999320a12c9198d1053b75e439",
+	"mis/density0.3/MISFast/seed=3/mu=0.1":               "12e5275af0e31fcf9ae44a30f99481b7eb2adff626043d257e5337dfb639a47d",
+	"mis/density0.3/MISFast/seed=3/mu=0.25":              "67f6e6c0944f4e9dca8d32f10828a24fccc14e1c7999d6105b048df38b36a078",
+	"mis/density0.5/MIS/seed=1/mu=0.05":                  "065722adac6a9e4fddb265a4df7b8946334a35cc228ff179ccdfa1e2ea42fdea",
+	"mis/density0.5/MIS/seed=1/mu=0.1":                   "5e816261feec5a2f0b27344b2484be43ef014616d191cae0028a3c04e043938b",
+	"mis/density0.5/MIS/seed=1/mu=0.25":                  "c5a60b4694280d051a46fee844e942b69f9ca82e9b075b62a449d46642a0e39c",
+	"mis/density0.5/MIS/seed=2/mu=0.05":                  "728b64e7bf154de48fbe433a105698d0c2c84e9601f605b42eb089ab1988f0b2",
+	"mis/density0.5/MIS/seed=2/mu=0.1":                   "12acfca4366a93d074bf6619a8ecd9db8845c4b4ccc95245c93b852243d95203",
+	"mis/density0.5/MIS/seed=2/mu=0.25":                  "3239ed7b9cdf8ed4cac6d8add7624441517122c6696ef9f94f8ae45df7d8840e",
+	"mis/density0.5/MIS/seed=3/mu=0.05":                  "03fe9ded2f4006b236ba857d304e8b95ab719af1ab463d440a39243d1400af45",
+	"mis/density0.5/MIS/seed=3/mu=0.1":                   "0d1b03a5f20094f9fa1dd47ade9e8a2b71e3d63d466d6e8ed4bbfa26c00a02c6",
+	"mis/density0.5/MIS/seed=3/mu=0.25":                  "3aa98d42b661d04f4fe643dbf1bf22ecd88485e4ff1cf52a13711ab197033698",
+	"mis/density0.5/MISFast/seed=1/mu=0.05":              "6ed953e893327b7d25643acad190838a513701b1f8a7e44d0623be7aadee81cc",
+	"mis/density0.5/MISFast/seed=1/mu=0.1":               "3abfa901fcba8e8b31c3f67f1edeb78f7dfab696d698c14f43174e08ee48f3e9",
+	"mis/density0.5/MISFast/seed=1/mu=0.25":              "e137f5dec2a6c9ffd5fcd103a643ec06c4a790b662276ad54c3ee15a5b31428b",
+	"mis/density0.5/MISFast/seed=2/mu=0.05":              "78f22ec2e85ad6787b0eaeba6cda79b9d5eeeb04d4ab896570f9fd6300347fc2",
+	"mis/density0.5/MISFast/seed=2/mu=0.1":               "2879e27704d3ab2c1b16a272c51ea9feaae81c08f1d0b43c0b8cb3ea69bbb779",
+	"mis/density0.5/MISFast/seed=2/mu=0.25":              "07a25e0aedf0773475c8299550669697cdb4ed52c6599aa6443e8285b654d2a1",
+	"mis/density0.5/MISFast/seed=3/mu=0.05":              "1689fc4b8fad3373bc926f60e6029d458d0228a11b5de57149b6d69cc699807c",
+	"mis/density0.5/MISFast/seed=3/mu=0.1":               "3c2498041685278fb8ae97f91c57ecb61456c6556125cc99ae795fea7118fee2",
+	"mis/density0.5/MISFast/seed=3/mu=0.25":              "fd3b0532b029012a8dd4f590d057d3d1095e8733281b78d5cacf8055622fd715",
+	"mis/empty/MIS/seed=1/mu=0.05":                       "bd3ec456e723373cfabce94044e05c80e34d844e8c9718a3e51e8aff9007d514",
+	"mis/empty/MIS/seed=1/mu=0.1":                        "d37378e5218d0c3d1585ac3ad3944d9683b540552c3679c1ed73e924223e088b",
+	"mis/empty/MIS/seed=1/mu=0.25":                       "16101c72774abb8c29987f760ca85897caae942a01300787b8f95574f09e8fea",
+	"mis/empty/MIS/seed=2/mu=0.05":                       "bd3ec456e723373cfabce94044e05c80e34d844e8c9718a3e51e8aff9007d514",
+	"mis/empty/MIS/seed=2/mu=0.1":                        "d37378e5218d0c3d1585ac3ad3944d9683b540552c3679c1ed73e924223e088b",
+	"mis/empty/MIS/seed=2/mu=0.25":                       "16101c72774abb8c29987f760ca85897caae942a01300787b8f95574f09e8fea",
+	"mis/empty/MIS/seed=3/mu=0.05":                       "bd3ec456e723373cfabce94044e05c80e34d844e8c9718a3e51e8aff9007d514",
+	"mis/empty/MIS/seed=3/mu=0.1":                        "d37378e5218d0c3d1585ac3ad3944d9683b540552c3679c1ed73e924223e088b",
+	"mis/empty/MIS/seed=3/mu=0.25":                       "16101c72774abb8c29987f760ca85897caae942a01300787b8f95574f09e8fea",
+	"mis/empty/MISFast/seed=1/mu=0.05":                   "9f8b8f47f78cfd428ea490f9cd449f8e79740ce0c015292ec58fe7bc9a642a39",
+	"mis/empty/MISFast/seed=1/mu=0.1":                    "9f8b8f47f78cfd428ea490f9cd449f8e79740ce0c015292ec58fe7bc9a642a39",
+	"mis/empty/MISFast/seed=1/mu=0.25":                   "9f8b8f47f78cfd428ea490f9cd449f8e79740ce0c015292ec58fe7bc9a642a39",
+	"mis/empty/MISFast/seed=2/mu=0.05":                   "9f8b8f47f78cfd428ea490f9cd449f8e79740ce0c015292ec58fe7bc9a642a39",
+	"mis/empty/MISFast/seed=2/mu=0.1":                    "9f8b8f47f78cfd428ea490f9cd449f8e79740ce0c015292ec58fe7bc9a642a39",
+	"mis/empty/MISFast/seed=2/mu=0.25":                   "9f8b8f47f78cfd428ea490f9cd449f8e79740ce0c015292ec58fe7bc9a642a39",
+	"mis/empty/MISFast/seed=3/mu=0.05":                   "9f8b8f47f78cfd428ea490f9cd449f8e79740ce0c015292ec58fe7bc9a642a39",
+	"mis/empty/MISFast/seed=3/mu=0.1":                    "9f8b8f47f78cfd428ea490f9cd449f8e79740ce0c015292ec58fe7bc9a642a39",
+	"mis/empty/MISFast/seed=3/mu=0.25":                   "9f8b8f47f78cfd428ea490f9cd449f8e79740ce0c015292ec58fe7bc9a642a39",
+	"mis/one/MIS/seed=1/mu=0.05":                         "260a6048a3d959cd2b5d725a24695b03ba1d71c53301251c8f5d0636dea544bd",
+	"mis/one/MIS/seed=1/mu=0.1":                          "53ae7ea907d3fb8ccc6f86534418d3d5f36dc963c3df240a943d45a059d0b714",
+	"mis/one/MIS/seed=1/mu=0.25":                         "98282a6fea98d6dbf4114c20375eca692a6fc02860286022bfab99e286b72504",
+	"mis/one/MIS/seed=2/mu=0.05":                         "260a6048a3d959cd2b5d725a24695b03ba1d71c53301251c8f5d0636dea544bd",
+	"mis/one/MIS/seed=2/mu=0.1":                          "53ae7ea907d3fb8ccc6f86534418d3d5f36dc963c3df240a943d45a059d0b714",
+	"mis/one/MIS/seed=2/mu=0.25":                         "98282a6fea98d6dbf4114c20375eca692a6fc02860286022bfab99e286b72504",
+	"mis/one/MIS/seed=3/mu=0.05":                         "260a6048a3d959cd2b5d725a24695b03ba1d71c53301251c8f5d0636dea544bd",
+	"mis/one/MIS/seed=3/mu=0.1":                          "53ae7ea907d3fb8ccc6f86534418d3d5f36dc963c3df240a943d45a059d0b714",
+	"mis/one/MIS/seed=3/mu=0.25":                         "98282a6fea98d6dbf4114c20375eca692a6fc02860286022bfab99e286b72504",
+	"mis/one/MISFast/seed=1/mu=0.05":                     "a067c0e44192e9c4caeaf304af73f6fe9c00aea6888eacb4d549adcaeea0a7b8",
+	"mis/one/MISFast/seed=1/mu=0.1":                      "a067c0e44192e9c4caeaf304af73f6fe9c00aea6888eacb4d549adcaeea0a7b8",
+	"mis/one/MISFast/seed=1/mu=0.25":                     "a067c0e44192e9c4caeaf304af73f6fe9c00aea6888eacb4d549adcaeea0a7b8",
+	"mis/one/MISFast/seed=2/mu=0.05":                     "a067c0e44192e9c4caeaf304af73f6fe9c00aea6888eacb4d549adcaeea0a7b8",
+	"mis/one/MISFast/seed=2/mu=0.1":                      "a067c0e44192e9c4caeaf304af73f6fe9c00aea6888eacb4d549adcaeea0a7b8",
+	"mis/one/MISFast/seed=2/mu=0.25":                     "a067c0e44192e9c4caeaf304af73f6fe9c00aea6888eacb4d549adcaeea0a7b8",
+	"mis/one/MISFast/seed=3/mu=0.05":                     "a067c0e44192e9c4caeaf304af73f6fe9c00aea6888eacb4d549adcaeea0a7b8",
+	"mis/one/MISFast/seed=3/mu=0.1":                      "a067c0e44192e9c4caeaf304af73f6fe9c00aea6888eacb4d549adcaeea0a7b8",
+	"mis/one/MISFast/seed=3/mu=0.25":                     "a067c0e44192e9c4caeaf304af73f6fe9c00aea6888eacb4d549adcaeea0a7b8",
+	"mis/path/MIS/seed=1/mu=0.05":                        "eb694dd444db9aa601e29ed5630982468d22f6db28047d2deedf7b3b180582b1",
+	"mis/path/MIS/seed=1/mu=0.1":                         "db20ddd1f1abaee7d237a0a5c20db2c94e6e81db24d077b4d0c05c8d38c3a502",
+	"mis/path/MIS/seed=1/mu=0.25":                        "0d2ec91b3d63bd5c58e9accf9bf4cdf43559327cdda875feea7195e3a56eb785",
+	"mis/path/MIS/seed=2/mu=0.05":                        "f33ec49c05d14b36ba1caba0e17fd18401a6a508969a28e569467fe8beb0c67e",
+	"mis/path/MIS/seed=2/mu=0.1":                         "db1b728d670fe48e66a387ff4310c8c26ab44ded7761dd53ea601f6028ef0c89",
+	"mis/path/MIS/seed=2/mu=0.25":                        "56d56a1db66c183ca76e56a53b468860a702d7a121e923cb5bac744990fe82b8",
+	"mis/path/MIS/seed=3/mu=0.05":                        "510f780c7c984eb496593ebcd162b6a72ea4eabcd69327817fef9e42fb671715",
+	"mis/path/MIS/seed=3/mu=0.1":                         "2cd4f120145fdd854b34abe7d01e5eacca52a75e9a445a05a2bb82f4066c897d",
+	"mis/path/MIS/seed=3/mu=0.25":                        "63c616f9f815d614ac5544a6216f3c25b2e863bf5a91de7343c6c49d1a2c31cc",
+	"mis/path/MISFast/seed=1/mu=0.05":                    "c3cf383891f7ca4fb503d2e279ef18457774cfdf34fa52c363e0b9a80b6fb9a3",
+	"mis/path/MISFast/seed=1/mu=0.1":                     "607f085aed92940e4041226dfca2c6e8ac9a843e5a3c2eded4c22d413ad445e6",
+	"mis/path/MISFast/seed=1/mu=0.25":                    "607f085aed92940e4041226dfca2c6e8ac9a843e5a3c2eded4c22d413ad445e6",
+	"mis/path/MISFast/seed=2/mu=0.05":                    "c3cf383891f7ca4fb503d2e279ef18457774cfdf34fa52c363e0b9a80b6fb9a3",
+	"mis/path/MISFast/seed=2/mu=0.1":                     "607f085aed92940e4041226dfca2c6e8ac9a843e5a3c2eded4c22d413ad445e6",
+	"mis/path/MISFast/seed=2/mu=0.25":                    "607f085aed92940e4041226dfca2c6e8ac9a843e5a3c2eded4c22d413ad445e6",
+	"mis/path/MISFast/seed=3/mu=0.05":                    "c3cf383891f7ca4fb503d2e279ef18457774cfdf34fa52c363e0b9a80b6fb9a3",
+	"mis/path/MISFast/seed=3/mu=0.1":                     "607f085aed92940e4041226dfca2c6e8ac9a843e5a3c2eded4c22d413ad445e6",
+	"mis/path/MISFast/seed=3/mu=0.25":                    "607f085aed92940e4041226dfca2c6e8ac9a843e5a3c2eded4c22d413ad445e6",
+	"mis/star/MIS/seed=1/mu=0.05":                        "0835fe3a9190c84d0275a8e3c0e309ca6be4048439b86692977ec658fea04519",
+	"mis/star/MIS/seed=1/mu=0.1":                         "37a03da131fb229460afb6489cd05aa13c58f0d9f00534197e484edb5abb9a4b",
+	"mis/star/MIS/seed=1/mu=0.25":                        "06470af93a04e6e246f781c698c46f7b41b3e5578782fafd4ec1b770efb82a52",
+	"mis/star/MIS/seed=2/mu=0.05":                        "0835fe3a9190c84d0275a8e3c0e309ca6be4048439b86692977ec658fea04519",
+	"mis/star/MIS/seed=2/mu=0.1":                         "37a03da131fb229460afb6489cd05aa13c58f0d9f00534197e484edb5abb9a4b",
+	"mis/star/MIS/seed=2/mu=0.25":                        "06470af93a04e6e246f781c698c46f7b41b3e5578782fafd4ec1b770efb82a52",
+	"mis/star/MIS/seed=3/mu=0.05":                        "0835fe3a9190c84d0275a8e3c0e309ca6be4048439b86692977ec658fea04519",
+	"mis/star/MIS/seed=3/mu=0.1":                         "37a03da131fb229460afb6489cd05aa13c58f0d9f00534197e484edb5abb9a4b",
+	"mis/star/MIS/seed=3/mu=0.25":                        "06470af93a04e6e246f781c698c46f7b41b3e5578782fafd4ec1b770efb82a52",
+	"mis/star/MISFast/seed=1/mu=0.05":                    "b6ddfbb3faf4bd51257df5cbd83c12f86dae276eeb1c79da412dec7bc560f28f",
+	"mis/star/MISFast/seed=1/mu=0.1":                     "ea93a7807bfb049e1df0204201ba2bc18d74e37b0017beca98895bdd5185d442",
+	"mis/star/MISFast/seed=1/mu=0.25":                    "ea93a7807bfb049e1df0204201ba2bc18d74e37b0017beca98895bdd5185d442",
+	"mis/star/MISFast/seed=2/mu=0.05":                    "b6ddfbb3faf4bd51257df5cbd83c12f86dae276eeb1c79da412dec7bc560f28f",
+	"mis/star/MISFast/seed=2/mu=0.1":                     "ea93a7807bfb049e1df0204201ba2bc18d74e37b0017beca98895bdd5185d442",
+	"mis/star/MISFast/seed=2/mu=0.25":                    "ea93a7807bfb049e1df0204201ba2bc18d74e37b0017beca98895bdd5185d442",
+	"mis/star/MISFast/seed=3/mu=0.05":                    "b6ddfbb3faf4bd51257df5cbd83c12f86dae276eeb1c79da412dec7bc560f28f",
+	"mis/star/MISFast/seed=3/mu=0.1":                     "ea93a7807bfb049e1df0204201ba2bc18d74e37b0017beca98895bdd5185d442",
+	"mis/star/MISFast/seed=3/mu=0.25":                    "ea93a7807bfb049e1df0204201ba2bc18d74e37b0017beca98895bdd5185d442",
 	"plane/bmatching/seed=1/mu=0.05":                     "709d02a7c088ed132834a72d282eeb3c07d465b725781e62f8f45aabc9ca778a",
 	"plane/bmatching/seed=1/mu=0.2":                      "62965e67fac793b6f473161efc5966656023e5a11ae68caa46d59bd6415259cc",
 	"plane/bmatching/seed=2/mu=0.05":                     "3d92ff64ec64e82afbf10ad05da51a42bf79f34f0d42680525d6b1dac90ddfe4",
@@ -147,6 +255,33 @@ var pins = map[string]string{
 	"plane/vertexcover/seed=1/mu=0.2":                    "7502374e1f2f3293cb72a7cb017e5427aab64fb9451dd6ca240881621834f823",
 	"plane/vertexcover/seed=2/mu=0.05":                   "fbf56290c364aa74c84b43b9796d861604447dda7225ffdc0b76e6144221f163",
 	"plane/vertexcover/seed=2/mu=0.2":                    "5b258c073bb7ba29dd72cba2e6b31c55144a249afd0bed253eaf602ebcea489d",
+	"rlr/appendixC/eta=n/seed=1":                         "615f33123c48ab708457a599a84eedde9a644958915f2b03592e05c77d0bc86b",
+	"rlr/appendixC/eta=n/seed=2":                         "c66482ec4123f11bb79e31126a06c32c95dcf96739bd01546c2cd7ee3ca969be",
+	"rlr/appendixC/eta=n/seed=3":                         "b3a4d08b6cbcc7d1fc1f35e51b1efd2bfdd39aa1e7c2e4c082d612a2d3ecda3d",
+	"rlr/full/default-eta/seed=1":                        "0cccd23508b7b564b77e0c4f4d83f74a3fdfe56cab415b2b4153e76fd4618ac5",
+	"rlr/full/default-eta/seed=2":                        "0cccd23508b7b564b77e0c4f4d83f74a3fdfe56cab415b2b4153e76fd4618ac5",
+	"rlr/full/default-eta/seed=3":                        "0cccd23508b7b564b77e0c4f4d83f74a3fdfe56cab415b2b4153e76fd4618ac5",
+	"rlr/full/dense-graph/seed=1":                        "304f5caad4e91ecc7f6c44f54d5e062946b060c1ce2a846ce2a84d2cf6997c2d",
+	"rlr/full/dense-graph/seed=2":                        "bfe2001c6b713d275241b77554c036bb122e76e8c1e3fcf0b64e431d96204d4b",
+	"rlr/full/dense-graph/seed=3":                        "d2600529f7bdd70d6bf39fbc96552148db6712e1319c5139b5a44f1bc7f3bad6",
+	"rlr/nonpositive-weights/seed=1":                     "99b757fc1c3fd9f1ea6921d9360b5df9de2343f13d6845df0bdf35f4596f0c28",
+	"rlr/nonpositive-weights/seed=2":                     "d50fedfa29504291fec3c91d0707080f27471d5a4ce2d4f39f69700561f87b8a",
+	"rlr/nonpositive-weights/seed=3":                     "9342770bd33d12b76b458dbacae2eaf25f0cc889534c8547cca8120e7c90b81c",
+	"rlr/path/seed=1":                                    "e3ca28f47c443f6ff5a76a48aec06693a58b029eee9a850d8070c7b30c193c8a",
+	"rlr/path/seed=2":                                    "4b4cd94d85a21c7087451ca034ceacd13818d5f0ad1e4a97ffe2eeb959065c1b",
+	"rlr/path/seed=3":                                    "b05fbf3dd77b33cc19aa16b688cf8763e24f74a290a36d490c1615e54dd1872b",
+	"rlr/sampled/orientation/seed=1":                     "938a780575e02e41292f5cbc927071a2d34a723ec86402096a60f1879964e9ec",
+	"rlr/sampled/orientation/seed=2":                     "47326d5770cdb1b95599381905df4f424722f0b18138a66be21780531b9c4d57",
+	"rlr/sampled/orientation/seed=3":                     "69565bc8ce24a4d51679eb46045a4ddec215efe6fd4c2e0930d5ae1df7652a79",
+	"rlr/sampled/ties/seed=1":                            "eae4ede7d708c761d5be4e58a3bf713a3a9d0bdf0ef8c0a6934cdd6dc1b57b93",
+	"rlr/sampled/ties/seed=2":                            "4215fae8f14d84b0c5f857f3ac22038947449a6c0cd878835c6c5c9e2774b7cb",
+	"rlr/sampled/ties/seed=3":                            "e62dc11a5aedde8a9e3ed3454896a513f343fa53d61256365a08b1a61629c163",
+	"rlr/sampled/tiny-eta/seed=1":                        "70fd6ad54960ea38c3ac82c5c89f5f61b79aeec371bb6542e6da51c5f9fe8307",
+	"rlr/sampled/tiny-eta/seed=2":                        "179934c388f5709efa85f382e04c8fd11d57ba152b24e8fc746dac88123263d0",
+	"rlr/sampled/tiny-eta/seed=3":                        "72fb6189b2872429525e17e21bce7115a7a29a98c2950e5b772dffb7f5d20d65",
+	"rlr/star/seed=1":                                    "9705718726c275bc1251b9a5dcd58d4a373b67efb779b2d4f6858dec21c14dba",
+	"rlr/star/seed=2":                                    "59f0eba9f3dea39e784ad0b4de6ddfd3c1a375a9072c93de913a1eee00e25810",
+	"rlr/star/seed=3":                                    "6df280ad85edbf3cdb0af47a573dc00fdc332f4d14cd6b1211cc79eac8fc4b12",
 	"tie/w=1..1/n=2000/mu=0.2/eta=0":                     "79bbb54fad0f2e65cb21ca618ec9fd5b1ddee912229299eaa78c4d923c2e4a33",
 	"tie/w=1..1/n=2000/mu=0.2/eta=500":                   "c906c9dd165f07e1e0d69f60befb3adaa7570704f3e715fae5e79c4aaab4151b",
 	"tie/w=1..1/n=2000/mu=0/eta=0":                       "059a736f862826c2717a04dff7fbc5f157961bc5d2e0b0d5c88cf5afc7761281",
@@ -418,6 +553,53 @@ func pinnedRows(t *testing.T) []pinnedRow {
 		}
 	}
 
+	// mis: Algorithms 2 and 6 on every misOracleGraphs instance at three µ
+	// and seeds 1–3. Pinned from the drivers' bodies before they lost their
+	// maps and per-candidate slices (batchDominated and blocked as maps, a
+	// fresh alive-neighbour slice per sampled vertex).
+	for name, build := range misOracleGraphs {
+		g := memo(func() *graph.Graph { return sharedGraph(build()) })
+		for seed := uint64(1); seed <= 3; seed++ {
+			graphRows("mis/"+name, seed, g, both, misOracleMus, map[string]func(any, Params) (any, error){
+				"MIS":     onGraph(MIS),
+				"MISFast": onGraph(MISFast),
+			})
+		}
+	}
+
+	// rlr: RLRMatching on every rlrOracleCases shape at seeds 1–3, each run
+	// held to the sampled iterations its shape is there for. Pinned from the
+	// driver's body before its map-free rewrite (per-machine plans, a
+	// per-vertex map with sorted keys, a changed map, a whole-m rescan after
+	// the delivery round).
+	for _, tc := range rlrOracleCases {
+		g := memo(func() *graph.Graph { return sharedGraph(tc.g()) })
+		for seed := uint64(1); seed <= 3; seed++ {
+			rows = append(rows, pinnedRow{key: fmt.Sprintf("rlr/%s/seed=%d", tc.name, seed), inst: g,
+				run: func(in any, p Params) (any, error) {
+					return RLRMatching(in.(*graph.Graph), p, MatchingOptions{Eta: tc.eta})
+				},
+				p: Params{Mu: tc.mu, Seed: seed}, workers: both,
+				check: func(res any) error {
+					g := g().(*graph.Graph)
+					e, positive := tc.eta, int64(0)
+					if e <= 0 {
+						e = eta(g.N, tc.mu, 8)
+					}
+					for _, edge := range g.Edges {
+						if edge.W > 0 {
+							positive++
+						}
+					}
+					if k := sampledIterations(positive, res.(*MatchingResult).History, e); k < tc.minSampled {
+						return fmt.Errorf("%d sampled iterations, the row needs >= %d", k, tc.minSampled)
+					}
+					return nil
+				},
+			})
+		}
+	}
+
 	// clique: MaximalClique on the clique tests' graphs at both µ. The
 	// medium rows must take sampled batches, not only the final gather.
 	clique := func(name string, g *graph.Graph, seed uint64, check func(res any) error) {
@@ -438,6 +620,75 @@ func pinnedRows(t *testing.T) []pinnedRow {
 		return nil
 	})
 	return rows
+}
+
+// misOracleGraphs are the mis rows' instances: dense random graphs at two
+// densities plus the degenerate shapes.
+var misOracleGraphs = map[string]func() *graph.Graph{
+	"density0.3": func() *graph.Graph { return graph.Density(2000, 0.3, rng.New(60)) },
+	"density0.5": func() *graph.Graph { return graph.Density(2000, 0.5, rng.New(61)) },
+	"star":       func() *graph.Graph { return graph.Star(40) },
+	"path":       func() *graph.Graph { return graph.Path(33) },
+	"empty":      func() *graph.Graph { return graph.New(12) },
+	"one":        func() *graph.Graph { return graph.New(1) },
+}
+
+var misOracleMus = []float64{0.05, 0.1, 0.25}
+
+// rlrOracleCases are the rlr rows' shapes: µ, η (0 for the default) and the
+// sampled iterations a run must reach for its shape to be worth keeping.
+var rlrOracleCases = []struct {
+	name       string
+	g          func() *graph.Graph
+	mu         float64
+	eta        int
+	minSampled int
+}{
+	{"full/default-eta", func() *graph.Graph { return weightedDensity(300, 0.3, 11, 12) }, 0.2, 0, 0},
+	{"full/dense-graph", func() *graph.Graph { return weightedDensity(120, 0.8, 13, 14) }, 0.3, 0, 0},
+	{"appendixC/eta=n", func() *graph.Graph { return weightedDensity(400, 0.5, 15, 16) }, 0, 400, 1},
+	{"sampled/tiny-eta", func() *graph.Graph { return weightedDensity(1000, 0.5, 17, 18) }, 0.05, 32, 10},
+	// Equal weights everywhere: every argmax is a tie, so the first-max rule
+	// and the arrival order decide the whole run.
+	{"sampled/ties", func() *graph.Graph { return graph.Density(150, 0.4, rng.New(23)) }, 0.1, 40, 2},
+	// Even edges stored as (smaller, larger), odd ones as (larger, smaller):
+	// a central machine that read an edge's side from its endpoints' order
+	// instead of from U filters the wrong side of half of them. The mix is
+	// set here, not left to the generator's own orientation.
+	{"sampled/orientation", func() *graph.Graph {
+		g := weightedDensity(300, 0.4, 24, 25)
+		for id := range g.Edges {
+			e := &g.Edges[id]
+			if (e.U > e.V) != (id%2 == 1) {
+				e.U, e.V = e.V, e.U
+			}
+		}
+		return g
+	}, 0.1, 40, 2},
+	// Every fourth edge weightless or negative: never alive, never sampled.
+	{"nonpositive-weights", func() *graph.Graph {
+		g := weightedDensity(200, 0.4, 21, 22)
+		for id := range g.Edges {
+			if id%4 == 0 {
+				g.Edges[id].W = float64(-(id % 8)) // 0 and -4
+			}
+		}
+		return g
+	}, 0.1, 60, 1},
+	{"star", func() *graph.Graph { return graph.Star(300) }, 0.1, 20, 1},
+	{"path", func() *graph.Graph {
+		g := graph.Path(500)
+		g.AssignUniformWeights(rng.New(19), 1, 100)
+		return g
+	}, 0.1, 30, 1},
+}
+
+// weightedDensity is Density(n, c) drawn from seed with weights in [1, 100)
+// drawn from weightSeed.
+func weightedDensity(n int, c float64, seed, weightSeed uint64) *graph.Graph {
+	g := graph.Density(n, c, rng.New(seed))
+	g.AssignUniformWeights(rng.New(weightSeed), 1, 100)
+	return g
 }
 
 // equivInstance is one input of the equiv rows: a weighted graph, its

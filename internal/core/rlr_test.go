@@ -287,57 +287,14 @@ func sampledIterations(before int64, history []int64, eta int) int {
 }
 
 func TestRLRMatchingMatchesClassic(t *testing.T) {
-	weighted := func(g *graph.Graph, seed uint64) *graph.Graph {
-		g.AssignUniformWeights(rng.New(seed), 1, 100)
-		return g
-	}
-	// Every fourth edge weightless or negative: never alive, never sampled.
-	holed := weighted(graph.Density(200, 0.4, rng.New(21)), 22)
-	for id := range holed.Edges {
-		if id%4 == 0 {
-			holed.Edges[id].W = float64(-(id % 8)) // 0 and -4
-		}
-	}
-	// Equal weights everywhere: every argmax is a tie, so the first-max rule
-	// and the arrival order decide the whole run.
-	ties := graph.Density(150, 0.4, rng.New(23))
-	// Even edges stored as (smaller, larger), odd ones as (larger, smaller):
-	// a central machine that read an edge's side from its endpoints' order
-	// instead of from U filters the wrong side of half of them. The mix is
-	// set here, not left to the generator's own orientation.
-	swapped := weighted(graph.Density(300, 0.4, rng.New(24)), 25)
-	for id := range swapped.Edges {
-		e := &swapped.Edges[id]
-		if (e.U > e.V) != (id%2 == 1) {
-			e.U, e.V = e.V, e.U
-		}
-	}
-	cases := []struct {
-		name string
-		g    *graph.Graph
-		mu   float64
-		eta  int
-		// minSampled is the number of sampled iterations the case must
-		// reach to be worth keeping.
-		minSampled int
-	}{
-		{"full/default-eta", weighted(graph.Density(300, 0.3, rng.New(11)), 12), 0.2, 0, 0},
-		{"full/dense-graph", weighted(graph.Density(120, 0.8, rng.New(13)), 14), 0.3, 0, 0},
-		{"appendixC/eta=n", weighted(graph.Density(400, 0.5, rng.New(15)), 16), 0, 400, 1},
-		{"sampled/tiny-eta", weighted(graph.Density(1000, 0.5, rng.New(17)), 18), 0.05, 32, 10},
-		{"sampled/ties", ties, 0.1, 40, 2},
-		{"sampled/orientation", swapped, 0.1, 40, 2},
-		{"nonpositive-weights", holed, 0.1, 60, 1},
-		{"star", graph.Star(300), 0.1, 20, 1},
-		{"path", weighted(graph.Path(500), 19), 0.1, 30, 1},
-	}
-	for _, tc := range cases {
+	for _, tc := range rlrOracleCases {
+		g := tc.g()
 		etaWords := tc.eta
 		if etaWords <= 0 {
-			etaWords = eta(tc.g.N, tc.mu, 8)
+			etaWords = eta(g.N, tc.mu, 8)
 		}
 		positive := int64(0)
-		for _, e := range tc.g.Edges {
+		for _, e := range g.Edges {
 			if e.W > 0 {
 				positive++
 			}
@@ -346,11 +303,11 @@ func TestRLRMatchingMatchesClassic(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
 				p := Params{Mu: tc.mu, Seed: seed, Workers: workers}
 				opt := MatchingOptions{Eta: tc.eta}
-				want, err := rlrMatchingClassic(tc.g, p, opt)
+				want, err := rlrMatchingClassic(g, p, opt)
 				if err != nil {
 					t.Fatalf("%s: classic: %v", tc.name, err)
 				}
-				got, err := RLRMatching(tc.g, p, opt)
+				got, err := RLRMatching(g, p, opt)
 				if err != nil {
 					t.Fatalf("%s: %v", tc.name, err)
 				}

@@ -2,6 +2,7 @@ package seq
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -178,29 +179,8 @@ func skewedHub() *graph.Graph {
 }
 
 func TestMisraGriesMatchesClassic(t *testing.T) {
-	cases := map[string]*graph.Graph{
-		"star":   graph.Star(40),
-		"skewed": skewedHub(),
-		"grid":   graph.Grid(7, 9),
-		"pa":     graph.PreferentialAttachment(120, 4, rng.New(40)),
-	}
-	// A dense near-clique: K_40 minus a perfect matching's worth of edges.
-	near := graph.New(40)
-	for u := 0; u < near.N; u++ {
-		for v := u + 1; v < near.N; v++ {
-			if u/2 != v/2 {
-				near.AddEdge(u, v, 1)
-			}
-		}
-	}
-	cases["near-clique"] = near
-	r := rng.New(41)
-	for i := 0; i < 36; i++ {
-		n := 30 + 40*(i%6)
-		c := 0.15 + 0.1*float64(i%5)
-		cases[fmt.Sprintf("density-%d(n=%d,c=%.2f)", i, n, c)] = graph.Density(n, c, r.Split())
-	}
-	for name, g := range cases {
+	for _, c := range misraGriesGraphs() {
+		name, g := c.name, c.g
 		want := misraGriesClassic(g)
 		got := MisraGries(g)
 		if len(got) != len(want) {
@@ -227,66 +207,37 @@ func TestMisraGriesMatchesClassic(t *testing.T) {
 // take the sparse index, the dense graphs' the flat one.
 func TestMisraGriesOfMatchesSubgraph(t *testing.T) {
 	const sentinel = -7
-	r := rng.New(47)
-	// skewedHub's shape at 150 vertices: every group still takes the sparse
-	// index, at a tenth of the cost under the race detector.
-	hub := graph.Star(150)
-	for v := 1; v+1 < hub.N; v += 2 {
-		hub.AddEdge(v, v+1, 1)
-	}
-	cases := map[string]*graph.Graph{"hub": hub}
-	for i := 0; i < 4; i++ {
-		n := 40 + 30*i
-		cases[fmt.Sprintf("density-%d(n=%d)", i, n)] = graph.Density(n, 0.4, r.Split())
-	}
-	for name, g := range cases {
-		for trial := 0; trial < 4; trial++ {
-			kappa, machines := 2-trial%2, 2+r.Intn(6)
-			group := make([]int, g.M())
-			for id := range group {
-				group[id] = r.Intn(kappa)
+	for _, cell := range misraGriesOfCells() {
+		name, g, ids := cell.name, cell.g, cell.ids
+		sub := graph.New(g.N)
+		for _, id := range ids {
+			e := g.Edges[id]
+			sub.AddEdge(e.U, e.V, e.W)
+		}
+		want, classic := MisraGries(sub), misraGriesClassic(sub)
+		colour := make([]int, g.M())
+		for id := range colour {
+			colour[id] = sentinel
+		}
+		maxDeg := MisraGriesOf(g, ids, colour)
+		if maxDeg != sub.MaxDegree() {
+			t.Fatalf("%s: degree %d, copy's %d", name, maxDeg, sub.MaxDegree())
+		}
+		sparse := g.N*(maxDeg+3) > 8*(g.N+2*len(ids))+1024
+		if sparse != strings.HasPrefix(name, "hub/") {
+			t.Fatalf("%s: sparse index %v", name, sparse)
+		}
+		in := make([]bool, g.M())
+		for k, id := range ids {
+			in[id] = true
+			if colour[id] != want[k] || colour[id] != classic[k] {
+				t.Fatalf("%s: edge %d coloured %d, copy %d, classic %d",
+					name, id, colour[id], want[k], classic[k])
 			}
-			var ids []int
-			for machine := 1; machine < machines; machine++ {
-				for id := machine - 1; id < g.M(); id += machines - 1 {
-					if group[id] == 0 {
-						ids = append(ids, id)
-					}
-				}
-			}
-			if trial >= 2 {
-				r.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-			}
-			sub := graph.New(g.N)
-			for _, id := range ids {
-				e := g.Edges[id]
-				sub.AddEdge(e.U, e.V, e.W)
-			}
-			want, classic := MisraGries(sub), misraGriesClassic(sub)
-			colour := make([]int, g.M())
-			for id := range colour {
-				colour[id] = sentinel
-			}
-			maxDeg := MisraGriesOf(g, ids, colour)
-			if maxDeg != sub.MaxDegree() {
-				t.Fatalf("%s trial %d: degree %d, copy's %d", name, trial, maxDeg, sub.MaxDegree())
-			}
-			sparse := g.N*(maxDeg+3) > 8*(g.N+2*len(ids))+1024
-			if sparse != (name == "hub") {
-				t.Fatalf("%s trial %d: sparse index %v", name, trial, sparse)
-			}
-			in := make([]bool, g.M())
-			for k, id := range ids {
-				in[id] = true
-				if colour[id] != want[k] || colour[id] != classic[k] {
-					t.Fatalf("%s trial %d: edge %d coloured %d, copy %d, classic %d",
-						name, trial, id, colour[id], want[k], classic[k])
-				}
-			}
-			for id, c := range colour {
-				if !in[id] && c != sentinel {
-					t.Fatalf("%s trial %d: edge %d outside the list written (%d)", name, trial, id, c)
-				}
+		}
+		for id, c := range colour {
+			if !in[id] && c != sentinel {
+				t.Fatalf("%s: edge %d outside the list written (%d)", name, id, c)
 			}
 		}
 	}
