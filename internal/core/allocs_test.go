@@ -102,13 +102,8 @@ func allocRows() []allocRow {
 	density := func(n int, c float64, seed uint64) func() Input {
 		return input(func() Input { return Input{Graph: graph.Density(n, c, rng.New(seed))} })
 	}
-	// weighted is a Density(n, 0.3) graph with weights in [1, 100).
 	weighted := func(n int, seed, weightSeed uint64) func() Input {
-		return input(func() Input {
-			g := graph.Density(n, 0.3, rng.New(seed))
-			g.AssignUniformWeights(rng.New(weightSeed), 1, 100)
-			return Input{Graph: g}
-		})
+		return input(func() Input { return Input{Graph: weightedDensity(n, 0.3, seed, weightSeed)} })
 	}
 	job := func(alg string) func(Input, Params) (any, error) {
 		a, _ := LookupAlgorithm(alg)

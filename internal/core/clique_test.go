@@ -13,10 +13,7 @@ func TestMaximalCliqueSmall(t *testing.T) {
 	r := rng.New(60)
 	for trial := 0; trial < 20; trial++ {
 		n := 5 + r.Intn(15)
-		m := r.Intn(3*n + 1)
-		if max := n * (n - 1) / 2; m > max {
-			m = max
-		}
+		m := min(r.Intn(3*n+1), n*(n-1)/2)
 		g := graph.GNM(n, m, r)
 		res, err := MaximalClique(g, Params{Mu: 0.3, Seed: uint64(trial)})
 		if err != nil {
@@ -119,10 +116,7 @@ func TestLubyMISSmall(t *testing.T) {
 	r := rng.New(63)
 	for trial := 0; trial < 20; trial++ {
 		n := 5 + r.Intn(20)
-		m := r.Intn(3 * n)
-		if max := n * (n - 1) / 2; m > max {
-			m = max
-		}
+		m := min(r.Intn(3*n), n*(n-1)/2)
 		g := graph.GNM(n, m, r)
 		res, err := LubyMIS(g, Params{Mu: 0.3, Seed: uint64(trial)})
 		if err != nil {
@@ -154,10 +148,7 @@ func TestFilteringMatchingSmall(t *testing.T) {
 		sampled := false
 		for trial := 0; trial < 20; trial++ {
 			n := 5 + r.Intn(15)
-			m := r.Intn(3*n + 1)
-			if max := n * (n - 1) / 2; m > max {
-				m = max
-			}
+			m := min(r.Intn(3*n+1), n*(n-1)/2)
 			g := graph.GNM(n, m, r)
 			res, err := FilteringMatching(g, Params{Mu: mu, Seed: uint64(trial)})
 			if err != nil {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/mpc"
 	"repro/internal/rng"
 )
 
@@ -171,22 +170,12 @@ func TestPartitionByOwnerSlab(t *testing.T) {
 }
 
 // appendPartition is partitionByOwner as it was before it became one slab,
-// growing every list by append. The frozen classic drivers in the tests
-// build their owned lists with it.
+// growing every list by append: the oracle partitionByOwner's lists must
+// equal.
 func appendPartition(count, machines int, owner func(id int) int) [][]int {
 	out := make([][]int, machines)
 	for id := 0; id < count; id++ {
 		out[owner(id)] = append(out[owner(id)], id)
 	}
 	return out
-}
-
-// armPlanned arms every machine whose per-machine plan is non-empty, as the
-// frozen classic drivers in the tests arm their sampling rounds.
-func armPlanned[T any](c *mpc.Cluster, plan [][]T) {
-	for machine, p := range plan {
-		if len(p) > 0 {
-			c.Arm(machine)
-		}
-	}
 }

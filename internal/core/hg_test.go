@@ -92,10 +92,7 @@ func TestBMatchingSmallExact(t *testing.T) {
 		bf := func(int) int { return bcap }
 		for trial := 0; trial < 15; trial++ {
 			n := 5 + r.Intn(5)
-			m := 1 + r.Intn(14)
-			if max := n * (n - 1) / 2; m > max {
-				m = max
-			}
+			m := min(1+r.Intn(14), n*(n-1)/2)
 			g := graph.GNM(n, m, r)
 			g.AssignUniformWeights(r, 1, 10)
 			eps := 0.15
@@ -144,10 +141,7 @@ func TestVertexColouringSmall(t *testing.T) {
 	r := rng.New(75)
 	for trial := 0; trial < 20; trial++ {
 		n := 5 + r.Intn(30)
-		m := r.Intn(4*n + 1)
-		if max := n * (n - 1) / 2; m > max {
-			m = max
-		}
+		m := min(r.Intn(4*n+1), n*(n-1)/2)
 		g := graph.GNM(n, m, r)
 		res, err := VertexColouring(g, Params{Mu: 0.2, Seed: uint64(trial)})
 		if err != nil {
@@ -163,10 +157,7 @@ func TestEdgeColouringSmall(t *testing.T) {
 	r := rng.New(77)
 	for trial := 0; trial < 20; trial++ {
 		n := 5 + r.Intn(25)
-		m := r.Intn(4*n + 1)
-		if max := n * (n - 1) / 2; m > max {
-			m = max
-		}
+		m := min(r.Intn(4*n+1), n*(n-1)/2)
 		g := graph.GNM(n, m, r)
 		res, err := EdgeColouring(g, Params{Mu: 0.2, Seed: uint64(trial)})
 		if err != nil {

@@ -116,10 +116,7 @@ func TestQuickMatchingTwoApprox(t *testing.T) {
 	r := rng.New(102)
 	f := func(a, b, s uint8) bool {
 		n := int(a%6) + 4
-		m := int(b)%13 + 1
-		if max := n * (n - 1) / 2; m > max {
-			m = max
-		}
+		m := min(int(b)%13+1, n*(n-1)/2)
 		g := graph.GNM(n, m, r)
 		g.AssignUniformWeights(r, 1, 20)
 		res, err := RLRMatching(g, Params{Mu: 0.3, Seed: uint64(s)}, MatchingOptions{})
@@ -159,10 +156,7 @@ func TestQuickMISValidity(t *testing.T) {
 	r := rng.New(104)
 	f := func(a, b, s uint8) bool {
 		n := int(a%15) + 3
-		m := int(b) % (n * 2)
-		if max := n * (n - 1) / 2; m > max {
-			m = max
-		}
+		m := min(int(b)%(n*2), n*(n-1)/2)
 		g := graph.GNM(n, m, r)
 		res, err := MISFast(g, Params{Mu: 0.25, Seed: uint64(s)})
 		if err != nil {
@@ -179,10 +173,7 @@ func TestQuickColouringProper(t *testing.T) {
 	r := rng.New(105)
 	f := func(a, b, s uint8) bool {
 		n := int(a%20) + 3
-		m := int(b) % (3 * n)
-		if max := n * (n - 1) / 2; m > max {
-			m = max
-		}
+		m := min(int(b)%(3*n), n*(n-1)/2)
 		g := graph.GNM(n, m, r)
 		vres, err := VertexColouring(g, Params{Mu: 0.2, Seed: uint64(s)})
 		if err != nil || !graph.IsProperVertexColouring(g, vres.Colours) {

@@ -23,10 +23,7 @@ func TestFilteringWeightedMatchingSmallExact(t *testing.T) {
 		sampled := false
 		for trial := 0; trial < 25; trial++ {
 			n := 5 + r.Intn(5)
-			m := 1 + r.Intn(15)
-			if max := n * (n - 1) / 2; m > max {
-				m = max
-			}
+			m := min(1+r.Intn(15), n*(n-1)/2)
 			g := graph.GNM(n, m, r)
 			g.AssignUniformWeights(r, 1, row.whi)
 			res, err := FilteringWeightedMatching(g, Params{Mu: row.mu, Seed: uint64(trial)})

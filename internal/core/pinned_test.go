@@ -622,6 +622,19 @@ func pinnedRows(t *testing.T) []pinnedRow {
 	return rows
 }
 
+// sampledIterations counts the iterations of a run that drew randomness:
+// iteration i is sampled when the alive count before it was at least 4η.
+func sampledIterations(before int64, history []int64, eta int) int {
+	k := 0
+	for _, after := range history {
+		if before >= 4*int64(eta) {
+			k++
+		}
+		before = after
+	}
+	return k
+}
+
 // misOracleGraphs are the mis rows' instances: dense random graphs at two
 // densities plus the degenerate shapes.
 var misOracleGraphs = map[string]func() *graph.Graph{

@@ -1,327 +1,14 @@
 package core
 
 import (
-	"fmt"
 	"math"
-	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/mpc"
 	"repro/internal/rng"
 	"repro/internal/seq"
 	"repro/internal/setcover"
 )
-
-// rlrMatchingClassic is the RLRMatching driver as it stood before the
-// map-free rewrite, kept verbatim as the oracle: per-machine [][]int64 plans
-// for every iteration, a perVertex map with sorted keys, a changed map, and a
-// whole-m rescan after the delivery round. TestRLRMatchingMatchesClassic
-// requires the production driver to reproduce its MatchingResult exactly.
-func rlrMatchingClassic(g *graph.Graph, p Params, opt MatchingOptions) (*MatchingResult, error) {
-	n, m := g.N, g.M()
-	if m == 0 {
-		return &MatchingResult{}, nil
-	}
-	etaWords := opt.Eta
-	if etaWords <= 0 {
-		etaWords = eta(n, p.Mu, 8)
-	}
-	// Machine 0 is the dedicated central machine; machines 1..M-1 hold the
-	// edge and vertex partitions.
-	M := dataMachines(4*m, 4*etaWords)
-	cluster := newCluster(M, etaWords, p, capSlack)
-	defer cluster.Close()
-	tree := mpc.NewTree(cluster, 0, treeDegree(n, p.Mu))
-	r := rng.New(p.Seed)
-
-	edgeOwner := func(id int) int { return 1 + id%(M-1) }
-	vertexOwner := func(v int) int { return 1 + v%(M-1) }
-
-	// Resident state: each edge owner stores (u, v, w, alive) per edge; each
-	// vertex owner stores ϕ(v) plus the incident edge list used to forward
-	// potentials.
-	alive := make([]bool, m)
-	for id := range alive {
-		alive[id] = g.Edges[id].W > 0
-	}
-	g.Build()
-	ownedEdges := appendPartition(m, M, edgeOwner)
-	resident := make([]int, M)
-	for id := range g.Edges {
-		resident[edgeOwner(id)] += 4
-	}
-	for v := 0; v < n; v++ {
-		resident[vertexOwner(v)] += 2 + g.Degree(v)
-	}
-	for machine := 0; machine < M; machine++ {
-		cluster.SetResident(machine, resident[machine])
-	}
-
-	// Central machine state: the local ratio potentials and stack.
-	lr := seq.NewMatchingLocalRatio(g)
-	cluster.AddResident(0, 2*n) // ϕ plus stacked-bit bookkeeping
-
-	res := &MatchingResult{}
-	aliveCount := int64(0)
-	for _, a := range alive {
-		if a {
-			aliveCount++
-		}
-	}
-
-	for iter := 0; aliveCount > 0; iter++ {
-		if iter >= maxIterations {
-			return nil, fmt.Errorf("core: RLRMatching exceeded %d iterations", maxIterations)
-		}
-		res.Iterations++
-
-		// Sampling round: edge owners sample each alive edge into E'_u and
-		// E'_v independently and ship sampled edges to the central machine.
-		// Message layout: [edgeID, sideMask] with sideMask bit0 = sampled
-		// for U's list, bit1 = sampled for V's list.
-		full := aliveCount < 4*int64(etaWords)
-		prob := 1.0
-		if !full {
-			prob = math.Min(1, float64(etaWords)/float64(aliveCount))
-		}
-		// Draw the two per-edge side samples machine by machine before the
-		// round; the closures replay each machine's plan concurrently.
-		sampledSides := int64(0)
-		var sampleIDs []int64
-		plan := make([][]int64, M)
-		for machine := 1; machine < M; machine++ {
-			for _, id := range ownedEdges[machine] {
-				if !alive[id] {
-					continue
-				}
-				mask := int64(0)
-				if full || r.Bernoulli(prob) {
-					mask |= 1
-				}
-				if full || r.Bernoulli(prob) {
-					mask |= 2
-				}
-				if mask != 0 {
-					plan[machine] = append(plan[machine], int64(id), mask)
-					if mask&1 != 0 {
-						sampledSides++
-					}
-					if mask&2 != 0 {
-						sampledSides++
-					}
-					sampleIDs = append(sampleIDs, int64(id), mask)
-				}
-			}
-		}
-		armPlanned(cluster, plan)
-		err := cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			for i := 0; i+1 < len(plan[machine]); i += 2 {
-				out.SendInts(0, plan[machine][i], plan[machine][i+1])
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-
-		// Line 10-11: if Σ|E'_v| > 8η the algorithm fails. This is a
-		// w.h.p.-never event at the paper's constants.
-		if !full && sampledSides > 8*int64(etaWords) {
-			return nil, fmt.Errorf("core: RLRMatching sampling overflow (%d > 8η=%d)", sampledSides, 8*etaWords)
-		}
-
-		// Central machine: group sampled edges per vertex and push the
-		// heaviest alive edge of each E'_v (Lines 12-14).
-		perVertex := make(map[int][]int) // vertex -> sampled edge ids
-		for i := 0; i+1 < len(sampleIDs); i += 2 {
-			id, mask := int(sampleIDs[i]), sampleIDs[i+1]
-			e := g.Edges[id]
-			if mask&1 != 0 {
-				perVertex[e.U] = append(perVertex[e.U], id)
-			}
-			if mask&2 != 0 {
-				perVertex[e.V] = append(perVertex[e.V], id)
-			}
-		}
-		vertices := make([]int, 0, len(perVertex))
-		for v := range perVertex {
-			vertices = append(vertices, v)
-		}
-		sort.Ints(vertices)
-		changed := make(map[int]bool)
-		var pushed []int64
-		for _, v := range vertices {
-			best, bestW := -1, 0.0
-			for _, id := range perVertex[v] {
-				if !lr.Alive(id) {
-					continue
-				}
-				if w := lr.Reduced(id); w > bestW {
-					best, bestW = id, w
-				}
-			}
-			if best < 0 {
-				continue
-			}
-			if _, ok := lr.Push(best); ok {
-				e := g.Edges[best]
-				changed[e.U] = true
-				changed[e.V] = true
-				pushed = append(pushed, int64(best))
-			}
-		}
-		cluster.SetResident(0, 2*n+2*lr.StackSize())
-
-		// Update round A: central sends the changed ϕ values to the vertex
-		// owners and the stacked edge ids to the edge owners (§5.3).
-		changedList := make([]int, 0, len(changed))
-		for v := range changed {
-			changedList = append(changedList, v)
-		}
-		sort.Ints(changedList)
-		cluster.Arm(0) // rounds B and the delivery round run off their inboxes
-		err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			if machine != 0 {
-				return
-			}
-			for _, v := range changedList {
-				out.Begin(vertexOwner(v))
-				out.Int(int64(v))
-				out.Float(lr.Phi(v))
-				out.End()
-			}
-			for _, id := range pushed {
-				out.SendInts(edgeOwner(int(id)), id)
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-
-		// Update round B: vertex owners forward ϕ(v) to the machines owning
-		// v's alive incident edges; edge owners mark stacked edges dead and
-		// recompute aliveness from the received potentials.
-		err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			for msg, ok := in.Next(); ok; msg, ok = in.Next() {
-				if len(msg.Floats) == 1 {
-					v := int(msg.Ints[0])
-					phi := msg.Floats[0]
-					for _, id := range g.IncidentEdges(v) {
-						if alive[id] {
-							out.Begin(edgeOwner(int(id)))
-							out.Int(int64(id))
-							out.Int(int64(v))
-							out.Float(phi)
-							out.End()
-						}
-					}
-				}
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		// Deliver round B's messages and apply them. Stacked edges die; an
-		// edge receiving a potential recomputes its reduced weight (the
-		// simulator reads lr, which holds exactly the values the messages
-		// carry).
-		err = cluster.Round(func(machine int, in *mpc.Inbox, out *mpc.Outbox) {
-			for msg, ok := in.Next(); ok; msg, ok = in.Next() {
-				if len(msg.Floats) == 1 && len(msg.Ints) == 2 {
-					id := int(msg.Ints[0])
-					if alive[id] && !lr.Alive(id) {
-						alive[id] = false
-					}
-				}
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, id := range pushed {
-			alive[id] = false
-		}
-		// Any edge whose potential made it non-positive is dead even if its
-		// owner received no message this iteration (both endpoints
-		// unchanged ⇒ weight unchanged, so this only affects edges with a
-		// changed endpoint — exactly the ones messaged above).
-		// Recompute the alive count with an aggregation over the tree.
-		counts := make([]int64, M)
-		for id := 0; id < m; id++ {
-			if alive[id] && !lr.Alive(id) {
-				alive[id] = false
-			}
-			if alive[id] {
-				counts[edgeOwner(id)]++
-			}
-		}
-		total, err := tree.AllReduceSum(cluster, 1, func(machine int) []int64 {
-			return []int64{counts[machine]}
-		})
-		if err != nil {
-			return nil, err
-		}
-		aliveCount = total[0]
-		res.History = append(res.History, aliveCount)
-	}
-
-	res.Edges = lr.Unwind()
-	res.Weight = graph.MatchingWeight(g, res.Edges)
-	res.StackSize = lr.StackSize()
-	res.Metrics = cluster.Metrics()
-	return res, nil
-}
-
-// sampledIterations counts the iterations of a run that drew randomness:
-// iteration i is sampled when the alive count before it was at least 4η.
-func sampledIterations(before int64, history []int64, eta int) int {
-	k := 0
-	for _, after := range history {
-		if before >= 4*int64(eta) {
-			k++
-		}
-		before = after
-	}
-	return k
-}
-
-func TestRLRMatchingMatchesClassic(t *testing.T) {
-	for _, tc := range rlrOracleCases {
-		g := tc.g()
-		etaWords := tc.eta
-		if etaWords <= 0 {
-			etaWords = eta(g.N, tc.mu, 8)
-		}
-		positive := int64(0)
-		for _, e := range g.Edges {
-			if e.W > 0 {
-				positive++
-			}
-		}
-		for _, workers := range []int{1, 2} {
-			for seed := uint64(1); seed <= 3; seed++ {
-				p := Params{Mu: tc.mu, Seed: seed, Workers: workers}
-				opt := MatchingOptions{Eta: tc.eta}
-				want, err := rlrMatchingClassic(g, p, opt)
-				if err != nil {
-					t.Fatalf("%s: classic: %v", tc.name, err)
-				}
-				got, err := RLRMatching(g, p, opt)
-				if err != nil {
-					t.Fatalf("%s: %v", tc.name, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s workers=%d seed=%d: result differs from the classic driver\n got %+v\nwant %+v",
-						tc.name, workers, seed, got, want)
-				}
-				if k := sampledIterations(positive, got.History, etaWords); k < tc.minSampled {
-					t.Fatalf("%s seed=%d: %d sampled iterations, the case needs >= %d", tc.name, seed, k, tc.minSampled)
-				}
-			}
-		}
-	}
-}
 
 func TestRLRMatchingEmptyGraph(t *testing.T) {
 	g := graph.New(5)
@@ -338,10 +25,7 @@ func TestRLRMatchingSmallExact(t *testing.T) {
 	r := rng.New(5)
 	for trial := 0; trial < 25; trial++ {
 		n := 5 + r.Intn(5)
-		m := 1 + r.Intn(15)
-		if max := n * (n - 1) / 2; m > max {
-			m = max
-		}
+		m := min(1+r.Intn(15), n*(n-1)/2)
 		g := graph.GNM(n, m, r)
 		g.AssignUniformWeights(r, 1, 10)
 		res, err := RLRMatching(g, Params{Mu: 0.3, Seed: uint64(trial)}, MatchingOptions{})

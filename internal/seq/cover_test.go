@@ -219,10 +219,3 @@ func TestVertexCoverViaSetCoverAgreesWithBrute(t *testing.T) {
 		}
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -52,10 +52,7 @@ func TestGreedyMatchingTwoApprox(t *testing.T) {
 	r := rng.New(22)
 	for trial := 0; trial < 50; trial++ {
 		n := 4 + r.Intn(6)
-		m := 1 + r.Intn(15)
-		if max := n * (n - 1) / 2; m > max {
-			m = max
-		}
+		m := min(1+r.Intn(15), n*(n-1)/2)
 		g := randWeighted(n, m, r)
 		sel := GreedyMatching(g)
 		if !graph.IsMatching(g, sel) {
@@ -159,10 +156,7 @@ func TestBMatchingDegeneratesToMatching(t *testing.T) {
 	b1 := func(int) int { return 1 }
 	for trial := 0; trial < 30; trial++ {
 		n := 4 + r.Intn(5)
-		m := 1 + r.Intn(12)
-		if max := n * (n - 1) / 2; m > max {
-			m = max
-		}
+		m := min(1+r.Intn(12), n*(n-1)/2)
 		g := randWeighted(n, m, r)
 		sel := LocalRatioBMatching(g, b1, 0)
 		if !graph.IsMatching(g, sel) {
@@ -181,10 +175,7 @@ func TestBMatchingApproximation(t *testing.T) {
 		bf := func(int) int { return b }
 		for trial := 0; trial < 30; trial++ {
 			n := 4 + r.Intn(5)
-			m := 1 + r.Intn(14)
-			if max := n * (n - 1) / 2; m > max {
-				m = max
-			}
+			m := min(1+r.Intn(14), n*(n-1)/2)
 			g := randWeighted(n, m, r)
 			eps := 0.1
 			sel := LocalRatioBMatching(g, bf, eps)

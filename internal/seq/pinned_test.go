@@ -85,60 +85,37 @@ func colouringDigest(col []int) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// pinnedRow is one pinned colouring; its pin is pins[key].
-type pinnedRow struct {
-	key string
-	run func() []int // the colour of each edge the row colours
-}
-
+// TestPinnedResults pins two families, each pinned from MisraGries' body
+// before its allocation-free rewrite (closures over a (vertex, colour)
+// index, a map per fan, fresh slices per path and rotation), whose
+// colourings were proper:
+//
+//   - misragries: MisraGries on every misraGriesGraphs graph;
+//   - misragriesof: MisraGriesOf on every misraGriesOfCells id list, the
+//     colours in list order, pinned from the body run on a copy on the
+//     graph's vertices that holds the listed edges.
 func TestPinnedResults(t *testing.T) {
-	rows := pinnedRows()
-	if len(rows) != len(pins) {
-		t.Fatalf("%d rows for %d pins", len(rows), len(pins))
-	}
-	seen := make(map[string]bool, len(rows))
-	for _, row := range rows {
-		pin, ok := pins[row.key]
-		if !ok || seen[row.key] {
-			t.Fatalf("row %s has no pin of its own", row.key)
-		}
-		seen[row.key] = true
-		t.Run(row.key, func(t *testing.T) {
-			if got := colouringDigest(row.run()); got != pin {
-				t.Errorf("digest %s, pinned %s", got, pin)
-			}
-		})
-	}
-}
-
-// pinnedRows builds the table family by family. Each family's comment says
-// before which rewrite its pins were taken.
-func pinnedRows() []pinnedRow {
-	var rows []pinnedRow
-
-	// misragries: MisraGries on every misraGriesGraphs graph. Pinned from
-	// its body before the allocation-free rewrite (closures over a (vertex,
-	// colour) index, a map per fan, fresh slices per path and rotation),
-	// whose colourings were proper.
+	got := map[string][]int{}
 	for _, c := range misraGriesGraphs() {
-		rows = append(rows, pinnedRow{key: "misragries/" + c.name, run: func() []int { return MisraGries(c.g) }})
+		got["misragries/"+c.name] = MisraGries(c.g)
 	}
-
-	// misragriesof: MisraGriesOf on every misraGriesOfCells id list, the
-	// colours in list order. Pinned from the same body run on a copy holding
-	// the listed edges.
 	for _, c := range misraGriesOfCells() {
-		rows = append(rows, pinnedRow{key: "misragriesof/" + c.name, run: func() []int {
-			colour := make([]int, c.g.M())
-			MisraGriesOf(c.g, c.ids, colour)
-			listed := make([]int, len(c.ids))
-			for k, id := range c.ids {
-				listed[k] = colour[id]
-			}
-			return listed
-		}})
+		colour := make([]int, c.g.M())
+		MisraGriesOf(c.g, c.ids, colour)
+		listed := make([]int, len(c.ids))
+		for k, id := range c.ids {
+			listed[k] = colour[id]
+		}
+		got["misragriesof/"+c.name] = listed
 	}
-	return rows
+	if len(got) != len(pins) {
+		t.Fatalf("%d rows for %d pins", len(got), len(pins))
+	}
+	for key, col := range got {
+		if d := colouringDigest(col); d != pins[key] {
+			t.Errorf("%s: digest %s, pinned %s", key, d, pins[key])
+		}
+	}
 }
 
 // namedGraph is one graph of a family.
