@@ -135,10 +135,7 @@ func TestQuickSetCoverFApprox(t *testing.T) {
 	f := func(a, b, s uint8) bool {
 		n := int(a%8) + 3
 		m := int(b%15) + 3
-		fq := int(s)%3 + 1
-		if fq > n {
-			fq = n
-		}
+		fq := min(int(s)%3+1, n)
 		inst := setcover.RandomFrequency(n, m, fq, 6, r)
 		res, err := RLRSetCover(inst, Params{Mu: 0.3, Seed: uint64(s)}, CoverOptions{})
 		if err != nil || !inst.IsCover(res.Cover) {

@@ -560,10 +560,8 @@ func pinnedRows(t *testing.T) []pinnedRow {
 	for name, build := range misOracleGraphs {
 		g := memo(func() *graph.Graph { return sharedGraph(build()) })
 		for seed := uint64(1); seed <= 3; seed++ {
-			graphRows("mis/"+name, seed, g, both, misOracleMus, map[string]func(any, Params) (any, error){
-				"MIS":     onGraph(MIS),
-				"MISFast": onGraph(MISFast),
-			})
+			graphRows("mis/"+name, seed, g, both, []float64{0.05, 0.1, 0.25}, map[string]func(any, Params) (any, error){
+				"MIS": onGraph(MIS), "MISFast": onGraph(MISFast)})
 		}
 	}
 
@@ -576,22 +574,18 @@ func pinnedRows(t *testing.T) []pinnedRow {
 		g := memo(func() *graph.Graph { return sharedGraph(tc.g()) })
 		for seed := uint64(1); seed <= 3; seed++ {
 			rows = append(rows, pinnedRow{key: fmt.Sprintf("rlr/%s/seed=%d", tc.name, seed), inst: g,
-				run: func(in any, p Params) (any, error) {
-					return RLRMatching(in.(*graph.Graph), p, MatchingOptions{Eta: tc.eta})
-				},
+				run: onGraph(func(g *graph.Graph, p Params) (*MatchingResult, error) {
+					return RLRMatching(g, p, MatchingOptions{Eta: tc.eta})
+				}),
 				p: Params{Mu: tc.mu, Seed: seed}, workers: both,
 				check: func(res any) error {
-					g := g().(*graph.Graph)
-					e, positive := tc.eta, int64(0)
-					if e <= 0 {
-						e = eta(g.N, tc.mu, 8)
-					}
-					for _, edge := range g.Edges {
-						if edge.W > 0 {
+					positive := int64(0) // the alive edges before the first iteration
+					for _, e := range g().(*graph.Graph).Edges {
+						if e.W > 0 {
 							positive++
 						}
 					}
-					if k := sampledIterations(positive, res.(*MatchingResult).History, e); k < tc.minSampled {
+					if k := sampledIterations(positive, res.(*MatchingResult).History, tc.eta); k < tc.minSampled {
 						return fmt.Errorf("%d sampled iterations, the row needs >= %d", k, tc.minSampled)
 					}
 					return nil
@@ -646,10 +640,9 @@ var misOracleGraphs = map[string]func() *graph.Graph{
 	"one":        func() *graph.Graph { return graph.New(1) },
 }
 
-var misOracleMus = []float64{0.05, 0.1, 0.25}
-
 // rlrOracleCases are the rlr rows' shapes: µ, η (0 for the default) and the
-// sampled iterations a run must reach for its shape to be worth keeping.
+// sampled iterations a run must reach for its shape to be worth keeping
+// (none at the default η, so the check reads η only where it is set).
 var rlrOracleCases = []struct {
 	name       string
 	g          func() *graph.Graph

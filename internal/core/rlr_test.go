@@ -158,10 +158,7 @@ func TestRLRSetCoverSmallExact(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		n := 4 + r.Intn(8)
 		m := 4 + r.Intn(20)
-		f := 1 + r.Intn(3)
-		if f > n {
-			f = n
-		}
+		f := min(1+r.Intn(3), n)
 		inst := setcover.RandomFrequency(n, m, f, 5, r)
 		res, err := RLRSetCover(inst, Params{Mu: 0.3, Seed: uint64(trial)}, CoverOptions{})
 		if err != nil {

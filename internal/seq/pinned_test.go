@@ -96,8 +96,8 @@ func colouringDigest(col []int) string {
 //     graph's vertices that holds the listed edges.
 func TestPinnedResults(t *testing.T) {
 	got := map[string][]int{}
-	for _, c := range misraGriesGraphs() {
-		got["misragries/"+c.name] = MisraGries(c.g)
+	for name, g := range misraGriesGraphs() {
+		got["misragries/"+name] = MisraGries(g)
 	}
 	for _, c := range misraGriesOfCells() {
 		colour := make([]int, c.g.M())
@@ -118,21 +118,15 @@ func TestPinnedResults(t *testing.T) {
 	}
 }
 
-// namedGraph is one graph of a family.
-type namedGraph struct {
-	name string
-	g    *graph.Graph
-}
-
 // misraGriesGraphs are the misragries rows' graphs: a star, a hub whose
 // (vertex, colour) index takes the sparse layout, a grid, a power-law graph,
 // a dense near-clique and 36 random graphs across sizes and densities.
-func misraGriesGraphs() []namedGraph {
-	cases := []namedGraph{
-		{"star", graph.Star(40)},
-		{"skewed", skewedHub()},
-		{"grid", graph.Grid(7, 9)},
-		{"pa", graph.PreferentialAttachment(120, 4, rng.New(40))},
+func misraGriesGraphs() map[string]*graph.Graph {
+	cases := map[string]*graph.Graph{
+		"star":   graph.Star(40),
+		"skewed": skewedHub(),
+		"grid":   graph.Grid(7, 9),
+		"pa":     graph.PreferentialAttachment(120, 4, rng.New(40)),
 	}
 	// A dense near-clique: K_40 minus a perfect matching's worth of edges.
 	near := graph.New(40)
@@ -143,12 +137,12 @@ func misraGriesGraphs() []namedGraph {
 			}
 		}
 	}
-	cases = append(cases, namedGraph{"near-clique", near})
+	cases["near-clique"] = near
 	r := rng.New(41)
 	for i := 0; i < 36; i++ {
 		n := 30 + 40*(i%6)
 		c := 0.15 + 0.1*float64(i%5)
-		cases = append(cases, namedGraph{fmt.Sprintf("density-%d(n=%d,c=%.2f)", i, n, c), graph.Density(n, c, r.Split())})
+		cases[fmt.Sprintf("density-%d(n=%d,c=%.2f)", i, n, c)] = graph.Density(n, c, r.Split())
 	}
 	return cases
 }
@@ -173,22 +167,25 @@ func misraGriesOfCells() []misraGriesOfCell {
 	for v := 1; v+1 < hub.N; v += 2 {
 		hub.AddEdge(v, v+1, 1)
 	}
-	graphs := []namedGraph{{"hub", hub}}
+	graphs := []*graph.Graph{hub}
 	for i := 0; i < 4; i++ {
-		n := 40 + 30*i
-		graphs = append(graphs, namedGraph{fmt.Sprintf("density-%d(n=%d)", i, n), graph.Density(n, 0.4, r.Split())})
+		graphs = append(graphs, graph.Density(40+30*i, 0.4, r.Split()))
 	}
 	var cells []misraGriesOfCell
-	for _, c := range graphs {
+	for i, g := range graphs {
+		name := fmt.Sprintf("density-%d(n=%d)", i-1, g.N)
+		if i == 0 {
+			name = "hub"
+		}
 		for trial := 0; trial < 4; trial++ {
 			kappa, machines := 2-trial%2, 2+r.Intn(6)
-			group := make([]int, c.g.M())
+			group := make([]int, g.M())
 			for id := range group {
 				group[id] = r.Intn(kappa)
 			}
 			var ids []int
 			for machine := 1; machine < machines; machine++ {
-				for id := machine - 1; id < c.g.M(); id += machines - 1 {
+				for id := machine - 1; id < g.M(); id += machines - 1 {
 					if group[id] == 0 {
 						ids = append(ids, id)
 					}
@@ -197,7 +194,7 @@ func misraGriesOfCells() []misraGriesOfCell {
 			if trial >= 2 {
 				r.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 			}
-			cells = append(cells, misraGriesOfCell{fmt.Sprintf("%s/trial=%d", c.name, trial), c.g, ids})
+			cells = append(cells, misraGriesOfCell{fmt.Sprintf("%s/trial=%d", name, trial), g, ids})
 		}
 	}
 	return cells
